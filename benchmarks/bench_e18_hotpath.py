@@ -145,23 +145,23 @@ class _NullListener:
         self.received += 1
 
 
-def _broadcast_rate(
-    listeners: int, spatial_index: bool, seconds: float
-) -> float:
+def _broadcast_rate(listeners: int, indexed: bool, seconds: float) -> float:
     # 100 m range on a 2 km field: typical low-power sensor radio reach,
     # a handful of listeners hear each frame, the rest must be pruned.
+    # Static listeners are grid-indexed; attached mobile, the same field
+    # gets the exhaustive per-broadcast scan (the "linear" side).
     area = 2000.0
     tx_range = 100.0
     rng = random.Random(11)
     sim = Simulator(seed=1)
-    medium = WirelessMedium(sim, spatial_index=spatial_index)
+    medium = WirelessMedium(sim)
     for _ in range(listeners):
         medium.attach(
             _NullListener(
                 Point(rng.uniform(0, area), rng.uniform(0, area))
             ),
             tx_range,
-            static=True,
+            static=indexed,
         )
     origins = [
         Point(rng.uniform(0, area), rng.uniform(0, area)) for _ in range(64)
@@ -320,8 +320,7 @@ def bench_dispatch(seconds: float) -> dict:
 # The e2e program runs in a subprocess with PYTHONPATH pointed at a
 # chosen `src` tree, so the *same* deployment can be timed against this
 # tree and against an older checkout (``--e2e-baseline-src``). It only
-# uses APIs that exist at the pre-E18 seed commit; the one post-seed
-# knob (`wireless_spatial_index`) is applied when the config accepts it.
+# uses APIs that exist at the pre-E18 seed commit.
 _E2E_PROGRAM = """\
 import json, sys, time
 from repro.core.config import GarnetConfig
@@ -336,13 +335,9 @@ from repro.simnet.geometry import Point, Rect
 duration = float(sys.argv[1])
 # The largest bench_scale shape (200 sensors, 10 consumers).
 area = Rect(0.0, 0.0, 2000.0, 2000.0)
-kwargs = dict(area=area, receiver_rows=4, receiver_cols=4,
-              receiver_overlap=1.5, loss_model=None,
-              publish_location_stream=False)
-try:
-    config = GarnetConfig(**kwargs, wireless_spatial_index=True)
-except TypeError:
-    config = GarnetConfig(**kwargs)
+config = GarnetConfig(area=area, receiver_rows=4, receiver_cols=4,
+                      receiver_overlap=1.5, loss_model=None,
+                      publish_location_stream=False)
 deployment = Garnet(config=config, seed=1)
 deployment.define_sensor_type("g", {})
 rng = deployment.sim.fork_rng()

@@ -38,7 +38,7 @@ class _BufferEntry:
 class HandoffBuffer:
     """Bounded per-stream backlog of recent arrivals, keyed by sequence."""
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("handoff backlog capacity must be at least 1")
         self._capacity = capacity

@@ -248,10 +248,8 @@ class ClusterRuntime:
         metrics = deployment.metrics()
         self.stats = ClusterStats(metrics)
         names = [f"b{index}" for index in range(cfg.cluster_brokers)]
-        self.shards = StreamShardMap(
-            names, virtual_nodes=cfg.cluster_virtual_nodes
-        )
-        self.buffer = HandoffBuffer(cfg.cluster_handoff_backlog)
+        self.shards = StreamShardMap(names)
+        self.buffer = HandoffBuffer()
         self.live: frozenset[str] = frozenset(names)
         self._members = frozenset(names)
         # Installed by FanoutRuntime when fanout_enabled: remote legs

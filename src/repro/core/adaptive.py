@@ -151,11 +151,9 @@ class AdaptiveRateController(Consumer):
             prefix=f"adaptive.{name}"
         )
 
-    def _attach(self, runtime, token) -> None:
-        super()._attach(runtime, token)
-        metrics = getattr(runtime, "metrics", None)
-        if metrics is not None:
-            self.controller_stats.bind(metrics)
+    def _attach(self, session) -> None:
+        super()._attach(session)
+        self.controller_stats.bind(session.metrics)
 
     # ------------------------------------------------------------------
     @property

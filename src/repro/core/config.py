@@ -32,10 +32,6 @@ class GarnetConfig:
     bitrate: float = 250_000.0
     loss_model: LossModel | None = field(default_factory=LossModel)
     per_hop_latency: float = 0.001
-    #: Grid-index static listeners so broadcast prunes out-of-range ones
-    #: without visiting them. Behaviour-neutral (same seed ⇒ identical
-    #: traces); exposed as a kill switch for A/B perf measurement.
-    wireless_spatial_index: bool = True
     #: Compute each broadcast disc as numpy array operations with a
     #: single RNG call per transmission and batched delivery. NOT
     #: behaviour-neutral: the RNG draw order changes, so vectorized runs
@@ -51,27 +47,22 @@ class GarnetConfig:
     checksum: bool = True
 
     # Filtering Service
-    filtering_window: int = 1024
     reorder_timeout: float = 0.0
-    reorder_max_held: int = 64
 
     # Orphanage
     orphanage_backlog: int = 256
 
     # Location Service
     location_decay_tau: float = 30.0
-    location_max_observations: int = 32
-    location_min_confidence_radius: float = 10.0
     publish_location_stream: bool = True
     location_stream_period: float = 10.0
 
-    # Actuation Service. The backoff defaults (multiplier 1, no jitter)
-    # reproduce the historical fixed-interval retransmission exactly.
+    # Actuation Service. The backoff default (multiplier 1) reproduces
+    # the historical fixed-interval retransmission exactly.
     ack_timeout: float = 2.0
     ack_max_attempts: int = 3
     ack_backoff_multiplier: float = 1.0
     ack_backoff_max: float | None = None
-    ack_backoff_jitter: float = 0.0
     replicator_margin: float = 25.0
 
     # Fixed-network resilience: when ``fixednet_retry_base`` is set,
@@ -81,7 +72,6 @@ class GarnetConfig:
     fixednet_retry_base: float | None = None
     fixednet_retry_multiplier: float = 2.0
     fixednet_retry_max: float | None = None
-    fixednet_retry_jitter: float = 0.0
     fixednet_retry_attempts: int = 3
 
     # Broker leases & session liveness: both default off, which is the
@@ -103,7 +93,6 @@ class GarnetConfig:
     # with slow-consumer quarantine.
     qos_consumer_queue: int | None = None
     qos_quarantine_after: float = 5.0
-    qos_parked_capacity: int = 1024
     # ``qos_breaker_failures`` switches on fixed-network circuit
     # breakers (dead-letters before a trip; reset = half-open probe
     # delay in virtual seconds).
@@ -117,7 +106,6 @@ class GarnetConfig:
     qos_restore_after: int = 3
     qos_degrade_factor: float = 0.5
     qos_min_rate: float = 0.1
-    qos_degrade_priority: int = 50
 
     # Clustered federation (repro.cluster). Defaults off: the single-
     # broker deployment is byte-identical to the pre-cluster behaviour
@@ -125,14 +113,13 @@ class GarnetConfig:
     #
     # ``cluster_enabled`` stands up ``cluster_brokers`` broker nodes over
     # the fixed network; stream ownership is assigned by consistent
-    # hashing (``cluster_virtual_nodes`` ring entries per broker, with
-    # explicit pin overrides), publishes/interest cross brokers over
-    # InterBrokerLink inboxes, and a ClusterCoordinator polls broker
-    # liveness every ``cluster_failover_check_period`` virtual seconds to
-    # execute ownership handoff with replay from a bounded per-stream
-    # backlog (``cluster_handoff_backlog``). ``cluster_dedupe_window``
-    # bounds the per-stream sequence window each node keeps to suppress
-    # duplicate deliveries across link/replay paths.
+    # hashing (with explicit pin overrides), publishes/interest cross
+    # brokers over InterBrokerLink inboxes, and a ClusterCoordinator
+    # polls broker liveness every ``cluster_failover_check_period``
+    # virtual seconds to execute ownership handoff with replay from a
+    # bounded per-stream backlog. ``cluster_dedupe_window`` bounds the
+    # per-stream sequence window each node keeps to suppress duplicate
+    # deliveries across link/replay paths.
     cluster_enabled: bool = False
     cluster_brokers: int = 2
     #: Run broker nodes b1..bN in worker *processes* (repro.cluster.mp):
@@ -141,9 +128,7 @@ class GarnetConfig:
     #: and a conservative sim-time barrier. Delivery sets match the
     #: in-process run on the same seed.
     cluster_workers: int = 0
-    cluster_virtual_nodes: int = 64
     cluster_failover_check_period: float = 1.0
-    cluster_handoff_backlog: int = 64
     cluster_dedupe_window: int = 512
 
     # Durable stream store (repro.store). Default off: appends never
@@ -154,18 +139,13 @@ class GarnetConfig:
     # node's dispatcher; ``store_backend`` picks where segments live
     # ("memory" or "file" — the latter needs ``store_dir``). Segments
     # rotate at ``store_segment_bytes``; retention evicts whole sealed
-    # segments by per-stream count, total byte budget and age (against
-    # virtual time). ``store_dedupe_window`` bounds the per-stream
-    # sequence window the tap uses to keep the log duplicate-free
-    # through cluster handoff replay.
+    # segments by per-stream count and by age (``store_max_age``,
+    # against virtual time).
     store_enabled: bool = False
     store_backend: str = "memory"
     store_dir: str | None = None
     store_segment_bytes: int = 64 * 1024
-    store_segments_per_stream: int = 8
-    store_max_bytes: int | None = None
     store_max_age: float | None = None
-    store_dedupe_window: int = 512
 
     # Hierarchical fan-out (repro.fanout). Default off: no relay
     # inboxes, no ``fanout.*`` summary keys, and the per-consumer
@@ -177,24 +157,14 @@ class GarnetConfig:
     # consumer interest aggregates through ``fanout_levels`` tiers of
     # relays (each capped at ``fanout_branching`` children), the
     # dispatcher emits one delivery per subtree, and inter-broker legs
-    # coalesce into DELIVERY_BATCH frames of at most
-    # ``fanout_link_batch`` arrivals. ``fanout_datagram_budget`` bounds
-    # a live-transport batch datagram (protocol.md §7).
+    # coalesce into DELIVERY_BATCH frames (protocol.md §7).
     fanout_enabled: bool = False
     fanout_branching: int = 64
     fanout_levels: int = 3
-    fanout_link_batch: int = 128
-    fanout_datagram_budget: int = 60_000
 
-    # Live transport (repro.transport): where a LiveBroker binds when
-    # this deployment is served over real sockets (``garnet-broker``).
-    # Port 0 means "pick a free port and announce it"; the defaults keep
-    # everything on loopback, which is the only deployment mode the
-    # reproduction supports.
-    transport_host: str = "127.0.0.1"
-    transport_control_port: int = 0
-    transport_data_port: int = 0
-    # Resilient live sessions: ``transport_resume_grace`` keeps a
+    # Live transport (repro.transport), for a deployment served over
+    # real sockets by a LiveBroker (which takes its bind address as
+    # constructor arguments). ``transport_resume_grace`` keeps a
     # disconnected client's server-side session (subscriptions, parked
     # deliveries, publisher id) alive for that many wall-clock seconds
     # so a RESUME with the session's token can pick up where it left
@@ -215,16 +185,8 @@ class GarnetConfig:
     deployment_secret: bytes = b"garnet-deployment-secret"
     require_auth: bool = True
 
-    # Observability (repro.obs): the metrics registry is always on —
-    # the per-service stats views need it — these gate the optional
-    # instrumentation layered on top.
-    trace_spans: bool = True
-    kernel_probe: bool = True
-
     def validate(self) -> "GarnetConfig":
         """Sanity-check cross-field consistency; returns self."""
-        if self.reorder_max_held < 1:
-            raise ConfigurationError("reorder_max_held must be at least 1")
         if self.receiver_rows < 1 or self.receiver_cols < 1:
             raise ConfigurationError("receiver grid must be at least 1x1")
         if self.transmitter_rows < 1 or self.transmitter_cols < 1:
@@ -285,10 +247,6 @@ class GarnetConfig:
                 raise ConfigurationError(
                     "qos_quarantine_after must be positive"
                 )
-            if self.qos_parked_capacity < 1:
-                raise ConfigurationError(
-                    "qos_parked_capacity must be at least 1"
-                )
         if self.qos_breaker_failures is not None:
             if self.qos_breaker_failures < 1:
                 raise ConfigurationError(
@@ -321,17 +279,9 @@ class GarnetConfig:
                 "cluster_workers requires cluster_enabled"
             )
         if self.cluster_enabled:
-            if self.cluster_virtual_nodes < 1:
-                raise ConfigurationError(
-                    "cluster_virtual_nodes must be at least 1"
-                )
             if self.cluster_failover_check_period <= 0:
                 raise ConfigurationError(
                     "cluster_failover_check_period must be positive"
-                )
-            if self.cluster_handoff_backlog < 1:
-                raise ConfigurationError(
-                    "cluster_handoff_backlog must be at least 1"
                 )
             if self.cluster_dedupe_window < 1:
                 raise ConfigurationError(
@@ -351,20 +301,8 @@ class GarnetConfig:
                 raise ConfigurationError(
                     "store_segment_bytes must be at least 1"
                 )
-            if self.store_segments_per_stream < 1:
-                raise ConfigurationError(
-                    "store_segments_per_stream must be at least 1"
-                )
-            if self.store_max_bytes is not None and self.store_max_bytes < 1:
-                raise ConfigurationError(
-                    "store_max_bytes must be at least 1 byte"
-                )
             if self.store_max_age is not None and self.store_max_age <= 0:
                 raise ConfigurationError("store_max_age must be positive")
-            if self.store_dedupe_window < 1:
-                raise ConfigurationError(
-                    "store_dedupe_window must be at least 1"
-                )
         if self.fanout_enabled:
             if self.fanout_branching < 2:
                 raise ConfigurationError(
@@ -373,21 +311,5 @@ class GarnetConfig:
             if not 1 <= self.fanout_levels <= 8:
                 raise ConfigurationError(
                     "fanout_levels must be in [1, 8]"
-                )
-            if self.fanout_link_batch < 1:
-                raise ConfigurationError(
-                    "fanout_link_batch must be at least 1"
-                )
-            if not 64 <= self.fanout_datagram_budget <= 65_000:
-                raise ConfigurationError(
-                    "fanout_datagram_budget must be in [64, 65000]"
-                )
-        if not self.transport_host:
-            raise ConfigurationError("transport_host must be non-empty")
-        for port_field in ("transport_control_port", "transport_data_port"):
-            port = getattr(self, port_field)
-            if not 0 <= port <= 65535:
-                raise ConfigurationError(
-                    f"{port_field} must be in [0, 65535], got {port}"
                 )
         return self

@@ -14,8 +14,10 @@ consumer that publishes is allocated a *virtual sensor id* (top of the
 path — downstream consumers cannot tell them from sensor data.
 
 Subclass :class:`Consumer` and override :meth:`on_start` /
-:meth:`on_data`; the :class:`~repro.core.middleware.Garnet` facade wires
-the runtime in when the consumer is added to a deployment.
+:meth:`on_data`; the :class:`~repro.core.middleware.Garnet` facade opens
+a :class:`~repro.core.session.GarnetSession` for the consumer when it is
+added to a deployment, and every middleware operation below goes
+through that session.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.control import StreamUpdateCommand
-from repro.core.dispatching import INBOX as DISPATCH_INBOX
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.envelopes import (
     LocationHint,
@@ -31,14 +32,12 @@ from repro.core.envelopes import (
     StreamArrival,
 )
 from repro.core.location import HINT_INBOX
-from repro.core.message import DataMessage
 from repro.core.resource import Decision
-from repro.core.security import Token
+from repro.core.session import GarnetSession
 from repro.core.streamid import StreamId
 from repro.core.streams import StreamDescriptor
 from repro.errors import GarnetError, RegistrationError
 from repro.obs.stats import RegistryBackedStats
-from repro.util.ids import WrappingCounter
 
 COORDINATOR_INBOX = "garnet.coordinator"
 
@@ -54,9 +53,10 @@ class ConsumerStats(RegistryBackedStats):
 class Consumer:
     """Base class for Garnet consumer processes.
 
-    The runtime (fixed-network access, broker session, virtual publisher
-    identity) is injected by ``Garnet.add_consumer``; until then the
-    consumer is inert and every middleware operation raises.
+    ``Garnet.add_consumer`` attaches the consumer to its own
+    :class:`~repro.core.session.GarnetSession` (subscription ledger,
+    lease heartbeats, crash recovery, virtual publisher identity); until
+    then the consumer is inert and every middleware operation raises.
     """
 
     def __init__(self, name: str) -> None:
@@ -64,11 +64,7 @@ class Consumer:
             raise RegistrationError("consumer name must be non-empty")
         self.name = name
         self.stats = ConsumerStats(prefix=f"consumer.{name}")
-        self._runtime: Any = None
-        self._token: Token | None = None
-        self._publisher_id: int | None = None
-        self._publish_sequences: dict[int, WrappingCounter] = {}
-        self._subscription_ids: list[int] = []
+        self._session: GarnetSession | None = None
 
     # ------------------------------------------------------------------
     # Wiring (called by the middleware facade)
@@ -79,28 +75,25 @@ class Consumer:
 
     @property
     def attached(self) -> bool:
-        return self._runtime is not None
+        return self._session is not None
 
-    def _attach(self, runtime: Any, token: Token) -> None:
-        if self._runtime is not None:
+    def _attach(self, session: GarnetSession) -> None:
+        if self._session is not None:
             raise RegistrationError(
                 f"consumer {self.name!r} is already attached"
             )
-        self._runtime = runtime
-        self._token = token
-        metrics = getattr(runtime, "metrics", None)
-        if metrics is not None:
-            # Fold this consumer's pre-attachment counters into the
-            # deployment's shared registry.
-            self.stats.bind(metrics)
+        self._session = session
+        # Fold this consumer's pre-attachment counters into the
+        # deployment's shared registry.
+        self.stats.bind(session.metrics)
 
-    def _require_runtime(self) -> Any:
-        if self._runtime is None:
+    def _require_session(self) -> GarnetSession:
+        if self._session is None:
             raise GarnetError(
                 f"consumer {self.name!r} is not attached to a deployment; "
                 "add it with Garnet.add_consumer() first"
             )
-        return self._runtime
+        return self._session
 
     def _deliver(self, arrival: StreamArrival) -> None:
         self.stats.received += 1
@@ -120,7 +113,7 @@ class Consumer:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self._require_runtime().network.sim.now
+        return self._require_session().network.sim.now
 
     def subscribe(
         self,
@@ -134,40 +127,20 @@ class Consumer:
     ) -> int:
         """Subscribe by explicit pattern or by pattern fields.
 
-        When the consumer is attached through a
-        :class:`~repro.core.session.GarnetSession` (the normal case),
-        the subscription is recorded in the session's re-subscription
+        The subscription is recorded in the session's re-subscription
         ledger and survives broker crash/restart.
         """
-        runtime = self._require_runtime()
-        if pattern is None:
-            pattern = SubscriptionPattern(
-                stream_id=stream_id,
-                sensor_id=sensor_id,
-                stream_index=stream_index,
-                kind=kind,
-                derived=derived,
-            )
-        session_subscribe = getattr(runtime, "subscribe", None)
-        if session_subscribe is not None:
-            subscription_id = session_subscribe(pattern)
-        else:
-            # Legacy ConsumerRuntime: talk to the broker directly (no
-            # crash-recovery ledger).
-            subscription_id = runtime.broker.subscribe(
-                self._token, self.endpoint, pattern
-            )
-        self._subscription_ids.append(subscription_id)
-        return subscription_id
+        return self._require_session().subscribe(
+            pattern,
+            stream_id=stream_id,
+            sensor_id=sensor_id,
+            stream_index=stream_index,
+            kind=kind,
+            derived=derived,
+        )
 
     def unsubscribe(self, subscription_id: int) -> None:
-        runtime = self._require_runtime()
-        session_unsubscribe = getattr(runtime, "unsubscribe", None)
-        if session_unsubscribe is not None:
-            session_unsubscribe(subscription_id)
-        else:
-            runtime.broker.unsubscribe(self._token, subscription_id)
-        self._subscription_ids.remove(subscription_id)
+        self._require_session().unsubscribe(subscription_id)
 
     def discover(
         self,
@@ -175,9 +148,8 @@ class Consumer:
         sensor_id: int | None = None,
         derived: bool | None = None,
     ) -> list[StreamDescriptor]:
-        runtime = self._require_runtime()
-        return runtime.broker.discover(
-            self._token, kind=kind, sensor_id=sensor_id, derived=derived
+        return self._require_session().discover(
+            kind=kind, sensor_id=sensor_id, derived=derived
         )
 
     def request_update(
@@ -193,29 +165,23 @@ class Consumer:
         change results, the actuation path (Actuation Service → Message
         Replicator → Transmitters) is engaged automatically.
         """
-        runtime = self._require_runtime()
+        session = self._require_session()
         self.stats.update_requests += 1
-        return runtime.control.request_update(
-            consumer=self.name,
-            token=self._token,
-            stream_id=stream_id,
-            command=command,
-            value=value,
-            priority=priority,
+        return session.request_update(
+            stream_id, command, value=value, priority=priority
         )
 
     def release_demands(self, stream_id: StreamId | None = None) -> None:
         """Withdraw standing demands (call when interest ends)."""
-        runtime = self._require_runtime()
-        runtime.control.release_demands(self.name, stream_id)
+        self._require_session().release_demands(stream_id)
 
     def supply_hint(
         self, sensor_id: int, x: float, y: float, confidence_radius: float
     ) -> None:
         """Give the Location Service an application-level hint (Section 5)."""
-        runtime = self._require_runtime()
+        session = self._require_session()
         self.stats.hints_supplied += 1
-        runtime.network.send(
+        session.network.send(
             HINT_INBOX,
             LocationHint(
                 sensor_id=sensor_id,
@@ -229,9 +195,9 @@ class Consumer:
 
     def report_state(self, state: str, detail: dict | None = None) -> None:
         """Forward a state change to the Super Coordinator (Section 4.2)."""
-        runtime = self._require_runtime()
+        session = self._require_session()
         self.stats.state_reports += 1
-        runtime.network.send(
+        session.network.send(
             COORDINATOR_INBOX,
             StateChangeReport(
                 consumer=self.name,
@@ -258,32 +224,13 @@ class Consumer:
         The first publication on a stream index advertises it through the
         broker with ``kind``. Returns the derived stream's id.
         """
-        runtime = self._require_runtime()
-        if self._publisher_id is None:
-            self._publisher_id = runtime.allocate_publisher_id()
-        stream_id = StreamId(self._publisher_id, stream_index)
-        counter = self._publish_sequences.get(stream_index)
-        if counter is None:
-            counter = WrappingCounter(16)
-            self._publish_sequences[stream_index] = counter
-            if kind:
-                runtime.broker.advertise(
-                    self._token, stream_id, kind=kind, encrypted=encrypted
-                )
-        message = DataMessage(
-            stream_id=stream_id,
-            sequence=counter.next(),
-            payload=payload,
+        stream_id = self._require_session().publish(
+            stream_index,
+            payload,
+            kind=kind,
             fused=fused,
             encrypted=encrypted,
             extensions=extensions,
-        )
-        now = self.now
-        runtime.network.send(
-            DISPATCH_INBOX,
-            StreamArrival(
-                message=message, received_at=now, receiver_id=-1
-            ),
         )
         self.stats.published += 1
         return stream_id
@@ -291,4 +238,4 @@ class Consumer:
     @property
     def publisher_id(self) -> int | None:
         """This consumer's virtual sensor id (None until first publish)."""
-        return self._publisher_id
+        return self._session.publisher_id if self._session else None

@@ -183,7 +183,7 @@ class DispatchingService:
         # store_enabled, keeping the data path byte-identical otherwise.
         self._store: Any | None = None
         # Hierarchical fan-out hook (repro.fanout); None unless
-        # fanout_enabled. Tree-root legs are intercepted in _fan_out and
+        # fanout_enabled. Tree-root legs are intercepted on delivery and
         # delivered as one batch per subtree instead of per consumer.
         self._fanout: Any | None = None
         self.stats = DispatchStats(metrics)
@@ -389,18 +389,7 @@ class DispatchingService:
         if self._store is not None:
             self._store.record(arrival)
         self._advertise_if_new(stream_id)
-        if cluster is None:
-            route = self._route_cache.get(stream_id)
-            if route is None:
-                route = self._compute_route(stream_id)
-                self._route_cache[stream_id] = route
-            if not route:
-                self.stats.orphaned += 1
-                self._network.send(self._orphanage_inbox, arrival)
-                return
-            self._fan_out(route, arrival)
-            return
-        self._route_and_deliver_clustered(arrival, stream_id)
+        self._route_and_deliver(arrival, stream_id, cluster)
 
     def process_replayed(self, arrival: StreamArrival) -> None:
         """Owner-path processing for a handoff-replayed arrival.
@@ -418,8 +407,8 @@ class DispatchingService:
             # tap's sequence window keeps the log duplicate-free.
             self._store.record(arrival)
         self._advertise_if_new(stream_id)
-        self._route_and_deliver_clustered(
-            arrival, stream_id, record_local=True
+        self._route_and_deliver(
+            arrival, stream_id, self._cluster, record_local=True
         )
 
     def process_remote_delivery(self, arrival: StreamArrival) -> int:
@@ -432,73 +421,66 @@ class DispatchingService:
         """
         stream_id = arrival.message.stream_id
         self._advertise_if_new(stream_id)
-        route = self._route_cache.get(stream_id)
-        if route is None:
-            route = self._compute_route(stream_id)
-            self._route_cache[stream_id] = route
-        if not route:
-            return 0
-        return self._fan_out(route, arrival)
+        return self._route_and_deliver(
+            arrival, stream_id, None, orphan_unclaimed=False
+        )
 
-    def _route_and_deliver_clustered(
+    def _route_and_deliver(
         self,
         arrival: StreamArrival,
         stream_id: StreamId,
+        cluster: Any | None,
         *,
+        orphan_unclaimed: bool = True,
         record_local: bool = False,
-    ) -> None:
-        """Owner-side routing: local fan-out plus once-per-link legs."""
-        cluster = self._cluster
+    ) -> int:
+        """Deliver one arrival along its (memoised) route.
+
+        Every matching local subscription gets its own re-stamped copy.
+        With ``cluster`` (the owner-side path of a clustered node) the
+        arrival additionally takes one leg per peer link with aggregated
+        interest, and local fan-out is gated by the node's dedupe window
+        (``record_local`` forces a window into existence). An arrival
+        nobody — local or remote — wants goes to the Orphanage unless
+        ``orphan_unclaimed`` is off. Returns the local deliveries.
+        """
         route = self._route_cache.get(stream_id)
         if route is None:
             route = self._compute_route(stream_id)
             self._route_cache[stream_id] = route
-        remote = cluster.remote_targets(stream_id)
+        remote = cluster.remote_targets(stream_id) if cluster is not None else ()
         if not route and not remote:
-            self.stats.orphaned += 1
-            self._network.send(self._orphanage_inbox, arrival)
-            return
-        if route and cluster.filter_local(
-            stream_id, arrival.message.sequence, record=record_local
+            if orphan_unclaimed:
+                self.stats.orphaned += 1
+                self._network.send(self._orphanage_inbox, arrival)
+            return 0
+        if (
+            cluster is not None
+            and route
+            and not cluster.filter_local(
+                stream_id, arrival.message.sequence, record=record_local
+            )
         ):
-            self._fan_out(route, arrival)
-        for link_inbox in remote:
-            cluster.send_remote(link_inbox, arrival)
-
-    def _fan_out(
-        self, route: tuple[int, ...], arrival: StreamArrival
-    ) -> int:
+            # Every local subscriber already holds this sequence (it
+            # came over a link before a handoff); only links are owed.
+            route = ()
         delivered_at = self._network.sim.now
         delivered = 0
         fanout = self._fanout
-        seen_roots: set[str] | None = None
+        seen_roots: set[str] = set()
         for subscription_id in route:
             subscription = self._subscriptions.get(subscription_id)
             if subscription is None:
                 continue
-            if fanout is not None and fanout.is_root(subscription.endpoint):
+            endpoint = subscription.endpoint
+            to_root = fanout is not None and fanout.is_root(endpoint)
+            if to_root:
                 # One batch per tree per message: a root holding several
                 # matching patterns still receives a single delivery
                 # (the leaves fan to members by their own patterns).
-                endpoint = subscription.endpoint
-                if seen_roots is None:
-                    seen_roots = {endpoint}
-                elif endpoint in seen_roots:
+                if endpoint in seen_roots:
                     continue
-                else:
-                    seen_roots.add(endpoint)
-                subscription.delivered += 1
-                self.stats.deliveries += 1
-                delivered += fanout.deliver_root(
-                    endpoint,
-                    StreamArrival(
-                        message=arrival.message,
-                        received_at=arrival.received_at,
-                        receiver_id=arrival.receiver_id,
-                        delivered_at=delivered_at,
-                    ),
-                )
-                continue
+                seen_roots.add(endpoint)
             subscription.delivered += 1
             self.stats.deliveries += 1
             outbound = StreamArrival(
@@ -507,11 +489,16 @@ class DispatchingService:
                 receiver_id=arrival.receiver_id,
                 delivered_at=delivered_at,
             )
+            if to_root:
+                delivered += fanout.deliver_root(endpoint, outbound)
+                continue
             if self._delivery is not None:
-                self._delivery.deliver(subscription.endpoint, outbound)
+                self._delivery.deliver(endpoint, outbound)
             else:
-                self._network.send(subscription.endpoint, outbound)
+                self._network.send(endpoint, outbound)
             delivered += 1
+        for link_inbox in remote:
+            cluster.send_remote(link_inbox, arrival)
         return delivered
 
     def _compute_route(self, stream_id: StreamId) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ sensor; the facade glues the approval to the issuance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,7 +29,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.consumer import Consumer
 from repro.core.control import StreamUpdateCommand
 from repro.core.coordinator import SuperCoordinator
-from repro.core.dispatching import DispatchingService
+from repro.core.dispatching import DispatchingService, SubscriptionPattern
 from repro.core.filtering import FilteringService
 from repro.core.location import (
     LOCATION_STREAM_KIND,
@@ -76,11 +75,6 @@ from repro.simnet.mobility import MobilityModel, Stationary
 from repro.simnet.wireless import WirelessMedium
 from repro.util.backoff import BackoffPolicy
 from repro.util.ids import IdPool
-
-#: Back-compat alias: the sentinel now lives in :mod:`repro.core.connect`
-#: (it distinguishes "use the config default" from an explicit
-#: ``heartbeat_period=None``).
-_USE_CONFIG = USE_CONFIG
 
 #: Which command applies each configuration parameter on the wire.
 _PARAMETER_COMMANDS: dict[str, StreamUpdateCommand] = {
@@ -208,27 +202,6 @@ class ControlPath:
 
 
 @dataclass(slots=True)
-class ConsumerRuntime:
-    """Middleware access injected into each attached consumer.
-
-    .. deprecated::
-        Superseded by :class:`~repro.core.session.GarnetSession`, which
-        is a superset of this surface and adds lease heartbeating and
-        crash recovery; ``Garnet.add_consumer`` now injects a session.
-        Kept for code that constructs a runtime by hand.
-    """
-
-    network: FixedNetwork
-    broker: Broker
-    control: ControlPath
-    _publisher_pool: IdPool
-    metrics: MetricsRegistry | None = None
-
-    def allocate_publisher_id(self) -> int:
-        return self._publisher_pool.allocate()
-
-
-@dataclass(slots=True)
 class QosRuntime:
     """The deployment's installed overload-protection components.
 
@@ -271,9 +244,8 @@ class Garnet:
         # Observability substrate: one registry for every service's
         # counters, timers keyed off virtual time, spans over the bus.
         self._metrics = MetricsRegistry(clock=lambda: self.sim.now)
-        self.tracer = Tracer(self._metrics) if cfg.trace_spans else None
-        if cfg.kernel_probe:
-            self.sim.set_probe(KernelProbe(self._metrics))
+        self.tracer = Tracer(self._metrics)
+        self.sim.set_probe(KernelProbe(self._metrics))
 
         self.codec = MessageCodec(checksum=cfg.checksum)
         retry_policy = None
@@ -282,7 +254,6 @@ class Garnet:
                 base=cfg.fixednet_retry_base,
                 multiplier=cfg.fixednet_retry_multiplier,
                 max_delay=cfg.fixednet_retry_max,
-                jitter=cfg.fixednet_retry_jitter,
                 max_attempts=cfg.fixednet_retry_attempts,
             )
         self.network = FixedNetwork(
@@ -298,7 +269,6 @@ class Garnet:
             bitrate=cfg.bitrate,
             loss_model=cfg.loss_model,
             per_hop_latency=cfg.per_hop_latency,
-            spatial_index=cfg.wireless_spatial_index,
             vectorized=cfg.wireless_vectorized,
             metrics=self._metrics,
         )
@@ -316,9 +286,7 @@ class Garnet:
         self.filtering = FilteringService(
             self.network,
             self.registry,
-            window=cfg.filtering_window,
             reorder_timeout=cfg.reorder_timeout,
-            max_held=cfg.reorder_max_held,
             metrics=self._metrics,
             **filtering_kwargs,
         )
@@ -339,10 +307,7 @@ class Garnet:
             lease_ttl=cfg.broker_lease_ttl,
         )
         self.location = LocationService(
-            self.network,
-            decay_tau=cfg.location_decay_tau,
-            max_observations=cfg.location_max_observations,
-            min_confidence_radius=cfg.location_min_confidence_radius,
+            self.network, decay_tau=cfg.location_decay_tau
         )
 
         # Radio edge
@@ -380,7 +345,6 @@ class Garnet:
                 base=cfg.ack_timeout,
                 multiplier=cfg.ack_backoff_multiplier,
                 max_delay=cfg.ack_backoff_max,
-                jitter=cfg.ack_backoff_jitter,
                 max_attempts=cfg.ack_max_attempts,
             ),
         )
@@ -434,7 +398,6 @@ class Garnet:
                 self.network,
                 queue_capacity=cfg.qos_consumer_queue,
                 quarantine_after=cfg.qos_quarantine_after,
-                parked_capacity=cfg.qos_parked_capacity,
                 metrics=self._metrics,
             )
             self.dispatcher.set_delivery_manager(self.qos.delivery)
@@ -453,7 +416,6 @@ class Garnet:
                 restore_after=cfg.qos_restore_after,
                 degrade_factor=cfg.qos_degrade_factor,
                 min_rate=cfg.qos_min_rate,
-                priority=cfg.qos_degrade_priority,
                 ingress_queue_capacity=(
                     cfg.qos_ingress_queue
                     if cfg.qos_ingress_rate is not None
@@ -486,9 +448,7 @@ class Garnet:
             self.store = build_store(
                 cfg, metrics=self._metrics, clock=lambda: self.sim.now
             )
-            self.store_tap = StoreTap(
-                self.store, self.codec, window=cfg.store_dedupe_window
-            )
+            self.store_tap = StoreTap(self.store, self.codec)
             if self.cluster.enabled:
                 # Each shard owner persists its own streams: the tap
                 # (and its dedupe windows) is shared, so handoff replay
@@ -703,7 +663,7 @@ class Garnet:
         name: str | None = None,
         token: Token | None = None,
         permissions: Permission | None = None,
-        *legacy_positional: Any,
+        *,
         heartbeat_period: float | None | object = USE_CONFIG,
         broker: str | None = None,
         url: str | None = None,
@@ -747,37 +707,6 @@ class Garnet:
         are simulated-transport concerns and do not combine with it;
         ``checksum`` and ``timeout`` apply only to it.
         """
-        if legacy_positional:
-            # heartbeat_period / broker / url used to be positional
-            # parameters four through six; keep old call sites working
-            # one release longer.
-            if len(legacy_positional) > 3:
-                raise TypeError(
-                    "connect() takes at most 6 positional arguments "
-                    f"({3 + len(legacy_positional)} given)"
-                )
-            warnings.warn(
-                "passing heartbeat_period/broker/url positionally to "
-                "Garnet.connect() is deprecated; use keywords",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            legacy_names = ("heartbeat_period", "broker", "url")
-            legacy_defaults = (USE_CONFIG, None, None)
-            given = {"heartbeat_period": heartbeat_period,
-                     "broker": broker, "url": url}
-            for label, default, value in zip(
-                legacy_names, legacy_defaults, legacy_positional
-            ):
-                if given[label] is not default:
-                    raise TypeError(
-                        f"connect() got multiple values for argument "
-                        f"{label!r}"
-                    )
-                given[label] = value
-            heartbeat_period = given["heartbeat_period"]
-            broker = given["broker"]
-            url = given["url"]
         if options is not None:
             explicit = (
                 name is not None
@@ -870,7 +799,7 @@ class Garnet:
             )
         session = self.connect(consumer.name, token, permissions)
         session.on_data(consumer._deliver)
-        consumer._attach(session, session.token)
+        consumer._attach(session)
         self._consumers[consumer.name] = consumer
         consumer.on_start()
         return consumer
@@ -888,33 +817,13 @@ class Garnet:
         "potentially stored" data put to use). Returns the number of
         messages replayed.
         """
-        if self._consumers.get(consumer.name) is not consumer:
-            raise RegistrationError(
-                f"consumer {consumer.name!r} is not part of this deployment"
-            )
-        replayed = 0
-        claimed: set[StreamId] = set()
-        for orphanage in self.orphanages():
-            for stream_id in list(orphanage.orphan_streams()):
-                if stream_id in claimed:
-                    orphanage.discard(stream_id)
-                    continue
-                if kind is not None:
-                    descriptor = self.registry.find(stream_id)
-                    stream_kind = descriptor.kind if descriptor else ""
-                    if not (
-                        stream_kind == kind
-                        or (
-                            kind.endswith("*")
-                            and stream_kind.startswith(kind[:-1])
-                        )
-                    ):
-                        continue
-                claimed.add(stream_id)
-                replayed += orphanage.replay(stream_id, consumer.endpoint)
-                orphanage.discard(stream_id)
-        self.invalidate_routes()
-        return replayed
+        self._require_member(consumer)
+        pattern = (
+            SubscriptionPattern.match_all()
+            if kind is None
+            else SubscriptionPattern(kind=kind)
+        )
+        return self.session(consumer.name)._replay_orphans((pattern,))
 
     def orphanages(self) -> list[Orphanage]:
         """Every Orphanage in the deployment (one per broker node)."""
@@ -943,18 +852,15 @@ class Garnet:
 
     def remove_consumer(self, consumer: Consumer) -> None:
         """Retire a consumer: demands released, subscriptions dropped."""
+        self._require_member(consumer)
+        consumer._session.close()
+        del self._consumers[consumer.name]
+
+    def _require_member(self, consumer: Consumer) -> None:
         if self._consumers.get(consumer.name) is not consumer:
             raise RegistrationError(
                 f"consumer {consumer.name!r} is not part of this deployment"
             )
-        session = self._sessions.get(consumer.name)
-        if session is not None:
-            session.close()
-        else:
-            self.control.release_demands(consumer.name)
-            self.dispatcher.remove_endpoint(consumer.endpoint)
-            self.network.unregister_inbox(consumer.endpoint)
-        del self._consumers[consumer.name]
 
     # ------------------------------------------------------------------
     # Observability

@@ -20,9 +20,9 @@ lease lapsed — it re-registers, re-installs its subscriptions, and
 replays any messages that fell into the Orphanage while its routes were
 gone. Recoveries surface as ``resilience.*`` metrics.
 
-:class:`~repro.core.consumer.Consumer` is implemented on top: the
-session doubles as the ``runtime`` object injected at attach time (it is
-a superset of the old ``ConsumerRuntime`` surface).
+:class:`~repro.core.consumer.Consumer` is implemented on top: every
+consumer added to a deployment owns one session and delegates its
+middleware operations to it.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class GarnetSession:
             )
 
     # ------------------------------------------------------------------
-    # Runtime surface (superset of the legacy ConsumerRuntime)
+    # The deployment services this session talks to
     # ------------------------------------------------------------------
     @property
     def network(self):
@@ -152,9 +152,6 @@ class GarnetSession:
     @property
     def metrics(self):
         return self._deployment.metrics()
-
-    def allocate_publisher_id(self) -> int:
-        return self._deployment._publisher_ids.allocate()
 
     # ------------------------------------------------------------------
     @property
@@ -385,7 +382,7 @@ class GarnetSession:
         their own :class:`StreamId` values for datagram publishes.
         """
         if self._publisher_id is None:
-            self._publisher_id = self.allocate_publisher_id()
+            self._publisher_id = self._deployment.allocate_publisher_id()
         return self._publisher_id
 
     def adopt_publisher_id(self, value: int, *, reserved: bool = False) -> int:
@@ -408,7 +405,7 @@ class GarnetSession:
                 )
             return value
         if not reserved:
-            self._deployment._publisher_ids.reserve(value)
+            self._deployment.reserve_publisher_id(value)
         self._publisher_id = value
         return value
 
@@ -538,7 +535,7 @@ class GarnetSession:
         # preserved even when received_at ties.
         records.sort(key=lambda record: (record.received_at, record.stream_id))
         now = self.network.sim.now
-        window_size = self._deployment.config.store_dedupe_window
+        window_size = self._deployment.store_tap.window
         replayed = 0
         for record in records:
             message = codec.decode(record.frame)

@@ -35,6 +35,9 @@ _FRAME_PREFIX = 2
 #: Default payload budget per datagram; safely under the 65,507-byte
 #: UDP maximum while leaving headroom for tunnelled transports.
 MAX_BATCH_DATAGRAM = 60_000
+#: Most arrivals one DELIVERY_BATCH inter-broker frame carries; a link
+#: that accumulates more legs in one tick flushes early.
+MAX_LINK_BATCH = 128
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)

@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.core.envelopes import StreamArrival
 from repro.errors import ConfigurationError
-from repro.fanout.frames import DeliveryBatch
+from repro.fanout.frames import MAX_LINK_BATCH, DeliveryBatch
 from repro.fanout.tree import FanoutSession, FanoutTree
 from repro.obs.stats import RegistryBackedStats
 
@@ -52,7 +52,12 @@ class LinkBatcher:
     deterministic, so batched runs are same-seed reproducible.
     """
 
-    def __init__(self, network: Any, stats: FanoutStats, max_batch: int) -> None:
+    def __init__(
+        self,
+        network: Any,
+        stats: FanoutStats,
+        max_batch: int = MAX_LINK_BATCH,
+    ) -> None:
         self._network = network
         self._sim = network.sim
         self._stats = stats
@@ -117,7 +122,7 @@ class FanoutRuntime:
             for node in deployment.cluster.nodes.values():
                 node.dispatcher.set_fanout(self)
             self.link_batcher: LinkBatcher | None = LinkBatcher(
-                deployment.network, self.stats, max_batch=cfg.fanout_link_batch
+                deployment.network, self.stats
             )
             deployment.cluster.link_batcher = self.link_batcher
         else:

@@ -243,11 +243,6 @@ class WirelessMedium:
         unit tests.
     per_hop_latency:
         Fixed MAC/processing latency added to every delivery.
-    spatial_index:
-        Maintain a uniform-grid index over *static* listeners so
-        ``broadcast`` prunes out-of-range ones without visiting them.
-        Pruning is exact, so disabling the index (the kill switch for
-        A/B benchmarking) changes timing only, never results.
     vectorized:
         Compute the whole broadcast disc — distances, loss
         probabilities, RSSI and the survival draws — as numpy array
@@ -269,7 +264,6 @@ class WirelessMedium:
         bitrate: float = 250_000.0,
         loss_model: LossModel | None = None,
         per_hop_latency: float = 0.001,
-        spatial_index: bool = True,
         vectorized: bool = False,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
@@ -293,7 +287,6 @@ class WirelessMedium:
         self._static: list[_Attachment] = []
         self._static_by_listener: dict[int, list[_Attachment]] = {}
         self._static_channel_counts: dict[int, int] = {}
-        self._use_spatial_index = spatial_index
         self._grid: UniformGridIndex | None = None
         self._rng = sim.fork_rng()
         self._vectorized = vectorized
@@ -535,11 +528,7 @@ class WirelessMedium:
 
         static = self._static
         static_candidates = static
-        if (
-            self._use_spatial_index
-            and len(static) >= _MIN_INDEXED_LISTENERS
-            and math.isfinite(tx_range)
-        ):
+        if len(static) >= _MIN_INDEXED_LISTENERS and math.isfinite(tx_range):
             grid = self._ensure_grid(tx_range)
             if grid.cells_for_radius(tx_range) < len(static):
                 static_candidates = grid.query_disc(origin, tx_range)

@@ -48,8 +48,6 @@ def build_store(
     """Assemble the configured StreamStore backend for a deployment."""
     kwargs = dict(
         segment_bytes=config.store_segment_bytes,
-        segments_per_stream=config.store_segments_per_stream,
-        max_bytes=config.store_max_bytes,
         max_age=config.store_max_age,
         clock=clock,
         metrics=metrics,

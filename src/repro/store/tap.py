@@ -28,14 +28,16 @@ from repro.store.base import StreamStore
 class StoreTap:
     """Dedupe-guarded append adapter installed into dispatchers."""
 
-    __slots__ = ("store", "_codec", "_window", "_seen", "_skip_counter")
+    __slots__ = ("store", "_codec", "window", "_seen", "_skip_counter")
 
     def __init__(
         self, store: StreamStore, codec: Any, window: int = 512
     ) -> None:
         self.store = store
         self._codec = codec
-        self._window = window
+        #: Per-stream dedupe window size; history replay primes session
+        #: windows of the same size.
+        self.window = window
         self._seen: dict[StreamId, SequenceWindow] = {}
         self._skip_counter = store.stats.counter("duplicates_skipped")
 
@@ -45,7 +47,7 @@ class StoreTap:
         stream_id = message.stream_id
         entry = self._seen.get(stream_id)
         if entry is None:
-            entry = SequenceWindow(self._window)
+            entry = SequenceWindow(self.window)
             self._seen[stream_id] = entry
         if not entry.add(message.sequence):
             self._skip_counter.inc()

@@ -276,43 +276,30 @@ class LiveBroker:
     :meth:`start` when 0 was requested). ``garnet-broker`` (the CLI) is
     a thin wrapper over this class.
 
-    ``resume_grace`` (default: the deployment config's
-    ``transport_resume_grace``) enables session parking and resume
-    tokens; ``sessions_path`` additionally persists the resumable
-    session table as JSON so RESUME survives a broker restart.
+    The deployment config's ``transport_resume_grace`` enables session
+    parking and resume tokens; ``sessions_path`` additionally persists
+    the resumable session table as JSON so RESUME survives a broker
+    restart.
     """
 
     def __init__(
         self,
         deployment: Any | None = None,
-        host: str | None = None,
-        control_port: int | None = None,
-        data_port: int | None = None,
-        resume_grace: float | None = None,
+        host: str = "127.0.0.1",
+        control_port: int = 0,
+        data_port: int = 0,
         sessions_path: str | Path | None = None,
     ) -> None:
         self.deployment = (
             deployment if deployment is not None else _default_deployment()
         )
         config = self.deployment.config
-        self.host = host if host is not None else config.transport_host
-        self._requested_control_port = (
-            control_port
-            if control_port is not None
-            else config.transport_control_port
-        )
-        self._requested_data_port = (
-            data_port if data_port is not None else config.transport_data_port
-        )
+        self.host = host
+        self._requested_control_port = control_port
+        self._requested_data_port = data_port
         self.control_port: int | None = None
         self.data_port: int | None = None
-        self._resume_grace = (
-            resume_grace
-            if resume_grace is not None
-            else config.transport_resume_grace
-        )
-        if self._resume_grace is not None and self._resume_grace <= 0:
-            raise TransportError("resume_grace must be positive or None")
+        self._resume_grace = config.transport_resume_grace
         self._park_capacity = config.transport_park_capacity
         self._sessions_path = (
             Path(sessions_path) if sessions_path is not None else None
@@ -382,7 +369,6 @@ class LiveBroker:
             help="deliveries served from the single-encode frame cache",
         )
         self._batching = bool(config.fanout_enabled)
-        self._batch_budget = config.fanout_datagram_budget
         self._batch_pending: dict[str, _SessionState] = {}
         self._batch_datagrams = metrics.counter(
             "transport.batch_datagrams",
@@ -718,15 +704,15 @@ class LiveBroker:
         """Send encoded frames to a live recipient, batching when it may.
 
         A single frame keeps the historical bare-datagram shape; two or
-        more pack into §7 batch datagrams (``fanout_datagram_budget``
-        bytes each).
+        more pack into §7 batch datagrams (``MAX_BATCH_DATAGRAM`` bytes
+        each).
         """
         if len(frames) == 1 or not state.batch:
             for frame in frames:
                 self._udp.sendto(frame, state.udp_address)
                 self._datagrams_out.inc()
             return
-        for datagram in encode_batch_datagrams(frames, self._batch_budget):
+        for datagram in encode_batch_datagrams(frames):
             self._udp.sendto(datagram, state.udp_address)
             self._datagrams_out.inc()
             self._batch_datagrams.inc()

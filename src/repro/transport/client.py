@@ -569,7 +569,22 @@ class LiveSession:
                 data, _ = self._udp.recvfrom(65536)
             except OSError:
                 return  # socket closed by close()
+            if self._stop.is_set():
+                return  # woken by _close_sockets(), not by a datagram
             self._handle_datagram(data)
+
+    def _close_sockets(self) -> None:
+        try:
+            self._tcp.close()
+        finally:
+            # close() alone leaves a thread blocked in recvfrom() asleep;
+            # shutdown() wakes it with an empty read (on Linux it also
+            # raises ENOTCONN, the socket being unconnected).
+            try:
+                self._udp.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self._udp.close()
 
     def _handle_datagram(self, data: bytes) -> None:
         if is_batch_datagram(data):
@@ -898,10 +913,7 @@ class LiveSession:
             self._state = "closed"
         self._closed = True
         self._stop.set()
-        try:
-            self._tcp.close()
-        finally:
-            self._udp.close()
+        self._close_sockets()
         self._notify_state("closed")
 
     # ------------------------------------------------------------------
@@ -920,10 +932,7 @@ class LiveSession:
                     self._exchange(self._tcp, self._assembler, CLOSE, {})
             except (TransportError, _ChannelLost, OSError):
                 pass  # broker already gone: local teardown still applies
-        try:
-            self._tcp.close()
-        finally:
-            self._udp.close()
+        self._close_sockets()
         self._reader.join(timeout=2.0)
         if (
             self._housekeeper is not None

@@ -217,6 +217,49 @@ class TestClusterRouting:
         ]
         assert holders == [owner]
 
+    def test_claim_orphans_replays_the_deepest_copy_once(self):
+        # A handoff can leave copies of one stream's backlog in several
+        # nodes' Orphanages. claim_orphans inherits the session rule:
+        # replay the deepest copy, release them all.
+        from repro.core.envelopes import StreamArrival
+        from repro.core.message import DataMessage
+        from repro.core.operators import CollectingConsumer
+
+        deployment = clustered()
+        publisher = deployment.connect("pub", broker="b0")
+        deployment.run(0.2)
+        for index in range(5):
+            stream = publisher.publish(0, bytes([index]), kind="lost")
+        deployment.run(0.5)
+        owner = deployment.cluster.owner(stream)
+        other = next(
+            node
+            for node in deployment.cluster.nodes.values()
+            if node.name != owner
+        )
+        # A shallower, stale copy of the same stream on a second node.
+        deployment.network.send(
+            other.orphanage.inbox,
+            StreamArrival(
+                message=DataMessage(
+                    stream_id=stream, sequence=0, payload=b"\x00"
+                ),
+                received_at=deployment.sim.now,
+                receiver_id=-1,
+            ),
+        )
+        deployment.run(0.1)
+        late = CollectingConsumer("late")
+        deployment.add_consumer(late)
+        assert deployment.claim_orphans(late, kind="lost") == 5
+        deployment.run(0.1)
+        assert [a.message.sequence for a in late.arrivals] == [0, 1, 2, 3, 4]
+        assert all(
+            stream not in orphanage.orphan_streams()
+            for orphanage in deployment.orphanages()
+        )
+        assert deployment.session("late").stats.orphans_replayed == 5
+
     def test_session_home_broker_recorded(self):
         deployment = clustered()
         session = deployment.connect("pub", broker="b1")

@@ -9,8 +9,8 @@ homing, and ``url=`` live transport — now normalise into one validated
   ``options=`` object);
 - contradictory combinations are :class:`ConfigurationError`; a missing
   identity stays :class:`RegistrationError`;
-- the legacy positional arguments (heartbeat_period, broker, url in
-  positions 4–6) keep working behind a DeprecationWarning shim.
+- everything past ``permissions`` is keyword-only (the positional
+  heartbeat_period/broker/url shim is gone).
 """
 
 from __future__ import annotations
@@ -128,37 +128,17 @@ class TestGarnetConnect:
 
 
 class TestLegacyPositionalShim:
-    def test_positional_heartbeat_warns_but_works(self):
-        deployment = simulated()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            session = deployment.connect("app", None, None, 1.5)
-        assert session._heartbeat_task is not None
-
-    def test_positional_conflicts_with_keyword(self):
-        deployment = simulated()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="heartbeat_period"):
-                deployment.connect(
-                    "app", None, None, 1.5, heartbeat_period=2.0
-                )
-
     def test_too_many_positionals_is_a_type_error(self):
+        # heartbeat_period/broker/url used to be accepted positionally
+        # behind a DeprecationWarning; a fourth positional is now
+        # rejected like any other surplus argument.
         deployment = simulated()
+        with pytest.raises(TypeError, match="positional"):
+            deployment.connect("app", None, None, 1.5)
         with pytest.raises(TypeError, match="positional"):
             deployment.connect(
                 "app", None, None, None, None, None, "extra"
             )
-
-    def test_positional_url_routes_to_validation(self):
-        # Old shape: connect(name, token, permissions, heartbeat,
-        # broker, url). The shim must map url into the options and hit
-        # the same combination check as the keyword form.
-        deployment = simulated()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                deployment.connect(
-                    "x", None, None, 1.0, None, "garnet://h:1"
-                )
 
 
 class TestTransportAlias:

@@ -6,7 +6,7 @@ from repro.core.consumer import Consumer
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.operators import CollectingConsumer
 from repro.core.streamid import VIRTUAL_SENSOR_FLOOR
-from repro.errors import GarnetError, RegistrationError
+from repro.errors import GarnetError, RegistrationError, SessionError
 
 from tests.conftest import CODEC, make_stream_spec
 
@@ -55,7 +55,7 @@ class TestLifecycle:
         consumer = Recorder()
         deployment.add_consumer(consumer)
         with pytest.raises(RegistrationError):
-            consumer._attach(object(), None)
+            consumer._attach(object())
 
     def test_remove_consumer(self, deployment):
         consumer = Recorder()
@@ -139,6 +139,43 @@ class TestDerivedPublishing:
         second = publisher.publish(1, b"y", kind="k1")
         assert first.sensor_id == second.sensor_id
         assert first.stream_index != second.stream_index
+
+    def test_consumer_and_session_share_one_publisher_identity(
+        self, deployment
+    ):
+        publisher = Recorder("pub")
+        sink = CollectingConsumer(
+            "sink", SubscriptionPattern(kind="derived.k")
+        )
+        deployment.add_consumer(publisher)
+        deployment.add_consumer(sink)
+        session = deployment.session("pub")
+        first = publisher.publish(0, b"a", kind="derived.k")
+        second = session.publish(0, b"b")
+        third = publisher.publish(0, b"c")
+        other_index = session.publish(1, b"d", kind="derived.k")
+        deployment.run(1.0)
+        # One publisher id, one per-index sequence, whoever publishes.
+        assert first == second == third
+        assert other_index.sensor_id == first.sensor_id
+        assert publisher.publisher_id == session.publisher_id
+        by_stream = {}
+        for arrival in sink.arrivals:
+            by_stream.setdefault(arrival.message.stream_id, []).append(
+                (arrival.message.sequence, arrival.message.payload)
+            )
+        assert by_stream[first] == [(0, b"a"), (1, b"b"), (2, b"c")]
+        assert by_stream[other_index] == [(0, b"d")]
+        assert session.stats.published == 4
+        assert publisher.stats.published == 2
+
+    def test_publish_after_remove_consumer_raises(self, deployment):
+        publisher = Recorder("pub")
+        deployment.add_consumer(publisher)
+        publisher.publish(0, b"x", kind="derived.k")
+        deployment.remove_consumer(publisher)
+        with pytest.raises(SessionError):
+            publisher.publish(0, b"y")
 
     def test_multi_level_chain(self, deployment):
         """Level-2 consumer sees only what level-1 republished."""

@@ -52,6 +52,18 @@ class TestConstruction:
 
         assert transmissions(1) != transmissions(2)
 
+    def test_deployment_secret_scopes_tokens(self):
+        from repro.errors import AuthenticationError
+
+        home = Garnet(
+            config=GarnetConfig(deployment_secret=b"home-deployment-secret")
+        )
+        foreign = Garnet(seed=1)  # the default secret
+        token = foreign.issue_token("alice")
+        with pytest.raises(AuthenticationError):
+            home.connect(token=token)
+        assert home.connect(token=home.issue_token("bob")).name == "bob"
+
 
 class TestSensorDeployment:
     def test_add_sensor_registers_everywhere(self, deployment):
@@ -327,16 +339,3 @@ class TestObservability:
             registry.value("kernel.events_scheduled")
             >= registry.value("kernel.events_executed")
         )
-
-    def test_observability_can_be_disabled(self):
-        from repro.core.config import GarnetConfig
-
-        config = GarnetConfig(trace_spans=False, kernel_probe=False)
-        deployment = Garnet(config=config, seed=3)
-        deployment.define_sensor_type("g", {})
-        deployment.add_sensor("g", [make_stream_spec()])
-        deployment.run(2.0)
-        assert deployment.tracer is None
-        assert deployment.metrics().value("kernel.events_executed") == 0.0
-        # The stats counters still flow through the registry.
-        assert deployment.metrics().value("filtering.received") > 0

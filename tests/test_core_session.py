@@ -165,7 +165,7 @@ class TestDeprecationShims:
 
         consumer = Recorder()
         deployment.add_consumer(consumer)
-        assert isinstance(consumer._runtime, GarnetSession)
+        assert isinstance(consumer._session, GarnetSession)
         # remove_consumer closes the backing session.
         deployment.remove_consumer(consumer)
-        assert consumer._runtime.closed
+        assert consumer._session.closed

@@ -64,9 +64,6 @@ class TestConfig:
             {"fanout_branching": 1},
             {"fanout_levels": 0},
             {"fanout_levels": 9},
-            {"fanout_link_batch": 0},
-            {"fanout_datagram_budget": 63},
-            {"fanout_datagram_budget": 65_001},
         ],
     )
     def test_enabled_validates_knobs(self, overrides):

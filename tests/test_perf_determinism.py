@@ -70,7 +70,6 @@ CODEC = SampleCodec(0.0, 100.0)
 def build_deployment(
     seed: int,
     *,
-    spatial_index: bool = True,
     cluster: bool = False,
     store: bool = False,
     vectorized: bool = False,
@@ -84,7 +83,6 @@ def build_deployment(
         receiver_overlap=1.5,
         loss_model=LossModel(),
         publish_location_stream=False,
-        wireless_spatial_index=spatial_index,
         wireless_vectorized=vectorized,
         cluster_enabled=cluster,
         cluster_brokers=2,
@@ -127,7 +125,6 @@ def build_deployment(
 def run_digest(
     seed: int,
     *,
-    spatial_index: bool = True,
     cluster: bool = False,
     store: bool = False,
     vectorized: bool = False,
@@ -136,7 +133,6 @@ def run_digest(
 ) -> str:
     deployment, consumers = build_deployment(
         seed,
-        spatial_index=spatial_index,
         cluster=cluster,
         store=store,
         vectorized=vectorized,
@@ -171,12 +167,6 @@ def test_same_seed_runs_are_identical():
 
 def test_matches_pre_optimization_golden_digest():
     assert run_digest(SEED) == GOLDEN_DIGEST
-
-
-def test_spatial_index_kill_switch_is_behaviour_neutral():
-    # The linear-scan path (wireless_spatial_index=False) and the grid
-    # path must be indistinguishable down to the digest.
-    assert run_digest(SEED, spatial_index=False) == GOLDEN_DIGEST
 
 
 def test_cluster_disabled_is_byte_identical():
@@ -271,16 +261,6 @@ def test_vectorized_matches_recorded_digest():
     # commits. Do NOT update this constant to make a change pass unless
     # the vectorized draw semantics changed *on purpose*.
     assert run_digest(SEED, vectorized=True) == VECTOR_GOLDEN_DIGEST
-
-
-def test_vectorized_spatial_index_flag_is_irrelevant():
-    # The vectorized path computes the whole static tier as one array
-    # pass and never consults the grid, so the spatial_index flag must
-    # not change the trace.
-    assert (
-        run_digest(SEED, vectorized=True, spatial_index=False)
-        == VECTOR_GOLDEN_DIGEST
-    )
 
 
 def test_vectorized_is_statistically_equivalent():

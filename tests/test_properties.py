@@ -1,8 +1,9 @@
 """Property-based invariants across subsystems (hypothesis)."""
 
+import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dispatching import SubscriptionPattern
@@ -133,6 +134,7 @@ def test_any_single_byte_corruption_is_detected(message, data):
     st.floats(0.0, 1.0),
     st.integers(2, 32),
 )
+@example(256.0, 0.001, 0.5, 13)  # error exceeds the ideal bound by 4e-15
 def test_sample_codec_error_within_quantisation_bound(
     low, span, fraction, precision
 ):
@@ -141,8 +143,11 @@ def test_sample_codec_error_within_quantisation_bound(
     decoded = codec.decode(codec.encode(0, value, precision))
     # The ideal-arithmetic bound is half a quantisation step; float64
     # rounding at an exact half-step boundary can tip the round() the
-    # other way, costing up to a few ulps of the span on top.
-    bound = codec.quantisation_error(precision) + 1e-12 * abs(span)
+    # other way, and every value involved is only representable to an
+    # ulp of the range's larger endpoint (which dwarfs an ulp of a
+    # narrow span far from zero).
+    slack = 4 * math.ulp(max(abs(low), abs(low + span)))
+    bound = codec.quantisation_error(precision) + slack
     assert abs(decoded.value - value) <= bound
 
 

@@ -143,6 +143,17 @@ def test_batch_datagram_magic_matches_doc():
     assert f"magic {documented}" in DOC
 
 
+def test_batch_size_constants_match_doc():
+    from repro.cluster.coordinator import HandoffBuffer
+    from repro.fanout.frames import MAX_BATCH_DATAGRAM, MAX_LINK_BATCH
+
+    assert f"at most {MAX_LINK_BATCH} arrivals per" in DOC
+    assert f"packing budget of {MAX_BATCH_DATAGRAM:,} bytes" in DOC
+    # §4.2's replay depth is the handoff buffer's default capacity.
+    default_capacity = HandoffBuffer()._capacity
+    assert f"newest {default_capacity} arrivals of each stream" in DOC
+
+
 def test_batch_magic_cannot_open_a_data_message():
     # §7's classification claim: byte 0 of a §2 frame is
     # version << 5 | flags, capped below 0x80 by the 3-bit version

@@ -1,5 +1,8 @@
 """The unreliable broadcast wireless medium."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -377,6 +380,51 @@ class TestRssiCacheEviction:
         )
 
 
+class TestGridPruning:
+    def test_static_tier_matches_exhaustive_scan(self):
+        # Static listeners are pruned through the grid; mobile ones are
+        # scanned exhaustively. Attaching the same field both ways must
+        # give every listener the same frames and the medium the same
+        # counters — pruning is exact and preserves the RNG draw order.
+        from repro.simnet.kernel import Simulator
+
+        def run(static: bool):
+            sim = Simulator(seed=7)
+            medium = WirelessMedium(sim, loss_model=LossModel())
+            layout = random.Random(3)
+            listeners = [
+                Listener(
+                    Point(layout.uniform(0, 1000), layout.uniform(0, 1000))
+                )
+                for _ in range(96)
+            ]
+            for listener in listeners:
+                medium.attach(listener, 150.0, static=static)
+            for tick in range(60):
+                origin = Point(
+                    layout.uniform(0, 1000), layout.uniform(0, 1000)
+                )
+                sim.schedule_at(
+                    float(tick),
+                    medium.broadcast,
+                    origin,
+                    f"t{tick}".encode(),
+                    120.0,
+                )
+            sim.run()
+            assert medium.indexed_listener_count == (96 if static else 0)
+            return (
+                [listener.frames for listener in listeners],
+                dataclasses.asdict(medium.stats),
+            )
+
+        grid_frames, grid_stats = run(static=True)
+        scan_frames, scan_stats = run(static=False)
+        assert grid_frames == scan_frames
+        assert grid_stats == scan_stats
+        assert grid_stats["deliveries"] > 0 and grid_stats["losses"] > 0
+
+
 class MovingListener:
     """A listener that (incorrectly) got attached static, then moved."""
 
@@ -389,10 +437,8 @@ class MovingListener:
 
 
 class TestSpatialStaleness:
-    def _build(self, sim, *, spatial_index: bool, count: int = 24):
-        medium = WirelessMedium(
-            sim, loss_model=None, spatial_index=spatial_index
-        )
+    def _build(self, sim, count: int = 24):
+        medium = WirelessMedium(sim, loss_model=None)
         statics = []
         for index in range(count):
             listener = Listener(Point(20.0 * index + 10.0, 0.0))
@@ -401,7 +447,7 @@ class TestSpatialStaleness:
         return medium, statics
 
     def test_notify_moved_demotes_immediately(self, sim):
-        medium, _ = self._build(sim, spatial_index=True)
+        medium, _ = self._build(sim)
         mover = MovingListener(Point(10.0, 10.0))
         medium.attach(mover, 1000.0, static=True)
         mover.position = Point(400.0, 0.0)
@@ -412,7 +458,7 @@ class TestSpatialStaleness:
         assert len(mover.frames) == 1  # heard at the *new* position
 
     def test_sweep_detects_silent_movers(self, sim):
-        medium, statics = self._build(sim, spatial_index=True)
+        medium, statics = self._build(sim)
         mover = MovingListener(Point(10.0, 10.0))
         medium.attach(mover, 1000.0, static=True)
         mover.position = Point(5000.0, 0.0)  # silently out of the field
@@ -426,17 +472,25 @@ class TestSpatialStaleness:
         sim.run()
         assert any(frame.payload == b"x" for frame in mover.frames)
 
-    def test_mobility_trace_identical_with_index_on_and_off(self):
+    def test_mobility_trace_identical_with_index_on_and_off(
+        self, monkeypatch
+    ):
+        from repro.simnet import wireless
         from repro.simnet.geometry import Rect
         from repro.simnet.kernel import Simulator
         from repro.simnet.mobility import RandomWaypoint
 
-        def run(spatial_index: bool):
+        def run(indexed: bool):
+            if not indexed:
+                # Raise the grid's size threshold out of reach: the
+                # static tier is then scanned exhaustively (the
+                # reference), staleness sweep and all.
+                monkeypatch.setattr(
+                    wireless, "_MIN_INDEXED_LISTENERS", 1 << 30
+                )
             sim = Simulator(seed=11)
             medium = WirelessMedium(
-                sim,
-                loss_model=LossModel(base=0.1, edge=0.8),
-                spatial_index=spatial_index,
+                sim, loss_model=LossModel(base=0.1, edge=0.8)
             )
             statics = []
             for index in range(24):
