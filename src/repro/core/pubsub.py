@@ -93,6 +93,11 @@ class Broker(RpcEndpoint):
         self._endpoints: dict[str, str] = {}  # endpoint -> principal
         self._permissions: dict[str, Permission] = {}  # endpoint -> perms
         self._leases: dict[str, float] = {}  # endpoint -> expires_at
+        #: Where lease grants and expiry read "now"; None is the virtual
+        #: clock. A live broker installs its wall clock: there the virtual
+        #: clock runs ahead of real time under load, while clients renew
+        #: on real time.
+        self.lease_clock: Callable[[], float] | None = None
         self._watchers: list[Callable[[StreamAdvertisement], None]] = []
         self._up = True
         self.stats = BrokerStats(metrics)
@@ -174,11 +179,13 @@ class Broker(RpcEndpoint):
         """When ``endpoint``'s lease lapses (None = no lease / no TTL)."""
         return self._leases.get(endpoint)
 
+    def _lease_now(self) -> float:
+        clock = self.lease_clock
+        return clock() if clock is not None else self._network.sim.now
+
     def _grant_lease(self, endpoint: str) -> None:
         if self._lease_ttl is not None:
-            self._leases[endpoint] = (
-                self._network.sim.now + self._lease_ttl
-            )
+            self._leases[endpoint] = self._lease_now() + self._lease_ttl
 
     def reap_expired_leases(self) -> int:
         """Drop every endpoint whose lease has lapsed; returns the count.
@@ -194,7 +201,7 @@ class Broker(RpcEndpoint):
         """
         if self._lease_ttl is None:
             return 0
-        now = self._network.sim.now
+        now = self._lease_now()
         expired = [
             endpoint
             for endpoint, expires_at in self._leases.items()

@@ -40,7 +40,12 @@ from repro.core.resource import Decision
 from repro.core.security import Token
 from repro.core.streamid import StreamId
 from repro.core.streams import StreamDescriptor
-from repro.errors import SessionError, StoreError, SubscriptionError
+from repro.errors import (
+    GarnetError,
+    SessionError,
+    StoreError,
+    SubscriptionError,
+)
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.kernel import PeriodicTask
 from repro.util.ids import WrappingCounter
@@ -120,7 +125,12 @@ class GarnetSession:
             help="orphaned messages replayed to recovering sessions",
         )
         self.network.register_inbox(self.endpoint, self._deliver)
-        self.broker.register_consumer(token, self.endpoint)
+        try:
+            self.broker.register_consumer(token, self.endpoint)
+        except GarnetError:
+            # A refused token must not leave the name's inbox behind.
+            self.network.unregister_inbox(self.endpoint)
+            raise
         self._heartbeat_task: PeriodicTask | None = None
         if heartbeat_period is not None:
             self._heartbeat_task = PeriodicTask(

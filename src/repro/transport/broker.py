@@ -14,11 +14,19 @@ deployment and exposes its consumer surface on localhost:
   out as codec frames to the UDP address each HELLO announced.
 
 Everything runs on one asyncio event loop, so deployment state needs no
-locking: each control frame or datagram is handled, then the simulation
-kernel is pumped to quiescence (``run_until_idle``), which fires any
-resulting deliveries synchronously. The deployment therefore must not
-carry unbounded periodic tasks (the default broker deployment disables
-the location beacon for exactly this reason).
+locking: each control frame, or each drain of the data-plane socket, is
+handled and then the simulation kernel is pumped to quiescence
+(``run_until_idle``), which fires any resulting deliveries
+synchronously. The deployment therefore must not carry unbounded
+periodic tasks (the default broker deployment disables the location
+beacon for exactly this reason).
+
+The broker owns its UDP socket (:class:`_DataPlaneSocket`): a readiness
+event reads up to ``_DRAIN_BUDGET`` datagrams, injects each one, and
+pumps the kernel **once** — same-instant arrivals ride the kernel's
+batch dequeue in FIFO order, so ordering and exactly-once delivery are
+what a pump per datagram gave. Sends go straight to ``sendto``; what the
+kernel will not take waits in a bounded FIFO.
 
 **Resilience (PR 8).** With a ``resume_grace`` window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
@@ -31,11 +39,12 @@ the session and replays only what the client missed — store records
 past the client's per-stream cursors plus parked deliveries, deduped so
 each missed record is sent exactly once. NACK frames answer per-stream
 gap-repair requests from the store. When the deployment's broker runs
-leases (``broker_lease_ttl``), a housekeeping task maps the wall clock
-onto the simulation clock so vanished clients (missed keepalive PINGs,
-UDP inactivity) expire their leases and are reaped — their
-subscriptions and publisher ids are freed. A ``sessions_path`` persists
-the resumable-session table so RESUME survives a broker restart.
+leases (``broker_lease_ttl``), they are granted and expired on the
+event loop's wall clock — the virtual clock runs ahead of real time by
+one bus hop per pump — and a housekeeping task reaps vanished clients
+(missed keepalive PINGs, UDP inactivity): their subscriptions and
+publisher ids are freed. A ``sessions_path`` persists the
+resumable-session table so RESUME survives a broker restart.
 """
 
 from __future__ import annotations
@@ -88,6 +97,21 @@ _NACK_RESPONSE_BUDGET = _QUERY_RESPONSE_BUDGET
 #: rarely fans more than a handful of distinct messages, so this mostly
 #: bounds memory on brokers that park frames for absent recipients.
 _ENCODE_CACHE_CAPACITY = 256
+
+#: Largest datagram the data plane reads: the UDP maximum, so a §7 batch
+#: datagram (up to 60,000 bytes) arrives whole. Well under the allocator's
+#: mmap threshold, unlike asyncio's fixed 256 KiB receive, which maps and
+#: faults fresh memory for every datagram.
+_MAX_DATAGRAM = 65535
+
+#: Datagrams read per readiness event before the kernel is pumped and
+#: control returns to the event loop, so the TCP control plane and the
+#: housekeeping task get a turn at least this often under a flood.
+_DRAIN_BUDGET = 64
+
+#: Datagrams that may wait for a full kernel send buffer; past this the
+#: oldest is evicted and counted (``transport.datagrams_dropped``).
+_SEND_QUEUE_CAPACITY = 1024
 
 
 def _default_deployment() -> Any:
@@ -250,16 +274,110 @@ class _ClientConnection:
         self.state = None
 
 
-class _DataPlaneProtocol(asyncio.DatagramProtocol):
+class _DataPlaneProtocol:
+    """The receive seam: one call per datagram read off the data plane."""
+
     def __init__(self, broker: "LiveBroker") -> None:
         self._broker = broker
-        self.transport: asyncio.DatagramTransport | None = None
-
-    def connection_made(self, transport) -> None:  # pragma: no cover
-        self.transport = transport
 
     def datagram_received(self, data: bytes, addr) -> None:
         self._broker._on_datagram(data, addr)
+
+
+class _DataPlaneSocket:
+    """The broker's UDP socket, driven by the loop's reader/writer hooks.
+
+    Receive: on readiness, read until the socket is dry or
+    ``_DRAIN_BUDGET`` datagrams are in, hand each to the protocol, then
+    pump the kernel once. Send: straight to ``sendto``; a datagram the
+    kernel's buffer has no room for joins a bounded FIFO that an
+    ``add_writer`` callback flushes in order.
+    """
+
+    def __init__(
+        self,
+        broker: "LiveBroker",
+        loop: asyncio.AbstractEventLoop,
+        sock: socket.socket,
+    ) -> None:
+        self._broker = broker
+        self._loop = loop
+        self._sock: socket.socket | None = sock
+        self._protocol = _DataPlaneProtocol(broker)
+        self._send_queue: deque[tuple[bytes, Any]] = deque()
+        loop.add_reader(sock.fileno(), self._on_readable)
+
+    def get_extra_info(self, name: str, default: Any = None) -> Any:
+        if name == "sockname" and self._sock is not None:
+            return self._sock.getsockname()
+        return default
+
+    def _on_readable(self) -> None:
+        sock = self._sock
+        received = self._protocol.datagram_received
+        try:
+            for _ in range(_DRAIN_BUDGET):
+                try:
+                    data, addr = sock.recvfrom(_MAX_DATAGRAM)
+                except BlockingIOError:
+                    break
+                except OSError:
+                    # A queued ICMP error for an earlier send; it carries
+                    # no datagram and the socket stays usable.
+                    continue
+                received(data, addr)
+        finally:
+            self._broker._pump()
+
+    def sendto(self, data: bytes, addr) -> None:
+        """Send now, or queue behind what is already waiting.
+
+        After :meth:`close` this is a no-op, like a closed asyncio
+        transport.
+        """
+        sock = self._sock
+        if sock is None:
+            return
+        queue = self._send_queue
+        if not queue:
+            try:
+                sock.sendto(data, addr)
+                return
+            except BlockingIOError:
+                self._loop.add_writer(sock.fileno(), self._on_writable)
+            except OSError:
+                # Unsendable (too large for UDP, unreachable peer): lost
+                # like any datagram the network drops.
+                self._broker._datagrams_dropped.inc()
+                return
+        if len(queue) >= _SEND_QUEUE_CAPACITY:
+            queue.popleft()
+            self._broker._datagrams_dropped.inc()
+        queue.append((data, addr))
+
+    def _on_writable(self) -> None:
+        sock = self._sock
+        queue = self._send_queue
+        while queue:
+            data, addr = queue[0]
+            try:
+                sock.sendto(data, addr)
+            except BlockingIOError:
+                return
+            except OSError:
+                self._broker._datagrams_dropped.inc()
+            queue.popleft()
+        self._loop.remove_writer(sock.fileno())
+
+    def close(self) -> None:
+        sock = self._sock
+        if sock is None:
+            return
+        self._sock = None
+        self._loop.remove_reader(sock.fileno())
+        self._loop.remove_writer(sock.fileno())
+        self._send_queue.clear()
+        sock.close()
 
 
 class LiveBroker:
@@ -306,7 +424,7 @@ class LiveBroker:
         )
         self._codec = self.deployment.codec
         self._server: asyncio.AbstractServer | None = None
-        self._udp: asyncio.DatagramTransport | None = None
+        self._udp: _DataPlaneSocket | None = None
         self._closed = asyncio.Event()
         self._connections: set[_ClientConnection] = set()
         self._serve_tasks: set[asyncio.Task] = set()
@@ -315,7 +433,6 @@ class LiveBroker:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopped = False
         self._housekeeper: asyncio.Task | None = None
-        self._started_wall = 0.0
         metrics = self.deployment.metrics()
         self._datagrams_in = metrics.counter(
             "transport.datagrams_in", help="data-plane datagrams received"
@@ -326,6 +443,15 @@ class LiveBroker:
         self._bad_datagrams = metrics.counter(
             "transport.bad_datagrams",
             help="datagrams the codec rejected (truncated, bad CRC)",
+        )
+        self._datagrams_dropped = metrics.counter(
+            "transport.datagrams_dropped",
+            help="outbound datagrams evicted from the full send queue "
+            "or refused by the OS",
+        )
+        self._pumps = metrics.counter(
+            "transport.pumps",
+            help="kernel drains (one per socket drain or control event)",
         )
         self._control_frames = metrics.counter(
             "transport.control_frames", help="control-plane requests served"
@@ -386,14 +512,17 @@ class LiveBroker:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._stopped = False
-        self._started_wall = loop.time()
+        # Leases live on the clock their renewals are throttled on: the
+        # virtual clock gains a bus hop per pump, so under load it would
+        # expire a lease between two wall-clock renewals.
+        self.deployment.broker.lease_clock = loop.time
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self._requested_control_port
         )
         self.control_port = self._server.sockets[0].getsockname()[1]
-        # Build the data-plane socket by hand so its receive buffer can
-        # be raised before traffic arrives: client publish bursts have
-        # no flow control, and the default buffer drops most of one.
+        # Raise the receive buffer before traffic arrives: client publish
+        # bursts have no flow control, and the default buffer drops most
+        # of one.
         udp_socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             udp_socket.setsockopt(
@@ -403,9 +532,7 @@ class LiveBroker:
             pass
         udp_socket.setblocking(False)
         udp_socket.bind((self.host, self._requested_data_port))
-        self._udp, _ = await loop.create_datagram_endpoint(
-            lambda: _DataPlaneProtocol(self), sock=udp_socket
-        )
+        self._udp = _DataPlaneSocket(self, loop, udp_socket)
         self.data_port = self._udp.get_extra_info("sockname")[1]
         self._load_sessions()
         if self._resume_grace is not None or self._lease_ttl is not None:
@@ -442,6 +569,7 @@ class LiveBroker:
                 *self._serve_tasks, return_exceptions=True
             )
         self._pump()
+        self.deployment.broker.lease_clock = None
         self._closed.set()
 
     async def wait_closed(self) -> None:
@@ -462,7 +590,8 @@ class LiveBroker:
         return self.deployment.broker.lease_ttl
 
     def _pump(self) -> None:
-        """Drain the simulation kernel after an injected event."""
+        """Drain the simulation kernel after the injected events."""
+        self._pumps.inc()
         self.deployment.run_until_idle()
         if self._batch_pending:
             self._flush_outboxes()
@@ -529,14 +658,6 @@ class LiveBroker:
     def _housekeeping_tick(self) -> None:
         now = self._loop.time()
         if self._lease_ttl is not None:
-            # Map the wall clock onto the simulation clock so the lease
-            # machinery (granted and reaped in virtual time) tracks real
-            # elapsed time; broker deployments carry no periodic tasks,
-            # so this advances the clock without firing anything else.
-            sim = self.deployment.sim
-            elapsed = now - self._started_wall
-            if elapsed > sim.now:
-                sim.run(until=elapsed)
             # Parked sessions are the broker's promise: keep their
             # leases warm for the whole grace window.
             for state in self._states.values():
@@ -646,7 +767,6 @@ class LiveBroker:
             receiver_id=-1,
         )
         self.deployment.network.send(DISPATCH_INBOX, arrival)
-        self._pump()
 
     def _encode_shared(self, message: Any) -> bytes:
         """One codec encode per message, shared by every recipient.

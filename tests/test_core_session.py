@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.control import StreamUpdateCommand
+from repro.core.security import Permission
 from repro.errors import (
+    AuthorizationError,
     RegistrationError,
     SessionError,
     SubscriptionError,
@@ -44,6 +46,15 @@ class TestConnect:
         # The name is reusable after close, and close is idempotent.
         session.close()
         deployment.connect("app")
+
+    def test_rejected_token_leaves_no_inbox_behind(self, deployment):
+        before = sorted(deployment.network.inbox_names())
+        with pytest.raises(AuthorizationError):
+            # No SUBSCRIBE: the broker refuses the registration after
+            # the session has already opened its inbox.
+            deployment.connect("app", permissions=Permission.PUBLISH)
+        assert sorted(deployment.network.inbox_names()) == before
+        deployment.connect("app")  # the name is not burnt
 
     def test_closed_session_operations_raise(self, deployment):
         session = deployment.connect("app")

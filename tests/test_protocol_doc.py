@@ -119,6 +119,11 @@ def test_socket_framing_constants_match_doc():
     # "counts the type byte plus the body, NOT the prefix itself"
     wire = encode_control_frame(0x01, {})
     assert int.from_bytes(wire[:4], "big") == len(wire) - 4
+    # §6.1: maximum datagram read and the bounded send queue.
+    from repro.transport.broker import _MAX_DATAGRAM, _SEND_QUEUE_CAPACITY
+
+    assert f"{_MAX_DATAGRAM:,} bytes" in DOC
+    assert f"at most **{_SEND_QUEUE_CAPACITY:,}**" in DOC
 
 
 def test_garnet_url_scheme_matches_doc():

@@ -7,6 +7,7 @@ exercises that CLI as a real subprocess.
 """
 
 import asyncio
+import contextlib
 import random
 import socket
 import subprocess
@@ -19,6 +20,11 @@ import pytest
 from repro.core.streamid import StreamId
 from repro.errors import TransportError
 from repro.transport import LiveBroker, connect
+from repro.transport.broker import (
+    _DRAIN_BUDGET,
+    _SEND_QUEUE_CAPACITY,
+    _DataPlaneSocket,
+)
 from repro.transport.cli import parse_announce
 from repro.transport.framing import (
     HELLO,
@@ -57,10 +63,33 @@ class BrokerHarness:
     def url(self):
         return self.broker.url
 
+    def counter(self, name):
+        counters = self.broker.deployment.metrics_snapshot()["counters"]
+        return counters.get(name, 0)
+
+    @contextlib.contextmanager
+    def paused(self):
+        """Hold the broker's loop, so what is sent queues on its sockets."""
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            entered.set()
+            release.wait(10)
+
+        self.loop.call_soon_threadsafe(hold)
+        assert entered.wait(5)
+        try:
+            yield
+        finally:
+            release.set()
+
     def stop(self):
         asyncio.run_coroutine_threadsafe(
             self.broker.stop(), self.loop
         ).result(10)
+        self.close_loop()
+
+    def close_loop(self):
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=10)
         self.loop.close()
@@ -237,15 +266,25 @@ class TestRawSocketEdges:
                 b"junk-not-a-codec-frame",
                 (harness.broker.host, harness.broker.data_port),
             )
-            def bad_datagrams():
-                counters = harness.broker.deployment.metrics_snapshot()[
-                    "counters"
-                ]
-                return counters.get("transport.bad_datagrams")
-
-            assert poll_until(lambda: bad_datagrams() == 1)
+            assert poll_until(
+                lambda: harness.counter("transport.bad_datagrams") == 1
+            )
         finally:
             udp.close()
+
+    def test_refused_hello_leaves_no_inbox_behind(self, harness):
+        deployment = harness.broker.deployment
+        deployment.broker.crash()
+        before = sorted(deployment.network.inbox_names())
+        [(_, body)] = self._exchange(
+            harness,
+            encode_control_frame(HELLO, {"name": "early", "udp_port": 1}),
+        )
+        assert body["ok"] is False
+        assert sorted(deployment.network.inbox_names()) == before
+        deployment.broker.restart()
+        with connect(harness.url, "early") as session:  # name not burnt
+            assert session.ping() >= 0.0
 
     def test_ping_via_raw_socket_roundtrips_sim_time(self, harness):
         wire = encode_control_frame(
@@ -255,6 +294,231 @@ class TestRawSocketEdges:
         assert frames[1][0] == PING | RESPONSE_FLAG
         assert frames[1][1]["ok"] is True
         assert frames[1][1]["time"] >= 0.0
+
+
+class TestDataPlane:
+    """The broker-owned UDP socket: drain, pump once, bounded sends."""
+
+    def test_queued_burst_is_delivered_in_order_with_few_pumps(
+        self, harness
+    ):
+        with connect(harness.url, "pub") as publisher, connect(
+            harness.url, "sub"
+        ) as subscriber:
+            received = []
+            subscriber.on_data(
+                lambda arrival: received.append(arrival.message.sequence)
+            )
+            subscriber.subscribe(kind="temp")
+            publisher.publish(0, b"first", kind="temp")  # ADVERTISE done
+            assert poll_until(lambda: received == [0])
+            pumps = harness.counter("transport.pumps")
+            datagrams = harness.counter("transport.datagrams_in")
+            with harness.paused():
+                for _ in range(500):
+                    publisher.publish(0, b"x" * 32, kind="temp")
+            assert poll_until(lambda: len(received) == 501)
+            time.sleep(0.05)  # window for a spurious duplicate
+            assert received == list(range(501))
+            assert harness.counter("transport.datagrams_in") - datagrams == 500
+            # No control frame arrived meanwhile: every pump is a drain.
+            drains = harness.counter("transport.pumps") - pumps
+            assert 1 <= drains <= -(-500 // _DRAIN_BUDGET)
+
+    def test_corrupt_datagram_mid_burst_spares_its_neighbours(
+        self, harness
+    ):
+        data_address = (harness.broker.host, harness.broker.data_port)
+        with connect(harness.url, "pub") as publisher, connect(
+            harness.url, "sub"
+        ) as subscriber, socket.socket(
+            socket.AF_INET, socket.SOCK_DGRAM
+        ) as stranger:
+            received = []
+            subscriber.on_data(
+                lambda arrival: received.append(arrival.message.payload)
+            )
+            subscriber.subscribe(kind="temp")
+            publisher.publish(0, b"first", kind="temp")
+            assert poll_until(lambda: received == [b"first"])
+            with harness.paused():
+                for index in range(3):
+                    publisher.publish(0, bytes([index]), kind="temp")
+                stranger.sendto(b"junk-not-a-codec-frame", data_address)
+                for index in range(3, 6):
+                    publisher.publish(0, bytes([index]), kind="temp")
+            assert poll_until(lambda: len(received) == 7)
+            assert received[1:] == [bytes([index]) for index in range(6)]
+            assert harness.counter("transport.bad_datagrams") == 1
+
+    def test_control_plane_gets_a_turn_during_a_udp_flood(self, harness):
+        host = harness.broker.host
+        data_address = (host, harness.broker.data_port)
+        flood = 2000
+        with socket.create_connection(
+            (host, harness.broker.control_port), timeout=5.0
+        ) as tcp, socket.socket(
+            socket.AF_INET, socket.SOCK_DGRAM
+        ) as flooder:
+            tcp.settimeout(5.0)
+            assembler = ControlFrameAssembler()
+            tcp.sendall(
+                encode_control_frame(HELLO, {"name": "calm", "udp_port": 1})
+            )
+            frames = []
+            while not frames:
+                frames.extend(assembler.feed(tcp.recv(65536)))
+            before = harness.counter("transport.datagrams_in")
+            with harness.paused():
+                for _ in range(flood):
+                    flooder.sendto(b"junk-not-a-codec-frame", data_address)
+                tcp.sendall(encode_control_frame(PING, {}))
+            frames = []
+            while not frames:
+                frames.extend(assembler.feed(tcp.recv(65536)))
+            at_pong = harness.counter("transport.datagrams_in") - before
+            assert frames[0][0] == PING | RESPONSE_FLAG
+            assert frames[0][1]["ok"] is True
+            # The PONG overtook the flood: the drain budget handed the
+            # loop back while datagrams were still queued on the socket.
+            assert poll_until(
+                lambda: harness.counter("transport.datagrams_in") - before
+                > at_pong
+            )
+
+    def test_maximum_batch_sized_datagram_arrives_whole(self, harness):
+        # 60,000 bytes is the §7 batch-datagram ceiling; anything short
+        # of a full-size receive would truncate it and fail the CRC.
+        payload = bytes(range(256)) * 234 + b"x" * 96
+        assert len(payload) == 60_000
+        with connect(harness.url, "pub") as publisher, connect(
+            harness.url, "sub"
+        ) as subscriber:
+            received = []
+            subscriber.on_data(
+                lambda arrival: received.append(arrival.message.payload)
+            )
+            subscriber.subscribe(kind="bulk")
+            publisher.publish(0, payload, kind="bulk")
+            assert poll_until(lambda: len(received) == 1)
+            assert received == [payload]
+        assert harness.counter("transport.bad_datagrams") == 0
+
+    def test_stop_during_a_flood_unhooks_the_socket_quietly(self):
+        h = BrokerHarness()
+        loop_errors = []
+        h.loop.call_soon_threadsafe(
+            h.loop.set_exception_handler,
+            lambda loop, context: loop_errors.append(context),
+        )
+        data_address = (h.broker.host, h.broker.data_port)
+        plane = h.broker._udp
+        fileno = plane._sock.fileno()
+        flooding = threading.Event()
+        halt = threading.Event()
+
+        def flood():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                while not halt.is_set():
+                    udp.sendto(b"junk-not-a-codec-frame", data_address)
+                    flooding.set()
+
+        flooder = threading.Thread(target=flood, daemon=True)
+        flooder.start()
+        try:
+            assert flooding.wait(5)
+            assert poll_until(
+                lambda: h.counter("transport.datagrams_in") > 0
+            )
+            asyncio.run_coroutine_threadsafe(
+                h.broker.stop(), h.loop
+            ).result(10)
+
+            async def still_hooked():
+                loop = asyncio.get_running_loop()
+                return loop.remove_reader(fileno), loop.remove_writer(fileno)
+
+            assert asyncio.run_coroutine_threadsafe(
+                still_hooked(), h.loop
+            ).result(10) == (False, False)
+            seen = h.counter("transport.datagrams_in")
+            time.sleep(0.05)
+            assert h.counter("transport.datagrams_in") == seen
+            plane.sendto(b"late", data_address)  # closed: a no-op
+            assert plane.get_extra_info("sockname") is None
+        finally:
+            halt.set()
+            flooder.join(timeout=5)
+            h.close_loop()
+        assert not flooder.is_alive()
+        assert loop_errors == []
+
+    def test_send_queue_evicts_oldest_and_counts(self):
+        class FakeSocket:
+            blocked = True
+            closed = False
+
+            def __init__(self):
+                self.sent = []
+
+            def fileno(self):
+                return 99
+
+            def sendto(self, data, addr):
+                if self.blocked:
+                    raise BlockingIOError
+                self.sent.append(data)
+
+            def close(self):
+                self.closed = True
+
+        class FakeLoop:
+            def __init__(self):
+                self.readers = {}
+                self.writers = {}
+
+            def add_reader(self, fd, callback):
+                self.readers[fd] = callback
+
+            def add_writer(self, fd, callback):
+                self.writers[fd] = callback
+
+            def remove_reader(self, fd):
+                return self.readers.pop(fd, None) is not None
+
+            def remove_writer(self, fd):
+                return self.writers.pop(fd, None) is not None
+
+        broker = LiveBroker()
+        sock, loop = FakeSocket(), FakeLoop()
+        plane = _DataPlaneSocket(broker, loop, sock)
+
+        def dropped():
+            counters = broker.deployment.metrics_snapshot()["counters"]
+            return counters.get("transport.datagrams_dropped", 0)
+
+        address = ("127.0.0.1", 9)
+        for index in range(_SEND_QUEUE_CAPACITY + 3):
+            plane.sendto(index.to_bytes(4, "big"), address)
+        assert sock.sent == [] and dropped() == 3
+        assert loop.writers[99] == plane._on_writable
+        sock.blocked = False
+        plane._on_writable()
+        # The three oldest were evicted; the rest left in order.
+        assert sock.sent == [
+            index.to_bytes(4, "big")
+            for index in range(3, _SEND_QUEUE_CAPACITY + 3)
+        ]
+        assert loop.writers == {}
+        plane.sendto(b"direct", address)
+        assert sock.sent[-1] == b"direct" and loop.writers == {}
+        # Closing with datagrams queued unhooks both directions.
+        sock.blocked = True
+        plane.sendto(b"stuck", address)
+        plane.close()
+        assert sock.closed and loop.readers == {} and loop.writers == {}
+        plane.sendto(b"late", address)
+        assert dropped() == 3
 
 
 class TestStoreOverTheWire:

@@ -389,8 +389,8 @@ class TestDeadPeerReaping:
             assert deployment.broker.stats.subscriptions == 1
 
             # The client now goes silent — no CLOSE, no PING, socket
-            # still open. The housekeeping loop maps wall time onto the
-            # sim clock, the lease lapses, and the broker reaps it.
+            # still open. Its lease lapses on the loop's wall clock and
+            # the housekeeping loop reaps it.
             assert poll_until(
                 lambda: deployment.broker.stats.leases_expired >= 1,
                 timeout=10,
@@ -404,6 +404,58 @@ class TestDeadPeerReaping:
             tcp.settimeout(2.0)
             assert tcp.recv(65536) == b""
             tcp.close()
+        finally:
+            h.stop()
+
+    def test_busy_clients_outlive_a_racing_virtual_clock(self):
+        """Each pump moves the virtual clock a bus hop, so a flood runs it
+        many TTLs ahead of real time; clients whose traffic and keepalives
+        are plainly arriving must keep their leases regardless."""
+        deployment = Garnet(
+            config=GarnetConfig(
+                publish_location_stream=False, broker_lease_ttl=2.0
+            )
+        )
+        h = BrokerHarness(deployment=deployment)
+        try:
+            with connect(h.url, "pub") as publisher, connect(
+                h.url, "sub", keepalive=0.25
+            ) as subscriber:
+                received = []
+                subscriber.on_data(
+                    lambda arrival: received.append(arrival.message.sequence)
+                )
+                subscriber.subscribe(kind="temp")
+                total = 20_000
+                for index in range(total):
+                    publisher.publish(0, b"x" * 32, kind="temp")
+                    # UDP has no flow control: stay inside the buffers.
+                    while (
+                        index - len(received) > 2_000
+                        and not deployment.broker.stats.leases_expired
+                    ):
+                        time.sleep(0.001)
+                assert poll_until(
+                    lambda: len(received) == total
+                    or deployment.broker.stats.leases_expired,
+                    timeout=30,
+                )
+                assert deployment.broker.stats.leases_expired == 0
+                assert received == list(range(total))
+
+                # A paced stream gets a pump per datagram and drifts the
+                # same way more slowly; stand in for it with one jump of
+                # ten TTLs, whatever this host's speed.
+                async def jump_and_reap():
+                    deployment.sim.run(until=deployment.sim.now + 20.0)
+                    return deployment.broker.reap_expired_leases()
+
+                assert asyncio.run_coroutine_threadsafe(
+                    jump_and_reap(), h.loop
+                ).result(10) == 0
+                publisher.publish(0, b"after", kind="temp")
+                assert poll_until(lambda: len(received) == total + 1)
+            assert not h.counters().get("transport.sessions_reaped")
         finally:
             h.stop()
 
