@@ -83,7 +83,6 @@ class RestartableBroker:
             config=GarnetConfig(
                 publish_location_stream=False,
                 store_enabled=True,
-                store_backend="file",
                 store_dir=str(self.store_dir),
                 transport_resume_grace=30.0,
             )

@@ -4,7 +4,7 @@
 :class:`~repro.cluster.shards.StreamShardMap`, the live-member set, the
 :class:`~repro.cluster.coordinator.HandoffBuffer`, the ``cluster.*``
 metrics — and one :class:`ClusterRouter` per node, installed into that
-node's Dispatching Service via ``set_cluster``.
+node's Dispatching Service via ``install(cluster=...)``.
 
 Data-path shape (all hops are ordinary FixedNetwork sends):
 
@@ -43,8 +43,6 @@ from repro.cluster.node import BrokerNode
 from repro.cluster.shards import StreamShardMap
 from repro.core.dispatching import DispatchingService, SubscriptionPattern
 from repro.core.envelopes import StreamArrival
-from repro.core.orphanage import Orphanage
-from repro.core.pubsub import Broker
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError
 from repro.obs.stats import RegistryBackedStats
@@ -82,12 +80,15 @@ class DisabledCluster:
     """The ``deployment.cluster`` placeholder when clustering is off."""
 
     enabled = False
-    nodes: dict[str, BrokerNode] = {}
 
     def node(self, name: str) -> BrokerNode:
         raise ConfigurationError(
-            "clustering is disabled; set cluster_enabled=True"
+            f"no cluster broker {name!r}: clustering is disabled; set "
+            "cluster_enabled=True"
         )
+
+    def note_control_request(self, stream_id: StreamId, home: str) -> None:
+        """One broker owns every stream: nothing is ever rerouted."""
 
 
 class ClusterRouter:
@@ -122,7 +123,7 @@ class ClusterRouter:
         if owner == self._name:
             return True
         runtime.stats.publish_forwards += 1
-        self._network.send(runtime.dispatch_inbox_of(owner), arrival)
+        self._network.send(runtime.nodes[owner].dispatch_inbox, arrival)
         return False
 
     # -- owner-side helpers ---------------------------------------------
@@ -138,7 +139,7 @@ class ClusterRouter:
                 continue
             for pattern in table:
                 if pattern.matches(descriptor):
-                    targets.append(self._runtime.link_inbox_of(origin))
+                    targets.append(self._runtime.nodes[origin].link_inbox)
                     break
         result = tuple(sorted(targets))
         self._remote_cache[stream_id] = result
@@ -241,7 +242,6 @@ class ClusterRuntime:
 
     def __init__(self, deployment: Any) -> None:
         cfg = deployment.config
-        self._deployment = deployment
         self.network = deployment.network
         self.registry = deployment.registry
         self.dedupe_window = cfg.cluster_dedupe_window
@@ -257,23 +257,12 @@ class ClusterRuntime:
         # RemoteDelivery sends. None keeps the historical path.
         self.link_batcher: Any = None
 
-        self.nodes: dict[str, BrokerNode] = {}
-        shared_delivery = deployment.qos.delivery
-        for name in names:
-            if name == names[0]:
-                # The primary wraps the deployment's historical
-                # single-broker services under their historical names.
-                node = BrokerNode(
-                    name,
-                    self.network,
-                    deployment.broker,
-                    deployment.dispatcher,
-                    deployment.orphanage,
-                    admission=deployment.qos.admission,
-                )
-            else:
-                node = self._build_node(name, deployment, shared_delivery)
-            self.nodes[name] = node
+        # b0 is the deployment's primary node, already built under the
+        # historical single-broker inbox names.
+        primary = deployment.nodes[0]
+        self.nodes: dict[str, BrokerNode] = {primary.name: primary}
+        for name in names[1:]:
+            self.nodes[name] = BrokerNode(deployment, name)
 
         # Dots are not representable as RegistryBackedStats fields, so
         # this counter is registered explicitly rather than declared on
@@ -286,7 +275,7 @@ class ClusterRuntime:
         for name, node in self.nodes.items():
             router = ClusterRouter(name, self, node.dispatcher)
             self.routers[name] = router
-            node.dispatcher.set_cluster(router)
+            node.dispatcher.install(cluster=router)
             node.link = InterBrokerLink(
                 name, self.network, router, self.unknown_frames
             )
@@ -310,71 +299,7 @@ class ClusterRuntime:
             cfg.cluster_failover_check_period,
         )
 
-    def _build_node(
-        self, name: str, deployment: Any, shared_delivery: Any | None
-    ) -> BrokerNode:
-        cfg = deployment.config
-        metrics = deployment.metrics()
-        dispatcher = DispatchingService(
-            self.network,
-            self.registry,
-            orphanage_inbox=f"garnet.orphanage.{name}",
-            metrics=metrics,
-            inbox=f"garnet.dispatching.{name}",
-            broker_inbox=f"garnet.broker.{name}.advertisements",
-        )
-        orphanage = Orphanage(
-            self.network,
-            backlog_per_stream=cfg.orphanage_backlog,
-            metrics=metrics,
-            inbox=f"garnet.orphanage.{name}",
-        )
-        broker = Broker(
-            self.network,
-            self.registry,
-            dispatcher,
-            deployment.auth,
-            metrics=metrics,
-            lease_ttl=cfg.broker_lease_ttl,
-            service_name=f"garnet.broker.{name}",
-            advertisement_inbox=f"garnet.broker.{name}.advertisements",
-        )
-        admission = None
-        if cfg.qos_ingress_rate is not None:
-            from repro.qos import (
-                AdmissionController,
-                DropByStreamPriority,
-                DropOldest,
-            )
-
-            shedding = (
-                DropByStreamPriority(deployment._stream_priority)
-                if cfg.qos_shedding == "priority"
-                else DropOldest()
-            )
-            admission = AdmissionController(
-                deployment.sim,
-                dispatcher.process_admitted,
-                rate=cfg.qos_ingress_rate,
-                burst=cfg.qos_ingress_burst,
-                queue_capacity=cfg.qos_ingress_queue,
-                policy=shedding,
-                metrics=metrics,
-            )
-            dispatcher.set_admission(admission)
-        if shared_delivery is not None:
-            # Delivery queues are keyed by consumer endpoint, which is
-            # cluster-global — one manager serves every node.
-            dispatcher.set_delivery_manager(shared_delivery)
-        return BrokerNode(
-            name, self.network, broker, dispatcher, orphanage, admission
-        )
-
     # ------------------------------------------------------------------
-    @property
-    def primary(self) -> BrokerNode:
-        return next(iter(self.nodes.values()))
-
     @property
     def degraded(self) -> bool:
         """True while at least one member broker is considered down."""
@@ -392,15 +317,6 @@ class ClusterRuntime:
     def owner(self, stream_id: StreamId) -> str:
         return self.shards.owner(stream_id, self.live)
 
-    def dispatch_inbox_of(self, name: str) -> str:
-        return self.nodes[name].dispatch_inbox
-
-    def link_inbox_of(self, name: str) -> str:
-        return self.nodes[name].link_inbox
-
-    def orphanages(self) -> list[Orphanage]:
-        return [node.orphanage for node in self.nodes.values()]
-
     # ------------------------------------------------------------------
     def on_ingress(self, arrival: StreamArrival) -> None:
         """Route one filtered radio arrival to its owning broker."""
@@ -410,7 +326,7 @@ class ClusterRuntime:
         owner = self.owner(stream_id)
         if self.degraded and owner != self.shards.owner(stream_id):
             self.stats.reroutes += 1
-        self.network.send(self.dispatch_inbox_of(owner), arrival)
+        self.network.send(self.nodes[owner].dispatch_inbox, arrival)
 
     def broadcast_interest(
         self, origin: str, pattern: SubscriptionPattern, added: bool
@@ -421,11 +337,9 @@ class ClusterRuntime:
                 continue
             self.network.send(node.link_inbox, frame)
 
-    def note_control_request(
-        self, stream_id: StreamId, home: str | None
-    ) -> None:
+    def note_control_request(self, stream_id: StreamId, home: str) -> None:
         """Count control-path requests routed to a non-home owner."""
-        if home is not None and self.owner(stream_id) != home:
+        if self.owner(stream_id) != home:
             self.stats.control_reroutes += 1
 
     def update_balance_gauges(self, live: frozenset[str]) -> None:

@@ -136,13 +136,12 @@ class GarnetConfig:
     # path is byte-identical to the store-less build (golden digests).
     #
     # ``store_enabled`` installs a write-through tap at every broker
-    # node's dispatcher; ``store_backend`` picks where segments live
-    # ("memory" or "file" — the latter needs ``store_dir``). Segments
-    # rotate at ``store_segment_bytes``; retention evicts whole sealed
-    # segments by per-stream count and by age (``store_max_age``,
-    # against virtual time).
+    # node's dispatcher; segments live in files under ``store_dir`` when
+    # it is set and in memory otherwise. Segments rotate at
+    # ``store_segment_bytes``; retention evicts whole sealed segments by
+    # per-stream count and by age (``store_max_age``, against virtual
+    # time).
     store_enabled: bool = False
-    store_backend: str = "memory"
     store_dir: str | None = None
     store_segment_bytes: int = 64 * 1024
     store_max_age: float | None = None
@@ -287,16 +286,7 @@ class GarnetConfig:
                 raise ConfigurationError(
                     "cluster_dedupe_window must be at least 1"
                 )
-        if self.store_backend not in ("memory", "file"):
-            raise ConfigurationError(
-                f"unknown store_backend {self.store_backend!r} "
-                "(expected 'memory' or 'file')"
-            )
         if self.store_enabled:
-            if self.store_backend == "file" and not self.store_dir:
-                raise ConfigurationError(
-                    "store_backend='file' requires store_dir"
-                )
             if self.store_segment_bytes < 1:
                 raise ConfigurationError(
                     "store_segment_bytes must be at least 1"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import Protocol
 
 from repro.core.envelopes import StreamArrival, StreamAdvertisement
 from repro.core.streamid import StreamId
@@ -135,8 +135,87 @@ class DispatchStats(RegistryBackedStats):
     advertisements: int = 0
 
 
+RouteGuard = Callable[[str, StreamDescriptor], bool]
+"""``guard(endpoint, descriptor)``: may this delivery proceed? Checked on
+every route, not only at subscription time; the broker's keeps restricted
+streams (e.g. location data, Section 2) from consumers without the right."""
+
+
+class Admission(Protocol):
+    """Admission control (repro.qos): ``offer`` processes the arrival now,
+    queues it for a later drain (which re-enters via
+    :meth:`DispatchingService.process_admitted`), or sheds it."""
+
+    def offer(self, arrival: StreamArrival) -> bool: ...
+
+
+class DeliveryQueues(Protocol):
+    """Per-consumer delivery queues (repro.qos): ``deliver`` replaces the
+    direct ``network.send`` of a fan-out leg; ``release`` drops what is
+    parked for an endpoint whose subscriptions are gone."""
+
+    def deliver(self, endpoint: str, arrival: StreamArrival) -> None: ...
+
+    def release(self, endpoint: str) -> int: ...
+
+
+class ClusterRouting(Protocol):
+    """One broker node's view of the federation (repro.cluster):
+    ``on_fresh`` is True when this broker owns the arrival's stream (a
+    non-owner forwards it); ``remote_targets`` names the link inboxes
+    with aggregated remote interest, ``send_remote`` puts a leg on one;
+    ``filter_local`` suppresses local deliveries a link or handoff replay
+    already made; ``interest_*`` propagate subscriptions to the peers."""
+
+    def on_fresh(self, arrival: StreamArrival) -> bool: ...
+
+    def remote_targets(self, stream_id: StreamId) -> tuple[str, ...]: ...
+
+    def send_remote(self, link_inbox: str, arrival: StreamArrival) -> None: ...
+
+    def filter_local(
+        self, stream_id: StreamId, sequence: int, *, record: bool = False
+    ) -> bool: ...
+
+    def interest_added(self, pattern: SubscriptionPattern) -> None: ...
+
+    def interest_removed(self, pattern: SubscriptionPattern) -> None: ...
+
+    def invalidate(self, stream_id: StreamId | None = None) -> None: ...
+
+
+class ArrivalTap(Protocol):
+    """The stream store's write-through tap (repro.store): ``record``
+    appends each arrival this node processes as the stream's owner —
+    fresh traffic past the admission and cluster gates, plus handoff
+    replay. Link fan-out never appends: the owning node already did."""
+
+    def record(self, arrival: StreamArrival) -> bool: ...
+
+
+class FanoutRoots(Protocol):
+    """Hierarchical fan-out trees (repro.fanout): ``is_root`` marks
+    subscriptions held by a tree root; ``deliver_root`` hands the leg to
+    the tree (one delivery per subtree) and returns the member
+    deliveries; ``invalidate`` mirrors route-cache flushes into the
+    per-relay route caches."""
+
+    def is_root(self, endpoint: str) -> bool: ...
+
+    def deliver_root(self, endpoint: str, arrival: StreamArrival) -> int: ...
+
+    def invalidate(self, stream_id: StreamId | None = None) -> None: ...
+
+
 class DispatchingService:
-    """Routes stream arrivals to subscribers; unclaimed data to the Orphanage."""
+    """Routes stream arrivals to subscribers; unclaimed data to the Orphanage.
+
+    The optional stages are typed collaborators, None when their config
+    switch is off (the default data path stays byte-identical).
+    ``delivery`` and ``store`` exist before the service and come through
+    the constructor; the rest are built around it and come through
+    :meth:`install`.
+    """
 
     def __init__(
         self,
@@ -146,6 +225,9 @@ class DispatchingService:
         metrics: MetricsRegistry | None = None,
         inbox: str = INBOX,
         broker_inbox: str = BROKER_INBOX,
+        *,
+        delivery: DeliveryQueues | None = None,
+        store: ArrivalTap | None = None,
     ) -> None:
         self._network = network
         self._registry = registry
@@ -171,91 +253,39 @@ class DispatchingService:
         self._next_subscription_id = 1
         self._route_cache: dict[StreamId, tuple[int, ...]] = {}
         self._advertised: set[StreamId] = set()
-        self._route_guard: Callable[[str, StreamDescriptor], bool] | None = None
-        # Optional overload-protection hooks (repro.qos); typed loosely
-        # so the data path does not import the qos package.
-        self._admission: Any | None = None
-        self._delivery: Any | None = None
-        # Cluster routing hook (repro.cluster); None on single-broker
-        # deployments, keeping the historical data path untouched.
-        self._cluster: Any | None = None
-        # Stream-store write-through tap (repro.store); None unless
-        # store_enabled, keeping the data path byte-identical otherwise.
-        self._store: Any | None = None
-        # Hierarchical fan-out hook (repro.fanout); None unless
-        # fanout_enabled. Tree-root legs are intercepted on delivery and
-        # delivered as one batch per subtree instead of per consumer.
-        self._fanout: Any | None = None
+        self._delivery = delivery
+        self._store = store
+        self._admission: Admission | None = None
+        self._cluster: ClusterRouting | None = None
+        self._fanout: FanoutRoots | None = None
+        self._route_guard: RouteGuard | None = None
         self.stats = DispatchStats(metrics)
         network.register_inbox(inbox, self.on_arrival)
 
-    def set_admission(self, admission: Any | None) -> None:
-        """Install admission control in front of arrival processing.
-
-        ``admission.offer(arrival)`` decides whether each arrival is
-        processed now, queued for a later drain (which re-enters via
-        :meth:`process_admitted`), or shed.
-        """
-        self._admission = admission
-
-    def set_delivery_manager(self, delivery: Any | None) -> None:
-        """Route per-subscription deliveries through a delivery manager.
-
-        ``delivery.deliver(endpoint, arrival)`` replaces the direct
-        ``network.send`` per fan-out leg; ``delivery.release(endpoint)``
-        is called whenever an endpoint's subscriptions are dropped.
-        """
-        self._delivery = delivery
-
-    def set_cluster(self, cluster: Any | None) -> None:
-        """Install this node's cluster router (repro.cluster).
-
-        ``cluster.on_fresh(arrival)`` decides whether a fresh arrival is
-        processed here (this broker owns the stream) or forwarded to the
-        owning broker; ``cluster.remote_targets(stream_id)`` yields the
-        inter-broker link inboxes with aggregated remote interest;
-        ``cluster.filter_local(...)`` suppresses duplicate local
-        deliveries for streams that also travel over links or handoff
-        replay; ``cluster.interest_added/removed`` propagate subscription
-        interest to peer brokers.
-        """
-        self._cluster = cluster
-
-    def set_store(self, tap: Any | None) -> None:
-        """Install a stream-store write-through tap (repro.store).
-
-        ``tap.record(arrival)`` appends each arrival this node processes
-        as the stream's owner — fresh traffic past the admission and
-        cluster gates, plus handoff replay — to the durable log. Link
-        fan-out (:meth:`process_remote_delivery`) never appends: the
-        owning node already did.
-        """
-        self._store = tap
-
-    def set_fanout(self, fanout: Any | None) -> None:
-        """Install hierarchical fan-out trees (repro.fanout).
-
-        ``fanout.is_root(endpoint)`` marks subscriptions held by a tree
-        root; ``fanout.deliver_root(endpoint, arrival)`` hands the leg
-        to the tree (one delivery per subtree, fanned to members at the
-        leaves); ``fanout.invalidate(stream_id)`` mirrors route-cache
-        flushes into the per-relay route caches.
-        """
-        self._fanout = fanout
-
-    def set_route_guard(
-        self, guard: Callable[[str, StreamDescriptor], bool] | None
+    def install(
+        self,
+        *,
+        admission: Admission | None = None,
+        cluster: ClusterRouting | None = None,
+        fanout: FanoutRoots | None = None,
+        route_guard: RouteGuard | None = None,
     ) -> None:
-        """Install a data-path permission check.
+        """Attach collaborators that cannot exist before this service.
 
-        ``guard(endpoint, descriptor)`` must return True for a delivery to
-        proceed; the broker uses this to keep restricted streams (e.g.
-        location data, Section 2) away from consumers without the right
-        permission, enforced on every route rather than only at
-        subscription time.
+        The admission controller drains into :meth:`process_admitted`,
+        the cluster router and fan-out runtime subscribe through this
+        service, the broker guards its routes: whoever builds one
+        installs it here. An argument left None keeps what is installed.
         """
-        self._route_guard = guard
-        self._route_cache.clear()
+        if admission is not None:
+            self._admission = admission
+        if cluster is not None:
+            self._cluster = cluster
+        if fanout is not None:
+            self._fanout = fanout
+        if route_guard is not None:
+            self._route_guard = route_guard
+            self._route_cache.clear()
 
     # ------------------------------------------------------------------
     # Subscription management (driven by the broker)
@@ -429,7 +459,7 @@ class DispatchingService:
         self,
         arrival: StreamArrival,
         stream_id: StreamId,
-        cluster: Any | None,
+        cluster: ClusterRouting | None,
         *,
         orphan_unclaimed: bool = True,
         record_local: bool = False,

@@ -19,17 +19,19 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.actuation import ActuationService
-from repro.core.config import GarnetConfig
-from repro.core.connect import (
-    USE_CONFIG,
-    ConnectOptions,
-    open_live_session,
+from repro.cluster.node import BrokerNode
+from repro.cluster.runtime import (
+    INGRESS_INBOX,
+    ClusterRuntime,
+    DisabledCluster,
 )
+from repro.core.config import GarnetConfig
 from repro.core.constraints import ConstraintSet
 from repro.core.consumer import Consumer
 from repro.core.control import StreamUpdateCommand
 from repro.core.coordinator import SuperCoordinator
-from repro.core.dispatching import DispatchingService, SubscriptionPattern
+from repro.core.dispatching import INBOX as DISPATCH_INBOX
+from repro.core.dispatching import SubscriptionPattern
 from repro.core.filtering import FilteringService
 from repro.core.location import (
     LOCATION_STREAM_KIND,
@@ -38,7 +40,6 @@ from repro.core.location import (
 )
 from repro.core.message import MessageCodec
 from repro.core.orphanage import Orphanage
-from repro.core.pubsub import Broker
 from repro.core.replicator import MessageReplicator
 from repro.core.resource import (
     Decision,
@@ -63,8 +64,6 @@ from repro.qos import (
     BreakerPolicy,
     DegradationController,
     DeliveryManager,
-    DropByStreamPriority,
-    DropOldest,
 )
 from repro.radio.array import ReceiverArray, TransmitterArray
 from repro.sensors.node import SensorNode, SensorStreamSpec
@@ -75,6 +74,10 @@ from repro.simnet.mobility import MobilityModel, Stationary
 from repro.simnet.wireless import WirelessMedium
 from repro.util.backoff import BackoffPolicy
 from repro.util.ids import IdPool
+
+#: ``connect(heartbeat_period=...)`` not passed: defer to the config. An
+#: explicit ``None`` disables heartbeats, so None cannot be the default.
+_USE_CONFIG: Any = object()
 
 #: Which command applies each configuration parameter on the wire.
 _PARAMETER_COMMANDS: dict[str, StreamUpdateCommand] = {
@@ -278,34 +281,47 @@ class Garnet:
         # Data path services. On clustered deployments filtered arrivals
         # leave through the cluster ingress (which shard-routes them to
         # their owning broker) instead of straight into the dispatcher.
-        filtering_kwargs: dict[str, Any] = {}
-        if cfg.cluster_enabled:
-            from repro.cluster.runtime import INGRESS_INBOX
-
-            filtering_kwargs["dispatch_inbox"] = INGRESS_INBOX
         self.filtering = FilteringService(
             self.network,
             self.registry,
             reorder_timeout=cfg.reorder_timeout,
             metrics=self._metrics,
-            **filtering_kwargs,
+            dispatch_inbox=(
+                INGRESS_INBOX if cfg.cluster_enabled else DISPATCH_INBOX
+            ),
         )
-        self.dispatcher = DispatchingService(
-            self.network, self.registry, metrics=self._metrics
-        )
-        self.orphanage = Orphanage(
-            self.network,
-            backlog_per_stream=cfg.orphanage_backlog,
-            metrics=self._metrics,
-        )
-        self.broker = Broker(
-            self.network,
-            self.registry,
-            self.dispatcher,
-            self.auth,
-            metrics=self._metrics,
-            lease_ttl=cfg.broker_lease_ttl,
-        )
+
+        # Shared by every broker node, so built before the first one:
+        # per-consumer delivery queues (repro.qos) and the durable stream
+        # store with its write-through tap (repro.store). Off by default:
+        # no appends, no ``store.*`` summary keys, data path
+        # byte-identical (the golden digests pin this).
+        self.qos = QosRuntime()
+        if cfg.qos_consumer_queue is not None:
+            self.qos.delivery = DeliveryManager(
+                self.network,
+                queue_capacity=cfg.qos_consumer_queue,
+                quarantine_after=cfg.qos_quarantine_after,
+                metrics=self._metrics,
+            )
+        self.store: Any = None
+        self.store_tap: Any = None
+        if cfg.store_enabled:
+            from repro.store import StoreTap, build_store
+
+            self.store = build_store(
+                cfg, metrics=self._metrics, clock=lambda: self.sim.now
+            )
+            self.store_tap = StoreTap(self.store, self.codec)
+
+        # The primary broker node: the only one off-cluster, ``b0`` of a
+        # federation. ``deployment.dispatcher`` etc. name its services.
+        primary = BrokerNode(self, "b0", primary=True)
+        self.nodes: list[BrokerNode] = [primary]
+        self.dispatcher = primary.dispatcher
+        self.orphanage = primary.orphanage
+        self.broker = primary.broker
+        self.qos.admission = primary.admission
         self.location = LocationService(
             self.network, decay_tau=cfg.location_decay_tau
         )
@@ -369,7 +385,6 @@ class Garnet:
         # Overload protection (repro.qos): each component installs only
         # when its config switch is on, so default deployments keep the
         # historical event sequence exactly.
-        self.qos = QosRuntime()
         if cfg.qos_breaker_failures is not None:
             self.network.set_breaker_policy(
                 BreakerPolicy(
@@ -377,30 +392,6 @@ class Garnet:
                     reset_timeout=cfg.qos_breaker_reset,
                 )
             )
-        if cfg.qos_ingress_rate is not None:
-            shedding = (
-                DropByStreamPriority(self._stream_priority)
-                if cfg.qos_shedding == "priority"
-                else DropOldest()
-            )
-            self.qos.admission = AdmissionController(
-                self.sim,
-                self.dispatcher.process_admitted,
-                rate=cfg.qos_ingress_rate,
-                burst=cfg.qos_ingress_burst,
-                queue_capacity=cfg.qos_ingress_queue,
-                policy=shedding,
-                metrics=self._metrics,
-            )
-            self.dispatcher.set_admission(self.qos.admission)
-        if cfg.qos_consumer_queue is not None:
-            self.qos.delivery = DeliveryManager(
-                self.network,
-                queue_capacity=cfg.qos_consumer_queue,
-                quarantine_after=cfg.qos_quarantine_after,
-                metrics=self._metrics,
-            )
-            self.dispatcher.set_delivery_manager(self.qos.delivery)
         if cfg.qos_degradation:
             self.qos.degradation = DegradationController(
                 self.sim,
@@ -427,36 +418,10 @@ class Garnet:
         # inter-broker links, the shard map and the handoff coordinator
         # install only when switched on; otherwise a placeholder keeps
         # ``deployment.cluster`` probe-able and the data path untouched.
+        self.cluster: ClusterRuntime | DisabledCluster = DisabledCluster()
         if cfg.cluster_enabled:
-            from repro.cluster.runtime import ClusterRuntime
-
-            self.cluster: Any = ClusterRuntime(self)
-        else:
-            from repro.cluster.runtime import DisabledCluster
-
-            self.cluster = DisabledCluster()
-
-        # Durable stream store (repro.store): a write-through tap at
-        # every broker node's dispatcher, feeding the pluggable segment
-        # log. Off by default — no appends, no ``store.*`` summary keys,
-        # data path byte-identical (the golden digests pin this).
-        self.store: Any = None
-        self.store_tap: Any = None
-        if cfg.store_enabled:
-            from repro.store import StoreTap, build_store
-
-            self.store = build_store(
-                cfg, metrics=self._metrics, clock=lambda: self.sim.now
-            )
-            self.store_tap = StoreTap(self.store, self.codec)
-            if self.cluster.enabled:
-                # Each shard owner persists its own streams: the tap
-                # (and its dedupe windows) is shared, so handoff replay
-                # at a new owner never double-appends.
-                for node in self.cluster.nodes.values():
-                    node.dispatcher.set_store(self.store_tap)
-            else:
-                self.dispatcher.set_store(self.store_tap)
+            self.cluster = ClusterRuntime(self)
+            self.nodes = list(self.cluster.nodes.values())
 
         # Hierarchical fan-out (repro.fanout): relay trees aggregate
         # consumer interest so the dispatcher emits one delivery per
@@ -496,7 +461,7 @@ class Garnet:
                 period=cfg.location_stream_period,
             )
 
-    def _stream_priority(self, arrival) -> int:
+    def stream_priority(self, arrival) -> int:
         """Shedding priority for one arrival (``DropByStreamPriority``).
 
         A stream advertised with a ``qos_priority`` attribute uses it;
@@ -664,14 +629,8 @@ class Garnet:
         token: Token | None = None,
         permissions: Permission | None = None,
         *,
-        heartbeat_period: float | None | object = USE_CONFIG,
+        heartbeat_period: float | None = _USE_CONFIG,
         broker: str | None = None,
-        url: str | None = None,
-        checksum: bool = True,
-        timeout: float = 10.0,
-        reconnect: Any | None = None,
-        keepalive: float | None = None,
-        options: ConnectOptions | None = None,
     ) -> GarnetSession:
         """Open a :class:`GarnetSession`: the consumer-side front door.
 
@@ -681,14 +640,9 @@ class Garnet:
         >>> session = deployment.connect("dashboard")       # doctest: +SKIP
         >>> session.subscribe(kind="temperature.*")         # doctest: +SKIP
 
-        All flavours normalise into one validated
-        :class:`~repro.core.connect.ConnectOptions` (pass a prebuilt
-        ``options=`` to share a shape across call sites); bad
-        combinations raise :class:`ConfigurationError`, a missing
-        identity raises :class:`RegistrationError`.
-
         ``name`` defaults to the token's principal when a token is
-        supplied. ``heartbeat_period`` (default: the config's
+        supplied; with neither, :class:`RegistrationError`.
+        ``heartbeat_period`` (default: the config's
         ``session_heartbeat_period``) enables lease heartbeating and
         automatic crash recovery; pass ``None`` explicitly to disable
         heartbeats for this session regardless of the config.
@@ -698,71 +652,25 @@ class Garnet:
         anywhere; publishes and subscriptions are shard-routed to the
         owning brokers transparently.
 
-        ``url`` switches transports entirely: ``connect(url="garnet://
-        host:port", name=...)`` opens a socket-backed
-        :class:`~repro.transport.client.LiveSession` against a running
-        ``garnet-broker`` instead of a session on *this* deployment —
-        the same ``subscribe``/``publish``/``on_data`` surface over
-        real TCP/UDP. Token, permissions, heartbeat and broker homing
-        are simulated-transport concerns and do not combine with it;
-        ``checksum`` and ``timeout`` apply only to it.
+        This is the simulated door only: a socket-backed session against
+        a running ``garnet-broker`` (the same ``subscribe``/``publish``/
+        ``on_data`` surface) comes from :func:`repro.transport.connect`.
         """
-        if options is not None:
-            explicit = (
-                name is not None
-                or token is not None
-                or permissions is not None
-                or heartbeat_period is not USE_CONFIG
-                or broker is not None
-                or url is not None
-                or checksum is not True
-                or timeout != 10.0
-                or reconnect is not None
-                or keepalive is not None
-            )
-            if explicit:
-                raise ConfigurationError(
-                    "connect(options=...) already carries every argument; "
-                    "do not combine it with individual keywords"
-                )
-        else:
-            options = ConnectOptions(
-                name=name,
-                token=token,
-                permissions=permissions,
-                heartbeat_period=heartbeat_period,
-                broker=broker,
-                url=url,
-                checksum=checksum,
-                timeout=timeout,
-                reconnect=reconnect,
-                keepalive=keepalive,
-            )
-        options.validate()
-        if options.live:
-            return open_live_session(options)
-        node = None
-        if options.broker is not None:
-            if not self.cluster.enabled:
-                raise ConfigurationError(
-                    "connect(broker=...) requires cluster_enabled=True"
-                )
-            node = self.cluster.node(options.broker)
-        elif self.cluster.enabled:
-            node = self.cluster.primary
-        name = options.name
-        token = options.token
+        node = self.nodes[0] if broker is None else self.cluster.node(broker)
         if name is None:
+            if token is None:
+                raise RegistrationError(
+                    "connect() needs a session name or a token"
+                )
             name = token.principal
         if name in self._sessions:
             raise RegistrationError(f"session {name!r} already connected")
         if token is None:
-            token = self.issue_token(name, options.permissions)
-        heartbeat_period = options.heartbeat_period
-        if heartbeat_period is USE_CONFIG:
+            token = self.issue_token(name, permissions)
+        if heartbeat_period is _USE_CONFIG:
             heartbeat_period = self.config.session_heartbeat_period
         session = GarnetSession(
-            self, name, token, heartbeat_period=heartbeat_period, node=node
+            self, name, token, node, heartbeat_period=heartbeat_period
         )
         self._sessions[name] = session
         return session
@@ -827,9 +735,7 @@ class Garnet:
 
     def orphanages(self) -> list[Orphanage]:
         """Every Orphanage in the deployment (one per broker node)."""
-        if self.cluster.enabled:
-            return self.cluster.orphanages()
-        return [self.orphanage]
+        return [node.orphanage for node in self.nodes]
 
     def twins(self) -> Any:
         """A :class:`~repro.twins.TwinView` over the stream store.
@@ -844,11 +750,8 @@ class Garnet:
 
     def invalidate_routes(self) -> None:
         """Flush memoised dispatch routing on every broker node."""
-        if self.cluster.enabled:
-            for node in self.cluster.nodes.values():
-                node.dispatcher.invalidate_routes()
-        else:
-            self.dispatcher.invalidate_routes()
+        for node in self.nodes:
+            node.dispatcher.invalidate_routes()
 
     def remove_consumer(self, consumer: Consumer) -> None:
         """Retire a consumer: demands released, subscriptions dropped."""

@@ -103,7 +103,7 @@ class Broker(RpcEndpoint):
         self.stats = BrokerStats(metrics)
         network.register_inbox(advertisement_inbox, self._on_advertisement)
         network.register_service(service_name, self)
-        dispatcher.set_route_guard(self._route_guard)
+        dispatcher.install(route_guard=self._route_guard)
 
     def _route_guard(self, endpoint: str, descriptor) -> bool:
         """Data-path permission check for restricted streams.

@@ -28,11 +28,10 @@ middleware operations to it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.cluster.link import SequenceWindow
 from repro.core.control import StreamUpdateCommand
-from repro.core.dispatching import INBOX as DISPATCH_INBOX
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.envelopes import StreamArrival
 from repro.core.message import DataMessage
@@ -49,6 +48,9 @@ from repro.errors import (
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.kernel import PeriodicTask
 from repro.util.ids import WrappingCounter
+
+if TYPE_CHECKING:
+    from repro.cluster.node import BrokerNode
 
 DataCallback = Callable[[StreamArrival], None]
 
@@ -84,17 +86,16 @@ class GarnetSession:
         deployment: Any,
         name: str,
         token: Token,
+        node: BrokerNode,
         heartbeat_period: float | None = None,
-        node: Any | None = None,
     ) -> None:
         if not name:
             raise SessionError("session name must be non-empty")
         self._deployment = deployment
         self._name = name
         self._token = token
-        # The cluster BrokerNode this session is homed on (None on
-        # single-broker deployments): its broker takes registrations and
-        # its dispatch inbox takes publishes.
+        # The BrokerNode this session is homed on: its broker takes
+        # registrations and its dispatch inbox takes publishes.
         self._node = node
         self._closed = False
         self._callbacks: list[DataCallback] = []
@@ -146,14 +147,12 @@ class GarnetSession:
 
     @property
     def broker(self):
-        if self._node is not None:
-            return self._node.broker
-        return self._deployment.broker
+        return self._node.broker
 
     @property
-    def home_broker(self) -> str | None:
-        """The cluster broker this session is homed on (None off-cluster)."""
-        return self._node.name if self._node is not None else None
+    def home_broker(self) -> str:
+        """The broker node this session is homed on (``b0`` off-cluster)."""
+        return self._node.name
 
     @property
     def control(self):
@@ -318,12 +317,11 @@ class GarnetSession:
     ) -> Decision:
         """Resource Manager approval + actuation, as this session."""
         self._require_open()
-        if self._node is not None:
-            # Observability only: control requests are cluster-global,
-            # but count how many target streams owned elsewhere.
-            self._deployment.cluster.note_control_request(
-                stream_id, self._node.name
-            )
+        # Observability only: control requests are cluster-global, but
+        # count how many target streams owned elsewhere.
+        self._deployment.cluster.note_control_request(
+            stream_id, self._node.name
+        )
         return self.control.request_update(
             consumer=self._name,
             token=self._token,
@@ -368,13 +366,8 @@ class GarnetSession:
             encrypted=encrypted,
             extensions=extensions,
         )
-        inbox = (
-            self._node.dispatch_inbox
-            if self._node is not None
-            else DISPATCH_INBOX
-        )
         self.network.send(
-            inbox,
+            self._node.dispatch_inbox,
             StreamArrival(
                 message=message,
                 received_at=self.network.sim.now,

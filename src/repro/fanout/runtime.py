@@ -101,10 +101,7 @@ class LinkBatcher:
 class FanoutRuntime:
     """The fan-out subsystem of one deployment."""
 
-    enabled = True
-
     def __init__(self, deployment: Any) -> None:
-        cfg = deployment.config
         self._deployment = deployment
         metrics = deployment.metrics()
         self.stats = FanoutStats(metrics)
@@ -118,16 +115,12 @@ class FanoutRuntime:
         self._trees: dict[str, FanoutTree] = {}
         self._roots: dict[str, FanoutTree] = {}
         # Intercept tree-root legs in every dispatcher of the deployment.
+        for node in deployment.nodes:
+            node.dispatcher.install(fanout=self)
         if deployment.cluster.enabled:
-            for node in deployment.cluster.nodes.values():
-                node.dispatcher.set_fanout(self)
-            self.link_batcher: LinkBatcher | None = LinkBatcher(
+            deployment.cluster.link_batcher = LinkBatcher(
                 deployment.network, self.stats
             )
-            deployment.cluster.link_batcher = self.link_batcher
-        else:
-            deployment.dispatcher.set_fanout(self)
-            self.link_batcher = None
         self.tree = self.new_tree(DEFAULT_TREE)
 
     # ------------------------------------------------------------------
@@ -139,9 +132,8 @@ class FanoutRuntime:
         *,
         branching: int | None = None,
         levels: int | None = None,
-        dispatcher: Any | None = None,
     ) -> FanoutTree:
-        """Stand up another tree (e.g. per broker node, per tenant)."""
+        """Stand up another tree (e.g. per tenant)."""
         if name in self._trees:
             raise ConfigurationError(f"fan-out tree {name!r} already exists")
         deployment = self._deployment
@@ -149,7 +141,7 @@ class FanoutRuntime:
         tree = FanoutTree(
             name,
             network=deployment.network,
-            dispatcher=dispatcher or deployment.dispatcher,
+            dispatcher=deployment.dispatcher,
             registry=deployment.registry,
             branching=branching if branching is not None else cfg.fanout_branching,
             levels=levels if levels is not None else cfg.fanout_levels,
@@ -162,14 +154,9 @@ class FanoutRuntime:
         self._roots[tree.root_inbox] = tree
         return tree
 
-    def get_tree(self, name: str = DEFAULT_TREE) -> FanoutTree:
-        return self._trees[name]
-
-    def attach(
-        self, name: str, patterns: Any, on_data: Any, tree: str = DEFAULT_TREE
-    ) -> FanoutSession:
-        """Attach a consumer to a tree (default: the deployment tree)."""
-        return self._trees[tree].attach(name, patterns, on_data)
+    def attach(self, name: str, patterns: Any, on_data: Any) -> FanoutSession:
+        """Attach a consumer to the deployment's default tree."""
+        return self.tree.attach(name, patterns, on_data)
 
     def session_count(self) -> int:
         return sum(tree.session_count() for tree in self._trees.values())

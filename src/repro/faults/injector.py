@@ -7,7 +7,7 @@ levers the services expose:
 ==================  ====================================================
 Event               Lever
 ==================  ====================================================
-BrokerCrash         ``Broker.crash()`` / ``Broker.restart()``
+BrokerCrash         ``BrokerNode.crash()`` / ``BrokerNode.restart()``
 NetworkPartition    ``FixedNetwork.partition()`` / ``heal()``
 LatencySpike        ``FixedNetwork.set_latency_factor()``
 DropBurst           ``WirelessMedium.set_extra_loss()``
@@ -223,19 +223,10 @@ class FaultInjector:
         sim.schedule(1.0 / state.event.rate, self._flood_tick, state)
 
     def _crash_target(self, event: BrokerCrash):
-        """The object to crash/restart: a cluster node or the broker."""
-        cluster = getattr(self._deployment, "cluster", None)
-        clustered = cluster is not None and cluster.enabled
-        if event.broker is not None:
-            if not clustered:
-                raise ConfigurationError(
-                    f"{event.describe()} names broker {event.broker!r} but "
-                    "the deployment is not clustered"
-                )
-            return cluster.node(event.broker)
-        if clustered:
-            return cluster.primary
-        return self._deployment.broker
+        """The broker node to crash/restart (default: the primary)."""
+        if event.broker is None:
+            return self._deployment.nodes[0]
+        return self._deployment.cluster.node(event.broker)
 
     def _set_transmitter_online(
         self, transmitter_id: int, online: bool

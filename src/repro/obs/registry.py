@@ -264,9 +264,6 @@ class MetricsRegistry:
     def clock(self) -> Callable[[], float] | None:
         return self._clock
 
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-
     def now(self) -> float:
         """The registry's time source (0.0 when no clock is installed)."""
         return self._clock() if self._clock is not None else 0.0

@@ -6,7 +6,7 @@ that testbed with a deterministic discrete-event simulation: a kernel with
 a virtual clock (:mod:`repro.simnet.kernel`), an unreliable broadcast
 wireless medium (:mod:`repro.simnet.wireless`), a reliable fixed network
 for the middleware services (:mod:`repro.simnet.fixednet`), node mobility
-models (:mod:`repro.simnet.mobility`) and metric collection
+models (:mod:`repro.simnet.mobility`) and a latency recorder
 (:mod:`repro.simnet.trace`).
 """
 
@@ -26,7 +26,7 @@ from repro.simnet.mobility import (
     RandomWaypoint,
     Stationary,
 )
-from repro.simnet.trace import LatencyRecorder, MetricRegistry, TimeSeries
+from repro.simnet.trace import LatencyRecorder
 from repro.simnet.wireless import RadioFrame, RadioListener, WirelessMedium
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "TraceReplayer",
     "load_trace",
     "LatencyRecorder",
-    "MetricRegistry",
     "MobilityModel",
     "PathFollower",
     "Point",
@@ -50,6 +49,5 @@ __all__ = [
     "RpcEndpoint",
     "Simulator",
     "Stationary",
-    "TimeSeries",
     "WirelessMedium",
 ]

@@ -147,10 +147,6 @@ class FixedNetwork(Transport):
     def tracer(self) -> Tracer | None:
         return self._tracer
 
-    def set_tracer(self, tracer: Tracer | None) -> None:
-        """Install (or remove) span tracing over send/deliver pairs."""
-        self._tracer = tracer
-
     # ------------------------------------------------------------------
     # Fault & resilience controls
     # ------------------------------------------------------------------

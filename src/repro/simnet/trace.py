@@ -1,75 +1,14 @@
-"""Metric collection: counters, time series and latency statistics.
+"""Latency statistics with exact quantiles.
 
-Every experiment in ``benchmarks/`` reads its results through these
-recorders instead of scraping service internals, which keeps the
-measurement surface stable while services evolve.
+Counters, gauges and histograms live in :mod:`repro.obs`; this recorder
+is what the Actuation Service keeps its ack latencies in
+(``actuation.ack_latency``), which the control-path experiments read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import defaultdict
-from dataclasses import dataclass, field
-
-
-class MetricRegistry:
-    """Named counters shared by a deployment's services."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, float] = defaultdict(float)
-
-    def increment(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] += amount
-
-    def get(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
-
-    def snapshot(self) -> dict[str, float]:
-        """A copy of all counters, for reporting."""
-        return dict(self._counters)
-
-    def reset(self) -> None:
-        self._counters.clear()
-
-
-@dataclass(slots=True)
-class TimeSeries:
-    """An append-only series of ``(time, value)`` samples."""
-
-    name: str = ""
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def record(self, time: float, value: float) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError(
-                f"time {time} precedes last sample {self.times[-1]}"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def last(self) -> float:
-        if not self.values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return self.values[-1]
-
-    def mean(self) -> float:
-        if not self.values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return sum(self.values) / len(self.values)
-
-    def rate(self) -> float:
-        """Samples per second over the observed span (0 if degenerate)."""
-        if len(self.times) < 2:
-            return 0.0
-        span = self.times[-1] - self.times[0]
-        if span <= 0:
-            return 0.0
-        return (len(self.times) - 1) / span
 
 
 class LatencyRecorder:

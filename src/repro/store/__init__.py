@@ -8,8 +8,9 @@ The pieces, bottom-up:
   rotation by segment size, retention by segment count / total bytes /
   age, ``store.*`` counters and gauges.
 - :class:`MemorySegmentStore` / :class:`FileSegmentStore` — the two
-  backends (``store_backend="memory" | "file"``); the file flavour is
-  crash-tolerant on open (torn tails truncated, counted).
+  backends (file segments when ``store_dir`` is set, memory otherwise);
+  the file flavour is crash-tolerant on open (torn tails truncated,
+  counted).
 - :class:`StoreTap` — the write-through installed into the Dispatching
   Service(s); per-stream sequence windows keep the log duplicate-free
   across cluster handoff replay.
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.store.base import StoreStats, StreamStore
 from repro.store.file import FileSegmentStore
@@ -45,26 +45,16 @@ def build_store(
     metrics: MetricsRegistry | None = None,
     clock: Callable[[], float] | None = None,
 ) -> StreamStore:
-    """Assemble the configured StreamStore backend for a deployment."""
+    """Assemble a deployment's StreamStore: on disk when ``store_dir`` is set."""
     kwargs = dict(
         segment_bytes=config.store_segment_bytes,
         max_age=config.store_max_age,
         clock=clock,
         metrics=metrics,
     )
-    if config.store_backend == "memory":
-        return MemorySegmentStore(**kwargs)
-    if config.store_backend == "file":
-        if not config.store_dir:
-            raise ConfigurationError(
-                "store_backend='file' needs store_dir to point at a "
-                "directory"
-            )
+    if config.store_dir:
         return FileSegmentStore(config.store_dir, **kwargs)
-    raise ConfigurationError(
-        f"unknown store_backend {config.store_backend!r} "
-        "(expected 'memory' or 'file')"
-    )
+    return MemorySegmentStore(**kwargs)
 
 
 __all__ = [

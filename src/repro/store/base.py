@@ -61,7 +61,7 @@ class _StreamLog:
         # Oldest first; the final entry is the active (writable) segment.
         self.segments: list[Segment] = []
         self.next_index = 0
-        self.last: StoredRecord | None = None
+        self.last: tuple[float, int, bytes] | None = None
 
 
 class StreamStore(ABC):
@@ -95,6 +95,8 @@ class StreamStore(ABC):
         self._total_segments = 0
         self._closed = False
         self.stats = StoreStats(metrics)
+        self._appended = self.stats.counter("appended")
+        self._bytes_appended = self.stats.counter("bytes_appended")
         registry = self.stats.registry
         self._segments_gauge = registry.gauge(
             "store.segments", help="segments currently held across streams"
@@ -113,9 +115,6 @@ class StreamStore(ABC):
     def _open_segment(self, stream_id: StreamId, index: int) -> Segment:
         """Create (and open for append) segment ``index`` of a stream."""
 
-    def _discard_segment(self, stream_id: StreamId, segment: Segment) -> None:
-        segment.delete()
-
     # ------------------------------------------------------------------
     # Append path
     # ------------------------------------------------------------------
@@ -132,25 +131,25 @@ class StreamStore(ABC):
         if log is None:
             log = _StreamLog(stream_id)
             self._logs[stream_id] = log
-        if not log.segments:
-            self._push_segment(log)
-        active = log.segments[-1]
-        if active.bytes_held >= self._segment_bytes:
-            active.seal()
-            self.stats.segments_rotated += 1
+        active = log.segments[-1] if log.segments else None
+        opened = active is None or active.bytes_held >= self._segment_bytes
+        if opened:
+            if active is not None:
+                active.seal()
+                self.stats.segments_rotated += 1
             active = self._push_segment(log)
         written = active.append(received_at, receiver_id, frame)
         self._total_bytes += written
-        log.last = StoredRecord(
-            stream_id=stream_id,
-            received_at=received_at,
-            receiver_id=receiver_id,
-            frame=frame,
-        )
-        self.stats.appended += 1
-        self.stats.bytes_appended += written
-        self._enforce_retention()
-        self._update_gauges()
+        log.last = (received_at, receiver_id, frame)
+        self._appended.inc()
+        self._bytes_appended.inc(written)
+        # Only a new segment, the clock or the byte budget makes anything
+        # evictable; every other append moves one gauge and sweeps nothing.
+        if opened or self._max_age is not None or self._max_bytes is not None:
+            self._enforce_retention()
+            self._update_gauges()
+        else:
+            self._bytes_gauge.set(float(self._total_bytes))
 
     def _push_segment(self, log: _StreamLog) -> Segment:
         segment = self._open_segment(log.stream_id, log.next_index)
@@ -202,7 +201,7 @@ class StreamStore(ABC):
         self._total_bytes -= segment.bytes_held
         self.stats.segments_evicted += 1
         self.stats.records_evicted += segment.records_held
-        self._discard_segment(log.stream_id, segment)
+        segment.delete()
         if not log.segments:
             del self._logs[log.stream_id]
 
@@ -261,7 +260,9 @@ class StreamStore(ABC):
         """The most recently appended record (None for unknown streams)."""
         self._require_open()
         log = self._logs.get(stream_id)
-        return log.last if log is not None else None
+        if log is None or log.last is None:
+            return None
+        return StoredRecord(stream_id, *log.last)
 
     def streams(self) -> list[StreamId]:
         """Every stream with at least one retained record, sorted."""

@@ -29,7 +29,6 @@ from repro.store.segment import (
     RECORD_META_BYTES,
     RECORD_PREFIX_BYTES,
     Segment,
-    StoredRecord,
     scan_records,
 )
 
@@ -172,12 +171,7 @@ class FileSegmentStore(StreamStore):
                         received_at,
                         RECORD_PREFIX_BYTES + RECORD_META_BYTES + len(frame),
                     )
-                    log.last = StoredRecord(
-                        stream_id=stream_id,
-                        received_at=received_at,
-                        receiver_id=receiver_id,
-                        frame=frame,
-                    )
+                    log.last = (received_at, receiver_id, frame)
                 log.segments.append(segment)
                 self._total_segments += 1
                 self._total_bytes += segment.bytes_held
@@ -185,14 +179,6 @@ class FileSegmentStore(StreamStore):
                 log.next_index = indexed[-1][0] + 1
         self._enforce_retention()
         self._update_gauges()
-
-    @property
-    def directory(self) -> Path:
-        return self._dir
-
-    def close(self) -> None:
-        if not self._closed:
-            super().close()
 
 
 __all__ = ["FileSegmentStore"]

@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import secrets
 import socket
 from collections import deque
@@ -959,7 +960,7 @@ class LiveBroker:
             raise TransportError(f"unknown frame type 0x{frame_type:02x}")
         except GarnetError as exc:
             return {"ok": False, "error": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             return {"ok": False, "error": f"malformed body: {exc!r}"}
 
     # ------------------------------------------------------------------
@@ -969,7 +970,7 @@ class LiveBroker:
         name = body.get("name")
         if not isinstance(name, str) or not name:
             raise TransportError("HELLO needs a non-empty session name")
-        udp_port = int(body["udp_port"])
+        udp_port, keepalive, batch = self._handshake_fields(body)
         if self._resume_grace is not None:
             # A re-HELLO with a parked session's name means the client
             # lost its token; the parked ghost yields to the live one.
@@ -977,18 +978,22 @@ class LiveBroker:
                 if state.name == name and state.parked_now:
                     self._drop_state(state)
         session = self.deployment.connect(name, heartbeat_period=None)
+        try:
+            publisher_id = session.ensure_publisher_id()
+        except GarnetError:
+            session.close()  # a refused HELLO keeps no claim on the name
+            raise
         token = secrets.token_hex(16)
         state = _SessionState(token, name, udp_port, self._park_capacity)
         state.session = session
+        state.publisher_id = publisher_id
         state.udp_address = (connection.peer_host, udp_port)
-        keepalive = body.get("keepalive")
-        state.keepalive = float(keepalive) if keepalive else None
-        state.batch = self._batching and bool(body.get("batch_datagrams"))
+        state.keepalive = keepalive
+        state.batch = batch
         connection.state = state
         session.on_data(
             lambda arrival, s=state: self._deliver_to_state(s, arrival)
         )
-        state.publisher_id = session.ensure_publisher_id()
         self._pump()
         response = {
             "ok": True,
@@ -1018,6 +1023,8 @@ class LiveBroker:
         state = self._states.get(token) if isinstance(token, str) else None
         if state is None:
             raise TransportError("unknown or expired resume token")
+        udp_port, keepalive, batch = self._handshake_fields(body)
+        cursors = self._parse_cursors(body.get("cursors"))
         if not state.parked_now:
             # The client re-dialed before this side noticed the old
             # socket die: the new connection wins, the stale one is
@@ -1030,8 +1037,6 @@ class LiveBroker:
             if state.udp_address is not None:
                 self._udp_peers.pop(state.udp_address, None)
             state.udp_address = None
-        udp_port = int(body["udp_port"])
-        cursors = self._parse_cursors(body.get("cursors"))
         restored = state.session is not None
         if restored:
             mapping = {
@@ -1042,9 +1047,8 @@ class LiveBroker:
         state.udp_port = udp_port
         state.udp_address = (connection.peer_host, udp_port)
         state.deadline = None
-        keepalive = body.get("keepalive")
-        state.keepalive = float(keepalive) if keepalive else None
-        state.batch = self._batching and bool(body.get("batch_datagrams"))
+        state.keepalive = keepalive
+        state.batch = batch
         connection.state = state
         self._udp_peers[state.udp_address] = connection
         self._sessions_resumed.inc()
@@ -1065,6 +1069,28 @@ class LiveBroker:
             "replayed_store": replayed_store,
             "replayed_parked": replayed_parked,
         }
+
+    def _handshake_fields(self, body: dict) -> tuple[int, float | None, bool]:
+        """``(udp_port, keepalive, batch)`` of a HELLO/RESUME body.
+
+        Parsed and range-checked before the handshake touches any state,
+        so a refused one leaves nothing behind. A port no datagram can
+        be sent to would otherwise raise inside the pump on the first
+        delivery and starve every other client of the broker.
+        """
+        udp_port = int(body["udp_port"])
+        if not 1 <= udp_port <= 65535:
+            raise TransportError(
+                f"udp_port must be in 1..65535, got {udp_port}"
+            )
+        keepalive = body.get("keepalive")
+        keepalive = float(keepalive) if keepalive else None
+        if keepalive is not None and not 0 < keepalive < math.inf:
+            raise TransportError(
+                f"keepalive must be a positive period, got {keepalive}"
+            )
+        batch = self._batching and bool(body.get("batch_datagrams"))
+        return udp_port, keepalive, batch
 
     @staticmethod
     def _parse_cursors(raw: Any) -> dict[str, int]:

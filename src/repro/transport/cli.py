@@ -110,7 +110,6 @@ async def _serve(args: argparse.Namespace) -> None:
                 publish_location_stream=False,
                 checksum=not args.no_checksum,
                 store_enabled=bool(args.store or args.store_dir),
-                store_backend="file" if args.store_dir else "memory",
                 store_dir=args.store_dir,
                 broker_lease_ttl=args.lease_ttl,
                 transport_resume_grace=args.resume_grace,

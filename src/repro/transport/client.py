@@ -59,7 +59,12 @@ from repro.cluster.link import SequenceWindow
 from repro.core.envelopes import StreamArrival
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.streamid import StreamId
-from repro.errors import GarnetError, TransportError
+from repro.errors import (
+    ConfigurationError,
+    GarnetError,
+    RegistrationError,
+    TransportError,
+)
 from repro.fanout.frames import decode_batch_datagram, is_batch_datagram
 from repro.transport.base import parse_garnet_url
 from repro.transport.framing import (
@@ -185,10 +190,13 @@ class LiveSession:
         timeout: float = 10.0,
         reconnect: BackoffPolicy | bool | None = None,
         keepalive: float | None = None,
-        rng: random.Random | None = None,
     ) -> None:
         if not name:
-            raise TransportError("session name must be non-empty")
+            raise RegistrationError("connect() needs a session name")
+        if timeout <= 0:
+            raise ConfigurationError(
+                f"connect timeout must be positive, got {timeout}"
+            )
         self._name = name
         self._codec = MessageCodec(checksum=checksum)
         self._timeout = timeout
@@ -210,19 +218,19 @@ class LiveSession:
         elif reconnect is not None and not isinstance(
             reconnect, BackoffPolicy
         ):
-            raise TransportError(
-                "reconnect must be None, True or a BackoffPolicy, got "
-                f"{reconnect!r}"
+            raise ConfigurationError(
+                "connect reconnect must be None, True or a BackoffPolicy, "
+                f"got {reconnect!r}"
             )
         self._reconnect_policy: BackoffPolicy | None = reconnect
         if keepalive is not None and keepalive <= 0:
-            raise TransportError(
-                f"keepalive must be positive, got {keepalive}"
+            raise ConfigurationError(
+                f"connect keepalive must be positive, got {keepalive}"
             )
         if keepalive is None and reconnect is not None:
             keepalive = _DEFAULT_KEEPALIVE
         self._keepalive = keepalive
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = random.Random()
         self._state = "connected"
         self._resume_token: str | None = None
         self._publish_buffer: list[tuple] = []
@@ -961,24 +969,23 @@ def connect(
     reconnect: BackoffPolicy | bool | None = None,
     keepalive: float | None = None,
 ) -> LiveSession:
-    """Open a :class:`LiveSession` against a running broker.
+    """Open a :class:`LiveSession` against a running broker: the live door.
 
-    Thin alias over the unified connect path: the arguments are packed
-    into a :class:`~repro.core.connect.ConnectOptions` and validated
-    exactly as :meth:`Garnet.connect(url=...) <repro.core.middleware.
-    Garnet.connect>` would.
+    Arguments are checked before anything is dialed: a bad ``timeout``,
+    ``keepalive`` or ``reconnect`` is a
+    :class:`~repro.errors.ConfigurationError`, a missing ``name`` a
+    :class:`~repro.errors.RegistrationError`. Simulated sessions
+    (tokens, permissions, heartbeats, broker homing) come from
+    :meth:`Garnet.connect <repro.core.middleware.Garnet.connect>`.
     """
-    from repro.core.connect import ConnectOptions, open_live_session
-
-    options = ConnectOptions(
-        name=name,
-        url=url,
+    return LiveSession(
+        url,
+        name,
         checksum=checksum,
         timeout=timeout,
         reconnect=reconnect,
         keepalive=keepalive,
-    ).validate()
-    return open_live_session(options)
+    )
 
 
 __all__ = [

@@ -1,16 +1,14 @@
-"""The consolidated connect() entrypoint (repro.core.connect).
+"""One connect door per transport.
 
-Three historical shapes — in-simulation default, ``broker=`` cluster
-homing, and ``url=`` live transport — now normalise into one validated
-:class:`ConnectOptions`. These tests pin the consolidation contract:
+``Garnet.connect`` opens simulated sessions (name/token/permissions,
+``heartbeat_period``, ``broker`` homing) and ``repro.transport.connect``
+live ones (``checksum``, ``timeout``, ``reconnect``, ``keepalive``).
+These tests pin the split:
 
-- the same option combination fails identically through every door
-  (``Garnet.connect``, ``repro.transport.connect``, a prebuilt
-  ``options=`` object);
-- contradictory combinations are :class:`ConfigurationError`; a missing
-  identity stays :class:`RegistrationError`;
-- everything past ``permissions`` is keyword-only (the positional
-  heartbeat_period/broker/url shim is gone).
+- neither door takes the other's options — the signature refuses them;
+- a bad value is :class:`ConfigurationError`, a missing identity
+  :class:`RegistrationError`, both before anything is dialed;
+- everything past ``permissions`` is keyword-only.
 """
 
 from __future__ import annotations
@@ -18,28 +16,35 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import GarnetConfig
-from repro.core.connect import USE_CONFIG, ConnectOptions
 from repro.core.middleware import Garnet
 from repro.errors import ConfigurationError, RegistrationError
+from repro.transport import connect
+from repro.util.backoff import BackoffPolicy
+
+#: Nothing listens here: a connect that dialed would raise OSError.
+UNREACHABLE = "garnet://127.0.0.1:1"
 
 
-def simulated() -> Garnet:
-    return Garnet(config=GarnetConfig(publish_location_stream=False))
+def simulated(**config) -> Garnet:
+    return Garnet(
+        config=GarnetConfig(publish_location_stream=False, **config)
+    )
 
 
 class TestConnectOptionsValidation:
-    def test_defaults_need_an_identity(self):
-        with pytest.raises(RegistrationError):
-            ConnectOptions().validate()
+    """What each door accepts, checked before any I/O."""
 
     def test_name_alone_is_enough(self):
-        options = ConnectOptions(name="app").validate()
-        assert options.live is False
-        assert options.heartbeat_period is USE_CONFIG
-
-    def test_url_without_name_is_a_registration_error(self):
-        with pytest.raises(RegistrationError):
-            ConnectOptions(url="garnet://h:1").validate()
+        deployment = simulated(session_heartbeat_period=2.0)
+        session = deployment.connect("app")
+        assert session.name == "app"
+        # heartbeat_period not passed: the config decides; an explicit
+        # None switches heartbeats off for this session.
+        assert session._heartbeat_task is not None
+        assert (
+            deployment.connect("quiet", heartbeat_period=None)._heartbeat_task
+            is None
+        )
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
@@ -52,48 +57,57 @@ class TestConnectOptionsValidation:
         ],
     )
     def test_url_rejects_simulated_only_options(self, kwargs, fragment):
-        with pytest.raises(ConfigurationError, match=fragment):
-            ConnectOptions(
-                name="x", url="garnet://h:1", **kwargs
-            ).validate()
+        with pytest.raises(TypeError, match=fragment):
+            connect(UNREACHABLE, "x", **kwargs)
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
             ({"checksum": False}, "checksum"),
             ({"timeout": 3.0}, "timeout"),
+            ({"reconnect": True}, "reconnect"),
+            ({"keepalive": 1.0}, "keepalive"),
+            ({"url": UNREACHABLE}, "url"),
+            ({"options": object()}, "options"),
         ],
     )
     def test_simulated_rejects_live_only_options(self, kwargs, fragment):
-        with pytest.raises(ConfigurationError, match=fragment):
-            ConnectOptions(name="x", **kwargs).validate()
+        with pytest.raises(TypeError, match=fragment):
+            simulated().connect("x", **kwargs)
+
+    def test_url_without_name_is_a_registration_error(self):
+        for name in (None, ""):
+            with pytest.raises(RegistrationError):
+                connect(UNREACHABLE, name)
 
     def test_live_timeout_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="timeout"):
-            ConnectOptions(
-                name="x", url="garnet://h:1", timeout=0.0
-            ).validate()
+            connect(UNREACHABLE, "x", timeout=0.0)
+
+    @pytest.mark.parametrize("keepalive", [0.0, -1.0])
+    def test_live_keepalive_must_be_positive(self, keepalive):
+        with pytest.raises(ConfigurationError, match="keepalive"):
+            connect(UNREACHABLE, "x", keepalive=keepalive)
+
+    @pytest.mark.parametrize("reconnect", [False, 3, "yes"])
+    def test_live_reconnect_must_be_a_policy(self, reconnect):
+        with pytest.raises(ConfigurationError, match="reconnect"):
+            connect(UNREACHABLE, "x", reconnect=reconnect)
 
     def test_live_checksum_and_timeout_are_accepted(self):
-        options = ConnectOptions(
-            name="x", url="garnet://h:1", checksum=False, timeout=2.0
-        ).validate()
-        assert options.live is True
+        # A well-formed call gets as far as dialing the dead port.
+        with pytest.raises(OSError):
+            connect(
+                UNREACHABLE,
+                "x",
+                checksum=False,
+                timeout=0.5,
+                reconnect=BackoffPolicy(base=0.1),
+                keepalive=0.5,
+            )
 
 
 class TestGarnetConnect:
-    def test_options_object_and_keywords_are_equivalent(self):
-        deployment = simulated()
-        via_options = deployment.connect(options=ConnectOptions(name="a"))
-        via_keywords = deployment.connect("b")
-        assert type(via_options) is type(via_keywords)
-        assert via_options.name == "a"
-
-    def test_options_cannot_mix_with_keywords(self):
-        deployment = simulated()
-        with pytest.raises(ConfigurationError, match="options"):
-            deployment.connect("x", options=ConnectOptions(name="x"))
-
     def test_connect_needs_name_or_token(self):
         deployment = simulated()
         with pytest.raises(RegistrationError):
@@ -109,22 +123,6 @@ class TestGarnetConnect:
         deployment = simulated()
         with pytest.raises(ConfigurationError, match="cluster_enabled"):
             deployment.connect("app", broker="b0")
-
-    def test_live_only_knobs_rejected_without_url(self):
-        deployment = simulated()
-        with pytest.raises(ConfigurationError, match="timeout"):
-            deployment.connect("app", timeout=3.0)
-        with pytest.raises(ConfigurationError, match="checksum"):
-            deployment.connect("app", checksum=False)
-
-    def test_url_with_simulated_only_kwarg_is_rejected_without_io(self):
-        # Validation fires before any socket is opened, so a bad combo
-        # against an unreachable URL still fails as ConfigurationError.
-        deployment = simulated()
-        with pytest.raises(ConfigurationError):
-            deployment.connect(
-                "x", url="garnet://127.0.0.1:1", broker="b0"
-            )
 
 
 class TestLegacyPositionalShim:
@@ -143,15 +141,11 @@ class TestLegacyPositionalShim:
 
 class TestTransportAlias:
     def test_transport_connect_validates_before_dialing(self):
-        from repro.transport import connect
-
         # A missing name fails validation without touching the network
         # (the URL is unreachable; reaching it would raise OSError).
         with pytest.raises(RegistrationError):
-            connect("garnet://127.0.0.1:1")
+            connect(UNREACHABLE)
 
     def test_transport_connect_rejects_bad_timeout(self):
-        from repro.transport import connect
-
         with pytest.raises(ConfigurationError, match="timeout"):
-            connect("garnet://127.0.0.1:1", "app", timeout=-1.0)
+            connect(UNREACHABLE, "app", timeout=-1.0)

@@ -205,8 +205,10 @@ class TestRouteGuard:
         service.add_subscription(
             endpoint("a"), SubscriptionPattern(stream_id=StreamId(1, 0))
         )
-        service.set_route_guard(
-            lambda ep, desc: "required_permission" not in desc.attributes
+        service.install(
+            route_guard=lambda ep, desc: (
+                "required_permission" not in desc.attributes
+            )
         )
         service.on_arrival(arrival(StreamId(1, 0)))
         sim.run()
@@ -218,9 +220,9 @@ class TestRouteGuard:
         service.add_subscription(
             endpoint("a"), SubscriptionPattern(stream_id=StreamId(1, 0))
         )
-        service.set_route_guard(lambda ep, desc: False)
+        service.install(route_guard=lambda ep, desc: False)
         service.on_arrival(arrival(StreamId(1, 0)))
-        service.set_route_guard(None)
+        service.install(route_guard=lambda ep, desc: True)
         service.on_arrival(arrival(StreamId(1, 0), sequence=1))
         sim.run()
         assert len(inboxes["a"]) == 1

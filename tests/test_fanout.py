@@ -398,7 +398,7 @@ class TestClusterLinkBatching:
         assert stats.link_batches >= 1
         assert stats.link_batched_arrivals == 5
         # Nothing left buffered once the kernel drains.
-        assert deployment.fanout.link_batcher.pending_count() == 0
+        assert deployment.cluster.link_batcher.pending_count() == 0
 
     def test_same_tick_legs_coalesce(self):
         deployment = self.clustered()

@@ -1,4 +1,4 @@
-"""Metric recorders: counters, time series, latency statistics."""
+"""The latency recorder behind ``actuation.ack_latency``."""
 
 import math
 
@@ -6,63 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simnet.trace import LatencyRecorder, MetricRegistry, TimeSeries
-
-
-class TestMetricRegistry:
-    def test_increment_and_get(self):
-        registry = MetricRegistry()
-        registry.increment("msgs")
-        registry.increment("msgs", 4)
-        assert registry.get("msgs") == 5
-
-    def test_unknown_counter_is_zero(self):
-        assert MetricRegistry().get("nothing") == 0.0
-
-    def test_snapshot_is_a_copy(self):
-        registry = MetricRegistry()
-        registry.increment("x")
-        snap = registry.snapshot()
-        registry.increment("x")
-        assert snap["x"] == 1
-        assert registry.get("x") == 2
-
-    def test_reset(self):
-        registry = MetricRegistry()
-        registry.increment("x")
-        registry.reset()
-        assert registry.get("x") == 0.0
-
-
-class TestTimeSeries:
-    def test_record_and_stats(self):
-        series = TimeSeries("t")
-        for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]:
-            series.record(t, v)
-        assert len(series) == 3
-        assert series.last() == 5.0
-        assert series.mean() == 3.0
-        assert series.rate() == 1.0
-
-    def test_non_monotonic_time_rejected(self):
-        series = TimeSeries()
-        series.record(2.0, 1.0)
-        with pytest.raises(ValueError):
-            series.record(1.0, 2.0)
-
-    def test_empty_stats_raise(self):
-        series = TimeSeries("empty")
-        with pytest.raises(ValueError):
-            series.last()
-        with pytest.raises(ValueError):
-            series.mean()
-        assert series.rate() == 0.0
-
-    def test_rate_degenerate_span(self):
-        series = TimeSeries()
-        series.record(1.0, 1.0)
-        series.record(1.0, 2.0)
-        assert series.rate() == 0.0
+from repro.simnet.trace import LatencyRecorder
 
 
 class TestLatencyRecorder:

@@ -348,24 +348,12 @@ class TestBuildStore:
         assert isinstance(memory, MemorySegmentStore)
         file_backed = build_store(
             GarnetConfig(
-                store_enabled=True,
-                store_backend="file",
-                store_dir=str(tmp_path / "s"),
+                store_enabled=True, store_dir=str(tmp_path / "s")
             )
         )
         assert isinstance(file_backed, FileSegmentStore)
         memory.close()
         file_backed.close()
-
-    def test_file_backend_requires_dir(self):
-        with pytest.raises(ConfigurationError):
-            GarnetConfig(
-                store_enabled=True, store_backend="file"
-            ).validate()
-
-    def test_unknown_backend_rejected_even_when_disabled(self):
-        with pytest.raises(ConfigurationError):
-            GarnetConfig(store_backend="tape").validate()
 
     def test_bounds_validated_when_enabled(self):
         with pytest.raises(ConfigurationError):

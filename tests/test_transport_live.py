@@ -286,6 +286,84 @@ class TestRawSocketEdges:
         with connect(harness.url, "early") as session:  # name not burnt
             assert session.ping() >= 0.0
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"udp_port": 5000, "keepalive": "abc"},
+            {"udp_port": 5000, "keepalive": -1.0},
+            {"udp_port": "five thousand"},
+            {"udp_port": 0},
+            {"udp_port": 70000},
+            {},
+        ],
+    )
+    def test_malformed_hello_does_not_burn_the_name(self, harness, fields):
+        # Every body field is checked before the server-side session
+        # exists: a refused HELLO used to leave "alice" connected for
+        # good, so the well-formed retry below was refused.
+        deployment = harness.broker.deployment
+        before = sorted(deployment.network.inbox_names())
+        [(_, body)] = self._exchange(
+            harness, encode_control_frame(HELLO, {"name": "alice", **fields})
+        )
+        assert body["ok"] is False
+        assert deployment.sessions() == []
+        assert sorted(deployment.network.inbox_names()) == before
+        with connect(harness.url, "alice") as session:
+            assert session.ping() >= 0.0
+
+    def test_hello_refused_by_the_id_pool_releases_the_name(
+        self, harness, monkeypatch
+    ):
+        from repro.util.ids import IdExhaustedError
+
+        deployment = harness.broker.deployment
+
+        def exhausted():
+            raise IdExhaustedError("no free publisher ids")
+
+        monkeypatch.setattr(deployment, "allocate_publisher_id", exhausted)
+        [(_, body)] = self._exchange(
+            harness, encode_control_frame(HELLO, {"name": "late", "udp_port": 1})
+        )
+        assert body["ok"] is False
+        assert deployment.sessions() == []
+        monkeypatch.undo()
+        with connect(harness.url, "late") as session:
+            assert session.publisher_id > 0
+
+    def test_unsendable_udp_port_cannot_starve_other_clients(self, harness):
+        # sendto() raises OverflowError (not OSError) for a port above
+        # 65535; accepted at HELLO, the first delivery to this client
+        # aborted the kernel pump and nobody else was served.
+        host, port = harness.broker.host, harness.broker.control_port
+        with socket.create_connection((host, port), timeout=5.0) as rogue:
+            rogue.settimeout(5.0)
+            rogue.sendall(
+                encode_control_frame(
+                    HELLO, {"name": "rogue", "udp_port": 70000}
+                )
+                + encode_control_frame(SUBSCRIBE, {"kind": "temp"})
+            )
+            assembler = ControlFrameAssembler()
+            frames = []
+            while len(frames) < 2:
+                frames.extend(assembler.feed(rogue.recv(65536)))
+            assert [body["ok"] for _, body in frames] == [False, False]
+            assert "udp_port" in frames[0][1]["error"]
+            with connect(harness.url, "pub") as publisher, connect(
+                harness.url, "sub"
+            ) as subscriber:
+                received = []
+                subscriber.on_data(
+                    lambda arrival: received.append(arrival.message.sequence)
+                )
+                subscriber.subscribe(kind="temp")
+                for index in range(20):
+                    publisher.publish(0, bytes([index]), kind="temp")
+                assert poll_until(lambda: len(received) == 20)
+                assert received == list(range(20))
+
     def test_ping_via_raw_socket_roundtrips_sim_time(self, harness):
         wire = encode_control_frame(
             HELLO, {"name": "rawping", "udp_port": 1}
@@ -573,33 +651,6 @@ class TestStoreOverTheWire:
         with connect(harness.url, "late") as late:
             with pytest.raises(TransportError, match="store_enabled"):
                 late.subscribe(kind="temp", replay="history")
-
-
-class TestGarnetConnectUrl:
-    def test_middleware_connect_dispatches_to_live_session(self, harness):
-        from repro.core.config import GarnetConfig
-        from repro.core.middleware import Garnet
-
-        deployment = Garnet(
-            config=GarnetConfig(publish_location_stream=False)
-        )
-        session = deployment.connect(name="via-url", url=harness.url)
-        try:
-            assert session.name == "via-url"
-            assert session.ping() >= 0.0
-        finally:
-            session.close()
-
-    def test_url_with_simulated_only_kwargs_is_rejected(self, harness):
-        from repro.core.config import GarnetConfig
-        from repro.core.middleware import Garnet
-        from repro.errors import ConfigurationError
-
-        deployment = Garnet(
-            config=GarnetConfig(publish_location_stream=False)
-        )
-        with pytest.raises(ConfigurationError):
-            deployment.connect("x", url=harness.url, token=object())
 
 
 class TestBrokerCli:

@@ -136,6 +136,34 @@ class TestResumeTokens:
         assert "token" in body["error"]
 
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"udp_port": 70000}, {"udp_port": 5000, "keepalive": "abc"}, {}],
+    )
+    def test_malformed_resume_leaves_the_live_connection_alone(
+        self, harness, fields
+    ):
+        # A RESUME for a session that is still attached takes over from
+        # the stale connection — but only once its own body parses.
+        with connect(harness.url, "alice") as session:
+            host, port = harness.broker.host, harness.broker.control_port
+            with socket.create_connection((host, port), timeout=5.0) as tcp:
+                tcp.settimeout(5.0)
+                tcp.sendall(
+                    encode_control_frame(
+                        RESUME, {"token": session.resume_token, **fields}
+                    )
+                )
+                assembler = ControlFrameAssembler()
+                frames = []
+                while not frames:
+                    frames.extend(assembler.feed(tcp.recv(65536)))
+            [(_, body)] = frames
+            assert body["ok"] is False
+            assert session.ping() >= 0.0
+        assert harness.counters().get("transport.sessions_resumed", 0) == 0
+
+
 class TestReconnectAndResume:
     def test_session_resumes_after_connection_loss(self, harness):
         states = []
@@ -179,12 +207,18 @@ class TestReconnectAndResume:
 
     def test_resume_replays_only_missed_records(self, harness):
         """The acceptance gate: replay serves exactly the missed span."""
+        # The first redial waits half a second: the three publishes below
+        # must reach the broker while the session is still parked, or
+        # they arrive live and nothing is left to replay.
+        unhurried = BackoffPolicy(
+            base=0.5, multiplier=1.5, max_delay=1.0, jitter=0.0, max_attempts=40
+        )
         with connect(
             harness.url, "pub"
         ) as publisher, connect(
             harness.url,
             "sub",
-            reconnect=FAST_RECONNECT,
+            reconnect=unhurried,
             keepalive=0.1,
         ) as subscriber:
             received = []
@@ -630,7 +664,6 @@ class TestBrokerRestartResume:
                 config=GarnetConfig(
                     publish_location_stream=False,
                     store_enabled=True,
-                    store_backend="file",
                     store_dir=str(store_dir),
                     transport_resume_grace=10.0,
                 )

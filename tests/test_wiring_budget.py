@@ -1,0 +1,154 @@
+"""One way in: a broker node is wired in exactly one place.
+
+Constructing a ``BrokerNode`` is the single builder for a broker's slice
+of Figure 1; the facade does it for ``b0`` and the cluster runtime for
+``b1..bN``. A second construction site is how the primary and its peers
+drifted apart before, so — in the style of ``test_config_budget.py``,
+but over the AST — this pins the number of call sites, keeps the
+dispatcher's collaborators typed and installed through one method, and
+checks on a live deployment that every node ends up wired alike.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+from repro.core.config import GarnetConfig
+from repro.core.middleware import Garnet
+from repro.transport import connect
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BUILDER = SRC / "repro" / "cluster" / "node.py"
+DISPATCHING = SRC / "repro" / "core" / "dispatching.py"
+NODE_SERVICES = (
+    "DispatchingService",
+    "Orphanage",
+    "Broker",
+    "AdmissionController",
+)
+
+
+def _call_sites(class_name: str) -> list[Path]:
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = (
+                callee.id
+                if isinstance(callee, ast.Name)
+                else getattr(callee, "attr", None)
+            )
+            if name == class_name:
+                sites.append(path)
+    return sites
+
+
+def _dispatching_service() -> ast.ClassDef:
+    for node in ast.parse(DISPATCHING.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == "DispatchingService":
+            return node
+    raise AssertionError("DispatchingService not found")
+
+
+@pytest.mark.parametrize("class_name", NODE_SERVICES)
+def test_node_services_are_constructed_by_the_one_builder(class_name):
+    assert _call_sites(class_name) == [BUILDER]
+
+
+def test_dispatcher_has_no_setter_hooks():
+    setters = [
+        node.name
+        for node in ast.walk(ast.parse(DISPATCHING.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("set_")
+    ]
+    assert setters == []
+
+
+def test_dispatcher_collaborators_are_typed():
+    untyped = []
+    for node in ast.walk(_dispatching_service()):
+        if isinstance(node, ast.AnnAssign):
+            annotation, label = node.annotation, ast.unparse(node.target)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotation, label = node.annotation, node.arg
+        else:
+            continue
+        names = {
+            part.id for part in ast.walk(annotation) if isinstance(part, ast.Name)
+        }
+        if "Any" in names:
+            untyped.append(label)
+    assert untyped == []
+
+
+def test_one_connect_door_per_transport():
+    assert list(inspect.signature(Garnet.connect).parameters) == [
+        "self",
+        "name",
+        "token",
+        "permissions",
+        "heartbeat_period",
+        "broker",
+    ]
+    assert list(inspect.signature(connect).parameters) == [
+        "url",
+        "name",
+        "checksum",
+        "timeout",
+        "reconnect",
+        "keepalive",
+    ]
+    assert not (SRC / "repro" / "core" / "connect.py").exists()
+
+
+# ----------------------------------------------------------------------
+# Node parity: what the builder promises, observed on a deployment
+# ----------------------------------------------------------------------
+def test_off_cluster_deployment_is_one_node():
+    deployment = Garnet(config=GarnetConfig(publish_location_stream=False))
+    [node] = deployment.nodes
+    assert node.name == "b0"
+    assert node.dispatcher is deployment.dispatcher
+    assert node.orphanage is deployment.orphanage
+    assert node.broker is deployment.broker
+    assert deployment.orphanages() == [deployment.orphanage]
+    assert deployment.connect("app").home_broker == "b0"
+
+
+def test_every_node_is_wired_like_the_primary():
+    deployment = Garnet(
+        config=GarnetConfig(
+            publish_location_stream=False,
+            cluster_enabled=True,
+            cluster_brokers=3,
+            qos_ingress_rate=100.0,
+            qos_consumer_queue=8,
+            store_enabled=True,
+            fanout_enabled=True,
+        )
+    )
+    nodes = deployment.nodes
+    assert [node.name for node in nodes] == ["b0", "b1", "b2"]
+    assert nodes == list(deployment.cluster.nodes.values())
+    assert nodes[0].dispatcher is deployment.dispatcher
+    assert deployment.qos.admission is nodes[0].admission
+    for node in nodes:
+        dispatcher = node.dispatcher
+        # Shared by every node: one delivery manager, one store tap,
+        # one fan-out runtime.
+        assert dispatcher._delivery is deployment.qos.delivery is not None
+        assert dispatcher._store is deployment.store_tap is not None
+        assert dispatcher._fanout is deployment.fanout is not None
+        # Per node: its own admission controller, router and guard.
+        assert dispatcher._admission is node.admission is not None
+        assert dispatcher._cluster is deployment.cluster.routers[node.name]
+        assert dispatcher._route_guard == node.broker._route_guard
+    assert len({id(node.admission) for node in nodes}) == len(nodes)
+    assert len({id(node.orphanage) for node in nodes}) == len(nodes)
+    assert len({node.dispatch_inbox for node in nodes}) == len(nodes)
