@@ -124,6 +124,8 @@ class Subscription:
     endpoint: str
     pattern: SubscriptionPattern
     delivered: int = 0
+    #: Set by :meth:`DispatchingService.bind_direct`: the leg is a call.
+    direct: Callable[[StreamArrival], None] | None = None
 
 
 class DispatchStats(RegistryBackedStats):
@@ -250,6 +252,7 @@ class DispatchingService:
         # Per-endpoint subscription ids so remove_endpoint (every lease
         # reap under churn) needn't scan the whole table.
         self._by_endpoint: dict[str, set[int]] = {}
+        self._direct: dict[str, Callable[[StreamArrival], None]] = {}
         self._next_subscription_id = 1
         self._route_cache: dict[StreamId, tuple[int, ...]] = {}
         self._advertised: set[StreamId] = set()
@@ -260,6 +263,9 @@ class DispatchingService:
         self._fanout: FanoutRoots | None = None
         self._route_guard: RouteGuard | None = None
         self.stats = DispatchStats(metrics)
+        # Hot path: bound counters, not the stats property round-trip.
+        self._arrivals = self.stats.counter("arrivals")
+        self._deliveries = self.stats.counter("deliveries")
         network.register_inbox(inbox, self.on_arrival)
 
     def install(
@@ -300,7 +306,9 @@ class DispatchingService:
             )
         subscription_id = self._next_subscription_id
         self._next_subscription_id += 1
-        subscription = Subscription(subscription_id, endpoint, pattern)
+        subscription = Subscription(
+            subscription_id, endpoint, pattern, direct=self._direct.get(endpoint)
+        )
         self._subscriptions[subscription_id] = subscription
         self._by_endpoint.setdefault(endpoint, set()).add(subscription_id)
         if pattern.stream_id is not None:
@@ -375,6 +383,21 @@ class DispatchingService:
             self._delivery.release(endpoint)
         return len(doomed)
 
+    def bind_direct(
+        self, endpoint: str, handler: Callable[[StreamArrival], None] | None
+    ) -> None:
+        """Deliver ``endpoint``'s fan-out legs by calling ``handler``.
+
+        No bus latency, retry, partition or breaker applies to them; QoS
+        delivery queues still come first. None unbinds.
+        """
+        if handler is None:
+            self._direct.pop(endpoint, None)
+        else:
+            self._direct[endpoint] = handler
+        for subscription_id in self._by_endpoint.get(endpoint, ()):
+            self._subscriptions[subscription_id].direct = handler
+
     def subscription_count(self) -> int:
         return len(self._subscriptions)
 
@@ -393,7 +416,7 @@ class DispatchingService:
     # Data path
     # ------------------------------------------------------------------
     def on_arrival(self, arrival: StreamArrival) -> None:
-        self.stats.arrivals += 1
+        self._arrivals.inc()
         if self._admission is not None:
             self._admission.offer(arrival)
             return
@@ -512,7 +535,7 @@ class DispatchingService:
                     continue
                 seen_roots.add(endpoint)
             subscription.delivered += 1
-            self.stats.deliveries += 1
+            self._deliveries.inc()
             outbound = StreamArrival(
                 message=arrival.message,
                 received_at=arrival.received_at,
@@ -524,6 +547,8 @@ class DispatchingService:
                 continue
             if self._delivery is not None:
                 self._delivery.deliver(endpoint, outbound)
+            elif subscription.direct is not None:
+                subscription.direct(outbound)
             else:
                 self._network.send(endpoint, outbound)
             delivered += 1

@@ -15,6 +15,7 @@ sensor; the facade glues the approval to the issuance.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -243,6 +244,10 @@ class Garnet:
         self.config = (config or GarnetConfig()).validate()
         cfg = self.config
         self.sim = Simulator(seed=seed)
+        #: Where the store's age horizon and a live broker's arrival
+        #: stamps and PING read "now"; None is the virtual clock. A
+        #: LiveBroker installs Unix time while it serves.
+        self.arrival_clock: Callable[[], float] | None = None
 
         # Observability substrate: one registry for every service's
         # counters, timers keyed off virtual time, spans over the bus.
@@ -310,7 +315,7 @@ class Garnet:
             from repro.store import StoreTap, build_store
 
             self.store = build_store(
-                cfg, metrics=self._metrics, clock=lambda: self.sim.now
+                cfg, metrics=self._metrics, clock=self.now
             )
             self.store_tap = StoreTap(self.store, self.codec)
 
@@ -810,6 +815,11 @@ class Garnet:
             )
             return
         self.sim.run(until=self.sim.now + duration)
+
+    def now(self) -> float:
+        """Arrival-clock time: virtual seconds, Unix seconds when live."""
+        clock = self.arrival_clock
+        return clock() if clock is not None else self.sim.now
 
     def run_until_idle(self, max_events: int | None = None) -> None:
         """Drain every pending event (sensors stopped beforehand)."""

@@ -112,6 +112,7 @@ class GarnetSession:
         self.stats = SessionStats(prefix=f"session.{name}")
         metrics = deployment.metrics()
         self.stats.bind(metrics)
+        self._deliveries = self.stats.counter("deliveries")
         # Deployment-wide recovery counters (shared across sessions).
         self._recoveries_counter = metrics.counter(
             "resilience.session_recoveries",
@@ -214,9 +215,13 @@ class GarnetSession:
                 # to the dispatcher when we read the store).
                 self.stats.history_duplicates_dropped += 1
                 return
-        self.stats.deliveries += 1
+        self._deliveries.inc()
         for callback in list(self._callbacks):
             callback(arrival)
+
+    def deliver_inline(self) -> None:
+        """Take deliveries as calls from the home dispatcher, not bus sends."""
+        self._node.dispatcher.bind_direct(self.endpoint, self._deliver)
 
     # ------------------------------------------------------------------
     # Discovery & subscription
@@ -555,7 +560,7 @@ class GarnetSession:
                 delivered_at=now,
             )
             replayed += 1
-            self.stats.deliveries += 1
+            self._deliveries.inc()
             for callback in list(self._callbacks):
                 callback(arrival)
         store.stats.replays += 1
@@ -576,7 +581,8 @@ class GarnetSession:
         """Read one stream's retained history as decoded arrivals.
 
         ``start``/``end`` bound ``received_at`` inclusively (virtual
-        time); ``limit`` keeps the earliest N matches. Raises
+        time; Unix time for records a live broker stamped); ``limit``
+        keeps the earliest N matches. Raises
         :class:`StoreError` when the deployment has no store.
         """
         self._require_open()
@@ -620,5 +626,6 @@ class GarnetSession:
                 pass
         if self.network.has_inbox(self.endpoint):
             self.network.unregister_inbox(self.endpoint)
+        self._node.dispatcher.bind_direct(self.endpoint, None)
         self._subscriptions.clear()
         self._deployment._release_session(self)

@@ -16,17 +16,19 @@ deployment and exposes its consumer surface on localhost:
 Everything runs on one asyncio event loop, so deployment state needs no
 locking: each control frame, or each drain of the data-plane socket, is
 handled and then the simulation kernel is pumped to quiescence
-(``run_until_idle``), which fires any resulting deliveries
-synchronously. The deployment therefore must not carry unbounded
-periodic tasks (the default broker deployment disables the location
-beacon for exactly this reason).
+(``run_until_idle``), which runs what the control path left on the bus
+(advertisements, orphanage, QoS drains). The deployment therefore must
+not carry unbounded periodic tasks: :meth:`LiveBroker.start` refuses one
+whose kernel never idles (the default broker deployment disables the
+location beacon for exactly this reason).
 
-The broker owns its UDP socket (:class:`_DataPlaneSocket`): a readiness
-event reads up to ``_DRAIN_BUDGET`` datagrams, injects each one, and
-pumps the kernel **once** — same-instant arrivals ride the kernel's
-batch dequeue in FIFO order, so ordering and exactly-once delivery are
-what a pump per datagram gave. Sends go straight to ``sendto``; what the
-kernel will not take waits in a bounded FIFO.
+The data path does not ride the simulated bus. The broker owns its UDP
+socket (:class:`_DataPlaneSocket`): a readiness event reads up to
+``_DRAIN_BUDGET`` datagrams and hands each, decoded, straight to the
+Dispatching Service, whose fan-out legs call the server-side sessions;
+the frames they produce collect in one FIFO that the pump after the
+drain sends in one ``sendto`` loop, in arrival order. What the OS will
+not take waits in a bounded FIFO.
 
 **Resilience (PR 8).** With a ``resume_grace`` window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
@@ -40,8 +42,8 @@ past the client's per-stream cursors plus parked deliveries, deduped so
 each missed record is sent exactly once. NACK frames answer per-stream
 gap-repair requests from the store. When the deployment's broker runs
 leases (``broker_lease_ttl``), they are granted and expired on the
-event loop's wall clock — the virtual clock runs ahead of real time by
-one bus hop per pump — and a housekeeping task reaps vanished clients
+event loop's wall clock — the virtual clock only moves when a control
+event is pumped — and a housekeeping task reaps vanished clients
 (missed keepalive PINGs, UDP inactivity): their subscriptions and
 publisher ids are freed. A ``sessions_path`` persists the
 resumable-session table so RESUME survives a broker restart.
@@ -55,15 +57,15 @@ import json
 import math
 import secrets
 import socket
+import time
 from collections import deque
 from pathlib import Path
 from typing import Any
 
-from repro.core.dispatching import INBOX as DISPATCH_INBOX
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.envelopes import StreamArrival
 from repro.core.streamid import StreamId
-from repro.errors import GarnetError, TransportError
+from repro.errors import ConfigurationError, GarnetError, TransportError
 from repro.fanout.frames import encode_batch_datagrams
 from repro.transport.framing import (
     ADVERTISE,
@@ -113,6 +115,9 @@ _DRAIN_BUDGET = 64
 #: Datagrams that may wait for a full kernel send buffer; past this the
 #: oldest is evicted and counted (``transport.datagrams_dropped``).
 _SEND_QUEUE_CAPACITY = 1024
+
+#: Events :meth:`LiveBroker.start` gives the kernel to show it idles.
+_IDLE_PROBE_EVENTS = 100_000
 
 
 def _default_deployment() -> Any:
@@ -290,9 +295,9 @@ class _DataPlaneSocket:
 
     Receive: on readiness, read until the socket is dry or
     ``_DRAIN_BUDGET`` datagrams are in, hand each to the protocol, then
-    pump the kernel once. Send: straight to ``sendto``; a datagram the
-    kernel's buffer has no room for joins a bounded FIFO that an
-    ``add_writer`` callback flushes in order.
+    pump once (which sends what the drain delivered). Send: straight to
+    ``sendto``; a datagram the kernel's buffer has no room for joins a
+    bounded FIFO that an ``add_writer`` callback flushes in order.
     """
 
     def __init__(
@@ -316,6 +321,8 @@ class _DataPlaneSocket:
     def _on_readable(self) -> None:
         sock = self._sock
         received = self._protocol.datagram_received
+        # One clock read per drain stamps its (at most 64) arrivals.
+        self._broker._drain_stamp = time.time()
         try:
             for _ in range(_DRAIN_BUDGET):
                 try:
@@ -424,6 +431,9 @@ class LiveBroker:
             Path(sessions_path) if sessions_path is not None else None
         )
         self._codec = self.deployment.codec
+        self._drain_stamp = 0.0
+        #: ``(datagram, address)`` in delivery order, sent by the next pump.
+        self._outbound: list[tuple[bytes, tuple[str, int]]] = []
         self._server: asyncio.AbstractServer | None = None
         self._udp: _DataPlaneSocket | None = None
         self._closed = asyncio.Event()
@@ -453,6 +463,10 @@ class LiveBroker:
         self._pumps = metrics.counter(
             "transport.pumps",
             help="kernel drains (one per socket drain or control event)",
+        )
+        self._dispatch_errors = metrics.counter(
+            "transport.dispatch_errors",
+            help="arrivals whose dispatch or delivery raised",
         )
         self._control_frames = metrics.counter(
             "transport.control_frames", help="control-plane requests served"
@@ -511,12 +525,23 @@ class LiveBroker:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
+        # Every pump runs the kernel until it idles; a PeriodicTask never
+        # lets it, and the first pump would spin forever.
+        self.deployment.run_until_idle(max_events=_IDLE_PROBE_EVENTS)
+        if self.deployment.sim.pending_events:
+            raise ConfigurationError(
+                "LiveBroker needs a deployment whose kernel drains to idle, "
+                f"but events remain after running {_IDLE_PROBE_EVENTS}: a "
+                "periodic task (cluster_enabled, publish_location_stream "
+                "and QoS degradation each start one) never lets a pump return"
+            )
         self._loop = loop
         self._stopped = False
-        # Leases live on the clock their renewals are throttled on: the
-        # virtual clock gains a bus hop per pump, so under load it would
-        # expire a lease between two wall-clock renewals.
+        # Wall clocks while serving (virtual time only moves when a pump
+        # finds a control event): leases on the clock their renewals are
+        # throttled on, arrival stamps on one that survives a restart.
         self.deployment.broker.lease_clock = loop.time
+        self.deployment.arrival_clock = time.time
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self._requested_control_port
         )
@@ -571,6 +596,7 @@ class LiveBroker:
             )
         self._pump()
         self.deployment.broker.lease_clock = None
+        self.deployment.arrival_clock = None
         self._closed.set()
 
     async def wait_closed(self) -> None:
@@ -591,11 +617,25 @@ class LiveBroker:
         return self.deployment.broker.lease_ttl
 
     def _pump(self) -> None:
-        """Drain the simulation kernel after the injected events."""
+        """Run what the event left on the bus, then send what it delivered."""
         self._pumps.inc()
-        self.deployment.run_until_idle()
-        if self._batch_pending:
-            self._flush_outboxes()
+        try:
+            self.deployment.run_until_idle()
+        finally:
+            if self._batch_pending:
+                self._flush_outboxes()
+            if self._outbound:
+                self._flush_sends()
+
+    def _flush_sends(self) -> None:
+        """The data plane's one ``sendto`` loop."""
+        pending, self._outbound = self._outbound, []
+        udp = self._udp
+        if udp is None:
+            return
+        for datagram, address in pending:
+            udp.sendto(datagram, address)
+        self._datagrams_out.inc(len(pending))
 
     # ------------------------------------------------------------------
     # Session persistence (RESUME across broker restarts)
@@ -763,11 +803,16 @@ class LiveBroker:
             self._bad_datagrams.inc()
             return
         arrival = StreamArrival(
-            message=message,
-            received_at=self.deployment.sim.now,
-            receiver_id=-1,
+            message=message, received_at=self._drain_stamp, receiver_id=-1
         )
-        self.deployment.network.send(DISPATCH_INBOX, arrival)
+        try:
+            self.deployment.dispatcher.on_arrival(arrival)
+        except Exception as exc:
+            # One failing delivery must not cost the rest of the drain.
+            self._dispatch_errors.inc()
+            self._loop.call_exception_handler(
+                {"message": "live dispatch failed", "exception": exc}
+            )
 
     def _encode_shared(self, message: Any) -> bytes:
         """One codec encode per message, shared by every recipient.
@@ -790,54 +835,51 @@ class LiveBroker:
         self._encode_cache[key] = (message, frame)
         return frame
 
+    def _attach(self, state: _SessionState, session: Any) -> None:
+        """Deliver the server-side session's arrivals to ``state``, inline."""
+        state.session = session
+        session.deliver_inline()
+        session.on_data(lambda arrival: self._deliver_to_state(state, arrival))
+
     def _deliver_to_state(
         self, state: _SessionState, arrival: StreamArrival
     ) -> None:
-        """session.on_data hook: fan one delivery out over UDP (or park)."""
+        """session.on_data hook: queue one delivery for the pump (or park)."""
         frame = self._encode_shared(arrival.message)
         if state.udp_address is None:
             if len(state.parked) == state.parked.maxlen:
                 state.parked_dropped += 1
                 self._parked_dropped.inc()
             state.parked.append(frame)
-            return
-        if self._udp is None:
-            return
-        if state.batch:
-            # Collect until the pump drains; one datagram per flush.
+        elif state.batch:
+            # Collect until the pump; one §7 datagram per flush.
             state.outbox.append(frame)
             self._batch_pending[state.token] = state
-            return
-        self._udp.sendto(frame, state.udp_address)
-        self._datagrams_out.inc()
+        else:
+            self._outbound.append((frame, state.udp_address))
 
     def _flush_outboxes(self) -> None:
         pending, self._batch_pending = self._batch_pending, {}
         for state in pending.values():
             frames, state.outbox = state.outbox, []
-            if not frames or state.udp_address is None or self._udp is None:
-                continue
-            self._send_frames(state, frames)
+            if frames and state.udp_address is not None:
+                self._queue_frames(state, frames)
 
-    def _send_frames(
+    def _queue_frames(
         self, state: _SessionState, frames: list[bytes]
     ) -> None:
-        """Send encoded frames to a live recipient, batching when it may.
+        """Queue encoded frames for a live recipient, batching when it may.
 
         A single frame keeps the historical bare-datagram shape; two or
         more pack into §7 batch datagrams (``MAX_BATCH_DATAGRAM`` bytes
         each).
         """
-        if len(frames) == 1 or not state.batch:
-            for frame in frames:
-                self._udp.sendto(frame, state.udp_address)
-                self._datagrams_out.inc()
-            return
-        for datagram in encode_batch_datagrams(frames):
-            self._udp.sendto(datagram, state.udp_address)
-            self._datagrams_out.inc()
-            self._batch_datagrams.inc()
-        self._batched_frames.inc(len(frames))
+        if len(frames) > 1 and state.batch:
+            self._batched_frames.inc(len(frames))
+            frames = encode_batch_datagrams(frames)
+            self._batch_datagrams.inc(len(frames))
+        address = state.udp_address
+        self._outbound.extend((frame, address) for frame in frames)
 
     def _maybe_renew_lease(self, connection: _ClientConnection) -> None:
         if self._lease_ttl is None or connection.session is None:
@@ -945,7 +987,7 @@ class LiveBroker:
             if frame_type == NACK:
                 return self._on_nack(connection, body)
             if frame_type == PING:
-                return {"ok": True, "time": self.deployment.sim.now}
+                return {"ok": True, "time": self.deployment.now()}
             if frame_type == CLOSE:
                 connection.closed_cleanly = True
                 state = connection.state
@@ -985,15 +1027,12 @@ class LiveBroker:
             raise
         token = secrets.token_hex(16)
         state = _SessionState(token, name, udp_port, self._park_capacity)
-        state.session = session
         state.publisher_id = publisher_id
         state.udp_address = (connection.peer_host, udp_port)
         state.keepalive = keepalive
         state.batch = batch
         connection.state = state
-        session.on_data(
-            lambda arrival, s=state: self._deliver_to_state(s, arrival)
-        )
+        self._attach(state, session)
         self._pump()
         response = {
             "ok": True,
@@ -1115,12 +1154,9 @@ class LiveBroker:
     def _rebuild_session(
         self, state: _SessionState, session: Any
     ) -> dict[int, int]:
-        state.session = session
+        self._attach(state, session)
         if state.publisher_id is not None:
             session.adopt_publisher_id(state.publisher_id, reserved=True)
-        session.on_data(
-            lambda arrival, s=state: self._deliver_to_state(s, arrival)
-        )
         for index, (kind, encrypted) in state.advertised.items():
             try:
                 session.broker.advertise(
@@ -1185,7 +1221,8 @@ class LiveBroker:
         if to_send:
             # Batching clients take the whole catch-up span as §7 batch
             # datagrams; everyone else gets the per-record replay.
-            self._send_frames(state, to_send)
+            self._queue_frames(state, to_send)
+            self._flush_sends()
         state.parked.clear()
         if replayed_store or replayed_parked:
             self._replayed_records.inc(replayed_store + replayed_parked)

@@ -178,3 +178,27 @@ def test_fanout_inbox_prefix_matches_doc():
 
     assert RELAY_INBOX_PREFIX == "garnet.fanout."
     assert "`garnet.fanout.<tree>.r<id>`" in DOC
+
+
+def test_live_received_at_clock_matches_doc():
+    # §6.2: QUERY's received_at (and PING's time) are Unix seconds on a
+    # live broker, one stamp per drain of at most _DRAIN_BUDGET datagrams.
+    import asyncio
+    import time
+
+    from repro.transport import LiveBroker
+    from repro.transport.broker import _DRAIN_BUDGET
+
+    assert "**`received_at` is Unix seconds on a live broker**" in DOC
+    assert f"the up to {_DRAIN_BUDGET} datagrams of one drain share a stamp" in DOC
+
+    async def clock_while_serving():
+        broker = LiveBroker()
+        await broker.start()
+        try:
+            return broker.deployment.arrival_clock
+        finally:
+            await broker.stop()
+
+    deployment_clock = asyncio.run(clock_while_serving())
+    assert deployment_clock is time.time

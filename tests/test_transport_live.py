@@ -17,8 +17,10 @@ import time
 
 import pytest
 
+from repro.core.config import GarnetConfig
+from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
-from repro.errors import TransportError
+from repro.errors import ConfigurationError, TransportError
 from repro.transport import LiveBroker, connect
 from repro.transport.broker import (
     _DRAIN_BUDGET,
@@ -104,9 +106,6 @@ def harness():
 
 @pytest.fixture
 def store_harness():
-    from repro.core.config import GarnetConfig
-    from repro.core.middleware import Garnet
-
     deployment = Garnet(
         config=GarnetConfig(
             publish_location_stream=False, store_enabled=True
@@ -192,6 +191,25 @@ class TestControlPlane:
             session.ping()
         with pytest.raises(TransportError):
             session.publish(0, b"x")
+
+
+class TestNeverIdleDeployments:
+    """A kernel that never idles would spin inside the first pump."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"cluster_enabled": True}, {"publish_location_stream": True}],
+    )
+    def test_start_refuses_a_deployment_with_a_periodic_task(self, fields):
+        async def start():
+            broker = LiveBroker(deployment=Garnet(config=GarnetConfig(**fields)))
+            with pytest.raises(ConfigurationError, match="periodic task"):
+                await broker.start()
+            # Refused before anything was bound or installed.
+            assert broker.control_port is None and broker.data_port is None
+            assert broker.deployment.broker.lease_clock is None
+
+        asyncio.run(asyncio.wait_for(start(), timeout=30))
 
 
 class TestRawSocketEdges:
@@ -364,14 +382,15 @@ class TestRawSocketEdges:
                 assert poll_until(lambda: len(received) == 20)
                 assert received == list(range(20))
 
-    def test_ping_via_raw_socket_roundtrips_sim_time(self, harness):
+    def test_ping_via_raw_socket_roundtrips_unix_time(self, harness):
         wire = encode_control_frame(
             HELLO, {"name": "rawping", "udp_port": 1}
         ) + encode_control_frame(PING, {})
         frames = self._exchange(harness, wire, count=2)
         assert frames[1][0] == PING | RESPONSE_FLAG
         assert frames[1][1]["ok"] is True
-        assert frames[1][1]["time"] >= 0.0
+        # The arrival clock of a live broker, not its virtual one.
+        assert abs(frames[1][1]["time"] - time.time()) < 60.0
 
 
 class TestDataPlane:
@@ -392,6 +411,9 @@ class TestDataPlane:
             assert poll_until(lambda: received == [0])
             pumps = harness.counter("transport.pumps")
             datagrams = harness.counter("transport.datagrams_in")
+            sim = harness.broker.deployment.sim
+            events = sim.events_processed
+            bus_messages = harness.counter("fixednet.messages")
             with harness.paused():
                 for _ in range(500):
                     publisher.publish(0, b"x" * 32, kind="temp")
@@ -402,6 +424,158 @@ class TestDataPlane:
             # No control frame arrived meanwhile: every pump is a drain.
             drains = harness.counter("transport.pumps") - pumps
             assert 1 <= drains <= -(-500 // _DRAIN_BUDGET)
+            # The data path is function calls: nothing rode the bus and
+            # the pumps found the kernel idle.
+            assert sim.events_processed == events
+            assert harness.counter("fixednet.messages") == bus_messages
+
+    def test_two_subscribers_share_one_send_loop_in_arrival_order(
+        self, harness
+    ):
+        with connect(harness.url, "pub") as publisher, connect(
+            harness.url, "sub-a"
+        ) as first, connect(harness.url, "sub-b") as second:
+            seen = {"a": [], "b": []}
+            first.on_data(lambda arrival: seen["a"].append(arrival.message.sequence))
+            second.on_data(lambda arrival: seen["b"].append(arrival.message.sequence))
+            first.subscribe(kind="temp")
+            second.subscribe(kind="temp")
+            publisher.publish(0, b"first", kind="temp")
+            assert poll_until(lambda: seen == {"a": [0], "b": [0]})
+            sends = []
+            plane = harness.broker._udp
+
+            class Recording:
+                def sendto(self, data, addr):
+                    sends.append((int.from_bytes(data[5:7], "big"), addr[1]))
+                    plane.sendto(data, addr)
+
+                def __getattr__(self, name):
+                    return getattr(plane, name)
+
+            harness.broker._udp = Recording()
+            pumps = harness.counter("transport.pumps")
+            with harness.paused():
+                for _ in range(20):
+                    publisher.publish(0, b"x", kind="temp")
+            expected = list(range(21))
+            assert poll_until(lambda: seen == {"a": expected, "b": expected})
+            assert harness.counter("transport.pumps") - pumps == 1
+            # One FIFO for the whole drain: message by message, each
+            # message's legs in subscription order.
+            ports = [sends[0][1], sends[1][1]]
+            assert len(set(ports)) == 2
+            assert sends == [
+                (sequence, port) for sequence in range(1, 21) for port in ports
+            ]
+
+    def test_raising_delivery_mid_drain_is_counted_and_the_rest_flushes(
+        self, harness
+    ):
+        loop_errors = []
+        harness.loop.call_soon_threadsafe(
+            harness.loop.set_exception_handler,
+            lambda loop, context: loop_errors.append(context),
+        )
+        with connect(harness.url, "pub") as publisher, connect(
+            harness.url, "sub"
+        ) as subscriber:
+            received = []
+            subscriber.on_data(
+                lambda arrival: received.append(arrival.message.sequence)
+            )
+            subscriber.subscribe(kind="temp")
+            publisher.publish(0, b"first", kind="temp")
+            assert poll_until(lambda: received == [0])
+            encode = harness.broker._encode_shared
+
+            def encode_or_fail(message):
+                if message.sequence == 3:
+                    raise RuntimeError("boom")
+                return encode(message)
+
+            harness.broker._encode_shared = encode_or_fail
+            pumps = harness.counter("transport.pumps")
+            with harness.paused():
+                for _ in range(6):
+                    publisher.publish(0, b"x", kind="temp")
+            assert poll_until(lambda: received == [0, 1, 2, 4, 5, 6])
+            assert harness.counter("transport.pumps") - pumps == 1
+            assert harness.counter("transport.dispatch_errors") == 1
+            assert harness.counter("transport.datagrams_out") == 6
+            assert [str(c["exception"]) for c in loop_errors] == ["boom"]
+
+    def test_batching_broker_packs_one_drain_into_one_datagram(self):
+        h = BrokerHarness(
+            deployment=Garnet(
+                config=GarnetConfig(
+                    publish_location_stream=False, fanout_enabled=True
+                )
+            )
+        )
+        try:
+            with connect(h.url, "pub") as publisher, connect(
+                h.url, "sub"
+            ) as subscriber:
+                received = []
+                subscriber.on_data(
+                    lambda arrival: received.append(arrival.message.sequence)
+                )
+                subscriber.subscribe(kind="temp")
+                publisher.publish(0, b"first", kind="temp")
+                assert poll_until(lambda: received == [0])
+                with h.paused():
+                    for _ in range(10):
+                        publisher.publish(0, b"x", kind="temp")
+                assert poll_until(lambda: received == list(range(11)))
+                assert subscriber.stats.batch_datagrams == 1
+                assert subscriber.stats.batched_frames == 10
+                assert h.counter("transport.batch_datagrams") == 1
+                # The bare warm-up frame plus the one batch datagram.
+                assert h.counter("transport.datagrams_out") == 2
+        finally:
+            h.stop()
+
+    @pytest.mark.parametrize(
+        "qos, queue_counter",
+        [
+            (
+                {"qos_ingress_rate": 1000.0, "qos_ingress_burst": 8.0},
+                "qos.ingress.enqueued",
+            ),
+            ({"qos_consumer_queue": 64}, "qos.delivery.forwarded"),
+        ],
+    )
+    def test_qos_queues_stay_on_the_live_path(self, qos, queue_counter):
+        h = BrokerHarness(
+            deployment=Garnet(
+                config=GarnetConfig(publish_location_stream=False, **qos)
+            )
+        )
+        try:
+            with connect(h.url, "pub") as publisher, connect(
+                h.url, "sub"
+            ) as subscriber:
+                received = []
+                subscriber.on_data(
+                    lambda arrival: received.append(arrival.message.sequence)
+                )
+                subscriber.subscribe(kind="temp")
+                publisher.publish(0, b"first", kind="temp")  # ADVERTISE done
+                assert poll_until(lambda: received == [0])
+                for burst in range(4):
+                    with h.paused():
+                        for _ in range(50):
+                            publisher.publish(0, b"x", kind="temp")
+                    assert poll_until(
+                        lambda: len(received) == 1 + 50 * (burst + 1)
+                    )
+                time.sleep(0.05)  # window for a spurious duplicate
+                assert received == list(range(201))
+                # ...and went through the queue, not around it.
+                assert h.counter(queue_counter) > 0
+        finally:
+            h.stop()
 
     def test_corrupt_datagram_mid_burst_spares_its_neighbours(
         self, harness
@@ -621,6 +795,66 @@ class TestStoreOverTheWire:
             tail = reader.query(stream, start=latest)
             assert tail[-1].message.sequence == 3
             assert all(a.received_at >= latest for a in tail)
+
+    def test_arrival_stamps_survive_a_same_directory_restart(self, tmp_path):
+        def boot():
+            return BrokerHarness(
+                deployment=Garnet(
+                    config=GarnetConfig(
+                        publish_location_stream=False,
+                        store_enabled=True,
+                        store_dir=str(tmp_path),
+                    )
+                )
+            )
+
+        def publish(h, batches):
+            # The first client of a boot is handed the same publisher
+            # id, so both boots write the same stream; a wait between
+            # batches puts them in different drains.
+            store = h.broker.deployment.store
+            before = sum(store.record_count(s) for s in store.streams())
+            with connect(h.url, "pub") as publisher:
+                for batch in range(batches):
+                    for index in range(5):
+                        stream = publisher.publish(
+                            0, bytes([batch * 5 + index]), kind="temp"
+                        )
+                    stored = before + 5 * (batch + 1)
+                    assert poll_until(
+                        lambda: store.record_count(stream) == stored
+                    )
+            return stream
+
+        h = boot()
+        try:
+            stream = publish(h, 4)
+            with connect(h.url, "reader") as reader:
+                cut = reader.query(stream)[-1].received_at
+        finally:
+            h.stop()
+            h.broker.deployment.store.close()
+        assert abs(cut - time.time()) < 60.0  # Unix seconds
+        h = boot()
+        try:
+            assert publish(h, 1) == stream
+            with connect(h.url, "reader") as reader:
+                everything = reader.query(stream)
+                tail = reader.query(stream, start=cut)
+        finally:
+            h.stop()
+            h.broker.deployment.store.close()
+        stamps = [arrival.received_at for arrival in everything]
+        assert len(stamps) == 25 and stamps == sorted(stamps)
+        # Paging from the last stamp of the first boot: what shared
+        # that stamp, then everything the second boot appended.
+        assert [a.message.payload for a in tail] == [
+            a.message.payload for a in everything if a.received_at >= cut
+        ]
+        assert [a.message.payload for a in tail][-5:] == [
+            bytes([index]) for index in range(5)
+        ]
+        assert len(tail) < 25
 
     def test_query_without_store_is_refused(self, harness):
         with connect(harness.url, "reader") as reader:

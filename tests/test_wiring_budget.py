@@ -23,6 +23,7 @@ from repro.transport import connect
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BUILDER = SRC / "repro" / "cluster" / "node.py"
+LIVE_BROKER = SRC / "repro" / "transport" / "broker.py"
 DISPATCHING = SRC / "repro" / "core" / "dispatching.py"
 NODE_SERVICES = (
     "DispatchingService",
@@ -105,6 +106,27 @@ def test_one_connect_door_per_transport():
         "keepalive",
     ]
     assert not (SRC / "repro" / "core" / "connect.py").exists()
+
+
+def test_live_broker_keeps_the_data_path_off_the_simulated_bus():
+    """Arrivals enter the dispatcher by a call and deliveries leave it
+    by one: the live broker itself never posts to the fixed network."""
+    tree = ast.parse(LIVE_BROKER.read_text())
+    bus_sends = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "send"
+        and "network" in ast.unparse(node.func.value)
+    ]
+    assert bus_sends == []
+    names = {
+        node.id if isinstance(node, ast.Name) else node.asname or node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.alias))
+    }
+    assert "DISPATCH_INBOX" not in names
 
 
 # ----------------------------------------------------------------------
