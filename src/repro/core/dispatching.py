@@ -520,7 +520,7 @@ class DispatchingService:
         delivered_at = self._network.sim.now
         delivered = 0
         fanout = self._fanout
-        seen_roots: set[str] = set()
+        seen_roots: set[str] | None = None if fanout is None else set()
         for subscription_id in route:
             subscription = self._subscriptions.get(subscription_id)
             if subscription is None:
@@ -536,11 +536,12 @@ class DispatchingService:
                 seen_roots.add(endpoint)
             subscription.delivered += 1
             self._deliveries.inc()
+            # Positional: keyword binding costs a third of this call.
             outbound = StreamArrival(
-                message=arrival.message,
-                received_at=arrival.received_at,
-                receiver_id=arrival.receiver_id,
-                delivered_at=delivered_at,
+                arrival.message,
+                arrival.received_at,
+                arrival.receiver_id,
+                delivered_at,
             )
             if to_root:
                 delivered += fanout.deliver_root(endpoint, outbound)

@@ -96,6 +96,13 @@ class DataMessage:
     hop_count: int | None = None
     extensions: tuple[tuple[int, bytes], ...] = field(default_factory=tuple)
     version: int = PROTOCOL_VERSION
+    #: ``(frame, checksum setting)``: the wire image this message was
+    #: decoded from or first encoded to, which :meth:`MessageCodec.encode`
+    #: hands back instead of rebuilding it. Not part of the value: copies
+    #: made by ``replace()`` / ``with_*`` start without one.
+    wire: tuple[bytes, bool] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def flags(self) -> HeaderFlags:
@@ -197,12 +204,26 @@ class MessageCodec:
     def encode(self, message: DataMessage) -> bytes:
         """Serialise ``message``; raises :class:`CodecError` on bad fields.
 
-        This is the precompiled-``struct`` fast path. It produces output
-        byte-identical to :meth:`encode_reference` (the validating
-        field-by-field implementation, kept as the executable spec and
-        property-tested against this one); any message whose fields fail
-        the fast path's cheap range checks is re-encoded through the
-        reference path so error types and messages stay identical too.
+        A message that remembers its frame under this codec's checksum
+        setting gets that very object back; otherwise the encoder runs
+        and a message without a frame remembers the result.
+        """
+        wire = message.wire
+        if wire is not None and wire[1] == self._checksum:
+            return wire[0]
+        frame = self._build_frame(message)
+        if wire is None:
+            _SET_FIELD(message, "wire", (frame, self._checksum))
+        return frame
+
+    def _build_frame(self, message: DataMessage) -> bytes:
+        """The encoder proper: the precompiled-``struct`` fast path.
+
+        Its output is byte-identical to :meth:`encode_reference` (the
+        validating field-by-field implementation, kept as the executable
+        spec and property-tested against this one); any message whose
+        fields fail the fast path's cheap range checks is re-encoded through
+        the reference path so error types and messages stay identical too.
         """
         payload = message.payload
         extensions = message.extensions
@@ -357,12 +378,14 @@ class MessageCodec:
 
         Fast path: one precompiled-``struct`` unpack for the fixed
         header and ``memoryview``-based slicing, so ``data`` may be any
-        bytes-like object (bytes, bytearray, memoryview) and only the
-        payload and extension values are copied out. Truncated inputs
+        bytes-like object (bytes, bytearray, memoryview); from ``bytes``
+        nothing is copied that is already a slice of it, and the message
+        remembers its frame for :meth:`encode`. Truncated inputs
         are re-parsed through :meth:`decode_prefix_reference` so the
         error carries the same field-level diagnostics.
         """
-        if type(data) is bytes:
+        is_bytes = type(data) is bytes
+        if is_bytes:
             # bytes supports the same indexing/slicing the parse below
             # needs, and slices of it are already the bytes objects the
             # message wants — skip the memoryview entirely.
@@ -416,7 +439,8 @@ class MessageCodec:
                     raise TruncatedMessageError(
                         f"extension[{index}] value truncated"
                     )
-                parsed.append((ext_type, bytes(view[offset:end])))
+                value = view[offset:end]
+                parsed.append((ext_type, value if is_bytes else bytes(value)))
                 offset = end
             extensions = tuple(parsed)
 
@@ -425,22 +449,26 @@ class MessageCodec:
             raise TruncatedMessageError(
                 f"payload of {payload_size} bytes truncated at offset {offset}"
             )
-        payload = bytes(view[offset:payload_end])
+        payload = view[offset:payload_end]
+        if not is_bytes:
+            payload = bytes(payload)
         offset = payload_end
-
-        if self._checksum:
-            if offset + 2 > length:
-                return self.decode_prefix_reference(data)
-            stated = (view[offset] << 8) | view[offset + 1]
-            computed = crc16_ccitt(
-                data[:offset] if type(data) is bytes else bytes(view[:offset])
-            )
-            if stated != computed:
-                raise ChecksumError(
-                    f"CRC mismatch: stated 0x{stated:04x}, "
-                    f"computed 0x{computed:04x}"
-                )
+        checksum = self._checksum
+        if checksum:
             offset += 2
+            if offset > length:
+                return self.decode_prefix_reference(data)
+        # The message's own bytes: the input itself when it is exactly
+        # one frame held as bytes, else the one copy this parse makes.
+        frame = data if is_bytes and offset == length else bytes(view[:offset])
+        # CRC-16/CCITT-FALSE has no final XOR, so a frame followed by its
+        # own checksum leaves the register at zero: one call, no slice.
+        if checksum and crc16_ccitt(frame):
+            stated = (frame[-2] << 8) | frame[-1]
+            raise ChecksumError(
+                f"CRC mismatch: stated 0x{stated:04x}, "
+                f"computed 0x{crc16_ccitt(frame[:-2]):04x}"
+            )
 
         stream_id = _STREAM_ID_CACHE.get(stream_word)
         if stream_id is None:
@@ -459,6 +487,7 @@ class MessageCodec:
         _SET_FIELD(message, "hop_count", hop_count)
         _SET_FIELD(message, "extensions", extensions)
         _SET_FIELD(message, "version", version)
+        _SET_FIELD(message, "wire", (frame, checksum))
         return message, offset
 
     def decode_reference(self, data: bytes) -> DataMessage:

@@ -98,7 +98,8 @@ class GarnetSession:
         # registrations and its dispatch inbox takes publishes.
         self._node = node
         self._closed = False
-        self._callbacks: list[DataCallback] = []
+        # A tuple, rebound by on_data: deliveries iterate it without a copy.
+        self._callbacks: tuple[DataCallback, ...] = ()
         # pattern per live subscription id — the re-subscription ledger
         # recovery replays after a broker restart.
         self._subscriptions: dict[int, SubscriptionPattern] = {}
@@ -203,7 +204,7 @@ class GarnetSession:
         """Register a callback for every delivered :class:`StreamArrival`."""
         if not callable(callback):
             raise SessionError(f"data callback must be callable: {callback!r}")
-        self._callbacks.append(callback)
+        self._callbacks += (callback,)
 
     def _deliver(self, arrival: StreamArrival) -> None:
         if self._history_windows:
@@ -216,7 +217,7 @@ class GarnetSession:
                 self.stats.history_duplicates_dropped += 1
                 return
         self._deliveries.inc()
-        for callback in list(self._callbacks):
+        for callback in self._callbacks:
             callback(arrival)
 
     def deliver_inline(self) -> None:
@@ -561,7 +562,7 @@ class GarnetSession:
             )
             replayed += 1
             self._deliveries.inc()
-            for callback in list(self._callbacks):
+            for callback in self._callbacks:
                 callback(arrival)
         store.stats.replays += 1
         store.stats.records_replayed += replayed

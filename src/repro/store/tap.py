@@ -10,9 +10,9 @@ a sequence already appended is skipped (``store.duplicates_skipped``),
 which keeps the log gap-free *and* duplicate-free through crashes for
 exactly the same reason consumer deliveries are.
 
-Appends re-encode the message through the deployment codec, so the
-stored frame is the canonical Figure 2 wire image whatever path the
-arrival took (radio, session publish, UDP datagram, link replay).
+A record's frame is the message's own wire image — the datagram or radio
+frame it was decoded from, kept by the message; only one born in this
+process (a session publish) is encoded here, once for tap and fan-out.
 """
 
 from __future__ import annotations

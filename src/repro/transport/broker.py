@@ -25,10 +25,12 @@ location beacon for exactly this reason).
 The data path does not ride the simulated bus. The broker owns its UDP
 socket (:class:`_DataPlaneSocket`): a readiness event reads up to
 ``_DRAIN_BUDGET`` datagrams and hands each, decoded, straight to the
-Dispatching Service, whose fan-out legs call the server-side sessions;
-the frames they produce collect in one FIFO that the pump after the
-drain sends in one ``sendto`` loop, in arrival order. What the OS will
-not take waits in a bounded FIFO.
+Dispatching Service, whose fan-out legs call the server-side sessions.
+The decoded message keeps the datagram it came from, and that frame —
+not a re-encoding — is what each leg queues; counting, the activity
+stamp and lease renewal happen once per drain, and the pump after it
+sends the queue in one ``sendto`` loop, in arrival order. What the OS
+will not take waits in a bounded FIFO.
 
 **Resilience (PR 8).** With a ``resume_grace`` window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import math
 import secrets
@@ -95,11 +98,6 @@ _QUERY_RESPONSE_BUDGET = MAX_CONTROL_FRAME // 2
 #: missing sequences accordingly (the LiveSession caps its batches well
 #: below this).
 _NACK_RESPONSE_BUDGET = _QUERY_RESPONSE_BUDGET
-
-#: Single-encode cache entries kept alive; eviction is FIFO. A pump
-#: rarely fans more than a handful of distinct messages, so this mostly
-#: bounds memory on brokers that park frames for absent recipients.
-_ENCODE_CACHE_CAPACITY = 256
 
 #: Largest datagram the data plane reads: the UDP maximum, so a §7 batch
 #: datagram (up to 60,000 bytes) arrives whole. Well under the allocator's
@@ -287,7 +285,8 @@ class _DataPlaneProtocol:
         self._broker = broker
 
     def datagram_received(self, data: bytes, addr) -> None:
-        self._broker._on_datagram(data, addr)
+        # ``addr`` is accounted for once per drain (``_after_drain``).
+        self._broker._on_datagram(data)
 
 
 class _DataPlaneSocket:
@@ -323,6 +322,7 @@ class _DataPlaneSocket:
         received = self._protocol.datagram_received
         # One clock read per drain stamps its (at most 64) arrivals.
         self._broker._drain_stamp = time.time()
+        senders: list[Any] = []
         try:
             for _ in range(_DRAIN_BUDGET):
                 try:
@@ -333,9 +333,10 @@ class _DataPlaneSocket:
                     # A queued ICMP error for an earlier send; it carries
                     # no datagram and the socket stays usable.
                     continue
+                senders.append(addr)
                 received(data, addr)
         finally:
-            self._broker._pump()
+            self._broker._after_drain(senders)
 
     def sendto(self, data: bytes, addr) -> None:
         """Send now, or queue behind what is already waiting.
@@ -499,15 +500,9 @@ class LiveBroker:
             "transport.nack_records",
             help="gap-repair records served from the store",
         )
-        # Single-encode fan-out: one codec encode per published message,
-        # the bytes object shared by every recipient. Keyed by message
-        # identity (the cached message reference keeps the id stable);
-        # bounded FIFO so a quiet broker holds no stale frames.
-        self._encode_cache: dict[int, tuple[Any, bytes]] = {}
-        self._encode_order: deque[int] = deque()
         self._encode_reuse = metrics.counter(
             "transport.encode_reuse",
-            help="deliveries served from the single-encode frame cache",
+            help="deliveries whose message already remembered its frame",
         )
         self._batching = bool(config.fanout_enabled)
         self._batch_pending: dict[str, _SessionState] = {}
@@ -632,6 +627,8 @@ class LiveBroker:
         pending, self._outbound = self._outbound, []
         udp = self._udp
         if udp is None:
+            # The pump inside stop(), socket already closed: lost, but counted.
+            self._datagrams_dropped.inc(len(pending))
             return
         for datagram, address in pending:
             udp.sendto(datagram, address)
@@ -779,10 +776,7 @@ class LiveBroker:
             # like any other in-flight delivery.
             self._batch_pending.pop(state.token, None)
             for frame in state.outbox:
-                if len(state.parked) == state.parked.maxlen:
-                    state.parked_dropped += 1
-                    self._parked_dropped.inc()
-                state.parked.append(frame)
+                self._park(state, frame)
             state.outbox = []
         state.deadline = self._loop.time() + self._resume_grace
         self._sessions_parked.inc()
@@ -791,20 +785,25 @@ class LiveBroker:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def _on_datagram(self, data: bytes, addr) -> None:
-        self._datagrams_in.inc()
-        connection = self._udp_peers.get(addr)
-        if connection is not None:
-            connection.last_activity = self._loop.time()
-            self._maybe_renew_lease(connection)
+    def _after_drain(self, senders: list) -> None:
+        """Once per drain: count it, note who was heard from, pump."""
+        try:
+            self._datagrams_in.inc(len(senders))
+            now = self._loop.time()
+            for connection in map(self._udp_peers.get, set(senders)):
+                if connection is not None:
+                    connection.last_activity = now
+                    self._maybe_renew_lease(connection)
+        finally:
+            self._pump()
+
+    def _on_datagram(self, data: bytes) -> None:
         try:
             message = self._codec.decode(data)
         except GarnetError:
             self._bad_datagrams.inc()
             return
-        arrival = StreamArrival(
-            message=message, received_at=self._drain_stamp, receiver_id=-1
-        )
+        arrival = StreamArrival(message, self._drain_stamp, -1)
         try:
             self.deployment.dispatcher.on_arrival(arrival)
         except Exception as exc:
@@ -814,43 +813,34 @@ class LiveBroker:
                 {"message": "live dispatch failed", "exception": exc}
             )
 
-    def _encode_shared(self, message: Any) -> bytes:
-        """One codec encode per message, shared by every recipient.
-
-        Messages fanning out to N subscribers used to encode N times;
-        the immutable frame is cached by message identity (the cached
-        reference keeps the id stable for the entry's lifetime) and
-        every hit counts under ``transport.encode_reuse``.
-        """
-        key = id(message)
-        entry = self._encode_cache.get(key)
-        if entry is not None and entry[0] is message:
-            self._encode_reuse.inc()
-            return entry[1]
-        frame = self._codec.encode(message)
-        if entry is None:
-            if len(self._encode_order) >= _ENCODE_CACHE_CAPACITY:
-                self._encode_cache.pop(self._encode_order.popleft(), None)
-            self._encode_order.append(key)
-        self._encode_cache[key] = (message, frame)
-        return frame
-
     def _attach(self, state: _SessionState, session: Any) -> None:
         """Deliver the server-side session's arrivals to ``state``, inline."""
         state.session = session
         session.deliver_inline()
-        session.on_data(lambda arrival: self._deliver_to_state(state, arrival))
+        session.on_data(functools.partial(self._deliver_to_state, state))
+
+    def _park(self, state: _SessionState, frame: bytes) -> None:
+        """Buffer for an absent client; a full buffer evicts its oldest."""
+        if len(state.parked) == state.parked.maxlen:
+            state.parked_dropped += 1
+            self._parked_dropped.inc()
+        state.parked.append(frame)
 
     def _deliver_to_state(
         self, state: _SessionState, arrival: StreamArrival
     ) -> None:
-        """session.on_data hook: queue one delivery for the pump (or park)."""
-        frame = self._encode_shared(arrival.message)
+        """session.on_data hook: queue one delivery for the pump (or park).
+
+        The frame is the datagram or store record the message came from;
+        one born in this process is encoded once for all its recipients.
+        """
+        message = arrival.message
+        remembered = message.wire
+        frame = self._codec.encode(message)
+        if remembered is not None and remembered[0] is frame:
+            self._encode_reuse.inc()
         if state.udp_address is None:
-            if len(state.parked) == state.parked.maxlen:
-                state.parked_dropped += 1
-                self._parked_dropped.inc()
-            state.parked.append(frame)
+            self._park(state, frame)
         elif state.batch:
             # Collect until the pump; one §7 datagram per flush.
             state.outbox.append(frame)

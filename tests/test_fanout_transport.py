@@ -2,14 +2,17 @@
 
 - the §7 batch-datagram codec (roundtrip, packing, malformed input,
   magic/§2 non-collision);
-- the broker's single-encode path: one codec encode per published
-  message regardless of subscriber count (``transport.encode_reuse``);
+- frame reuse: a wire publish is forwarded as the datagram it arrived
+  as, an in-process one is encoded once regardless of subscriber count
+  (``transport.encode_reuse``);
 - end-to-end batched delivery: a fanout-enabled broker packs same-pump
   deliveries to a consenting client into one batch datagram, and the
   client unpacks it through the ordinary dedupe path.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
@@ -104,47 +107,56 @@ class TestBatchDatagramCodec:
 
 
 # ----------------------------------------------------------------------
-# Single-encode path (the encode-reuse regression)
+# Frame reuse (the single-encode contract, now kept by the message)
 # ----------------------------------------------------------------------
-class _CountingCodec:
-    """Wrap a MessageCodec, counting every encode."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.encodes = 0
-
-    def encode(self, message):
-        self.encodes += 1
-        return self._inner.encode(message)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class TestSingleEncode:
-    def test_one_encode_per_message_any_subscriber_count(self):
+    def test_at_most_one_encoder_run_per_message(self):
         harness = BrokerHarness()
-        counting = _CountingCodec(harness.broker._codec)
-        harness.broker._codec = counting
+        codec = harness.broker._codec
+        build_frame = codec._build_frame
+        encoder_runs = []
+
+        def counting(message):
+            encoder_runs.append(message.sequence)
+            return build_frame(message)
+
+        codec._build_frame = counting  # the encoder proper, not encode()
         subscribers = []
-        received: list[int] = []
+        received: list[bytes] = []
         try:
             publisher = connect(harness.url, "pub")
             for index in range(8):
                 session = connect(harness.url, f"sub{index}")
                 session.on_data(
-                    lambda arrival: received.append(arrival.message.sequence)
+                    lambda arrival: received.append(arrival.message.payload)
                 )
                 session.subscribe(kind="temp")
                 subscribers.append(session)
-            counting.encodes = 0
             for sequence in range(3):
                 publisher.publish(0, bytes([sequence]), kind="temp")
             assert poll_until(lambda: len(received) == 24)
-            # 8 subscribers, 3 messages: 24 deliveries, THREE encodes.
-            assert counting.encodes == 3
-            registry = harness.broker.deployment.metrics()
-            assert registry.value("transport.encode_reuse") == 21.0
+            # 8 subscribers, 3 wire publishes: 24 deliveries, each the
+            # datagram as it arrived — the encoder never ran.
+            assert encoder_runs == []
+            assert harness.counter("transport.encode_reuse") == 24
+
+            async def publish_in_process():
+                local = harness.broker.deployment.connect(
+                    "local", heartbeat_period=None
+                )
+                local.publish(0, b"born here", kind="temp")
+                harness.broker._pump()
+                local.close()
+
+            asyncio.run_coroutine_threadsafe(
+                publish_in_process(), harness.loop
+            ).result(10)
+            assert poll_until(lambda: len(received) == 32)
+            assert received[24:] == [b"born here"] * 8
+            # A message born in the process has no frame yet: the first
+            # delivery encodes it, the other seven reuse that frame.
+            assert len(encoder_runs) == 1
+            assert harness.counter("transport.encode_reuse") == 24 + 7
             publisher.close()
         finally:
             for session in subscribers:

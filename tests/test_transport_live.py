@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.core.config import GarnetConfig
+from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, TransportError
@@ -31,6 +32,7 @@ from repro.transport.cli import parse_announce
 from repro.transport.framing import (
     HELLO,
     PING,
+    QUERY,
     RESPONSE_FLAG,
     SUBSCRIBE,
     ControlFrameAssembler,
@@ -95,6 +97,56 @@ class BrokerHarness:
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=10)
         self.loop.close()
+
+
+class RawClient:
+    """A control connection and a UDP socket with no LiveSession between,
+    for tests that compare the bytes on the wire."""
+
+    def __init__(self, harness, name):
+        host = harness.broker.host
+        self.udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.udp.bind((host, 0))
+        self.udp.settimeout(5.0)
+        self.address = self.udp.getsockname()
+        self.tcp = socket.create_connection(
+            (host, harness.broker.control_port), timeout=5.0
+        )
+        self.assembler = ControlFrameAssembler()
+        self.hello = self.request(
+            HELLO, {"name": name, "udp_port": self.address[1]}
+        )
+        self.data_address = (host, self.hello["data_port"])
+
+    def request(self, frame_type, body):
+        self.tcp.sendall(encode_control_frame(frame_type, body))
+        frames = []
+        while not frames:
+            chunk = self.tcp.recv(65536)
+            assert chunk, "broker hung up"
+            frames.extend(self.assembler.feed(chunk))
+        [(response_type, response)] = frames
+        assert response_type == frame_type | RESPONSE_FLAG
+        assert response["ok"], response
+        return response
+
+    def publish(self, datagram):
+        self.udp.sendto(datagram, self.data_address)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.tcp.close()
+        self.udp.close()
+
+
+def data_frame(stream, sequence, payload=b"x", **fields):
+    return MessageCodec().encode(
+        DataMessage(
+            stream_id=stream, sequence=sequence, payload=payload, **fields
+        )
+    )
 
 
 @pytest.fixture
@@ -477,6 +529,24 @@ class TestDataPlane:
             harness.loop.set_exception_handler,
             lambda loop, context: loop_errors.append(context),
         )
+
+        def fail_on_three(arrival):
+            if arrival.message.sequence == 3:
+                raise RuntimeError("boom")
+
+        async def add_raising_session():
+            # Subscribed first, so its leg of every route runs first.
+            session = harness.broker.deployment.connect(
+                "raiser", heartbeat_period=None
+            )
+            session.deliver_inline()
+            session.on_data(fail_on_three)
+            session.subscribe(kind="temp")
+            harness.broker._pump()
+
+        asyncio.run_coroutine_threadsafe(
+            add_raising_session(), harness.loop
+        ).result(10)
         with connect(harness.url, "pub") as publisher, connect(
             harness.url, "sub"
         ) as subscriber:
@@ -487,14 +557,6 @@ class TestDataPlane:
             subscriber.subscribe(kind="temp")
             publisher.publish(0, b"first", kind="temp")
             assert poll_until(lambda: received == [0])
-            encode = harness.broker._encode_shared
-
-            def encode_or_fail(message):
-                if message.sequence == 3:
-                    raise RuntimeError("boom")
-                return encode(message)
-
-            harness.broker._encode_shared = encode_or_fail
             pumps = harness.counter("transport.pumps")
             with harness.paused():
                 for _ in range(6):
@@ -704,6 +766,163 @@ class TestDataPlane:
             h.close_loop()
         assert not flooder.is_alive()
         assert loop_errors == []
+
+    def test_forwarded_and_stored_frames_are_the_publishers_datagram(
+        self, tmp_path
+    ):
+        h = BrokerHarness(
+            deployment=Garnet(
+                config=GarnetConfig(
+                    publish_location_stream=False,
+                    store_enabled=True,
+                    store_dir=str(tmp_path),
+                )
+            )
+        )
+        try:
+            with RawClient(h, "pub") as pub, RawClient(h, "sub") as sub:
+                stream = StreamId(pub.hello["publisher_id"], 0)
+                sub.request(SUBSCRIBE, {"stream_id": list(stream)})
+                sent = [
+                    data_frame(stream, 0, b"bare"),
+                    data_frame(stream, 1, b"", ack_request_id=9, fused=True),
+                    data_frame(
+                        stream, 2, bytes(range(256)), hop_count=2,
+                        extensions=((7, b"tlv"), (8, b"")),
+                    ),
+                ]
+                for datagram in sent:
+                    pub.publish(datagram)
+                assert [sub.udp.recv(65535) for _ in sent] == sent
+                answer = sub.request(QUERY, {"stream_id": list(stream)})
+                assert [
+                    bytes.fromhex(record["frame"])
+                    for record in answer["records"]
+                ] == sent
+                # Forwarded, not rebuilt: every delivery found its frame.
+                assert h.counter("transport.encode_reuse") == len(sent)
+        finally:
+            h.stop()
+
+    def test_a_drain_accounts_for_each_sender_once(self):
+        h = BrokerHarness(
+            deployment=Garnet(
+                config=GarnetConfig(
+                    publish_location_stream=False, broker_lease_ttl=30.0
+                )
+            )
+        )
+        broker = h.broker
+        renewals = []
+        renew = broker._maybe_renew_lease
+
+        def counting(connection):
+            renewals.append(connection.state.name)
+            renew(connection)
+
+        try:
+            with RawClient(h, "pub-a") as first, RawClient(
+                h, "pub-b"
+            ) as second, RawClient(h, "sub") as sub, socket.socket(
+                socket.AF_INET, socket.SOCK_DGRAM
+            ) as stranger:
+                streams = {
+                    client: StreamId(client.hello["publisher_id"], 0)
+                    for client in (first, second)
+                }
+                for stream in streams.values():
+                    sub.request(SUBSCRIBE, {"stream_id": list(stream)})
+                peers = broker._udp_peers
+                broker._maybe_renew_lease = counting
+
+                def drain(*bursts):
+                    """Queue ``(client, frames)`` bursts, let ONE drain run."""
+                    renewals.clear()
+                    before = {
+                        client: peers[client.address].last_activity
+                        for client in (first, second)
+                    }
+                    pumps = h.counter("transport.pumps")
+                    seen = h.counter("transport.datagrams_in")
+                    total = 0
+                    with h.paused():
+                        for sender, frames in bursts:
+                            for frame in frames:
+                                sender.sendto(frame, first.data_address)
+                            total += len(frames)
+                    assert poll_until(
+                        lambda: h.counter("transport.datagrams_in") - seen
+                        == total
+                    )
+                    assert h.counter("transport.pumps") - pumps == 1
+                    return {
+                        client: peers[client.address].last_activity
+                        > before[client]
+                        for client in (first, second)
+                    }
+
+                # A full drain from one peer: one stamp, one renewal.
+                burst = [
+                    data_frame(streams[first], seq)
+                    for seq in range(_DRAIN_BUDGET)
+                ]
+                stamped = drain((first.udp, burst))
+                assert stamped == {first: True, second: False}
+                assert renewals == ["pub-a"]
+                for frame in burst:
+                    assert sub.udp.recv(65535) == frame
+
+                # Two peers interleaved in one drain: both, once each.
+                bursts = []
+                for seq in range(100, 104):
+                    bursts.append(
+                        (first.udp, [data_frame(streams[first], seq)])
+                    )
+                    bursts.append(
+                        (second.udp, [data_frame(streams[second], seq)])
+                    )
+                stamped = drain(*bursts)
+                assert stamped == {first: True, second: True}
+                assert sorted(renewals) == ["pub-a", "pub-b"]
+                for _ in range(8):
+                    sub.udp.recv(65535)
+
+                # No HELLO ever came from this address: nobody to stamp,
+                # and the datagram still dispatches.
+                frame = data_frame(streams[first], 200, b"from a stranger")
+                stamped = drain((stranger, [frame]))
+                assert stamped == {first: False, second: False}
+                assert renewals == []
+                assert sub.udp.recv(65535) == frame
+        finally:
+            h.stop()
+
+    def test_datagrams_in_counts_what_the_codec_refuses_too(self, harness):
+        with RawClient(harness, "pub") as pub:
+            good = data_frame(StreamId(pub.hello["publisher_id"], 0), 0)
+            with harness.paused():
+                pub.publish(good)
+                pub.publish(b"junk-not-a-codec-frame")
+                pub.publish(good[:-1])
+                pub.publish(b"")
+            assert poll_until(
+                lambda: harness.counter("transport.datagrams_in") == 4
+            )
+            assert harness.counter("transport.bad_datagrams") == 3
+            assert harness.counter("dispatch.arrivals") == 1
+
+    def test_frames_queued_when_the_socket_is_gone_are_counted_dropped(self):
+        # The pump inside stop() runs after the socket is closed: what
+        # the last drain queued cannot leave, and must not vanish either.
+        broker = LiveBroker()
+        address = ("127.0.0.1", 9)
+        broker._outbound.extend([(b"one", address), (b"two", address)])
+        assert broker._udp is None
+        broker._pump()
+        counters = broker.deployment.metrics_snapshot()["counters"]
+        assert broker._outbound == []
+        assert counters.get("transport.datagrams_dropped", 0) == 2
+        assert counters.get("transport.datagrams_out", 0) == 0
 
     def test_send_queue_evicts_oldest_and_counts(self):
         class FakeSocket:
