@@ -69,6 +69,28 @@ class SubscriptionPattern:
                 "empty pattern; use SubscriptionPattern.match_all() for a "
                 "catch-all subscription"
             )
+        # Types are checked here, once: the dispatcher keys its tables on
+        # these fields and calls str methods on kind, so a pattern it
+        # cannot bucket or match must not exist, whoever built it.
+        stream_id = self.stream_id
+        if stream_id is not None and not (
+            isinstance(stream_id, tuple) and len(stream_id) == 2
+        ):
+            raise SubscriptionError(
+                f"pattern stream_id must be a (sensor, index) pair: {self!r}"
+            )
+        ids = (self.sensor_id, self.stream_index, *(stream_id or ()))
+        if not (
+            all(
+                i is None or (isinstance(i, int) and not isinstance(i, bool))
+                for i in ids
+            )
+            and isinstance(self.kind, str | None)
+            and isinstance(self.derived, bool | None)
+        ):
+            raise SubscriptionError(
+                f"pattern ids must be int, kind str and derived bool: {self!r}"
+            )
 
     def matches(self, descriptor: StreamDescriptor) -> bool:
         stream_id = descriptor.stream_id
@@ -243,12 +265,12 @@ class DispatchingService:
         # candidates: patterns pinning a sensor_id live in _by_sensor,
         # remaining patterns pinning an exact (non-wildcard) kind live
         # in _by_kind, everything else is scanned unconditionally from
-        # _wild. Bucketing is a pure pruning step — a pattern outside
-        # the probed buckets provably cannot match — and matches() is
-        # still consulted per candidate.
+        # _by_kind[None] (no advertised kind is None). Bucketing is a
+        # pure pruning step — a pattern outside the probed buckets
+        # provably cannot match — and matches() is still consulted per
+        # candidate.
         self._by_sensor: dict[int, dict[int, Subscription]] = {}
-        self._by_kind: dict[str, dict[int, Subscription]] = {}
-        self._wild: dict[int, Subscription] = {}
+        self._by_kind: dict[str | None, dict[int, Subscription]] = {}
         # Per-endpoint subscription ids so remove_endpoint (every lease
         # reap under churn) needn't scan the whole table.
         self._by_endpoint: dict[str, set[int]] = {}
@@ -304,6 +326,11 @@ class DispatchingService:
             raise SubscriptionError(
                 f"endpoint {endpoint!r} has no inbox on the fixed network"
             )
+        # Chosen before anything is recorded: a pattern that cannot be
+        # bucketed must leave no half-installed subscription behind.
+        exact = pattern.stream_id
+        if exact is None:
+            table, key = self._pattern_bucket(pattern)
         subscription_id = self._next_subscription_id
         self._next_subscription_id += 1
         subscription = Subscription(
@@ -311,26 +338,26 @@ class DispatchingService:
         )
         self._subscriptions[subscription_id] = subscription
         self._by_endpoint.setdefault(endpoint, set()).add(subscription_id)
-        if pattern.stream_id is not None:
-            self._exact.setdefault(pattern.stream_id, set()).add(
-                subscription_id
-            )
-            self._route_cache.pop(pattern.stream_id, None)
+        if exact is not None:
+            self._exact.setdefault(exact, set()).add(subscription_id)
+            self._route_cache.pop(exact, None)
         else:
-            self._pattern_bucket(pattern)[subscription_id] = subscription
+            table.setdefault(key, {})[subscription_id] = subscription
             self._route_cache.clear()
         if self._cluster is not None:
             self._cluster.interest_added(pattern)
         return subscription_id
 
-    def _pattern_bucket(self, pattern: SubscriptionPattern) -> dict[int, Subscription]:
-        """The bucket a (non-exact) pattern lives in; creates it on demand."""
+    def _pattern_bucket(
+        self, pattern: SubscriptionPattern
+    ) -> tuple[dict, int | str | None]:
+        """``(table, key)`` of the bucket a (non-exact) pattern lives in."""
         if pattern.sensor_id is not None:
-            return self._by_sensor.setdefault(pattern.sensor_id, {})
+            return self._by_sensor, pattern.sensor_id
         kind = pattern.kind
         if kind is not None and not kind.endswith("*"):
-            return self._by_kind.setdefault(kind, {})
-        return self._wild
+            return self._by_kind, kind
+        return self._by_kind, None
 
     def remove_subscription(self, subscription_id: int) -> None:
         subscription = self._subscriptions.pop(subscription_id, None)
@@ -352,20 +379,12 @@ class DispatchingService:
                     del self._exact[pattern.stream_id]
             self._route_cache.pop(pattern.stream_id, None)
         else:
-            if pattern.sensor_id is not None:
-                bucket = self._by_sensor.get(pattern.sensor_id)
-                if bucket is not None:
-                    bucket.pop(subscription_id, None)
-                    if not bucket:
-                        del self._by_sensor[pattern.sensor_id]
-            elif pattern.kind is not None and not pattern.kind.endswith("*"):
-                bucket = self._by_kind.get(pattern.kind)
-                if bucket is not None:
-                    bucket.pop(subscription_id, None)
-                    if not bucket:
-                        del self._by_kind[pattern.kind]
-            else:
-                self._wild.pop(subscription_id, None)
+            table, key = self._pattern_bucket(pattern)
+            bucket = table.get(key)
+            if bucket is not None:
+                bucket.pop(subscription_id, None)
+                if not bucket:
+                    del table[key]
             self._route_cache.clear()
         if self._cluster is not None:
             self._cluster.interest_removed(pattern)
@@ -562,7 +581,7 @@ class DispatchingService:
         targets = set(self._exact.get(stream_id, ()))
         sensor_bucket = self._by_sensor.get(stream_id.sensor_id)
         kind_bucket = self._by_kind.get(descriptor.kind)
-        for bucket in (sensor_bucket, kind_bucket, self._wild):
+        for bucket in (sensor_bucket, kind_bucket, self._by_kind.get(None)):
             if not bucket:
                 continue
             for subscription_id, subscription in bucket.items():

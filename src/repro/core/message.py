@@ -58,6 +58,14 @@ CHECKSUM_BYTES = 2
 # ``write_uint``/``read_uint`` calls on the hot path.
 _FIXED_HEADER = struct.Struct(">BIHH")
 
+
+def peek_header(frame: bytes) -> tuple[StreamId, int]:
+    """``(stream id, sequence)`` off the fixed header of a frame this codec
+    produced (a store record, a parked delivery): no decode, no checks."""
+    _, stream_word, sequence, _ = _FIXED_HEADER.unpack_from(frame)
+    return StreamId.from_word(stream_word), sequence
+
+
 _F_ACK = int(HeaderFlags.ACK)
 _F_FUSED = int(HeaderFlags.FUSED)
 _F_RELAYED = int(HeaderFlags.RELAYED)
@@ -598,4 +606,5 @@ __all__ = [
     "MessageCodec",
     "make_request_status_extension",
     "parse_request_status_extension",
+    "peek_header",
 ]

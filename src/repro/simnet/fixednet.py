@@ -40,7 +40,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.tracing import Span, Tracer
 from repro.simnet.kernel import Simulator
-from repro.transport.base import Transport
 from repro.util.backoff import BackoffPolicy
 
 #: ``hook(destination, message, reason)`` invoked for every dead letter.
@@ -79,14 +78,11 @@ class RpcEndpoint:
         return handler(*args, **kwargs)
 
 
-class FixedNetwork(Transport):
+class FixedNetwork:
     """Reliable asynchronous bus + RPC fabric among middleware services.
 
-    The simulated implementation of the :class:`~repro.transport.base.
-    Transport` seam: inboxes and sends ride the discrete-event kernel,
-    with partitions, retry backoff and circuit breakers layered on the
-    delivery path. The RPC fabric is an extension beyond the transport
-    contract — only simulated deployments use it.
+    Inboxes and sends ride the discrete-event kernel, with partitions,
+    retry backoff and circuit breakers layered on the delivery path.
     """
 
     def __init__(

@@ -1,11 +1,9 @@
 """Deployment transports: how Garnet endpoints reach each other.
 
 The paper's Figure 1 connects middleware services over a *fixed
-network*; the reproduction has always modelled that hop with
+network*; the reproduction models that hop with
 :class:`~repro.simnet.fixednet.FixedNetwork` inside the discrete-event
-kernel. This package names the seam — :class:`Transport` is the
-endpoint-addressed message fabric every service actually depends on —
-and adds a second implementation that carries the same
+kernel. This package carries the same
 :class:`~repro.core.message.MessageCodec` frames over real sockets on
 localhost:
 
@@ -21,46 +19,32 @@ localhost:
   broker restarts — between a live session and its broker;
 - ``garnet-broker`` (:mod:`repro.transport.cli`) boots a broker from
   the command line.
-
-Imports of the live pieces are lazy: :mod:`repro.simnet.fixednet`
-imports :class:`Transport` from here, and the live broker imports the
-middleware, so eager imports would cycle.
 """
 
 from __future__ import annotations
 
-from repro.transport.base import Transport, parse_garnet_url
+from repro.transport.base import parse_garnet_url
+from repro.transport.broker import LiveBroker
+from repro.transport.chaos import (
+    Blackhole,
+    BrokerRestart,
+    ChaosProxy,
+    ConnectionReset,
+    DatagramLoss,
+    LinkLatency,
+)
+from repro.transport.client import (
+    DEFAULT_RECONNECT_POLICY,
+    LiveSession,
+    connect,
+)
 from repro.transport.framing import (
     CONTROL_FRAME_NAMES,
     ControlFrameAssembler,
     encode_control_frame,
 )
 
-_LAZY = {
-    "LiveBroker": "repro.transport.broker",
-    "LiveSession": "repro.transport.client",
-    "connect": "repro.transport.client",
-    "DEFAULT_RECONNECT_POLICY": "repro.transport.client",
-    "ChaosProxy": "repro.transport.chaos",
-    "DatagramLoss": "repro.transport.chaos",
-    "LinkLatency": "repro.transport.chaos",
-    "ConnectionReset": "repro.transport.chaos",
-    "Blackhole": "repro.transport.chaos",
-    "BrokerRestart": "repro.transport.chaos",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
-    "Transport",
     "parse_garnet_url",
     "ControlFrameAssembler",
     "encode_control_frame",

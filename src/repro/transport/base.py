@@ -1,58 +1,13 @@
-"""The transport seam: endpoint-addressed one-way message delivery.
-
-Every middleware service talks to its peers through four operations —
-own an inbox, disown it, probe for one, and send to one by name. The
-simulated :class:`~repro.simnet.fixednet.FixedNetwork` has always been
-the only implementation; :class:`Transport` names the contract so the
-services are honest about what they require and a socket-backed
-implementation can stand in behind the same surface.
-
-The ABC is deliberately *exactly* the surface the simnet path already
-exposed — no new methods, no changed semantics — so subclassing it is a
-behaviour-frozen refactor (the golden digests in
-``tests/test_perf_determinism.py`` pin that).
-"""
+"""Addressing a live broker: the ``garnet://host:port`` URL."""
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from collections.abc import Callable
-from typing import Any
 from urllib.parse import urlsplit
 
 from repro.errors import ConfigurationError
 
 #: URL scheme for live broker endpoints, e.g. ``garnet://127.0.0.1:7341``.
 URL_SCHEME = "garnet"
-
-
-class Transport(ABC):
-    """One-way, endpoint-addressed message fabric between services.
-
-    Implementations differ in *where* the handler runs (inside the
-    discrete-event kernel vs. a socket event loop) and in delivery
-    guarantees, not in surface: ``send`` never blocks on the receiver,
-    and delivery to a missing endpoint is the implementation's policy
-    (retry, dead-letter, or drop) — never an exception at the sender.
-    """
-
-    @abstractmethod
-    def register_inbox(
-        self, name: str, handler: Callable[[Any], None]
-    ) -> None:
-        """Attach a one-way message handler under a unique endpoint name."""
-
-    @abstractmethod
-    def unregister_inbox(self, name: str) -> None:
-        """Detach the endpoint; pending sends to it follow drop policy."""
-
-    @abstractmethod
-    def has_inbox(self, name: str) -> bool:
-        """True when ``name`` currently resolves to a handler."""
-
-    @abstractmethod
-    def send(self, destination: str, message: Any) -> None:
-        """Deliver ``message`` to ``destination`` asynchronously."""
 
 
 def parse_garnet_url(url: str) -> tuple[str, int]:
@@ -82,4 +37,4 @@ def parse_garnet_url(url: str) -> tuple[str, int]:
     return host, port
 
 
-__all__ = ["Transport", "parse_garnet_url", "URL_SCHEME"]
+__all__ = ["parse_garnet_url", "URL_SCHEME"]

@@ -7,6 +7,9 @@ deployment and exposes its consumer surface on localhost:
   registers a :class:`~repro.core.session.GarnetSession` server-side
   and announces the client's UDP port; SUBSCRIBE / UNSUBSCRIBE /
   DISCOVER / ADVERTISE / PING / CLOSE map 1:1 onto the session API.
+  Every body is checked whole against
+  :data:`~repro.transport.framing.CONTROL_BODIES` before its handler
+  runs, so a refused frame has had no side effect.
 - **UDP data plane** — one datagram is one
   :class:`~repro.core.message.MessageCodec` message. Client publishes
   arrive here and are injected into the Dispatching Service exactly the
@@ -32,7 +35,7 @@ stamp and lease renewal happen once per drain, and the pump after it
 sends the queue in one ``sendto`` loop, in arrival order. What the OS
 will not take waits in a bounded FIFO.
 
-**Resilience (PR 8).** With a ``resume_grace`` window configured
+**Resilience.** With a grace window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
 client whose control connection drops *without* a CLOSE is **parked**
 rather than torn down: its server-side session, subscriptions and
@@ -44,29 +47,33 @@ past the client's per-stream cursors plus parked deliveries, deduped so
 each missed record is sent exactly once. NACK frames answer per-stream
 gap-repair requests from the store. When the deployment's broker runs
 leases (``broker_lease_ttl``), they are granted and expired on the
-event loop's wall clock — the virtual clock only moves when a control
-event is pumped — and a housekeeping task reaps vanished clients
-(missed keepalive PINGs, UDP inactivity): their subscriptions and
-publisher ids are freed. A ``sessions_path`` persists the
-resumable-session table so RESUME survives a broker restart.
+broker's monotonic clock (``_clock``) — the virtual clock only moves
+when a control event is pumped — and a housekeeping task reaps vanished
+clients (missed keepalive PINGs, UDP inactivity). A ``sessions_path``
+persists the resumable-session table so RESUME survives a broker
+restart.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import functools
 import json
-import math
 import secrets
 import socket
 import time
 from collections import deque
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
 
+from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.envelopes import StreamArrival
+from repro.core.message import peek_header
+from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, GarnetError, TransportError
 from repro.fanout.frames import encode_batch_datagrams
@@ -85,19 +92,16 @@ from repro.transport.framing import (
     UNSUBSCRIBE,
     ControlFrameAssembler,
     encode_control_frame,
+    parse_control_body,
 )
 from repro.util.ids import sequence_is_newer
 
-#: Ceiling on the hex-encoded record bytes one QUERY response carries;
-#: leaves headroom under MAX_CONTROL_FRAME for the JSON scaffolding.
-#: Responses that would exceed it are cut short with ``truncated: true``
-#: so the client can page with ``start=<last received_at>``.
-_QUERY_RESPONSE_BUDGET = MAX_CONTROL_FRAME // 2
-
-#: A NACK answers at most this many repair records; clients batch their
-#: missing sequences accordingly (the LiveSession caps its batches well
-#: below this).
-_NACK_RESPONSE_BUDGET = _QUERY_RESPONSE_BUDGET
+#: Ceiling on the hex-encoded record bytes one QUERY or NACK response
+#: carries; leaves headroom under MAX_CONTROL_FRAME for the JSON
+#: scaffolding. A QUERY that would exceed it is cut short with
+#: ``truncated: true`` so the client can page with ``start=<last
+#: received_at>``; a NACK leaves the rest for the client's next batch.
+_RESPONSE_BUDGET = MAX_CONTROL_FRAME // 2
 
 #: Largest datagram the data plane reads: the UDP maximum, so a §7 batch
 #: datagram (up to 60,000 bytes) arrives whole. Well under the allocator's
@@ -118,94 +122,58 @@ _SEND_QUEUE_CAPACITY = 1024
 _IDLE_PROBE_EVENTS = 100_000
 
 
-def _default_deployment() -> Any:
-    from repro.core.config import GarnetConfig
-    from repro.core.middleware import Garnet
-
-    # No sensors and no periodic tasks: the kernel must drain to idle
-    # after every injected event, so the location beacon stays off.
-    return Garnet(config=GarnetConfig(publish_location_stream=False))
-
-
-def _pattern_from_body(body: dict) -> SubscriptionPattern:
-    stream_id = body.get("stream_id")
+def _pattern(fields: dict) -> SubscriptionPattern:
+    """The pattern in a parsed SUBSCRIBE body: all of it but ``replay``."""
     return SubscriptionPattern(
-        stream_id=(
-            StreamId(int(stream_id[0]), int(stream_id[1]))
-            if stream_id is not None
-            else None
-        ),
-        sensor_id=(
-            int(body["sensor_id"])
-            if body.get("sensor_id") is not None
-            else None
-        ),
-        stream_index=(
-            int(body["stream_index"])
-            if body.get("stream_index") is not None
-            else None
-        ),
-        kind=body.get("kind"),
-        derived=body.get("derived"),
+        **{name: value for name, value in fields.items() if name != "replay"}
     )
 
 
-def _frame_stream_key(frame: bytes) -> str:
-    """``"sensor:index"`` from a raw §2 data-message frame."""
-    return f"{int.from_bytes(frame[1:4], 'big')}:{frame[4]}"
+def _hex_within_budget(frames: Iterable[bytes]) -> Iterator[str]:
+    """Hex-encode frames until one more would overrun a response."""
+    left = _RESPONSE_BUDGET
+    for frame in frames:
+        hex_frame = frame.hex()
+        if len(hex_frame) > left:
+            return
+        left -= len(hex_frame)
+        yield hex_frame
 
 
-def _frame_sequence(frame: bytes) -> int:
-    return int.from_bytes(frame[5:7], "big")
-
-
+@dataclasses.dataclass(slots=True, eq=False)
 class _SessionState:
     """The resumable half of one client session.
 
     Outlives the TCP connection that created it: while no connection is
-    attached (``udp_address is None``) the state is *parked* —
-    deliveries buffer into ``parked`` and the token stays valid until
-    ``deadline``. ``session`` is None only for states reloaded from a
-    persisted sessions file after a broker restart; RESUME revives them.
+    bound (``udp_address is None``) the state is *parked* — deliveries
+    buffer into ``parked`` and the token stays valid until ``deadline``.
+    ``session`` is None only for states reloaded from a persisted
+    sessions file after a broker restart; RESUME revives them.
     """
 
-    __slots__ = (
-        "token",
-        "name",
-        "udp_port",
-        "keepalive",
-        "session",
-        "publisher_id",
-        "subscriptions",
-        "advertised",
-        "udp_address",
-        "parked",
-        "parked_dropped",
-        "deadline",
-        "batch",
-        "outbox",
+    token: str
+    name: str
+    park_capacity: dataclasses.InitVar[int]
+    keepalive: float | None = None
+    session: Any | None = None
+    publisher_id: int | None = None
+    subscriptions: dict[int, SubscriptionPattern] = dataclasses.field(
+        default_factory=dict
     )
+    advertised: dict[int, tuple[str, bool]] = dataclasses.field(
+        default_factory=dict
+    )
+    udp_address: tuple[str, int] | None = None
+    parked: deque[bytes] = dataclasses.field(init=False)
+    deadline: float | None = None
+    #: True when the client announced batch_datagrams support on a
+    #: batching broker (fanout_enabled): same-pump deliveries pack into
+    #: one §7 batch datagram instead of one datagram each.
+    batch: bool = False
+    outbox: list[bytes] = dataclasses.field(default_factory=list)
 
-    def __init__(
-        self, token: str, name: str, udp_port: int, park_capacity: int
-    ) -> None:
-        self.token = token
-        self.name = name
-        self.udp_port = udp_port
-        self.keepalive: float | None = None
-        self.session: Any | None = None
-        self.publisher_id: int | None = None
-        self.subscriptions: dict[int, dict] = {}
-        self.advertised: dict[int, tuple[str, bool]] = {}
-        self.udp_address: tuple[str, int] | None = None
-        self.parked: deque[bytes] = deque(maxlen=park_capacity)
-        self.parked_dropped = 0
-        self.deadline: float | None = None
-        # True when the client announced batch_datagrams support on a
-        # batching broker (fanout_enabled): same-pump deliveries pack
-        # into one §7 batch datagram instead of one datagram each.
-        self.batch = False
-        self.outbox: list[bytes] = []
+    def __post_init__(self, park_capacity: int) -> None:
+        self.parked = deque(maxlen=park_capacity)
 
     @property
     def parked_now(self) -> bool:
@@ -214,11 +182,10 @@ class _SessionState:
     def to_record(self) -> dict:
         return {
             "name": self.name,
-            "udp_port": self.udp_port,
             "publisher_id": self.publisher_id,
             "subscriptions": {
-                str(sub_id): body
-                for sub_id, body in self.subscriptions.items()
+                str(sub_id): dataclasses.asdict(pattern)
+                for sub_id, pattern in self.subscriptions.items()
             },
             "advertised": {
                 str(index): [kind, encrypted]
@@ -230,13 +197,13 @@ class _SessionState:
     def from_record(
         cls, token: str, record: dict, park_capacity: int
     ) -> "_SessionState":
-        state = cls(
-            token, str(record["name"]), int(record["udp_port"]), park_capacity
-        )
+        state = cls(token, str(record["name"]), park_capacity)
         raw_pid = record.get("publisher_id")
         state.publisher_id = int(raw_pid) if raw_pid is not None else None
+        # A subscription is persisted in its SUBSCRIBE body shape and
+        # read back through the same checks.
         state.subscriptions = {
-            int(sub_id): dict(body)
+            int(sub_id): _pattern(parse_control_body(SUBSCRIBE, body))
             for sub_id, body in record.get("subscriptions", {}).items()
         }
         state.advertised = {
@@ -248,34 +215,22 @@ class _SessionState:
         return state
 
 
+@dataclasses.dataclass(eq=False)
 class _ClientConnection:
     """Server-side state for one TCP control connection."""
 
-    def __init__(self, broker: "LiveBroker", peer_host: str) -> None:
-        self.broker = broker
-        self.peer_host = peer_host
-        self.state: _SessionState | None = None
-        self.assembler = ControlFrameAssembler()
-        self.writer: asyncio.StreamWriter | None = None
-        self.closed_cleanly = False
-        self.last_activity = 0.0
-        self.last_renewal = 0.0
+    peer_host: str
+    writer: asyncio.StreamWriter | None
+    state: _SessionState | None = None
+    assembler: ControlFrameAssembler = dataclasses.field(
+        default_factory=ControlFrameAssembler
+    )
+    last_activity: float = 0.0
+    last_renewal: float = 0.0
 
     @property
     def session(self) -> Any | None:
         return self.state.session if self.state is not None else None
-
-    @property
-    def udp_address(self) -> tuple[str, int] | None:
-        return self.state.udp_address if self.state is not None else None
-
-    def close_session(self) -> None:
-        if self.state is not None:
-            session = self.state.session
-            if session is not None and not session.closed:
-                session.close()
-            self.state.session = None
-        self.state = None
 
 
 class _DataPlaneProtocol:
@@ -417,9 +372,14 @@ class LiveBroker:
         data_port: int = 0,
         sessions_path: str | Path | None = None,
     ) -> None:
-        self.deployment = (
-            deployment if deployment is not None else _default_deployment()
-        )
+        if deployment is None:
+            # No sensors and no periodic tasks: the kernel must drain to
+            # idle after every injected event, so the location beacon
+            # stays off.
+            deployment = Garnet(
+                config=GarnetConfig(publish_location_stream=False)
+            )
+        self.deployment = deployment
         config = self.deployment.config
         self.host = host
         self._requested_control_port = control_port
@@ -432,6 +392,9 @@ class LiveBroker:
             Path(sessions_path) if sessions_path is not None else None
         )
         self._codec = self.deployment.codec
+        #: Every monotonic "now" the broker reads: activity stamps, lease
+        #: throttling and expiry, park deadlines (``loop.time()`` is this).
+        self._clock = time.monotonic
         self._drain_stamp = 0.0
         #: ``(datagram, address)`` in delivery order, sent by the next pump.
         self._outbound: list[tuple[bytes, tuple[str, int]]] = []
@@ -443,7 +406,6 @@ class LiveBroker:
         self._states: dict[str, _SessionState] = {}
         self._udp_peers: dict[tuple[str, int], _ClientConnection] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._stopped = False
         self._housekeeper: asyncio.Task | None = None
         metrics = self.deployment.metrics()
         self._datagrams_in = metrics.counter(
@@ -531,11 +493,10 @@ class LiveBroker:
                 "and QoS degradation each start one) never lets a pump return"
             )
         self._loop = loop
-        self._stopped = False
         # Wall clocks while serving (virtual time only moves when a pump
         # finds a control event): leases on the clock their renewals are
         # throttled on, arrival stamps on one that survives a restart.
-        self.deployment.broker.lease_clock = loop.time
+        self.deployment.broker.lease_clock = self._clock
         self.deployment.arrival_clock = time.time
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self._requested_control_port
@@ -560,24 +521,24 @@ class LiveBroker:
             self._housekeeper = loop.create_task(self._housekeeping_loop())
 
     async def stop(self) -> None:
-        self._stopped = True
         if self._housekeeper is not None:
             self._housekeeper.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._housekeeper
             self._housekeeper = None
         # Persist the resumable table *before* closing the sessions so a
-        # restarted broker can still honour their tokens.
+        # restarted broker can still honour their tokens; from here on
+        # the file is that broker's, and the teardown below leaves it be.
         self._persist_sessions()
+        self._sessions_path = None
         # Abort the client sockets so peers see EOF/RST immediately —
-        # otherwise their next request blocks for a full timeout.
+        # otherwise their next request blocks for a full timeout. Each
+        # is detached first, so its EOF finds nothing left to park.
         for connection in list(self._connections):
-            connection.close_session()
+            self._detach(connection, park=False)
             self._abort_connection(connection)
-        self._connections.clear()
         for state in list(self._states.values()):
-            self._drop_state(state, persist=False)
-        self._udp_peers.clear()
+            self._drop_state(state)
         if self._udp is not None:
             self._udp.close()
             self._udp = None
@@ -602,10 +563,6 @@ class LiveBroker:
         if self.control_port is None:
             raise TransportError("broker not started")
         return f"garnet://{self.host}:{self.control_port}"
-
-    @property
-    def resume_grace(self) -> float | None:
-        return self._resume_grace
 
     @property
     def _lease_ttl(self) -> float | None:
@@ -658,14 +615,14 @@ class LiveBroker:
             payload = json.loads(self._sessions_path.read_text())
         except (OSError, json.JSONDecodeError):
             return  # a torn sessions file costs resumability, not uptime
-        deadline = self._loop.time() + self._resume_grace
+        deadline = self._clock() + self._resume_grace
         for token, record in payload.items():
             try:
                 state = _SessionState.from_record(
                     token, record, self._park_capacity
                 )
-            except (KeyError, TypeError, ValueError):
-                continue
+            except (GarnetError, LookupError, TypeError, ValueError):
+                continue  # one unreadable entry: that session is not resumable
             if state.publisher_id is not None:
                 # Hold the id until the session resumes or expires, so
                 # a fresh client cannot be handed an id whose streams
@@ -694,7 +651,7 @@ class LiveBroker:
             self._housekeeping_tick()
 
     def _housekeeping_tick(self) -> None:
-        now = self._loop.time()
+        now = self._clock()
         if self._lease_ttl is not None:
             # Parked sessions are the broker's promise: keep their
             # leases warm for the whole grace window.
@@ -702,15 +659,16 @@ class LiveBroker:
                 if state.parked_now and state.session is not None:
                     state.session.heartbeat()
             self.deployment.broker.reap_expired_leases()
+            leases = self.deployment.broker
             for connection in list(self._connections):
                 session = connection.session
                 if session is None:
                     continue
-                if (
-                    self.deployment.broker.lease_expiry(session.endpoint)
-                    is None
-                ):
-                    self._reap_connection(connection)
+                if leases.lease_expiry(session.endpoint) is None:
+                    # Lease expired: torn fully down, no park, no resume.
+                    self._sessions_reaped.inc()
+                    self._detach(connection, park=False)
+                    self._abort_connection(connection)
         # Missed keepalives: a client that declared a PING period and
         # went silent (blackhole, frozen process) is cut off; the
         # disconnect path then parks or drops it per resume policy.
@@ -731,25 +689,61 @@ class LiveBroker:
                 self._drop_state(state)
         self._pump()
 
-    def _reap_connection(self, connection: _ClientConnection) -> None:
-        """Tear a lease-expired client fully down (no park, no resume)."""
-        state = connection.state
-        connection.state = None
-        connection.closed_cleanly = True  # suppress parking in the finally
-        if state is not None:
-            self._sessions_reaped.inc()
-            self._drop_state(state)
-        self._abort_connection(connection)
-
     def _abort_connection(self, connection: _ClientConnection) -> None:
         if connection.writer is not None:
             transport = connection.writer.transport
             if transport is not None:
                 transport.abort()
 
-    def _drop_state(
-        self, state: _SessionState, persist: bool = True
+    # ------------------------------------------------------------------
+    # Attaching a session to a connection, and taking it off again
+    # ------------------------------------------------------------------
+    def _bind(
+        self, connection: _ClientConnection, state: _SessionState, fields: dict
     ) -> None:
+        """What HELLO and RESUME both do once ``state`` has its session."""
+        state.udp_address = (connection.peer_host, fields["udp_port"])
+        state.keepalive = fields["keepalive"]
+        state.batch = self._batching and bool(fields["batch_datagrams"])
+        state.deadline = None
+        connection.state = state
+        self._udp_peers[state.udp_address] = connection
+
+    def _unbind(self, connection: _ClientConnection) -> _SessionState | None:
+        """The only inverse of :meth:`_bind`; returns the state taken off."""
+        state, connection.state = connection.state, None
+        if state is not None:
+            # A later client may have announced the same address: the
+            # peer entry goes only while it still names this connection.
+            if self._udp_peers.get(state.udp_address) is connection:
+                del self._udp_peers[state.udp_address]
+            state.udp_address = None
+        return state
+
+    def _detach(self, connection: _ClientConnection, park: bool) -> None:
+        """Unbind, then park the session for a RESUME or drop it for good.
+
+        All that CLOSE, EOF, lease reaping and :meth:`stop` do to a
+        client. Parking needs a grace window to park it for.
+        """
+        state = self._unbind(connection)
+        if state is None:
+            return
+        if not park or self._resume_grace is None:
+            self._drop_state(state)
+            return
+        if state.outbox:
+            # Unflushed batched deliveries must survive the park window
+            # like any other in-flight delivery.
+            self._batch_pending.pop(state.token, None)
+            for frame in state.outbox:
+                self._park(state, frame)
+            state.outbox = []
+        state.deadline = self._clock() + self._resume_grace
+        self._sessions_parked.inc()
+        self._persist_sessions()
+
+    def _drop_state(self, state: _SessionState) -> None:
         """Close the server-side session and free everything it held."""
         self._states.pop(state.token, None)
         self._batch_pending.pop(state.token, None)
@@ -764,22 +758,6 @@ class LiveBroker:
             except ValueError:
                 pass  # never allocated server-side (revival failed early)
             state.publisher_id = None
-        if persist:
-            self._persist_sessions()
-
-    def _park_state(self, state: _SessionState) -> None:
-        if state.udp_address is not None:
-            self._udp_peers.pop(state.udp_address, None)
-        state.udp_address = None
-        if state.outbox:
-            # Unflushed batched deliveries must survive the park window
-            # like any other in-flight delivery.
-            self._batch_pending.pop(state.token, None)
-            for frame in state.outbox:
-                self._park(state, frame)
-            state.outbox = []
-        state.deadline = self._loop.time() + self._resume_grace
-        self._sessions_parked.inc()
         self._persist_sessions()
 
     # ------------------------------------------------------------------
@@ -789,7 +767,7 @@ class LiveBroker:
         """Once per drain: count it, note who was heard from, pump."""
         try:
             self._datagrams_in.inc(len(senders))
-            now = self._loop.time()
+            now = self._clock()
             for connection in map(self._udp_peers.get, set(senders)):
                 if connection is not None:
                     connection.last_activity = now
@@ -822,7 +800,6 @@ class LiveBroker:
     def _park(self, state: _SessionState, frame: bytes) -> None:
         """Buffer for an absent client; a full buffer evicts its oldest."""
         if len(state.parked) == state.parked.maxlen:
-            state.parked_dropped += 1
             self._parked_dropped.inc()
         state.parked.append(frame)
 
@@ -874,7 +851,7 @@ class LiveBroker:
     def _maybe_renew_lease(self, connection: _ClientConnection) -> None:
         if self._lease_ttl is None or connection.session is None:
             return
-        now = self._loop.time()
+        now = self._clock()
         if now - connection.last_renewal < min(1.0, self._lease_ttl / 4):
             return
         connection.last_renewal = now
@@ -883,20 +860,28 @@ class LiveBroker:
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
+    def _accept(
+        self, peer_host: str, writer: asyncio.StreamWriter | None = None
+    ) -> _ClientConnection:
+        connection = _ClientConnection(peer_host, writer)
+        connection.last_activity = self._clock()
+        self._connections.add(connection)
+        return connection
+
+    def _on_disconnect(self, connection: _ClientConnection) -> None:
+        """EOF, reset or a corrupt stream: whatever ended the connection."""
+        self._connections.discard(connection)
+        self._detach(connection, park=True)
+        self._pump()
+
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peer = writer.get_extra_info("peername")
-        connection = _ClientConnection(self, peer[0] if peer else self.host)
-        connection.writer = writer
-        connection.last_activity = (
-            self._loop.time() if self._loop is not None else 0.0
-        )
+        connection = self._accept(peer[0] if peer else self.host, writer)
         task = asyncio.current_task()
-        if task is not None:
-            self._serve_tasks.add(task)
-            task.add_done_callback(self._serve_tasks.discard)
-        self._connections.add(connection)
+        self._serve_tasks.add(task)
+        task.add_done_callback(self._serve_tasks.discard)
         try:
             while True:
                 chunk = await reader.read(65536)
@@ -924,85 +909,39 @@ class LiveBroker:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._connections.discard(connection)
-            state = connection.state
-            connection.state = None
-            if state is not None and not self._stopped:
-                if (
-                    not connection.closed_cleanly
-                    and self._resume_grace is not None
-                    and state.session is not None
-                ):
-                    self._park_state(state)
-                else:
-                    if state.udp_address is not None:
-                        self._udp_peers.pop(state.udp_address, None)
-                    self._drop_state(state)
-            self._pump()
+            self._on_disconnect(connection)
             writer.close()
-            try:
+            with contextlib.suppress(OSError):
                 await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
 
     def _handle_frame(
         self, connection: _ClientConnection, frame_type: int, body: dict
     ) -> dict:
+        """Answer one request. A refused frame has had no side effect:
+        the body is checked whole before its handler sees any of it."""
         self._control_frames.inc()
-        if self._loop is not None:
-            connection.last_activity = self._loop.time()
+        connection.last_activity = self._clock()
         try:
-            if frame_type == HELLO:
-                return self._on_hello(connection, body)
-            if frame_type == RESUME:
-                return self._on_resume(connection, body)
-            if connection.session is None:
+            handler = self._HANDLERS.get(frame_type)
+            if handler is None:
+                self._unknown_control.inc()
+                raise TransportError(f"unknown frame type 0x{frame_type:02x}")
+            if frame_type in (HELLO, RESUME):
+                if connection.state is not None:
+                    raise TransportError("session already established")
+            elif connection.session is None:
                 raise TransportError("HELLO must precede other frames")
-            self._maybe_renew_lease(connection)
-            if frame_type == SUBSCRIBE:
-                return self._on_subscribe(connection, body)
-            if frame_type == UNSUBSCRIBE:
-                subscription_id = int(body["subscription_id"])
-                connection.session.unsubscribe(subscription_id)
-                connection.state.subscriptions.pop(subscription_id, None)
-                self._persist_sessions()
-                self._pump()
-                return {"ok": True}
-            if frame_type == DISCOVER:
-                return self._on_discover(connection, body)
-            if frame_type == ADVERTISE:
-                return self._on_advertise(connection, body)
-            if frame_type == QUERY:
-                return self._on_query(connection, body)
-            if frame_type == NACK:
-                return self._on_nack(connection, body)
-            if frame_type == PING:
-                return {"ok": True, "time": self.deployment.now()}
-            if frame_type == CLOSE:
-                connection.closed_cleanly = True
-                state = connection.state
-                connection.state = None
-                if state is not None:
-                    if state.udp_address is not None:
-                        self._udp_peers.pop(state.udp_address, None)
-                    self._drop_state(state)
-                self._pump()
-                return {"ok": True}
-            self._unknown_control.inc()
-            raise TransportError(f"unknown frame type 0x{frame_type:02x}")
+            else:
+                self._maybe_renew_lease(connection)
+            return handler(
+                self, connection, parse_control_body(frame_type, body)
+            )
         except GarnetError as exc:
             return {"ok": False, "error": str(exc)}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            return {"ok": False, "error": f"malformed body: {exc!r}"}
 
     # ------------------------------------------------------------------
-    def _on_hello(self, connection: _ClientConnection, body: dict) -> dict:
-        if connection.state is not None:
-            raise TransportError("session already established")
-        name = body.get("name")
-        if not isinstance(name, str) or not name:
-            raise TransportError("HELLO needs a non-empty session name")
-        udp_port, keepalive, batch = self._handshake_fields(body)
+    def _on_hello(self, connection: _ClientConnection, fields: dict) -> dict:
+        name = fields["name"]
         if self._resume_grace is not None:
             # A re-HELLO with a parked session's name means the client
             # lost its token; the parked ghost yields to the live one.
@@ -1015,15 +954,18 @@ class LiveBroker:
         except GarnetError:
             session.close()  # a refused HELLO keeps no claim on the name
             raise
-        token = secrets.token_hex(16)
-        state = _SessionState(token, name, udp_port, self._park_capacity)
+        state = _SessionState(secrets.token_hex(16), name, self._park_capacity)
         state.publisher_id = publisher_id
-        state.udp_address = (connection.peer_host, udp_port)
-        state.keepalive = keepalive
-        state.batch = batch
-        connection.state = state
         self._attach(state, session)
+        self._bind(connection, state, fields)
         self._pump()
+        if self._resume_grace is not None:
+            self._states[state.token] = state
+            self._persist_sessions()
+        return self._welcome(state)
+
+    def _welcome(self, state: _SessionState) -> dict:
+        """What HELLO answers and RESUME echoes: where the session stands."""
         response = {
             "ok": True,
             "publisher_id": state.publisher_id,
@@ -1032,64 +974,50 @@ class LiveBroker:
         }
         if self._lease_ttl is not None:
             response["lease_ttl"] = self._lease_ttl
-        self._udp_peers[state.udp_address] = connection
         if self._resume_grace is not None:
-            self._states[token] = state
-            self._persist_sessions()
-            response["resume_token"] = token
+            response["resume_token"] = state.token
             response["resume_grace"] = self._resume_grace
         return response
+
+    def _on_close(self, connection: _ClientConnection, fields: dict) -> dict:
+        self._detach(connection, park=False)
+        self._pump()
+        return {"ok": True}
+
+    def _on_ping(self, connection: _ClientConnection, fields: dict) -> dict:
+        return {"ok": True, "time": self.deployment.now()}
 
     # ------------------------------------------------------------------
     # Resume + gap repair
     # ------------------------------------------------------------------
-    def _on_resume(self, connection: _ClientConnection, body: dict) -> dict:
-        if connection.state is not None:
-            raise TransportError("session already established")
+    def _on_resume(self, connection: _ClientConnection, fields: dict) -> dict:
         if self._resume_grace is None:
             raise TransportError("this broker does not issue resume tokens")
-        token = body.get("token")
-        state = self._states.get(token) if isinstance(token, str) else None
+        state = self._states.get(fields["token"])
         if state is None:
             raise TransportError("unknown or expired resume token")
-        udp_port, keepalive, batch = self._handshake_fields(body)
-        cursors = self._parse_cursors(body.get("cursors"))
         if not state.parked_now:
             # The client re-dialed before this side noticed the old
             # socket die: the new connection wins, the stale one is
-            # detached and aborted rather than refusing the resume.
+            # unbound and aborted rather than refusing the resume.
             for stale in list(self._connections):
                 if stale.state is state:
-                    stale.state = None
-                    stale.closed_cleanly = True
+                    self._unbind(stale)
                     self._abort_connection(stale)
-            if state.udp_address is not None:
-                self._udp_peers.pop(state.udp_address, None)
-            state.udp_address = None
         restored = state.session is not None
         if restored:
-            mapping = {
-                sub_id: sub_id for sub_id in state.subscriptions
-            }
+            mapping = {sub_id: sub_id for sub_id in state.subscriptions}
         else:
             mapping = self._revive_state(state)
-        state.udp_port = udp_port
-        state.udp_address = (connection.peer_host, udp_port)
-        state.deadline = None
-        state.keepalive = keepalive
-        state.batch = batch
-        connection.state = state
-        self._udp_peers[state.udp_address] = connection
+        self._bind(connection, state, fields)
         self._sessions_resumed.inc()
         self._pump()
-        replayed_store, replayed_parked = self._replay_missed(state, cursors)
+        replayed_store, replayed_parked = self._replay_missed(
+            state, fields["cursors"] or {}
+        )
         self._persist_sessions()
         return {
-            "ok": True,
-            "publisher_id": state.publisher_id,
-            "data_port": self.data_port,
-            "resume_token": state.token,
-            "resume_grace": self._resume_grace,
+            **self._welcome(state),
             "restored": restored,
             "subscriptions": {
                 str(old): new for old, new in mapping.items()
@@ -1099,75 +1027,50 @@ class LiveBroker:
             "replayed_parked": replayed_parked,
         }
 
-    def _handshake_fields(self, body: dict) -> tuple[int, float | None, bool]:
-        """``(udp_port, keepalive, batch)`` of a HELLO/RESUME body.
-
-        Parsed and range-checked before the handshake touches any state,
-        so a refused one leaves nothing behind. A port no datagram can
-        be sent to would otherwise raise inside the pump on the first
-        delivery and starve every other client of the broker.
-        """
-        udp_port = int(body["udp_port"])
-        if not 1 <= udp_port <= 65535:
-            raise TransportError(
-                f"udp_port must be in 1..65535, got {udp_port}"
-            )
-        keepalive = body.get("keepalive")
-        keepalive = float(keepalive) if keepalive else None
-        if keepalive is not None and not 0 < keepalive < math.inf:
-            raise TransportError(
-                f"keepalive must be a positive period, got {keepalive}"
-            )
-        batch = self._batching and bool(body.get("batch_datagrams"))
-        return udp_port, keepalive, batch
-
-    @staticmethod
-    def _parse_cursors(raw: Any) -> dict[str, int]:
-        if not isinstance(raw, dict):
-            return {}
-        cursors = {}
-        for key, value in raw.items():
-            sensor, _, index = str(key).partition(":")
-            cursors[f"{int(sensor)}:{int(index)}"] = int(value) & 0xFFFF
-        return cursors
-
     def _revive_state(self, state: _SessionState) -> dict[int, int]:
-        """Rebuild a persisted session on a freshly restarted broker."""
+        """Rebuild a persisted session on a freshly restarted broker;
+        returns its subscriptions' old → new ids."""
         session = self.deployment.connect(state.name, heartbeat_period=None)
         try:
-            return self._rebuild_session(state, session)
+            self._attach(state, session)
+            if state.publisher_id is not None:
+                session.adopt_publisher_id(state.publisher_id, reserved=True)
+            for index, (kind, encrypted) in state.advertised.items():
+                try:
+                    session.broker.advertise(
+                        session.token,
+                        StreamId(state.publisher_id, index),
+                        kind=kind,
+                        encrypted=encrypted,
+                    )
+                except GarnetError:  # pragma: no cover - registry conflict
+                    pass
+            mapping = {
+                old_id: session.subscribe(pattern)
+                for old_id, pattern in state.subscriptions.items()
+            }
         except GarnetError:
             session.close()
             state.session = None
             raise
-
-    def _rebuild_session(
-        self, state: _SessionState, session: Any
-    ) -> dict[int, int]:
-        self._attach(state, session)
-        if state.publisher_id is not None:
-            session.adopt_publisher_id(state.publisher_id, reserved=True)
-        for index, (kind, encrypted) in state.advertised.items():
-            try:
-                session.broker.advertise(
-                    session.token,
-                    StreamId(state.publisher_id, index),
-                    kind=kind,
-                    encrypted=encrypted,
-                )
-            except GarnetError:  # pragma: no cover - registry conflict
-                pass
-        mapping: dict[int, int] = {}
-        subscriptions: dict[int, dict] = {}
-        for old_id, body in state.subscriptions.items():
-            new_id = session.subscribe(_pattern_from_body(body))
-            mapping[old_id] = new_id
-            subscriptions[new_id] = body
-        state.subscriptions = subscriptions
+        state.subscriptions = {
+            mapping[old_id]: pattern
+            for old_id, pattern in state.subscriptions.items()
+        }
         return mapping
 
+    def _stored_frames(
+        self, stream_id: StreamId, **window: Any
+    ) -> Iterator[tuple[int, Any]]:
+        """``(sequence, record)`` per retained record of one stream,
+        oldest first; nothing without a store."""
+        store = self.deployment.store
+        if store is not None:
+            for record in store.read(stream_id, **window):
+                yield peek_header(record.frame)[1], record
+
     def _replay_missed(
-        self, state: _SessionState, cursors: dict[str, int]
+        self, state: _SessionState, cursors: dict[StreamId, int]
     ) -> tuple[int, int]:
         """Send exactly the records the client missed, exactly once.
 
@@ -1176,152 +1079,112 @@ class LiveBroker:
         store pass did not already cover. Without a store the parked
         buffer alone is replayed, still filtered by the cursors.
         """
-        sent: set[tuple[str, int]] = set()
+        sent: set[tuple[StreamId, int]] = set()
         to_send: list[bytes] = []
-        replayed_store = 0
-        store = self.deployment.store
-        if store is not None and self._udp is not None:
-            for key, cursor in cursors.items():
-                sensor, _, index = key.partition(":")
-                stream_id = StreamId(int(sensor), int(index))
-                for record in store.read(stream_id):
-                    sequence = _frame_sequence(record.frame)
-                    if not sequence_is_newer(sequence, cursor):
-                        continue
-                    if (key, sequence) in sent:
-                        continue
-                    sent.add((key, sequence))
-                    to_send.append(record.frame)
-                    replayed_store += 1
-        replayed_parked = 0
-        if self._udp is not None:
-            for frame in state.parked:
-                key = _frame_stream_key(frame)
-                sequence = _frame_sequence(frame)
-                cursor = cursors.get(key)
-                if cursor is not None and not sequence_is_newer(
-                    sequence, cursor
+        for stream_id, cursor in cursors.items():
+            for sequence, record in self._stored_frames(stream_id):
+                if (
+                    sequence_is_newer(sequence, cursor)
+                    and (stream_id, sequence) not in sent
                 ):
-                    continue
-                if (key, sequence) in sent:
-                    continue
-                sent.add((key, sequence))
+                    sent.add((stream_id, sequence))
+                    to_send.append(record.frame)
+        replayed_store = len(to_send)
+        for frame in state.parked:
+            key = peek_header(frame)
+            cursor = cursors.get(key[0])
+            if key not in sent and (
+                cursor is None or sequence_is_newer(key[1], cursor)
+            ):
+                sent.add(key)
                 to_send.append(frame)
-                replayed_parked += 1
         if to_send:
             # Batching clients take the whole catch-up span as §7 batch
             # datagrams; everyone else gets the per-record replay.
             self._queue_frames(state, to_send)
             self._flush_sends()
+            self._replayed_records.inc(len(to_send))
         state.parked.clear()
-        if replayed_store or replayed_parked:
-            self._replayed_records.inc(replayed_store + replayed_parked)
-        return replayed_store, replayed_parked
+        return replayed_store, len(to_send) - replayed_store
 
-    def _on_nack(self, connection: _ClientConnection, body: dict) -> dict:
-        store = self.deployment.store
-        raw_stream = body["stream_id"]
-        stream_id = StreamId(int(raw_stream[0]), int(raw_stream[1]))
-        wanted = {int(sequence) & 0xFFFF for sequence in body["sequences"]}
-        if not wanted:
-            raise TransportError("NACK needs at least one sequence")
-        records: list[str] = []
-        found: set[int] = set()
-        if store is not None:
-            budget = _NACK_RESPONSE_BUDGET
-            for record in store.read(stream_id):
-                sequence = _frame_sequence(record.frame)
-                if sequence not in wanted or sequence in found:
-                    continue
-                hex_frame = record.frame.hex()
-                if len(hex_frame) > budget:
+    def _on_nack(self, connection: _ClientConnection, fields: dict) -> dict:
+        wanted = set(fields["sequences"])
+        retained: dict[int, bytes] = {}  # first copy of each, oldest first
+        for sequence, record in self._stored_frames(fields["stream_id"]):
+            if sequence in wanted and sequence not in retained:
+                retained[sequence] = record.frame
+                if len(retained) == len(wanted):
                     break
-                budget -= len(hex_frame)
-                found.add(sequence)
-                records.append(hex_frame)
-                if found == wanted:
-                    break
-        if found:
-            self._nack_records.inc(len(found))
+        # A retained record this response has no room for is neither
+        # sent nor missing: the client still wants it, and asks again.
+        records = list(_hex_within_budget(retained.values()))
+        if records:
+            self._nack_records.inc(len(records))
         return {
             "ok": True,
             "records": records,
-            "missing": sorted(wanted - found),
+            "missing": sorted(wanted - retained.keys()),
         }
 
     # ------------------------------------------------------------------
     def _on_subscribe(
-        self, connection: _ClientConnection, body: dict
+        self, connection: _ClientConnection, fields: dict
     ) -> dict:
-        pattern = _pattern_from_body(body)
-        replay = body.get("replay") or "none"
+        pattern = _pattern(fields)
         subscription_id = connection.session.subscribe(
-            pattern, replay=str(replay)
+            pattern, replay=fields["replay"] or "none"
         )
-        ledger_body = {
-            key: body.get(key)
-            for key in (
-                "stream_id",
-                "sensor_id",
-                "stream_index",
-                "kind",
-                "derived",
-            )
-        }
-        connection.state.subscriptions[subscription_id] = ledger_body
+        connection.state.subscriptions[subscription_id] = pattern
         self._persist_sessions()
         self._pump()
         return {"ok": True, "subscription_id": subscription_id}
 
-    def _on_query(self, connection: _ClientConnection, body: dict) -> dict:
+    def _on_unsubscribe(
+        self, connection: _ClientConnection, fields: dict
+    ) -> dict:
+        subscription_id = fields["subscription_id"]
+        connection.session.unsubscribe(subscription_id)
+        connection.state.subscriptions.pop(subscription_id, None)
+        self._persist_sessions()
+        self._pump()
+        return {"ok": True}
+
+    def _on_query(self, connection: _ClientConnection, fields: dict) -> dict:
         store = self.deployment.store
         if store is None:
             raise TransportError(
                 "this broker has no stream store (store_enabled=False)"
             )
-        raw_stream = body["stream_id"]
-        stream_id = StreamId(int(raw_stream[0]), int(raw_stream[1]))
-        start = body.get("start")
-        end = body.get("end")
-        limit = body.get("limit")
-        records = store.read(
-            stream_id,
-            start=float(start) if start is not None else None,
-            end=float(end) if end is not None else None,
-            limit=int(limit) if limit is not None else None,
-        )
+        records = [
+            record
+            for _, record in self._stored_frames(
+                fields["stream_id"],
+                start=fields["start"],
+                end=fields["end"],
+                limit=fields["limit"],
+            )
+        ]
         store.stats.queries += 1
         store.stats.records_queried += len(records)
-        entries = []
-        budget = _QUERY_RESPONSE_BUDGET
-        truncated = False
-        for record in records:
-            hex_frame = record.frame.hex()
-            if len(hex_frame) > budget:
-                truncated = True
-                break
-            budget -= len(hex_frame)
-            entries.append(
-                {
-                    "received_at": record.received_at,
-                    "receiver_id": record.receiver_id,
-                    "frame": hex_frame,
-                }
-            )
-        return {"ok": True, "records": entries, "truncated": truncated}
+        fitting = _hex_within_budget(record.frame for record in records)
+        entries = [
+            {
+                "received_at": record.received_at,
+                "receiver_id": record.receiver_id,
+                "frame": hex_frame,
+            }
+            for record, hex_frame in zip(records, fitting)
+        ]
+        return {
+            "ok": True,
+            "records": entries,
+            "truncated": len(entries) < len(records),
+        }
 
     def _on_discover(
-        self, connection: _ClientConnection, body: dict
+        self, connection: _ClientConnection, fields: dict
     ) -> dict:
-        descriptors = connection.session.discover(
-            kind=body.get("kind"),
-            sensor_id=(
-                int(body["sensor_id"])
-                if body.get("sensor_id") is not None
-                else None
-            ),
-            derived=body.get("derived"),
-        )
+        descriptors = connection.session.discover(**fields)
         return {
             "ok": True,
             "streams": [
@@ -1338,12 +1201,12 @@ class LiveBroker:
         }
 
     def _on_advertise(
-        self, connection: _ClientConnection, body: dict
+        self, connection: _ClientConnection, fields: dict
     ) -> dict:
         session = connection.session
-        stream_index = int(body["stream_index"])
-        kind = str(body.get("kind", ""))
-        encrypted = bool(body.get("encrypted", False))
+        stream_index = fields["stream_index"]
+        kind = fields["kind"] or ""
+        encrypted = bool(fields["encrypted"])
         stream_id = StreamId(session.ensure_publisher_id(), stream_index)
         session.broker.advertise(
             session.token, stream_id, kind=kind, encrypted=encrypted
@@ -1355,6 +1218,21 @@ class LiveBroker:
             "ok": True,
             "stream_id": [stream_id.sensor_id, stream_id.stream_index],
         }
+
+    #: The whole request vocabulary: frame type → handler, called with
+    #: the connection and the body's checked fields.
+    _HANDLERS = {
+        HELLO: _on_hello,
+        SUBSCRIBE: _on_subscribe,
+        UNSUBSCRIBE: _on_unsubscribe,
+        DISCOVER: _on_discover,
+        ADVERTISE: _on_advertise,
+        PING: _on_ping,
+        CLOSE: _on_close,
+        QUERY: _on_query,
+        RESUME: _on_resume,
+        NACK: _on_nack,
+    }
 
 
 __all__ = ["LiveBroker"]

@@ -21,7 +21,10 @@ import argparse
 import asyncio
 import contextlib
 import sys
+from pathlib import Path
 
+from repro.core.config import GarnetConfig
+from repro.core.middleware import Garnet
 from repro.errors import TransportError
 from repro.transport.broker import LiveBroker
 
@@ -94,31 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def _serve(args: argparse.Namespace) -> None:
-    deployment = None
-    if (
-        args.no_checksum
-        or args.store
-        or args.store_dir
-        or args.resume_grace is not None
-        or args.lease_ttl is not None
-    ):
-        from repro.core.config import GarnetConfig
-        from repro.core.middleware import Garnet
-
-        deployment = Garnet(
-            config=GarnetConfig(
-                publish_location_stream=False,
-                checksum=not args.no_checksum,
-                store_enabled=bool(args.store or args.store_dir),
-                store_dir=args.store_dir,
-                broker_lease_ttl=args.lease_ttl,
-                transport_resume_grace=args.resume_grace,
-            )
+    # No periodic task (the location beacon): the broker pumps the
+    # kernel to idle after every event.
+    deployment = Garnet(
+        config=GarnetConfig(
+            publish_location_stream=False,
+            checksum=not args.no_checksum,
+            store_enabled=bool(args.store or args.store_dir),
+            store_dir=args.store_dir,
+            broker_lease_ttl=args.lease_ttl,
+            transport_resume_grace=args.resume_grace,
         )
+    )
     sessions_path = None
     if args.resume_grace is not None and args.store_dir:
-        from pathlib import Path
-
         sessions_path = Path(args.store_dir) / "sessions.json"
     broker = LiveBroker(
         deployment=deployment,

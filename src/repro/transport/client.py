@@ -17,7 +17,7 @@ The client is deliberately synchronous: experiment drivers and tests
 want straight-line code, and the broker end is where the concurrency
 lives.
 
-**Resilience (PR 8).** ``reconnect=`` (a
+**Resilience.** ``reconnect=`` (a
 :class:`~repro.util.backoff.BackoffPolicy`, or ``True`` for the
 default schedule) opts the session into a supervised lifecycle:
 
@@ -48,10 +48,12 @@ session keeps its historical fail-fast behaviour.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 import threading
 import time
+from collections import deque
 from collections.abc import Callable
 from typing import Any
 
@@ -123,6 +125,68 @@ _RESEND_TAIL = 256
 
 #: Housekeeping thread tick (seconds).
 _HOUSEKEEPING_TICK = 0.05
+
+#: Largest frame one IPv4 UDP datagram carries (65,535 minus the IP and
+#: UDP headers) — less than the largest frame the codec will build.
+_MAX_DATAGRAM = 65507
+
+
+class _SocketWire:
+    """All a :class:`LiveSession` asks of the outside world.
+
+    Control channels to dial, one datagram socket, a clock and a way to
+    wait — the session's only sockets and its only monotonic time, made
+    in one place so a test can hand it fakes instead.
+    """
+
+    clock = staticmethod(time.monotonic)
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self._broker = (host, port)
+        self._timeout = timeout
+        self._closed = threading.Event()
+        #: ``wait(seconds)`` sleeps; True as soon as the wire is closed.
+        self.wait = self._closed.wait
+        #: The session's first control channel.
+        self.control = self.dial()
+        self._udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            self._udp.setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF, _RECV_BUFFER
+            )
+        except OSError:  # pragma: no cover - kernel may clamp, never raise
+            pass
+        # Bind on the interface the TCP connection resolved to, so the
+        # broker's deliveries (addressed to that interface) reach us.
+        self._udp.bind((self.control.getsockname()[0], 0))
+        self.udp_port = self._udp.getsockname()[1]
+        self.sendto = self._udp.sendto
+
+    def dial(self) -> socket.socket:
+        channel = socket.create_connection(
+            self._broker, timeout=self._timeout
+        )
+        channel.settimeout(self._timeout)
+        return channel
+
+    def receive(self) -> bytes | None:
+        """Block for the next datagram; None once the wire is closed."""
+        try:
+            data, _ = self._udp.recvfrom(65536)
+        except OSError:
+            return None
+        return None if self._closed.is_set() else data
+
+    def close(self) -> None:
+        self._closed.set()
+        # close() alone leaves a thread blocked in recvfrom() asleep;
+        # shutdown() wakes it with an empty read (on Linux it also
+        # raises ENOTCONN, the socket being unconnected).
+        try:
+            self._udp.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._udp.close()
 
 
 class LiveSessionStats:
@@ -204,7 +268,7 @@ class LiveSession:
         self._state_callbacks: list[StateCallback] = []
         self._subscriptions: dict[int, dict] = {}
         self._publish_sequences: dict[int, int] = {}
-        self._advertised: dict[int, tuple[str, bool]] = {}
+        self._advertised: dict[int, dict] = {}  # index -> ADVERTISE body
         self._closed = False
         self._lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -234,52 +298,32 @@ class LiveSession:
         self._state = "connected"
         self._resume_token: str | None = None
         self._publish_buffer: list[tuple] = []
-        self._resend_tail: list[tuple] = []
-        self._last_ping = time.monotonic()
-        self._stop = threading.Event()
+        self._resend_tail: deque[tuple] = deque(maxlen=_RESEND_TAIL)
+        self._reader: threading.Thread | None = None
+        self._housekeeper: threading.Thread | None = None
 
-        self._host, self._port = parse_garnet_url(url)
-        self._tcp = socket.create_connection(
-            (self._host, self._port), timeout=timeout
-        )
-        self._tcp.settimeout(timeout)
-        self._udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        try:
-            self._udp.setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVBUF, _RECV_BUFFER
-            )
-        except OSError:  # pragma: no cover - kernel may clamp, never raise
-            pass
-        # Bind on the interface the TCP connection resolved to, so the
-        # broker's deliveries (addressed to that interface) reach us.
-        self._udp.bind((self._tcp.getsockname()[0], 0))
-        self._udp_port = self._udp.getsockname()[1]
-
-        hello: dict[str, Any] = {
-            "name": name,
-            "udp_port": self._udp_port,
-            # §7 batch datagrams are always understood; the broker only
-            # sends them when its deployment enables fan-out batching.
-            "batch_datagrams": True,
-        }
-        if self._keepalive is not None:
-            hello["keepalive"] = self._keepalive
-        welcome = self._request(HELLO, hello)
+        self._host, port = parse_garnet_url(url)
+        self._wire = wire = _SocketWire(self._host, port, timeout)
+        self._tcp = wire.control
+        self._udp_port = wire.udp_port
+        self._last_ping = wire.clock()
+        welcome = self._request(*self._handshake(name=name))
         self._publisher_id = int(welcome["publisher_id"])
         self._data_address = (self._host, int(welcome["data_port"]))
         self._resume_token = welcome.get("resume_token")
+        self._start_threads()
 
+    def _start_threads(self) -> None:
         self._reader = threading.Thread(
             target=self._read_datagrams,
-            name=f"garnet-live-{name}",
+            name=f"garnet-live-{self._name}",
             daemon=True,
         )
         self._reader.start()
-        self._housekeeper: threading.Thread | None = None
         if self._reconnect_policy is not None or self._keepalive is not None:
             self._housekeeper = threading.Thread(
                 target=self._housekeeping,
-                name=f"garnet-live-{name}-housekeeping",
+                name=f"garnet-live-{self._name}-housekeeping",
                 daemon=True,
             )
             self._housekeeper.start()
@@ -328,34 +372,44 @@ class LiveSession:
     # ------------------------------------------------------------------
     def _request(self, frame_type: int, body: dict) -> dict:
         """Send one control frame and block for its response."""
+        self._require_open()
         if self._state == "reconnecting":
             raise TransportError(
                 f"session {self._name!r} is reconnecting; retry shortly"
             )
-        frame_name = CONTROL_FRAME_NAMES.get(
-            frame_type, f"0x{frame_type:02x}"
-        )
         try:
             with self._lock:
                 return self._exchange(
                     self._tcp, self._assembler, frame_type, body
                 )
-        except socket.timeout as exc:
-            self._connection_lost()
-            raise TransportError(
-                f"{frame_name} request timed out after {self._timeout}s"
-            ) from exc
         except OSError as exc:
             self._connection_lost()
+            reason = (
+                f"timed out after {self._timeout}s"
+                if isinstance(exc, socket.timeout)
+                else f"failed: {exc}"
+            )
             raise TransportError(
-                f"{frame_name} request failed: {exc}"
+                f"{CONTROL_FRAME_NAMES[frame_type]} request {reason}"
             ) from exc
-        except _ChannelLost as exc:
-            self._connection_lost()
-            raise TransportError(
-                f"{frame_name} request failed: "
-                "broker closed the control channel"
-            ) from exc
+
+    def _handshake(self, **identity: Any) -> tuple[int, dict]:
+        """``(frame type, body)`` of the frame that opens a connection.
+
+        ``name=`` introduces the session (HELLO); ``token=`` and
+        ``cursors=`` reclaim it (RESUME). The rest is what every
+        connection announces anew.
+        """
+        body = {
+            **identity,
+            "udp_port": self._udp_port,
+            # §7 batch datagrams are always understood; the broker only
+            # sends them when its deployment enables fan-out batching.
+            "batch_datagrams": True,
+        }
+        if self._keepalive is not None:
+            body["keepalive"] = self._keepalive
+        return (RESUME if "token" in identity else HELLO), body
 
     def _exchange(
         self,
@@ -369,7 +423,7 @@ class LiveSession:
         while True:
             chunk = sock.recv(65536)
             if not chunk:
-                raise _ChannelLost("broker closed the control channel")
+                raise ConnectionError("broker closed the control channel")
             frames = assembler.feed(chunk)
             if frames:
                 break
@@ -404,7 +458,6 @@ class LiveSession:
         ``'history'`` the broker replays the stream store's retained
         records as ordinary data-plane datagrams before live delivery
         continues."""
-        self._require_open()
         body = {
             "stream_id": list(stream_id) if stream_id is not None else None,
             "sensor_id": sensor_id,
@@ -433,7 +486,6 @@ class LiveSession:
         short (control frames are bounded) raises ``TransportError`` —
         page with ``start``/``limit`` instead.
         """
-        self._require_open()
         response = self._request(
             QUERY,
             {
@@ -461,7 +513,6 @@ class LiveSession:
         return arrivals
 
     def unsubscribe(self, subscription_id: int) -> None:
-        self._require_open()
         self._request(UNSUBSCRIBE, {"subscription_id": subscription_id})
         self._subscriptions.pop(subscription_id, None)
 
@@ -471,7 +522,6 @@ class LiveSession:
         sensor_id: int | None = None,
         derived: bool | None = None,
     ) -> list[dict]:
-        self._require_open()
         response = self._request(
             DISCOVER,
             {"kind": kind, "sensor_id": sensor_id, "derived": derived},
@@ -480,7 +530,6 @@ class LiveSession:
 
     def ping(self) -> float:
         """Round-trip the control plane; returns the broker's sim time."""
-        self._require_open()
         return float(self._request(PING, {})["time"])
 
     # ------------------------------------------------------------------
@@ -521,78 +570,67 @@ class LiveSession:
         """
         self._require_open()
         sequence = self._publish_sequences.get(stream_index, 0)
-        self._publish_sequences[stream_index] = (sequence + 1) % (1 << 16)
         entry = (
             stream_index, sequence, payload, kind, fused, encrypted,
             extensions,
         )
-        if self._state != "reconnecting":
+        stream_id = None  # until the datagram has left
+        if self._state == "reconnecting":
+            self._datagram(entry)  # refuse now what no flush could send
+        else:
             try:
-                return self._send_publish(entry)
+                stream_id = self._send_publish(entry)
             except TransportError:
                 if self._state != "reconnecting":
                     raise  # genuine refusal, not a mid-publish outage
-        if len(self._publish_buffer) >= _PUBLISH_BUFFER:
-            self._publish_buffer.pop(0)
-            self.stats.buffer_overflows += 1
-        self._publish_buffer.append(entry)
-        self.stats.buffered_publishes += 1
-        return StreamId(self._publisher_id, stream_index)
+        # Spent only now: a refused publish leaves subscribers no gap.
+        self._publish_sequences[stream_index] = (sequence + 1) % (1 << 16)
+        if stream_id is None:
+            if len(self._publish_buffer) >= _PUBLISH_BUFFER:
+                self._publish_buffer.pop(0)
+                self.stats.buffer_overflows += 1
+            self._publish_buffer.append(entry)
+            self.stats.buffered_publishes += 1
+            stream_id = StreamId(self._publisher_id, stream_index)
+        return stream_id
+
+    def _datagram(self, entry: tuple) -> tuple[StreamId, bytes]:
+        """``(stream id, §2 frame)`` of one publish, under this session's
+        current publisher id."""
+        stream_index, sequence, payload, _, fused, encrypted, extensions = entry
+        stream_id = StreamId(self._publisher_id, stream_index)
+        # Positional: a keyword call costs the publish path ~0.2 µs.
+        message = DataMessage(
+            stream_id, sequence, payload, fused, encrypted, None, None, extensions
+        )
+        frame = self._codec.encode(message)
+        if len(frame) > _MAX_DATAGRAM:
+            raise TransportError(
+                f"a {len(frame)}-byte message does not fit one UDP "
+                f"datagram ({_MAX_DATAGRAM} bytes)"
+            )
+        return stream_id, frame
 
     def _send_publish(self, entry: tuple) -> StreamId:
-        (
-            stream_index, sequence, payload, kind, fused, encrypted,
-            extensions,
-        ) = entry
-        stream_id = StreamId(self._publisher_id, stream_index)
+        stream_index, kind, encrypted = entry[0], entry[3], entry[5]
+        stream_id, datagram = self._datagram(entry)
         if kind and stream_index not in self._advertised:
-            self._request(
-                ADVERTISE,
-                {
-                    "stream_index": stream_index,
-                    "kind": kind,
-                    "encrypted": encrypted,
-                },
-            )
-            self._advertised[stream_index] = (kind, encrypted)
-        message = DataMessage(
-            stream_id=stream_id,
-            sequence=sequence,
-            payload=payload,
-            fused=fused,
-            encrypted=encrypted,
-            extensions=extensions,
-        )
-        self._udp.sendto(self._codec.encode(message), self._data_address)
+            body = {
+                "stream_index": stream_index,
+                "kind": kind,
+                "encrypted": encrypted,
+            }
+            self._request(ADVERTISE, body)
+            self._advertised[stream_index] = body
+        self._wire.sendto(datagram, self._data_address)
         self.stats.published += 1
         if self._reconnect_policy is not None:
             self._resend_tail.append(entry)
-            if len(self._resend_tail) > _RESEND_TAIL:
-                self._resend_tail.pop(0)
         return stream_id
 
     def _read_datagrams(self) -> None:
-        while True:
-            try:
-                data, _ = self._udp.recvfrom(65536)
-            except OSError:
-                return  # socket closed by close()
-            if self._stop.is_set():
-                return  # woken by _close_sockets(), not by a datagram
+        while (data := self._wire.receive()) is not None:
             self._handle_datagram(data)
-
-    def _close_sockets(self) -> None:
-        try:
-            self._tcp.close()
-        finally:
-            # close() alone leaves a thread blocked in recvfrom() asleep;
-            # shutdown() wakes it with an empty read (on Linux it also
-            # raises ENOTCONN, the socket being unconnected).
-            try:
-                self._udp.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._udp.close()
 
     def _handle_datagram(self, data: bytes) -> None:
         if is_batch_datagram(data):
@@ -654,7 +692,7 @@ class LiveSession:
             return True
         jump = (sequence - latest) % (1 << 16)
         if 1 < jump < _MAX_GAP_RUN:
-            now = time.monotonic()
+            now = self._wire.clock()
             for offset in range(1, jump):
                 missed = (latest + offset) % (1 << 16)
                 if missed not in tracker.missing:
@@ -668,7 +706,7 @@ class LiveSession:
     # Housekeeping: keepalive, gap repair, reconnect
     # ------------------------------------------------------------------
     def _housekeeping(self) -> None:
-        while not self._stop.wait(_HOUSEKEEPING_TICK):
+        while not self._wire.wait(_HOUSEKEEPING_TICK):
             try:
                 state = self._state
                 if state == "connected":
@@ -686,7 +724,7 @@ class LiveSession:
     def _keepalive_tick(self) -> None:
         if self._keepalive is None:
             return
-        now = time.monotonic()
+        now = self._wire.clock()
         if now - self._last_ping < self._keepalive:
             return
         self._last_ping = now
@@ -699,7 +737,7 @@ class LiveSession:
 
     def _repair_tick(self) -> None:
         """NACK sufficiently-aged gaps and inject the repaired records."""
-        now = time.monotonic()
+        now = self._wire.clock()
         for key, tracker in list(self._trackers.items()):
             with self._delivery_lock:
                 due = sorted(
@@ -714,9 +752,11 @@ class LiveSession:
                     NACK, {"stream_id": list(key), "sequences": due}
                 )
             except TransportError:
-                return  # broker unreachable or storeless: try later
+                return  # broker unreachable: try again next tick
             for hex_frame in response.get("records", ()):
                 self._handle_datagram(bytes.fromhex(hex_frame))
+            # What the broker no longer retains — everything, when it
+            # runs without a store — is given up on, not asked for again.
             unrepairable = response.get("missing", ())
             with self._delivery_lock:
                 for sequence in unrepairable:
@@ -731,10 +771,8 @@ class LiveSession:
             if self._state != "connected":
                 return
             self._state = "reconnecting"
-        try:
+        with contextlib.suppress(OSError):
             self._tcp.close()  # broker sees EOF and parks the session
-        except OSError:  # pragma: no cover
-            pass
         self._notify_state("reconnecting")
 
     def _notify_state(self, state: str) -> None:
@@ -749,48 +787,47 @@ class LiveSession:
         for attempt in range(1, policy.max_attempts + 1):
             if self._closed:
                 return
-            delay = policy.delay(attempt, self._rng)
-            if self._stop.wait(delay):
+            if self._wire.wait(policy.delay(attempt, self._rng)):
                 return
             if self._dial_once():
                 self.stats.reconnects += 1
                 self._notify_state("connected")
                 return
-        # Exhausted the schedule: the session is dead for good.
-        self._give_up()
+        # Exhausted the schedule: the session is dead for good. Being
+        # "reconnecting", close() tries no CLOSE frame on the way out.
+        self.close()
 
     def _dial_once(self) -> bool:
         """One reconnect attempt: RESUME first, fresh HELLO fallback."""
         try:
-            sock = socket.create_connection(
-                (self._host, self._port), timeout=self._timeout
-            )
+            sock = self._wire.dial()
         except OSError:
             return False
-        sock.settimeout(self._timeout)
         assembler = ControlFrameAssembler()
         try:
             if self._resume_token is not None:
+                with self._delivery_lock:
+                    cursors = {
+                        f"{key[0]}:{key[1]}": tracker.latest
+                        for key, tracker in self._trackers.items()
+                        if tracker.latest is not None
+                    }
                 try:
                     response = self._exchange(
-                        sock, assembler, RESUME, self._resume_body()
+                        sock,
+                        assembler,
+                        *self._handshake(
+                            token=self._resume_token, cursors=cursors
+                        ),
                     )
-                except _ChannelLost:
-                    raise
                 except TransportError:
                     pass  # token refused: same socket, fresh HELLO
                 else:
                     self._adopt(sock, assembler, response, resumed=True)
                     return True
-            hello: dict[str, Any] = {
-                "name": self._name,
-                "udp_port": self._udp_port,
-                "batch_datagrams": True,
-            }
-            if self._keepalive is not None:
-                hello["keepalive"] = self._keepalive
-            response = self._exchange(sock, assembler, HELLO, hello)
-            publisher_id = int(response["publisher_id"])
+            response = self._exchange(
+                sock, assembler, *self._handshake(name=self._name)
+            )
             # Reinstall the ledgers before going live: subscriptions
             # first so no delivery window is missed, then the
             # advertisement metadata the old session carried.
@@ -800,48 +837,16 @@ class LiveSession:
                     sock, assembler, SUBSCRIBE, body
                 )
                 subscriptions[int(sub_response["subscription_id"])] = body
-            for stream_index, (kind, encrypted) in list(
-                self._advertised.items()
-            ):
-                self._exchange(
-                    sock,
-                    assembler,
-                    ADVERTISE,
-                    {
-                        "stream_index": stream_index,
-                        "kind": kind,
-                        "encrypted": encrypted,
-                    },
-                )
+            for body in list(self._advertised.values()):
+                self._exchange(sock, assembler, ADVERTISE, body)
             self._subscriptions = subscriptions
-            self._publisher_id = publisher_id
             self.stats.rehellos += 1
             self._adopt(sock, assembler, response, resumed=False)
-            self._flush_outage_buffers(resend_tail=False)
             return True
-        except (OSError, TransportError, _ChannelLost, ValueError):
-            try:
+        except (OSError, TransportError, ValueError):
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:  # pragma: no cover
-                pass
             return False
-
-    def _resume_body(self) -> dict:
-        with self._delivery_lock:
-            cursors = {
-                f"{key[0]}:{key[1]}": tracker.latest
-                for key, tracker in self._trackers.items()
-                if tracker.latest is not None
-            }
-        body: dict[str, Any] = {
-            "token": self._resume_token,
-            "udp_port": self._udp_port,
-            "cursors": cursors,
-            "batch_datagrams": True,
-        }
-        if self._keepalive is not None:
-            body["keepalive"] = self._keepalive
-        return body
 
     def _adopt(
         self,
@@ -850,20 +855,15 @@ class LiveSession:
         response: dict,
         resumed: bool,
     ) -> None:
-        """Install a freshly-handshaken control socket as the session's."""
+        """Install a freshly-handshaken control socket as the session's
+        (the one it replaces was closed when its loss was noticed)."""
         with self._lock:
-            try:
-                self._tcp.close()
-            except OSError:  # pragma: no cover
-                pass
             self._tcp = sock
             self._assembler = assembler
             self._data_address = (self._host, int(response["data_port"]))
-            self._resume_token = response.get(
-                "resume_token", self._resume_token if resumed else None
-            )
+            self._resume_token = response.get("resume_token")
+        self._publisher_id = int(response["publisher_id"])
         if resumed:
-            self._publisher_id = int(response["publisher_id"])
             mapping = response.get("subscriptions") or {}
             remapped = {}
             for old_id, body in self._subscriptions.items():
@@ -874,18 +874,21 @@ class LiveSession:
             self.stats.replayed += int(response.get("replayed", 0))
         with self._state_lock:
             self._state = "connected"
-        self._last_ping = time.monotonic()
-        if resumed:
-            self._flush_outage_buffers(resend_tail=True)
+        self._last_ping = self._wire.clock()
+        self._flush_outage_buffers(resend_tail=resumed)
 
     def _flush_outage_buffers(self, resend_tail: bool) -> None:
-        if resend_tail and self._resend_tail:
+        if resend_tail:
             # The broker may have died before our freshest publishes
             # reached its store: resend the tail (at-least-once; the
             # store tap and subscriber windows dedupe the overlap).
-            tail = list(self._resend_tail)
-            for entry in tail:
-                self._resend_entry(entry)
+            for entry in list(self._resend_tail):
+                try:
+                    self._wire.sendto(
+                        self._datagram(entry)[1], self._data_address
+                    )
+                except OSError:  # pragma: no cover - UDP sends rarely fail
+                    pass
                 self.stats.tail_resends += 1
         buffered, self._publish_buffer = self._publish_buffer, []
         for entry in buffered:
@@ -894,59 +897,30 @@ class LiveSession:
             except (TransportError, OSError):
                 return  # connection died again; remaining entries drop
 
-    def _resend_entry(self, entry: tuple) -> None:
-        (
-            stream_index, sequence, payload, kind, fused, encrypted,
-            extensions,
-        ) = entry
-        message = DataMessage(
-            stream_id=StreamId(self._publisher_id, stream_index),
-            sequence=sequence,
-            payload=payload,
-            fused=fused,
-            encrypted=encrypted,
-            extensions=extensions,
-        )
-        try:
-            self._udp.sendto(
-                self._codec.encode(message), self._data_address
-            )
-        except OSError:  # pragma: no cover - UDP sends rarely fail
-            pass
-
-    def _give_up(self) -> None:
-        with self._state_lock:
-            if self._state == "closed":
-                return
-            self._state = "closed"
-        self._closed = True
-        self._stop.set()
-        self._close_sockets()
-        self._notify_state("closed")
-
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down the session, sockets and reader thread. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._stop.set()
+        """Tear down the session, sockets and threads: the only way out,
+        whoever asks (the caller, or the reconnect loop giving up).
+        Idempotent."""
         with self._state_lock:
+            if self._closed:
+                return
+            self._closed = True
             was_connected = self._state == "connected"
             self._state = "closed"
         if was_connected:
             try:
                 with self._lock:
                     self._exchange(self._tcp, self._assembler, CLOSE, {})
-            except (TransportError, _ChannelLost, OSError):
+            except (TransportError, OSError):
                 pass  # broker already gone: local teardown still applies
-        self._close_sockets()
-        self._reader.join(timeout=2.0)
-        if (
-            self._housekeeper is not None
-            and self._housekeeper is not threading.current_thread()
-        ):
-            self._housekeeper.join(timeout=2.0)
+        try:
+            self._tcp.close()
+        finally:
+            self._wire.close()
+        for thread in (self._reader, self._housekeeper):
+            if thread is not None and thread is not threading.current_thread():
+                thread.join(timeout=2.0)
         self._notify_state("closed")
 
     def __enter__(self) -> "LiveSession":
@@ -954,10 +928,6 @@ class LiveSession:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-class _ChannelLost(Exception):
-    """Internal: the broker closed the TCP control channel mid-request."""
 
 
 def connect(

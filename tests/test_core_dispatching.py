@@ -135,6 +135,62 @@ class TestPatternSubscriptions:
         with pytest.raises(SubscriptionError):
             SubscriptionPattern()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": 5},
+            {"kind": ["temp"]},
+            {"derived": 1},
+            {"sensor_id": "7"},
+            {"sensor_id": True},
+            {"sensor_id": [1]},
+            {"stream_index": 1.0},
+            {"stream_id": 5},
+            {"stream_id": (1,)},
+            {"stream_id": ("1", 0)},
+        ],
+    )
+    def test_mistyped_pattern_rejected(self, fields):
+        # The dispatcher keys tables on these fields and calls str
+        # methods on kind: a pattern it could not bucket must not exist.
+        with pytest.raises(SubscriptionError):
+            SubscriptionPattern(**fields)
+
+    def test_unbucketable_pattern_installs_nothing(self, harness):
+        # The bucket is chosen before anything is recorded, so even a
+        # pattern smuggled past __post_init__ is all-or-nothing.
+        _, _, service, _, _, _, endpoint = harness
+        name = endpoint("a")
+        service.add_subscription(name, SubscriptionPattern(kind="temp.*"))
+        smuggled = object.__new__(SubscriptionPattern)
+        for field in ("stream_id", "sensor_id", "stream_index", "derived"):
+            object.__setattr__(smuggled, field, None)
+        object.__setattr__(smuggled, "kind", 5)
+        with pytest.raises(AttributeError):
+            service.add_subscription(name, smuggled)
+        assert service.subscription_count() == 1
+        assert service.remove_endpoint(name) == 1
+        assert service.subscription_count() == 0
+        assert service._by_endpoint == {} and service._by_kind == {}
+
+    def test_removal_leaves_no_empty_bucket(self, harness):
+        _, _, service, _, _, _, endpoint = harness
+        name = endpoint("a")
+        ids = [
+            service.add_subscription(name, pattern)
+            for pattern in (
+                SubscriptionPattern(stream_id=StreamId(1, 0)),
+                SubscriptionPattern(sensor_id=2),
+                SubscriptionPattern(kind="temp"),
+                SubscriptionPattern(kind="temp.*"),
+                SubscriptionPattern.match_all(),
+            )
+        ]
+        for subscription_id in ids:
+            service.remove_subscription(subscription_id)
+        assert service._exact == {}
+        assert service._by_sensor == {} and service._by_kind == {}
+
     def test_pattern_added_after_stream_seen_invalidates_cache(self, harness):
         sim, _, service, _, _, inboxes, endpoint = harness
         service.on_arrival(arrival(StreamId(3, 0)))  # route cached: orphan

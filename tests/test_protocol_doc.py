@@ -105,6 +105,27 @@ def test_control_frame_type_table_matches_implementation():
         assert f"| `0x{frame_type:02X}` | {name} |" in DOC, name
 
 
+def test_control_body_table_matches_implementation():
+    # §6.2's per-frame field table is CONTROL_BODIES, row for row.
+    from repro.transport.framing import CONTROL_BODIES, CONTROL_FRAME_NAMES
+
+    implemented = []
+    for frame_type, spec in CONTROL_BODIES.items():
+        frame = CONTROL_FRAME_NAMES[frame_type]
+        implemented += [
+            (frame, f"`{name}`", field.type, field.range,
+             "yes" if field.required else "no")
+            for name, field in spec.items()
+        ] or [(frame, "—", "", "", "")]
+    start = DOC.index("| frame | field | type | range | required |")
+    documented = [
+        tuple(cell.strip() for cell in line.strip("|").split("|"))
+        for line in DOC[start:].split("\n\n")[0].splitlines()[2:]
+    ]
+    assert documented == implemented
+    assert sorted(CONTROL_BODIES) == sorted(CONTROL_FRAME_NAMES)
+
+
 def test_socket_framing_constants_match_doc():
     from repro.transport.framing import (
         MAX_CONTROL_FRAME,

@@ -298,7 +298,9 @@ class TestBlackhole:
         )
         try:
             received = []
-            subscriber = connect(h.url, "sub")
+            # The subscriber's close() runs inside the window, where its
+            # CLOSE frame is swallowed: it waits out this timeout.
+            subscriber = connect(h.url, "sub", timeout=1.0)
             publisher = connect(h.broker.url, "pub")
             try:
                 subscriber.on_data(

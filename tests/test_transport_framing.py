@@ -3,11 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError, TransportError
-from repro.simnet.fixednet import FixedNetwork
 from repro.transport import (
     CONTROL_FRAME_NAMES,
     ControlFrameAssembler,
-    Transport,
     encode_control_frame,
     parse_garnet_url,
 )
@@ -16,15 +14,6 @@ from repro.transport.framing import (
     MAX_CONTROL_FRAME,
     RESPONSE_FLAG,
 )
-
-
-class TestTransportSeam:
-    def test_fixednet_is_a_transport(self):
-        assert issubclass(FixedNetwork, Transport)
-
-    def test_transport_is_abstract(self):
-        with pytest.raises(TypeError):
-            Transport()
 
 
 class TestEncode:

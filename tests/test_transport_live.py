@@ -30,6 +30,7 @@ from repro.transport.broker import (
 )
 from repro.transport.cli import parse_announce
 from repro.transport.framing import (
+    CLOSE,
     HELLO,
     PING,
     QUERY,
@@ -381,6 +382,43 @@ class TestRawSocketEdges:
         assert sorted(deployment.network.inbox_names()) == before
         with connect(harness.url, "alice") as session:
             assert session.ping() >= 0.0
+
+    def test_refused_subscribe_installs_nothing_and_costs_no_connection(
+        self, harness
+    ):
+        # {"kind": 5} used to kill the serve task *after* the dispatcher
+        # had recorded the subscription; the CLOSE that followed left the
+        # client's other subscription routed to a dead endpoint, for the
+        # next client of that name to inherit.
+        wire = b"".join(
+            encode_control_frame(frame_type, body)
+            for frame_type, body in [
+                (HELLO, {"name": "a", "udp_port": 1}),
+                (SUBSCRIBE, {"kind": "temp.*"}),
+                (SUBSCRIBE, {"kind": 5}),
+                (SUBSCRIBE, {"stream_id": [1]}),
+                (QUERY, {"stream_id": [1]}),
+                (CLOSE, {}),
+            ]
+        )
+        frames = self._exchange(harness, wire, count=6)
+        assert [body["ok"] for _, body in frames] == [
+            True, True, False, False, False, True,
+        ]
+        dispatcher = harness.broker.deployment.dispatcher
+        assert dispatcher.subscription_count() == 0
+        assert dispatcher._by_endpoint == {}
+        with connect(harness.url, "a") as heir, connect(
+            harness.url, "pub"
+        ) as publisher:
+            received = []
+            heir.on_data(received.append)
+            publisher.publish(0, b"x", kind="temp.1")
+            assert poll_until(
+                lambda: harness.counter("dispatch.arrivals") == 1
+            )
+            assert harness.counter("transport.datagrams_out") == 0
+            assert received == []
 
     def test_hello_refused_by_the_id_pool_releases_the_name(
         self, harness, monkeypatch
@@ -896,6 +934,59 @@ class TestDataPlane:
                 assert sub.udp.recv(65535) == frame
         finally:
             h.stop()
+
+    def test_closing_connection_leaves_a_reused_address_to_its_new_owner(
+        self, harness
+    ):
+        # Two HELLOs announce one UDP port; the first connection's EOF
+        # used to unmap the address the second had since taken over, and
+        # the second's datagrams then stamped no activity.
+        broker = harness.broker
+        with RawClient(harness, "first") as first:
+            with socket.create_connection(
+                (broker.host, broker.control_port), timeout=5.0
+            ) as tcp:
+                tcp.sendall(
+                    encode_control_frame(
+                        HELLO, {"name": "second", "udp_port": first.address[1]}
+                    )
+                )
+                assert tcp.recv(65536)
+                first.tcp.close()
+                assert poll_until(lambda: len(broker._connections) == 1)
+                owner = broker._udp_peers[first.address]
+                assert owner.state.name == "second"
+                stamped = owner.last_activity
+                first.publish(data_frame(StreamId(1, 0), 0))
+                assert poll_until(lambda: owner.last_activity > stamped)
+        assert poll_until(lambda: broker._udp_peers == {})
+
+    def test_overlong_publish_is_refused_before_it_costs_a_sequence_number(
+        self, harness
+    ):
+        # The codec builds a 65,535-byte payload; UDP cannot carry it.
+        # It used to escape as a bare OSError with the number spent.
+        with connect(harness.url, "pub", reconnect=True) as publisher, connect(
+            harness.url, "sub"
+        ) as subscriber:
+            received = []
+            subscriber.on_data(
+                lambda arrival: received.append(
+                    (arrival.message.sequence, len(arrival.message.payload))
+                )
+            )
+            subscriber.subscribe(kind="bulk")
+            with pytest.raises(TransportError, match="datagram"):
+                publisher.publish(0, b"x" * 65535, kind="bulk")
+            assert publisher.published == 0
+            assert not publisher._resend_tail
+            # The largest message that does fit one datagram goes out,
+            # gap-free: it is sequence 0.
+            largest = 65507 - len(data_frame(StreamId(1, 0), 0, b""))
+            publisher.publish(0, b"y" * largest, kind="bulk")
+            publisher.publish(0, b"z", kind="bulk")
+            assert poll_until(lambda: received == [(0, largest), (1, 1)])
+            assert subscriber.stats.gaps_detected == 0
 
     def test_datagrams_in_counts_what_the_codec_refuses_too(self, harness):
         with RawClient(harness, "pub") as pub:

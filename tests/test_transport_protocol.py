@@ -1,0 +1,1353 @@
+"""The §6 control protocol, driven with no socket, thread or sleep.
+
+Broker half: ``LiveBroker._handle_frame`` is called directly on a broker
+that was never started — a fake clock for ``_clock`` and the lease clock,
+a recording ``_udp`` — so every handshake, RESUME, NACK and teardown
+branch is a function call with an exact outcome. Each row asserts the
+response, the datagrams handed to ``_udp``, the ``transport.*`` counters
+and the four tables a client occupies (``_connections``, ``_states``,
+``_udp_peers``, the dispatcher's subscriptions).
+
+Client half: a ``LiveSession`` whose wire is the same broker in-process
+(``Wire``), with no reader or housekeeping thread; the test calls the
+ticks the threads would.
+
+``test_rows_reach_every_teardown_and_resume_branch`` runs the rows under
+``sys.settrace`` and requires every line of ``_detach``, ``_unbind`` and
+``_on_resume`` and every ``_HANDLERS`` entry to have executed, so a row
+deleted here or a branch added there fails the suite.
+"""
+
+from __future__ import annotations
+
+import copy
+import socket
+import sys
+import threading
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import GarnetConfig
+from repro.core.message import DataMessage
+from repro.core.middleware import Garnet
+from repro.core.streamid import StreamId
+from repro.errors import TransportError
+from repro.transport import LiveBroker, LiveSession
+from repro.transport import client as client_module
+from repro.transport.framing import (
+    ADVERTISE,
+    CLOSE,
+    CONTROL_BODIES,
+    CONTROL_FRAME_NAMES,
+    DISCOVER,
+    HELLO,
+    NACK,
+    PING,
+    QUERY,
+    RESPONSE_FLAG,
+    RESUME,
+    SUBSCRIBE,
+    UNSUBSCRIBE,
+    ControlFrameAssembler,
+    encode_control_frame,
+)
+from repro.util.backoff import BackoffPolicy
+
+HOST = "10.0.0.1"
+DATA_PORT = 7000
+GRACE = 5.0
+LEASE = 2.0
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_outside_world():
+    """Anything here that reaches for the outside world fails loudly."""
+
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"test_transport_protocol used {what}")
+
+        return refused
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(socket, "socket", refuse("socket.socket"))
+        patch.setattr(socket, "create_connection", refuse("a TCP dial"))
+        patch.setattr(time, "sleep", refuse("time.sleep"))
+        patch.setattr(threading.Thread, "start", refuse("a thread"))
+        yield
+
+
+# ----------------------------------------------------------------------
+# Fakes: a clock, the broker's UDP socket, a control connection
+# ----------------------------------------------------------------------
+class Clock:
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self):
+        return self.now
+
+
+class RecordingUdp:
+    """Stands in for ``LiveBroker._udp``: keeps what it is handed, and
+    passes it on to an in-process ``LiveSession`` listening there."""
+
+    def __init__(self):
+        self.sent = []
+        self.listeners = {}
+        self.drop = 0
+
+    def sendto(self, data, address):
+        self.sent.append((data, address))
+        if self.drop:
+            self.drop -= 1
+        elif address in self.listeners:
+            self.listeners[address](data)
+
+    def take(self):
+        sent, self.sent = self.sent, []
+        return sent
+
+    def close(self):
+        self.closed = True
+
+
+class Writer:
+    """``connection.writer``: all the broker asks of it is an abort."""
+
+    def __init__(self):
+        self.aborted = False
+        self.transport = self
+
+    def abort(self):
+        self.aborted = True
+
+
+class Peer:
+    """One control connection, driven by calls."""
+
+    def __init__(self, world, host=HOST):
+        self.world = world
+        self.writer = Writer()
+        self.connection = world.broker._accept(host, self.writer)
+
+    def send(self, frame_type, **body):
+        return self.world.broker._handle_frame(self.connection, frame_type, body)
+
+    def ok(self, frame_type, **body):
+        response = self.send(frame_type, **body)
+        assert response["ok"] is True, response
+        return response
+
+    def refused(self, frame_type, fragment, **body):
+        response = self.send(frame_type, **body)
+        assert response["ok"] is False and fragment in response["error"], response
+        return response
+
+    def eof(self):
+        self.world.broker._on_disconnect(self.connection)
+
+
+class World:
+    """A never-started broker with resume, leases and a store."""
+
+    def __init__(self, sessions_path=None, **config):
+        config = {
+            "publish_location_stream": False,
+            "transport_resume_grace": GRACE,
+            "broker_lease_ttl": LEASE,
+            "store_enabled": True,
+            **config,
+        }
+        self.clock = Clock()
+        self.deployment = Garnet(config=GarnetConfig(**config))
+        self.broker = LiveBroker(self.deployment, sessions_path=sessions_path)
+        # What start() would install, with the fakes in place of the
+        # loop's clock and the bound socket.
+        self.broker._clock = self.clock
+        self.broker._udp = self.udp = RecordingUdp()
+        self.broker.data_port = DATA_PORT
+        self.deployment.broker.lease_clock = self.clock
+        self.deployment.arrival_clock = self.clock
+        self._baseline = self.counters()
+
+    def hello(self, name, port=5000, **extra):
+        peer = Peer(self)
+        peer.welcome = peer.ok(HELLO, name=name, udp_port=port, **extra)
+        peer.address = (HOST, port)
+        peer.token = peer.welcome.get("resume_token")
+        peer.stream = StreamId(peer.welcome["publisher_id"], 0)
+        return peer
+
+    def frame(self, stream, sequence, payload=b"p"):
+        return self.deployment.codec.encode(
+            DataMessage(stream_id=stream, sequence=sequence, payload=payload)
+        )
+
+    def publish(self, peer, *sequences):
+        """Datagrams from ``peer``'s address, one socket drain."""
+        frames = [self.frame(peer.stream, sequence) for sequence in sequences]
+        self.broker._drain_stamp = self.clock()
+        for frame in frames:
+            self.broker._on_datagram(frame)
+        self.broker._after_drain([peer.address] * len(frames))
+        return frames
+
+    def counters(self):
+        counters = self.deployment.metrics_snapshot()["counters"]
+        return {
+            name[len("transport."):]: value
+            for name, value in counters.items()
+            if name.startswith("transport.")
+        }
+
+    def counted(self):
+        """``transport.*`` counters that moved since the last call."""
+        now = self.counters()
+        moved = {
+            name: value - self._baseline.get(name, 0)
+            for name, value in now.items()
+            if value != self._baseline.get(name, 0)
+        }
+        self._baseline = now
+        return moved
+
+    def tables(self):
+        """The four tables a client occupies, by session name."""
+        broker, dispatcher = self.broker, self.deployment.dispatcher
+
+        def named(connection):
+            return connection.state.name if connection.state else None
+
+        endpoints = {
+            session.endpoint: session.name
+            for session in self.deployment.sessions()
+        }
+        subscriptions = {}
+        for subscription in dispatcher._subscriptions.values():
+            name = endpoints.get(subscription.endpoint, subscription.endpoint)
+            subscriptions[name] = subscriptions.get(name, 0) + 1
+        assert set(dispatcher._by_endpoint) == {
+            subscription.endpoint
+            for subscription in dispatcher._subscriptions.values()
+        }
+        return {
+            "connections": sorted(
+                map(named, broker._connections), key=lambda name: name or ""
+            ),
+            "states": {
+                state.name: "parked" if state.parked_now else "bound"
+                for state in broker._states.values()
+            },
+            "udp_peers": {
+                address[1]: named(connection)
+                for address, connection in broker._udp_peers.items()
+            },
+            "subscriptions": subscriptions,
+        }
+
+    def everything(self):
+        """The tables plus what else a refused frame must leave alone."""
+        return (
+            self.tables(),
+            [session.name for session in self.deployment.sessions()],
+            sorted(self.deployment._publisher_ids._in_use),
+            sorted(self.deployment.network.inbox_names()),
+        )
+
+
+EMPTY = {"connections": [], "states": {}, "udp_peers": {}, "subscriptions": {}}
+
+
+# ----------------------------------------------------------------------
+# Frame type × session state
+# ----------------------------------------------------------------------
+def attached(world):
+    """One client, "a": a subscription and one retained record."""
+    a = world.hello("a")
+    a.subscription = a.ok(SUBSCRIBE, kind="temp")["subscription_id"]
+    a.ok(ADVERTISE, stream_index=0, kind="temp")
+    [a.frame] = world.publish(a, 0)
+    assert world.udp.take() == [(a.frame, a.address)]
+    return a
+
+
+def before_hello(world):
+    return Peer(world)
+
+
+def beside_a_parked_session(world):
+    """A fresh connection while "a" sits parked."""
+    attached(world).eof()
+    return Peer(world)
+
+
+def resumed(world):
+    a = attached(world)
+    a.eof()
+    again = Peer(world)
+    again.ok(RESUME, token=a.token, udp_port=5000)
+    again.address, again.stream, again.frame = a.address, a.stream, a.frame
+    again.subscription = a.subscription
+    return again
+
+
+BOUND = {
+    "connections": ["a"],
+    "states": {"a": "bound"},
+    "udp_peers": {5000: "a"},
+    "subscriptions": {"a": 1},
+}
+PARKED = {
+    "connections": [None],
+    "states": {"a": "parked"},
+    "udp_peers": {},
+    "subscriptions": {"a": 1},
+}
+STATES = {
+    # state: (setup, tables before == tables after a refusal)
+    "before HELLO": (before_hello, {**EMPTY, "connections": [None]}),
+    "beside a parked session": (beside_a_parked_session, PARKED),
+    "attached": (attached, BOUND),
+    "resumed": (resumed, BOUND),
+}
+UNBOUND = ("before HELLO", "beside a parked session")
+
+
+def body_of(frame_type, peer):
+    stream = list(getattr(peer, "stream", (1, 0)))
+    return {
+        HELLO: {"name": "b", "udp_port": 5001},
+        RESUME: {"token": "0" * 32, "udp_port": 5001},
+        SUBSCRIBE: {"sensor_id": 7},
+        UNSUBSCRIBE: {"subscription_id": getattr(peer, "subscription", 1)},
+        DISCOVER: {"kind": "temp"},
+        ADVERTISE: {"stream_index": 1, "kind": "wind", "encrypted": True},
+        PING: {},
+        CLOSE: {},
+        QUERY: {"stream_id": stream},
+        NACK: {"stream_id": stream, "sequences": [0, 1]},
+    }[frame_type]
+
+
+def accepted(frame_type, peer, response, tables):
+    """``(tables, counters)`` an accepted frame must leave behind."""
+    counters = {"control_frames": 1}
+    expected = copy.deepcopy(tables)
+    if frame_type == HELLO:
+        assert response["data_port"] == DATA_PORT
+        assert response["lease_ttl"] == LEASE
+        assert response["resume_grace"] == GRACE
+        assert len(response["resume_token"]) == 32
+        assert response["batch_datagrams"] is False  # not a batching broker
+        expected["connections"] = ["b"]
+        expected["states"]["b"] = "bound"
+        expected["udp_peers"][5001] = "b"
+        counters["pumps"] = 1
+    elif frame_type == SUBSCRIBE:
+        assert response["subscription_id"] == peer.subscription + 1
+        expected["subscriptions"]["a"] = 2
+        counters["pumps"] = 1
+    elif frame_type == UNSUBSCRIBE:
+        expected["subscriptions"] = {}
+        counters["pumps"] = 1
+    elif frame_type == DISCOVER:
+        [stream] = response["streams"]
+        assert (stream["sensor_id"], stream["kind"]) == (peer.stream[0], "temp")
+    elif frame_type == ADVERTISE:
+        assert response["stream_id"] == [peer.stream.sensor_id, 1]
+        counters["pumps"] = 1
+    elif frame_type == PING:
+        assert response["time"] == peer.world.clock()
+    elif frame_type == CLOSE:
+        expected = {**EMPTY, "connections": [None]}
+        counters["pumps"] = 1
+    elif frame_type == QUERY:
+        [record] = response["records"]
+        assert bytes.fromhex(record["frame"]) == peer.frame
+        assert response["truncated"] is False
+    elif frame_type == NACK:
+        assert response["records"] == [peer.frame.hex()]
+        assert response["missing"] == [1]
+        counters["nack_records"] = 1
+    return expected, counters
+
+
+def run_matrix_row(state, frame_type):
+    setup, tables = STATES[state]
+    world = World()
+    peer = setup(world)
+    assert world.tables() == tables
+    world.counted()
+    before = world.everything()
+    response = peer.send(frame_type, **body_of(frame_type, peer))
+    assert world.udp.take() == []  # no control frame here owes a datagram
+    if state in UNBOUND and frame_type == HELLO:
+        expected, counters = accepted(frame_type, peer, response, tables)
+    elif state in UNBOUND:
+        why = "resume token" if frame_type == RESUME else "HELLO must precede"
+        assert response == {"ok": False, "error": response["error"]}
+        assert why in response["error"]
+        expected, counters = None, {"control_frames": 1}
+    elif frame_type in (HELLO, RESUME):
+        assert response == {"ok": False, "error": "session already established"}
+        expected, counters = None, {"control_frames": 1}
+    else:
+        assert response["ok"] is True, response
+        expected, counters = accepted(frame_type, peer, response, tables)
+    if expected is None:
+        assert world.everything() == before  # refused: nothing moved
+    else:
+        assert world.tables() == expected
+    assert world.counted() == counters
+
+
+MATRIX = [(state, frame_type) for state in STATES for frame_type in CONTROL_BODIES]
+
+
+@pytest.mark.parametrize(
+    "state, frame_type",
+    MATRIX,
+    ids=[f"{CONTROL_FRAME_NAMES[f]} {s}" for s, f in MATRIX],
+)
+def test_frame_in_state(state, frame_type):
+    run_matrix_row(state, frame_type)
+
+
+# ----------------------------------------------------------------------
+# Lifecycle rows: how a client leaves, and how it comes back
+# ----------------------------------------------------------------------
+def row_close_drops_everything(tmp_path):
+    world = World()
+    a = attached(world)
+    pid = a.stream.sensor_id
+    world.counted()
+    assert a.ok(CLOSE) == {"ok": True}
+    assert world.tables() == {**EMPTY, "connections": [None]}
+    assert world.deployment.sessions() == []
+    assert pid not in world.deployment._publisher_ids._in_use
+    a.eof()  # the EOF that follows finds nothing left to park
+    assert world.tables() == EMPTY
+    assert world.counted() == {"control_frames": 1, "pumps": 2}
+    # The token died with the session.
+    Peer(world).refused(RESUME, "resume token", token=a.token, udp_port=5000)
+
+
+def row_eof_with_grace_parks(tmp_path):
+    world = World()
+    a = attached(world)
+    world.counted()
+    a.eof()
+    assert world.tables() == {**PARKED, "connections": []}
+    assert world.counted() == {"sessions_parked": 1, "pumps": 1}
+    # Deliveries to a parked session wait; nothing goes to its old address.
+    b = world.hello("b", port=5001)
+    world.publish(b, 0)  # unadvertised: kind "" does not match "temp"
+    b.ok(ADVERTISE, stream_index=0, kind="temp")
+    [frame] = world.publish(b, 1)
+    assert world.udp.take() == []
+    [state] = [s for s in world.broker._states.values() if s.name == "a"]
+    assert list(state.parked) == [frame]
+
+
+def row_eof_without_grace_drops(tmp_path):
+    world = World(transport_resume_grace=None)
+    a = world.hello("a")
+    assert a.token is None and "resume_grace" not in a.welcome
+    a.ok(SUBSCRIBE, kind="temp")
+    assert world.tables() == {**BOUND, "states": {}}
+    world.counted()
+    a.eof()
+    assert world.tables() == EMPTY
+    assert world.deployment.sessions() == []
+    assert world.counted() == {"pumps": 1}
+    Peer(world).refused(RESUME, "does not issue", token="0" * 32, udp_port=1)
+
+
+def row_eof_before_hello_is_nothing(tmp_path):
+    world = World()
+    Peer(world).eof()
+    assert world.tables() == EMPTY
+    assert world.counted() == {"pumps": 1}
+
+
+def row_resume_replays_parked_then_goes_live(tmp_path):
+    world = World()
+    a = attached(world)
+    b = world.hello("b", port=5001)
+    b.ok(ADVERTISE, stream_index=0, kind="temp")
+    [seen] = world.publish(b, 0)
+    assert world.udp.take() == [(seen, a.address)]
+    a.eof()
+    missed = world.publish(b, 1, 2)
+    assert world.udp.take() == []
+    world.counted()
+    again = Peer(world)
+    response = again.ok(
+        RESUME,
+        token=a.token,
+        udp_port=5002,  # a new socket on the client side
+        keepalive=0.5,
+        cursors={f"{b.stream[0]}:0": 0},
+    )
+    assert response == {
+        **a.welcome,  # the HELLO shape, echoed
+        "restored": True,
+        "subscriptions": {str(a.subscription): a.subscription},
+        "replayed": 2,
+        "replayed_store": 2,  # the store pass covers what was parked
+        "replayed_parked": 0,
+    }
+    assert world.udp.take() == [(frame, (HOST, 5002)) for frame in missed]
+    assert world.tables() == {
+        "connections": ["a", "b"],
+        "states": {"a": "bound", "b": "bound"},
+        "udp_peers": {5002: "a", 5001: "b"},
+        "subscriptions": {"a": 1},
+    }
+    assert again.connection.state.keepalive == 0.5
+    assert world.counted() == {
+        "control_frames": 1,
+        "sessions_resumed": 1,
+        "replayed_records": 2,
+        "datagrams_out": 2,
+        "pumps": 1,
+    }
+    # Live again, at the new address.
+    [live] = world.publish(b, 3)
+    assert world.udp.take() == [(live, (HOST, 5002))]
+
+
+def row_resume_without_a_store_replays_the_parked_buffer(tmp_path):
+    world = World(store_enabled=False)
+    a = world.hello("a")
+    a.ok(SUBSCRIBE, kind="temp")
+    b = world.hello("b", port=5001)
+    b.ok(ADVERTISE, stream_index=0, kind="temp")
+    a.eof()
+    parked = world.publish(b, 0, 1, 2)
+    world.counted()
+    response = Peer(world).ok(
+        RESUME, token=a.token, udp_port=5000, cursors={f"{b.stream[0]}:0": 0}
+    )
+    assert (response["replayed_store"], response["replayed_parked"]) == (0, 2)
+    assert world.udp.take() == [(frame, a.address) for frame in parked[1:]]
+    assert world.counted()["replayed_records"] == 2
+
+
+def row_expired_token_is_refused(tmp_path):
+    world = World()
+    a = attached(world)
+    pid = a.stream.sensor_id
+    a.eof()
+    world.counted()
+    world.clock.now += GRACE + 0.1
+    world.broker._housekeeping_tick()  # grace expiry, under the fake clock
+    assert world.tables() == EMPTY
+    assert world.deployment.sessions() == []
+    assert pid not in world.deployment._publisher_ids._in_use
+    assert world.counted() == {"sessions_reaped": 1, "pumps": 1}
+    late = Peer(world)
+    before = world.everything()
+    late.refused(RESUME, "unknown or expired", token=a.token, udp_port=5000)
+    assert world.everything() == before
+    # The name is free again.
+    late.ok(HELLO, name="a", udp_port=5000)
+
+
+def row_parked_session_outlives_its_lease_inside_the_grace(tmp_path):
+    world = World()
+    a = attached(world)
+    a.eof()
+    for _ in range(4):  # 4 s > LEASE, < GRACE
+        world.clock.now += 1.0
+        world.broker._housekeeping_tick()
+    assert world.tables() == {**PARKED, "connections": []}
+    Peer(world).ok(RESUME, token=a.token, udp_port=5000)
+
+
+def row_rehello_over_a_parked_name(tmp_path):
+    world = World()
+    a = attached(world)
+    a.eof()
+    world.counted()
+    again = Peer(world)
+    welcome = again.ok(HELLO, name="a", udp_port=5003)
+    assert welcome["resume_token"] != a.token
+    # The ghost yielded: its subscription went with it.
+    assert world.tables() == {
+        "connections": ["a"],
+        "states": {"a": "bound"},
+        "udp_peers": {5003: "a"},
+        "subscriptions": {},
+    }
+    assert world.counted() == {"control_frames": 1, "pumps": 1}
+    Peer(world).refused(RESUME, "resume token", token=a.token, udp_port=5000)
+
+
+def row_hello_under_a_live_name_is_refused(tmp_path):
+    world = World()
+    attached(world)
+    intruder = Peer(world)
+    before = world.everything()
+    response = intruder.send(HELLO, name="a", udp_port=5009)
+    assert response["ok"] is False
+    assert world.everything() == before
+
+
+def row_resume_overtakes_a_live_connection(tmp_path):
+    world = World()
+    a = attached(world)  # its socket is dead, the broker has not noticed
+    world.counted()
+    again = Peer(world)
+    response = again.ok(RESUME, token=a.token, udp_port=5000)
+    assert response["restored"] is True and response["replayed"] == 0
+    assert a.writer.aborted and a.connection.state is None
+    assert world.tables() == {**BOUND, "connections": [None, "a"]}
+    assert world.broker._udp_peers[a.address] is again.connection
+    assert world.counted() == {
+        "control_frames": 1, "sessions_resumed": 1, "pumps": 1,
+    }
+    a.eof()  # the stale socket's EOF, late: nothing left for it to park
+    assert world.tables() == BOUND
+    assert world.counted() == {"pumps": 1}
+
+
+def row_resume_after_a_broker_restart_revives_the_session(tmp_path):
+    path = tmp_path / "sessions.json"
+    world = World(sessions_path=path)
+    a = attached(world)
+    a.ok(SUBSCRIBE, stream_id=[7, 1])
+    assert path.exists()
+    # The broker dies; a new one comes up over the same sessions file.
+    reborn = World(sessions_path=path)
+    reborn.broker._load_sessions()
+    assert reborn.tables() == {**EMPTY, "states": {"a": "parked"}}
+    assert a.stream.sensor_id in reborn.deployment._publisher_ids._in_use
+    reborn.counted()
+    response = Peer(reborn).ok(RESUME, token=a.token, udp_port=5000)
+    assert response["restored"] is False
+    assert response["publisher_id"] == a.stream.sensor_id
+    assert sorted(response["subscriptions"]) == ["1", "2"]
+    assert reborn.tables() == {**BOUND, "subscriptions": {"a": 2}}
+    # Its advertisement came back with it.
+    b = reborn.hello("b", port=5001)
+    [advert] = b.ok(DISCOVER, kind="temp")["streams"]
+    assert advert["sensor_id"] == a.stream.sensor_id
+
+
+def row_revival_refused_leaves_the_state_parked(tmp_path):
+    path = tmp_path / "sessions.json"
+    world = World(sessions_path=path)
+    a = attached(world)
+    reborn = World(sessions_path=path)
+    reborn.broker._load_sessions()
+    reborn.deployment.broker.crash()
+    late = Peer(reborn)
+    before = reborn.everything()
+    response = late.send(RESUME, token=a.token, udp_port=5000)
+    assert response["ok"] is False
+    assert reborn.everything() == before
+    reborn.deployment.broker.restart()
+    late.ok(RESUME, token=a.token, udp_port=5000)
+
+
+def row_lease_reap_tears_down_silent_clients(tmp_path):
+    # (a) the reap path forgot the peer table: one leaked entry a client.
+    world = World()
+    clients = [world.hello(f"c{n}", port=5000 + n) for n in range(5)]
+    for client in clients:
+        client.ok(SUBSCRIBE, kind="temp")
+    world.counted()
+    world.clock.now += LEASE + 0.1
+    world.broker._housekeeping_tick()
+    assert world.tables() == {**EMPTY, "connections": [None] * 5}
+    assert all(client.writer.aborted for client in clients)
+    assert world.deployment.sessions() == []
+    assert world.deployment._publisher_ids._in_use == set()
+    assert world.counted() == {"sessions_reaped": 5, "pumps": 1}
+    late = Peer(world)
+    for client in clients:
+        client.eof()
+        late.refused(RESUME, "resume token", token=client.token, udp_port=5000)
+    assert world.tables() == {**EMPTY, "connections": [None]}
+
+
+def row_traffic_on_either_plane_keeps_a_lease(tmp_path):
+    world = World()
+    talker, publisher, silent = (
+        world.hello(name, port=5000 + n)
+        for n, name in enumerate(("talker", "publisher", "silent"))
+    )
+    for _ in range(3):
+        world.clock.now += LEASE * 0.6
+        talker.ok(PING)
+        world.publish(publisher, 0)
+        world.broker._housekeeping_tick()
+    assert world.tables()["connections"] == [None, "publisher", "talker"]
+    assert silent.writer.aborted
+
+
+def row_missed_keepalives_abort_then_park(tmp_path):
+    world = World(broker_lease_ttl=None)
+    a = world.hello("a", keepalive=0.5)
+    assert "lease_ttl" not in a.welcome
+    world.clock.now += 0.9
+    world.broker._housekeeping_tick()
+    assert not a.writer.aborted  # idle limit is max(3 keepalives, 1 s)
+    world.clock.now += 0.7
+    world.broker._housekeeping_tick()
+    assert a.writer.aborted
+    a.eof()  # what the abort causes
+    assert world.tables()["states"] == {"a": "parked"}
+
+
+def row_a_closing_connection_keeps_its_hands_off_a_reused_address(tmp_path):
+    # (b) two HELLOs announce one UDP port; the first connection closes.
+    world = World()
+    first = world.hello("first", port=5000)
+    second = world.hello("second", port=5000)
+    first.eof()
+    assert world.tables()["udp_peers"] == {5000: "second"}
+    # The owner's datagrams still count as its activity and renew its
+    # lease: it outlives several TTLs on data-plane traffic alone.
+    for _ in range(4):
+        world.clock.now += LEASE * 0.6
+        world.publish(second, 0)
+        world.broker._housekeeping_tick()
+    assert second.connection.last_activity == world.clock()
+    assert world.tables()["connections"] == ["second"]
+    first_again = Peer(world)
+    first_again.ok(RESUME, token=first.token, udp_port=5000)
+    second.ok(CLOSE)
+    assert world.tables()["udp_peers"] == {5000: "first"}
+
+
+def row_a_refused_subscribe_installs_nothing(tmp_path):
+    # (c) {"kind": 5} died after the dispatcher had recorded the
+    # subscription; CLOSE then left the client's other one routed to a
+    # dead endpoint, for the next "a" to inherit.
+    world = World()
+    a = world.hello("a")
+    a.ok(SUBSCRIBE, kind="temp.*")
+    before = world.everything()
+    for body in ({"kind": 5}, {"stream_id": [1]}, {"sensor_id": [1]}):
+        a.refused(SUBSCRIBE, "SUBSCRIBE", **body)
+        assert world.everything() == before
+    a.refused(QUERY, "QUERY", stream_id=[1])
+    a.refused(NACK, "NACK", stream_id=[1], sequences=[0])
+    a.ok(CLOSE)
+    dispatcher = world.deployment.dispatcher
+    assert dispatcher.subscription_count() == 0
+    assert dispatcher._by_endpoint == {}
+    # A second client named "a" receives nothing it did not subscribe to.
+    heir = world.hello("a", port=5005)
+    b = world.hello("b", port=5001)
+    b.ok(ADVERTISE, stream_index=0, kind="temp.1")
+    world.publish(b, 0)
+    assert world.udp.take() == []
+    heir.ok(SUBSCRIBE, kind="temp.*")
+    [frame] = world.publish(b, 1)
+    assert world.udp.take() == [(frame, (HOST, 5005))]
+
+
+def row_storeless_nack_answers_ok_with_everything_missing(tmp_path):
+    world = World(store_enabled=False)
+    a = world.hello("a")
+    assert a.ok(NACK, stream_id=[1, 0], sequences=[3, 1, 2]) == {
+        "ok": True, "records": [], "missing": [1, 2, 3],
+    }
+    a.refused(QUERY, "no stream store", stream_id=[1, 0])
+    a.refused(SUBSCRIBE, "store_enabled", kind="temp", replay="history")
+    a.refused(SUBSCRIBE, "replay mode", kind="temp", replay="sideways")
+
+
+def row_nack_overrunning_the_response_is_not_called_missing(tmp_path):
+    # Five retained 60,000-byte records, room for four: the fifth used to
+    # come back under ``missing``, which the client gives up on.
+    world = World()
+    a = world.hello("a")
+    frames = [
+        world.frame(a.stream, sequence, bytes(60_000)) for sequence in range(5)
+    ]
+    for frame in frames:
+        world.broker._on_datagram(frame)
+    response = a.ok(NACK, stream_id=list(a.stream), sequences=[0, 1, 2, 3, 4, 9])
+    assert response["records"] == [frame.hex() for frame in frames[:4]]
+    assert response["missing"] == [9]
+    response = a.ok(NACK, stream_id=list(a.stream), sequences=[4])
+    assert response == {"ok": True, "records": [frames[4].hex()], "missing": []}
+
+
+def row_unknown_frame_types_are_counted_in_any_state(tmp_path):
+    world = World()
+    for peer in (Peer(world), world.hello("a")):
+        world.counted()
+        before = world.everything()
+        peer.refused(0x7F, "unknown frame type 0x7f")
+        assert world.everything() == before
+        assert world.counted() == {
+            "control_frames": 1, "unknown_control_frames": 1,
+        }
+
+
+def row_batching_is_the_brokers_to_grant(tmp_path):
+    world = World(fanout_enabled=True)
+    plain = world.hello("plain", port=5001)
+    batching = world.hello("batching", port=5002, batch_datagrams=True)
+    assert plain.welcome["batch_datagrams"] is False
+    assert batching.welcome["batch_datagrams"] is True
+    for peer in (plain, batching):
+        peer.ok(SUBSCRIBE, kind="temp")
+    pub = world.hello("pub", port=5003)
+    pub.ok(ADVERTISE, stream_index=0, kind="temp")
+    world.udp.take()
+    frames = world.publish(pub, 0, 1, 2)
+    sent = world.udp.take()
+    assert [d for d, address in sent if address[1] == 5001] == frames
+    [batch] = [d for d, address in sent if address[1] == 5002]
+    assert all(frame in batch for frame in frames)
+    # Unflushed batched deliveries survive a park like any other.
+    batching.connection.state.outbox.append(b"pending")
+    batching.eof()
+    assert batching.connection.state is None
+    [state] = [s for s in world.broker._states.values() if s.parked_now]
+    assert list(state.parked) == [b"pending"] and state.outbox == []
+
+
+def row_stop_detaches_everyone_and_keeps_the_sessions_file(tmp_path):
+    path = tmp_path / "sessions.json"
+    world = World(sessions_path=path)
+    a = attached(world)
+    world.hello("b", port=5001).eof()  # one bound, one parked
+    stopping = world.broker.stop()
+    with pytest.raises(StopIteration):
+        stopping.send(None)  # never started: nothing for it to await
+    assert a.writer.aborted
+    assert world.tables() == {**EMPTY, "connections": [None]}
+    assert world.deployment.sessions() == []
+    assert world.deployment._publisher_ids._in_use == set()
+    # What a restarted broker may still honour was written first.
+    reborn = World(sessions_path=path)
+    reborn.broker._load_sessions()
+    assert reborn.tables()["states"] == {"a": "parked", "b": "parked"}
+    a.eof()  # the aborted socket's EOF: nothing to park, nothing persisted
+    assert world.tables() == EMPTY
+
+
+LIFECYCLE = [
+    value for name, value in sorted(globals().items()) if name.startswith("row_")
+]
+
+
+@pytest.mark.parametrize("row", LIFECYCLE, ids=lambda row: row.__name__[4:])
+def test_lifecycle(row, tmp_path):
+    row(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# Which branches the rows reach
+# ----------------------------------------------------------------------
+def test_rows_reach_every_teardown_and_resume_branch(tmp_path):
+    """Every ``_HANDLERS`` entry is entered, and every line of the
+    functions that attach and detach a client runs, under the rows above
+    (no coverage tool here: ``sys.settrace`` over just those functions)."""
+    handlers = {
+        handler.__code__: CONTROL_FRAME_NAMES[frame_type]
+        for frame_type, handler in LiveBroker._HANDLERS.items()
+    }
+    watched = {
+        function.__code__: function.__name__
+        for function in (
+            LiveBroker._handle_frame,
+            LiveBroker._bind,
+            LiveBroker._unbind,
+            LiveBroker._detach,
+            LiveBroker._on_resume,
+        )
+    }
+    entered, ran = set(), set()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code in handlers:
+            entered.add(handlers[code])
+        if code not in watched:
+            return None
+
+        def on_line(frame, event, arg):
+            ran.add((code, frame.f_lineno))
+            return on_line
+
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        for state, frame_type in MATRIX:
+            run_matrix_row(state, frame_type)
+        for index, row in enumerate(LIFECYCLE):
+            directory = tmp_path / str(index)
+            directory.mkdir()
+            row(directory)
+    finally:
+        sys.settrace(previous)
+    assert entered == set(CONTROL_FRAME_NAMES.values())
+    for code, name in watched.items():
+        lines = {line for _, _, line in code.co_lines() if line is not None}
+        lines.discard(code.co_firstlineno)  # the ``def``: a call, not a line
+        missed = sorted(lines - {line for ran_in, line in ran if ran_in is code})
+        assert missed == [], f"no row runs {name} lines {missed}"
+
+
+# ----------------------------------------------------------------------
+# Property: no body, on any frame type, escapes or half-applies
+# ----------------------------------------------------------------------
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([0, 1, 255, 256, 65535, 65536, 1 << 24, 10**400, -1]),
+    st.floats(allow_nan=True, allow_infinity=True),  # json.loads reads NaN
+    st.text(max_size=6),
+    st.sampled_from(["temp", "temp.*", "history", "1:0", "16777215:255", ":"]),
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=3),
+    st.lists(st.lists(SCALARS, max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=6), SCALARS, max_size=3),
+)
+FIELD_NAMES = sorted({name for spec in CONTROL_BODIES.values() for name in spec})
+NOISE = st.dictionaries(
+    st.one_of(st.sampled_from(FIELD_NAMES), st.text(max_size=6)),
+    VALUES,
+    max_size=4,
+)
+
+
+class Scene:
+    """One attached client, one parked ghost, and the way back to exactly
+    that after each kind of accepted frame — so two hundred examples run
+    against one broker, each from the same start."""
+
+    def __init__(self):
+        self.world = World(broker_lease_ttl=None)
+        self.bound = attached(self.world)
+        self.ghost = self.world.hello("ghost", port=5001)
+        self.ghost.eof()
+        self.tried = dict.fromkeys([*CONTROL_BODIES, 0x7F], 0)
+
+    def valid(self, frame_type):
+        if frame_type == RESUME:
+            return {"token": self.ghost.token, "udp_port": 5001}
+        return body_of(frame_type, self.bound) if frame_type != 0x7F else {}
+
+    def undo(self, frame_type, peer, response):
+        if frame_type == HELLO:
+            peer.ok(CLOSE)
+        elif frame_type == SUBSCRIBE:
+            peer.ok(UNSUBSCRIBE, subscription_id=response["subscription_id"])
+        elif frame_type == UNSUBSCRIBE:
+            peer.subscription = peer.ok(SUBSCRIBE, kind="temp")["subscription_id"]
+        elif frame_type == CLOSE:
+            peer.eof()
+            self.bound = attached(self.world)
+        # RESUME: the EOF below parks the ghost again, token and all.
+
+    def send(self, frame_type, body):
+        self.tried[frame_type] += 1
+        world = self.world
+        start = world.everything()
+        handshake = frame_type in (HELLO, RESUME)
+        peer = Peer(world) if handshake else self.bound
+        before = world.everything()
+        response = peer.send(frame_type, **body)  # must not raise
+        if response["ok"]:
+            self.undo(frame_type, peer, response)
+        else:
+            assert isinstance(response["error"], str)
+            assert world.everything() == before  # refused: nothing moved
+        if handshake:
+            peer.eof()
+        world.udp.take()
+        assert world.everything() == start
+
+
+SCENE = Scene()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(NOISE)
+def test_no_body_escapes_or_half_applies(noise):
+    """Each example goes to every frame type twice: as it is, and laid
+    over that frame's valid body (so single fields go wrong in an
+    otherwise acceptable request)."""
+    for frame_type in SCENE.tried:
+        SCENE.send(frame_type, noise)
+        SCENE.send(frame_type, {**SCENE.valid(frame_type), **noise})
+
+
+def test_the_property_ran_two_hundred_bodies_per_frame_type():
+    assert min(SCENE.tried.values()) >= 200, SCENE.tried
+
+
+def test_every_table_field_refuses_what_it_should():
+    """The ranges the table states, at their edges."""
+    world = World()
+    a = attached(world)
+    edges = {
+        (HELLO, "udp_port"): ([1, 65535], [0, 65536, "5000", 5000.0, True]),
+        (HELLO, "keepalive"): ([0.001, 5, None], [0, -1.0, "1", float("inf"), float("nan"), 10**400, True]),
+        (HELLO, "name"): (["a-b"], ["", 5, None, ["a"]]),
+        (HELLO, "batch_datagrams"): ([True, False, None], [1, "yes"]),
+        (SUBSCRIBE, "sensor_id"): ([0, (1 << 24) - 1], [-1, 1 << 24, "7", 7.0]),
+        (SUBSCRIBE, "stream_index"): ([0, 255], [-1, 256]),
+        (SUBSCRIBE, "stream_id"): ([[0, 0], [(1 << 24) - 1, 255]], [[1], [1, 2, 3], [1 << 24, 0], [0, 256], "1:0", {"a": 1}, [[1], 0]]),
+        (SUBSCRIBE, "kind"): (["temp", "temp.*", ""], [5, ["temp"]]),
+        (SUBSCRIBE, "derived"): ([True, False], [0, "no"]),
+        (UNSUBSCRIBE, "subscription_id"): ([], [-1, "1", None, 1.0]),
+        (ADVERTISE, "stream_index"): ([0, 255], [256, None, "0"]),
+        (QUERY, "stream_id"): ([], [None, [1], "1:0"]),
+        (QUERY, "start"): ([0, 1.5, None], ["0", float("nan"), float("inf")]),
+        (QUERY, "limit"): ([1, 10, None], [0, -1, 1.0]),
+        (RESUME, "token"): ([], [None, "", 5]),
+        (RESUME, "cursors"): (
+            [{}, None, {"1:0": 0, "16777215:255": 65535}],
+            [[], {"1": 0}, {"1:0": 65536}, {"1:0": -1}, {"x:0": 0}, {"1:256": 0}, {"16777216:0": 0}, {"1:0": "0"}, {" 1:0": 0}, {"١:0": 0}],
+        ),
+        (NACK, "sequences"): ([[0], [65535, 0]], [[], None, [65536], [-1], ["0"], 0, [[0]]]),
+    }
+    from repro.transport.framing import parse_control_body
+
+    for (frame_type, field), (good, bad) in edges.items():
+        valid = body_of(frame_type, a)
+        if frame_type == RESUME:
+            valid = {"token": "t", "udp_port": 1}
+        for value in good:
+            parse_control_body(frame_type, {**valid, field: value})
+        for value in bad:
+            with pytest.raises(TransportError, match=field):
+                parse_control_body(frame_type, {**valid, field: value})
+    with pytest.raises(TransportError, match="unknown frame type"):
+        parse_control_body(0x7F, {})
+    with pytest.raises(TransportError, match="object"):
+        parse_control_body(PING, [])
+    # Unknown fields are ignored; absent optional ones come back None.
+    assert parse_control_body(PING, {"extra": 1}) == {}
+    assert parse_control_body(DISCOVER, {}) == {
+        "kind": None, "sensor_id": None, "derived": None,
+    }
+
+
+# ----------------------------------------------------------------------
+# Client half: a threadless LiveSession wired to the broker in-process
+# ----------------------------------------------------------------------
+class Channel:
+    """A control channel: requests go straight into ``_handle_frame``."""
+
+    def __init__(self, wire):
+        self.wire = wire
+        self.peer = Peer(wire.world, HOST)
+        self.assembler = ControlFrameAssembler()
+        self.responses = []
+        self.closed = False
+
+    def sendall(self, data):
+        if self.closed or self.peer.writer.aborted or self.wire.severed:
+            raise ConnectionResetError("channel is dead")
+        for frame_type, body in self.assembler.feed(data):
+            self.wire.requests.append(CONTROL_FRAME_NAMES[frame_type])
+            response = self.wire.world.broker._handle_frame(
+                self.peer.connection, frame_type, body
+            )
+            self.responses.append(
+                encode_control_frame(frame_type | RESPONSE_FLAG, response)
+            )
+
+    def recv(self, size):
+        return self.responses.pop(0) if self.responses else b""
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            self.peer.eof()
+
+
+class Wire:
+    """``client._SocketWire`` without the sockets: the same five things —
+    dial, sendto, receive, clock, wait — against a ``World``."""
+
+    udp_port = 6000
+
+    def __init__(self, world):
+        self.world = world
+        self.clock = world.clock
+        self.requests = []
+        self.waits = []
+        self.severed = False  # the network: dials and requests fail
+        self.closed = False
+        self.control = self.dial()
+
+    def dial(self):
+        if self.severed:
+            raise ConnectionRefusedError("no route to the broker")
+        return Channel(self)
+
+    def sendto(self, datagram, address):
+        assert address == ("broker.test", DATA_PORT)
+        if not self.severed:
+            broker = self.world.broker
+            broker._drain_stamp = self.clock()
+            broker._on_datagram(datagram)
+            broker._after_drain([(HOST, self.udp_port)])
+
+    def wait(self, seconds):
+        self.waits.append(seconds)
+        self.clock.now += seconds
+        return self.closed
+
+    def receive(self):
+        return None
+
+    def close(self):
+        self.closed = True
+
+
+FAST = BackoffPolicy(base=0.05, multiplier=2.0, max_delay=0.2, jitter=0.0, max_attempts=3)
+
+
+def live_session(world, name, monkeypatch, **options):
+    monkeypatch.setattr(
+        client_module, "_SocketWire", lambda host, port, timeout: Wire(world)
+    )
+    session = LiveSession("garnet://broker.test:7341", name, **options)
+    assert session._reader is None and session._housekeeper is None
+    world.udp.listeners[(HOST, Wire.udp_port)] = session._handle_datagram
+    return session
+
+
+@pytest.fixture
+def pair(monkeypatch):
+    """A store-backed world, a raw publisher and a resilient subscriber."""
+    monkeypatch.setattr(LiveSession, "_start_threads", lambda self: None)
+    world = World()
+    publisher = world.hello("pub", port=5001)
+    publisher.ok(ADVERTISE, stream_index=0, kind="temp")
+    subscriber = live_session(
+        world, "sub", monkeypatch, reconnect=FAST, keepalive=0.5
+    )
+    subscriber.received = []
+    subscriber.on_data(
+        lambda arrival: subscriber.received.append(arrival.message.sequence)
+    )
+    subscriber.subscribe(kind="temp")
+    return world, publisher, subscriber
+
+
+class TestClientHalf:
+    def test_duplicates_are_dropped_before_the_callbacks(self, pair):
+        world, publisher, subscriber = pair
+        [frame] = world.publish(publisher, 0)
+        subscriber._handle_datagram(frame)  # the network repeats itself
+        assert subscriber.received == [0]
+        assert subscriber.stats.duplicates_dropped == 1
+        assert subscriber.stats.deliveries == 1
+
+    def test_gap_is_nacked_only_after_the_repair_delay(self, pair):
+        world, publisher, subscriber = pair
+        world.publish(publisher, 0)
+        world.udp.drop = 1
+        world.publish(publisher, 1)  # lost on the way out
+        world.publish(publisher, 2)
+        assert subscriber.received == [0, 2]
+        assert subscriber.stats.gaps_detected == 1
+        wire = subscriber._wire
+        wire.requests.clear()
+        world.clock.now += client_module._REPAIR_DELAY / 2
+        subscriber._repair_tick()
+        assert wire.requests == []  # too young to ask about
+        world.clock.now += client_module._REPAIR_DELAY / 2
+        subscriber._repair_tick()
+        assert wire.requests == ["NACK"]
+        assert subscriber.received == [0, 2, 1]
+        assert subscriber.stats.gaps_repaired == 1
+        subscriber._repair_tick()
+        assert wire.requests == ["NACK"]  # repaired: nothing left to ask
+
+    def test_what_the_broker_cannot_repair_is_given_up_on(self, monkeypatch):
+        monkeypatch.setattr(LiveSession, "_start_threads", lambda self: None)
+        world = World(store_enabled=False)
+        publisher = world.hello("pub", port=5001)
+        publisher.ok(ADVERTISE, stream_index=0, kind="temp")
+        subscriber = live_session(world, "sub", monkeypatch, reconnect=FAST)
+        subscriber.subscribe(kind="temp")
+        world.publish(publisher, 0)
+        world.udp.drop = 2
+        world.publish(publisher, 1, 2)
+        world.publish(publisher, 3)
+        assert subscriber.stats.gaps_detected == 2
+        world.clock.now += client_module._REPAIR_DELAY
+        subscriber._wire.requests.clear()
+        subscriber._repair_tick()
+        assert subscriber.stats.gaps_unrepairable == 2
+        subscriber._repair_tick()
+        assert subscriber._wire.requests == ["NACK"]  # asked once, not again
+
+    def test_keepalive_pings_on_its_period_and_notices_a_dead_channel(
+        self, pair
+    ):
+        world, _, subscriber = pair
+        wire = subscriber._wire
+        wire.requests.clear()
+        subscriber._keepalive_tick()
+        assert wire.requests == []
+        world.clock.now += 0.5
+        subscriber._keepalive_tick()
+        assert wire.requests == ["PING"]
+        states = []
+        subscriber.on_state(states.append)
+        wire.severed = True
+        world.clock.now += 0.5
+        subscriber._keepalive_tick()
+        assert subscriber.stats.keepalive_failures == 1
+        assert subscriber.state == "reconnecting" and states == ["reconnecting"]
+        assert world.tables()["states"]["sub"] == "parked"
+
+    def test_resume_replays_the_outage_and_resends_the_tail(self, pair):
+        world, publisher, subscriber = pair
+        watcher = world.hello("watcher", port=5002)
+        mine = StreamId(subscriber.publisher_id, 0)
+        watcher.ok(SUBSCRIBE, stream_id=list(mine))
+        subscriber.publish(0, b"before")
+        world.publish(publisher, 0)
+        world.udp.take()
+        subscriber._wire.severed = True
+        with pytest.raises(TransportError):
+            subscriber.ping()
+        assert subscriber.state == "reconnecting"
+        with pytest.raises(TransportError, match="reconnecting"):
+            subscriber.ping()
+        world.publish(publisher, 1, 2)  # missed: parked and stored
+        subscriber.publish(0, b"during")  # buffered, sequence 1
+        assert subscriber.stats.buffered_publishes == 1
+        subscriber._wire.severed = False
+        subscriber._wire.requests.clear()
+        subscriber._run_reconnect()
+        assert subscriber._wire.requests == ["RESUME"]
+        assert subscriber.state == "connected"
+        assert subscriber.received == [0, 1, 2]
+        stats = subscriber.stats
+        assert (stats.resumes, stats.rehellos, stats.replayed) == (1, 0, 2)
+        assert (stats.reconnects, stats.tail_resends) == (1, 1)
+        # The watcher saw "before" once more (the tail) and then "during".
+        to_watcher = [
+            world.deployment.codec.decode(data)
+            for data, address in world.udp.take()
+            if address == watcher.address
+        ]
+        assert [(m.sequence, m.payload) for m in to_watcher] == [
+            (0, b"before"), (1, b"during"),
+        ]
+
+    def test_refused_token_falls_back_to_hello_and_reinstalls_the_ledgers(
+        self, pair
+    ):
+        world, publisher, subscriber = pair
+        subscriber.publish(3, b"x", kind="wind")  # an advertisement to redo
+        old_token = subscriber.resume_token
+        subscriber._wire.severed = True
+        with pytest.raises(TransportError):
+            subscriber.ping()
+        for _ in range(6):  # the parked session's grace runs out
+            world.clock.now += 1.0
+            publisher.ok(PING)
+            world.broker._housekeeping_tick()
+        assert world.tables()["states"] == {"pub": "bound"}
+        subscriber._wire.severed = False
+        subscriber._wire.requests.clear()
+        subscriber._run_reconnect()
+        assert subscriber._wire.requests == [
+            "RESUME", "HELLO", "SUBSCRIBE", "ADVERTISE",
+        ]
+        assert (subscriber.stats.resumes, subscriber.stats.rehellos) == (0, 1)
+        assert subscriber.resume_token not in (None, old_token)
+        assert world.tables()["subscriptions"] == {"sub": 1}
+        assert len(subscriber.subscription_ids) == 1
+        [wind] = world.hello("w", port=5003).ok(DISCOVER, kind="wind")["streams"]
+        assert wind["sensor_id"] == subscriber.publisher_id
+        assert wind["stream_index"] == 3
+        world.publish(publisher, 0)
+        assert subscriber.received == [0]
+
+    def test_outage_buffer_overflow_drops_the_oldest(self, pair, monkeypatch):
+        world, _, subscriber = pair
+        monkeypatch.setattr(client_module, "_PUBLISH_BUFFER", 4)
+        subscriber._wire.severed = True
+        with pytest.raises(TransportError):
+            subscriber.ping()
+        for index in range(6):
+            subscriber.publish(0, bytes([index]))
+        assert subscriber.stats.buffered_publishes == 6
+        assert subscriber.stats.buffer_overflows == 2
+        assert [entry[1] for entry in subscriber._publish_buffer] == [2, 3, 4, 5]
+
+    def test_gives_up_after_max_attempts(self, pair):
+        world, _, subscriber = pair
+        states = []
+        subscriber.on_state(states.append)
+        subscriber._wire.severed = True
+        with pytest.raises(TransportError):
+            subscriber.ping()
+        subscriber._wire.waits.clear()
+        subscriber._run_reconnect()
+        assert subscriber._wire.waits == [0.05, 0.1, 0.2]  # FAST, no jitter
+        assert subscriber.closed and subscriber.state == "closed"
+        assert states == ["reconnecting", "closed"]
+        assert subscriber._wire.closed
+        with pytest.raises(TransportError, match="closed"):
+            subscriber.publish(0, b"x")
+        subscriber.close()  # idempotent
+        assert states == ["reconnecting", "closed"]
+
+    def test_close_says_close_once_and_frees_the_broker_side(self, pair):
+        world, _, subscriber = pair
+        subscriber._wire.requests.clear()
+        subscriber.close()
+        subscriber.close()
+        assert subscriber._wire.requests == ["CLOSE"]
+        assert world.tables() == {
+            "connections": ["pub"],
+            "states": {"pub": "bound"},
+            "udp_peers": {5001: "pub"},
+            "subscriptions": {},
+        }
+
+    def test_an_overlong_publish_is_refused_before_it_costs_anything(
+        self, pair
+    ):
+        # (d) the codec builds it, UDP cannot carry it.
+        world, _, subscriber = pair
+        watcher = world.hello("watcher", port=5002)
+        watcher.ok(SUBSCRIBE, stream_id=[subscriber.publisher_id, 0])
+        world.udp.take()
+        with pytest.raises(TransportError, match="datagram"):
+            subscriber.publish(0, b"x" * 65535, kind="bulk")
+        assert subscriber.stats.published == 0
+        assert not subscriber._resend_tail and subscriber._advertised == {}
+        subscriber._wire.severed = True
+        with pytest.raises(TransportError):
+            subscriber.ping()
+        with pytest.raises(TransportError, match="datagram"):
+            subscriber.publish(0, b"x" * 65535)  # not buffered either
+        assert subscriber._publish_buffer == []
+        subscriber._wire.severed = False
+        subscriber._run_reconnect()
+        subscriber.publish(0, b"fits")
+        [(data, _)] = [
+            sent for sent in world.udp.take() if sent[1] == watcher.address
+        ]
+        assert world.deployment.codec.decode(data).sequence == 0  # no gap

@@ -434,6 +434,10 @@ class TestDeadPeerReaping:
                 timeout=10,
             )
             assert publisher_id not in deployment._publisher_ids
+            # Nothing of it is left, the data-plane peer entry included
+            # (the reap path used to forget that one table).
+            assert h.broker._udp_peers == {}
+            assert h.broker._states == {}
             # The reaped client's TCP connection was aborted too.
             tcp.settimeout(2.0)
             assert tcp.recv(65536) == b""

@@ -174,3 +174,89 @@ def test_every_node_is_wired_like_the_primary():
     assert len({id(node.admission) for node in nodes}) == len(nodes)
     assert len({id(node.orphanage) for node in nodes}) == len(nodes)
     assert len({node.dispatch_inbox for node in nodes}) == len(nodes)
+
+
+# ----------------------------------------------------------------------
+# The live transport says each protocol fact once
+# ----------------------------------------------------------------------
+LIVE_CLIENT = SRC / "repro" / "transport" / "client.py"
+
+
+def _live_broker_methods() -> list[ast.FunctionDef]:
+    for node in ast.parse(LIVE_BROKER.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == "LiveBroker":
+            return [
+                member
+                for member in node.body
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    raise AssertionError("LiveBroker not found")
+
+
+def test_udp_peers_is_written_by_bind_and_unbind_only():
+    """One attach, one detach: every other path goes through them."""
+    writers = set()
+    for method in _live_broker_methods():
+        for node in ast.walk(method):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("pop", "popitem", "clear", "update")
+            ):
+                targets = [node.func]
+            else:
+                continue
+            if any("_udp_peers" in ast.unparse(target) for target in targets):
+                writers.add(method.name)
+    assert writers == {"_bind", "_unbind"}  # (__init__ declares it)
+
+
+def test_live_handlers_see_checked_fields_never_the_raw_body():
+    """``_handle_frame`` runs the body table first; a handler that reads
+    ``body[...]`` or ``body.get(...)`` would be a check that is missing."""
+    handlers = [m for m in _live_broker_methods() if m.name.startswith("_on_")]
+    assert len(handlers) >= 10
+    offenders = []
+    for method in handlers:
+        assert "body" not in {arg.arg for arg in method.args.args}, method.name
+        for node in ast.walk(method):
+            value = None
+            if isinstance(node, ast.Subscript):
+                value = node.value
+            elif isinstance(node, ast.Attribute) and node.attr == "get":
+                value = node.value
+            if isinstance(value, ast.Name) and value.id == "body":
+                offenders.append((method.name, node.lineno))
+    assert offenders == []
+
+
+def test_live_client_builds_each_frame_in_one_place():
+    tree = ast.parse(LIVE_CLIENT.read_text())
+    # As a body key, that is; LiveSessionStats has a counter of the name.
+    handshake_literals = [
+        key.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if isinstance(key, ast.Constant) and key.value == "batch_datagrams"
+    ]
+    messages_built = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "DataMessage"
+    ]
+    assert len(handshake_literals) == 1, handshake_literals
+    assert len(messages_built) == 1, messages_built
+
+
+def test_live_broker_reads_one_clock():
+    assert "_loop.time()" not in LIVE_BROKER.read_text()
+
+
+def test_the_one_implementer_transport_seam_stays_deleted():
+    base = SRC / "repro" / "transport" / "base.py"
+    assert "class Transport" not in base.read_text()
