@@ -13,10 +13,10 @@ Sections
 - **broadcast**: `WirelessMedium.broadcast` frames/second with the
   uniform-grid spatial index on vs off (the exhaustive linear scan), at
   several static-listener counts.
-- **broadcast_vector**: `WirelessMedium.broadcast` frames/second with
-  ``vectorized`` on vs off in the *dense* regime (every listener in
-  range, loss model enabled) where the per-listener RSSI + survival
-  loop dominates.
+- **broadcast_dense**: `WirelessMedium.broadcast` frames/second in the
+  *dense* regime (every listener in range, loss model enabled) where
+  the per-listener RSSI + survival loop dominates. One implementation,
+  so an absolute trajectory number.
 - **dispatch**: `_compute_route` throughput under bucketed patterned
   subscriptions, and `remove_endpoint` churn (lease-reap shape). No
   kill switch exists for the dispatch indexes, so these are absolute
@@ -26,8 +26,10 @@ Sections
   repo's ``src``. Pass ``--e2e-baseline-src <path>`` (a ``src`` directory
   from a git worktree of an older commit) to run the identical program
   against that tree too and report ``speedup_vs_seed``; the two runs
-  must process exactly the same number of events, which doubles as a
-  cross-version determinism check. The committed baseline was measured
+  must make exactly the same transmissions and radio deliveries, which
+  doubles as a cross-version determinism check (kernel event counts
+  differ by design: a transmission's copies ride one event here, one
+  event each at the seed). The committed baseline was measured
   against the pre-E18 seed commit::
 
       git worktree add .tmp-seed <seed-commit>
@@ -35,10 +37,8 @@ Sections
           --e2e-baseline-src .tmp-seed/src
       git worktree remove .tmp-seed
 
-- **e2e_vector**: the dense variant — 1200+ listeners every
-  transmission reaches under a harsh loss model, run with
-  ``wireless_vectorized`` on and off; ``--check`` enforces an absolute
-  speedup floor of ``E2E_VECTOR_MIN_SPEEDUP``.
+- **e2e_dense**: the dense variant — 1200+ listeners every
+  transmission reaches under a harsh loss model.
 
 Usage::
 
@@ -47,8 +47,8 @@ Usage::
         [--e2e-baseline-src PATH]
 
 ``--check`` compares the fresh numbers against the committed JSON and
-exits non-zero when the codec or broadcast ratios regressed by more than
-30% — the CI contract from DESIGN/E18.
+exits non-zero when the codec or broadcast ratios, or the dense rates,
+regressed by more than 30% — the CI contract from DESIGN/E18.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ from repro.simnet.wireless import LossModel, WirelessMedium
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_e18_hotpath.json"
 REGRESSION_TOLERANCE = 0.7  # fresh ratio must be >= 70% of baseline
-# The vectorized medium must beat the scalar loop end-to-end by at least
-# this factor on the dense (every-listener-in-range) deployment; gated
-# in --check runs so the numpy path cannot silently stop being used.
-E2E_VECTOR_MIN_SPEEDUP = 2.0
 
 
 def _best_rate(fn, items, seconds: float, repeats: int = 3) -> float:
@@ -199,23 +195,19 @@ def bench_broadcast(counts: list[int], seconds: float) -> dict:
     return results
 
 
-def _broadcast_rate_dense(
-    listeners: int, vectorized: bool, seconds: float
-) -> float:
+def _broadcast_rate_dense(listeners: int, seconds: float) -> float:
     """Frames/second when *every* listener hears every frame.
 
     The opposite regime from :func:`_broadcast_rate`: a small field with
     long radio ranges, the log-distance loss model enabled, so the cost
     per broadcast is dominated by the per-listener RSSI + survival-draw
-    loop — exactly what ``wireless_vectorized`` turns into array math.
+    loop.
     """
     area = 400.0
     tx_range = 2000.0
     rng = random.Random(13)
     sim = Simulator(seed=2)
-    medium = WirelessMedium(
-        sim, loss_model=LossModel(), vectorized=vectorized
-    )
+    medium = WirelessMedium(sim, loss_model=LossModel())
     for _ in range(listeners):
         medium.attach(
             _NullListener(
@@ -244,17 +236,11 @@ def _broadcast_rate_dense(
     return best
 
 
-def bench_broadcast_vector(counts: list[int], seconds: float) -> dict:
-    results = {}
-    for count in counts:
-        vector = _broadcast_rate_dense(count, True, seconds)
-        scalar = _broadcast_rate_dense(count, False, seconds)
-        results[str(count)] = {
-            "vector_per_s": round(vector),
-            "scalar_per_s": round(scalar),
-            "speedup": round(vector / scalar, 2),
-        }
-    return results
+def bench_broadcast_dense(counts: list[int], seconds: float) -> dict:
+    return {
+        str(count): {"per_s": round(_broadcast_rate_dense(count, seconds))}
+        for count in counts
+    }
 
 
 # ----------------------------------------------------------------------
@@ -356,22 +342,32 @@ for index in range(10):
 start = time.perf_counter()
 deployment.run(duration)
 wall = time.perf_counter() - start
+stats = deployment.medium.stats
 print(json.dumps({"sim_s_per_wall_s": round(duration / wall, 2),
-                  "events": deployment.sim.events_processed}))
+                  "events": deployment.sim.events_processed,
+                  "transmissions": stats.transmissions,
+                  "deliveries": stats.deliveries}))
 """
 
+HERE_SRC = Path(__file__).resolve().parent.parent / "src"
 
-def _e2e_once(src: Path, duration: float) -> dict:
+
+def _e2e_once(program: str, src: Path, duration: float) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
     proc = subprocess.run(
-        [sys.executable, "-c", _E2E_PROGRAM, str(duration)],
+        [sys.executable, "-c", program, str(duration)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _e2e_best(program: str, src: Path, duration: float, best: dict) -> dict:
+    run = _e2e_once(program, src, duration)
+    return run if run["sim_s_per_wall_s"] > best["sim_s_per_wall_s"] else best
 
 
 def bench_e2e(
@@ -381,29 +377,25 @@ def bench_e2e(
 
     With ``baseline_src`` the optimized and baseline runs are
     interleaved (fairer on a noisy host) and the speedup is reported;
-    identical event counts across trees are asserted — the optimized
-    hot paths must not change what the simulation *does*.
+    identical transmission and radio-delivery counts across trees are
+    asserted — the optimized hot paths must not change what the
+    simulation *does*.
     """
-    here = Path(__file__).resolve().parent.parent / "src"
     best: dict = {"sim_s_per_wall_s": 0.0}
     seed_best: dict = {"sim_s_per_wall_s": 0.0}
     for _ in range(repeats):
-        run = _e2e_once(here, duration)
-        if run["sim_s_per_wall_s"] > best["sim_s_per_wall_s"]:
-            best = run
+        best = _e2e_best(_E2E_PROGRAM, HERE_SRC, duration, best)
         if baseline_src is not None:
-            seed_run = _e2e_once(baseline_src, duration)
-            if seed_run["sim_s_per_wall_s"] > seed_best["sim_s_per_wall_s"]:
-                seed_best = seed_run
-    results = {
-        "sim_s_per_wall_s": best["sim_s_per_wall_s"],
-        "events": best["events"],
-    }
+            seed_best = _e2e_best(
+                _E2E_PROGRAM, baseline_src, duration, seed_best
+            )
+    results = dict(best)
     if baseline_src is not None:
-        assert seed_best["events"] == best["events"], (
-            "optimized and baseline trees processed different event "
-            f"counts: {best['events']} vs {seed_best['events']}"
-        )
+        for count in ("transmissions", "deliveries"):
+            assert seed_best[count] == best[count], (
+                f"optimized and baseline trees made different {count}: "
+                f"{best[count]} vs {seed_best[count]}"
+            )
         results["seed_sim_s_per_wall_s"] = seed_best["sim_s_per_wall_s"]
         results["speedup_vs_seed"] = round(
             best["sim_s_per_wall_s"] / seed_best["sim_s_per_wall_s"], 2
@@ -415,11 +407,8 @@ def bench_e2e(
 # range spans the whole area, so every transmission fans out to 1200+
 # candidate listeners, under a harsh loss model (most candidates draw a
 # loss). Per-broadcast cost is then dominated by the per-listener
-# RSSI + survival loop — the regime `wireless_vectorized` turns into
-# one numpy pass and a single batched delivery event. The program runs
-# once per flag setting in a fresh subprocess and the driver reports
-# the on/off ratio.
-_E2E_VECTOR_PROGRAM = """\
+# RSSI + survival loop.
+_E2E_DENSE_PROGRAM = """\
 import json, sys, time
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
@@ -432,15 +421,13 @@ from repro.simnet.geometry import Point, Rect
 from repro.simnet.wireless import LossModel
 
 duration = float(sys.argv[1])
-vectorized = sys.argv[2] == "on"
 sensors = 1200
 area = Rect(0.0, 0.0, 600.0, 600.0)
 config = GarnetConfig(area=area, receiver_rows=4, receiver_cols=4,
                       receiver_overlap=6.0,
                       loss_model=LossModel(base=0.93, edge=0.98,
                                            good_fraction=0.0),
-                      publish_location_stream=False,
-                      wireless_vectorized=vectorized)
+                      publish_location_stream=False)
 deployment = Garnet(config=config, seed=1)
 deployment.define_sensor_type("g", {})
 rng = deployment.sim.fork_rng()
@@ -462,69 +449,20 @@ deployment.run(duration)
 wall = time.perf_counter() - start
 stats = deployment.medium.stats
 print(json.dumps({
-    "sim_s_per_wall_s": round(duration / wall, 2),
-    "events": deployment.sim.events_processed,
     "listeners": sensors + config.receiver_rows * config.receiver_cols,
+    "sim_s_per_wall_s": round(duration / wall, 2),
     "transmissions": stats.transmissions,
     "deliveries": stats.deliveries,
-    "losses": stats.losses,
 }))
 """
 
 
-def _e2e_vector_once(duration: float, vectorized: bool) -> dict:
-    here = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(here)
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            _E2E_VECTOR_PROGRAM,
-            str(duration),
-            "on" if vectorized else "off",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def bench_e2e_vector(duration: float, repeats: int = 2) -> dict:
-    """Dense-deployment sim-s/wall-s with the vectorized medium on vs off.
-
-    Both settings run the identical program, interleaved; transmission
-    and out-of-range counts must agree exactly (the flag may only change
-    *which* survival randomness is drawn, never what is attempted).
-    """
-    vector_best: dict = {"sim_s_per_wall_s": 0.0}
-    scalar_best: dict = {"sim_s_per_wall_s": 0.0}
+def bench_e2e_dense(duration: float, repeats: int = 2) -> dict:
+    """Dense-deployment sim-s/wall-s, best of ``repeats`` subprocess runs."""
+    best: dict = {"sim_s_per_wall_s": 0.0}
     for _ in range(repeats):
-        vector_run = _e2e_vector_once(duration, True)
-        if vector_run["sim_s_per_wall_s"] > vector_best["sim_s_per_wall_s"]:
-            vector_best = vector_run
-        scalar_run = _e2e_vector_once(duration, False)
-        if scalar_run["sim_s_per_wall_s"] > scalar_best["sim_s_per_wall_s"]:
-            scalar_best = scalar_run
-    assert vector_best["transmissions"] == scalar_best["transmissions"], (
-        "vector and scalar runs attempted different transmission counts: "
-        f"{vector_best['transmissions']} vs {scalar_best['transmissions']}"
-    )
-    return {
-        "listeners": vector_best["listeners"],
-        "vector_sim_s_per_wall_s": vector_best["sim_s_per_wall_s"],
-        "scalar_sim_s_per_wall_s": scalar_best["sim_s_per_wall_s"],
-        "vector_speedup": round(
-            vector_best["sim_s_per_wall_s"]
-            / scalar_best["sim_s_per_wall_s"],
-            2,
-        ),
-        "transmissions": vector_best["transmissions"],
-        "vector_deliveries": vector_best["deliveries"],
-        "scalar_deliveries": scalar_best["deliveries"],
-    }
+        best = _e2e_best(_E2E_DENSE_PROGRAM, HERE_SRC, duration, best)
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -533,25 +471,26 @@ def bench_e2e_vector(duration: float, repeats: int = 2) -> dict:
 def run_all(quick: bool, e2e_baseline_src: Path | None = None) -> dict:
     seconds = 0.2 if quick else 0.8
     counts = [100, 1000] if quick else [100, 500, 1000, 2000]
-    vector_counts = [1024] if quick else [256, 1024, 4096]
+    dense_counts = [1024] if quick else [256, 1024, 4096]
     duration = 5.0 if quick else 30.0
-    vector_duration = 0.5 if quick else 2.0
+    dense_duration = 0.5 if quick else 2.0
     repeats = 2 if quick else 3
     return {
         "experiment": "E18 hot-path overhaul",
         "mode": "quick" if quick else "full",
         "codec": bench_codec(seconds),
         "broadcast": bench_broadcast(counts, seconds),
-        "broadcast_vector": bench_broadcast_vector(vector_counts, seconds),
+        "broadcast_dense": bench_broadcast_dense(dense_counts, seconds),
         "dispatch": bench_dispatch(seconds),
         "e2e": bench_e2e(duration, e2e_baseline_src, repeats),
-        "e2e_vector": bench_e2e_vector(vector_duration, repeats),
+        "e2e_dense": bench_e2e_dense(dense_duration, repeats),
     }
 
 
 def check_against_baseline(fresh: dict, baseline: dict) -> list[str]:
-    """Regression messages (empty = pass): codec + broadcast ratios must
-    stay within REGRESSION_TOLERANCE of the committed baseline."""
+    """Regression messages (empty = pass): codec + broadcast ratios and
+    the dense rates must stay within REGRESSION_TOLERANCE of the
+    committed baseline."""
     failures = []
     for metric in ("encode_speedup", "decode_speedup"):
         old = baseline.get("codec", {}).get(metric)
@@ -568,26 +507,24 @@ def check_against_baseline(fresh: dict, baseline: dict) -> list[str]:
                 f"broadcast[{count}].speedup regressed: "
                 f"{new} < {REGRESSION_TOLERANCE} * {old}"
             )
-    for count, entry in fresh.get("broadcast_vector", {}).items():
-        old = (
-            baseline.get("broadcast_vector", {})
-            .get(count, {})
-            .get("speedup")
+    dense = [
+        (
+            f"broadcast_dense[{count}].per_s",
+            entry["per_s"],
+            baseline.get("broadcast_dense", {}).get(count, {}).get("per_s"),
         )
-        new = entry["speedup"]
+        for count, entry in fresh["broadcast_dense"].items()
+    ]
+    dense.append((
+        "e2e_dense.sim_s_per_wall_s",
+        fresh["e2e_dense"]["sim_s_per_wall_s"],
+        baseline.get("e2e_dense", {}).get("sim_s_per_wall_s"),
+    ))
+    for name, new, old in dense:
         if old and new < old * REGRESSION_TOLERANCE:
             failures.append(
-                f"broadcast_vector[{count}].speedup regressed: "
-                f"{new} < {REGRESSION_TOLERANCE} * {old}"
+                f"{name} regressed: {new} < {REGRESSION_TOLERANCE} * {old}"
             )
-    vector_speedup = fresh.get("e2e_vector", {}).get("vector_speedup")
-    if vector_speedup is not None and vector_speedup < E2E_VECTOR_MIN_SPEEDUP:
-        # Absolute floor, not baseline-relative: the dense deployment
-        # must keep paying for the vectorized medium at all.
-        failures.append(
-            f"e2e_vector.vector_speedup {vector_speedup} < "
-            f"{E2E_VECTOR_MIN_SPEEDUP} (absolute floor)"
-        )
     return failures
 
 

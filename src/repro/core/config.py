@@ -32,12 +32,6 @@ class GarnetConfig:
     bitrate: float = 250_000.0
     loss_model: LossModel | None = field(default_factory=LossModel)
     per_hop_latency: float = 0.001
-    #: Compute each broadcast disc as numpy array operations with a
-    #: single RNG call per transmission and batched delivery. NOT
-    #: behaviour-neutral: the RNG draw order changes, so vectorized runs
-    #: are pinned by their own VECTOR_GOLDEN_DIGEST; flag off stays
-    #: byte-identical to the scalar medium. Requires numpy.
-    wireless_vectorized: bool = False
 
     # Fixed network
     message_latency: float = 0.0005

@@ -277,7 +277,6 @@ class Garnet:
             bitrate=cfg.bitrate,
             loss_model=cfg.loss_model,
             per_hop_latency=cfg.per_hop_latency,
-            vectorized=cfg.wireless_vectorized,
             metrics=self._metrics,
         )
         self.registry = StreamRegistry()

@@ -24,12 +24,15 @@ the middleware survived; the matching recovery actions appear under
 replicator failovers...).
 
 Overlap semantics: windows of the *same* kind are reference-counted
-(latency factors multiply; extra-loss windows take the maximum), so
-overlapping events compose instead of clobbering each other's cleanup.
+(latency factors multiply; extra-loss windows take the maximum; a
+receiver, transmitter or consumer stays dark from its first open window
+to its last close), so overlapping events compose instead of clobbering
+each other's cleanup.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
 
 from repro.core.dispatching import INBOX as DISPATCH_INBOX
@@ -112,6 +115,9 @@ class FaultInjector:
         # Same-kind overlap bookkeeping (see module docstring).
         self._loss_windows: list[float] = []
         self._latency_factors: list[float] = []
+        #: Open windows per (event kind, receiver / transmitter id or
+        #: consumer endpoint); the lever moves on 0 -> 1 and 1 -> 0 only.
+        self._open_windows: Counter[tuple[type, Any]] = Counter()
         # Keyed by event identity: duplicate FloodBurst literals in one
         # plan are distinct windows with distinct synthetic streams.
         self._floods: dict[int, _FloodState] = {}
@@ -148,16 +154,19 @@ class FaultInjector:
         elif isinstance(event, ReceiverOutage):
             for receiver_id in event.receiver_ids:
                 receiver = self._receiver(receiver_id)
-                self._deployment.medium.detach(receiver)
+                if self._window(ReceiverOutage, receiver_id, +1):
+                    self._deployment.medium.detach(receiver)
         elif isinstance(event, TransmitterOutage):
             for transmitter_id in event.transmitter_ids:
-                self._set_transmitter_online(transmitter_id, False)
+                if self._window(TransmitterOutage, transmitter_id, +1):
+                    self._set_transmitter_online(transmitter_id, False)
         elif isinstance(event, FloodBurst):
             self._begin_flood(event)
         elif isinstance(event, ConsumerStall):
             delivery = self._delivery_manager(event)
             for endpoint in event.endpoints:
-                delivery.stall(endpoint)
+                if self._window(ConsumerStall, endpoint, +1):
+                    delivery.stall(endpoint)
 
     def _end(self, event: FaultEvent) -> None:
         self._recovered.inc()
@@ -175,12 +184,14 @@ class FaultInjector:
         elif isinstance(event, ReceiverOutage):
             for receiver_id in event.receiver_ids:
                 receiver = self._receiver(receiver_id)
-                self._deployment.medium.attach(
-                    receiver, receiver.reception_range, static=True
-                )
+                if self._window(ReceiverOutage, receiver_id, -1):
+                    self._deployment.medium.attach(
+                        receiver, receiver.reception_range, static=True
+                    )
         elif isinstance(event, TransmitterOutage):
             for transmitter_id in event.transmitter_ids:
-                self._set_transmitter_online(transmitter_id, True)
+                if self._window(TransmitterOutage, transmitter_id, -1):
+                    self._set_transmitter_online(transmitter_id, True)
         elif isinstance(event, FloodBurst):
             state = self._floods.pop(id(event), None)
             if state is not None:
@@ -188,9 +199,22 @@ class FaultInjector:
         elif isinstance(event, ConsumerStall):
             delivery = self._delivery_manager(event)
             for endpoint in event.endpoints:
-                delivery.resume(endpoint)
+                if self._window(ConsumerStall, endpoint, -1):
+                    delivery.resume(endpoint)
 
     # ------------------------------------------------------------------
+    def _window(self, kind: type, target: Any, step: int) -> bool:
+        """Count a ``kind`` window on ``target`` opening (+1) or closing (-1).
+
+        True when the lever must move: on the first open and the last
+        close. A window inside another one is a counted no-op.
+        """
+        before = self._open_windows[kind, target]
+        self._open_windows[kind, target] = after = before + step
+        if before and after:
+            self._redundant.inc()
+        return not (before and after)
+
     def _begin_flood(self, event: FloodBurst) -> None:
         streams: list[tuple[StreamId, WrappingCounter]] = []
         for _ in range(event.streams):
@@ -233,9 +257,9 @@ class FaultInjector:
     ) -> None:
         """Apply one outage leg; redundant legs are counted no-ops.
 
-        A transmitter already in the requested state (overlapping outage
-        windows) or detached from the array entirely is not an error:
-        the fault's *intent* — that antenna being dark — already holds.
+        A transmitter already in the requested state (switched by hand)
+        or detached from the array entirely is not an error: the fault's
+        *intent* — that antenna being dark — already holds.
         """
         try:
             transmitter = self._deployment.transmitters.transmitter(

@@ -36,20 +36,11 @@ from repro.simnet.spatial import UniformGridIndex
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
-try:  # numpy backs the opt-in vectorized broadcast path only.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 _SPEED_OF_LIGHT = 3.0e8  # m/s
 
 #: Below this many static listeners the grid's bookkeeping costs more
 #: than the linear scan it avoids.
 _MIN_INDEXED_LISTENERS = 16
-
-#: Below this many candidates the numpy dispatch overhead costs more
-#: than the scalar loop it replaces; the vectorized medium falls back.
-_MIN_VECTOR_CANDIDATES = 16
 
 #: Static-tier entries whose cached position is re-validated per
 #: broadcast (rotating cursor), bounding staleness detection latency to
@@ -122,23 +113,6 @@ class LossModel:
         scaled = (excess / span) ** self.exponent if span > 0 else 0.0
         return min(1.0, self.base + (self.edge - self.base) * scaled)
 
-    def loss_probability_array(self, distances, radio_ranges):
-        """Vectorized :meth:`loss_probability` over numpy arrays.
-
-        ``radio_ranges`` entries must be positive (the medium validates
-        ranges at attach time); distances beyond the range map to 1.0
-        exactly like the scalar path.
-        """
-        ratio = distances / radio_ranges
-        span = 1.0 - self.good_fraction
-        if span > 0:
-            excess = _np.maximum(ratio - self.good_fraction, 0.0)
-            scaled = (excess / span) ** self.exponent
-        else:
-            scaled = _np.zeros_like(ratio)
-        p = _np.minimum(1.0, self.base + (self.edge - self.base) * scaled)
-        return _np.where(ratio > 1.0, 1.0, p)
-
 
 def log_distance_rssi(
     distance: float,
@@ -150,21 +124,6 @@ def log_distance_rssi(
     """RSSI under the log-distance path-loss model (dBm)."""
     d = max(distance, reference_distance)
     loss = reference_loss_db + 10.0 * path_loss_exponent * math.log10(
-        d / reference_distance
-    )
-    return tx_power_dbm - loss
-
-
-def log_distance_rssi_array(
-    distances,
-    tx_power_dbm: float = 0.0,
-    path_loss_exponent: float = 2.4,
-    reference_distance: float = 1.0,
-    reference_loss_db: float = 40.0,
-):
-    """Vectorized :func:`log_distance_rssi` over a numpy distance array."""
-    d = _np.maximum(distances, reference_distance)
-    loss = reference_loss_db + 10.0 * path_loss_exponent * _np.log10(
         d / reference_distance
     )
     return tx_power_dbm - loss
@@ -186,7 +145,6 @@ class _Attachment:
         "seq",
         "static",
         "position",
-        "vec_index",
     )
 
     def __init__(
@@ -204,9 +162,6 @@ class _Attachment:
         self.seq = seq
         self.static = static
         self.position = position
-        #: Index into the vectorized static-tier arrays; refreshed on
-        #: every array rebuild, meaningless for mobile entries.
-        self.vec_index = -1
 
 
 @dataclass(slots=True)
@@ -230,6 +185,11 @@ class MediumStats:
 class WirelessMedium:
     """Broadcast medium connecting sensors, receivers and transmitters.
 
+    :meth:`broadcast` is the one implementation: a grid-pruned candidate
+    walk in attach order, one seeded loss draw per in-range listener,
+    and one kernel event per transmission that hands the surviving
+    copies over in arrival order.
+
     Parameters
     ----------
     sim:
@@ -243,15 +203,6 @@ class WirelessMedium:
         unit tests.
     per_hop_latency:
         Fixed MAC/processing latency added to every delivery.
-    vectorized:
-        Compute the whole broadcast disc — distances, loss
-        probabilities, RSSI and the survival draws — as numpy array
-        operations with a *single* ``Generator.random(n)`` call per
-        transmission, and deliver all surviving copies through one
-        batched kernel event. The RNG draw order necessarily differs
-        from the scalar path, so vectorized runs are pinned by their own
-        golden digest (``VECTOR_GOLDEN_DIGEST``); with the flag off the
-        medium stays byte-identical to the scalar implementation.
     metrics:
         Optional metrics registry; when given, rare-path counters
         (``wireless.rssi_cache_evicted``, ``wireless.spatial_fallback``)
@@ -264,17 +215,12 @@ class WirelessMedium:
         bitrate: float = 250_000.0,
         loss_model: LossModel | None = None,
         per_hop_latency: float = 0.001,
-        vectorized: bool = False,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         if bitrate <= 0:
             raise ConfigurationError(f"bitrate must be positive: {bitrate}")
         if per_hop_latency < 0:
             raise ConfigurationError("per_hop_latency must be non-negative")
-        if vectorized and _np is None:
-            raise ConfigurationError(
-                "wireless vectorization requires numpy, which is not installed"
-            )
         self._sim = sim
         self._bitrate = bitrate
         self._loss_model = loss_model
@@ -289,19 +235,6 @@ class WirelessMedium:
         self._static_channel_counts: dict[int, int] = {}
         self._grid: UniformGridIndex | None = None
         self._rng = sim.fork_rng()
-        self._vectorized = vectorized
-        self._np_rng = None
-        if vectorized:
-            # Seeded from the medium's own forked stream so the flag
-            # does not consume an extra Simulator.fork_rng() (which
-            # would shift every later fork and change the deployment).
-            self._np_rng = _np.random.Generator(
-                _np.random.PCG64(self._rng.getrandbits(128))
-            )
-        #: Cached static-tier arrays for the vectorized path; rebuilt
-        #: lazily whenever the static tier changes.
-        self._vec_state: tuple | None = None
-        self._vec_dirty = True
         self._sweep_cursor = 0
         #: distance -> RSSI memo. Static topologies re-broadcast over the
         #: same sensor/listener pairs every sampling round, so the
@@ -389,14 +322,12 @@ class WirelessMedium:
                 self._grid.insert(entry, entry.position)
         else:
             self._mobile.append(entry)
-        self._vec_dirty = True
 
     def detach(self, listener: RadioListener) -> None:
         """Remove a listener; unknown listeners are ignored."""
         self._mobile = [
             entry for entry in self._mobile if entry.listener is not listener
         ]
-        self._vec_dirty = True
         doomed = self._static_by_listener.pop(id(listener), None)
         if not doomed:
             return
@@ -429,7 +360,7 @@ class WirelessMedium:
         """Move a stale static-tier entry onto the linear-scan tier.
 
         Attach order (``seq``) is preserved across the move, so the
-        candidate walk — and with it the scalar RNG draw order — is
+        candidate walk — and with it the RNG draw order — is
         exactly what it would have been had the listener been attached
         mobile from the start.
         """
@@ -446,7 +377,6 @@ class WirelessMedium:
         entry.static = False
         entry.position = None
         insort(self._mobile, entry, key=_SEQ_KEY)
-        self._vec_dirty = True
         self.stats.spatial_fallbacks += 1
         if self._fallback_counter is not None:
             self._fallback_counter.inc()
@@ -497,15 +427,23 @@ class WirelessMedium:
         """Transmit ``payload`` from ``origin``; returns scheduled deliveries.
 
         Each in-range listener independently survives the loss draw and,
-        if it does, receives its own :class:`RadioFrame` after propagation
-        plus serialisation delay. The transmitter itself can be passed as
-        ``exclude`` so nodes do not hear their own frames.
+        if it does, receives its own :class:`RadioFrame` stamped with its
+        exact per-link arrival (propagation plus serialisation delay).
+        The transmitter itself can be passed as ``exclude`` so nodes do
+        not hear their own frames.
 
         Static listeners beyond ``tx_range`` are pruned through the grid
         index without being visited; candidates are then walked in attach
-        order, so for every in-range listener the loss-model RNG draws —
-        and therefore all downstream behaviour — are bit-identical to the
-        exhaustive linear scan.
+        order, so for every in-range listener the loss-model RNG draws
+        are bit-identical to the exhaustive linear scan.
+
+        All surviving copies of one transmission ride a single kernel
+        event at the latest arrival and are handed over in arrival order
+        (nearest first, attach order breaking ties — the kernel's own
+        tie-break), so a first-copy-wins consumer elects the receiver it
+        would under one event per copy. Propagation skew inside a disc
+        is microseconds, and receivers timestamp from the frame, not the
+        clock.
         """
         if tx_range <= 0:
             raise ConfigurationError(f"tx_range must be positive: {tx_range}")
@@ -518,13 +456,6 @@ class WirelessMedium:
         serialisation = len(payload) * 8.0 / self._bitrate
         if self._static:
             self._sweep_static_positions()
-        if self._vectorized and (
-            len(self._static) + len(self._mobile) >= _MIN_VECTOR_CANDIDATES
-        ):
-            return self._broadcast_vector(
-                origin, payload, tx_range, channel, exclude, now, serialisation
-            )
-        scheduled = 0
 
         static = self._static
         static_candidates = static
@@ -538,7 +469,7 @@ class WirelessMedium:
         loss_model = self._loss_model
         extra_loss = self._extra_loss
         rng_random = self._rng.random
-        schedule_at = self._sim.schedule_at
+        batch: list[tuple[RadioListener, RadioFrame]] = []
         rssi_cache = self._rssi_cache
         hypot = math.hypot
         origin_x = origin.x
@@ -592,16 +523,14 @@ class WirelessMedium:
                         self._evicted_counter.inc(evicted)
                 rssi = rssi_cache[distance] = log_distance_rssi(distance)
             # Construct the (frozen, slots) frame without the dataclass
-            # __init__ frame; delivery scheduling bypasses the schedule()
-            # wrapper the same way. Both are per-delivery costs.
+            # __init__ frame: a per-delivery cost.
             frame = _NEW_FRAME(RadioFrame)
             _SET_FRAME_FIELD(frame, "payload", payload)
             _SET_FRAME_FIELD(frame, "rssi", rssi)
             _SET_FRAME_FIELD(frame, "sent_at", now)
             _SET_FRAME_FIELD(frame, "received_at", now + delay)
             _SET_FRAME_FIELD(frame, "channel", channel)
-            schedule_at(now + delay, self._deliver, entry.listener, frame)
-            scheduled += 1
+            batch.append((entry.listener, frame))
 
         # Grid-pruned static listeners are out of range by construction;
         # count them exactly as the linear scan would have, without the
@@ -616,7 +545,12 @@ class WirelessMedium:
                     if entry.channel == channel
                 )
             stats.out_of_range += total_static - excluded - examined_static
-        return scheduled
+        if batch:
+            batch.sort(key=_arrival)
+            self._sim.schedule_at(
+                batch[-1][1].received_at, self._deliver_batch, batch
+            )
+        return len(batch)
 
     def _ensure_grid(self, tx_range: float) -> UniformGridIndex:
         """The static-listener grid, (re)built so cells stay near the
@@ -634,139 +568,6 @@ class WirelessMedium:
             self._grid = grid
         return grid
 
-    def _vector_state(self) -> tuple:
-        """Static-tier candidate arrays, rebuilt when the tier changes.
-
-        Returns ``(entries, xs, ys, ranges, channels)`` with the numpy
-        arrays aligned to the ``entries`` tuple; each entry's
-        ``vec_index`` is refreshed so ``exclude`` masking is O(1).
-        """
-        state = self._vec_state
-        if state is not None and not self._vec_dirty:
-            return state
-        static = self._static
-        count = len(static)
-        xs = _np.empty(count)
-        ys = _np.empty(count)
-        ranges = _np.empty(count)
-        channels = _np.empty(count, dtype=_np.int64)
-        for index, entry in enumerate(static):
-            position = entry.position
-            xs[index] = position.x
-            ys[index] = position.y
-            ranges[index] = entry.radio_range
-            channels[index] = entry.channel
-            entry.vec_index = index
-        state = (tuple(static), xs, ys, ranges, channels)
-        self._vec_state = state
-        self._vec_dirty = False
-        return state
-
-    def _broadcast_vector(
-        self,
-        origin: Point,
-        payload: bytes,
-        tx_range: float,
-        channel: int,
-        exclude: RadioListener | None,
-        now: float,
-        serialisation: float,
-    ) -> int:
-        """Whole-disc broadcast: one array pass, one RNG call.
-
-        Candidates are ordered static tier first (array order = attach
-        order within the tier), then mobile tier — *not* global attach
-        order, which is why the vectorized medium carries its own golden
-        digest. All surviving copies are delivered by a single kernel
-        event at the latest arrival time; each frame still carries its
-        exact per-link ``received_at`` (propagation skew within a
-        broadcast disc is sub-microsecond, and receivers timestamp from
-        the frame, not the clock).
-        """
-        stats = self.stats
-        entries, xs, ys, ranges, channels = self._vector_state()
-        n_static = len(entries)
-        mobile = self._mobile
-        if mobile:
-            count = len(mobile)
-            mobile_x = _np.empty(count)
-            mobile_y = _np.empty(count)
-            mobile_ranges = _np.empty(count)
-            mobile_channels = _np.empty(count, dtype=_np.int64)
-            for index, entry in enumerate(mobile):
-                position = entry.listener.position
-                mobile_x[index] = position.x
-                mobile_y[index] = position.y
-                mobile_ranges[index] = entry.radio_range
-                mobile_channels[index] = entry.channel
-            all_x = _np.concatenate((xs, mobile_x))
-            all_y = _np.concatenate((ys, mobile_y))
-            all_ranges = _np.concatenate((ranges, mobile_ranges))
-            all_channels = _np.concatenate((channels, mobile_channels))
-            all_entries = entries + tuple(mobile)
-        else:
-            all_x, all_y = xs, ys
-            all_ranges, all_channels = ranges, channels
-            all_entries = entries
-        eligible = all_channels == channel
-        if exclude is not None:
-            for entry in self._static_by_listener.get(id(exclude), ()):
-                eligible[entry.vec_index] = False
-            for index, entry in enumerate(mobile):
-                if entry.listener is exclude:
-                    eligible[n_static + index] = False
-        distances = _np.hypot(all_x - origin.x, all_y - origin.y)
-        reach = _np.minimum(all_ranges, tx_range)
-        hear = eligible & (distances <= reach)
-        candidate_idx = _np.nonzero(hear)[0]
-        stats.out_of_range += int(eligible.sum()) - candidate_idx.size
-        if candidate_idx.size == 0:
-            return 0
-        candidate_dist = distances[candidate_idx]
-        loss_model = self._loss_model
-        extra_loss = self._extra_loss
-        if loss_model is not None:
-            p_loss = loss_model.loss_probability_array(
-                candidate_dist, reach[candidate_idx]
-            )
-            if extra_loss > 0.0:
-                # Independent failure modes: survive both or lose.
-                p_loss = 1.0 - (1.0 - p_loss) * (1.0 - extra_loss)
-            survived = self._np_rng.random(candidate_idx.size) >= p_loss
-        elif extra_loss > 0.0:
-            survived = self._np_rng.random(candidate_idx.size) >= extra_loss
-        else:
-            survived = None
-        if survived is not None:
-            lost = candidate_idx.size - int(survived.sum())
-            if lost:
-                stats.losses += lost
-                if extra_loss > 0.0:
-                    stats.burst_losses += lost
-            candidate_idx = candidate_idx[survived]
-            candidate_dist = candidate_dist[survived]
-            if candidate_idx.size == 0:
-                return 0
-        rssi = log_distance_rssi_array(candidate_dist).tolist()
-        arrivals = (
-            now
-            + self._per_hop_latency
-            + serialisation
-            + candidate_dist / _SPEED_OF_LIGHT
-        ).tolist()
-        batch: list[tuple[RadioListener, RadioFrame]] = []
-        append = batch.append
-        for position, entry_index in enumerate(candidate_idx.tolist()):
-            frame = _NEW_FRAME(RadioFrame)
-            _SET_FRAME_FIELD(frame, "payload", payload)
-            _SET_FRAME_FIELD(frame, "rssi", rssi[position])
-            _SET_FRAME_FIELD(frame, "sent_at", now)
-            _SET_FRAME_FIELD(frame, "received_at", arrivals[position])
-            _SET_FRAME_FIELD(frame, "channel", channel)
-            append((all_entries[entry_index].listener, frame))
-        self._sim.schedule_at(max(arrivals), self._deliver_batch, batch)
-        return len(batch)
-
     def _deliver_batch(
         self, batch: list[tuple[RadioListener, RadioFrame]]
     ) -> None:
@@ -777,13 +578,13 @@ class WirelessMedium:
         for listener, frame in batch:
             listener.on_radio_receive(frame)
 
-    def _deliver(self, listener: RadioListener, frame: RadioFrame) -> None:
-        self.stats.deliveries += 1
-        self.stats.bytes_delivered += len(frame.payload)
-        listener.on_radio_receive(frame)
-
 
 _SEQ_KEY = attrgetter("seq")
+
+
+def _arrival(copy: tuple[RadioListener, RadioFrame]) -> float:
+    """Sort key of one ``(listener, frame)`` copy in a delivery batch."""
+    return copy[1].received_at
 
 
 def _merge_attach_order(

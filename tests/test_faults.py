@@ -260,6 +260,54 @@ class TestInjectorLevers:
             injector.arm()
 
 
+class TestOverlappingWindows:
+    """Same-kind windows on one target: dark from first open to last close."""
+
+    def test_receiver_stays_detached_and_reattaches_once(self):
+        deployment = chaos_deployment(receiver_rows=1, receiver_cols=1)
+        (receiver,) = deployment.receivers.receivers
+        inject(deployment, FaultPlan(events=(
+            ReceiverOutage(
+                at=1.0, duration=2.0, receiver_ids=(receiver.receiver_id,)
+            ),
+            ReceiverOutage(
+                at=2.0, duration=2.0, receiver_ids=(receiver.receiver_id,)
+            ),
+        )))
+        medium = deployment.medium
+        assert medium.listener_count == 1
+        for until, expected in ((1.5, 0), (2.5, 0), (3.5, 0), (4.5, 1)):
+            deployment.run(until - deployment.sim.now)
+            assert medium.listener_count == expected, until
+
+    def test_transmitter_stays_offline_until_the_last_close(self):
+        deployment = chaos_deployment()
+        inject(deployment, FaultPlan(events=(
+            TransmitterOutage(at=1.0, duration=2.0, transmitter_ids=(0,)),
+            TransmitterOutage(at=2.0, duration=2.0, transmitter_ids=(0,)),
+        )))
+        transmitter = deployment.transmitters.transmitter(0)
+        for until, online in ((1.5, False), (3.5, False), (4.5, True)):
+            deployment.run(until - deployment.sim.now)
+            assert transmitter.online is online, until
+
+    def test_consumer_stays_stalled_until_the_last_close(self):
+        deployment = chaos_deployment(
+            qos_consumer_queue=4, qos_quarantine_after=1.0
+        )
+        endpoint = deployment.connect("app").endpoint
+        inject(deployment, FaultPlan(events=(
+            ConsumerStall(at=1.0, duration=2.0, endpoints=(endpoint,)),
+            ConsumerStall(at=2.0, duration=2.0, endpoints=(endpoint,)),
+        )))
+        delivery = deployment.qos.delivery
+        for until, stalled in ((1.5, True), (3.5, True), (4.5, False)):
+            deployment.run(until - deployment.sim.now)
+            assert delivery.is_stalled(endpoint) is stalled, until
+        counters = deployment.metrics().snapshot()["counters"]
+        assert counters["qos.delivery.resumes"] == 1.0
+
+
 class TestDeterminism:
     @staticmethod
     def _chaos_run(seed: int) -> str:

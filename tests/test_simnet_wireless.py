@@ -92,6 +92,49 @@ class TestDelivery:
         sim.run()
         assert listener.frames == []
 
+    def test_detach_in_flight_still_delivers(self, sim, medium):
+        # The delivery decision is made at broadcast time: a frame
+        # already on the air reaches a listener that has since detached.
+        listener = Listener(Point(10, 0))
+        medium.attach(listener, 100.0)
+        medium.broadcast(Point(0, 0), b"x", tx_range=100.0)
+        medium.detach(listener)
+        sim.run()
+        assert len(listener.frames) == 1
+
+    def test_one_transmission_is_one_kernel_event(self, sim, medium):
+        listeners = [Listener(Point(10.0 * i, 0)) for i in range(1, 9)]
+        for listener in listeners:
+            medium.attach(listener, 500.0)
+        assert medium.broadcast(Point(0, 0), b"x", tx_range=500.0) == 8
+        sim.run()
+        assert sim.events_processed == 1
+        assert all(len(listener.frames) == 1 for listener in listeners)
+        assert medium.stats.deliveries == 8
+
+    def test_copies_arrive_nearest_first_attach_order_on_ties(
+        self, sim, medium
+    ):
+        heard: list[str] = []
+
+        def listener(name: str, position: Point) -> Listener:
+            node = Listener(position)
+            node.on_radio_receive = lambda frame: heard.append(name)
+            return node
+
+        # Attach order far, tie_a, near, tie_b; tie_a and tie_b are
+        # equidistant, so their frames carry the same received_at.
+        for name, position in (
+            ("far", Point(300, 0)),
+            ("tie_a", Point(0, 200)),
+            ("near", Point(100, 0)),
+            ("tie_b", Point(200, 0)),
+        ):
+            medium.attach(listener(name, position), 500.0)
+        medium.broadcast(Point(0, 0), b"x", tx_range=500.0)
+        sim.run()
+        assert heard == ["near", "tie_a", "tie_b", "far"]
+
     def test_position_queried_at_delivery_time(self, sim, medium):
         # A listener that moves after the broadcast is scheduled still
         # receives (delivery decision is made at broadcast time), but the
@@ -217,7 +260,11 @@ def test_log_distance_rssi_monotone():
 
 
 class TestVectorized:
-    """The numpy whole-disc broadcast path (wireless_vectorized)."""
+    """Dense discs: rings of static listeners that all hear one frame.
+
+    (Named for the array-math broadcast path these cases were written
+    against; they hold for any implementation of the medium.)
+    """
 
     def _ring(self, medium, count=20, radius=50.0, rx_range=500.0):
         import math as _math
@@ -233,7 +280,7 @@ class TestVectorized:
         return listeners
 
     def test_all_in_range_listeners_receive(self, sim):
-        medium = WirelessMedium(sim, loss_model=None, vectorized=True)
+        medium = WirelessMedium(sim, loss_model=None)
         listeners = self._ring(medium)
         scheduled = medium.broadcast(Point(0, 0), b"vec", tx_range=500.0)
         sim.run()
@@ -245,9 +292,7 @@ class TestVectorized:
     def test_frames_carry_exact_per_link_arrival(self, sim):
         import math as _math
 
-        medium = WirelessMedium(
-            sim, bitrate=1000.0, loss_model=None, vectorized=True
-        )
+        medium = WirelessMedium(sim, bitrate=1000.0, loss_model=None)
         listeners = self._ring(medium, radius=90.0)
         far = Listener(Point(400.0, 0.0))
         medium.attach(far, 500.0, static=True)
@@ -261,7 +306,7 @@ class TestVectorized:
         assert _math.isclose(far_frame.received_at, expected, rel_tol=1e-12)
 
     def test_exclude_and_channel_masking(self, sim):
-        medium = WirelessMedium(sim, loss_model=None, vectorized=True)
+        medium = WirelessMedium(sim, loss_model=None)
         listeners = self._ring(medium)
         other_channel = Listener(Point(5.0, 0.0))
         medium.attach(other_channel, 500.0, channel=1, static=True)
@@ -274,7 +319,7 @@ class TestVectorized:
         assert other_channel.frames == []
 
     def test_mobile_tier_is_included(self, sim):
-        medium = WirelessMedium(sim, loss_model=None, vectorized=True)
+        medium = WirelessMedium(sim, loss_model=None)
         listeners = self._ring(medium)
         roamer = Listener(Point(25.0, 25.0))
         medium.attach(roamer, 500.0)  # mobile tier
@@ -284,7 +329,7 @@ class TestVectorized:
         assert all(len(listener.frames) == 1 for listener in listeners)
 
     def test_out_of_range_accounting_matches_scalar(self, sim):
-        medium = WirelessMedium(sim, loss_model=None, vectorized=True)
+        medium = WirelessMedium(sim, loss_model=None)
         self._ring(medium, radius=50.0)
         self._ring(medium, radius=400.0)
         medium.broadcast(Point(0, 0), b"x", tx_range=100.0)
@@ -293,7 +338,7 @@ class TestVectorized:
         assert medium.stats.deliveries == 20
 
     def test_reach_is_min_of_tx_and_rx_range(self, sim):
-        medium = WirelessMedium(sim, loss_model=None, vectorized=True)
+        medium = WirelessMedium(sim, loss_model=None)
         self._ring(medium, radius=50.0, rx_range=500.0)
         deaf = Listener(Point(50.0, 1.0))
         medium.attach(deaf, 10.0, static=True)  # sensitivity < distance
@@ -303,9 +348,7 @@ class TestVectorized:
 
     def test_loss_draws_accounted(self, sim):
         medium = WirelessMedium(
-            sim,
-            loss_model=LossModel(base=0.5, edge=0.5, good_fraction=0.5),
-            vectorized=True,
+            sim, loss_model=LossModel(base=0.5, edge=0.5, good_fraction=0.5)
         )
         listeners = self._ring(medium, count=64)
         for _ in range(20):
@@ -317,7 +360,7 @@ class TestVectorized:
         assert stats.deliveries + stats.losses == 20 * len(listeners)
 
     def test_extra_loss_without_loss_model(self, sim):
-        medium = WirelessMedium(sim, loss_model=None, vectorized=True)
+        medium = WirelessMedium(sim, loss_model=None)
         listeners = self._ring(medium, count=64)
         medium.set_extra_loss(0.5)
         for _ in range(10):
@@ -328,25 +371,8 @@ class TestVectorized:
         assert stats.burst_losses == stats.losses
         assert stats.deliveries + stats.losses == 10 * len(listeners)
 
-    def test_small_broadcasts_use_scalar_fallback(self, sim):
-        # Below the candidate threshold the vectorized medium runs the
-        # scalar loop (numpy dispatch overhead dominates tiny discs).
-        medium = WirelessMedium(sim, loss_model=None, vectorized=True)
-        near = Listener(Point(10.0, 0.0))
-        medium.attach(near, 100.0, static=True)
-        medium.broadcast(Point(0, 0), b"s", tx_range=100.0)
-        sim.run()
-        assert len(near.frames) == 1
-
-    def test_vectorized_requires_numpy(self, sim, monkeypatch):
-        import repro.simnet.wireless as wireless_module
-
-        monkeypatch.setattr(wireless_module, "_np", None)
-        with pytest.raises(ConfigurationError):
-            WirelessMedium(sim, vectorized=True)
-
-    def test_detach_invalidates_candidate_arrays(self, sim):
-        medium = WirelessMedium(sim, loss_model=None, vectorized=True)
+    def test_detach_between_broadcasts(self, sim):
+        medium = WirelessMedium(sim, loss_model=None)
         listeners = self._ring(medium)
         medium.broadcast(Point(0, 0), b"a", tx_range=500.0)
         medium.detach(listeners[0])

@@ -15,7 +15,7 @@ def bench_dir(tmp_path):
         "experiment": "E18 hot-path overhaul",
         "mode": "full",
         "codec": {"encode_speedup": 7.5},
-        "e2e_vector": {"listeners": 1216, "vector_speedup": 5.6},
+        "e2e_dense": {"listeners": 1216, "sim_s_per_wall_s": 0.6},
     }))
     (tmp_path / "BENCH_e19_cluster.json").write_text(json.dumps({
         "experiment": "E19 clustered federation",
@@ -45,7 +45,7 @@ class TestReport:
         assert "## E18 hot-path overhaul" in report
         assert "## E19 clustered federation" in report
         assert "`BENCH_e18_hotpath.json` (mode: full)" in report
-        assert "| e2e_vector.listeners | 1,216 |" in report
+        assert "| e2e_dense.listeners | 1,216 |" in report
         # Speedup ratios are the gated headline numbers: emphasized.
         assert "| **codec.encode_speedup** | **7.5** |" in report
         assert "| **scaling.brokers.2.speedup_vs_1** | **2** |" in report

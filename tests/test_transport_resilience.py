@@ -385,9 +385,11 @@ class TestReconnectAndResume:
         try:
             session.on_state(states.append)
             h.stop()  # broker gone for good
-            assert poll_until(lambda: session.state == "closed", timeout=10)
+            # close() publishes the state, joins its threads, and only
+            # then tells the observers: wait on what they were told.
+            assert poll_until(lambda: "closed" in states, timeout=10)
+            assert session.state == "closed"
             assert session.closed
-            assert "closed" in states
             with pytest.raises(TransportError):
                 session.ping()
         finally:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,3 +261,49 @@ def test_live_broker_reads_one_clock():
 def test_the_one_implementer_transport_seam_stays_deleted():
     base = SRC / "repro" / "transport" / "base.py"
     assert "class Transport" not in base.read_text()
+
+
+# ----------------------------------------------------------------------
+# One broadcast path, no third-party import
+# ----------------------------------------------------------------------
+WIRELESS = SRC / "repro" / "simnet" / "wireless.py"
+
+
+def test_src_imports_only_the_standard_library_and_itself():
+    allowed = sys.stdlib_module_names | {"repro"}
+    foreign = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [
+                (str(path.relative_to(SRC)), module)
+                for module in modules
+                if module.partition(".")[0] not in allowed
+            ]
+    assert foreign == []
+
+
+def test_the_medium_schedules_from_one_function():
+    """A transmission is one kernel event: ``broadcast`` hands all of its
+    copies to ``_deliver_batch``; a second scheduling site would be a
+    second delivery path."""
+    for node in ast.parse(WIRELESS.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == "WirelessMedium":
+            medium = node
+            break
+    else:
+        raise AssertionError("WirelessMedium not found")
+    schedulers = [
+        member.name
+        for member in medium.body
+        if isinstance(member, ast.FunctionDef)
+        for node in ast.walk(member)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("schedule", "schedule_at")
+    ]
+    assert schedulers == ["broadcast"]
