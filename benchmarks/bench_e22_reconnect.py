@@ -1,16 +1,18 @@
 """E22: reconnect under chaos — resilient live sessions end to end.
 
 The chaos gate for the resilient transport: a publisher and a
-subscriber ride out a scripted fault plan injected by
+subscriber ride out a :class:`~repro.faults.plan.FaultPlan` injected by
 :class:`~repro.transport.chaos.ChaosProxy` —
 
-- **2% datagram loss** on the subscriber's delivery path for the whole
-  run (repaired by NACK/store gap repair),
-- **one TCP connection reset** mid-stream (reconnect + resume),
-- **one broker restart** mid-stream: the broker process behind the
-  proxy is actually stopped and relaunched on the same ports over the
-  same file store and persisted session table (resume across process
-  death, publish buffering, store replay).
+- a ``DropBurst`` of **2% datagram loss** on the subscriber's link for
+  the whole run (repaired by NACK/store gap repair; the subscriber
+  sends no datagrams, so every draw is on its delivery path),
+- **one TCP connection reset** mid-stream (``ConnectionReset``:
+  reconnect + resume),
+- **one broker restart** mid-stream (a ``BrokerCrash`` window): the
+  broker process behind the proxy is actually stopped and relaunched on
+  the same ports over the same file store and persisted session table
+  (resume across process death, publish buffering, store replay).
 
 The subscriber must end the run with a delivery ratio **>= 0.999 and
 zero duplicate callbacks**; both are hard ``--check`` gates, enforced
@@ -35,13 +37,9 @@ from pathlib import Path
 
 from repro.core.config import GarnetConfig
 from repro.core.middleware import Garnet
+from repro.faults import BrokerCrash, ConnectionReset, DropBurst, FaultPlan
 from repro.transport import LiveBroker, connect
-from repro.transport.chaos import (
-    BrokerRestart,
-    ChaosProxy,
-    ConnectionReset,
-    DatagramLoss,
-)
+from repro.transport.chaos import ChaosProxy
 from repro.util.backoff import BackoffPolicy
 
 DEFAULT_OUTPUT = (
@@ -131,16 +129,13 @@ def run_scenario(
         proxy_loop = box.loop
         proxy = ChaosProxy(
             box.url,
-            events=[
-                DatagramLoss(
-                    at=0.0,
-                    duration=3600.0,
-                    rate=LOSS_RATE,
-                    direction="to_client",
-                ),
-                ConnectionReset(at=reset_at),
-                BrokerRestart(at=restart_at, duration=restart_window),
-            ],
+            plan=FaultPlan(
+                events=(
+                    DropBurst(at=0.0, duration=3600.0, extra_loss=LOSS_RATE),
+                    ConnectionReset(at=reset_at),
+                    BrokerCrash(at=restart_at, duration=restart_window),
+                )
+            ),
             seed=22,
             on_broker_restart=box.restart,
         )
@@ -198,7 +193,7 @@ def run_scenario(
                 "flush_publishes": flushes,
                 "loss_rate": LOSS_RATE,
                 "broker_restarts": box.restarts,
-                "proxy": proxy.stats.snapshot(),
+                "proxy": proxy.metrics.snapshot()["counters"],
                 "subscriber": subscriber.stats.snapshot(),
                 "publisher": {
                     key: value
@@ -256,9 +251,9 @@ def check_acceptance(fresh: dict) -> list[str]:
         )
     if chaos["broker_restarts"] < 1:
         failures.append("chaos: the broker restart never fired")
-    if chaos["proxy"]["resets_injected"] < 1:
+    if chaos["proxy"]["chaos.resets_injected"] < 1:
         failures.append("chaos: the TCP reset never fired")
-    if chaos["proxy"]["datagrams_dropped"] < 1:
+    if chaos["proxy"]["chaos.datagrams_dropped"] < 1:
         failures.append("chaos: the loss plan dropped nothing")
     return failures
 

@@ -3,12 +3,15 @@
 Declare a :class:`FaultPlan` of timed failure windows, arm it with
 :func:`inject`, run the simulation, and read the ``faults.*`` /
 ``resilience.*`` metrics to see what broke and how the middleware
-recovered. Same seed + same plan = identical run, every time.
+recovered. Same seed + same plan = identical run, every time. The same
+plan drives the live transport's socket proxy
+(:class:`~repro.transport.chaos.ChaosProxy`) on wall-clock time.
 """
 
-from repro.faults.injector import FaultInjector, inject
+from repro.faults.injector import FaultInjector, Lever, inject
 from repro.faults.plan import (
     BrokerCrash,
+    ConnectionReset,
     ConsumerStall,
     DropBurst,
     FaultEvent,
@@ -22,6 +25,7 @@ from repro.faults.plan import (
 
 __all__ = [
     "BrokerCrash",
+    "ConnectionReset",
     "ConsumerStall",
     "DropBurst",
     "FaultEvent",
@@ -29,6 +33,7 @@ __all__ = [
     "FaultPlan",
     "FloodBurst",
     "LatencySpike",
+    "Lever",
     "NetworkPartition",
     "ReceiverOutage",
     "TransmitterOutage",

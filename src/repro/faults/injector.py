@@ -1,39 +1,37 @@
-"""The fault injector: replays a FaultPlan against a live deployment.
+"""The fault injector: schedules a FaultPlan and keeps its window book.
 
-The injector translates each declarative event into begin/end callbacks
-on the deployment's simulation clock, driving the concrete failure
-levers the services expose:
+One injector serves every fault target. A target hands it three things:
+a ``schedule(at, callback, event)`` clock that runs ``callback(event)``
+at plan time ``at``, a metrics registry, and a :class:`Lever` for each
+fault kind it can apply. :func:`inject` is the simulated deployment's
+target (its levers are the table in :mod:`repro.faults.plan`);
+:class:`~repro.transport.chaos.ChaosProxy` is the socket proxy's. A plan
+holding a kind the target has no lever for, or naming a broker or
+receiver the target does not have, is refused with ConfigurationError
+before anything is scheduled.
 
-==================  ====================================================
-Event               Lever
-==================  ====================================================
-BrokerCrash         ``BrokerNode.crash()`` / ``BrokerNode.restart()``
-NetworkPartition    ``FixedNetwork.partition()`` / ``heal()``
-LatencySpike        ``FixedNetwork.set_latency_factor()``
-DropBurst           ``WirelessMedium.set_extra_loss()``
-ReceiverOutage      ``WirelessMedium.detach()`` / ``attach()``
-TransmitterOutage   ``TransmitterArray.set_online()``
-FloodBurst          synthetic publishes into ``garnet.dispatching``
-ConsumerStall       ``DeliveryManager.stall()`` / ``resume()``
-==================  ====================================================
-
-Everything injected is counted under ``faults.*`` in the deployment's
+Everything injected is counted under ``faults.*`` in the target's
 metrics registry, so a post-run snapshot shows exactly which failures
 the middleware survived; the matching recovery actions appear under
 ``resilience.*`` (session re-registrations, fixed-network redeliveries,
 replicator failovers...).
 
-Overlap semantics: windows of the *same* kind are reference-counted
-(latency factors multiply; extra-loss windows take the maximum; a
-receiver, transmitter or consumer stays dark from its first open window
-to its last close), so overlapping events compose instead of clobbering
-each other's cleanup.
+Overlap semantics (the window book): windows of the *same* kind on the
+same target — broker, endpoint, receiver, transmitter or consumer — are
+reference-counted, so a target stays faulted from its first open window
+to its last close and its lever moves only then; each open or close in
+between is counted under ``faults.redundant``. Extra-loss windows take
+the maximum and latency factors multiply. A FloodBurst or
+ConnectionReset window is its own target.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from typing import Any
+from collections.abc import Callable
+from operator import attrgetter
+from typing import Any, NamedTuple
 
 from repro.core.dispatching import INBOX as DISPATCH_INBOX
 from repro.core.envelopes import StreamArrival
@@ -42,6 +40,7 @@ from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError
 from repro.faults.plan import (
     BrokerCrash,
+    ConnectionReset,
     ConsumerStall,
     DropBurst,
     FaultEvent,
@@ -52,6 +51,7 @@ from repro.faults.plan import (
     ReceiverOutage,
     TransmitterOutage,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.util.ids import WrappingCounter
 
 _EVENT_COUNTERS: dict[type, str] = {
@@ -63,33 +63,72 @@ _EVENT_COUNTERS: dict[type, str] = {
     TransmitterOutage: "faults.transmitter_outages",
     FloodBurst: "faults.flood_bursts",
     ConsumerStall: "faults.consumer_stalls",
+    ConnectionReset: "faults.connection_resets",
+}
+
+#: What each targeted kind's windows are counted against in the book.
+_TARGETS: dict[type, Callable[[Any], tuple]] = {
+    BrokerCrash: lambda event: (event.broker,),
+    NetworkPartition: attrgetter("endpoints"),
+    ReceiverOutage: attrgetter("receiver_ids"),
+    TransmitterOutage: attrgetter("transmitter_ids"),
+    ConsumerStall: attrgetter("endpoints"),
+}
+
+#: Kinds whose open windows set one level between them.
+_LEVELS: dict[type, Callable[[list[Any]], float]] = {
+    DropBurst: lambda windows: max(
+        (event.extra_loss for event in windows), default=0.0
+    ),
+    LatencySpike: lambda windows: math.prod(
+        (event.factor for event in windows), start=1.0
+    ),
 }
 
 
-class _FloodState:
-    """One live flood: its synthetic streams and round-robin cursor."""
+class Lever(NamedTuple):
+    """What one fault kind does to its target at window open and close.
 
-    __slots__ = ("event", "streams", "payload", "index", "active")
+    ``open`` and ``close`` take a target that ``resolve`` returned (a
+    kind with targets), the new combined level (DropBurst,
+    LatencySpike) or the event itself (any other kind). ``resolve``
+    raises ConfigurationError for a target it does not know. A lever
+    that finds its effect already in place returns False, which counts
+    as redundant.
+    """
 
-    def __init__(
-        self,
-        event: FloodBurst,
-        streams: list[tuple[StreamId, WrappingCounter]],
-    ) -> None:
-        self.event = event
-        self.streams = streams
-        self.payload = b"\x00" * event.payload_bytes
-        self.index = 0
-        self.active = True
+    open: Callable[[Any], object]
+    close: Callable[[Any], object] = lambda _: None
+    resolve: Callable[[Any], Any] = lambda target: target
+
+
+Schedule = Callable[[float, Callable[[FaultEvent], None], FaultEvent], Any]
 
 
 class FaultInjector:
-    """Schedules a :class:`FaultPlan`'s events onto one deployment."""
+    """Schedules one plan's windows and moves its target's levers."""
 
-    def __init__(self, deployment: Any, plan: FaultPlan) -> None:
-        self._deployment = deployment
+    def __init__(
+        self,
+        plan: FaultPlan,
+        *,
+        schedule: Schedule,
+        metrics: MetricsRegistry,
+        levers: dict[type, Lever],
+    ) -> None:
+        for event in plan:
+            lever = levers.get(type(event))
+            if lever is None:
+                raise ConfigurationError(
+                    f"{event.describe()}: this fault target has no "
+                    f"{type(event).__name__} lever"
+                )
+            targets = _TARGETS.get(type(event))
+            for target in targets(event) if targets else ():
+                lever.resolve(target)
         self._plan = plan
-        metrics = deployment.metrics()
+        self._schedule = schedule
+        self._levers = levers
         self._injected = metrics.counter(
             "faults.injected", help="fault windows begun"
         )
@@ -100,140 +139,101 @@ class FaultInjector:
             "faults.active", help="fault windows currently open"
         )
         self._counters = {
-            kind: metrics.counter(name)
-            for kind, name in _EVENT_COUNTERS.items()
+            kind: metrics.counter(_EVENT_COUNTERS[kind]) for kind in levers
         }
-        self._flood_messages = metrics.counter(
-            "faults.flood_messages",
-            help="synthetic messages injected by FloodBurst events",
-        )
         self._redundant = metrics.counter(
             "faults.redundant",
             help="fault actions that were already in effect (no-ops)",
         )
         self._armed = False
-        # Same-kind overlap bookkeeping (see module docstring).
-        self._loss_windows: list[float] = []
-        self._latency_factors: list[float] = []
-        #: Open windows per (event kind, receiver / transmitter id or
-        #: consumer endpoint); the lever moves on 0 -> 1 and 1 -> 0 only.
-        self._open_windows: Counter[tuple[type, Any]] = Counter()
-        # Keyed by event identity: duplicate FloodBurst literals in one
-        # plan are distinct windows with distinct synthetic streams.
-        self._floods: dict[int, _FloodState] = {}
+        #: Open windows per (kind, resolved target).
+        self._open: Counter[tuple[type, Any]] = Counter()
+        #: Open windows of each level kind.
+        self._levels: dict[type, list[FaultEvent]] = {
+            kind: [] for kind in _LEVELS
+        }
 
     @property
     def plan(self) -> FaultPlan:
         return self._plan
 
     def arm(self) -> None:
-        """Schedule every event's begin/end on the virtual clock."""
+        """Schedule every window's open and close on the target's clock."""
         if self._armed:
             raise RuntimeError("fault plan already armed")
         self._armed = True
-        sim = self._deployment.sim
         for event in self._plan:
-            sim.schedule(event.at - sim.now, self._begin, event)
-            sim.schedule(event.ends_at - sim.now, self._end, event)
+            self._schedule(event.at, self._begin, event)
+            self._schedule(event.ends_at, self._end, event)
 
-    # ------------------------------------------------------------------
     def _begin(self, event: FaultEvent) -> None:
         self._injected.inc()
         self._counters[type(event)].inc()
         self._active.inc()
-        if isinstance(event, BrokerCrash):
-            self._crash_target(event).crash()
-        elif isinstance(event, NetworkPartition):
-            self._deployment.network.partition(event.endpoints)
-        elif isinstance(event, LatencySpike):
-            self._latency_factors.append(event.factor)
-            self._apply_latency()
-        elif isinstance(event, DropBurst):
-            self._loss_windows.append(event.extra_loss)
-            self._apply_loss()
-        elif isinstance(event, ReceiverOutage):
-            for receiver_id in event.receiver_ids:
-                receiver = self._receiver(receiver_id)
-                if self._window(ReceiverOutage, receiver_id, +1):
-                    self._deployment.medium.detach(receiver)
-        elif isinstance(event, TransmitterOutage):
-            for transmitter_id in event.transmitter_ids:
-                if self._window(TransmitterOutage, transmitter_id, +1):
-                    self._set_transmitter_online(transmitter_id, False)
-        elif isinstance(event, FloodBurst):
-            self._begin_flood(event)
-        elif isinstance(event, ConsumerStall):
-            delivery = self._delivery_manager(event)
-            for endpoint in event.endpoints:
-                if self._window(ConsumerStall, endpoint, +1):
-                    delivery.stall(endpoint)
+        self._move(event, +1)
 
     def _end(self, event: FaultEvent) -> None:
         self._recovered.inc()
         self._active.dec()
-        if isinstance(event, BrokerCrash):
-            self._crash_target(event).restart()
-        elif isinstance(event, NetworkPartition):
-            self._deployment.network.heal(event.endpoints)
-        elif isinstance(event, LatencySpike):
-            self._latency_factors.remove(event.factor)
-            self._apply_latency()
-        elif isinstance(event, DropBurst):
-            self._loss_windows.remove(event.extra_loss)
-            self._apply_loss()
-        elif isinstance(event, ReceiverOutage):
-            for receiver_id in event.receiver_ids:
-                receiver = self._receiver(receiver_id)
-                if self._window(ReceiverOutage, receiver_id, -1):
-                    self._deployment.medium.attach(
-                        receiver, receiver.reception_range, static=True
-                    )
-        elif isinstance(event, TransmitterOutage):
-            for transmitter_id in event.transmitter_ids:
-                if self._window(TransmitterOutage, transmitter_id, -1):
-                    self._set_transmitter_online(transmitter_id, True)
-        elif isinstance(event, FloodBurst):
-            state = self._floods.pop(id(event), None)
-            if state is not None:
-                state.active = False
-        elif isinstance(event, ConsumerStall):
-            delivery = self._delivery_manager(event)
-            for endpoint in event.endpoints:
-                if self._window(ConsumerStall, endpoint, -1):
-                    delivery.resume(endpoint)
+        self._move(event, -1)
 
-    # ------------------------------------------------------------------
-    def _window(self, kind: type, target: Any, step: int) -> bool:
-        """Count a ``kind`` window on ``target`` opening (+1) or closing (-1).
+    def _move(self, event: FaultEvent, step: int) -> None:
+        kind = type(event)
+        lever = self._levers[kind]
+        move = lever.open if step > 0 else lever.close
+        if kind in _LEVELS:
+            windows = self._levels[kind]
+            if step > 0:
+                windows.append(event)
+            else:
+                windows.remove(event)
+            move(_LEVELS[kind](windows))
+        elif kind in _TARGETS:
+            for target in map(lever.resolve, _TARGETS[kind](event)):
+                before = self._open[kind, target]
+                self._open[kind, target] = after = before + step
+                # A window nested in another one moves no lever.
+                if (before and after) or move(target) is False:
+                    self._redundant.inc()
+        else:
+            move(event)
 
-        True when the lever must move: on the first open and the last
-        close. A window inside another one is a counted no-op.
-        """
-        before = self._open_windows[kind, target]
-        self._open_windows[kind, target] = after = before + step
-        if before and after:
-            self._redundant.inc()
-        return not (before and after)
 
-    def _begin_flood(self, event: FloodBurst) -> None:
-        streams: list[tuple[StreamId, WrappingCounter]] = []
-        for _ in range(event.streams):
-            publisher = self._deployment.allocate_publisher_id()
-            streams.append((StreamId(publisher, 0), WrappingCounter(16)))
-        state = _FloodState(event, streams)
-        self._floods[id(event)] = state
-        self._flood_tick(state)
+# ----------------------------------------------------------------------
+# The simulated target
+# ----------------------------------------------------------------------
+class _Floods:
+    """FloodBurst's lever: each window floods from its own synthetic
+    publishers until its first tick at or past ``ends_at``."""
 
-    def _flood_tick(self, state: _FloodState) -> None:
+    def __init__(self, deployment: Any, metrics: MetricsRegistry) -> None:
+        self._deployment = deployment
+        self._messages = metrics.counter(
+            "faults.flood_messages",
+            help="synthetic messages injected by FloodBurst events",
+        )
+
+    def begin(self, event: FloodBurst) -> None:
+        allocate = self._deployment.allocate_publisher_id
+        streams = [
+            (StreamId(allocate(), 0), WrappingCounter(16))
+            for _ in range(event.streams)
+        ]
+        self._tick(event, streams, b"\x00" * event.payload_bytes, 0)
+
+    def _tick(
+        self,
+        event: FloodBurst,
+        streams: list[tuple[StreamId, WrappingCounter]],
+        payload: bytes,
+        index: int,
+    ) -> None:
         sim = self._deployment.sim
-        if not state.active or sim.now >= state.event.ends_at:
+        if sim.now >= event.ends_at:
             return
-        stream_id, counter = state.streams[state.index % len(state.streams)]
-        state.index += 1
+        stream_id, counter = streams[index % len(streams)]
         message = DataMessage(
-            stream_id=stream_id,
-            sequence=counter.next(),
-            payload=state.payload,
+            stream_id=stream_id, sequence=counter.next(), payload=payload
         )
         # receiver_id=-1 marks a direct fixed-net publish, the same
         # envelope shape GarnetSession.publish emits.
@@ -243,64 +243,95 @@ class FaultInjector:
                 message=message, received_at=sim.now, receiver_id=-1
             ),
         )
-        self._flood_messages.inc()
-        sim.schedule(1.0 / state.event.rate, self._flood_tick, state)
+        self._messages.inc()
+        sim.schedule(
+            1.0 / event.rate, self._tick, event, streams, payload, index + 1
+        )
 
-    def _crash_target(self, event: BrokerCrash):
-        """The broker node to crash/restart (default: the primary)."""
-        if event.broker is None:
-            return self._deployment.nodes[0]
-        return self._deployment.cluster.node(event.broker)
 
-    def _set_transmitter_online(
-        self, transmitter_id: int, online: bool
-    ) -> None:
-        """Apply one outage leg; redundant legs are counted no-ops.
+def _deployment_levers(
+    deployment: Any, metrics: MetricsRegistry
+) -> dict[type, Lever]:
+    """The levers a simulated deployment's services expose, per kind."""
+    network, medium = deployment.network, deployment.medium
+    receivers = {r.receiver_id: r for r in deployment.receivers.receivers}
+    floods = _Floods(deployment, metrics)
 
-        A transmitter already in the requested state (switched by hand)
-        or detached from the array entirely is not an error: the fault's
-        *intent* — that antenna being dark — already holds.
-        """
-        try:
-            transmitter = self._deployment.transmitters.transmitter(
-                transmitter_id
-            )
-        except ConfigurationError:
-            self._redundant.inc()
-            return
-        if transmitter.online == online:
-            self._redundant.inc()
-            return
-        transmitter.online = online
+    def broker(name: str | None) -> Any:
+        if name is None:
+            return deployment.nodes[0]
+        return deployment.cluster.node(name)
 
-    def _delivery_manager(self, event: ConsumerStall):
-        delivery = self._deployment.qos.delivery
-        if delivery is None:
+    def receiver(receiver_id: int) -> Any:
+        if receiver_id not in receivers:
+            raise ConfigurationError(f"unknown receiver {receiver_id}")
+        return receivers[receiver_id]
+
+    def consumer(endpoint: str) -> str:
+        if deployment.qos.delivery is None:
             raise ConfigurationError(
-                f"{event.describe()} needs per-consumer delivery queues: "
+                "ConsumerStall needs per-consumer delivery queues: "
                 "set qos_consumer_queue on the deployment config"
             )
-        return delivery
+        return endpoint
 
-    def _apply_loss(self) -> None:
-        extra = max(self._loss_windows, default=0.0)
-        self._deployment.medium.set_extra_loss(extra)
+    def transmitter(online: bool) -> Callable[[int], bool]:
+        def move(transmitter_id: int) -> bool:
+            # A transmitter already switched by hand, or detached from
+            # the array entirely, is not an error: the fault's intent —
+            # that antenna being dark — already holds.
+            try:
+                antenna = deployment.transmitters.transmitter(transmitter_id)
+            except ConfigurationError:
+                return False
+            if antenna.online == online:
+                return False
+            antenna.online = online
+            return True
 
-    def _apply_latency(self) -> None:
-        factor = 1.0
-        for value in self._latency_factors:
-            factor *= value
-        self._deployment.network.set_latency_factor(factor)
+        return move
 
-    def _receiver(self, receiver_id: int):
-        for receiver in self._deployment.receivers.receivers:
-            if receiver.receiver_id == receiver_id:
-                return receiver
-        raise KeyError(f"unknown receiver {receiver_id}")
+    return {
+        BrokerCrash: Lever(
+            lambda node: node.crash(), lambda node: node.restart(), broker
+        ),
+        NetworkPartition: Lever(
+            lambda endpoint: network.partition((endpoint,)),
+            lambda endpoint: network.heal((endpoint,)),
+        ),
+        LatencySpike: Lever(
+            network.set_latency_factor, network.set_latency_factor
+        ),
+        DropBurst: Lever(medium.set_extra_loss, medium.set_extra_loss),
+        ReceiverOutage: Lever(
+            medium.detach,
+            lambda r: medium.attach(r, r.reception_range, static=True),
+            receiver,
+        ),
+        TransmitterOutage: Lever(transmitter(False), transmitter(True)),
+        FloodBurst: Lever(floods.begin),
+        ConsumerStall: Lever(
+            lambda endpoint: deployment.qos.delivery.stall(endpoint),
+            lambda endpoint: deployment.qos.delivery.resume(endpoint),
+            consumer,
+        ),
+    }
 
 
 def inject(deployment: Any, plan: FaultPlan) -> FaultInjector:
-    """Arm ``plan`` against ``deployment``; returns the injector."""
-    injector = FaultInjector(deployment, plan)
+    """Arm ``plan`` against a simulated ``deployment``; returns the injector.
+
+    Plan times are virtual seconds on the deployment's clock.
+    """
+    sim = deployment.sim
+    metrics = deployment.metrics()
+    injector = FaultInjector(
+        plan,
+        schedule=lambda at, callback, event: sim.schedule(
+            at - sim.now, callback, event
+        ),
+        metrics=metrics,
+        levers=_deployment_levers(deployment, metrics),
+    )
     injector.arm()
     return injector

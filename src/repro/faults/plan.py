@@ -1,28 +1,37 @@
 """Fault plans: declarative, seed-reproducible failure schedules.
 
-A :class:`FaultPlan` is a list of fault events pinned to *virtual* times
-on the simulation clock. Because the events carry explicit timestamps
-(no wall clock, no ambient randomness), the same plan against the same
-deployment seed replays the same failure history byte-for-byte — the
-property the determinism tests in ``tests/test_faults.py`` assert.
+A :class:`FaultPlan` is a list of fault events pinned to plan times:
+virtual seconds on a deployment's simulation clock (:func:`~repro.
+faults.injector.inject`) or wall-clock seconds after
+:meth:`~repro.transport.chaos.ChaosProxy.start` (the socket proxy).
+Because the events carry explicit timestamps (no ambient randomness),
+the same plan against the same deployment seed replays the same failure
+history byte-for-byte — the property the determinism tests in
+``tests/test_faults.py`` assert.
 
-Event vocabulary (all windows are ``[at, at + duration)``):
+Event vocabulary (all windows are ``[at, at + duration)``) and the lever
+each target pulls; a target refuses a kind it has no lever for before
+anything is scheduled:
 
-- :class:`BrokerCrash` — the broker loses all session state and leaves
-  the RPC fabric, then restarts empty;
-- :class:`NetworkPartition` — named fixed-network endpoints become
-  unreachable (sends retry/dead-letter, RPCs fail);
-- :class:`LatencySpike` — every fixed-network delivery is slowed by a
-  multiplicative factor;
-- :class:`DropBurst` — extra i.i.d. loss on the wireless medium (burst
-  interference on top of the configured loss model);
-- :class:`ReceiverOutage` — receiver-array elements go deaf;
-- :class:`TransmitterOutage` — transmitter-array antennas go dark (the
-  Message Replicator fails over around them);
-- :class:`FloodBurst` — synthetic publishers flood the Dispatching
-  Service ingress (the overload lever behind ``bench_e17_overload``);
-- :class:`ConsumerStall` — named consumer endpoints stop draining their
-  QoS delivery queues (requires ``qos_consumer_queue``).
+=================  ==========================================  =========================
+Kind               Simulated deployment                        Socket proxy
+=================  ==========================================  =========================
+BrokerCrash        ``BrokerNode.crash()`` / ``restart()``      blackhole, and
+                                                               ``on_broker_restart``
+NetworkPartition   ``FixedNetwork.partition()`` / ``heal()``   refused
+LatencySpike       ``FixedNetwork.set_latency_factor()``       refused
+DropBurst          ``WirelessMedium.set_extra_loss()``         relayed datagrams dropped
+                                                               at ``extra_loss``, both
+                                                               directions
+ReceiverOutage     ``WirelessMedium.detach()`` / ``attach()``  refused
+TransmitterOutage  ``Transmitter.online`` off / on             refused
+FloodBurst         synthetic publishes into the Dispatching    refused
+                   Service ingress
+ConsumerStall      ``DeliveryManager.stall()`` / ``resume()``  refused
+                   (requires ``qos_consumer_queue``)
+ConnectionReset    refused                                     every live proxied TCP
+                                                               connection aborted
+=================  ==========================================  =========================
 """
 
 from __future__ import annotations
@@ -190,6 +199,16 @@ class ConsumerStall(FaultEvent):
             )
 
 
+@dataclass(frozen=True, slots=True, kw_only=True)
+class ConnectionReset(FaultEvent):
+    """Abort every live proxied TCP connection at ``at``.
+
+    One reset, not a window: ``duration`` is nominal.
+    """
+
+    duration: float = 0.001
+
+
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
     """An immutable schedule of fault events.
@@ -202,6 +221,11 @@ class FaultPlan:
     events: tuple[FaultEvent, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        for event in self.events:
+            if not isinstance(event, FaultEvent):
+                raise ConfigurationError(
+                    f"a fault plan holds FaultEvents, got {event!r}"
+                )
         object.__setattr__(
             self,
             "events",

@@ -14,9 +14,9 @@ localhost:
   :class:`~repro.core.session.GarnetSession` surface; with
   ``reconnect=`` it survives broker loss via resume tokens, gap repair
   and a backoff-driven re-dial loop (see :mod:`repro.transport.client`);
-- :class:`ChaosProxy` (:mod:`repro.transport.chaos`) injects scripted
-  faults — datagram loss, latency, connection resets, blackholes,
-  broker restarts — between a live session and its broker;
+- :class:`ChaosProxy` (:mod:`repro.transport.chaos`) injects a
+  :class:`~repro.faults.plan.FaultPlan` — datagram loss, connection
+  resets, broker crashes — between a live session and its broker;
 - ``garnet-broker`` (:mod:`repro.transport.cli`) boots a broker from
   the command line.
 """
@@ -25,14 +25,7 @@ from __future__ import annotations
 
 from repro.transport.base import parse_garnet_url
 from repro.transport.broker import LiveBroker
-from repro.transport.chaos import (
-    Blackhole,
-    BrokerRestart,
-    ChaosProxy,
-    ConnectionReset,
-    DatagramLoss,
-    LinkLatency,
-)
+from repro.transport.chaos import ChaosProxy
 from repro.transport.client import (
     DEFAULT_RECONNECT_POLICY,
     LiveSession,
@@ -54,9 +47,4 @@ __all__ = [
     "connect",
     "DEFAULT_RECONNECT_POLICY",
     "ChaosProxy",
-    "DatagramLoss",
-    "LinkLatency",
-    "ConnectionReset",
-    "Blackhole",
-    "BrokerRestart",
 ]

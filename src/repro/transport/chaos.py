@@ -10,33 +10,32 @@ injects scripted faults into both planes:
   ``udp_port`` (HELLO / RESUME requests) is replaced with a
   per-connection UDP relay port, and the broker's announced
   ``data_port`` (HELLO / RESUME responses) likewise — which drags the
-  *data plane* through the proxy too, where datagrams can be dropped,
-  delayed or blackholed.
+  *data plane* through the proxy too, where datagrams can be dropped
+  or blackholed.
 - **UDP data plane** — one relay socket per control connection. The
   relay tells directions apart by source address: datagrams from the
   client's announced UDP port forward to the broker's data port,
   everything else is broker traffic bound for the client's socket.
 
-Faults are declared as :class:`~repro.faults.plan.FaultEvent`
-subclasses pinned to *wall-clock* seconds after :meth:`ChaosProxy.
-start` (the live transport runs on real time, unlike the simulated
-fault plans):
+Faults are a :class:`~repro.faults.plan.FaultPlan` pinned to
+*wall-clock* seconds after :meth:`ChaosProxy.start`; a
+:class:`~repro.faults.injector.FaultInjector` schedules it on the
+proxy's event loop and keeps its window book. The proxy has three
+levers (the table in :mod:`repro.faults.plan`) and refuses a plan with
+any other kind before it binds a socket:
 
-- :class:`DatagramLoss` — i.i.d. drop of relayed datagrams at ``rate``
-  in ``direction`` (``"to_client"`` / ``"to_broker"`` / ``"both"``),
-  drawn from the proxy's seeded RNG;
-- :class:`LinkLatency` — relayed datagrams delayed by ``delay``
-  seconds (UDP only; control-plane ordering is preserved);
-- :class:`ConnectionReset` — every live proxied TCP connection is
-  aborted at ``at`` (one reset, not a window — ``duration`` is
-  nominal);
-- :class:`Blackhole` — for the window, datagrams vanish in both
-  directions, bytes on existing TCP connections vanish, and new TCP
-  connections are refused: the peer looks frozen, not dead;
-- :class:`BrokerRestart` — a :class:`Blackhole` that additionally
-  invokes the ``on_broker_restart`` callback (on a worker thread) at
-  window start; harnesses use it to actually terminate and relaunch
-  the broker process behind the proxy.
+- :class:`~repro.faults.plan.DropBurst` — relayed datagrams dropped
+  i.i.d. at ``extra_loss`` in both directions, drawn from the proxy's
+  seeded RNG;
+- :class:`~repro.faults.plan.BrokerCrash` — for the window, datagrams
+  vanish in both directions, bytes on existing TCP connections vanish,
+  and new TCP connections are refused: the peer looks frozen, not dead.
+  At window open the ``on_broker_restart`` callback runs on a worker
+  thread; harnesses use it to actually terminate and relaunch the
+  broker process behind the proxy, on the same ports, before the window
+  closes;
+- :class:`~repro.faults.plan.ConnectionReset` — every live proxied TCP
+  connection is aborted.
 
 The proxy never interprets payloads beyond the two rewritten handshake
 fields, so everything the real stack does — sequence numbering,
@@ -46,13 +45,20 @@ dedupe, resume, NACK repair — is exercised verbatim through it.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import random
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError, TransportError
-from repro.faults.plan import FaultEvent
+from repro.faults.injector import FaultInjector, Lever
+from repro.faults.plan import (
+    BrokerCrash,
+    ConnectionReset,
+    DropBurst,
+    FaultEvent,
+    FaultPlan,
+)
+from repro.obs.registry import MetricsRegistry
+from repro.obs.stats import RegistryBackedStats
 from repro.transport.base import parse_garnet_url
 from repro.transport.framing import (
     HELLO,
@@ -60,89 +66,20 @@ from repro.transport.framing import (
     RESUME,
     ControlFrameAssembler,
     encode_control_frame,
+    parse_control_body,
 )
 
-_DIRECTIONS = ("to_client", "to_broker", "both")
 
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class DatagramLoss(FaultEvent):
-    """Drop relayed datagrams i.i.d. at ``rate`` for the window."""
-
-    rate: float
-    direction: str = "both"
-
-    def __post_init__(self) -> None:
-        FaultEvent.__post_init__(self)
-        if not 0.0 < self.rate <= 1.0:
-            raise ConfigurationError(
-                f"loss rate must be in (0, 1]: {self.rate}"
-            )
-        if self.direction not in _DIRECTIONS:
-            raise ConfigurationError(
-                f"direction must be one of {_DIRECTIONS}: {self.direction!r}"
-            )
-
-    def applies(self, direction: str) -> bool:
-        return self.direction == "both" or self.direction == direction
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class LinkLatency(FaultEvent):
-    """Delay relayed datagrams by ``delay`` seconds for the window."""
-
-    delay: float = 0.05
-
-    def __post_init__(self) -> None:
-        FaultEvent.__post_init__(self)
-        if self.delay <= 0:
-            raise ConfigurationError(
-                f"latency delay must be positive: {self.delay}"
-            )
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class ConnectionReset(FaultEvent):
-    """Abort every live proxied TCP connection at ``at``."""
-
-    duration: float = 0.001
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Blackhole(FaultEvent):
-    """All traffic vanishes for the window; new connections refused."""
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class BrokerRestart(Blackhole):
-    """A blackhole window during which the broker is restarted.
-
-    The proxy calls ``on_broker_restart`` (see :class:`ChaosProxy`) on
-    a worker thread when the window opens; the harness owns actually
-    bouncing the broker process and must bring it back on the same
-    ports before the window closes.
-    """
-
-
-class ChaosProxyStats:
+class ChaosStats(RegistryBackedStats):
     """Wall-clock chaos accounting; all counters monotonic."""
 
-    __slots__ = (
-        "datagrams_forwarded",
-        "datagrams_dropped",
-        "datagrams_delayed",
-        "bytes_blackholed",
-        "resets_injected",
-        "connections_refused",
-        "connections_proxied",
-    )
-
-    def __init__(self) -> None:
-        for field in self.__slots__:
-            setattr(self, field, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        return {field: getattr(self, field) for field in self.__slots__}
+    PREFIX = "chaos"
+    datagrams_forwarded: int = 0
+    datagrams_dropped: int = 0
+    bytes_blackholed: int = 0
+    resets_injected: int = 0
+    connections_refused: int = 0
+    connections_proxied: int = 0
 
 
 class _RelayProtocol(asyncio.DatagramProtocol):
@@ -164,9 +101,7 @@ class _RelayProtocol(asyncio.DatagramProtocol):
     def datagram_received(self, data: bytes, addr) -> None:
         if addr == self.client_address:
             if self.broker_address is not None:
-                self.proxy._relay(
-                    self, data, self.broker_address, "to_broker"
-                )
+                self.proxy._relay(self, data, self.broker_address)
             return
         # The only other peer on this relay is the broker's data
         # socket — and its deliveries can start *before* the handshake
@@ -175,7 +110,7 @@ class _RelayProtocol(asyncio.DatagramProtocol):
         if self.broker_address is None:
             self.broker_address = addr
         if self.client_address is not None:
-            self.proxy._relay(self, data, self.client_address, "to_client")
+            self.proxy._relay(self, data, self.client_address)
 
     def send(self, data: bytes, addr: tuple[str, int]) -> None:
         if self.transport is not None:
@@ -190,7 +125,6 @@ class _ProxiedConnection:
         self.client_writer: asyncio.StreamWriter | None = None
         self.broker_writer: asyncio.StreamWriter | None = None
         self.relay: _RelayProtocol | None = None
-        self.client_udp_port: int | None = None
         self.to_broker = ControlFrameAssembler()
         self.to_client = ControlFrameAssembler()
 
@@ -200,18 +134,27 @@ class _ProxiedConnection:
                 writer.transport.abort()
 
 
+def _upstream(broker: str | None) -> None:
+    if broker is not None:
+        raise ConfigurationError(
+            f"a chaos proxy fronts one broker; it cannot crash {broker!r}"
+        )
+
+
 class ChaosProxy:
     """A fault-injecting proxy in front of a live broker.
 
-    ``upstream`` is the broker's ``garnet://host:port`` URL. ``events``
-    is the scripted fault plan (wall-clock seconds after
-    :meth:`start`). ``seed`` fixes the drop RNG so a chaos run's loss
-    pattern is reproducible. ``on_broker_restart`` is invoked for each
-    :class:`BrokerRestart` event.
+    ``upstream`` is the broker's ``garnet://host:port`` URL. ``plan`` is
+    the scripted fault plan (wall-clock seconds after :meth:`start`).
+    ``seed`` fixes the drop RNG so a chaos run's loss pattern is
+    reproducible. ``on_broker_restart`` is invoked when each
+    :class:`~repro.faults.plan.BrokerCrash` window opens. The proxy's
+    own :attr:`metrics` registry holds the ``chaos.*`` counters behind
+    :attr:`stats` and the injector's ``faults.*`` counters.
 
     Use from an event loop::
 
-        proxy = ChaosProxy(broker.url, events=[...], seed=7)
+        proxy = ChaosProxy(broker.url, plan=FaultPlan(events=(...)), seed=7)
         await proxy.start()
         session = connect(proxy.url, "app", reconnect=True)
     """
@@ -219,7 +162,7 @@ class ChaosProxy:
     def __init__(
         self,
         upstream: str,
-        events: tuple[FaultEvent, ...] | list[FaultEvent] = (),
+        plan: FaultPlan = FaultPlan(),
         host: str | None = None,
         port: int = 0,
         seed: int = 0,
@@ -229,18 +172,25 @@ class ChaosProxy:
         self.host = host if host is not None else self.upstream_host
         self._requested_port = port
         self.port: int | None = None
-        self.events: tuple[FaultEvent, ...] = tuple(events)
-        for event in self.events:
-            if not isinstance(event, FaultEvent):
-                raise ConfigurationError(
-                    f"chaos events must be FaultEvents, got {event!r}"
-                )
+        self.metrics = MetricsRegistry()
+        self.stats = ChaosStats(self.metrics)
+        self._injector = FaultInjector(
+            plan,
+            schedule=self._schedule,
+            metrics=self.metrics,
+            levers={
+                DropBurst: Lever(self._set_loss, self._set_loss),
+                BrokerCrash: Lever(self._crash, self._recover, _upstream),
+                ConnectionReset: Lever(self._reset),
+            },
+        )
         self._rng = random.Random(seed)
         self._on_broker_restart = on_broker_restart
-        self.stats = ChaosProxyStats()
+        # What the relay reads per datagram; the injector sets both.
+        self._loss = 0.0
+        self._blackholed = False
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._started = 0.0
         self._connections: set[_ProxiedConnection] = set()
         self._timers: list[asyncio.TimerHandle] = []
 
@@ -252,22 +202,11 @@ class ChaosProxy:
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._started = self._loop.time()
         self._server = await asyncio.start_server(
             self._serve_client, self.host, self._requested_port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        for event in self.events:
-            if isinstance(event, ConnectionReset):
-                self._timers.append(
-                    self._loop.call_later(event.at, self._inject_reset)
-                )
-            elif isinstance(event, BrokerRestart):
-                self._timers.append(
-                    self._loop.call_later(
-                        event.at, self._fire_broker_restart
-                    )
-                )
+        self._injector.arm()
 
     async def stop(self) -> None:
         for timer in self._timers:
@@ -284,60 +223,45 @@ class ChaosProxy:
             self._server = None
 
     # ------------------------------------------------------------------
-    # Fault schedule
+    # Levers
     # ------------------------------------------------------------------
-    def _elapsed(self) -> float:
-        return self._loop.time() - self._started
+    def _schedule(
+        self,
+        at: float,
+        callback: Callable[[FaultEvent], None],
+        event: FaultEvent,
+    ) -> None:
+        self._timers.append(self._loop.call_later(at, callback, event))
 
-    def _active(self, kind: type) -> list[FaultEvent]:
-        now = self._elapsed()
-        return [
-            event
-            for event in self.events
-            if isinstance(event, kind) and event.at <= now < event.ends_at
-        ]
+    def _set_loss(self, rate: float) -> None:
+        self._loss = rate
 
-    def _blackholed(self) -> bool:
-        return bool(self._active(Blackhole))
-
-    def _inject_reset(self) -> None:
-        for connection in list(self._connections):
-            connection.abort()
-            self.stats.resets_injected += 1
-
-    def _fire_broker_restart(self) -> None:
+    def _crash(self, _broker: None) -> None:
+        self._blackholed = True
         if self._on_broker_restart is not None:
             # The callback bounces a subprocess — keep the loop free.
             self._loop.run_in_executor(None, self._on_broker_restart)
+
+    def _recover(self, _broker: None) -> None:
+        self._blackholed = False
+
+    def _reset(self, _event: ConnectionReset) -> None:
+        for connection in list(self._connections):
+            connection.abort()
+            self.stats.resets_injected += 1
 
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
     def _relay(
-        self,
-        relay: _RelayProtocol,
-        data: bytes,
-        destination: tuple[str, int],
-        direction: str,
+        self, relay: _RelayProtocol, data: bytes, destination: tuple[str, int]
     ) -> None:
-        if self._blackholed():
+        if self._blackholed or (
+            self._loss and self._rng.random() < self._loss
+        ):
             self.stats.datagrams_dropped += 1
             return
-        for event in self._active(DatagramLoss):
-            if event.applies(direction) and self._rng.random() < event.rate:
-                self.stats.datagrams_dropped += 1
-                return
-        latency = self._active(LinkLatency)
-        if latency:
-            delay = max(event.delay for event in latency)
-            self.stats.datagrams_delayed += 1
-            self._timers.append(
-                self._loop.call_later(
-                    delay, relay.send, data, destination
-                )
-            )
-        else:
-            relay.send(data, destination)
+        relay.send(data, destination)
         self.stats.datagrams_forwarded += 1
 
     # ------------------------------------------------------------------
@@ -348,7 +272,7 @@ class ChaosProxy:
         client_reader: asyncio.StreamReader,
         client_writer: asyncio.StreamWriter,
     ) -> None:
-        if self._blackholed():
+        if self._blackholed:
             self.stats.connections_refused += 1
             client_writer.transport.abort()
             return
@@ -372,10 +296,12 @@ class ChaosProxy:
         try:
             await asyncio.gather(
                 self._pipe(
-                    connection, client_reader, broker_writer, "to_broker"
+                    connection, client_reader, broker_writer,
+                    connection.to_broker,
                 ),
                 self._pipe(
-                    connection, broker_reader, client_writer, "to_client"
+                    connection, broker_reader, client_writer,
+                    connection.to_client,
                 ),
             )
         finally:
@@ -388,19 +314,14 @@ class ChaosProxy:
         connection: _ProxiedConnection,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        direction: str,
+        assembler: ControlFrameAssembler,
     ) -> None:
-        assembler = (
-            connection.to_broker
-            if direction == "to_broker"
-            else connection.to_client
-        )
         try:
             while True:
                 chunk = await reader.read(65536)
                 if not chunk:
                     break
-                if self._blackholed():
+                if self._blackholed:
                     # The stream is now corrupt for the peer; that is
                     # the point — a blackholed link loses bytes.
                     self.stats.bytes_blackholed += len(chunk)
@@ -426,18 +347,24 @@ class ChaosProxy:
     def _rewrite(
         self, connection: _ProxiedConnection, frame_type: int, body: dict
     ) -> dict:
-        """Swap the UDP rendezvous fields through the relay."""
+        """Swap the UDP rendezvous fields through the relay.
+
+        Only a handshake the broker would accept is rewritten; any other
+        frame goes through unchanged, for the broker to refuse.
+        """
         relay = connection.relay
-        if frame_type in (HELLO, RESUME) and "udp_port" in body:
-            connection.client_udp_port = int(body["udp_port"])
+        if frame_type in (HELLO, RESUME):
+            try:
+                udp_port = parse_control_body(frame_type, body)["udp_port"]
+            except TransportError:
+                return body
             if relay.client_address is None:
                 # Deliveries may start before the client's first
                 # publish reveals its socket; the HELLO announcement
                 # pins it down.
                 peer = connection.client_writer.get_extra_info("peername")
                 relay.client_address = (
-                    peer[0] if peer else self.host,
-                    connection.client_udp_port,
+                    peer[0] if peer else self.host, udp_port
                 )
             return {**body, "udp_port": relay.port}
         if (
@@ -451,12 +378,4 @@ class ChaosProxy:
         return body
 
 
-__all__ = [
-    "Blackhole",
-    "BrokerRestart",
-    "ChaosProxy",
-    "ChaosProxyStats",
-    "ConnectionReset",
-    "DatagramLoss",
-    "LinkLatency",
-]
+__all__ = ["ChaosProxy", "ChaosStats"]

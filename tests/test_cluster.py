@@ -347,9 +347,8 @@ class TestHandoff:
         plan = FaultPlan(
             events=(BrokerCrash(at=1.0, duration=2.0, broker="b1"),)
         )
-        inject(deployment, plan)
         with pytest.raises(ConfigurationError):
-            deployment.run(1.5)
+            inject(deployment, plan)
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,31 @@
 """repro.faults: plans validate, levers fire, and runs are deterministic."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.middleware import Garnet
 from repro.core.resource import StreamConfig
 from repro.errors import ConfigurationError
 from repro.faults import (
     BrokerCrash,
+    ConnectionReset,
     ConsumerStall,
     DropBurst,
+    FaultInjector,
     FaultPlan,
     FloodBurst,
     LatencySpike,
+    Lever,
     NetworkPartition,
     ReceiverOutage,
     TransmitterOutage,
     inject,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.simnet.wireless import LossModel
 
 from tests.conftest import lossless_config, make_stream_spec
@@ -245,11 +252,47 @@ class TestInjectorLevers:
 
     def test_consumer_stall_requires_qos_delivery(self):
         deployment = chaos_deployment()  # no qos_consumer_queue
-        inject(deployment, FaultPlan(events=(
-            ConsumerStall(at=1.0, duration=1.0, endpoints=("consumer.x",)),
-        )))
+        pending = deployment.sim.pending_events
         with pytest.raises(ConfigurationError):
-            deployment.run(2.0)
+            inject(deployment, FaultPlan(events=(
+                ConsumerStall(
+                    at=1.0, duration=1.0, endpoints=("consumer.x",)
+                ),
+            )))
+        assert deployment.sim.pending_events == pending
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            ReceiverOutage(at=5.0, duration=1.0, receiver_ids=(99,)),
+            BrokerCrash(at=5.0, duration=1.0, broker="b7"),
+            ConnectionReset(at=5.0),
+        ],
+        ids=["unknown-receiver", "broker-off-cluster", "socket-only-kind"],
+    )
+    def test_plan_refused_whole_before_anything_runs(self, event):
+        deployment = chaos_deployment()
+        pending = deployment.sim.pending_events
+        with pytest.raises(ConfigurationError):
+            inject(deployment, FaultPlan(events=(
+                DropBurst(at=1.0, duration=1.0, extra_loss=0.5), event,
+            )))
+        assert deployment.sim.pending_events == pending
+        counters = deployment.metrics().snapshot()["counters"]
+        assert "faults.injected" not in counters
+
+    def test_plan_holds_fault_events_only(self):
+        with pytest.raises(ConfigurationError):
+            FaultPlan(events=("drop everything",))
+
+    def test_transmitter_outage_on_unknown_id_is_accepted(self):
+        deployment = chaos_deployment()
+        inject(deployment, FaultPlan(events=(
+            TransmitterOutage(at=1.0, duration=1.0, transmitter_ids=(99,)),
+        )))
+        deployment.run(3.0)
+        counters = deployment.metrics().snapshot()["counters"]
+        assert counters["faults.redundant"] == 2.0
 
     def test_double_arm_rejected(self):
         deployment = chaos_deployment()
@@ -307,6 +350,102 @@ class TestOverlappingWindows:
         counters = deployment.metrics().snapshot()["counters"]
         assert counters["qos.delivery.resumes"] == 1.0
 
+    def test_endpoint_stays_partitioned_until_the_last_close(self):
+        deployment = chaos_deployment()
+        inject(deployment, FaultPlan(events=(
+            NetworkPartition(at=1.0, duration=2.0, endpoints=("c.a",)),
+            NetworkPartition(at=2.0, duration=2.0, endpoints=("c.a",)),
+        )))
+        network = deployment.network
+        for until, cut in ((1.5, True), (3.5, True), (4.5, False)):
+            deployment.run(until - deployment.sim.now)
+            assert network.is_partitioned("c.a") is cut, until
+        counters = deployment.metrics().snapshot()["counters"]
+        assert counters["faults.redundant"] == 2.0
+
+    def test_broker_stays_down_until_the_last_close(self):
+        deployment = chaos_deployment()
+        inject(deployment, FaultPlan(events=(
+            BrokerCrash(at=1.0, duration=2.0),
+            BrokerCrash(at=2.0, duration=2.0),
+        )))
+        for until, up in ((1.5, False), (3.5, False), (4.5, True)):
+            deployment.run(until - deployment.sim.now)
+            assert deployment.broker.up is up, until
+        counters = deployment.metrics().snapshot()["counters"]
+        assert counters["faults.redundant"] == 2.0
+
+
+class _FakeClock:
+    """A ``schedule`` for the injector, run by hand in plan-time order."""
+
+    def __init__(self):
+        self.queue = []
+
+    def schedule(self, at, callback, event):
+        self.queue.append((at, len(self.queue), callback, event))
+
+    def run_until(self, until):
+        self.queue.sort(key=lambda entry: entry[:2])
+        while self.queue and self.queue[0][0] <= until:
+            _, _, callback, event = self.queue.pop(0)
+            callback(event)
+
+
+_WINDOW = st.tuples(
+    st.integers(0, 8),  # opens at
+    st.integers(1, 4),  # lasts
+    st.sets(st.sampled_from("abc"), min_size=1),  # on targets
+)
+
+
+class TestWindowBook:
+    """Any plan of windows on 1-3 targets, against fake levers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_WINDOW, min_size=1, max_size=6))
+    def test_lever_is_on_exactly_inside_the_union(self, windows):
+        plan = FaultPlan(events=tuple(
+            NetworkPartition(
+                at=float(at), duration=float(span),
+                endpoints=tuple(sorted(targets)),
+            )
+            for at, span, targets in windows
+        ))
+        calls = []
+        clock, metrics = _FakeClock(), MetricsRegistry()
+        FaultInjector(
+            plan,
+            schedule=clock.schedule,
+            metrics=metrics,
+            levers={
+                NetworkPartition: Lever(
+                    lambda target: calls.append((target, "open")),
+                    lambda target: calls.append((target, "close")),
+                ),
+            },
+        ).arm()
+        active, redundant = metrics.gauge("faults.active"), metrics.counter(
+            "faults.redundant"
+        )
+        for probe in (half + 0.5 for half in range(14)):
+            clock.run_until(probe)
+            opened = [
+                event for event in plan if event.at <= probe < event.ends_at
+            ]
+            assert active.value == len(opened)
+            for target in "abc":
+                moves = [move for name, move in calls if name == target]
+                # Open and close alternate, starting with an open.
+                assert moves == ["open", "close"] * (len(moves) // 2) + (
+                    ["open"] if len(moves) % 2 else []
+                )
+                inside = any(target in event.endpoints for event in opened)
+                assert (len(moves) % 2 == 1) is inside, (probe, target)
+        # Every open and close that moved no lever was a nested one.
+        legs = 2 * sum(len(event.endpoints) for event in plan)
+        assert redundant.value == legs - len(calls)
+
 
 class TestDeterminism:
     @staticmethod
@@ -329,6 +468,12 @@ class TestDeterminism:
 
     def test_same_seed_same_plan_identical_snapshots(self):
         assert self._chaos_run(21) == self._chaos_run(21)
+
+    def test_seeded_run_is_pinned(self):
+        digest = hashlib.sha256(self._chaos_run(21).encode()).hexdigest()
+        assert digest == (
+            "4030b80e19a83bbda56a62fb5dfff79ac83715479a62a649a1fbe215536eb1f1"
+        )
 
     def test_different_seed_differs(self):
         # Sanity check that the snapshot actually reflects the run.

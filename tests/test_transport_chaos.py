@@ -1,15 +1,16 @@
 """Scripted-fault chaos tests for the live transport.
 
 A :class:`ChaosProxy` sits between :class:`LiveSession` clients and a
-real :class:`LiveBroker`; scripted :class:`~repro.faults.plan.
-FaultEvent` plans (datagram loss, latency, connection resets,
-blackholes) then exercise the resilience machinery end to end — NACK
-gap repair against the store, reconnect-and-resume through the proxy,
-and connection refusal during blackhole windows.  The publisher talks
-to the broker directly so faults hit only the consumer under test.
+real :class:`LiveBroker`; scripted :class:`~repro.faults.plan.FaultPlan`
+windows (datagram loss, connection resets, broker crashes) then
+exercise the resilience machinery end to end — NACK gap repair against
+the store, reconnect-and-resume through the proxy, and connection
+refusal while the broker is down.  The publisher talks to the broker
+directly so faults hit only the consumer under test.
 """
 
 import asyncio
+import socket
 import threading
 import time
 
@@ -18,14 +19,21 @@ import pytest
 from repro.core.config import GarnetConfig
 from repro.core.middleware import Garnet
 from repro.errors import ConfigurationError, TransportError
-from repro.transport import LiveBroker, connect
-from repro.transport.chaos import (
-    Blackhole,
-    BrokerRestart,
-    ChaosProxy,
+from repro.faults import (
+    BrokerCrash,
     ConnectionReset,
-    DatagramLoss,
-    LinkLatency,
+    DropBurst,
+    FaultPlan,
+    LatencySpike,
+    NetworkPartition,
+)
+from repro.transport import LiveBroker, connect
+from repro.transport.chaos import ChaosProxy
+from repro.transport.framing import (
+    HELLO,
+    RESPONSE_FLAG,
+    ControlFrameAssembler,
+    encode_control_frame,
 )
 from repro.util.backoff import BackoffPolicy
 
@@ -55,7 +63,10 @@ class ChaosHarness:
         self.broker = LiveBroker(deployment=deployment)
         self._run(self.broker.start())
         self.proxy = ChaosProxy(
-            self.broker.url, events=events, seed=seed, **proxy_kwargs
+            self.broker.url,
+            plan=FaultPlan(events=tuple(events)),
+            seed=seed,
+            **proxy_kwargs,
         )
         self._run(self.proxy.start())
 
@@ -69,6 +80,10 @@ class ChaosHarness:
 
     def counters(self):
         return self.broker.deployment.metrics_snapshot()["counters"]
+
+    def faults(self, name):
+        """The proxy's ``faults.<name>`` counter."""
+        return self.proxy.metrics.snapshot()["counters"][f"faults.{name}"]
 
     def stop(self):
         self._run(self.proxy.stop())
@@ -91,23 +106,29 @@ def chaos_deployment(**overrides):
 class TestEventValidation:
     def test_loss_rate_must_be_a_probability(self):
         with pytest.raises(ConfigurationError):
-            DatagramLoss(at=0.0, duration=1.0, rate=1.5)
+            DropBurst(at=0.0, duration=1.0, extra_loss=1.5)
         with pytest.raises(ConfigurationError):
-            DatagramLoss(at=0.0, duration=1.0, rate=0.0)
-
-    def test_loss_direction_is_checked(self):
-        with pytest.raises(ConfigurationError):
-            DatagramLoss(
-                at=0.0, duration=1.0, rate=0.1, direction="sideways"
-            )
-
-    def test_latency_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            LinkLatency(at=0.0, duration=1.0, delay=0.0)
+            DropBurst(at=0.0, duration=1.0, extra_loss=0.0)
 
     def test_events_must_be_fault_events(self):
         with pytest.raises(ConfigurationError):
-            ChaosProxy("garnet://127.0.0.1:1", events=["drop everything"])
+            FaultPlan(events=("drop everything",))
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            LatencySpike(at=0.0, duration=1.0),
+            NetworkPartition(at=0.0, duration=1.0, endpoints=("c.a",)),
+            BrokerCrash(at=0.0, duration=1.0, broker="b1"),
+        ],
+        ids=["latency-spike", "partition", "named-broker"],
+    )
+    def test_a_plan_the_proxy_cannot_apply_is_refused(self, event):
+        # At construction: before start() binds any socket.
+        with pytest.raises(ConfigurationError):
+            ChaosProxy(
+                "garnet://127.0.0.1:1", plan=FaultPlan(events=(event,))
+            )
 
     def test_url_requires_start(self):
         proxy = ChaosProxy("garnet://127.0.0.1:1")
@@ -142,6 +163,40 @@ class TestPassthrough:
         finally:
             h.stop()
 
+    def test_malformed_handshake_reaches_the_broker(self):
+        """A HELLO the broker refuses gets the same refusal through the
+        proxy as without it, not a torn connection."""
+        h = ChaosHarness(deployment=chaos_deployment())
+        request = encode_control_frame(
+            HELLO, {"name": "bad", "udp_port": "abc"}
+        )
+
+        def exchange(url):
+            host, port = url.removeprefix("garnet://").split(":")
+            with socket.create_connection((host, int(port)), 5.0) as sock:
+                sock.sendall(request)
+                assembler = ControlFrameAssembler()
+                while True:
+                    chunk = sock.recv(65536)
+                    assert chunk, "connection closed without a response"
+                    frames = assembler.feed(chunk)
+                    if frames:
+                        return frames[0]
+
+        try:
+            direct = exchange(h.broker.url)
+            assert direct == (
+                HELLO | RESPONSE_FLAG,
+                {
+                    "ok": False,
+                    "error": "HELLO 'udp_port' must be integer "
+                    "(1..65535), got 'abc'",
+                },
+            )
+            assert exchange(h.url) == direct
+        finally:
+            h.stop()
+
 
 class TestDatagramLoss:
     def test_loss_created_gaps_are_repaired_from_the_store(self):
@@ -150,11 +205,7 @@ class TestDatagramLoss:
         dedupe window keeps the callback stream duplicate-free."""
         h = ChaosHarness(
             deployment=chaos_deployment(),
-            events=[
-                DatagramLoss(
-                    at=0.0, duration=60.0, rate=0.3, direction="to_client"
-                )
-            ],
+            events=[DropBurst(at=0.0, duration=60.0, extra_loss=0.3)],
             seed=7,
         )
         try:
@@ -205,31 +256,6 @@ class TestDatagramLoss:
             h.stop()
 
 
-class TestLinkLatency:
-    def test_delayed_datagrams_still_arrive(self):
-        h = ChaosHarness(
-            deployment=chaos_deployment(),
-            events=[LinkLatency(at=0.0, duration=30.0, delay=0.05)],
-        )
-        try:
-            received = []
-            with connect(h.url, "sub") as subscriber, connect(
-                h.url, "pub"
-            ) as publisher:
-                subscriber.on_data(
-                    lambda arrival: received.append(
-                        arrival.message.sequence
-                    )
-                )
-                subscriber.subscribe(kind="temp")
-                for index in range(5):
-                    publisher.publish(0, bytes([index]), kind="temp")
-                assert poll_until(lambda: len(received) == 5)
-            assert h.proxy.stats.datagrams_delayed > 0
-        finally:
-            h.stop()
-
-
 class TestConnectionReset:
     def test_reset_mid_stream_triggers_resume(self):
         """An injected TCP reset kills the control connection; the
@@ -255,9 +281,8 @@ class TestConnectionReset:
                 publisher.publish(0, b"\x00", kind="temp")
                 assert poll_until(lambda: len(received) == 1)
 
-                assert poll_until(
-                    lambda: h.proxy.stats.resets_injected >= 1
-                )
+                assert poll_until(lambda: h.faults("connection_resets") >= 1)
+                assert h.proxy.stats.resets_injected >= 1
                 # Publish into the outage, then wait for the resumed
                 # session to catch up duplicate-free.
                 for index in range(1, 4):
@@ -280,9 +305,10 @@ class TestBlackhole:
     def test_blackhole_refuses_new_connections(self):
         h = ChaosHarness(
             deployment=chaos_deployment(),
-            events=[Blackhole(at=0.0, duration=30.0)],
+            events=[BrokerCrash(at=0.0, duration=30.0)],
         )
         try:
+            assert poll_until(lambda: h.faults("broker_crashes") >= 1)
             with pytest.raises(TransportError):
                 connect(h.url, "late", timeout=2.0)
             assert h.proxy.stats.connections_refused >= 1
@@ -294,7 +320,7 @@ class TestBlackhole:
         the peer looks frozen, not dead."""
         h = ChaosHarness(
             deployment=chaos_deployment(),
-            events=[Blackhole(at=0.4, duration=30.0)],
+            events=[BrokerCrash(at=0.4, duration=30.0)],
         )
         try:
             received = []
@@ -312,7 +338,7 @@ class TestBlackhole:
                 publisher.publish(0, b"\x00", kind="temp")
                 assert poll_until(lambda: len(received) == 1)
                 # Into the window: deliveries are silently eaten.
-                assert poll_until(lambda: h.proxy._elapsed() > 0.5)
+                assert poll_until(lambda: h.faults("broker_crashes") >= 1)
                 publisher.publish(0, b"\x01", kind="temp")
                 time.sleep(0.3)
                 assert received == [0]
@@ -329,10 +355,12 @@ class TestBrokerRestart:
         fired = threading.Event()
         h = ChaosHarness(
             deployment=chaos_deployment(),
-            events=[BrokerRestart(at=0.1, duration=0.5)],
+            events=[BrokerCrash(at=0.1, duration=0.5)],
             on_broker_restart=fired.set,
         )
         try:
             assert fired.wait(5.0)
+            assert poll_until(lambda: h.faults("recovered") >= 1)
+            assert h.faults("broker_crashes") == 1
         finally:
             h.stop()

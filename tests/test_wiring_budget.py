@@ -307,3 +307,57 @@ def test_the_medium_schedules_from_one_function():
         and node.attr in ("schedule", "schedule_at")
     ]
     assert schedulers == ["broadcast"]
+
+
+# ----------------------------------------------------------------------
+# One fault vocabulary
+# ----------------------------------------------------------------------
+FAULT_PLAN = SRC / "repro" / "faults" / "plan.py"
+
+
+def _fault_kinds() -> dict[str, Path]:
+    """Every ``FaultEvent`` subclass under ``src/`` -> where it is defined."""
+    classes = [
+        (
+            node.name,
+            {ast.unparse(base).rpartition(".")[2] for base in node.bases},
+            path,
+        )
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    kinds: dict[str, Path] = {}
+    grew = True
+    while grew:
+        grew = False
+        for name, bases, path in classes:
+            if name not in kinds and bases & (set(kinds) | {"FaultEvent"}):
+                kinds[name] = path
+                grew = True
+    return kinds
+
+
+def test_every_fault_kind_is_defined_in_the_plan():
+    kinds = _fault_kinds()
+    assert {"BrokerCrash", "DropBurst", "ConnectionReset"} <= set(kinds)
+    elsewhere = {name: path for name, path in kinds.items() if path != FAULT_PLAN}
+    assert elsewhere == {}
+
+
+def test_the_transport_never_branches_on_a_fault_kind():
+    """The proxy pulls levers the injector hands it; it does not look
+    at which kind of window is open."""
+    kinds = set(_fault_kinds()) | {"FaultEvent"}
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted((SRC / "repro" / "transport").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and kinds
+        & {part.id for part in ast.walk(node.args[1]) if isinstance(part, ast.Name)}
+    ]
+    assert offenders == []
