@@ -25,7 +25,9 @@ keeps every gate):
 - flat-vs-fanout per-delivery ``dispatch_speedup`` >= 3;
 - dispatcher state grows <= 3x when the session count grows 10x (it
   actually stays at ONE subscription for the shared pattern);
-- zero lost and zero duplicated member deliveries.
+- zero lost and zero duplicated member deliveries;
+- ``attach_bytes_per_session`` (tracemalloc's peak over the attach
+  loop, so a count of allocations, not a timing) <= 253 bytes.
 
 Usage::
 
@@ -52,6 +54,10 @@ DEFAULT_OUTPUT = (
 SESSIONS_GATE = {"full": 100_000, "quick": 5_000}
 SPEEDUP_GATE = 3.0
 STATE_GROWTH_GATE = 3.0
+#: Quick mode read 230 bytes per attached session on CPython 3.11 and
+#: 222 on 3.12 when the gate was set (414 / 399 before the member became
+#: its own handle); the gate is the 3.11 reading plus 10%.
+ATTACH_BYTES_GATE = 253
 #: Flat-baseline population: large enough for a stable per-delivery
 #: cost, small enough that the baseline doesn't dominate the wall time.
 FLAT_SESSIONS = {"full": 20_000, "quick": 2_000}
@@ -208,6 +214,11 @@ def check_acceptance(fresh: dict) -> list[str]:
         failures.append(
             f"routing state grew {fanout['state_growth_x']}x for 10x "
             f"sessions (gate: {STATE_GROWTH_GATE}x)"
+        )
+    if fanout["attach_bytes_per_session"] > ATTACH_BYTES_GATE:
+        failures.append(
+            f"{fanout['attach_bytes_per_session']} bytes allocated per "
+            f"attached session (gate: {ATTACH_BYTES_GATE})"
         )
     if fanout["dispatcher_subscriptions"] != 1:
         failures.append(

@@ -20,7 +20,6 @@ from repro.fanout.runtime import DEFAULT_TREE, FanoutRuntime, FanoutStats, LinkB
 from repro.fanout.tree import (
     RELAY_INBOX_PREFIX,
     FanoutMember,
-    FanoutSession,
     FanoutTree,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "DeliveryBatch",
     "FanoutMember",
     "FanoutRuntime",
-    "FanoutSession",
     "FanoutStats",
     "FanoutTree",
     "LinkBatcher",

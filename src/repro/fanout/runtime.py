@@ -19,7 +19,7 @@ from typing import Any
 from repro.core.envelopes import StreamArrival
 from repro.errors import ConfigurationError
 from repro.fanout.frames import MAX_LINK_BATCH, DeliveryBatch
-from repro.fanout.tree import FanoutSession, FanoutTree
+from repro.fanout.tree import FanoutMember, FanoutTree
 from repro.obs.stats import RegistryBackedStats
 
 #: The deployment's default tree (built eagerly so ``fanout.attach``
@@ -154,7 +154,7 @@ class FanoutRuntime:
         self._roots[tree.root_inbox] = tree
         return tree
 
-    def attach(self, name: str, patterns: Any, on_data: Any) -> FanoutSession:
+    def attach(self, name: str, patterns: Any, on_data: Any) -> FanoutMember:
         """Attach a consumer to the deployment's default tree."""
         return self.tree.attach(name, patterns, on_data)
 

@@ -4,22 +4,36 @@ The flat delivery path walks one fan-out leg per subscription per
 message — per-consumer state in the dispatcher, per-consumer sends on
 the fixed network. A :class:`FanoutTree` restructures that into the
 hierarchy the E10 experiments and the cluster link already use in
-miniature: consumers attach as *members* of leaf relays, their interest
-patterns aggregate upward through refcounted tables (exactly the
-cluster link's per-origin interest scheme, applied per relay), and the
+miniature: consumers attach as *members* of leaf relays, and the
 Dispatching Service holds **one subscription per distinct pattern** —
 the tree root's — no matter how many members share it.
 
+Interest is counted per relay, one level at a time: a leaf's table
+counts the members holding each pattern, an inner relay's table counts
+the children whose own table holds it. An attach or detach moves a
+count upward only when it crosses 0↔1, so the 10,000th member of a
+shared pattern touches one table, and only a relay whose target set
+changed loses its route cache. A route is computed once per stream:
+each distinct pattern in the relay's table is tested once, and the
+children (or members) holding a matching pattern are selected by set
+intersection, in attach order.
+
 Delivery then flows root → inner relays → leaves as
-:class:`~repro.fanout.frames.DeliveryBatch` frames. Every hop sends the
-*same* frozen frame object to each interested child, and each leaf
-builds a **single** re-stamped :class:`StreamArrival` shared by all of
-its members (zero-copy fan-out). When the QoS
+:class:`~repro.fanout.frames.DeliveryBatch` frames: each interested
+child gets one frame carrying the arrivals routed to it (the *same*
+frozen frame object when it wants them all), and each leaf builds a
+**single** re-stamped :class:`StreamArrival` shared by all of its
+members (zero-copy fan-out). When the QoS
 :class:`~repro.qos.quarantine.DeliveryManager` is installed, member
 legs ride it (per-endpoint queues, network-ordered), so one slow
 consumer inside a batch parks only its own copy while the others
 deliver; without it, members are invoked directly — zero events per
 member, which is what the 100k-session benchmark measures.
+
+:meth:`FanoutTree.attach` returns the :class:`FanoutMember` itself: it
+is the handle (``delivered``, ``detach()``), and it keeps its leaf. A
+member gets a fixed-network inbox only when a DeliveryManager may need
+to replay to it.
 
 Tree shape: ``levels`` relay tiers (root at the top, leaves at the
 bottom), every relay but the root capped at ``branching`` children.
@@ -49,49 +63,35 @@ RELAY_INBOX_PREFIX = "garnet.fanout."
 
 
 class FanoutMember:
-    """One attached consumer: its patterns and its delivery callback."""
+    """One attached consumer, and the handle :meth:`FanoutTree.attach`
+    returns: its patterns, its callback, its leaf (None once detached)."""
 
-    __slots__ = ("member_id", "name", "patterns", "on_data", "inbox", "delivered")
+    __slots__ = ("name", "patterns", "on_data", "inbox", "delivered", "leaf")
 
     def __init__(
         self,
-        member_id: int,
         name: str,
         patterns: tuple[SubscriptionPattern, ...],
         on_data: Callable[[StreamArrival], None],
-        inbox: str,
+        inbox: str | None,
+        leaf: "_Relay",
     ) -> None:
-        self.member_id = member_id
         self.name = name
         self.patterns = patterns
         self.on_data = on_data
         self.inbox = inbox
         self.delivered = 0
-
-
-class FanoutSession:
-    """The handle :meth:`FanoutTree.attach` returns; detach through it."""
-
-    __slots__ = ("_tree", "member", "_closed")
-
-    def __init__(self, tree: "FanoutTree", member: FanoutMember) -> None:
-        self._tree = tree
-        self.member = member
-        self._closed = False
-
-    @property
-    def delivered(self) -> int:
-        return self.member.delivered
+        self.leaf: _Relay | None = leaf
 
     def detach(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._tree._detach(self.member)
+        """Leave the tree; detaching twice is a no-op."""
+        if self.leaf is not None:
+            self.leaf.tree._detach(self)
 
 
 class _Relay:
     __slots__ = (
-        "relay_id",
+        "tree",
         "inbox",
         "level",
         "parent",
@@ -101,15 +101,15 @@ class _Relay:
         "route_cache",
     )
 
-    def __init__(self, relay_id: int, inbox: str, level: int, parent) -> None:
-        self.relay_id = relay_id
+    def __init__(self, tree: "FanoutTree", inbox: str, level: int, parent) -> None:
+        self.tree = tree
         self.inbox = inbox
         self.level = level
         self.parent: _Relay | None = parent
         self.children: list[_Relay] = []
-        self.members: dict[int, FanoutMember] = {}
-        # pattern -> refcount over this relay's whole subtree; the same
-        # aggregation the cluster link keeps per origin broker.
+        # A leaf's members in attach order (a dict used as an ordered set).
+        self.members: dict[FanoutMember, None] = {}
+        # pattern -> how many members (leaf) or children (inner) hold it.
         self.interest: dict[SubscriptionPattern, int] = {}
         # stream -> interested children (inner) or members (leaf).
         self.route_cache: dict[StreamId, tuple] = {}
@@ -147,9 +147,8 @@ class FanoutTree:
         self._relays_gauge = relays_gauge
         self._sessions_gauge = sessions_gauge
         self._relays: list[_Relay] = []
-        self._next_relay = 0
         self._next_member = 0
-        self._members: dict[int, tuple[FanoutMember, _Relay]] = {}
+        self._sessions = 0
         # Rightmost open relay per inner level, and the open leaf.
         self._open_parent: dict[int, _Relay] = {}
         self._open_leaf: _Relay | None = None
@@ -165,7 +164,7 @@ class FanoutTree:
         return self._root.inbox
 
     def session_count(self) -> int:
-        return len(self._members)
+        return self._sessions
 
     def relay_count(self) -> int:
         return len(self._relays)
@@ -179,7 +178,7 @@ class FanoutTree:
             key = f"level_{relay.level}"
             per_level[key] = per_level.get(key, 0) + 1
         return {
-            "sessions": len(self._members),
+            "sessions": self._sessions,
             "relays": len(self._relays),
             "levels": self._levels,
             "branching": self._branching,
@@ -191,10 +190,8 @@ class FanoutTree:
     # Structure
     # ------------------------------------------------------------------
     def _new_relay(self, level: int, parent: _Relay | None) -> _Relay:
-        relay_id = self._next_relay
-        self._next_relay += 1
-        inbox = f"{RELAY_INBOX_PREFIX}{self.name}.r{relay_id}"
-        relay = _Relay(relay_id, inbox, level, parent)
+        inbox = f"{RELAY_INBOX_PREFIX}{self.name}.r{len(self._relays)}"
+        relay = _Relay(self, inbox, level, parent)
         self._relays.append(relay)
         if self._relays_gauge is not None:
             self._relays_gauge.inc()
@@ -239,52 +236,43 @@ class FanoutTree:
         name: str,
         patterns: SubscriptionPattern | Iterable[SubscriptionPattern],
         on_data: Callable[[StreamArrival], None],
-    ) -> FanoutSession:
-        """Join the tree; interest aggregates up to the root."""
+    ) -> FanoutMember:
+        """Join the tree; returns the member, which is its own handle."""
         if isinstance(patterns, SubscriptionPattern):
             wanted: tuple[SubscriptionPattern, ...] = (patterns,)
         else:
             wanted = tuple(dict.fromkeys(patterns))
         if not wanted:
             raise SubscriptionError("a fan-out member needs at least one pattern")
-        member_id = self._next_member
-        self._next_member += 1
-        inbox = f"{RELAY_INBOX_PREFIX}{self.name}.m{member_id}"
-        member = FanoutMember(member_id, name, wanted, on_data, inbox)
-        leaf = self._leaf_for_attach()
-        leaf.members[member_id] = member
-        self._members[member_id] = (member, leaf)
+        inbox = None
         if self._delivery is not None:
             # Quarantine replay reaches members over the fixed network,
             # so tracked deployments give each member a real inbox.
-            self._network.register_inbox(inbox, member.on_data)
+            inbox = f"{RELAY_INBOX_PREFIX}{self.name}.m{self._next_member}"
+            self._next_member += 1
+            self._network.register_inbox(inbox, on_data)
+        leaf = self._leaf_for_attach()
+        member = FanoutMember(name, wanted, on_data, inbox, leaf)
+        leaf.members[member] = None
+        leaf.route_cache.clear()
         for pattern in wanted:
-            self._add_interest(leaf, pattern)
+            self._count(leaf, pattern, 1)
+        self._sessions += 1
         if self._sessions_gauge is not None:
             self._sessions_gauge.inc()
         if self._stats is not None:
-            self._stats.attached += 1
-        return FanoutSession(self, member)
-
-    def _add_interest(self, leaf: _Relay, pattern: SubscriptionPattern) -> None:
-        relay: _Relay | None = leaf
-        while relay is not None:
-            relay.interest[pattern] = relay.interest.get(pattern, 0) + 1
-            relay.route_cache.clear()
-            relay = relay.parent
-        if pattern not in self._root_subs:
-            self._root_subs[pattern] = self._dispatcher.add_subscription(
-                self._root.inbox, pattern
-            )
+            # counter().inc(): a third of the stats property round trip.
+            self._stats.counter("attached").inc()
+        return member
 
     def _detach(self, member: FanoutMember) -> None:
-        entry = self._members.pop(member.member_id, None)
-        if entry is None:
-            return
-        _, leaf = entry
-        leaf.members.pop(member.member_id, None)
+        leaf = member.leaf
+        member.leaf = None
+        del leaf.members[member]
+        leaf.route_cache.clear()
         for pattern in member.patterns:
-            self._drop_interest(leaf, pattern)
+            self._count(leaf, pattern, -1)
+        self._sessions -= 1
         if self._delivery is not None:
             self._delivery.release(member.inbox)
             if self._network.has_inbox(member.inbox):
@@ -292,22 +280,31 @@ class FanoutTree:
         if self._sessions_gauge is not None:
             self._sessions_gauge.dec()
         if self._stats is not None:
-            self._stats.detached += 1
+            self._stats.counter("detached").inc()
 
-    def _drop_interest(self, leaf: _Relay, pattern: SubscriptionPattern) -> None:
-        relay: _Relay | None = leaf
-        while relay is not None:
-            count = relay.interest.get(pattern, 0)
-            if count <= 1:
-                relay.interest.pop(pattern, None)
+    def _count(self, relay: _Relay, pattern: SubscriptionPattern, step: int) -> None:
+        """Count one holder of ``pattern`` more (+1) or fewer (-1) at
+        ``relay``; only a 0↔1 transition moves to the parent, whose
+        route cache is the only one whose target set changed."""
+        while True:
+            count = relay.interest.get(pattern, 0) + step
+            if count:
+                relay.interest[pattern] = count
             else:
-                relay.interest[pattern] = count - 1
-            relay.route_cache.clear()
-            relay = relay.parent
-        if pattern not in self._root.interest:
-            subscription_id = self._root_subs.pop(pattern, None)
-            if subscription_id is not None:
-                self._dispatcher.remove_subscription(subscription_id)
+                del relay.interest[pattern]
+            if count != (step > 0):
+                return  # no 0↔1 crossing: the parent's view is unchanged
+            parent = relay.parent
+            if parent is None:
+                if count:
+                    self._root_subs[pattern] = self._dispatcher.add_subscription(
+                        relay.inbox, pattern
+                    )
+                else:
+                    self._dispatcher.remove_subscription(self._root_subs.pop(pattern))
+                return
+            parent.route_cache.clear()
+            relay = parent
 
     # ------------------------------------------------------------------
     # Data path
@@ -331,42 +328,45 @@ class FanoutTree:
         self._forward(relay, batch)
 
     def _forward(self, relay: _Relay, batch: DeliveryBatch) -> int:
-        if relay.level == 0 or not relay.children:
+        if relay.level == 0:
             return self._deliver_members(relay, batch)
+        arrivals = batch.arrivals
+        routed: dict[_Relay, list[StreamArrival]] = {}
+        for arrival in arrivals:
+            for child in self._targets(relay, arrival.message.stream_id):
+                routed.setdefault(child, []).append(arrival)
         send = self._network.send
-        forwards = 0
-        for arrival in batch.arrivals:
-            # The same frozen frame object goes to every interested
-            # child: sharing on the inner hops, copies never.
-            for child in self._relay_targets(relay, arrival.message.stream_id):
-                send(child.inbox, batch)
-                forwards += 1
+        for child, wanted in routed.items():
+            # One frame per interested child, carrying only its arrivals;
+            # a child that wants them all shares the frame object.
+            frame = batch
+            if len(wanted) < len(arrivals):
+                frame = DeliveryBatch(origin=batch.origin, arrivals=tuple(wanted))
+            send(child.inbox, frame)
         if self._stats is not None:
-            self._stats.relay_forwards += forwards
-        return forwards
+            self._stats.relay_forwards += len(routed)
+        return len(routed)
 
-    def _relay_targets(self, relay: _Relay, stream_id: StreamId) -> tuple:
+    def _targets(self, relay: _Relay, stream_id: StreamId) -> tuple:
+        """The children (inner relay) or members (leaf) that want a stream."""
         cached = relay.route_cache.get(stream_id)
         if cached is None:
             descriptor = self._registry.detect(stream_id)
-            cached = tuple(
-                child
-                for child in relay.children
-                if any(p.matches(descriptor) for p in child.interest)
-            )
+            # Each distinct pattern is tested once, not once per holder.
+            matched = {p for p in relay.interest if p.matches(descriptor)}
+            if not matched:
+                cached = ()
+            elif relay.level:
+                cached = tuple(
+                    c for c in relay.children if not matched.isdisjoint(c.interest)
+                )
+            elif len(matched) == len(relay.interest):
+                cached = tuple(relay.members)  # every member holds a match
+            else:
+                cached = tuple(
+                    m for m in relay.members if not matched.isdisjoint(m.patterns)
+                )
             relay.route_cache[stream_id] = cached
-        return cached
-
-    def _leaf_targets(self, leaf: _Relay, stream_id: StreamId) -> tuple:
-        cached = leaf.route_cache.get(stream_id)
-        if cached is None:
-            descriptor = self._registry.detect(stream_id)
-            cached = tuple(
-                member
-                for member in leaf.members.values()
-                if any(p.matches(descriptor) for p in member.patterns)
-            )
-            leaf.route_cache[stream_id] = cached
         return cached
 
     def _deliver_members(self, leaf: _Relay, batch: DeliveryBatch) -> int:
@@ -375,7 +375,7 @@ class FanoutTree:
         stats = self._stats
         delivered = 0
         for arrival in batch.arrivals:
-            members = self._leaf_targets(leaf, arrival.message.stream_id)
+            members = self._targets(leaf, arrival.message.stream_id)
             if not members:
                 continue
             # One re-stamped arrival per leaf per message, shared by all

@@ -303,11 +303,22 @@ class LiveSession:
         self._housekeeper: threading.Thread | None = None
 
         self._host, port = parse_garnet_url(url)
-        self._wire = wire = _SocketWire(self._host, port, timeout)
+        try:
+            self._wire = wire = _SocketWire(self._host, port, timeout)
+        except OSError as exc:
+            raise TransportError(
+                f"cannot reach the broker at {self._host}:{port}: {exc}"
+            ) from exc
         self._tcp = wire.control
         self._udp_port = wire.udp_port
         self._last_ping = wire.clock()
-        welcome = self._request(*self._handshake(name=name))
+        try:
+            welcome = self._request(*self._handshake(name=name))
+        except BaseException:
+            # A refused HELLO leaves no session, so it keeps no socket.
+            self._tcp.close()
+            wire.close()
+            raise
         self._publisher_id = int(welcome["publisher_id"])
         self._data_address = (self._host, int(welcome["data_port"]))
         self._resume_token = welcome.get("resume_token")

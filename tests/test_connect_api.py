@@ -17,11 +17,11 @@ import pytest
 
 from repro.core.config import GarnetConfig
 from repro.core.middleware import Garnet
-from repro.errors import ConfigurationError, RegistrationError
+from repro.errors import ConfigurationError, RegistrationError, TransportError
 from repro.transport import connect
 from repro.util.backoff import BackoffPolicy
 
-#: Nothing listens here: a connect that dialed would raise OSError.
+#: Nothing listens here: a connect that dialed would raise TransportError.
 UNREACHABLE = "garnet://127.0.0.1:1"
 
 
@@ -96,7 +96,7 @@ class TestConnectOptionsValidation:
 
     def test_live_checksum_and_timeout_are_accepted(self):
         # A well-formed call gets as far as dialing the dead port.
-        with pytest.raises(OSError):
+        with pytest.raises(TransportError):
             connect(
                 UNREACHABLE,
                 "x",
@@ -105,6 +105,12 @@ class TestConnectOptionsValidation:
                 reconnect=BackoffPolicy(base=0.1),
                 keepalive=0.5,
             )
+
+    def test_refused_dial_is_a_transport_error_naming_the_broker(self):
+        # Like every other broker failure, not a bare socket error.
+        with pytest.raises(TransportError, match="127.0.0.1:1") as caught:
+            connect(UNREACHABLE, "x", timeout=0.5)
+        assert isinstance(caught.value.__cause__, ConnectionRefusedError)
 
 
 class TestGarnetConnect:

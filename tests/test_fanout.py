@@ -12,19 +12,26 @@ Covers the subsystem's core guarantees:
   leaf, shared by all of the leaf's members;
 - quarantine isolation inside a batch (a slow member parks only its own
   copy; resume replays in order);
+- membership under any attach/detach sequence: per-relay interest
+  counts, root subscriptions and cached routes always equal a recount;
 - cluster link batching: same-tick remote legs coalesce into one
   DeliveryBatch per link without breaking the dedupe windows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, SubscriptionError
+from repro.fanout.frames import DeliveryBatch
 
 
 def fanout_deployment(seed: int = 7, **overrides) -> Garnet:
@@ -273,6 +280,33 @@ class TestDelivery:
         assert sequences(received) == [0]
         assert session.delivered == 1
 
+    def test_batch_reaches_each_child_once_with_its_own_arrivals(self):
+        deployment = fanout_deployment(fanout_branching=2, fanout_levels=3)
+        tree = deployment.fanout.tree
+        boxes = []
+        for index, kind in enumerate(("k", "k", "k", "k", "j", "j")):
+            received, on_data = collector()
+            boxes.append(received)
+            tree.attach(f"m{index}", SubscriptionPattern(kind=kind), on_data)
+        publisher = deployment.connect("pub")
+        publisher.publish(0, b"\x00", kind="k")
+        publisher.publish(0, b"\x01", kind="k")
+        publisher.publish(1, b"\x02", kind="j")
+        deployment.run_until_idle()
+        k_arrivals, j_arrivals = tuple(boxes[0]), tuple(boxes[4])
+        for received in boxes:
+            received.clear()
+        # Two arrivals for the four k members (one level-1 subtree) and
+        # one for the two j members (another): every relay hop sends each
+        # interested child one batch holding only the arrivals it wants.
+        deployment.network.send(
+            tree.root_inbox,
+            DeliveryBatch(origin="test", arrivals=(*k_arrivals, *j_arrivals)),
+        )
+        deployment.run_until_idle()
+        delivered = [sequences(received) for received in boxes]
+        assert delivered == [[0, 1]] * 4 + [[0]] * 2
+
     def test_late_member_sees_only_later_messages(self):
         # Route caches are memoised per stream; a mid-stream attach must
         # invalidate them so the new member joins the fan-out.
@@ -316,7 +350,7 @@ class TestQuarantineInBatch:
     def test_slow_member_parks_only_its_own_copy(self):
         deployment, boxes, members, publisher = self.wired()
         delivery = deployment.qos.delivery
-        slow_inbox = members["b"].member.inbox
+        slow_inbox = members["b"].inbox
         delivery.stall(slow_inbox)
         for sequence in range(2):
             publisher.publish(0, bytes([sequence]), kind="temp")
@@ -337,7 +371,7 @@ class TestQuarantineInBatch:
     def test_resume_replays_in_order_then_flows_directly(self):
         deployment, boxes, members, publisher = self.wired()
         delivery = deployment.qos.delivery
-        slow_inbox = members["b"].member.inbox
+        slow_inbox = members["b"].inbox
         delivery.stall(slow_inbox)
         for sequence in range(2):
             publisher.publish(0, bytes([sequence]), kind="temp")
@@ -359,7 +393,7 @@ class TestQuarantineInBatch:
     def test_detach_releases_quarantine_state(self):
         deployment, boxes, members, publisher = self.wired()
         delivery = deployment.qos.delivery
-        slow_inbox = members["b"].member.inbox
+        slow_inbox = members["b"].inbox
         delivery.stall(slow_inbox)
         publisher.publish(0, b"\x00", kind="temp")
         deployment.run_until_idle()
@@ -445,3 +479,114 @@ class TestClusterLinkBatching:
         )
         deployment.run(0.5)
         assert sequences(received) == [0]
+
+
+# ----------------------------------------------------------------------
+# Membership under any attach/detach sequence
+# ----------------------------------------------------------------------
+#: (pattern, the stream index a publish for it goes to); the publisher's
+#: streams 0, 1 and 2 carry kinds ka, kb and kc.
+_POOL = (
+    (SubscriptionPattern(kind="ka"), 0),
+    (SubscriptionPattern(kind="kb"), 1),
+    (SubscriptionPattern(kind="k*"), 2),
+    (SubscriptionPattern(stream_index=1), 1),
+    (SubscriptionPattern(kind="kc"), 2),
+)
+_KINDS = ("ka", "kb", "kc")
+#: A list attaches a member holding those pool patterns; an int detaches
+#: the member attached that many attaches ago (again, if already gone).
+_OPERATION = st.one_of(
+    st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=3, unique=True),
+    st.integers(0, 15),
+)
+
+
+def _wants(patterns, descriptor) -> bool:
+    return any(pattern.matches(descriptor) for pattern in patterns)
+
+
+def _recount(relay) -> Counter:
+    """A relay's interest table, counted from scratch."""
+    if relay.level == 0:
+        return Counter(p for member in relay.members for p in member.patterns)
+    return Counter(p for child in relay.children for p in _recount(child))
+
+
+def _subtree_wants(relay, descriptor) -> bool:
+    if relay.level == 0:
+        return any(_wants(m.patterns, descriptor) for m in relay.members)
+    return any(_subtree_wants(child, descriptor) for child in relay.children)
+
+
+def _fresh_route(relay, descriptor) -> tuple:
+    if relay.level == 0:
+        return tuple(m for m in relay.members if _wants(m.patterns, descriptor))
+    return tuple(c for c in relay.children if _subtree_wants(c, descriptor))
+
+
+class TestMembershipProperty:
+    """Any attach/detach sequence on any small tree shape."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.lists(_OPERATION, min_size=1, max_size=12),
+    )
+    def test_counts_subscriptions_and_routes_match_a_recount(
+        self, branching, levels, operations
+    ):
+        deployment = fanout_deployment()
+        tree = deployment.fanout.new_tree("p", branching=branching, levels=levels)
+        dispatcher, registry = deployment.dispatcher, deployment.registry
+        publisher = deployment.connect("pub")
+        streams = [
+            publisher.publish(index, b"", kind=kind)
+            for index, kind in enumerate(_KINDS)
+        ]
+        deployment.run_until_idle()
+        log: list = []
+        attached: list = []
+        for operation in operations:
+            if isinstance(operation, list):
+                patterns = tuple(_POOL[index][0] for index in operation)
+                member = tree.attach(
+                    f"m{len(attached)}",
+                    patterns,
+                    lambda arrival, n=len(attached): log.append(
+                        (n, arrival.message.stream_id)
+                    ),
+                )
+                attached.append(member)
+            elif attached:
+                attached[-1 - operation % len(attached)].detach()
+            live = [n for n, member in enumerate(attached) if member.leaf]
+            assert tree.session_count() == len(live)
+            relays = tree._relays
+            for relay in relays:
+                assert relay.interest == _recount(relay)
+            held = sorted(
+                repr(sub.pattern)
+                for sub in dispatcher._subscriptions.values()
+                if sub.endpoint == tree.root_inbox
+            )
+            wanted = {p for n in live for p in attached[n].patterns}
+            assert held == sorted(map(repr, wanted))
+            for relay in relays:
+                for stream_id, route in relay.route_cache.items():
+                    assert route == _fresh_route(
+                        relay, registry.detect(stream_id)
+                    )
+            for pattern, index in _POOL:
+                if pattern not in wanted:
+                    continue
+                descriptor = registry.detect(streams[index])
+                log.clear()
+                publisher.publish(index, b"", kind=_KINDS[index])
+                deployment.run_until_idle()
+                assert log == [
+                    (n, streams[index])
+                    for n in live
+                    if _wants(attached[n].patterns, descriptor)
+                ]

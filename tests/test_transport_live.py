@@ -8,12 +8,14 @@ exercises that CLI as a real subprocess.
 
 import asyncio
 import contextlib
+import gc
 import random
 import socket
 import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -236,6 +238,19 @@ class TestControlPlane:
         with connect(harness.url, "sub") as session:
             with pytest.raises(TransportError):
                 session.unsubscribe(999)
+
+    def test_refused_hello_closes_both_sockets(self, harness, monkeypatch):
+        # ResourceWarning is an error here; an unclosed socket's
+        # finalizer would raise it into the unraisable hook.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with connect(harness.url, "same"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                with pytest.raises(TransportError, match="already connected"):
+                    connect(harness.url, "same")
+                gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []
 
     def test_closed_session_refuses_further_calls(self, harness):
         session = connect(harness.url, "gone")
