@@ -13,6 +13,9 @@ was buying:
   reordering (the dedup state is bounded by design).
 """
 
+import functools
+import time
+
 import pytest
 
 from repro.core.config import GarnetConfig
@@ -41,7 +44,7 @@ from repro.simnet.geometry import Point, Rect
 from repro.simnet.kernel import Simulator
 from repro.simnet.wireless import LossModel
 
-from conftest import print_table
+from claims import Table, documents
 
 CODEC = SampleCodec(0.0, 100.0)
 
@@ -50,15 +53,20 @@ CODEC = SampleCodec(0.0, 100.0)
 # A1: route cache
 # ----------------------------------------------------------------------
 
+ARRIVALS = 1000
+
+
 def _dispatch_harness(patterns: int):
     sim = Simulator(seed=1)
     network = FixedNetwork(sim, message_latency=0.0)
     service = DispatchingService(network, StreamRegistry())
     network.register_inbox(ORPHANAGE_INBOX, lambda m: None)
     network.register_inbox("sink", lambda m: None)
+    # Patterns on stream_index alone: the dispatcher's sensor and kind
+    # buckets cannot prune them, so every route computation tests all.
     for index in range(patterns):
         service.add_subscription(
-            "sink", SubscriptionPattern(sensor_id=index + 100)
+            "sink", SubscriptionPattern(stream_index=index + 100)
         )
     service.add_subscription(
         "sink", SubscriptionPattern(stream_id=StreamId(1, 0))
@@ -71,27 +79,55 @@ def _dispatch_harness(patterns: int):
     return sim, service, arrival
 
 
-@pytest.mark.parametrize("cached", [True, False])
-def test_a1_route_memoisation(benchmark, cached):
-    """Steady-state dispatch with 500 pattern subscriptions, with and
-    without the memoised route table."""
+def _dispatch_run(cached: bool) -> list:
+    """Steady-state dispatch of one arrival against 500 pattern
+    subscriptions, with or without the memoised route table."""
     sim, service, arrival = _dispatch_harness(500)
     service.on_arrival(arrival)  # warm
     sim.run()
+    computations = 0
+    compute_route = service._compute_route
 
-    if cached:
-        def dispatch():
-            service.on_arrival(arrival)
-            sim.run()
-    else:
-        def dispatch():
+    def counted(stream_id):
+        nonlocal computations
+        computations += 1
+        return compute_route(stream_id)
+
+    service._compute_route = counted
+    started = time.perf_counter()
+    for _ in range(ARRIVALS):
+        if not cached:
             service.invalidate_routes()  # ablation: recompute every time
-            service.on_arrival(arrival)
-            sim.run()
+        service.on_arrival(arrival)
+        sim.run()
+    elapsed = time.perf_counter() - started
+    return [
+        "yes" if cached else "no",
+        ARRIVALS,
+        computations,
+        1e6 * elapsed / ARRIVALS,
+    ]
 
-    benchmark(dispatch)
-    # The comparison lives in the benchmark table: cached dispatch should
-    # be dramatically cheaper. (pytest-benchmark prints both rows.)
+
+@documents("A1")
+def memoisation_table() -> Table:
+    return Table(
+        "A1: route memoisation, 500 unprunable pattern subscriptions",
+        ["memoised", "arrivals", "route computations", "µs/arrival (wall-clock)"],
+        [_dispatch_run(True), _dispatch_run(False)],
+    )
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_a1_route_memoisation(cached):
+    table = memoisation_table()
+    table.show()
+    rows = {row[0]: row for row in table.rows}
+    _, arrivals, computations, _ = rows["yes" if cached else "no"]
+    # The memoised table computes the route once, at warm-up; the
+    # ablation recomputes it, all 501 patterns, on every arrival. The
+    # wall-clock column shows what that costs on the host at hand.
+    assert computations == (0 if cached else arrivals)
 
 
 # ----------------------------------------------------------------------
@@ -146,19 +182,31 @@ def _replication_run(targeted: bool) -> dict:
     }
 
 
-def test_a2_targeted_vs_flooded_replication(benchmark):
-    def run_both():
-        return _replication_run(True), _replication_run(False)
+@functools.cache
+def _replication_runs() -> tuple[dict, dict]:
+    return _replication_run(True), _replication_run(False)
 
-    targeted, flooded = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    print_table(
+
+@documents("A2")
+def replication_table() -> Table:
+    return Table(
         "A2: replicator targeting economy (§5 inferred location)",
-        ["mode", "orders", "tx/order", "acknowledged"],
+        ["mode", "orders", "transmitters/order", "acknowledged"],
         [
-            [r["mode"], r["orders"], r["tx_per_order"], r["acknowledged"]]
-            for r in (targeted, flooded)
+            [
+                r["mode"],
+                r["orders"],
+                r["tx_per_order"],
+                f"{r['acknowledged']}/{r['orders']}",
+            ]
+            for r in _replication_runs()
         ],
     )
+
+
+def test_a2_targeted_vs_flooded_replication():
+    replication_table().show()
+    targeted, flooded = _replication_runs()
     assert targeted["acknowledged"] == flooded["acknowledged"] == 9
     # Targeting engages strictly fewer transmitters per control message.
     assert targeted["tx_per_order"] < flooded["tx_per_order"]
@@ -215,16 +263,26 @@ def _actuation_run(max_attempts: int) -> dict:
     }
 
 
-def test_a3_retransmission_budget(benchmark):
-    def sweep():
-        return [_actuation_run(attempts) for attempts in (1, 2, 4, 8)]
+@functools.cache
+def _retransmission_sweep() -> list[dict]:
+    return [_actuation_run(attempts) for attempts in (1, 2, 4, 8)]
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
+
+@documents("A3")
+def retransmission_table() -> Table:
+    return Table(
         "A3: actuation success vs retry budget at 50% frame loss",
         ["max attempts", "success", "retransmissions"],
-        [[r["max_attempts"], r["success"], r["retransmissions"]] for r in rows],
+        [
+            [r["max_attempts"], r["success"], r["retransmissions"]]
+            for r in _retransmission_sweep()
+        ],
     )
+
+
+def test_a3_retransmission_budget():
+    retransmission_table().show()
+    rows = _retransmission_sweep()
     successes = [r["success"] for r in rows]
     # More retries, more completed actuations — and the single-attempt
     # ablation demonstrates why the loop exists at all.
@@ -270,23 +328,30 @@ def _filtering_run(window: int, displacement: int) -> dict:
     }
 
 
-def test_a4_filtering_window_vs_reordering(benchmark):
-    def sweep():
-        return [
-            _filtering_run(window, displacement)
-            for window in (8, 64, 512)
-            for displacement in (4, 32, 256)
-        ]
+@functools.cache
+def _window_sweep() -> list[dict]:
+    return [
+        _filtering_run(window, displacement)
+        for window in (8, 64, 512)
+        for displacement in (4, 32, 256)
+    ]
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
+
+@documents("A4")
+def window_table() -> Table:
+    return Table(
         "A4: dedup window vs reordering displacement (2000 messages)",
-        ["window", "displacement", "delivered", "stale dropped"],
+        ["window", "displacement", "delivered", "stale-dropped"],
         [
             [r["window"], r["displacement"], r["delivered"], r["stale_dropped"]]
-            for r in rows
+            for r in _window_sweep()
         ],
     )
+
+
+def test_a4_filtering_window_vs_reordering():
+    window_table().show()
+    rows = _window_sweep()
     by_key = {(r["window"], r["displacement"]): r for r in rows}
     # A window larger than the displacement loses nothing...
     assert by_key[(64, 32)]["stale_dropped"] == 0

@@ -14,6 +14,8 @@ fixed-network traffic grow linearly with depth (each level is one more
 dispatch hop); correctness is preserved at every depth.
 """
 
+import functools
+
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.middleware import Garnet
@@ -23,7 +25,7 @@ from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import ConstantSampler, SampleCodec
 from repro.simnet.geometry import Point, Rect
 
-from conftest import print_table
+from claims import Table, documents
 
 CODEC = SampleCodec(0.0, 2000.0)
 DEPTHS = [1, 2, 3, 5]
@@ -88,17 +90,19 @@ def run_chain(depth: int) -> dict:
     }
 
 
-def test_chain_depth_sweep(benchmark):
-    def sweep():
-        return [run_chain(depth) for depth in DEPTHS]
+@functools.cache
+def depth_sweep() -> list[dict]:
+    return [run_chain(depth) for depth in DEPTHS]
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
+
+@documents("E10")
+def depth_table() -> Table:
+    return Table(
         "E10: derived-stream chain depth (Section 6 hierarchy)",
         [
             "depth",
             "delivered",
-            "e2e latency ms",
+            "e2e latency (ms)",
             "fixed-net msgs",
             "max value err",
         ],
@@ -110,9 +114,14 @@ def test_chain_depth_sweep(benchmark):
                 r["fixednet_messages"],
                 r["value_error"],
             ]
-            for r in rows
+            for r in depth_sweep()
         ],
     )
+
+
+def test_chain_depth_sweep():
+    depth_table().show()
+    rows = depth_sweep()
     # Shape 1: every level transformed correctly (value error bounded by
     # quantisation).
     for r in rows:
@@ -126,51 +135,48 @@ def test_chain_depth_sweep(benchmark):
     assert messages[-1] < messages[0] * (DEPTHS[-1] + 2)
 
 
-def test_fan_in_fusion_graph(benchmark):
+def test_fan_in_fusion_graph():
     """A non-chain topology: two physical streams fused into one derived
     stream consumed by a third level (the 'arbitrary graph')."""
     from repro.core.operators import FusionOperator
 
-    def run():
-        deployment = Garnet(
-            config=GarnetConfig(
-                area=Rect(0, 0, 400, 400), loss_model=None
-            ),
-            seed=11,
+    deployment = Garnet(
+        config=GarnetConfig(
+            area=Rect(0, 0, 400, 400), loss_model=None
+        ),
+        seed=11,
+    )
+    deployment.define_sensor_type("g", {})
+    for value in (10.0, 30.0):
+        deployment.add_sensor(
+            "g",
+            [
+                SensorStreamSpec(
+                    0,
+                    ConstantSampler(value),
+                    CODEC,
+                    config=StreamConfig(rate=2.0),
+                    kind="raw",
+                )
+            ],
+            mobility=Point(200.0, 200.0),
         )
-        deployment.define_sensor_type("g", {})
-        for value in (10.0, 30.0):
-            deployment.add_sensor(
-                "g",
-                [
-                    SensorStreamSpec(
-                        0,
-                        ConstantSampler(value),
-                        CODEC,
-                        config=StreamConfig(rate=2.0),
-                        kind="raw",
-                    )
-                ],
-                mobility=Point(200.0, 200.0),
-            )
-        deployment.add_consumer(
-            FusionOperator(
-                "fuse",
-                [SubscriptionPattern(kind="raw")],
-                fuse=lambda xs: sum(xs) / len(xs),
-                input_codec=CODEC,
-                output_codec=CODEC,
-                output_kind="fused",
-            )
+    deployment.add_consumer(
+        FusionOperator(
+            "fuse",
+            [SubscriptionPattern(kind="raw")],
+            fuse=lambda xs: sum(xs) / len(xs),
+            input_codec=CODEC,
+            output_codec=CODEC,
+            output_kind="fused",
         )
-        sink = CollectingConsumer(
-            "sink", SubscriptionPattern(kind="fused"), CODEC
-        )
-        deployment.add_consumer(sink)
-        deployment.run(30.0)
-        return list(sink.values)
-
-    values = benchmark.pedantic(run, rounds=1, iterations=1)
+    )
+    sink = CollectingConsumer(
+        "sink", SubscriptionPattern(kind="fused"), CODEC
+    )
+    deployment.add_consumer(sink)
+    deployment.run(30.0)
+    values = list(sink.values)
     assert len(values) > 20
     # Once both inputs are live the fused mean settles at 20.
     settled = values[5:]

@@ -15,6 +15,8 @@ success holds far beyond the raw loss rate because of retries; targeted
 broadcasts use a strict subset of transmitters once location is known.
 """
 
+import functools
+
 from repro.core.config import GarnetConfig
 from repro.core.control import StreamUpdateCommand
 from repro.core.dispatching import SubscriptionPattern
@@ -28,7 +30,7 @@ from repro.simnet.geometry import Rect
 from repro.simnet.mobility import RandomWaypoint
 from repro.simnet.wireless import LossModel
 
-from conftest import print_table
+from claims import Table, documents
 
 CODEC = SampleCodec(0.0, 100.0)
 LOSS_LEVELS = [0.0, 0.1, 0.25, 0.4]
@@ -108,21 +110,23 @@ def run_cell(base_loss: float, seed: int = 29) -> dict:
     }
 
 
-def test_loss_sweep(benchmark):
-    def sweep():
-        return [run_cell(loss) for loss in LOSS_LEVELS]
+@functools.cache
+def loss_sweep() -> list[dict]:
+    return [run_cell(loss) for loss in LOSS_LEVELS]
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
+
+@documents("E11")
+def loss_table() -> Table:
+    return Table(
         "E11: full-pipeline behaviour vs radio loss",
         [
             "base loss",
             "data delivery",
-            "actuation ok",
+            "actuation success",
             "retries",
-            "ack RTT ms",
+            "ack RTT (ms)",
             "tx/order",
-            "applied/5",
+            "applied",
         ],
         [
             [
@@ -132,11 +136,16 @@ def test_loss_sweep(benchmark):
                 r["retransmissions"],
                 r["ack_rtt_ms"],
                 r["mean_tx_per_order"],
-                r["applied"],
+                f"{r['applied']}/{SENSORS}",
             ]
-            for r in rows
+            for r in loss_sweep()
         ],
     )
+
+
+def test_loss_sweep():
+    loss_table().show()
+    rows = loss_sweep()
     by_loss = {r["loss"]: r for r in rows}
     # Shape 1: lossless baseline is essentially perfect on both paths.
     assert by_loss[0.0]["delivery_ratio"] > 0.95

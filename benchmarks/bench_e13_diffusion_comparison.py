@@ -19,6 +19,8 @@ in-network routing state. Expected shape:
   does not need.
 """
 
+import functools
+
 from repro.baselines.diffusion import DiffusionNetwork, Interest
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
@@ -31,7 +33,7 @@ from repro.sensors.sampling import ConstantSampler, SampleCodec
 from repro.simnet.geometry import Point, Rect
 from repro.simnet.wireless import LossModel
 
-from conftest import print_table
+from claims import Table, documents
 
 CODEC = SampleCodec(0.0, 100.0)
 DURATION = 240.0
@@ -117,17 +119,18 @@ def garnet_cell(loss: float, seed: int = 5) -> dict:
     }
 
 
-def test_diffusion_vs_garnet(benchmark):
-    def sweep():
-        return (
-            [diffusion_cell(loss) for loss in LOSSES],
-            [garnet_cell(loss) for loss in LOSSES],
-        )
-
-    diffusion_rows, garnet_rows = benchmark.pedantic(
-        sweep, rounds=1, iterations=1
+@functools.cache
+def system_sweep() -> tuple[list[dict], list[dict]]:
+    return (
+        [diffusion_cell(loss) for loss in LOSSES],
+        [garnet_cell(loss) for loss in LOSSES],
     )
-    print_table(
+
+
+@documents("E13")
+def system_table() -> Table:
+    diffusion_rows, garnet_rows = system_sweep()
+    return Table(
         "E13: directed diffusion vs Garnet (Section 7, [13])",
         [
             "system",
@@ -149,6 +152,11 @@ def test_diffusion_vs_garnet(benchmark):
             for r in diffusion_rows + garnet_rows
         ],
     )
+
+
+def test_diffusion_vs_garnet():
+    system_table().show()
+    diffusion_rows, garnet_rows = system_sweep()
     diffusion = {r["loss"]: r for r in diffusion_rows}
     garnet = {r["loss"]: r for r in garnet_rows}
     # Shape 1: both deliver everything on a clean channel.

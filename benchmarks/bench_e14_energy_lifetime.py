@@ -15,6 +15,8 @@ drop visibly extends a node's remaining life versus an identical
 un-actuated twin.
 """
 
+import functools
+
 from repro.core.config import GarnetConfig
 from repro.core.control import StreamUpdateCommand
 from repro.core.middleware import Garnet
@@ -25,7 +27,7 @@ from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import ConstantSampler, SampleCodec
 from repro.simnet.geometry import Point, Rect
 
-from conftest import print_table
+from claims import Table, documents, print_table
 
 CODEC = SampleCodec(0.0, 100.0)
 BATTERY_J = 0.05
@@ -77,24 +79,31 @@ def lifetime_cell(rate: float, precision: int) -> dict:
     }
 
 
-def test_rate_precision_lifetime_sweep(benchmark):
-    def sweep():
-        return [
-            lifetime_cell(rate, precision)
-            for rate in (0.5, 1.0, 2.0)
-            for precision in (8, 16, 32)
-        ]
+@functools.cache
+def lifetime_sweep() -> list[dict]:
+    return [
+        lifetime_cell(rate, precision)
+        for rate in (0.5, 1.0, 2.0)
+        for precision in (8, 16, 32)
+    ]
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
+
+@documents("E14")
+def lifetime_table() -> Table:
+    return Table(
         "E14: node lifetime vs sampling rate and precision "
         f"({BATTERY_J} J battery)",
-        ["rate Hz", "precision bits", "lifetime s", "messages sent"],
+        ["rate (Hz)", "precision (bits)", "lifetime (s)", "messages"],
         [
             [r["rate"], r["precision"], r["lifetime"], r["messages"]]
-            for r in rows
+            for r in lifetime_sweep()
         ],
     )
+
+
+def test_rate_precision_lifetime_sweep():
+    lifetime_table().show()
+    rows = lifetime_sweep()
     by_key = {(r["rate"], r["precision"]): r for r in rows}
     # Shape 1: lifetime ~ 1/rate at fixed precision.
     ratio = (
@@ -111,50 +120,47 @@ def test_rate_precision_lifetime_sweep(benchmark):
         assert r["messages"] > 0
 
 
-def test_actuated_rate_drop_extends_life(benchmark):
+def test_actuated_rate_drop_extends_life():
     """The closed loop: a consumer's SET_RATE visibly extends lifetime."""
 
-    def run():
-        deployment = deploy(seed=2)
-        twins = []
-        for index in range(2):
-            twins.append(
-                deployment.add_sensor(
-                    "battery_node",
-                    [
-                        SensorStreamSpec(
-                            0,
-                            ConstantSampler(42.0),
-                            CODEC,
-                            config=StreamConfig(rate=2.0),
-                            kind="e14b",
-                        )
-                    ],
-                    mobility=Point(150.0 + 100.0 * index, 200.0),
-                    # Three times the sweep budget, so the actuation at
-                    # t=5 s lands well before either twin is drained.
-                    battery=Battery(3 * BATTERY_J),
-                    energy_model=RadioEnergyModel(),
-                )
+    deployment = deploy(seed=2)
+    twins = []
+    for index in range(2):
+        twins.append(
+            deployment.add_sensor(
+                "battery_node",
+                [
+                    SensorStreamSpec(
+                        0,
+                        ConstantSampler(42.0),
+                        CODEC,
+                        config=StreamConfig(rate=2.0),
+                        kind="e14b",
+                    )
+                ],
+                mobility=Point(150.0 + 100.0 * index, 200.0),
+                # Three times the sweep budget, so the actuation at
+                # t=5 s lands well before either twin is drained.
+                battery=Battery(3 * BATTERY_J),
+                energy_model=RadioEnergyModel(),
             )
-        token = deployment.issue_token(
-            "conservator", Permission.trusted_consumer()
         )
-        deployment.run(5.0)
-        # Drop only the first twin to 0.25 Hz via the real control path.
-        deployment.control.request_update(
-            consumer="conservator",
-            stream_id=twins[0].stream_ids()[0],
-            command=StreamUpdateCommand.SET_RATE,
-            value=0.25,
-            token=token,
-        )
-        deployment.run(HORIZON)
-        return [t.stats.died_at or HORIZON + 20.0 for t in twins]
-
-    actuated_death, control_death = benchmark.pedantic(
-        run, rounds=1, iterations=1
+    token = deployment.issue_token(
+        "conservator", Permission.trusted_consumer()
     )
+    deployment.run(5.0)
+    # Drop only the first twin to 0.25 Hz via the real control path.
+    deployment.control.request_update(
+        consumer="conservator",
+        stream_id=twins[0].stream_ids()[0],
+        command=StreamUpdateCommand.SET_RATE,
+        value=0.25,
+        token=token,
+    )
+    deployment.run(HORIZON)
+    actuated_death, control_death = [
+        t.stats.died_at or HORIZON + 20.0 for t in twins
+    ]
     print_table(
         "E14b: mid-life SET_RATE 2.0 -> 0.25 Hz vs untouched twin",
         ["node", "died at (s)"],

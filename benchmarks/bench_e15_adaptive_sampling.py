@@ -20,6 +20,7 @@ accuracy at a fraction of fixed-high's transmissions — strictly
 dominating fixed-low on error and fixed-high on cost.
 """
 
+import functools
 import math
 
 from repro.core.adaptive import AdaptiveRateController
@@ -33,7 +34,7 @@ from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import CallbackSampler, SampleCodec
 from repro.simnet.geometry import Rect
 
-from conftest import print_table
+from claims import Table, documents
 
 CODEC = SampleCodec(-60.0, 60.0)
 DURATION = 600.0
@@ -127,19 +128,26 @@ def reconstruction_rms(received: list[tuple[float, float]]) -> float:
     return math.sqrt(sum(errors) / len(errors))
 
 
-def test_adaptive_vs_fixed(benchmark):
-    def sweep():
-        return [
-            run_strategy(s)
-            for s in ("fixed-low", "fixed-high", "adaptive")
-        ]
+@functools.cache
+def strategy_sweep() -> list[dict]:
+    return [run_strategy(s) for s in ("fixed-low", "fixed-high", "adaptive")]
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
+
+@documents("E15")
+def strategy_table() -> Table:
+    return Table(
         "E15: adaptive sampling vs fixed rates (bursty signal, 600 s)",
-        ["strategy", "sensor tx", "RMS reconstruction error"],
-        [[r["strategy"], r["transmissions"], r["rms_error"]] for r in rows],
+        ["strategy", "sensor tx", "RMS error"],
+        [
+            [r["strategy"], r["transmissions"], r["rms_error"]]
+            for r in strategy_sweep()
+        ],
     )
+
+
+def test_adaptive_vs_fixed():
+    strategy_table().show()
+    rows = strategy_sweep()
     by_name = {r["strategy"]: r for r in rows}
     low, high, adaptive = (
         by_name["fixed-low"],

@@ -18,8 +18,7 @@ three faults:
 - two runs with the same seed produce byte-identical snapshots.
 
 Set ``GARNET_CHAOS_QUICK=1`` to compress the fault timeline 4x (the CI
-smoke configuration). These tests use no benchmark fixture so a plain
-``pytest benchmarks/bench_e16_chaos.py`` runs them anywhere.
+smoke configuration): ``pytest benchmarks/bench_e16_chaos.py``.
 """
 
 import json
@@ -36,7 +35,7 @@ from repro.sensors.sampling import ConstantSampler, SampleCodec
 from repro.simnet.geometry import Rect
 from repro.simnet.wireless import LossModel
 
-from conftest import print_table
+from claims import print_table
 
 CODEC = SampleCodec(0.0, 100.0)
 QUICK = os.environ.get("GARNET_CHAOS_QUICK", "") not in ("", "0")

@@ -24,8 +24,7 @@ The QoS layer (``repro.qos``) must absorb all three at once:
   ``qos.*`` metrics, and two same-seed runs are byte-identical.
 
 Set ``GARNET_OVERLOAD_QUICK=1`` to compress the timeline 4x (the CI
-smoke configuration). These tests use no benchmark fixture so a plain
-``pytest benchmarks/bench_e17_overload.py`` runs them anywhere.
+smoke configuration): ``pytest benchmarks/bench_e17_overload.py``.
 """
 
 import json
@@ -45,7 +44,7 @@ from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import ConstantSampler, SampleCodec
 from repro.simnet.geometry import Rect
 
-from conftest import print_table
+from claims import print_table
 
 CODEC = SampleCodec(0.0, 100.0)
 QUICK = os.environ.get("GARNET_OVERLOAD_QUICK", "") not in ("", "0")

@@ -4,8 +4,8 @@ Paper artefacts reproduced:
 - Figure 2's exact field widths (verified at the boundaries);
 - "supports up to 16.7M sensors, 256 internal-streams/sensor, 64K
   sequence counts and payloads of 64K bytes" (Section 1);
-- codec throughput across payload sizes (the proof-of-concept's core
-  data-path operation).
+- the codec across payload sizes (the proof-of-concept's core data-path
+  operation; E18 times it).
 """
 
 import pytest
@@ -21,45 +21,45 @@ from repro.core.streamid import (
     StreamId,
 )
 
-from conftest import print_table
+from claims import Table, documents, print_table
 
 CODEC = MessageCodec(checksum=True)
 
 
-def test_capacity_claims(benchmark):
+@documents("E1")
+def capacity_table() -> Table:
     """Encode/decode at every capacity boundary the paper claims."""
-
-    def exercise_boundaries() -> list[list]:
-        rows = []
-        cases = [
-            ("sensors", StreamId(MAX_SENSOR_ID, 0), 0, 0),
-            ("streams/sensor", StreamId(0, MAX_STREAM_INDEX), 0, 0),
-            ("sequence counts", StreamId(0, 0), 65535, 0),
-            ("payload bytes", StreamId(0, 0), 0, MAX_PAYLOAD_BYTES),
-        ]
-        for claim, stream_id, sequence, payload_bytes in cases:
-            message = DataMessage(
-                stream_id=stream_id,
-                sequence=sequence,
-                payload=b"\xa5" * payload_bytes,
-            )
-            decoded = CODEC.decode(CODEC.encode(message))
-            assert decoded == message
-            capacity = {
-                "sensors": MAX_SENSOR_ID + 1,
-                "streams/sensor": MAX_STREAM_INDEX + 1,
-                "sequence counts": 65536,
-                "payload bytes": MAX_PAYLOAD_BYTES,
-            }[claim]
-            rows.append([claim, capacity, "ok"])
-        return rows
-
-    rows = benchmark(exercise_boundaries)
-    print_table(
+    rows = []
+    cases = [
+        ("sensors", StreamId(MAX_SENSOR_ID, 0), 0, 0),
+        ("streams/sensor", StreamId(0, MAX_STREAM_INDEX), 0, 0),
+        ("sequence counts", StreamId(0, 0), 65535, 0),
+        ("payload bytes", StreamId(0, 0), 0, MAX_PAYLOAD_BYTES),
+    ]
+    for claim, stream_id, sequence, payload_bytes in cases:
+        message = DataMessage(
+            stream_id=stream_id,
+            sequence=sequence,
+            payload=b"\xa5" * payload_bytes,
+        )
+        decoded = CODEC.decode(CODEC.encode(message))
+        assert decoded == message
+        capacity = {
+            "sensors": MAX_SENSOR_ID + 1,
+            "streams/sensor": MAX_STREAM_INDEX + 1,
+            "sequence counts": 65536,
+            "payload bytes": MAX_PAYLOAD_BYTES,
+        }[claim]
+        rows.append([claim, capacity, "ok"])
+    return Table(
         "E1: capacity claims (Section 1)",
         ["claim", "capacity", "boundary roundtrip"],
         rows,
     )
+
+
+def test_capacity_claims():
+    capacity_table().show()
     # The paper's headline numbers.
     assert MAX_SENSOR_ID + 1 == 16_777_216
     assert MAX_STREAM_INDEX + 1 == 256
@@ -67,18 +67,18 @@ def test_capacity_claims(benchmark):
 
 
 @pytest.mark.parametrize("payload_bytes", [0, 16, 256, 4096, 65535])
-def test_encode_throughput(benchmark, payload_bytes):
+def test_encode_frame_length(payload_bytes):
     message = DataMessage(
         stream_id=StreamId(123456, 7),
         sequence=42,
         payload=b"\x5a" * payload_bytes,
     )
-    wire = benchmark(CODEC.encode, message)
+    wire = CODEC.encode(message)
     assert len(wire) == 9 + payload_bytes + 2
 
 
 @pytest.mark.parametrize("payload_bytes", [0, 16, 256, 4096, 65535])
-def test_decode_throughput(benchmark, payload_bytes):
+def test_decode_payload_length(payload_bytes):
     wire = CODEC.encode(
         DataMessage(
             stream_id=StreamId(123456, 7),
@@ -86,11 +86,11 @@ def test_decode_throughput(benchmark, payload_bytes):
             payload=b"\x5a" * payload_bytes,
         )
     )
-    message = benchmark(CODEC.decode, wire)
+    message = CODEC.decode(wire)
     assert len(message.payload) == payload_bytes
 
 
-def test_roundtrip_with_all_options(benchmark):
+def test_roundtrip_with_all_options():
     message = DataMessage(
         stream_id=StreamId(999, 1),
         sequence=7,
@@ -101,25 +101,16 @@ def test_roundtrip_with_all_options(benchmark):
         hop_count=2,
         extensions=((2, b"\x00" * 8),),
     )
-
-    def roundtrip():
-        return CODEC.decode(CODEC.encode(message))
-
-    assert benchmark(roundtrip) == message
+    assert CODEC.decode(CODEC.encode(message)) == message
 
 
-def test_header_overhead_fraction(benchmark):
+def test_header_overhead_fraction():
     """Fixed overhead per message: 9 header + 2 checksum bytes."""
-
-    def overheads():
-        return [
-            [size, 11, f"{11 / (11 + size):.1%}"]
-            for size in (8, 64, 512, 4096)
-        ]
-
-    rows = benchmark(overheads)
     print_table(
         "E1: fixed overhead vs payload size",
         ["payload B", "overhead B", "overhead fraction"],
-        rows,
+        [
+            [size, 11, f"{11 / (11 + size):.1%}"]
+            for size in (8, 64, 512, 4096)
+        ],
     )

@@ -13,6 +13,8 @@ overlap → more duplicates filtered AND better delivery under loss;
 consumers always see each message at most once.
 """
 
+import functools
+
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.middleware import Garnet
@@ -24,7 +26,7 @@ from repro.simnet.geometry import Rect
 from repro.simnet.mobility import RandomWaypoint
 from repro.simnet.wireless import LossModel
 
-from conftest import print_table
+from claims import Table, documents, print_table
 
 CODEC = SampleCodec(0.0, 100.0)
 DURATION = 120.0
@@ -83,16 +85,18 @@ def run_cell(overlap: float, lossy: bool, seed: int = 5) -> dict:
     }
 
 
-def test_overlap_and_loss_sweep(benchmark):
-    def sweep():
-        return [
-            run_cell(overlap, lossy)
-            for overlap in (1.0, 1.5, 2.5)
-            for lossy in (False, True)
-        ]
+@functools.cache
+def overlap_sweep() -> list[dict]:
+    return [
+        run_cell(overlap, lossy)
+        for overlap in (1.0, 1.5, 2.5)
+        for lossy in (False, True)
+    ]
 
-    cells = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
+
+@documents("E2")
+def overlap_table() -> Table:
+    return Table(
         "E2: receiver overlap vs duplication and delivery (Section 4.2)",
         ["overlap", "loss", "dup factor", "delivery", "dups dropped"],
         [
@@ -103,10 +107,14 @@ def test_overlap_and_loss_sweep(benchmark):
                 c["delivery_ratio"],
                 int(c["duplicates_dropped"]),
             ]
-            for c in cells
+            for c in overlap_sweep()
         ],
     )
 
+
+def test_overlap_and_loss_sweep():
+    overlap_table().show()
+    cells = overlap_sweep()
     by_key = {(c["overlap"], c["loss"]): c for c in cells}
     # Shape 1: duplication grows with overlap (lossless column).
     assert (
@@ -125,53 +133,43 @@ def test_overlap_and_loss_sweep(benchmark):
     assert by_key[(2.5, "no")]["duplicates_dropped"] > 0
 
 
-def test_mobile_sensors_roam_out_of_coverage(benchmark):
+def test_mobile_sensors_roam_out_of_coverage():
     """Section 4.2: sensors roaming outside the zone lose messages."""
 
-    def run() -> dict:
-        area = Rect(0.0, 0.0, 800.0, 800.0)
-        config = GarnetConfig(
-            area=area,
-            receiver_rows=2,
-            receiver_cols=2,
-            receiver_overlap=1.0,
-            loss_model=LossModel(base=0.0, edge=0.9),
-        )
-        deployment = Garnet(config=config, seed=9)
-        deployment.define_sensor_type("g", {})
-        node = deployment.add_sensor(
-            "g",
-            [
-                SensorStreamSpec(
-                    0, ConstantSampler(1.0), CODEC,
-                    config=StreamConfig(rate=1.0), kind="e2m",
-                )
-            ],
-            mobility=RandomWaypoint(
-                area.expanded(400.0),
-                deployment.sim.fork_rng(),
-                speed_min=15.0,
-                speed_max=30.0,
-                pause=0.0,
-            ),
-            tx_range=250.0,
-        )
-        sink = CollectingConsumer("sink", SubscriptionPattern(kind="e2m"))
-        deployment.add_consumer(sink)
-        deployment.run(400.0)
-        return {
-            "sent": node.stats.messages_sent,
-            "delivered": len(sink.arrivals),
-        }
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    area = Rect(0.0, 0.0, 800.0, 800.0)
+    config = GarnetConfig(
+        area=area,
+        receiver_rows=2,
+        receiver_cols=2,
+        receiver_overlap=1.0,
+        loss_model=LossModel(base=0.0, edge=0.9),
+    )
+    deployment = Garnet(config=config, seed=9)
+    deployment.define_sensor_type("g", {})
+    node = deployment.add_sensor(
+        "g",
+        [
+            SensorStreamSpec(
+                0, ConstantSampler(1.0), CODEC,
+                config=StreamConfig(rate=1.0), kind="e2m",
+            )
+        ],
+        mobility=RandomWaypoint(
+            area.expanded(400.0),
+            deployment.sim.fork_rng(),
+            speed_min=15.0,
+            speed_max=30.0,
+            pause=0.0,
+        ),
+        tx_range=250.0,
+    )
+    sink = CollectingConsumer("sink", SubscriptionPattern(kind="e2m"))
+    deployment.add_consumer(sink)
+    deployment.run(400.0)
+    sent, delivered = node.stats.messages_sent, len(sink.arrivals)
     print_table(
         "E2b: roaming sensor message loss",
         ["sent", "delivered", "loss fraction"],
-        [[
-            result["sent"],
-            result["delivered"],
-            1.0 - result["delivered"] / result["sent"],
-        ]],
+        [[sent, delivered, 1.0 - delivered / sent]],
     )
-    assert 0 < result["delivered"] < result["sent"]
+    assert 0 < delivered < sent

@@ -5,11 +5,12 @@ performance overhead, scalable design" for the data distribution path,
 and the Section 5 "delayed delivery decision-making" claim that route
 computation in the fixed network stays cheap.
 
-Micro-benchmarks drive the Dispatching Service directly (no radio) and
-sweep consumer fan-out and stream count. Expected shape: steady-state
+The tests drive the Dispatching Service directly (no radio) and sweep
+consumer fan-out and stream count. Expected shape: steady-state
 dispatch cost grows linearly in the number of *matching* subscribers
 (the deliveries themselves) and is flat in the number of non-matching
-subscriptions thanks to route memoisation.
+subscriptions thanks to route memoisation (E18's ``dispatch`` row and
+ablation A1 put numbers on it).
 """
 
 import pytest
@@ -26,7 +27,7 @@ from repro.core.streams import StreamRegistry
 from repro.simnet.fixednet import FixedNetwork
 from repro.simnet.kernel import Simulator
 
-from conftest import print_table
+from claims import Table, documents
 
 
 def build(consumers: int, matching: bool):
@@ -58,7 +59,7 @@ def build(consumers: int, matching: bool):
 
 
 @pytest.mark.parametrize("consumers", [1, 10, 100, 1000])
-def test_fan_out_scaling(benchmark, consumers):
+def test_fan_out_scaling(consumers):
     """Cost per arrival with N matching subscribers (delivery dominates)."""
     sim, service, arrival, counts = build(consumers, matching=True)
 
@@ -66,12 +67,12 @@ def test_fan_out_scaling(benchmark, consumers):
         service.on_arrival(arrival)
         sim.run()
 
-    benchmark(dispatch)
-    assert counts[0] >= consumers  # everyone got every round's message
+    dispatch()
+    assert counts[0] == consumers  # everyone got every round's message
 
 
 @pytest.mark.parametrize("subscriptions", [10, 100, 1000, 10000])
-def test_non_matching_subscriptions_are_free(benchmark, subscriptions):
+def test_non_matching_subscriptions_are_free(subscriptions):
     """Route memoisation: unrelated subscriptions do not tax the hot path."""
     sim, service, arrival, counts = build(subscriptions, matching=False)
     service.on_arrival(arrival)  # warm the route cache
@@ -81,11 +82,12 @@ def test_non_matching_subscriptions_are_free(benchmark, subscriptions):
         service.on_arrival(arrival)
         sim.run()
 
-    benchmark(dispatch)
+    dispatch()
     assert counts[0] == 0
 
 
-def test_many_streams_route_independence(benchmark):
+@documents("E3")
+def route_table() -> Table:
     """Dispatch cost is per-stream-route, not per-total-streams."""
     sim = Simulator(seed=1)
     network = FixedNetwork(sim, message_latency=0.0)
@@ -99,24 +101,25 @@ def test_many_streams_route_independence(benchmark):
         service.add_subscription(
             "sink", SubscriptionPattern(stream_id=stream)
         )
-    arrivals = [
-        StreamArrival(
-            message=DataMessage(stream_id=stream, sequence=0),
-            received_at=0.0,
-            receiver_id=0,
+    for stream in streams:
+        service.on_arrival(
+            StreamArrival(
+                message=DataMessage(stream_id=stream, sequence=0),
+                received_at=0.0,
+                receiver_id=0,
+            )
         )
-        for stream in streams
-    ]
-
-    def dispatch_all():
-        for arrival in arrivals:
-            service.on_arrival(arrival)
-        sim.run()
-
-    benchmark(dispatch_all)
-    assert delivered[0] >= len(streams)
-    print_table(
+    sim.run()
+    return Table(
         "E3: dispatch table sizes",
-        ["streams", "subscriptions", "deliveries so far"],
+        ["streams", "subscriptions", "deliveries"],
         [[len(streams), service.subscription_count(), delivered[0]]],
     )
+
+
+def test_many_streams_route_independence():
+    table = route_table()
+    table.show()
+    [[streams, subscriptions, deliveries]] = table.rows
+    assert subscriptions == streams
+    assert deliveries == streams  # each stream routed to its one sink

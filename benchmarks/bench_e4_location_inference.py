@@ -13,6 +13,8 @@ Expected shape: error falls with receiver density, and hints beat any
 radio-only configuration.
 """
 
+import functools
+
 from repro.core.config import GarnetConfig
 from repro.core.middleware import Garnet
 from repro.core.resource import StreamConfig
@@ -24,7 +26,7 @@ from repro.simnet.geometry import Rect
 from repro.simnet.kernel import PeriodicTask
 from repro.simnet.mobility import RandomWaypoint
 
-from conftest import print_table
+from claims import Table, documents
 
 CODEC = SampleCodec(0.0, 100.0)
 AREA = Rect(0.0, 0.0, 800.0, 800.0)
@@ -95,7 +97,7 @@ def run_cell(grid: int, hints: bool, seed: int = 21) -> dict:
     deployment.run(DURATION)
     errors.sort()
     return {
-        "grid": f"{grid}x{grid}",
+        "grid": f"{grid}×{grid}",
         "hints": "yes" if hints else "no",
         "mean_error": sum(errors) / len(errors),
         "median_error": errors[len(errors) // 2],
@@ -103,18 +105,18 @@ def run_cell(grid: int, hints: bool, seed: int = 21) -> dict:
     }
 
 
-def test_density_and_hint_sweep(benchmark):
-    def sweep():
-        cells = []
-        for grid in (2, 3, 5):
-            cells.append(run_cell(grid, hints=False))
-        cells.append(run_cell(3, hints=True))
-        return cells
+@functools.cache
+def density_sweep() -> list[dict]:
+    cells = [run_cell(grid, hints=False) for grid in (2, 3, 5)]
+    cells.append(run_cell(3, hints=True))
+    return cells
 
-    cells = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_table(
+
+@documents("E4")
+def density_table() -> Table:
+    return Table(
         "E4: location inference error (Section 5)",
-        ["receivers", "hints", "mean err m", "median err m", "probes"],
+        ["receivers", "hints", "mean err (m)", "median err (m)", "probes"],
         [
             [
                 c["grid"],
@@ -123,14 +125,19 @@ def test_density_and_hint_sweep(benchmark):
                 c["median_error"],
                 c["samples"],
             ]
-            for c in cells
+            for c in density_sweep()
         ],
     )
+
+
+def test_density_and_hint_sweep():
+    density_table().show()
+    cells = density_sweep()
     radio_only = {c["grid"]: c for c in cells if c["hints"] == "no"}
     hinted = next(c for c in cells if c["hints"] == "yes")
     # Shape 1: denser receiver grids localise better.
-    assert radio_only["5x5"]["mean_error"] < radio_only["2x2"]["mean_error"]
+    assert radio_only["5×5"]["mean_error"] < radio_only["2×2"]["mean_error"]
     # Shape 2: application hints substantially refine the same grid —
     # the Section 5 argument for accepting hints instead of burdening
     # every sensor with positioning hardware.
-    assert hinted["mean_error"] < 0.8 * radio_only["3x3"]["mean_error"]
+    assert hinted["mean_error"] < 0.8 * radio_only["3×3"]["mean_error"]

@@ -19,11 +19,12 @@ lower, with pre-armed (negative-latency) detections appearing after the
 model warms up on the first flood cycle.
 """
 
+import functools
 import statistics
 
 from repro.workloads.watercourse import WatercourseScenario
 
-from conftest import print_table
+from claims import Table, documents, print_table
 
 GAUGES = 4
 WAVES = 5
@@ -31,6 +32,7 @@ WAVE_PERIOD = 300.0
 DURATION = 1800.0
 
 
+@functools.cache
 def run_mode(predictive: bool) -> dict:
     scenario = WatercourseScenario(
         gauges=GAUGES,
@@ -54,16 +56,12 @@ def run_mode(predictive: bool) -> dict:
     }
 
 
-def test_reactive_vs_predictive(benchmark):
-    def run_both():
-        return run_mode(False), run_mode(True)
-
-    reactive, predictive = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+@documents("E6")
+def mode_table() -> Table:
     rows = []
-    for result in (reactive, predictive):
+    for result in (run_mode(False), run_mode(True)):
         latencies = result["latencies"]
+        predictions = result["predictions_right"] + result["predictions_wrong"]
         rows.append(
             [
                 result["mode"],
@@ -72,26 +70,31 @@ def test_reactive_vs_predictive(benchmark):
                 statistics.mean(latencies) if latencies else float("nan"),
                 min(latencies) if latencies else float("nan"),
                 result["pre_armed"],
-                f"{result['predictions_right']}/"
-                f"{result['predictions_right'] + result['predictions_wrong']}",
+                f"{result['predictions_right']}/{predictions}"
+                if predictions
+                else "—",
                 result["actuations"],
             ]
         )
-    print_table(
+    return Table(
         "E6: detection -> high-rate-acknowledged latency (Section 6.1)",
         [
             "mode",
             "detections",
             "matched",
-            "mean lat s",
-            "min lat s",
+            "mean lat (s)",
+            "min lat (s)",
             "pre-armed",
-            "pred right",
+            "predictions right",
             "actuations",
         ],
         rows,
     )
 
+
+def test_reactive_vs_predictive():
+    mode_table().show()
+    reactive, predictive = run_mode(False), run_mode(True)
     reactive_lat = reactive["latencies"]
     predictive_lat = predictive["latencies"]
     assert reactive_lat and predictive_lat
@@ -106,15 +109,11 @@ def test_reactive_vs_predictive(benchmark):
     assert predictive["predictions_right"] > 0
 
 
-def test_prediction_cost_is_bounded(benchmark):
+def test_prediction_cost_is_bounded():
     """Anticipation is not free: wrong predictions fire spurious
     actuations. Check the cost stays proportionate (the simple-policy
     regime the paper assumes)."""
-
-    def run():
-        return run_mode(True)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run_mode(True)
     total = result["predictions_right"] + result["predictions_wrong"]
     print_table(
         "E6b: prediction economy",

@@ -18,6 +18,7 @@ flat — and a functional check shows why Garnet still cannot adopt it
 (ephemeral ids cannot name a long-lived stream consistently).
 """
 
+import functools
 import random
 
 from repro.baselines.retri import (
@@ -29,44 +30,43 @@ from repro.baselines.retri import (
     retri_transaction_cost,
 )
 
-from conftest import print_table
+from claims import Table, documents, print_table
 
 DENSITIES = [2, 8, 32, 128, 512, 2048, 8192]
 PAYLOAD_BITS = 64
 DISTANCE = 50.0
 
 
-def test_identifier_cost_sweep(benchmark):
-    def sweep():
-        rows = []
-        garnet = garnet_transaction_cost(PAYLOAD_BITS, DISTANCE)
-        for density in DENSITIES:
-            retri = retri_transaction_cost(
-                density, PAYLOAD_BITS, DISTANCE
-            )
-            rows.append(
-                {
-                    "density": density,
-                    "retri_bits": retri.id_bits,
-                    "garnet_bits": garnet.id_bits,
-                    "retri_energy": retri.energy_joules,
-                    "garnet_energy": garnet.energy_joules,
-                    "savings": 1.0
-                    - retri.energy_joules / garnet.energy_joules,
-                }
-            )
-        return rows
+@functools.cache
+def cost_sweep() -> list[dict]:
+    rows = []
+    garnet = garnet_transaction_cost(PAYLOAD_BITS, DISTANCE)
+    for density in DENSITIES:
+        retri = retri_transaction_cost(density, PAYLOAD_BITS, DISTANCE)
+        rows.append(
+            {
+                "density": density,
+                "retri_bits": retri.id_bits,
+                "garnet_bits": garnet.id_bits,
+                "retri_energy": retri.energy_joules,
+                "garnet_energy": garnet.energy_joules,
+                "savings": 1.0 - retri.energy_joules / garnet.energy_joules,
+            }
+        )
+    return rows
 
-    rows = benchmark(sweep)
-    print_table(
+
+@documents("E7")
+def cost_table() -> Table:
+    return Table(
         "E7: identification overhead per transaction (Section 7)",
         [
             "density",
             "RETRI bits",
             "Garnet bits",
-            "RETRI uJ",
-            "Garnet uJ",
-            "RETRI saving",
+            "RETRI µJ",
+            "Garnet µJ",
+            "saving",
         ],
         [
             [
@@ -77,9 +77,14 @@ def test_identifier_cost_sweep(benchmark):
                 r["garnet_energy"] * 1e6,
                 f"{r['savings']:.0%}",
             ]
-            for r in rows
+            for r in cost_sweep()
         ],
     )
+
+
+def test_identifier_cost_sweep():
+    cost_table().show()
+    rows = cost_sweep()
     # Shape 1: RETRI scales with density, not network size.
     widths = [r["retri_bits"] for r in rows]
     assert widths == sorted(widths)
@@ -93,31 +98,24 @@ def test_identifier_cost_sweep(benchmark):
     assert rows[0]["savings"] > rows[-1]["savings"]
 
 
-def test_monte_carlo_validates_sizing(benchmark):
+def test_monte_carlo_validates_sizing():
     """Observed collision rates stay under the 1% design target."""
-
-    def simulate():
-        results = []
-        for density in (8, 64, 512):
-            bits = minimum_id_bits(density, 0.01)
-            scheme = RetriScheme(bits, random.Random(density))
-            for _ in range(400):
-                held = [
-                    scheme.begin_transaction() for _ in range(density)
-                ]
-                for identifier in held:
-                    scheme.end_transaction(identifier)
-            results.append(
-                {
-                    "density": density,
-                    "bits": bits,
-                    "predicted": collision_probability(density, bits),
-                    "observed_per_draw": scheme.observed_collision_rate(),
-                }
-            )
-        return results
-
-    results = benchmark.pedantic(simulate, rounds=1, iterations=1)
+    results = []
+    for density in (8, 64, 512):
+        bits = minimum_id_bits(density, 0.01)
+        scheme = RetriScheme(bits, random.Random(density))
+        for _ in range(400):
+            held = [scheme.begin_transaction() for _ in range(density)]
+            for identifier in held:
+                scheme.end_transaction(identifier)
+        results.append(
+            {
+                "density": density,
+                "bits": bits,
+                "predicted": collision_probability(density, bits),
+                "observed_per_draw": scheme.observed_collision_rate(),
+            }
+        )
     print_table(
         "E7b: Monte-Carlo collision validation",
         ["density", "bits", "predicted P(any)", "observed/draw"],
@@ -131,7 +129,7 @@ def test_monte_carlo_validates_sizing(benchmark):
         assert r["observed_per_draw"] <= 0.01
 
 
-def test_ephemeral_ids_cannot_name_streams(benchmark):
+def test_ephemeral_ids_cannot_name_streams():
     """The paper's verdict: Garnet needs *consistent* stream ids.
 
     A RETRI id is released after each transaction; two samples from the
@@ -139,17 +137,12 @@ def test_ephemeral_ids_cannot_name_streams(benchmark):
     subscription keyed on the first id misses the rest of the stream.
     """
 
-    def run():
-        rng = random.Random(3)
-        scheme = RetriScheme(id_bits=10, rng=rng)
-        ids_over_time = []
-        for _ in range(200):
-            identifier = scheme.begin_transaction()
-            ids_over_time.append(identifier)
-            scheme.end_transaction(identifier)
-        return ids_over_time
-
-    ids = benchmark(run)
+    scheme = RetriScheme(id_bits=10, rng=random.Random(3))
+    ids = []
+    for _ in range(200):
+        identifier = scheme.begin_transaction()
+        ids.append(identifier)
+        scheme.end_transaction(identifier)
     distinct = len(set(ids))
     print_table(
         "E7c: identifier stability over one stream's 200 messages",

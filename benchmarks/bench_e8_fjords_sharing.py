@@ -16,6 +16,8 @@ Two comparisons:
    Fjords sharing win structurally from address-free dispatch.
 """
 
+import functools
+
 import pytest
 
 from repro.baselines.fjords import FjordEngine, FjordQuery
@@ -28,7 +30,7 @@ from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import ConstantSampler, SampleCodec
 from repro.simnet.geometry import Point, Rect
 
-from conftest import print_table
+from claims import Table, documents, print_table
 
 CODEC = SampleCodec(0.0, 100.0)
 QUERY_COUNTS = [1, 2, 4, 8, 16]
@@ -47,40 +49,38 @@ def make_queries(count: int) -> list[FjordQuery]:
     ]
 
 
-def test_fjords_sharing_gain(benchmark):
-    def sweep():
-        rows = []
-        for count in QUERY_COUNTS:
-            shared = FjordEngine(shared=True).run(
-                TUPLES, make_queries(count)
-            )
-            unshared = FjordEngine(shared=False).run(
-                TUPLES, make_queries(count)
-            )
-            rows.append(
-                {
-                    "queries": count,
-                    "shared_tx": shared.sensor_transmissions,
-                    "unshared_tx": unshared.sensor_transmissions,
-                    "gain": unshared.sensor_transmissions
-                    / shared.sensor_transmissions,
-                    "results": shared.results_produced,
-                    "results_match": shared.results_produced
-                    == unshared.results_produced,
-                }
-            )
-        return rows
+@functools.cache
+def sharing_sweep() -> list[dict]:
+    rows = []
+    for count in QUERY_COUNTS:
+        shared = FjordEngine(shared=True).run(TUPLES, make_queries(count))
+        unshared = FjordEngine(shared=False).run(TUPLES, make_queries(count))
+        rows.append(
+            {
+                "queries": count,
+                "shared_tx": shared.sensor_transmissions,
+                "unshared_tx": unshared.sensor_transmissions,
+                "gain": unshared.sensor_transmissions
+                / shared.sensor_transmissions,
+                "results": shared.results_produced,
+                "results_match": shared.results_produced
+                == unshared.results_produced,
+            }
+        )
+    return rows
 
-    rows = benchmark(sweep)
-    print_table(
+
+@documents("E8")
+def sharing_table() -> Table:
+    return Table(
         "E8: Fjords proxy sharing (Section 7 / Madden & Franklin)",
         [
             "queries",
             "shared tx",
             "unshared tx",
-            "sharing gain",
+            "gain",
             "results",
-            "same answers",
+            "identical answers",
         ],
         [
             [
@@ -89,11 +89,16 @@ def test_fjords_sharing_gain(benchmark):
                 r["unshared_tx"],
                 r["gain"],
                 r["results"],
-                r["results_match"],
+                "yes" if r["results_match"] else "no",
             ]
-            for r in rows
+            for r in sharing_sweep()
         ],
     )
+
+
+def test_fjords_sharing_gain():
+    sharing_table().show()
+    rows = sharing_sweep()
     # Shape: the sharing gain equals the number of simultaneous queries
     # ("significant improvements ... to handle simultaneous queries")
     # while answers are identical.
@@ -103,45 +108,43 @@ def test_fjords_sharing_gain(benchmark):
 
 
 @pytest.mark.parametrize("consumers", [1, 4, 16])
-def test_garnet_sharing_is_structural(benchmark, consumers):
+def test_garnet_sharing_is_structural(consumers):
     """The sensor's transmission count is independent of consumer count."""
 
-    def run():
-        deployment = Garnet(
-            config=GarnetConfig(
-                area=Rect(0, 0, 400, 400),
-                receiver_rows=2,
-                receiver_cols=2,
-                loss_model=None,
-            ),
-            seed=consumers,
-        )
-        deployment.define_sensor_type("g", {})
-        node = deployment.add_sensor(
-            "g",
-            [
-                SensorStreamSpec(
-                    0,
-                    ConstantSampler(42.0),
-                    CODEC,
-                    config=StreamConfig(rate=2.0),
-                    kind="e8",
-                )
-            ],
-            mobility=Point(200.0, 200.0),
-        )
-        sinks = [
-            CollectingConsumer(
-                f"sink{i}", SubscriptionPattern(kind="e8")
+    deployment = Garnet(
+        config=GarnetConfig(
+            area=Rect(0, 0, 400, 400),
+            receiver_rows=2,
+            receiver_cols=2,
+            loss_model=None,
+        ),
+        seed=consumers,
+    )
+    deployment.define_sensor_type("g", {})
+    node = deployment.add_sensor(
+        "g",
+        [
+            SensorStreamSpec(
+                0,
+                ConstantSampler(42.0),
+                CODEC,
+                config=StreamConfig(rate=2.0),
+                kind="e8",
             )
-            for i in range(consumers)
-        ]
-        for sink in sinks:
-            deployment.add_consumer(sink)
-        deployment.run(30.0)
-        return node.stats.messages_sent, [len(s.arrivals) for s in sinks]
-
-    sent, received = benchmark.pedantic(run, rounds=1, iterations=1)
+        ],
+        mobility=Point(200.0, 200.0),
+    )
+    sinks = [
+        CollectingConsumer(
+            f"sink{i}", SubscriptionPattern(kind="e8")
+        )
+        for i in range(consumers)
+    ]
+    for sink in sinks:
+        deployment.add_consumer(sink)
+    deployment.run(30.0)
+    sent = node.stats.messages_sent
+    received = [len(s.arrivals) for s in sinks]
     print_table(
         f"E8b: Garnet fan-out with {consumers} consumers",
         ["sensor tx", "per-consumer deliveries"],

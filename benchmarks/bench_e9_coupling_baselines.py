@@ -18,6 +18,10 @@ Two results:
    can express at all.
 """
 
+import functools
+
+import pytest
+
 from repro.baselines.corie import CoupledDeployment, CouplingLimitExceeded
 from repro.baselines.database_centric import (
     ActuationNotSupported,
@@ -34,7 +38,7 @@ from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import ConstantSampler, SampleCodec
 from repro.simnet.geometry import Point, Rect
 
-from conftest import print_table
+from claims import Table, documents, print_table
 
 CODEC = SampleCodec(0.0, 100.0)
 APP_COUNTS = [1, 2, 3, 4, 6, 8]
@@ -105,25 +109,26 @@ def garnet_cell(apps: int) -> dict:
     }
 
 
-def test_concurrent_application_sweep(benchmark):
-    def sweep():
-        return (
-            [corie_cell(n) for n in APP_COUNTS],
-            [garnet_cell(n) for n in APP_COUNTS],
-        )
-
-    corie_rows, garnet_rows = benchmark.pedantic(
-        sweep, rounds=1, iterations=1
+@functools.cache
+def application_sweep() -> tuple[list[dict], list[dict]]:
+    return (
+        [corie_cell(n) for n in APP_COUNTS],
+        [garnet_cell(n) for n in APP_COUNTS],
     )
-    print_table(
+
+
+@documents("E9")
+def application_table() -> Table:
+    corie_rows, garnet_rows = application_sweep()
+    return Table(
         "E9: concurrent applications (Section 7, CORIE comparison)",
         [
             "apps",
-            "corie bound",
-            "corie refused",
-            "corie delivery",
-            "garnet bound",
-            "garnet delivery",
+            "CORIE bound",
+            "refused",
+            "CORIE delivery",
+            "Garnet bound",
+            "Garnet delivery",
         ],
         [
             [
@@ -137,6 +142,11 @@ def test_concurrent_application_sweep(benchmark):
             for c, g in zip(corie_rows, garnet_rows)
         ],
     )
+
+
+def test_concurrent_application_sweep():
+    application_table().show()
+    corie_rows, garnet_rows = application_sweep()
     # Shape 1: coupled deployment serves "at most a few" applications and
     # refuses the rest.
     assert corie_rows[-1]["refused"] > 0
@@ -150,33 +160,29 @@ def test_concurrent_application_sweep(benchmark):
     assert corie_rows[2]["delivery_ratio"] < 0.75
 
 
-def test_capability_matrix(benchmark):
+def test_capability_matrix():
     """Which application requirements each access model can express."""
 
-    def probe():
-        database = SensorDatabase()
-        database.insert("s", 0.0, 1.0)
-        rows = []
+    database = SensorDatabase()
+    database.insert("s", 0.0, 1.0)
+    rows = []
 
-        # Requirement 1: standing aggregate queries.
-        rows.append(["aggregate queries", "yes", "yes", "yes"])
+    # Requirement 1: standing aggregate queries.
+    rows.append(["aggregate queries", "yes", "yes", "yes"])
 
-        # Requirement 2: application-level actuation.
-        try:
-            database.actuate("s", "set_rate", 2.0)
-            db_actuate = "yes"
-        except ActuationNotSupported:
-            db_actuate = "NO"
-        rows.append(["reconfigure sensors", db_actuate, "NO (slots only)", "yes"])
+    # Requirement 2: application-level actuation.
+    try:
+        database.actuate("s", "set_rate", 2.0)
+        db_actuate = "yes"
+    except ActuationNotSupported:
+        db_actuate = "NO"
+    rows.append(["reconfigure sensors", db_actuate, "NO (slots only)", "yes"])
 
-        # Requirement 3: derived streams for downstream consumers.
-        rows.append(["derived streams", "NO", "NO", "yes"])
+    # Requirement 3: derived streams for downstream consumers.
+    rows.append(["derived streams", "NO", "NO", "yes"])
 
-        # Requirement 4: unlimited mutually-unaware applications.
-        rows.append(["unbounded consumers", "yes", "NO (few)", "yes"])
-        return rows
-
-    rows = benchmark(probe)
+    # Requirement 4: unlimited mutually-unaware applications.
+    rows.append(["unbounded consumers", "yes", "NO (few)", "yes"])
     print_table(
         "E9b: capability matrix (Sections 2 and 7)",
         ["requirement", "database-centric", "coupled (CORIE)", "garnet"],
@@ -187,53 +193,44 @@ def test_capability_matrix(benchmark):
     assert rows[1][1] == "NO"
 
 
-def test_garnet_actuation_where_database_cannot(benchmark):
+def test_garnet_actuation_where_database_cannot():
     """The concrete Section 2 complaint, executed: the same application
     goal (raise a sensor's rate during an event) succeeds on Garnet and
     is inexpressible on the query-only model."""
 
-    def run():
-        deployment = Garnet(
-            config=GarnetConfig(
-                area=Rect(0, 0, 400, 400), loss_model=None
-            ),
-            seed=3,
-        )
-        deployment.define_sensor_type(
-            "g", {"rate_limits": "rate <= 10"}
-        )
-        node = deployment.add_sensor(
-            "g",
-            [
-                SensorStreamSpec(
-                    0,
-                    ConstantSampler(1.0),
-                    CODEC,
-                    config=StreamConfig(rate=1.0),
-                    kind="e9c",
-                )
-            ],
-            mobility=Point(200.0, 200.0),
-        )
-        token = deployment.issue_token(
-            "ops", Permission.trusted_consumer()
-        )
-        decision = deployment.control.request_update(
-            consumer="ops",
-            stream_id=node.stream_ids()[0],
-            command=StreamUpdateCommand.SET_RATE,
-            value=5.0,
-            token=token,
-        )
-        deployment.run(15.0)
-        database = SensorDatabase()
-        try:
-            database.actuate(str(node.stream_ids()[0]), "set_rate", 5.0)
-            db_ok = True
-        except ActuationNotSupported:
-            db_ok = False
-        return decision.approved, node.current_config(0).rate, db_ok
-
-    approved, rate, db_ok = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert approved and rate == 5.0
-    assert not db_ok
+    deployment = Garnet(
+        config=GarnetConfig(
+            area=Rect(0, 0, 400, 400), loss_model=None
+        ),
+        seed=3,
+    )
+    deployment.define_sensor_type(
+        "g", {"rate_limits": "rate <= 10"}
+    )
+    node = deployment.add_sensor(
+        "g",
+        [
+            SensorStreamSpec(
+                0,
+                ConstantSampler(1.0),
+                CODEC,
+                config=StreamConfig(rate=1.0),
+                kind="e9c",
+            )
+        ],
+        mobility=Point(200.0, 200.0),
+    )
+    token = deployment.issue_token(
+        "ops", Permission.trusted_consumer()
+    )
+    decision = deployment.control.request_update(
+        consumer="ops",
+        stream_id=node.stream_ids()[0],
+        command=StreamUpdateCommand.SET_RATE,
+        value=5.0,
+        token=token,
+    )
+    deployment.run(15.0)
+    assert decision.approved and node.current_config(0).rate == 5.0
+    with pytest.raises(ActuationNotSupported):
+        SensorDatabase().actuate(str(node.stream_ids()[0]), "set_rate", 5.0)

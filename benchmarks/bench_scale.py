@@ -19,7 +19,7 @@ from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import ConstantSampler, SampleCodec
 from repro.simnet.geometry import Rect
 
-from conftest import print_table
+from claims import print_table
 
 CODEC = SampleCodec(0.0, 100.0)
 DURATION = 30.0
@@ -70,13 +70,9 @@ def build(sensors: int, consumers: int, seed: int = 1) -> Garnet:
 @pytest.mark.parametrize(
     "sensors,consumers", [(10, 2), (50, 5), (200, 10)]
 )
-def test_scale_sweep(benchmark, sensors, consumers):
+def test_scale_sweep(sensors, consumers):
     deployment = build(sensors, consumers)
-
-    def run():
-        deployment.run(DURATION)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    deployment.run(DURATION)
     summary = deployment.summary()
     delivered = summary["dispatch.deliveries"]
     expected = sensors * DURATION * consumers  # rate 1 Hz fan-out

@@ -106,7 +106,7 @@ def _validate(deployment: Any, workers: int) -> list[str]:
 def run_multiprocess(
     deployment: Any,
     duration: float,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> dict[str, Any]:
     """Advance a clustered deployment ``duration`` sim-seconds using
     worker processes for the non-primary broker nodes.
@@ -119,8 +119,6 @@ def run_multiprocess(
     if duration < 0:
         raise ConfigurationError("duration must be non-negative")
     cfg = deployment.config
-    if workers is None:
-        workers = cfg.cluster_workers or 1
     movable = _validate(deployment, workers)
     sim = deployment.sim
     network = deployment.network

@@ -35,7 +35,6 @@ class GarnetConfig:
 
     # Fixed network
     message_latency: float = 0.0005
-    rpc_latency: float = 0.001
 
     # Wire format
     checksum: bool = True
@@ -116,12 +115,6 @@ class GarnetConfig:
     # deliveries across link/replay paths.
     cluster_enabled: bool = False
     cluster_brokers: int = 2
-    #: Run broker nodes b1..bN in worker *processes* (repro.cluster.mp):
-    #: 0 keeps everything in-process; N > 0 distributes the non-historical
-    #: nodes over N workers with inter-broker frames carried over pipes
-    #: and a conservative sim-time barrier. Delivery sets match the
-    #: in-process run on the same seed.
-    cluster_workers: int = 0
     cluster_failover_check_period: float = 1.0
     cluster_dedupe_window: int = 512
 
@@ -265,12 +258,6 @@ class GarnetConfig:
                 raise ConfigurationError("qos_min_rate must be positive")
         if self.cluster_brokers < 1:
             raise ConfigurationError("cluster_brokers must be at least 1")
-        if self.cluster_workers < 0:
-            raise ConfigurationError("cluster_workers must be non-negative")
-        if self.cluster_workers > 0 and not self.cluster_enabled:
-            raise ConfigurationError(
-                "cluster_workers requires cluster_enabled"
-            )
         if self.cluster_enabled:
             if self.cluster_failover_check_period <= 0:
                 raise ConfigurationError(

@@ -267,7 +267,6 @@ class Garnet:
         self.network = FixedNetwork(
             self.sim,
             message_latency=cfg.message_latency,
-            rpc_latency=cfg.rpc_latency,
             metrics=self._metrics,
             tracer=self.tracer,
             retry_policy=retry_policy,
@@ -741,17 +740,6 @@ class Garnet:
         """Every Orphanage in the deployment (one per broker node)."""
         return [node.orphanage for node in self.nodes]
 
-    def twins(self) -> Any:
-        """A :class:`~repro.twins.TwinView` over the stream store.
-
-        Materialises last-known per-sensor state (one
-        :class:`~repro.twins.SensorTwin` per sensor, one property per
-        stream) from the durable log; requires ``store_enabled=True``.
-        """
-        from repro.twins import TwinView
-
-        return TwinView(self)
-
     def invalidate_routes(self) -> None:
         """Flush memoised dispatch routing on every broker node."""
         for node in self.nodes:
@@ -787,32 +775,13 @@ class Garnet:
         snapshot["time"] = self.sim.now
         return snapshot
 
-    def write_metrics(self, path: str) -> None:
-        """Dump :meth:`metrics_snapshot` to ``path`` as JSON."""
-        from repro.obs.export import write_json
-
-        write_json(self._metrics, path, extra={"time": self.sim.now})
-
     # ------------------------------------------------------------------
     # Execution & reporting
     # ------------------------------------------------------------------
     def run(self, duration: float) -> None:
-        """Advance the deployment by ``duration`` simulated seconds.
-
-        With ``cluster_workers > 0`` the non-primary broker nodes
-        execute in forked worker processes for the duration (see
-        :func:`repro.cluster.mp.run_multiprocess`); delivery sets match
-        the in-process run on the same seed.
-        """
+        """Advance the deployment by ``duration`` simulated seconds."""
         if duration < 0:
             raise ConfigurationError("duration must be non-negative")
-        if self.config.cluster_workers > 0:
-            from repro.cluster.mp import run_multiprocess
-
-            run_multiprocess(
-                self, duration, workers=self.config.cluster_workers
-            )
-            return
         self.sim.run(until=self.sim.now + duration)
 
     def now(self) -> float:
@@ -823,118 +792,6 @@ class Garnet:
     def run_until_idle(self, max_events: int | None = None) -> None:
         """Drain every pending event (sensors stopped beforehand)."""
         self.sim.run(max_events=max_events)
-
-    def report(self) -> str:
-        """A multi-line operations report across every service.
-
-        The human-readable counterpart of :meth:`summary`, suitable for
-        logging at the end of a run or printing from an operator shell.
-        """
-        lines = [f"Garnet deployment report @ t={self.sim.now:.1f}s"]
-        lines.append(
-            f"  field    : {len(self._sensors)} sensors "
-            f"({sum(1 for n in self._sensors.values() if n.alive)} alive), "
-            f"{len(self.receivers)} receivers, "
-            f"{len(self.transmitters)} transmitters"
-        )
-        medium = self.medium.stats
-        lines.append(
-            f"  radio    : {medium.transmissions} transmissions, "
-            f"{medium.deliveries} deliveries, {medium.losses} lost, "
-            f"{medium.bytes_sent} B sent"
-        )
-        filtering = self.filtering.stats
-        lines.append(
-            f"  filtering: {filtering.received} received -> "
-            f"{filtering.delivered} delivered "
-            f"({filtering.duplicates} duplicates, {filtering.stale} stale, "
-            f"{filtering.acks_extracted} acks extracted)"
-        )
-        dispatch = self.dispatcher.stats
-        lines.append(
-            f"  dispatch : {dispatch.deliveries} deliveries to "
-            f"{len(self._consumers)} consumers "
-            f"({self.dispatcher.subscription_count()} subscriptions, "
-            f"{dispatch.orphaned} orphaned)"
-        )
-        actuation = self.actuation.stats
-        lines.append(
-            f"  actuation: {actuation.issued} issued, "
-            f"{actuation.acknowledged} acknowledged, "
-            f"{actuation.failed} failed, "
-            f"{actuation.retransmissions} retransmissions"
-        )
-        lines.append(
-            f"  location : {self.location.observations_received} "
-            f"observations, {self.location.hints_received} hints, "
-            f"{len(self.location.known_sensors())} sensors localised"
-        )
-        coordinator = self.coordinator.stats
-        lines.append(
-            f"  coord    : {coordinator.reports} reports, "
-            f"{coordinator.reactive_actions} reactive / "
-            f"{coordinator.predictive_actions} predictive actions, "
-            f"{coordinator.policy_changes} policy changes"
-        )
-        lines.append(
-            f"  streams  : {len(self.registry)} known, "
-            f"{len(self.orphanage.orphan_streams())} orphaned "
-            f"({self.orphanage.total_received} orphan messages, "
-            f"{self.orphanage.stats.evicted} evicted)"
-        )
-        if self.qos.enabled:
-            parts = []
-            if self.qos.admission is not None:
-                admission = self.qos.admission.stats
-                parts.append(
-                    f"ingress {admission.admitted} admitted / "
-                    f"{admission.shed} shed"
-                )
-            if self.qos.delivery is not None:
-                delivery = self.qos.delivery.stats
-                parts.append(
-                    f"{delivery.quarantines} quarantines "
-                    f"({delivery.replayed} replayed)"
-                )
-            if self.qos.degradation is not None:
-                degradation = self.qos.degradation.stats
-                parts.append(
-                    f"{degradation.degradations} degradations / "
-                    f"{degradation.restorations} restorations"
-                )
-            lines.append("  qos      : " + ", ".join(parts))
-        if self.cluster.enabled:
-            cluster = self.cluster.stats
-            lines.append(
-                f"  cluster  : {len(self.cluster.live)}/"
-                f"{len(self.cluster.nodes)} brokers up, "
-                f"{cluster.forwards} link forwards "
-                f"({cluster.dedupe_hits} deduped), "
-                f"{cluster.handoffs} handoffs "
-                f"({cluster.streams_reassigned} streams, "
-                f"{cluster.replayed} replayed)"
-            )
-        if self.store is not None:
-            store = self.store.stats
-            lines.append(
-                f"  store    : {store.appended} appended "
-                f"({store.bytes_appended} B) across "
-                f"{len(self.store.streams())} streams / "
-                f"{self.store.segment_count()} segments, "
-                f"{store.records_evicted} evicted, "
-                f"{store.records_replayed} replayed, "
-                f"{store.queries} queries"
-            )
-        if self.fanout is not None:
-            fanout = self.fanout.stats
-            lines.append(
-                f"  fanout   : {self.fanout.session_count()} sessions on "
-                f"{self.fanout.relay_count()} relays, "
-                f"{fanout.root_batches} root batches -> "
-                f"{fanout.leaf_deliveries} member deliveries "
-                f"({fanout.link_batches} link batches)"
-            )
-        return "\n".join(lines)
 
     def summary(self) -> dict[str, float]:
         """Cross-service counters for experiment reporting.

@@ -152,9 +152,7 @@ class Orphanage:
             mean_interarrival=(span / intervals if intervals > 0 else 0.0),
         )
 
-    def replay(
-        self, stream_id: StreamId, endpoint: str, limit: int | None = None
-    ) -> int:
+    def replay(self, stream_id: StreamId, endpoint: str) -> int:
         """Send the retained backlog for ``stream_id`` to ``endpoint``.
 
         Returns the number of messages replayed. The backlog is kept (the
@@ -166,8 +164,6 @@ class Orphanage:
         if state is None:
             return 0
         arrivals = list(state.backlog)
-        if limit is not None:
-            arrivals = arrivals[-limit:]
         for arrival in arrivals:
             self._network.send(endpoint, arrival)
         self.stats.replayed += len(arrivals)

@@ -4,8 +4,8 @@ One :class:`MetricsRegistry` per deployment holds every service's
 counters, gauges and histograms; :class:`RegistryBackedStats` keeps the
 legacy ``service.stats`` attributes alive as write-through views;
 :class:`Tracer`/:class:`KernelProbe` add span tracing over the fixed
-network and the simulation kernel; :mod:`repro.obs.export` serialises it
-all as JSON snapshots or Prometheus text.
+network and the simulation kernel; :mod:`repro.obs.export` renders a
+snapshot as Prometheus text.
 
 >>> from repro.obs import MetricsRegistry
 >>> registry = MetricsRegistry()
@@ -14,15 +14,13 @@ all as JSON snapshots or Prometheus text.
 1.0
 """
 
-from repro.obs.export import render_json, render_prometheus, write_json
+from repro.obs.export import render_prometheus
 from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
-    add_creation_hook,
-    iter_registries,
 )
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.tracing import KernelProbe, Span, Tracer
@@ -37,9 +35,5 @@ __all__ = [
     "RegistryBackedStats",
     "Span",
     "Tracer",
-    "add_creation_hook",
-    "iter_registries",
-    "render_json",
     "render_prometheus",
-    "write_json",
 ]

@@ -1,16 +1,13 @@
-"""Snapshot exporters: JSON documents and Prometheus text format.
+"""Snapshot exporter: Prometheus text exposition format.
 
-Both operate on :meth:`MetricsRegistry.snapshot` output, so anything that
-can produce a snapshot dict — a live registry, a file written by the
-benchmark harness — can be re-rendered without the original objects.
+It operates on :meth:`MetricsRegistry.snapshot` output, so a live
+registry and a snapshot dict render the same way.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from typing import Any
 
 from repro.obs.registry import MetricsRegistry
 
@@ -21,28 +18,6 @@ def _as_snapshot(source: MetricsRegistry | dict) -> dict:
     if isinstance(source, MetricsRegistry):
         return source.snapshot()
     return source
-
-
-def render_json(
-    source: MetricsRegistry | dict,
-    extra: dict[str, Any] | None = None,
-    indent: int = 2,
-) -> str:
-    """The snapshot as a JSON document, optionally with run metadata."""
-    snapshot = dict(_as_snapshot(source))
-    if extra:
-        snapshot = {**extra, **snapshot}
-    return json.dumps(snapshot, indent=indent, sort_keys=True)
-
-
-def write_json(
-    source: MetricsRegistry | dict,
-    path: str,
-    extra: dict[str, Any] | None = None,
-) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_json(source, extra=extra))
-        handle.write("\n")
 
 
 def prometheus_name(name: str) -> str:

@@ -3,8 +3,8 @@
 Before this package existed every service kept its own ``*Stats``
 dataclass and EXPERIMENTS scraped eight of them with no common snapshot,
 timing or export path. :class:`MetricsRegistry` is the one measurement
-substrate: services create named instruments here, the exporters in
-:mod:`repro.obs.export` serialise them, and the legacy ``service.stats``
+substrate: services create named instruments here, the exporter in
+:mod:`repro.obs.export` renders them, and the legacy ``service.stats``
 attributes survive as :class:`RegistryBackedStats` write-through views so
 nothing that reads them had to change.
 
@@ -18,7 +18,6 @@ wall-clock jitter.
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -209,15 +208,9 @@ class MetricsRegistry:
     rots.
     """
 
-    _instances: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
-    _creation_hooks: list[Callable[["MetricsRegistry"], None]] = []
-
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         self._clock = clock
-        MetricsRegistry._instances.add(self)
-        for hook in list(MetricsRegistry._creation_hooks):
-            hook(self)
 
     # ------------------------------------------------------------------
     # Instrument creation
@@ -348,27 +341,3 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-
-def iter_registries() -> list[MetricsRegistry]:
-    """Every live registry (weakly tracked; order unspecified)."""
-    return list(MetricsRegistry._instances)
-
-
-def add_creation_hook(
-    hook: Callable[[MetricsRegistry], None],
-) -> Callable[[], None]:
-    """Observe registry creation; returns an unregister callable.
-
-    The benchmark harness uses this to find every registry a single
-    experiment created so it can dump one snapshot file per run.
-    """
-    MetricsRegistry._creation_hooks.append(hook)
-
-    def unregister() -> None:
-        try:
-            MetricsRegistry._creation_hooks.remove(hook)
-        except ValueError:
-            pass
-
-    return unregister

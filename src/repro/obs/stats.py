@@ -6,7 +6,7 @@ now a property backed by a :class:`~repro.obs.registry.Counter` in a
 :class:`~repro.obs.registry.MetricsRegistry` — reads and writes flow
 through the registry, so ``deployment.metrics()`` and ``service.stats``
 can never disagree. Existing code (``stats.received += 1``, benchmark
-scrapes, ``Garnet.report()``) works unchanged.
+scrapes, ``Garnet.summary()``) works unchanged.
 
 A view constructed without a registry creates a private one, so services
 remain usable standalone in unit tests; :meth:`RegistryBackedStats.bind`

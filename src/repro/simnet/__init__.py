@@ -10,19 +10,12 @@ models (:mod:`repro.simnet.mobility`) and a latency recorder
 (:mod:`repro.simnet.trace`).
 """
 
-from repro.simnet.capture import (
-    CapturedFrame,
-    FrameCapture,
-    TraceReplayer,
-    load_trace,
-)
 from repro.simnet.fixednet import FixedNetwork, RpcEndpoint
 from repro.simnet.geometry import Circle, Point, Rect
 from repro.simnet.kernel import EventHandle, Simulator
 from repro.simnet.mobility import (
     MobilityModel,
     PathFollower,
-    RandomWalk,
     RandomWaypoint,
     Stationary,
 )
@@ -30,20 +23,15 @@ from repro.simnet.trace import LatencyRecorder
 from repro.simnet.wireless import RadioFrame, RadioListener, WirelessMedium
 
 __all__ = [
-    "CapturedFrame",
     "Circle",
     "EventHandle",
     "FixedNetwork",
-    "FrameCapture",
-    "TraceReplayer",
-    "load_trace",
     "LatencyRecorder",
     "MobilityModel",
     "PathFollower",
     "Point",
     "RadioFrame",
     "RadioListener",
-    "RandomWalk",
     "RandomWaypoint",
     "Rect",
     "RpcEndpoint",

@@ -8,8 +8,8 @@ provides both over the simulation kernel:
 
 - :meth:`send` delivers a one-way message to a named endpoint after a
   configurable latency (asynchronous message exchange, Section 3);
-- :meth:`call` invokes a registered :class:`RpcEndpoint` method and
-  delivers the result to a callback after a round trip.
+- :meth:`call_sync` invokes a registered :class:`RpcEndpoint` method
+  directly (the replicator's lookup of the Location Service).
 
 Section 3 presumes replication for fault-tolerance on the fixed side; the
 reproduction makes that assumption explicit and *testable*. The network
@@ -64,8 +64,8 @@ class FixedNetStats(RegistryBackedStats):
 class RpcEndpoint:
     """Base class for services reachable by RPC.
 
-    Subclasses expose methods named ``rpc_<operation>``; :meth:`FixedNetwork.call`
-    dispatches to them by operation name. Keeping the prefix explicit means
+    Subclasses expose methods named ``rpc_<operation>``;
+    :meth:`FixedNetwork.call_sync` dispatches to them by operation name. Keeping the prefix explicit means
     a service's internal methods are never remotely callable by accident.
     """
 
@@ -89,16 +89,14 @@ class FixedNetwork:
         self,
         sim: Simulator,
         message_latency: float = 0.0005,
-        rpc_latency: float = 0.001,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         retry_policy: BackoffPolicy | None = None,
     ) -> None:
-        if message_latency < 0 or rpc_latency < 0:
-            raise ConfigurationError("latencies must be non-negative")
+        if message_latency < 0:
+            raise ConfigurationError("message_latency must be non-negative")
         self._sim = sim
         self._message_latency = message_latency
-        self._rpc_latency = rpc_latency
         self._inboxes: dict[str, Callable[[Any], None]] = {}
         self._services: dict[str, RpcEndpoint] = {}
         self.stats = FixedNetStats(metrics)
@@ -484,35 +482,6 @@ class FixedNetwork:
     def has_service(self, name: str) -> bool:
         return name in self._services
 
-    def call(
-        self,
-        service_name: str,
-        operation: str,
-        *args: Any,
-        on_result: Callable[[Any], None] | None = None,
-        **kwargs: Any,
-    ) -> None:
-        """Invoke ``operation`` on a registered service asynchronously.
-
-        The call executes after one latency; ``on_result`` (if given) fires
-        after the return latency. Exceptions raised by the service
-        propagate to the caller's result callback as the result value when
-        it accepts them, otherwise they abort the event — tests rely on
-        loud failures rather than silently swallowed errors.
-        """
-        if service_name not in self._services:
-            raise RegistrationError(f"unknown service {service_name!r}")
-        self.stats.rpc_calls += 1
-        self._sim.schedule(
-            self._rpc_latency * self._latency_factor,
-            self._invoke,
-            service_name,
-            operation,
-            args,
-            kwargs,
-            on_result,
-        )
-
     def call_sync(
         self, service_name: str, operation: str, *args: Any, **kwargs: Any
     ) -> Any:
@@ -527,25 +496,3 @@ class FixedNetwork:
             raise RegistrationError(f"unknown service {service_name!r}")
         self.stats.rpc_calls += 1
         return service.rpc_dispatch(operation, *args, **kwargs)
-
-    def _invoke(
-        self,
-        service_name: str,
-        operation: str,
-        args: tuple[Any, ...],
-        kwargs: dict[str, Any],
-        on_result: Callable[[Any], None] | None,
-    ) -> None:
-        service = self._services.get(service_name)
-        if service is None:
-            # The service crashed between call and invoke; the in-flight
-            # RPC is lost exactly like a real request hitting a dead host.
-            self._dead_lettered(
-                service_name, (operation, args, kwargs), "service down"
-            )
-            return
-        result = service.rpc_dispatch(operation, *args, **kwargs)
-        if on_result is not None:
-            self._sim.schedule(
-                self._rpc_latency * self._latency_factor, on_result, result
-            )

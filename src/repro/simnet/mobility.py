@@ -13,7 +13,6 @@ injected at construction so simulations stay deterministic.
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -112,60 +111,6 @@ class RandomWaypoint(MobilityModel):
                     self._speed_min, self._speed_max
                 )
                 self._pause_until = self._pause
-        return self._position
-
-
-class RandomWalk(MobilityModel):
-    """Brownian-style walk: heading re-drawn every ``step_interval`` seconds.
-
-    Positions are clamped to the deployment rectangle, so nodes linger
-    near edges — useful for stressing edge-of-coverage loss behaviour.
-    """
-
-    def __init__(
-        self,
-        area: Rect,
-        rng: random.Random,
-        speed: float = 1.0,
-        step_interval: float = 10.0,
-        start: Point | None = None,
-    ) -> None:
-        if speed < 0:
-            raise ValueError(f"speed must be non-negative, got {speed}")
-        if step_interval <= 0:
-            raise ValueError(
-                f"step_interval must be positive, got {step_interval}"
-            )
-        self._area = area
-        self._rng = rng
-        self._speed = speed
-        self._step_interval = step_interval
-        self._position = start if start is not None else Point(
-            rng.uniform(area.x_min, area.x_max),
-            rng.uniform(area.y_min, area.y_max),
-        )
-        self._time = 0.0
-        self._heading = self._new_heading()
-        self._heading_left = step_interval
-
-    def _new_heading(self) -> Point:
-        angle = self._rng.uniform(0.0, 2.0 * math.pi)
-        return Point(math.cos(angle), math.sin(angle))
-
-    def position_at(self, time: float) -> Point:
-        if time < self._time:
-            return self._position
-        remaining = time - self._time
-        self._time = time
-        while remaining > 0:
-            step = min(remaining, self._heading_left)
-            displacement = self._heading.scaled(self._speed * step)
-            self._position = self._area.clamp(self._position + displacement)
-            self._heading_left -= step
-            remaining -= step
-            if self._heading_left <= 0:
-                self._heading = self._new_heading()
-                self._heading_left = self._step_interval
         return self._position
 
 

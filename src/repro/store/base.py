@@ -54,14 +54,13 @@ class StoreStats(RegistryBackedStats):
 class _StreamLog:
     """One stream's run of segments (metadata only; bytes live in them)."""
 
-    __slots__ = ("stream_id", "segments", "next_index", "last")
+    __slots__ = ("stream_id", "segments", "next_index")
 
     def __init__(self, stream_id: StreamId) -> None:
         self.stream_id = stream_id
         # Oldest first; the final entry is the active (writable) segment.
         self.segments: list[Segment] = []
         self.next_index = 0
-        self.last: tuple[float, int, bytes] | None = None
 
 
 class StreamStore(ABC):
@@ -140,7 +139,6 @@ class StreamStore(ABC):
             active = self._push_segment(log)
         written = active.append(received_at, receiver_id, frame)
         self._total_bytes += written
-        log.last = (received_at, receiver_id, frame)
         self._appended.inc()
         self._bytes_appended.inc(written)
         # Only a new segment, the clock or the byte budget makes anything
@@ -224,9 +222,11 @@ class StreamStore(ABC):
 
         ``start``/``end`` are inclusive bounds on ``received_at``; None
         leaves that side open. ``limit`` caps the result (earliest
-        records win, matching replay semantics).
+        records win, matching replay semantics) and must be at least 1.
         """
         self._require_open()
+        if limit is not None and limit < 1:
+            raise StoreError(f"limit must be at least 1, got {limit}")
         log = self._logs.get(stream_id)
         if log is None:
             return []
@@ -255,14 +255,6 @@ class StreamStore(ABC):
                 if limit is not None and len(out) >= limit:
                     return out
         return out
-
-    def last(self, stream_id: StreamId) -> StoredRecord | None:
-        """The most recently appended record (None for unknown streams)."""
-        self._require_open()
-        log = self._logs.get(stream_id)
-        if log is None or log.last is None:
-            return None
-        return StoredRecord(stream_id, *log.last)
 
     def streams(self) -> list[StreamId]:
         """Every stream with at least one retained record, sorted."""

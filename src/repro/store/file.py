@@ -166,12 +166,11 @@ class FileSegmentStore(StreamStore):
                     log = _StreamLog(stream_id)
                     self._logs[stream_id] = log
                 segment = _FileSegment(index, path)
-                for received_at, receiver_id, frame in records:
+                for received_at, _receiver_id, frame in records:
                     segment.note(
                         received_at,
                         RECORD_PREFIX_BYTES + RECORD_META_BYTES + len(frame),
                     )
-                    log.last = (received_at, receiver_id, frame)
                 log.segments.append(segment)
                 self._total_segments += 1
                 self._total_bytes += segment.bytes_held

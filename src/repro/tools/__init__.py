@@ -1,5 +1,5 @@
 """Operator command-line tools.
 
-- ``python -m repro.tools.trace_dump <trace>`` — decode a captured radio
-  trace (see :mod:`repro.simnet.capture`) into human-readable records.
+- ``garnet-bench-report`` (:mod:`repro.tools.bench_report`) — render the
+  committed ``BENCH_*.json`` baselines as one markdown report.
 """

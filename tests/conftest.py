@@ -23,7 +23,7 @@ def sim() -> Simulator:
 def network(sim: Simulator) -> FixedNetwork:
     # Zero latency keeps unit-test causality trivial; integration tests
     # build their own networks with realistic latencies.
-    return FixedNetwork(sim, message_latency=0.0, rpc_latency=0.0)
+    return FixedNetwork(sim, message_latency=0.0)
 
 
 def lossless_config(**overrides) -> GarnetConfig:

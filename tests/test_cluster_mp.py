@@ -149,13 +149,6 @@ class TestDeliveryEquivalence:
         run_multiprocess(deployment, DURATION, workers=1)
         assert deployment.sim.now == pytest.approx(DURATION)
 
-    def test_cluster_workers_config_drives_garnet_run(self):
-        baseline = single_process_records()
-        deployment, consumers = build_cluster_deployment()
-        deployment.config.cluster_workers = 2
-        deployment.run(DURATION)
-        assert delivery_records(consumers) == baseline
-
     def test_worker_reports_account_for_remote_events(self):
         deployment, _ = build_cluster_deployment()
         report = run_multiprocess(deployment, DURATION, workers=2)

@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.core.config import GarnetConfig
 
 ROOT = Path(__file__).resolve().parent.parent
-FIELD_BUDGET = 62
+FIELD_BUDGET = 60
 #: Where a setter counts. config.py declares the fields and this file
 #: names none of them, so neither can satisfy the search by accident.
 SEARCHED = ("src", "benchmarks", "examples", "tests")

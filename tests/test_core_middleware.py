@@ -306,17 +306,6 @@ class TestObservability:
         assert snapshot["time"] == 2.0
         assert snapshot["counters"]["filtering.received"] > 0
 
-    def test_write_metrics_produces_json(self, deployment, tmp_path):
-        import json
-
-        deployment.add_sensor("generic", [make_stream_spec()])
-        deployment.run(2.0)
-        path = tmp_path / "run.metrics.json"
-        deployment.write_metrics(str(path))
-        data = json.loads(path.read_text())
-        assert data["time"] == 2.0
-        assert "counters" in data and "histograms" in data
-
     def test_fixednet_spans_traced(self, deployment):
         deployment.add_sensor("generic", [make_stream_spec()])
         deployment.run(5.0)

@@ -120,15 +120,6 @@ class TestReplay:
         assert count == 3
         assert [a.message.sequence for a in received] == [0, 1, 2]
 
-    def test_replay_with_limit_sends_newest(self, sim, network, orphanage):
-        received = []
-        network.register_inbox("late", received.append)
-        for seq in range(4):
-            orphanage.on_arrival(arrival(StreamId(1, 0), seq))
-        assert orphanage.replay(StreamId(1, 0), "late", limit=2) == 2
-        sim.run()
-        assert [a.message.sequence for a in received] == [2, 3]
-
     def test_replay_unknown_stream_is_zero(self, orphanage):
         assert orphanage.replay(StreamId(9, 9), "anywhere") == 0
 

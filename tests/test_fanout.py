@@ -84,7 +84,7 @@ class TestConfig:
         assert deployment.fanout is not None
         summary = deployment.summary()
         assert summary["fanout.sessions"] == 0
-        assert "fanout" in deployment.report()
+        assert summary["fanout.relays"] == deployment.fanout.relay_count()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.util.backoff import BackoffPolicy
 @pytest.fixture
 def latent_network():
     sim = Simulator(seed=3)
-    return sim, FixedNetwork(sim, message_latency=0.001, rpc_latency=0.001)
+    return sim, FixedNetwork(sim, message_latency=0.001)
 
 
 class TestDeadLetter:

@@ -13,32 +13,6 @@ from repro.simnet.kernel import PeriodicTask, Simulator
 from tests.conftest import CODEC, lossless_config, make_stream_spec
 
 
-class TestGarnetReport:
-    def test_report_covers_every_service(self, deployment):
-        deployment.add_sensor("generic", [make_stream_spec(kind="r")])
-        sink = CollectingConsumer("sink", SubscriptionPattern(kind="r"))
-        deployment.add_consumer(sink)
-        deployment.run(5.0)
-        report = deployment.report()
-        for fragment in (
-            "radio",
-            "filtering",
-            "dispatch",
-            "actuation",
-            "location",
-            "coord",
-            "streams",
-            "1 sensors (1 alive)",
-        ):
-            assert fragment in report
-        assert "t=5.0s" in report
-
-    def test_report_on_idle_deployment(self):
-        deployment = Garnet(config=lossless_config(), seed=1)
-        report = deployment.report()
-        assert "0 sensors" in report
-
-
 class TestAuthlessDeployment:
     def test_require_auth_false_skips_tokens_on_control_path(self):
         deployment = Garnet(

@@ -73,25 +73,11 @@ class TestMessaging:
 
 
 class TestRpc:
-    def test_call_with_result_callback(self, sim, network):
-        network.register_service("math", Adder())
-        results = []
-        network.call("math", "add", 2, 3, on_result=results.append)
-        sim.run()
-        assert results == [5]
-
-    def test_call_without_callback(self, sim, network):
-        network.register_service("math", Adder())
-        network.call("math", "add", 1, 1)
-        sim.run()  # executes without error
-
     def test_call_sync(self, network):
         network.register_service("math", Adder())
         assert network.call_sync("math", "add", 4, b=6) == 10
 
     def test_unknown_service_rejected_at_call_time(self, network):
-        with pytest.raises(RegistrationError):
-            network.call("ghost", "op")
         with pytest.raises(RegistrationError):
             network.call_sync("ghost", "op")
 
@@ -114,15 +100,6 @@ class TestRpc:
         network.register_service("math", Adder())
         with pytest.raises(RegistrationError):
             network.register_service("math", Adder())
-
-    def test_rpc_latency_round_trip(self):
-        sim = Simulator()
-        network = FixedNetwork(sim, rpc_latency=0.5)
-        network.register_service("math", Adder())
-        times = []
-        network.call("math", "add", 1, 2, on_result=lambda r: times.append(sim.now))
-        sim.run()
-        assert times == [1.0]  # half second each way
 
 
 def test_negative_latency_rejected(sim):

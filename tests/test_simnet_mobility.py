@@ -7,7 +7,6 @@ import pytest
 from repro.simnet.geometry import Point, Rect
 from repro.simnet.mobility import (
     PathFollower,
-    RandomWalk,
     RandomWaypoint,
     Stationary,
 )
@@ -65,24 +64,6 @@ class TestRandomWaypoint:
             RandomWaypoint(AREA, random.Random(0), speed_min=2.0, speed_max=1.0)
         with pytest.raises(ValueError):
             RandomWaypoint(AREA, random.Random(0), pause=-1.0)
-
-
-class TestRandomWalk:
-    def test_stays_inside_area(self):
-        model = RandomWalk(AREA, random.Random(7), speed=5.0)
-        for t in range(0, 500, 3):
-            assert AREA.contains(model.position_at(float(t)))
-
-    def test_zero_speed_is_stationary(self):
-        start = Point(50, 50)
-        model = RandomWalk(AREA, random.Random(1), speed=0.0, start=start)
-        assert model.position_at(100.0) == start
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            RandomWalk(AREA, random.Random(0), speed=-1.0)
-        with pytest.raises(ValueError):
-            RandomWalk(AREA, random.Random(0), step_interval=0.0)
 
 
 class TestPathFollower:

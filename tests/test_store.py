@@ -1,4 +1,4 @@
-"""Tests for repro.store: segment codec, backends, tap, replay, twins.
+"""Tests for repro.store: segment codec, backends, tap, replay, queries.
 
 Structure follows the subsystem bottom-up:
 
@@ -12,8 +12,7 @@ Structure follows the subsystem bottom-up:
   twice; the log keeps one);
 - session-level behaviour: the unified ``replay=`` vocabulary, gap-free
   late-join over ``replay='history'``, ``session.query`` time ranges,
-  and the cluster path through a broker crash + ownership handoff;
-- the repro.twins facade over per-stream last-known state.
+  and the cluster path through a broker crash + ownership handoff.
 """
 
 from __future__ import annotations
@@ -137,7 +136,7 @@ class TestStreamStoreContract:
         records = store.read(stream)
         assert [r.received_at for r in records] == [0.0, 1.0, 2.0, 3.0]
         assert [r.receiver_id for r in records] == [0, 1, 2, 3]
-        assert store.last(stream).frame == frame_for(3)
+        assert records[-1].frame == frame_for(3)
         assert store.streams() == [stream]
         assert store.record_count(stream) == 4
         assert store.stats.appended == 4
@@ -153,6 +152,16 @@ class TestStreamStoreContract:
         assert len(store.read(stream, limit=2)) == 2
         assert store.read(stream, start=99.0) == []
         assert store.read(StreamId(9, 9)) == []
+        store.close()
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_refused(self, backend, tmp_path, limit):
+        # It used to return one record: the cap was checked only after
+        # the first append to the result.
+        store = make_store(backend, tmp_path)
+        store.append(StreamId(1, 0), 0.0, -1, frame_for(0))
+        with pytest.raises(StoreError, match=f"got {limit}"):
+            store.read(StreamId(1, 0), limit=limit)
         store.close()
 
     def test_rotation_by_segment_size(self, backend, tmp_path):
@@ -272,10 +281,10 @@ class TestFileSegmentStore:
             (r.received_at, r.frame) for r in reopened.read(stream)
         ] == expected
         assert reopened.segment_count(stream) == segments_before
-        assert reopened.last(stream).receiver_id == 4
+        assert reopened.read(stream)[-1].receiver_id == 4
         # Appends continue in fresh segment indices, never clobbering.
         reopened.append(stream, 9.0, 9, frame_for(9))
-        assert reopened.last(stream).received_at == 9.0
+        assert reopened.read(stream)[-1].received_at == 9.0
         reopened.close()
 
     def test_torn_tail_is_truncated_and_counted(self, tmp_path):
@@ -525,6 +534,16 @@ class TestQuery:
         assert deployment.store.stats.queries == 3
         assert deployment.store.stats.records_queried == 6 + 3 + 3
 
+    def test_query_limit_below_one_is_refused(self):
+        # The in-sim door used to answer limit=0 with one arrival while
+        # the live QUERY frame refused it; both now reach the store's
+        # check.
+        deployment = deployment_with_store()
+        stream = deployment.connect("pub").publish(0, b"x", kind="demo")
+        deployment.run(0.5)
+        with pytest.raises(StoreError, match="got 0"):
+            deployment.connect("reader").query(stream, limit=0)
+
     def test_query_without_store_raises(self):
         deployment = Garnet(
             config=GarnetConfig(publish_location_stream=False)
@@ -577,43 +596,3 @@ class TestClusterLateJoin:
             publisher.publish(0, bytes([index]), kind="temp")
             deployment.run(0.7)
         assert late_got == list(range(13))  # gap-free, duplicate-free
-
-
-# ----------------------------------------------------------------------
-# Twins facade
-# ----------------------------------------------------------------------
-class TestTwins:
-    def test_twin_materialises_last_known_state(self):
-        deployment = deployment_with_store()
-        publisher = deployment.connect("pub")
-        publisher.publish(0, b"old", kind="level")
-        publisher.publish(0, b"new", kind="level")
-        publisher.publish(1, b"temp-now", kind="temp")
-        deployment.run(0.5)
-        view = deployment.twins()
-        [sensor_id] = view.sensor_ids()
-        twin = view.twin(sensor_id)
-        assert twin.sensor_id == sensor_id
-        assert twin.derived is True
-        by_index = {
-            p.stream_index: (p.payload, p.kind) for p in twin.properties
-        }
-        assert by_index == {
-            0: (b"new", "level"),
-            1: (b"temp-now", "temp"),
-        }
-        assert twin.last_seen == max(
-            p.received_at for p in twin.properties
-        )
-        assert twin.property_for(1).payload == b"temp-now"
-        assert twin.property_for(9) is None
-        assert view.twin(424242) is None
-        assert [t.sensor_id for t in view.all()] == [sensor_id]
-        assert view.refresh(sensor_id).properties == twin.properties
-
-    def test_twins_require_store(self):
-        deployment = Garnet(
-            config=GarnetConfig(publish_location_stream=False)
-        )
-        with pytest.raises(StoreError):
-            deployment.twins()

@@ -14,12 +14,15 @@ from __future__ import annotations
 import ast
 import inspect
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import GarnetConfig
 from repro.core.middleware import Garnet
+from repro.obs.registry import MetricsRegistry
+from repro.simnet.fixednet import FixedNetwork
 from repro.transport import connect
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -361,3 +364,34 @@ def test_the_transport_never_branches_on_a_fault_kind():
         & {part.id for part in ast.walk(node.args[1]) if isinstance(part, ast.Name)}
     ]
     assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# Code that no journey workload, paper-claim bench, example or console
+# script reached stays deleted
+# ----------------------------------------------------------------------
+def test_unreached_modules_stay_deleted():
+    """The radio capture, the twin view and the two dump CLIs; and
+    ``repro.tools`` keeps only its console script."""
+    repro = SRC / "repro"
+    assert not (repro / "simnet" / "capture.py").exists()
+    assert not (repro / "twins").exists()
+    tools = {path.stem for path in (repro / "tools").glob("*.py")}
+    assert tools == {"__init__", "bench_report"}
+
+
+def test_metrics_registry_keeps_no_class_level_mutable_state():
+    """Registries are per deployment; a class-level list or set would be
+    shared by every one of them."""
+    shared = [
+        name
+        for name, value in vars(MetricsRegistry).items()
+        if not name.startswith("__")
+        and isinstance(value, (list, dict, set, weakref.WeakSet))
+    ]
+    assert shared == []
+
+
+def test_fixed_network_rpc_is_call_sync_only():
+    assert not hasattr(FixedNetwork, "call")
+    assert hasattr(FixedNetwork, "call_sync")
