@@ -2,14 +2,14 @@
 
 These are the in-network representations wrapping wire messages with the
 reception metadata that later services need (Figure 1's arrows). They are
-deliberately plain, immutable dataclasses: services stay decoupled by
-sharing only these shapes.
+deliberately plain, immutable records: services stay decoupled by sharing
+only these shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.message import DataMessage
 from repro.core.streamid import StreamId
@@ -25,19 +25,19 @@ class Reception:
     received_at: float
 
 
-@dataclass(frozen=True, slots=True)
-class StreamArrival:
-    """A deduplicated, ordered message → Dispatching Service → consumers."""
+class StreamArrival(NamedTuple):
+    """A deduplicated, ordered message → Dispatching Service → consumers.
+
+    A ``NamedTuple``, built per delivery at under half the cost of a
+    frozen dataclass with the same fields, order and repr."""
 
     message: DataMessage
+    #: When the first surviving copy reached a receiver (virtual time).
     received_at: float
-    """When the first surviving copy reached a receiver (virtual time)."""
-
+    #: The receiver whose copy survived filtering (diagnostic only).
     receiver_id: int
-    """The receiver whose copy survived filtering (diagnostic only)."""
-
+    #: Stamped by the Dispatching Service on hand-off to each consumer.
     delivered_at: float = 0.0
-    """Stamped by the Dispatching Service on hand-off to each consumer."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -72,6 +72,11 @@ _F_RELAYED = int(HeaderFlags.RELAYED)
 _F_EXTENDED = int(HeaderFlags.EXTENDED)
 _F_ENCRYPTED = int(HeaderFlags.ENCRYPTED)
 _VERSION_BYTE = PROTOCOL_VERSION << 5
+#: The common shape, parsed header-only: these header bits read exactly
+#: ``_VERSION_BYTE`` (no optional field), and the frame is header,
+#: payload and CRC.
+_COMMON_SHAPE_MASK = 0xE0 | _F_ACK | _F_RELAYED | _F_EXTENDED
+_COMMON_OVERHEAD = FIXED_HEADER_BYTES + CHECKSUM_BYTES
 
 # decode_prefix builds messages with __new__ + object.__setattr__: the
 # frozen-dataclass __init__ routes every field through the same
@@ -85,6 +90,18 @@ _SET_FIELD = object.__setattr__
 # construction. Cleared wholesale if adversarial input floods it.
 _STREAM_ID_CACHE: dict[int, StreamId] = {}
 _STREAM_ID_CACHE_MAX = 4096
+
+
+#: What a header-only decode leaves unset, and how each field derives
+#: from the frame's header byte when first read.
+_FLAG_DERIVED = {
+    "fused": lambda header: bool(header & _F_FUSED),
+    "encrypted": lambda header: bool(header & _F_ENCRYPTED),
+    "ack_request_id": lambda header: None,
+    "hop_count": lambda header: None,
+    "extensions": lambda header: (),
+    "version": lambda header: PROTOCOL_VERSION,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +128,16 @@ class DataMessage:
     wire: tuple[bytes, bool] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: a flag-derived field of a
+        # message decoded header-only, read for the first time.
+        derive = _FLAG_DERIVED.get(name)
+        if derive is None:
+            raise AttributeError(f"DataMessage has no attribute {name!r}")
+        value = derive(self.wire[0][0])
+        _SET_FIELD(self, name, value)
+        return value
 
     @property
     def flags(self) -> HeaderFlags:
@@ -177,6 +204,12 @@ class DataMessage:
 
 
 _NEW_MESSAGE = DataMessage.__new__
+#: The header-only decode's four fields, each set through its own slot
+#: descriptor: no ``object.__setattr__`` name lookup per field.
+_SET_STREAM_ID, _SET_SEQUENCE, _SET_PAYLOAD, _SET_WIRE = (
+    DataMessage.__dict__[name].__set__
+    for name in ("stream_id", "sequence", "payload", "wire")
+)
 
 
 class MessageCodec:
@@ -370,7 +403,31 @@ class MessageCodec:
         return bytes(buffer)
 
     def decode(self, data: bytes) -> DataMessage:
-        """Parse one message; raises on truncation, bad CRC or trailing bytes."""
+        """Parse one message; raises on truncation, bad CRC or trailing bytes.
+
+        A checksummed ``bytes`` frame of a known stream with no ACK,
+        RELAYED or EXTENDED flag is parsed header-only; its flag-derived
+        fields materialise when first read. Anything else takes
+        :meth:`decode_prefix`, exceptions and all.
+        """
+        common = self._checksum and type(data) is bytes
+        if common and len(data) >= _COMMON_OVERHEAD:
+            header_byte, stream_word, sequence, payload_size = (
+                _FIXED_HEADER.unpack_from(data)
+            )
+            stream_id = _STREAM_ID_CACHE.get(stream_word)
+            if (
+                header_byte & _COMMON_SHAPE_MASK == _VERSION_BYTE
+                and len(data) == payload_size + _COMMON_OVERHEAD
+                and stream_id is not None
+                and not crc16_ccitt(data)
+            ):
+                message = _NEW_MESSAGE(DataMessage)
+                _SET_STREAM_ID(message, stream_id)
+                _SET_SEQUENCE(message, sequence)
+                _SET_PAYLOAD(message, data[FIXED_HEADER_BYTES:-2])
+                _SET_WIRE(message, (data, True))
+                return message
         message, consumed = self.decode_prefix(data)
         if consumed != len(data):
             raise CodecError(

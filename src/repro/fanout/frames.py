@@ -20,8 +20,9 @@ single send (protocol.md §7). It exists in two shapes:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.envelopes import StreamArrival
 from repro.errors import TransportError
@@ -32,6 +33,7 @@ BATCH_MAGIC = b"\xfbGB\x01"
 BATCH_HEADER_SIZE = 6
 #: Per-frame overhead: a 2-byte big-endian length prefix.
 _FRAME_PREFIX = 2
+_U16 = struct.Struct(">H").pack
 #: Default payload budget per datagram; safely under the 65,507-byte
 #: UDP maximum while leaving headroom for tunnelled transports.
 MAX_BATCH_DATAGRAM = 60_000
@@ -56,15 +58,17 @@ def is_batch_datagram(data: bytes) -> bool:
 def encode_batch_datagrams(
     frames: Sequence[bytes], budget: int = MAX_BATCH_DATAGRAM
 ) -> list[bytes]:
-    """Pack encoded codec frames into as few batch datagrams as fit.
+    """Pack encoded codec frames into as few datagrams as fit.
 
-    Frames never split across datagrams; a frame larger than the budget
-    gets a datagram of its own (the socket layer, not this codec, is
-    the arbiter of what actually fits on the wire).
+    Frames never split across datagrams. Batch framing appears only where
+    at least two frames share it: a group of one — a lone frame, or one
+    too large to sit beside its neighbours — goes out as the bare frame,
+    which keeps a frame that fits a datagram from outgrowing it inside
+    the wrapper.
     """
     datagrams: list[bytes] = []
-    body = bytearray()
-    count = 0
+    group: list[bytes] = []
+    size = BATCH_HEADER_SIZE
     for frame in frames:
         if len(frame) > 0xFFFF:
             raise TransportError(
@@ -72,20 +76,24 @@ def encode_batch_datagrams(
                 "length prefix"
             )
         entry_size = _FRAME_PREFIX + len(frame)
-        if count and BATCH_HEADER_SIZE + len(body) + entry_size > budget:
-            datagrams.append(_seal(body, count))
-            body = bytearray()
-            count = 0
-        body += len(frame).to_bytes(2, "big")
-        body += frame
-        count += 1
-    if count:
-        datagrams.append(_seal(body, count))
+        if group and size + entry_size > budget:
+            datagrams.append(_seal(group))
+            group, size = [], BATCH_HEADER_SIZE
+        group.append(frame)
+        size += entry_size
+    if group:
+        datagrams.append(_seal(group))
     return datagrams
 
 
-def _seal(body: bytearray, count: int) -> bytes:
-    return BATCH_MAGIC + count.to_bytes(2, "big") + bytes(body)
+def _seal(group: list[bytes]) -> bytes:
+    if len(group) == 1:
+        return group[0]
+    parts = [BATCH_MAGIC, _U16(len(group))]
+    for frame in group:
+        parts.append(_U16(len(frame)))
+        parts.append(frame)
+    return b"".join(parts)
 
 
 def decode_batch_datagram(data: bytes) -> list[bytes]:
@@ -116,9 +124,3 @@ def decode_batch_datagram(data: bytes) -> list[bytes]:
             f"{len(data) - offset} trailing bytes after the last batch frame"
         )
     return frames
-
-
-def iter_frames(datagrams: Iterable[bytes]) -> Iterable[bytes]:
-    """Flatten a sequence of batch datagrams back into codec frames."""
-    for datagram in datagrams:
-        yield from decode_batch_datagram(datagram)

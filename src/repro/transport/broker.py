@@ -32,8 +32,10 @@ Dispatching Service, whose fan-out legs call the server-side sessions.
 The decoded message keeps the datagram it came from, and that frame —
 not a re-encoding — is what each leg queues; counting, the activity
 stamp and lease renewal happen once per drain, and the pump after it
-sends the queue in one ``sendto`` loop, in arrival order. What the OS
-will not take waits in a bounded FIFO.
+sends each session's share of the drain in one ``sendto`` loop, in
+arrival order, packed into §7 batch datagrams for a client that
+announced ``batch_datagrams``. What the OS will not take waits in a
+bounded FIFO.
 
 **Resilience.** With a grace window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
@@ -76,7 +78,7 @@ from repro.core.message import peek_header
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, GarnetError, TransportError
-from repro.fanout.frames import encode_batch_datagrams
+from repro.fanout.frames import encode_batch_datagrams, is_batch_datagram
 from repro.transport.framing import (
     ADVERTISE,
     CLOSE,
@@ -166,9 +168,9 @@ class _SessionState:
     udp_address: tuple[str, int] | None = None
     parked: deque[bytes] = dataclasses.field(init=False)
     deadline: float | None = None
-    #: True when the client announced batch_datagrams support on a
-    #: batching broker (fanout_enabled): same-pump deliveries pack into
-    #: one §7 batch datagram instead of one datagram each.
+    #: True when the client announced batch_datagrams support: same-pump
+    #: deliveries pack into §7 batch datagrams instead of one datagram
+    #: each.
     batch: bool = False
     outbox: list[bytes] = dataclasses.field(default_factory=list)
 
@@ -396,8 +398,9 @@ class LiveBroker:
         #: throttling and expiry, park deadlines (``loop.time()`` is this).
         self._clock = time.monotonic
         self._drain_stamp = 0.0
-        #: ``(datagram, address)`` in delivery order, sent by the next pump.
-        self._outbound: list[tuple[bytes, tuple[str, int]]] = []
+        #: Sessions with frames in their outbox, in first-delivery order;
+        #: the next pump sends each one's share.
+        self._outboxes: dict[str, _SessionState] = {}
         self._server: asyncio.AbstractServer | None = None
         self._udp: _DataPlaneSocket | None = None
         self._closed = asyncio.Event()
@@ -466,8 +469,6 @@ class LiveBroker:
             "transport.encode_reuse",
             help="deliveries whose message already remembered its frame",
         )
-        self._batching = bool(config.fanout_enabled)
-        self._batch_pending: dict[str, _SessionState] = {}
         self._batch_datagrams = metrics.counter(
             "transport.batch_datagrams",
             help="§7 batch datagrams sent on the data plane",
@@ -475,6 +476,11 @@ class LiveBroker:
         self._batched_frames = metrics.counter(
             "transport.batched_frames",
             help="data frames carried inside batch datagrams",
+        )
+        self._drain_datagrams = metrics.histogram(
+            "transport.drain_datagrams",
+            buckets=(1, 2, 4, 8, 16, 32, _DRAIN_BUDGET),
+            help="datagrams read per data-plane drain",
         )
 
     # ------------------------------------------------------------------
@@ -574,22 +580,33 @@ class LiveBroker:
         try:
             self.deployment.run_until_idle()
         finally:
-            if self._batch_pending:
-                self._flush_outboxes()
-            if self._outbound:
+            if self._outboxes:
                 self._flush_sends()
 
     def _flush_sends(self) -> None:
-        """The data plane's one ``sendto`` loop."""
-        pending, self._outbound = self._outbound, []
+        """The data plane's one ``sendto`` loop: each session's frames in
+        arrival order, packed into §7 batch datagrams
+        (``MAX_BATCH_DATAGRAM`` bytes each) for a client that asked; a
+        frame alone keeps the bare shape."""
+        pending, self._outboxes = self._outboxes, {}
         udp = self._udp
-        if udp is None:
-            # The pump inside stop(), socket already closed: lost, but counted.
-            self._datagrams_dropped.inc(len(pending))
-            return
-        for datagram, address in pending:
-            udp.sendto(datagram, address)
-        self._datagrams_out.inc(len(pending))
+        for state in pending.values():
+            datagrams, state.outbox = state.outbox, []
+            if state.batch:
+                count = len(datagrams)
+                datagrams = encode_batch_datagrams(datagrams)
+                batches = sum(map(is_batch_datagram, datagrams))
+                self._batch_datagrams.inc(batches)
+                # Each bare datagram is one frame; the rest rode in batches.
+                self._batched_frames.inc(count - len(datagrams) + batches)
+            if udp is None:
+                # The pump inside stop(), socket already closed: lost,
+                # but counted.
+                self._datagrams_dropped.inc(len(datagrams))
+                continue
+            for datagram in datagrams:
+                udp.sendto(datagram, state.udp_address)
+            self._datagrams_out.inc(len(datagrams))
 
     # ------------------------------------------------------------------
     # Session persistence (RESUME across broker restarts)
@@ -704,7 +721,7 @@ class LiveBroker:
         """What HELLO and RESUME both do once ``state`` has its session."""
         state.udp_address = (connection.peer_host, fields["udp_port"])
         state.keepalive = fields["keepalive"]
-        state.batch = self._batching and bool(fields["batch_datagrams"])
+        state.batch = bool(fields["batch_datagrams"])
         state.deadline = None
         connection.state = state
         self._udp_peers[state.udp_address] = connection
@@ -733,9 +750,9 @@ class LiveBroker:
             self._drop_state(state)
             return
         if state.outbox:
-            # Unflushed batched deliveries must survive the park window
-            # like any other in-flight delivery.
-            self._batch_pending.pop(state.token, None)
+            # Unflushed deliveries must survive the park window like any
+            # other in-flight delivery.
+            self._outboxes.pop(state.token, None)
             for frame in state.outbox:
                 self._park(state, frame)
             state.outbox = []
@@ -746,7 +763,7 @@ class LiveBroker:
     def _drop_state(self, state: _SessionState) -> None:
         """Close the server-side session and free everything it held."""
         self._states.pop(state.token, None)
-        self._batch_pending.pop(state.token, None)
+        self._outboxes.pop(state.token, None)
         state.outbox = []
         session = state.session
         state.session = None
@@ -767,6 +784,7 @@ class LiveBroker:
         """Once per drain: count it, note who was heard from, pump."""
         try:
             self._datagrams_in.inc(len(senders))
+            self._drain_datagrams.observe(len(senders))
             now = self._clock()
             for connection in map(self._udp_peers.get, set(senders)):
                 if connection is not None:
@@ -818,35 +836,9 @@ class LiveBroker:
             self._encode_reuse.inc()
         if state.udp_address is None:
             self._park(state, frame)
-        elif state.batch:
-            # Collect until the pump; one §7 datagram per flush.
-            state.outbox.append(frame)
-            self._batch_pending[state.token] = state
         else:
-            self._outbound.append((frame, state.udp_address))
-
-    def _flush_outboxes(self) -> None:
-        pending, self._batch_pending = self._batch_pending, {}
-        for state in pending.values():
-            frames, state.outbox = state.outbox, []
-            if frames and state.udp_address is not None:
-                self._queue_frames(state, frames)
-
-    def _queue_frames(
-        self, state: _SessionState, frames: list[bytes]
-    ) -> None:
-        """Queue encoded frames for a live recipient, batching when it may.
-
-        A single frame keeps the historical bare-datagram shape; two or
-        more pack into §7 batch datagrams (``MAX_BATCH_DATAGRAM`` bytes
-        each).
-        """
-        if len(frames) > 1 and state.batch:
-            self._batched_frames.inc(len(frames))
-            frames = encode_batch_datagrams(frames)
-            self._batch_datagrams.inc(len(frames))
-        address = state.udp_address
-        self._outbound.extend((frame, address) for frame in frames)
+            state.outbox.append(frame)
+            self._outboxes[state.token] = state
 
     def _maybe_renew_lease(self, connection: _ClientConnection) -> None:
         if self._lease_ttl is None or connection.session is None:
@@ -1101,7 +1093,8 @@ class LiveBroker:
         if to_send:
             # Batching clients take the whole catch-up span as §7 batch
             # datagrams; everyone else gets the per-record replay.
-            self._queue_frames(state, to_send)
+            state.outbox += to_send
+            self._outboxes[state.token] = state
             self._flush_sends()
             self._replayed_records.inc(len(to_send))
         state.parked.clear()

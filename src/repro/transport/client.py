@@ -414,8 +414,7 @@ class LiveSession:
         body = {
             **identity,
             "udp_port": self._udp_port,
-            # §7 batch datagrams are always understood; the broker only
-            # sends them when its deployment enables fan-out batching.
+            # §7 batch datagrams are always understood.
             "batch_datagrams": True,
         }
         if self._keepalive is not None:

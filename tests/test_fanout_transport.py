@@ -5,9 +5,9 @@
 - frame reuse: a wire publish is forwarded as the datagram it arrived
   as, an in-process one is encoded once regardless of subscriber count
   (``transport.encode_reuse``);
-- end-to-end batched delivery: a fanout-enabled broker packs same-pump
-  deliveries to a consenting client into one batch datagram, and the
-  client unpacks it through the ordinary dedupe path.
+- end-to-end batched delivery: any broker packs same-pump deliveries to
+  a consenting client into one batch datagram, and the client unpacks
+  it through the ordinary dedupe path.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import asyncio
 
 import pytest
 
-from repro.core.config import GarnetConfig
 from repro.core.message import DataMessage, MessageCodec
-from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import TransportError
 from repro.fanout.frames import (
@@ -27,11 +25,11 @@ from repro.fanout.frames import (
     decode_batch_datagram,
     encode_batch_datagrams,
     is_batch_datagram,
-    iter_frames,
 )
 from repro.transport import connect
+from repro.transport.framing import SUBSCRIBE
 
-from tests.test_transport_live import BrokerHarness, poll_until
+from tests.test_transport_live import BrokerHarness, RawClient, poll_until
 
 
 # ----------------------------------------------------------------------
@@ -65,15 +63,18 @@ class TestBatchDatagramCodec:
         datagrams = encode_batch_datagrams(frames, budget)
         assert len(datagrams) == 4
         assert all(len(d) <= budget for d in datagrams)
-        assert list(iter_frames(datagrams)) == frames
+        assert [f for d in datagrams for f in decode_batch_datagram(d)] == frames
 
     def test_oversize_frame_gets_its_own_datagram(self):
-        # A frame bigger than the budget still ships (the budget guides
-        # packing; the socket decides what fits on the wire).
-        big = b"\x20" + b"x" * 200
-        datagrams = encode_batch_datagrams([big], budget=64)
-        assert len(datagrams) == 1
-        assert decode_batch_datagram(datagrams[0]) == [big]
+        # Batch framing only where two frames share it (§7.2): a lone
+        # frame, or one too big to sit beside its neighbours, is sent as
+        # itself — the 8-byte wrapper could push a frame that fits one
+        # UDP datagram past the maximum.
+        small, big = self.frames(2)[0], b"\x20" + b"x" * 200
+        assert encode_batch_datagrams([small]) == [small]
+        datagrams = encode_batch_datagrams([small, big, *self.frames(2)], 64)
+        assert datagrams[:2] == [small, big]
+        assert decode_batch_datagram(datagrams[2]) == self.frames(2)
 
     def test_frame_over_length_prefix_rejected(self):
         with pytest.raises(TransportError):
@@ -168,20 +169,14 @@ class TestSingleEncode:
 # End-to-end batched delivery over UDP
 # ----------------------------------------------------------------------
 @pytest.fixture
-def fanout_harness():
-    deployment = Garnet(
-        config=GarnetConfig(
-            publish_location_stream=False, fanout_enabled=True
-        )
-    )
-    h = BrokerHarness(deployment=deployment)
+def harness():
+    h = BrokerHarness()  # a plain deployment: fan-out off
     yield h
     h.stop()
 
 
 class TestLiveBatchDelivery:
-    def test_same_pump_deliveries_pack_into_one_datagram(self, fanout_harness):
-        harness = fanout_harness
+    def test_same_pump_deliveries_pack_into_one_datagram(self, harness):
         with connect(harness.url, "pub") as publisher, connect(
             harness.url, "sub"
         ) as subscriber:
@@ -203,8 +198,7 @@ class TestLiveBatchDelivery:
             assert registry.value("transport.batch_datagrams") == 1.0
             assert registry.value("transport.batched_frames") == 2.0
 
-    def test_single_frame_keeps_bare_datagram_shape(self, fanout_harness):
-        harness = fanout_harness
+    def test_single_frame_keeps_bare_datagram_shape(self, harness):
         with connect(harness.url, "pub") as publisher, connect(
             harness.url, "sub"
         ) as subscriber:
@@ -220,22 +214,48 @@ class TestLiveBatchDelivery:
             registry = harness.broker.deployment.metrics()
             assert registry.value("transport.batch_datagrams") == 0.0
 
-    def test_plain_broker_never_batches(self):
-        harness = BrokerHarness()  # default deployment: fanout off
-        try:
-            with connect(harness.url, "pub") as publisher, connect(
-                harness.url, "sub"
-            ) as subscriber:
-                received = []
-                subscriber.on_data(
-                    lambda arrival: received.append(arrival.message.sequence)
-                )
-                subscriber.subscribe(kind="temp")
-                subscriber.subscribe(kind="te*")
-                publisher.publish(0, b"\x2a", kind="temp")
-                assert poll_until(
-                    lambda: subscriber.stats.duplicates_dropped == 1
-                )
-                assert subscriber.stats.batch_datagrams == 0
-        finally:
-            harness.stop()
+    def test_plain_broker_batches_for_clients_that_ask(self, harness):
+        with connect(harness.url, "pub") as publisher, connect(
+            harness.url, "sub"
+        ) as subscriber, RawClient(
+            harness, "bare", batch_datagrams=False
+        ) as bare:
+            assert bare.hello["batch_datagrams"] is False
+            for pattern in ("temp", "te*"):
+                subscriber.subscribe(kind=pattern)
+                bare.request(SUBSCRIBE, {"kind": pattern})
+            publisher.publish(0, b"\x2a", kind="temp")
+            # The client that said false gets each leg as its own bare
+            # datagram; the LiveSession (it said true) gets one batch.
+            legs = [bare.udp.recv(65535) for _ in range(2)]
+            assert legs[0] == legs[1] and not is_batch_datagram(legs[0])
+            message = MessageCodec().decode(legs[0])
+            assert (message.sequence, message.payload) == (0, b"\x2a")
+            assert poll_until(lambda: subscriber.stats.duplicates_dropped == 1)
+            assert subscriber.stats.batch_datagrams == 1
+            assert subscriber.stats.batched_frames == 2
+
+    def test_a_frame_too_large_to_share_a_datagram_still_arrives(
+        self, harness
+    ):
+        # 65,500 bytes fits one UDP datagram bare (65,507 at most) but
+        # not inside an 8-byte batch wrapper: sealed alone as a batch it
+        # was refused by sendto and counted dropped.
+        big, small = bytes(65_500 - 11), bytes(40 - 11)
+        with connect(harness.url, "pub") as publisher, connect(
+            harness.url, "sub"
+        ) as subscriber:
+            received = []
+            subscriber.on_data(
+                lambda arrival: received.append(arrival.message.payload)
+            )
+            subscriber.subscribe(kind="bulk")
+            publisher.publish(0, b"warm-up", kind="bulk")
+            assert poll_until(lambda: received == [b"warm-up"])
+            with harness.paused():  # both land in one drain
+                publisher.publish(0, big)
+                publisher.publish(0, small)
+            assert poll_until(lambda: len(received) == 3)
+            assert received[1:] == [big, small]
+            assert harness.counter("transport.datagrams_dropped") == 0
+            assert harness.counter("transport.batch_datagrams") == 0

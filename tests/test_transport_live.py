@@ -24,11 +24,13 @@ from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, TransportError
+from repro.fanout.frames import decode_batch_datagram
 from repro.transport import LiveBroker, connect
 from repro.transport.broker import (
     _DRAIN_BUDGET,
     _SEND_QUEUE_CAPACITY,
     _DataPlaneSocket,
+    _SessionState,
 )
 from repro.transport.cli import parse_announce
 from repro.transport.framing import (
@@ -106,7 +108,7 @@ class RawClient:
     """A control connection and a UDP socket with no LiveSession between,
     for tests that compare the bytes on the wire."""
 
-    def __init__(self, harness, name):
+    def __init__(self, harness, name, **hello):
         host = harness.broker.host
         self.udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.udp.bind((host, 0))
@@ -117,7 +119,7 @@ class RawClient:
         )
         self.assembler = ControlFrameAssembler()
         self.hello = self.request(
-            HELLO, {"name": name, "udp_port": self.address[1]}
+            HELLO, {"name": name, "udp_port": self.address[1], **hello}
         )
         self.data_address = (host, self.hello["data_port"])
 
@@ -552,7 +554,7 @@ class TestDataPlane:
 
             class Recording:
                 def sendto(self, data, addr):
-                    sends.append((int.from_bytes(data[5:7], "big"), addr[1]))
+                    sends.append((data, addr[1]))
                     plane.sendto(data, addr)
 
                 def __getattr__(self, name):
@@ -566,13 +568,15 @@ class TestDataPlane:
             expected = list(range(21))
             assert poll_until(lambda: seen == {"a": expected, "b": expected})
             assert harness.counter("transport.pumps") - pumps == 1
-            # One FIFO for the whole drain: message by message, each
-            # message's legs in subscription order.
-            ports = [sends[0][1], sends[1][1]]
-            assert len(set(ports)) == 2
-            assert sends == [
-                (sequence, port) for sequence in range(1, 21) for port in ports
-            ]
+            # One sendto loop for the whole drain: each subscriber's share
+            # of it as one §7 batch, its frames in arrival order.
+            assert len(sends) == 2 == len({port for _, port in sends})
+            codec = MessageCodec()
+            for datagram, _ in sends:
+                messages = map(codec.decode, decode_batch_datagram(datagram))
+                assert [(m.sequence, m.payload) for m in messages] == [
+                    (sequence, b"x") for sequence in range(1, 21)
+                ]
 
     def test_raising_delivery_mid_drain_is_counted_and_the_rest_flushes(
         self, harness
@@ -605,51 +609,48 @@ class TestDataPlane:
         ) as subscriber:
             received = []
             subscriber.on_data(
+                lambda arrival: received.append(
+                    (arrival.message.sequence, arrival.message.payload)
+                )
+            )
+            subscriber.subscribe(kind="temp")
+            publisher.publish(0, b"first", kind="temp")
+            assert poll_until(lambda: received == [(0, b"first")])
+            pumps = harness.counter("transport.pumps")
+            with harness.paused():
+                for index in range(1, 7):
+                    publisher.publish(0, bytes([index]), kind="temp")
+            flushed = [(s, bytes([s])) for s in (1, 2, 4, 5, 6)]
+            assert poll_until(lambda: received == [(0, b"first"), *flushed])
+            assert harness.counter("transport.pumps") - pumps == 1
+            assert harness.counter("transport.dispatch_errors") == 1
+            # The warm-up frame, then the rest of the drain in one batch.
+            assert harness.counter("transport.datagrams_out") == 2
+            assert harness.counter("transport.batched_frames") == 5
+            assert [str(c["exception"]) for c in loop_errors] == ["boom"]
+
+    def test_batching_broker_packs_one_drain_into_one_datagram(
+        self, harness
+    ):
+        with connect(harness.url, "pub") as publisher, connect(
+            harness.url, "sub"
+        ) as subscriber:
+            received = []
+            subscriber.on_data(
                 lambda arrival: received.append(arrival.message.sequence)
             )
             subscriber.subscribe(kind="temp")
             publisher.publish(0, b"first", kind="temp")
             assert poll_until(lambda: received == [0])
-            pumps = harness.counter("transport.pumps")
             with harness.paused():
-                for _ in range(6):
+                for _ in range(10):
                     publisher.publish(0, b"x", kind="temp")
-            assert poll_until(lambda: received == [0, 1, 2, 4, 5, 6])
-            assert harness.counter("transport.pumps") - pumps == 1
-            assert harness.counter("transport.dispatch_errors") == 1
-            assert harness.counter("transport.datagrams_out") == 6
-            assert [str(c["exception"]) for c in loop_errors] == ["boom"]
-
-    def test_batching_broker_packs_one_drain_into_one_datagram(self):
-        h = BrokerHarness(
-            deployment=Garnet(
-                config=GarnetConfig(
-                    publish_location_stream=False, fanout_enabled=True
-                )
-            )
-        )
-        try:
-            with connect(h.url, "pub") as publisher, connect(
-                h.url, "sub"
-            ) as subscriber:
-                received = []
-                subscriber.on_data(
-                    lambda arrival: received.append(arrival.message.sequence)
-                )
-                subscriber.subscribe(kind="temp")
-                publisher.publish(0, b"first", kind="temp")
-                assert poll_until(lambda: received == [0])
-                with h.paused():
-                    for _ in range(10):
-                        publisher.publish(0, b"x", kind="temp")
-                assert poll_until(lambda: received == list(range(11)))
-                assert subscriber.stats.batch_datagrams == 1
-                assert subscriber.stats.batched_frames == 10
-                assert h.counter("transport.batch_datagrams") == 1
-                # The bare warm-up frame plus the one batch datagram.
-                assert h.counter("transport.datagrams_out") == 2
-        finally:
-            h.stop()
+            assert poll_until(lambda: received == list(range(11)))
+            assert subscriber.stats.batch_datagrams == 1
+            assert subscriber.stats.batched_frames == 10
+            assert harness.counter("transport.batch_datagrams") == 1
+            # The bare warm-up frame plus the one batch datagram.
+            assert harness.counter("transport.datagrams_out") == 2
 
     @pytest.mark.parametrize(
         "qos, queue_counter",
@@ -1021,12 +1022,14 @@ class TestDataPlane:
         # The pump inside stop() runs after the socket is closed: what
         # the last drain queued cannot leave, and must not vanish either.
         broker = LiveBroker()
-        address = ("127.0.0.1", 9)
-        broker._outbound.extend([(b"one", address), (b"two", address)])
+        state = _SessionState("token", "a", park_capacity=4)
+        state.udp_address = ("127.0.0.1", 9)
+        state.outbox += [b"one", b"two"]
+        broker._outboxes[state.token] = state
         assert broker._udp is None
         broker._pump()
         counters = broker.deployment.metrics_snapshot()["counters"]
-        assert broker._outbound == []
+        assert broker._outboxes == {} and state.outbox == []
         assert counters.get("transport.datagrams_dropped", 0) == 2
         assert counters.get("transport.datagrams_out", 0) == 0
 

@@ -25,6 +25,7 @@ import socket
 import sys
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from repro.core.message import DataMessage
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import TransportError
+from repro.fanout.frames import decode_batch_datagram, is_batch_datagram
 from repro.transport import LiveBroker, LiveSession
 from repro.transport import client as client_module
 from repro.transport.framing import (
@@ -342,7 +344,7 @@ def accepted(frame_type, peer, response, tables):
         assert response["lease_ttl"] == LEASE
         assert response["resume_grace"] == GRACE
         assert len(response["resume_token"]) == 32
-        assert response["batch_datagrams"] is False  # not a batching broker
+        assert response["batch_datagrams"] is False  # the body did not ask
         expected["connections"] = ["b"]
         expected["states"]["b"] = "bound"
         expected["udp_peers"][5001] = "b"
@@ -795,7 +797,7 @@ def row_unknown_frame_types_are_counted_in_any_state(tmp_path):
 
 
 def row_batching_is_the_brokers_to_grant(tmp_path):
-    world = World(fanout_enabled=True)
+    world = World()  # no fan-out: batching is per client, not per deployment
     plain = world.hello("plain", port=5001)
     batching = world.hello("batching", port=5002, batch_datagrams=True)
     assert plain.welcome["batch_datagrams"] is False
@@ -816,6 +818,82 @@ def row_batching_is_the_brokers_to_grant(tmp_path):
     assert batching.connection.state is None
     [state] = [s for s in world.broker._states.values() if s.parked_now]
     assert list(state.parked) == [b"pending"] and state.outbox == []
+
+
+def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
+    """The data plane's ledger over one drain that holds a bad datagram,
+    a delivery that raises, a parked, a bare and a batching subscriber:
+    ``datagrams_in = decodes + bad_datagrams``, and every frame queued
+    for a client is sent bare, counted in a batch or parked."""
+    world = World()
+    broker, codec = world.broker, world.deployment.codec
+    errors, decoded, queued = [], [], []
+    broker._loop = types.SimpleNamespace(call_exception_handler=errors.append)
+    decode, deliver = codec.decode, broker._deliver_to_state
+
+    def counting_decode(data):
+        decoded.append(decode(data))
+        return decoded[-1]
+
+    def counting_deliver(state, arrival):
+        queued.append((state.name, arrival.message.sequence))
+        deliver(state, arrival)
+
+    codec.decode, broker._deliver_to_state = counting_decode, counting_deliver
+
+    def fail_on_one(arrival):
+        if arrival.message.sequence == 1:
+            raise RuntimeError("boom")
+
+    # Subscribed first, so its leg of every route runs first.
+    raiser = world.deployment.connect("raiser", heartbeat_period=None)
+    raiser.deliver_inline()
+    raiser.on_data(fail_on_one)
+    raiser.subscribe(kind="temp")
+    bare = world.hello("bare", port=5001)
+    batching = world.hello("batching", port=5002, batch_datagrams=True)
+    parked = world.hello("parked", port=5003)
+    for peer in (bare, batching, parked):
+        peer.ok(SUBSCRIBE, kind="temp")
+    parked.eof()
+    pub = world.hello("pub", port=5004)
+    pub.ok(ADVERTISE, stream_index=0, kind="temp")
+    world.counted()
+    frames = [world.frame(pub.stream, sequence) for sequence in range(3)]
+    inbound = [frames[0], b"junk-not-a-codec-frame", frames[1], frames[2]]
+    broker._drain_stamp = world.clock()
+    for datagram in inbound:
+        broker._on_datagram(datagram)
+    broker._after_drain([pub.address] * len(inbound))
+
+    counted = world.counted()
+    assert counted["datagrams_in"] == len(decoded) + counted["bad_datagrams"]
+    assert (len(decoded), counted["bad_datagrams"]) == (3, 1)
+    assert counted["dispatch_errors"] == 1
+    assert [str(context["exception"]) for context in errors] == ["boom"]
+    # Sequence 1 died in the raiser's leg, before the broker's legs ran.
+    assert sorted(queued) == sorted(
+        (name, sequence)
+        for name in ("bare", "batching", "parked")
+        for sequence in (0, 2)
+    )
+    sent = world.udp.take()
+    assert [(d, a) for d, a in sent if a == bare.address] == [
+        (frames[0], bare.address), (frames[2], bare.address),
+    ]
+    [batch] = [d for d, a in sent if a == batching.address]
+    assert decode_batch_datagram(batch) == [frames[0], frames[2]]
+    [state] = [s for s in broker._states.values() if s.name == "parked"]
+    assert list(state.parked) == [frames[0], frames[2]]
+    sent_bare = sum(not is_batch_datagram(d) for d, _ in sent)
+    assert len(queued) == (
+        sent_bare + counted["batched_frames"] + len(state.parked)
+    )
+    drains = world.deployment.metrics_snapshot()["histograms"][
+        "transport.drain_datagrams"
+    ]
+    assert drains["count"] == 1 and drains["sum"] == len(inbound)
+    assert drains["buckets"]["2"] == 0 and drains["buckets"]["4"] == 1
 
 
 def row_stop_detaches_everyone_and_keeps_the_sessions_file(tmp_path):
@@ -1184,11 +1262,22 @@ class TestClientHalf:
         publisher = world.hello("pub", port=5001)
         publisher.ok(ADVERTISE, stream_index=0, kind="temp")
         subscriber = live_session(world, "sub", monkeypatch, reconnect=FAST)
+        received = []
+        subscriber.on_data(
+            lambda arrival: received.append(
+                (arrival.message.sequence, arrival.message.payload)
+            )
+        )
         subscriber.subscribe(kind="temp")
         world.publish(publisher, 0)
-        world.udp.drop = 2
-        world.publish(publisher, 1, 2)
+        world.udp.take()
+        world.udp.drop = 1
+        lost = world.publish(publisher, 1, 2)
+        # One drain, one batch datagram: both frames were lost together.
+        [(batch, _)] = world.udp.take()
+        assert decode_batch_datagram(batch) == lost
         world.publish(publisher, 3)
+        assert received == [(0, b"p"), (3, b"p")]
         assert subscriber.stats.gaps_detected == 2
         world.clock.now += client_module._REPAIR_DELAY
         subscriber._wire.requests.clear()
