@@ -194,10 +194,10 @@ def run_scenario(
                 "loss_rate": LOSS_RATE,
                 "broker_restarts": box.restarts,
                 "proxy": proxy.metrics.snapshot()["counters"],
-                "subscriber": subscriber.stats.snapshot(),
+                "subscriber": subscriber.stats.as_dict(),
                 "publisher": {
                     key: value
-                    for key, value in publisher.stats.snapshot().items()
+                    for key, value in publisher.stats.as_dict().items()
                     if value
                 },
             }

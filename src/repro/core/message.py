@@ -31,6 +31,7 @@ The payload is opaque: the codec moves bytes and never interprets them
 from __future__ import annotations
 
 import struct
+from binascii import crc_hqx
 from dataclasses import dataclass, field, replace
 
 from repro.core.flags import (
@@ -77,6 +78,28 @@ _VERSION_BYTE = PROTOCOL_VERSION << 5
 #: payload and CRC.
 _COMMON_SHAPE_MASK = 0xE0 | _F_ACK | _F_RELAYED | _F_EXTENDED
 _COMMON_OVERHEAD = FIXED_HEADER_BYTES + CHECKSUM_BYTES
+
+
+def common_frame(
+    flags: int, stream_word: int, sequence: int, payload: bytes, checksum: bool
+) -> bytes:
+    """The frame of a message with no optional field: fixed header (with
+    the FUSED / ENCRYPTED bits in ``flags``), payload and, with
+    ``checksum``, the CRC-16.
+
+    The one encoder of that shape, called by :meth:`MessageCodec._build_frame`
+    and by a live session's publish. Nothing is range-checked here: both
+    callers have checked the fields already.
+    """
+    body = _FIXED_HEADER.pack(
+        _VERSION_BYTE | flags, stream_word, sequence, len(payload)
+    ) + payload
+    if checksum:
+        # crc16_ccitt is crc_hqx seeded 0xFFFF (repro.util.crc). Calling
+        # it directly keeps the call depth of the encoder that was inline.
+        return body + crc_hqx(body, 0xFFFF).to_bytes(2, "big")
+    return body
+
 
 # decode_prefix builds messages with __new__ + object.__setattr__: the
 # frozen-dataclass __init__ routes every field through the same
@@ -289,21 +312,17 @@ class MessageCodec:
             flags |= _F_FUSED
         if message.encrypted:
             flags |= _F_ENCRYPTED
-        payload_size = len(payload)
         if ack is None and hops is None and not extensions:
             # Leanest (and overwhelmingly common) shape: no optional
-            # fields, so the message is header + payload + CRC and we
-            # can concatenate immutable bytes instead of filling a
-            # preallocated bytearray.
-            body = _FIXED_HEADER.pack(
-                _VERSION_BYTE | flags,
+            # fields, so the message is header + payload + CRC.
+            return common_frame(
+                flags,
                 (sensor_id << 8) | stream_index,
                 sequence,
-                payload_size,
-            ) + payload
-            if self._checksum:
-                return body + crc16_ccitt(body).to_bytes(2, "big")
-            return body
+                payload,
+                self._checksum,
+            )
+        payload_size = len(payload)
         size = FIXED_HEADER_BYTES + payload_size
         if ack is not None:
             if ack.__class__ is not int or not 0 <= ack <= 0xFFFF:
@@ -661,6 +680,7 @@ __all__ = [
     "MAX_PAYLOAD_BYTES",
     "MAX_SEQUENCE",
     "MessageCodec",
+    "common_frame",
     "make_request_status_extension",
     "parse_request_status_extension",
     "peek_header",

@@ -6,12 +6,13 @@ running :class:`~repro.transport.broker.LiveBroker` (or the
 
 - a **TCP** connection for the control plane — requests are synchronous
   (send a frame, block for its response), serialised under a lock;
-- a **UDP** socket for the data plane — publishes go out as
-  :class:`~repro.core.message.MessageCodec` datagrams, and a daemon
-  reader thread decodes incoming delivery datagrams into
-  :class:`~repro.core.envelopes.StreamArrival` values for the
-  ``on_data`` callbacks (the same callback shape simulated sessions
-  use, so consumer code ports across transports unchanged).
+- a **UDP** socket for the data plane — publishes go out as Figure 2
+  frames, and a daemon reader thread decodes incoming delivery
+  datagrams into :class:`~repro.core.envelopes.StreamArrival` values for
+  the ``on_data`` callbacks (the same callback shape simulated sessions
+  use, so consumer code ports across transports unchanged). A §7 batch
+  datagram is delivered as one unit, and callbacks never run
+  concurrently.
 
 The client is deliberately synchronous: experiment drivers and tests
 want straight-line code, and the broker end is where the concurrency
@@ -54,12 +55,12 @@ import socket
 import threading
 import time
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.cluster.link import SequenceWindow
 from repro.core.envelopes import StreamArrival
-from repro.core.message import DataMessage, MessageCodec
+from repro.core.message import DataMessage, MessageCodec, common_frame
 from repro.core.streamid import StreamId
 from repro.errors import (
     ConfigurationError,
@@ -68,6 +69,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.fanout.frames import decode_batch_datagram, is_batch_datagram
+from repro.obs.stats import RegistryBackedStats
 from repro.transport.base import parse_garnet_url
 from repro.transport.framing import (
     ADVERTISE,
@@ -189,41 +191,29 @@ class _SocketWire:
         self._udp.close()
 
 
-class LiveSessionStats:
-    """Plain counters for one live session; all monotonic.
+class LiveSessionStats(RegistryBackedStats):
+    """The ``live.*`` counters of one session, all monotonic, in a registry
+    of its own (``stats.registry``): a live client has no deployment."""
 
-    These are the ``live.*`` counters: ``callback_errors`` is
-    ``live.callback_errors`` and so on. They live on the session (not a
-    metrics registry) because a live client runs outside any deployment.
-    """
-
-    __slots__ = (
-        "deliveries",
-        "published",
-        "duplicates_dropped",
-        "callback_errors",
-        "bad_datagrams",
-        "batch_datagrams",
-        "batched_frames",
-        "gaps_detected",
-        "gaps_repaired",
-        "gaps_unrepairable",
-        "reconnects",
-        "resumes",
-        "rehellos",
-        "replayed",
-        "buffered_publishes",
-        "buffer_overflows",
-        "tail_resends",
-        "keepalive_failures",
-    )
-
-    def __init__(self) -> None:
-        for field in self.__slots__:
-            setattr(self, field, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        return {field: getattr(self, field) for field in self.__slots__}
+    PREFIX = "live"
+    deliveries: int = 0
+    published: int = 0
+    duplicates_dropped: int = 0
+    callback_errors: int = 0
+    bad_datagrams: int = 0
+    batch_datagrams: int = 0
+    batched_frames: int = 0
+    gaps_detected: int = 0
+    gaps_repaired: int = 0
+    gaps_unrepairable: int = 0
+    reconnects: int = 0
+    resumes: int = 0
+    rehellos: int = 0
+    replayed: int = 0
+    buffered_publishes: int = 0
+    buffer_overflows: int = 0
+    tail_resends: int = 0
+    keepalive_failures: int = 0
 
 
 class _StreamTracker:
@@ -263,19 +253,30 @@ class LiveSession:
             )
         self._name = name
         self._codec = MessageCodec(checksum=checksum)
+        self._checksum = checksum
         self._timeout = timeout
         self._callbacks: list[DataCallback] = []
         self._state_callbacks: list[StateCallback] = []
         self._subscriptions: dict[int, dict] = {}
         self._publish_sequences: dict[int, int] = {}
+        self._streams: dict[int, tuple] = {}  # index -> (stream id, word)
         self._advertised: dict[int, dict] = {}  # index -> ADVERTISE body
         self._closed = False
         self._lock = threading.Lock()
         self._state_lock = threading.Lock()
+        # Held across a delivery's tracking *and* callbacks (``_deliver``).
         self._delivery_lock = threading.Lock()
         self._assembler = ControlFrameAssembler()
-        self.stats = LiveSessionStats()
-        self._trackers: dict[tuple[int, int], _StreamTracker] = {}
+        self.stats = stats = LiveSessionStats()
+        # Hot-path counters, bound once: ``stats.x += n`` is two lookups.
+        self._published = stats.counter("published")
+        self._deliveries = stats.counter("deliveries")
+        self._duplicates = stats.counter("duplicates_dropped")
+        self._callback_errors = stats.counter("callback_errors")
+        self._bad = stats.counter("bad_datagrams")
+        self._batches = stats.counter("batch_datagrams")
+        self._batched_frames = stats.counter("batched_frames")
+        self._trackers: dict[StreamId, _StreamTracker] = {}
 
         if reconnect is True:
             reconnect = DEFAULT_RECONNECT_POLICY
@@ -297,7 +298,7 @@ class LiveSession:
         self._rng = random.Random()
         self._state = "connected"
         self._resume_token: str | None = None
-        self._publish_buffer: list[tuple] = []
+        self._publish_buffer: deque[tuple] = deque()
         self._resend_tail: deque[tuple] = deque(maxlen=_RESEND_TAIL)
         self._reader: threading.Thread | None = None
         self._housekeeper: threading.Thread | None = None
@@ -546,6 +547,8 @@ class LiveSession:
     # Data plane
     # ------------------------------------------------------------------
     def on_data(self, callback: DataCallback) -> None:
+        """Call ``callback`` with each new arrival. Callbacks never run
+        concurrently: one must not block on this session's deliveries."""
         if not callable(callback):
             raise TransportError(
                 f"data callback must be callable: {callback!r}"
@@ -580,50 +583,66 @@ class LiveSession:
         """
         self._require_open()
         sequence = self._publish_sequences.get(stream_index, 0)
-        entry = (
-            stream_index, sequence, payload, kind, fused, encrypted,
-            extensions,
+        # Refused here, nothing spent: no flush could send it either.
+        stream_id, frame = self._datagram(
+            stream_index, sequence, payload, fused, encrypted, extensions
         )
-        stream_id = None  # until the datagram has left
-        if self._state == "reconnecting":
-            self._datagram(entry)  # refuse now what no flush could send
-        else:
+        sent = False
+        if self._state != "reconnecting":
             try:
-                stream_id = self._send_publish(entry)
+                self._send_publish(stream_index, kind, encrypted, frame)
+                sent = True
             except TransportError:
                 if self._state != "reconnecting":
                     raise  # genuine refusal, not a mid-publish outage
         # Spent only now: a refused publish leaves subscribers no gap.
         self._publish_sequences[stream_index] = (sequence + 1) % (1 << 16)
-        if stream_id is None:
-            if len(self._publish_buffer) >= _PUBLISH_BUFFER:
-                self._publish_buffer.pop(0)
-                self.stats.buffer_overflows += 1
+        if sent and self._reconnect_policy is None:
+            return stream_id
+        # Kept for a resend or a flush: ``_datagram``'s arguments, then kind.
+        entry = (stream_index, sequence, payload, fused, encrypted,
+                 extensions, kind)
+        if sent:
+            self._resend_tail.append(entry)
+        else:
             self._publish_buffer.append(entry)
             self.stats.buffered_publishes += 1
-            stream_id = StreamId(self._publisher_id, stream_index)
+            self._trim_publish_buffer()
         return stream_id
 
-    def _datagram(self, entry: tuple) -> tuple[StreamId, bytes]:
-        """``(stream id, §2 frame)`` of one publish, under this session's
-        current publisher id."""
-        stream_index, sequence, payload, _, fused, encrypted, extensions = entry
-        stream_id = StreamId(self._publisher_id, stream_index)
-        # Positional: a keyword call costs the publish path ~0.2 µs.
-        message = DataMessage(
-            stream_id, sequence, payload, fused, encrypted, None, None, extensions
-        )
-        frame = self._codec.encode(message)
+    def _datagram(
+        self, stream_index: int, sequence: int, payload: bytes,
+        fused: bool, encrypted: bool, extensions: tuple,
+    ) -> tuple[StreamId, bytes]:
+        """``(stream id, §2 frame)`` of one publish under this session's
+        current publisher id: the common shape framed from the cached
+        stream word, any other by the codec."""
+        streams = self._streams
+        stream = streams.get(stream_index)
+        # (True hashes as 1, so only an int may take a cached stream.)
+        if stream is None or stream_index.__class__ is not int:
+            stream_id = StreamId(self._publisher_id, stream_index)
+            # pack() range-checks: a bad index raises and is not cached.
+            stream = streams[stream_index] = (stream_id, stream_id.pack())
+        if self._checksum and not (fused or encrypted or extensions) and (
+            len(payload) <= _MAX_DATAGRAM
+        ):
+            frame = common_frame(0, stream[1], sequence, payload, True)
+        else:  # Positional: a keyword call costs ~0.2 µs.
+            frame = self._codec.encode(DataMessage(
+                stream[0], sequence, payload, fused, encrypted, None, None,
+                extensions,
+            ))
         if len(frame) > _MAX_DATAGRAM:
             raise TransportError(
                 f"a {len(frame)}-byte message does not fit one UDP "
                 f"datagram ({_MAX_DATAGRAM} bytes)"
             )
-        return stream_id, frame
+        return stream[0], frame
 
-    def _send_publish(self, entry: tuple) -> StreamId:
-        stream_index, kind, encrypted = entry[0], entry[3], entry[5]
-        stream_id, datagram = self._datagram(entry)
+    def _send_publish(
+        self, stream_index: int, kind: str, encrypted: bool, frame: bytes
+    ) -> None:
         if kind and stream_index not in self._advertised:
             body = {
                 "stream_index": stream_index,
@@ -632,67 +651,67 @@ class LiveSession:
             }
             self._request(ADVERTISE, body)
             self._advertised[stream_index] = body
-        self._wire.sendto(datagram, self._data_address)
-        self.stats.published += 1
-        if self._reconnect_policy is not None:
-            self._resend_tail.append(entry)
-        return stream_id
+        self._wire.sendto(frame, self._data_address)
+        self._published.inc()
+
+    def _trim_publish_buffer(self) -> None:
+        """Hold the outage buffer to its bound by evicting the oldest."""
+        while len(self._publish_buffer) > _PUBLISH_BUFFER:
+            self._publish_buffer.popleft()
+            self.stats.buffer_overflows += 1
 
     def _read_datagrams(self) -> None:
         while (data := self._wire.receive()) is not None:
             self._handle_datagram(data)
 
     def _handle_datagram(self, data: bytes) -> None:
-        if is_batch_datagram(data):
-            # A §7 batch: many codec frames in one datagram. Unpack and
-            # run each through the ordinary dedupe/gap/callback path.
-            try:
+        frames = (data,)  # a malformed batch: one frame no decode accepts
+        if is_batch_datagram(data):  # a §7 batch: many frames, one unit
+            with contextlib.suppress(GarnetError):
                 frames = decode_batch_datagram(data)
-            except GarnetError:
-                self.stats.bad_datagrams += 1
-                return
-            self.stats.batch_datagrams += 1
-            self.stats.batched_frames += len(frames)
-            for frame in frames:
-                self._handle_frame(frame)
-            return
-        self._handle_frame(data)
+                self._batches.inc()
+                self._batched_frames.inc(len(frames))
+        self._deliver(frames)
 
-    def _handle_frame(self, data: bytes) -> None:
-        try:
-            message = self._codec.decode(data)
-        except GarnetError:
-            self.stats.bad_datagrams += 1
-            return
-        with self._delivery_lock:
-            if not self._track_delivery(message):
-                return  # duplicate: dropped before the callbacks
-        arrival = StreamArrival(
-            message=message,
-            received_at=time.time(),
-            receiver_id=-1,
-        )
-        self.stats.deliveries += 1
-        for callback in list(self._callbacks):
+    def _deliver(self, frames: Sequence[bytes]) -> None:
+        """Decode ``frames`` (one datagram's, or one NACK answer's) and
+        hand the new ones to the callbacks as one unit: one lock across
+        tracking, counters and callbacks, one clock read, one callback
+        snapshot."""
+        decode = self._codec.decode
+        messages = []
+        for frame in frames:
             try:
-                callback(arrival)
-            except Exception:
-                # One consumer's bug must not kill the reader thread
-                # (or starve the other callbacks).
-                self.stats.callback_errors += 1
+                messages.append(decode(frame))
+            except GarnetError:
+                pass
+        with self._delivery_lock:
+            self._bad.inc(len(frames) - len(messages))
+            track = self._track_delivery
+            fresh = [message for message in messages if track(message)]
+            self._duplicates.inc(len(messages) - len(fresh))
+            self._deliveries.inc(len(fresh))
+            received_at, callbacks = time.time(), tuple(self._callbacks)
+            errors = 0
+            for message in fresh:
+                arrival = StreamArrival(message, received_at, -1)
+                for callback in callbacks:
+                    try:
+                        callback(arrival)
+                    except Exception:
+                        # One consumer's bug must not kill the reader
+                        # thread (or starve the other callbacks).
+                        errors += 1
+            self._callback_errors.inc(errors)
 
     def _track_delivery(self, message: DataMessage) -> bool:
         """Dedupe + gap bookkeeping; False means drop (duplicate)."""
-        key = (
-            message.stream_id.sensor_id,
-            message.stream_id.stream_index,
-        )
-        tracker = self._trackers.get(key)
+        stream_id = message.stream_id
+        tracker = self._trackers.get(stream_id)
         if tracker is None:
-            tracker = self._trackers[key] = _StreamTracker()
+            tracker = self._trackers[stream_id] = _StreamTracker()
         sequence = message.sequence
         if not tracker.window.add(sequence):
-            self.stats.duplicates_dropped += 1
             return False
         if tracker.missing.pop(sequence, None) is not None:
             self.stats.gaps_repaired += 1
@@ -703,11 +722,11 @@ class LiveSession:
         jump = (sequence - latest) % (1 << 16)
         if 1 < jump < _MAX_GAP_RUN:
             now = self._wire.clock()
+            missing = tracker.missing
+            known = len(missing)
             for offset in range(1, jump):
-                missed = (latest + offset) % (1 << 16)
-                if missed not in tracker.missing:
-                    tracker.missing[missed] = now
-                    self.stats.gaps_detected += 1
+                missing.setdefault((latest + offset) % (1 << 16), now)
+            self.stats.gaps_detected += len(missing) - known
         if jump < (1 << 15):
             tracker.latest = sequence
         return True
@@ -763,8 +782,9 @@ class LiveSession:
                 )
             except TransportError:
                 return  # broker unreachable: try again next tick
-            for hex_frame in response.get("records", ()):
-                self._handle_datagram(bytes.fromhex(hex_frame))
+            self._deliver(
+                [bytes.fromhex(frame) for frame in response.get("records", ())]
+            )
             # What the broker no longer retains — everything, when it
             # runs without a store — is given up on, not asked for again.
             unrepairable = response.get("missing", ())
@@ -790,7 +810,7 @@ class LiveSession:
             try:
                 callback(state)
             except Exception:
-                self.stats.callback_errors += 1
+                self._callback_errors.inc()
 
     def _run_reconnect(self) -> None:
         policy = self._reconnect_policy
@@ -873,6 +893,7 @@ class LiveSession:
             self._data_address = (self._host, int(response["data_port"]))
             self._resume_token = response.get("resume_token")
         self._publisher_id = int(response["publisher_id"])
+        self._streams = {}  # a re-HELLO may have named a new publisher id
         if resumed:
             mapping = response.get("subscriptions") or {}
             remapped = {}
@@ -893,19 +914,24 @@ class LiveSession:
             # reached its store: resend the tail (at-least-once; the
             # store tap and subscriber windows dedupe the overlap).
             for entry in list(self._resend_tail):
-                try:
-                    self._wire.sendto(
-                        self._datagram(entry)[1], self._data_address
-                    )
-                except OSError:  # pragma: no cover - UDP sends rarely fail
-                    pass
+                with contextlib.suppress(OSError):  # UDP sends rarely fail
+                    frame = self._datagram(*entry[:6])[1]
+                    self._wire.sendto(frame, self._data_address)
                 self.stats.tail_resends += 1
-        buffered, self._publish_buffer = self._publish_buffer, []
-        for entry in buffered:
+        buffer = self._publish_buffer
+        while buffer:
+            entry = buffer.popleft()
+            stream_index, _, _, _, encrypted, _, kind = entry
             try:
-                self._send_publish(entry)
+                frame = self._datagram(*entry[:6])[1]
+                self._send_publish(stream_index, kind, encrypted, frame)
             except (TransportError, OSError):
-                return  # connection died again; remaining entries drop
+                # The connection died again: this entry and the rest wait,
+                # in order, for the next re-attach.
+                buffer.appendleft(entry)
+                self._trim_publish_buffer()
+                return
+            self._resend_tail.append(entry)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -20,7 +20,9 @@ deleted here or a branch added there fails the suite.
 
 from __future__ import annotations
 
+import collections
 import copy
+import itertools
 import socket
 import sys
 import threading
@@ -31,12 +33,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.link import SequenceWindow
 from repro.core.config import GarnetConfig
-from repro.core.message import DataMessage
+from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
-from repro.errors import TransportError
-from repro.fanout.frames import decode_batch_datagram, is_batch_datagram
+from repro.errors import CodecError, FieldRangeError, GarnetError, TransportError
+from repro.fanout.frames import (
+    decode_batch_datagram,
+    encode_batch_datagrams,
+    is_batch_datagram,
+)
 from repro.transport import LiveBroker, LiveSession
 from repro.transport import client as client_module
 from repro.transport.framing import (
@@ -1208,6 +1215,15 @@ def live_session(world, name, monkeypatch, **options):
     return session
 
 
+def threadless_session(world, name, **options):
+    """``live_session`` for callers without a function-scoped monkeypatch
+    (a module-scoped fixture, a thread test): the patches last only as
+    long as the handshake."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LiveSession, "_start_threads", lambda self: None)
+        return live_session(world, name, patch, **options)
+
+
 @pytest.fixture
 def pair(monkeypatch):
     """A store-backed world, a raw publisher and a resilient subscriber."""
@@ -1384,6 +1400,50 @@ class TestClientHalf:
         assert subscriber.stats.buffer_overflows == 2
         assert [entry[1] for entry in subscriber._publish_buffer] == [2, 3, 4, 5]
 
+    def test_a_flush_cut_short_keeps_what_it_did_not_send(self, pair):
+        # The connection dies again mid-flush, at the ADVERTISE of a
+        # stream first published during the outage. Their sequences are
+        # spent, so that entry and every one behind it must stay buffered.
+        world, _, subscriber = pair
+        watcher = world.hello("watcher", port=5002)
+        for index in (0, 1):
+            watcher.ok(SUBSCRIBE, stream_id=[subscriber.publisher_id, index])
+        subscriber.publish(0, b"before", kind="temp")
+        wire = subscriber._wire
+        wire.severed = True
+        with pytest.raises(TransportError):
+            subscriber.ping()
+        subscriber.publish(0, b"a")
+        subscriber.publish(1, b"b", kind="wind")  # advertised at the flush
+        subscriber.publish(0, b"c")
+        assert subscriber.stats.buffered_publishes == 3
+        codec = world.deployment.codec
+        sendto = wire.sendto
+
+        def sever_after_a(datagram, address):
+            sendto(datagram, address)
+            if codec.decode(datagram).payload == b"a":
+                wire.severed = True
+
+        wire.sendto = sever_after_a
+        wire.severed = False
+        subscriber._run_reconnect()
+        assert subscriber.state == "reconnecting"
+        assert [entry[2] for entry in subscriber._publish_buffer] == [b"b", b"c"]
+        wire.sendto, wire.severed = sendto, False
+        subscriber._run_reconnect()
+        assert subscriber.state == "connected" and not subscriber._publish_buffer
+        firsts = []
+        for data, address in world.udp.take():
+            message = codec.decode(data)
+            sent = (message.stream_id.stream_index, message.sequence, message.payload)
+            if address == watcher.address and sent not in firsts:
+                firsts.append(sent)
+        assert firsts == [
+            (0, 0, b"before"), (0, 1, b"a"), (1, 0, b"b"), (0, 2, b"c"),
+        ]
+        assert subscriber.stats.buffer_overflows == 0
+
     def test_gives_up_after_max_attempts(self, pair):
         world, _, subscriber = pair
         states = []
@@ -1432,7 +1492,7 @@ class TestClientHalf:
             subscriber.ping()
         with pytest.raises(TransportError, match="datagram"):
             subscriber.publish(0, b"x" * 65535)  # not buffered either
-        assert subscriber._publish_buffer == []
+        assert not subscriber._publish_buffer
         subscriber._wire.severed = False
         subscriber._run_reconnect()
         subscriber.publish(0, b"fits")
@@ -1440,3 +1500,314 @@ class TestClientHalf:
             sent for sent in world.udp.take() if sent[1] == watcher.address
         ]
         assert world.deployment.codec.decode(data).sequence == 0  # no gap
+
+
+# ----------------------------------------------------------------------
+# Client hot path: the publish frame, the receive ledger, the counts
+# ----------------------------------------------------------------------
+CODEC = MessageCodec()
+
+
+@pytest.fixture(scope="module")
+def recording_sessions():
+    """One threadless session per checksum setting, shared by a
+    property's examples, whose datagrams are kept instead of sent."""
+    sessions = {}
+    for checksum in (True, False):
+        session = sessions[checksum] = threadless_session(
+            World(), f"frames-{checksum}", checksum=checksum
+        )
+        session.sent = []
+        session._wire.sendto = (
+            lambda datagram, address, sent=session.sent: sent.append(datagram)
+        )
+        session.sequences = collections.Counter()  # the test's own count
+    return sessions
+
+
+PUBLISHES = st.tuples(
+    st.booleans(),  # checksum
+    st.integers(0, 255),
+    st.binary(max_size=300),
+    st.booleans(),  # fused
+    st.booleans(),  # encrypted
+    st.lists(
+        st.tuples(st.integers(0, 255), st.binary(max_size=8)), max_size=3
+    ).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(publishes=st.lists(PUBLISHES, min_size=1, max_size=4))
+def test_the_publish_frame_is_the_codecs_frame(recording_sessions, publishes):
+    for checksum, index, payload, fused, encrypted, extensions in publishes:
+        session = recording_sessions[checksum]
+        stream_id = StreamId(session.publisher_id, index)
+        sequence = session.sequences[index]
+        session.sequences[index] += 1
+        returned = session.publish(
+            index, payload, fused=fused, encrypted=encrypted,
+            extensions=extensions,
+        )
+        assert returned == stream_id
+        expected = MessageCodec(checksum).encode(
+            DataMessage(
+                stream_id, sequence, payload, fused=fused,
+                encrypted=encrypted, extensions=extensions,
+            )
+        )
+        assert session.sent.pop() == expected
+
+
+def test_a_refused_publish_raises_what_the_codec_raises_and_spends_nothing():
+    session = threadless_session(World(), "refused")
+    sent = []
+    session._wire.sendto = lambda datagram, address: sent.append(datagram)
+    session.publish(1, b"framed")  # index 1 cached: True must not find it
+    sent.clear()
+    refusals = [
+        (256, b"x", FieldRangeError),
+        (-1, b"x", FieldRangeError),
+        (True, b"x", FieldRangeError),
+        (0, bytes(client_module._MAX_DATAGRAM - 10), TransportError),
+        (0, bytes(65536), CodecError),
+    ]
+    for index, payload, error in refusals:
+        with pytest.raises(error) as refused:
+            session.publish(index, payload)
+        assert refused.type is error
+    assert sent == [] and session.stats.published == 1
+    assert session._publish_sequences == {1: 1}
+    session.publish(0, b"fits")
+    [frame] = sent
+    assert CODEC.decode(frame).sequence == 0
+
+
+class ReferenceClient:
+    """The client's receive ledger as the per-frame loop it used to be:
+    each frame decoded, deduplicated, gap-tracked and delivered alone."""
+
+    def __init__(self):
+        self.counts = collections.Counter()
+        self.delivered = []
+        self.windows = {}
+        self.latest = {}
+        self.missing = {}
+
+    def datagram(self, data):
+        """Take one datagram; returns how many frames it counts as."""
+        if is_batch_datagram(data):
+            try:
+                frames = decode_batch_datagram(data)
+            except GarnetError:
+                self.counts["bad_datagrams"] += 1
+                return 1
+            self.counts["batch_datagrams"] += 1
+            self.counts["batched_frames"] += len(frames)
+        else:
+            frames = [data]
+        for frame in frames:
+            self.frame(frame)
+        return len(frames)
+
+    def frame(self, frame):
+        try:
+            message = CODEC.decode(frame)
+        except GarnetError:
+            self.counts["bad_datagrams"] += 1
+            return
+        key, sequence = tuple(message.stream_id), message.sequence
+        window = self.windows.setdefault(key, SequenceWindow(1024))
+        if not window.add(sequence):
+            self.counts["duplicates_dropped"] += 1
+            return
+        missing = self.missing.setdefault(key, set())
+        if sequence in missing:
+            missing.discard(sequence)
+            self.counts["gaps_repaired"] += 1
+        latest = self.latest.get(key)
+        jump = 0 if latest is None else (sequence - latest) % (1 << 16)
+        if 1 < jump < client_module._MAX_GAP_RUN:
+            for offset in range(1, jump):
+                missed = (latest + offset) % (1 << 16)
+                if missed not in missing:
+                    missing.add(missed)
+                    self.counts["gaps_detected"] += 1
+        if latest is None or jump < (1 << 15):
+            self.latest[key] = sequence
+        self.counts["deliveries"] += 1
+        self.counts["callback_errors"] += raises_on(sequence)
+        self.delivered.append((key, sequence, message.payload))
+
+
+def raises_on(sequence):
+    """Whether the ledger session's second callback raises."""
+    return sequence % 7 == 3
+
+
+FRAME = st.tuples(
+    st.integers(0, 1), st.integers(0, 40), st.binary(max_size=6)
+)
+TRAFFIC = st.lists(
+    st.one_of(
+        st.tuples(st.just("bare"), st.lists(FRAME, min_size=1, max_size=1)),
+        st.tuples(st.just("batch"), st.lists(FRAME, min_size=2, max_size=6)),
+        st.tuples(st.just("again"), st.integers(0, 50)),
+        st.tuples(
+            st.just("flipped"),
+            st.lists(FRAME, min_size=1, max_size=4),
+            st.integers(1, 4),  # how many of the frames
+            st.integers(0, 200),
+            st.integers(1, 255),
+        ),
+        st.tuples(
+            st.just("truncated"),
+            st.lists(FRAME, min_size=2, max_size=4),
+            st.integers(1, 40),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def datagrams_of(traffic, sensor):
+    def frame(index, sequence, payload):
+        return CODEC.encode(
+            DataMessage(StreamId(sensor, index), sequence, payload)
+        )
+
+    datagrams = []
+    for kind, frames, *rest in traffic:
+        if kind == "again":
+            if datagrams:
+                datagrams.append(datagrams[frames % len(datagrams)])
+            continue
+        frames = [frame(*spec) for spec in frames]
+        if kind == "flipped":  # one byte of each of the first ``count``
+            count, position, mask = rest
+            for index, flipped in enumerate(map(bytearray, frames[:count])):
+                flipped[position % len(flipped)] ^= mask
+                frames[index] = bytes(flipped)
+        [datagram] = encode_batch_datagrams(frames)
+        if kind == "truncated":
+            datagram = datagram[: -(1 + rest[0] % (len(datagram) - 6))]
+        datagrams.append(datagram)
+    return datagrams
+
+
+@pytest.fixture(scope="module")
+def ledger_session():
+    """One session for every example; each example publishes as a fresh
+    sensor, so its streams start with no history."""
+    session = threadless_session(World(), "ledger")
+    session.sensors = itertools.count(1)
+    session.seen = []
+    session.on_data(
+        lambda arrival: session.seen.append(
+            (
+                tuple(arrival.message.stream_id),
+                arrival.message.sequence,
+                arrival.message.payload,
+            )
+        )
+    )
+
+    def buggy(arrival):
+        if raises_on(arrival.message.sequence):
+            raise RuntimeError("a consumer bug")
+
+    session.on_data(buggy)
+    return session
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(traffic=TRAFFIC)
+def test_the_clients_ledger_is_the_per_frame_loops(ledger_session, traffic):
+    """Datagram by datagram, the client delivers what the per-frame
+    reference would, in its order, and counts what it would count; every
+    frame received is a delivery, a duplicate or a bad frame (a batch too
+    malformed to unpack is one bad datagram)."""
+    session = ledger_session
+    datagrams = datagrams_of(traffic, next(session.sensors))
+    reference = ReferenceClient()
+    before = session.stats.as_dict()
+    session.seen.clear()
+    received = 0
+    for datagram in datagrams:
+        session._handle_datagram(datagram)
+        received += reference.datagram(datagram)
+    moved = {
+        name: value - before[name]
+        for name, value in session.stats.as_dict().items()
+    }
+    assert session.seen == reference.delivered
+    assert moved == {**dict.fromkeys(moved, 0), **reference.counts}
+    assert received == (
+        moved["deliveries"] + moved["duplicates_dropped"]
+        + moved["bad_datagrams"]
+    )
+
+
+class CountingLock:
+    def __init__(self, counts):
+        self.counts = counts
+        self.lock = threading.Lock()
+
+    def __enter__(self):
+        self.counts["lock acquisitions"] += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+def test_the_client_hot_path_builds_no_message_and_locks_once_a_datagram(
+    monkeypatch,
+):
+    """A count, not a timing: 1,000 publishes build no ``DataMessage`` and
+    run no encoder; 100 ten-frame batches take the delivery lock and read
+    the clock once each."""
+    session = threadless_session(World(), "ratchet")
+    sent, received = [], []
+    session._wire.sendto = lambda datagram, address: sent.append(datagram)
+    session.on_data(received.append)
+    batches = [
+        encode_batch_datagrams(
+            [
+                CODEC.encode(DataMessage(StreamId(9, 0), sequence, b"p"))
+                for sequence in range(first, first + 10)
+            ]
+        )[0]
+        for first in range(0, 1000, 10)
+    ]
+    counts = collections.Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        client_module, "DataMessage", counting("messages", DataMessage)
+    )
+    monkeypatch.setattr(
+        MessageCodec,
+        "_build_frame",
+        counting("encoder runs", MessageCodec._build_frame),
+    )
+    monkeypatch.setattr(
+        client_module,
+        "time",
+        types.SimpleNamespace(time=counting("clock reads", time.time)),
+    )
+    session._delivery_lock = CountingLock(counts)
+    for _ in range(1000):
+        session.publish(0, b"x")
+    assert counts == {} and len(sent) == 1000
+    for batch in batches:
+        session._handle_datagram(batch)
+    assert counts == {"lock acquisitions": 100, "clock reads": 100}
+    assert len(received) == session.stats.deliveries == 1000
