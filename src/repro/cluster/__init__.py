@@ -20,7 +20,6 @@ from repro.cluster.link import (
     InterestUpdate,
     RemoteDelivery,
     ReplayedPublish,
-    SequenceWindow,
 )
 from repro.cluster.node import BrokerNode
 from repro.cluster.runtime import (
@@ -46,6 +45,5 @@ __all__ = [
     "LINK_INBOX_PREFIX",
     "RemoteDelivery",
     "ReplayedPublish",
-    "SequenceWindow",
     "StreamShardMap",
 ]

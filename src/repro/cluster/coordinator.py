@@ -9,11 +9,12 @@ so subscribed consumers see a gap-free stream across the crash.
 
 The :class:`HandoffBuffer` is the orphanage-style bounded backlog behind
 that replay: every fresh arrival entering the cluster is teed into it
-(idempotently, keyed by sequence) *before* any forwarding, so a message
-lost in flight to a dead owner is still replayable. Per-node sequence
-windows (:class:`~repro.cluster.link.SequenceWindow`) make the replay
-no-duplicate: copies a consumer already received are suppressed at the
-new owner and at every link.
+(idempotently, through a per-stream sequence window) *before* any
+forwarding, so a message lost in flight to a dead owner is still
+replayable. Per-node sequence windows
+(:class:`~repro.util.ids.SequenceWindow`) make the replay no-duplicate:
+copies a consumer already received are suppressed at the new owner and
+at every link.
 """
 
 from __future__ import annotations
@@ -24,28 +25,37 @@ from typing import Any
 from repro.cluster.link import ReplayedPublish
 from repro.core.envelopes import StreamArrival
 from repro.core.streamid import StreamId
+from repro.obs.registry import Counter
 from repro.simnet.kernel import PeriodicTask
+from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow
 
 
 class _BufferEntry:
-    __slots__ = ("backlog", "sequences")
+    __slots__ = ("backlog", "window")
 
     def __init__(self, capacity: int) -> None:
         self.backlog: deque[StreamArrival] = deque(maxlen=capacity)
-        self.sequences: set[int] = set()
+        self.window = SequenceWindow(SEQUENCE_WINDOW)
 
 
 class HandoffBuffer:
-    """Bounded per-stream backlog of recent arrivals, keyed by sequence."""
+    """Bounded per-stream backlog of recent arrivals, keyed by sequence.
+
+    ``evicted`` counts arrivals a full backlog pushed out: those are no
+    longer replayable. The cluster runtime rebinds it to its registry's
+    ``cluster.handoff_evicted``.
+    """
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("handoff backlog capacity must be at least 1")
         self._capacity = capacity
         self._streams: dict[StreamId, _BufferEntry] = {}
+        self.evicted = Counter("cluster.handoff_evicted")
 
     def add(self, stream_id: StreamId, arrival: StreamArrival) -> bool:
-        """Retain ``arrival``; False when its sequence is already held.
+        """Retain ``arrival``; False when the stream's sequence window
+        rejects it (already teed, or stale).
 
         Idempotence matters because an arrival is teed both where it
         enters the cluster and again at the owner it was forwarded to.
@@ -54,14 +64,11 @@ class HandoffBuffer:
         if entry is None:
             entry = _BufferEntry(self._capacity)
             self._streams[stream_id] = entry
-        sequence = arrival.message.sequence
-        if sequence in entry.sequences:
+        if not entry.window.add(arrival.message.sequence):
             return False
         if len(entry.backlog) == self._capacity:
-            evicted = entry.backlog[0]
-            entry.sequences.discard(evicted.message.sequence)
+            self.evicted.inc()
         entry.backlog.append(arrival)
-        entry.sequences.add(sequence)
         return True
 
     def streams(self) -> list[StreamId]:

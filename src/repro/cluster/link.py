@@ -25,7 +25,6 @@ deliveries.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -58,63 +57,6 @@ class InterestUpdate:
     origin: str
     pattern: SubscriptionPattern
     added: bool
-
-
-class SequenceWindow:
-    """A bounded set of recently-seen sequence numbers for one stream.
-
-    The no-duplicate guarantee across link deliveries, handoff replays
-    and post-handoff fresh traffic: ``add`` returns False when the
-    sequence was already recorded. Capacity-bounded FIFO eviction keeps
-    per-stream state at ``window`` entries.
-
-    Sensors emit **16-bit wrapping** sequences (the Figure 2 field), so
-    raw values legitimately repeat every 65,536 publishes. The window
-    therefore dedupes on *unwrapped* sequences: each incoming value is
-    projected onto an unbounded axis at the epoch serial-number
-    arithmetic (RFC 1982 style, :func:`repro.util.ids.sequence_is_newer`)
-    says it belongs to — within half the sequence space of the highest
-    sequence seen. A post-wrap reuse of sequence ``n`` unwraps to
-    ``n + 65536`` and is accepted; a genuine duplicate unwraps to the
-    same point and is dropped.
-    """
-
-    __slots__ = ("_seen", "_order", "_window", "_modulus", "_half", "_latest")
-
-    def __init__(self, window: int, bits: int = 16) -> None:
-        self._window = window
-        self._modulus = 1 << bits
-        self._half = self._modulus >> 1
-        self._latest: int | None = None
-        self._seen: set[int] = set()
-        self._order: deque[int] = deque()
-
-    def _unwrap(self, sequence: int) -> int:
-        """Project a wrapped sequence onto the unbounded axis."""
-        latest = self._latest
-        if latest is None:
-            return sequence % self._modulus
-        diff = (sequence - latest) % self._modulus
-        if diff < self._half:
-            # Ahead of (or equal to) the newest seen: same or next epoch.
-            return latest + diff
-        # Behind the newest seen: a late copy from the current window.
-        return latest - (self._modulus - diff)
-
-    def add(self, sequence: int) -> bool:
-        unwrapped = self._unwrap(sequence)
-        if unwrapped in self._seen:
-            return False
-        if self._latest is None or unwrapped > self._latest:
-            self._latest = unwrapped
-        if len(self._order) == self._window:
-            self._seen.discard(self._order.popleft())
-        self._seen.add(unwrapped)
-        self._order.append(unwrapped)
-        return True
-
-    def __len__(self) -> int:
-        return len(self._order)
 
 
 class InterBrokerLink:

@@ -19,7 +19,7 @@ Data-path shape (all hops are ordinary FixedNetwork sends):
   one :class:`~repro.cluster.link.RemoteDelivery` frame per peer broker
   with aggregated interest — the once-per-link guarantee.
 - Peers fan a received frame out locally only; per-stream
-  :class:`~repro.cluster.link.SequenceWindow` dedupe makes link and
+  :class:`~repro.util.ids.SequenceWindow` dedupe makes link and
   handoff-replay paths no-duplicate.
 
 When ``cluster_enabled`` is off the deployment carries a
@@ -37,7 +37,6 @@ from repro.cluster.link import (
     InterBrokerLink,
     InterestUpdate,
     RemoteDelivery,
-    SequenceWindow,
 )
 from repro.cluster.node import BrokerNode
 from repro.cluster.shards import StreamShardMap
@@ -46,6 +45,7 @@ from repro.core.envelopes import StreamArrival
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError
 from repro.obs.stats import RegistryBackedStats
+from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow
 
 INGRESS_INBOX = "garnet.cluster.ingress"
 
@@ -61,6 +61,8 @@ class ClusterStats(RegistryBackedStats):
     """RemoteDelivery frames sent (one per message per interested link)."""
     dedupe_hits: int = 0
     """Duplicate copies suppressed by per-node sequence windows."""
+    handoff_evicted: int = 0
+    """Arrivals pushed out of a full handoff backlog (never replayable)."""
     interest_updates: int = 0
     """InterestUpdate frames applied (remote subscription add/remove)."""
     handoffs: int = 0
@@ -105,7 +107,6 @@ class ClusterRouter:
         self._dispatcher = dispatcher
         self._network = runtime.network
         self._registry = runtime.registry
-        self._window = runtime.dedupe_window
         self._seen: dict[StreamId, SequenceWindow] = {}
         # origin broker -> {pattern: refcount}; fed by InterestUpdate.
         self._remote_interest: dict[str, dict[SubscriptionPattern, int]] = {}
@@ -173,7 +174,7 @@ class ClusterRouter:
         if entry is None:
             if not record:
                 return True
-            entry = SequenceWindow(self._window)
+            entry = SequenceWindow(SEQUENCE_WINDOW)
             self._seen[stream_id] = entry
         if not entry.add(sequence):
             self._runtime.stats.dedupe_hits += 1
@@ -186,7 +187,7 @@ class ClusterRouter:
         stream_id = arrival.message.stream_id
         entry = self._seen.get(stream_id)
         if entry is None:
-            entry = SequenceWindow(self._window)
+            entry = SequenceWindow(SEQUENCE_WINDOW)
             self._seen[stream_id] = entry
         if not entry.add(arrival.message.sequence):
             self._runtime.stats.dedupe_hits += 1
@@ -244,12 +245,12 @@ class ClusterRuntime:
         cfg = deployment.config
         self.network = deployment.network
         self.registry = deployment.registry
-        self.dedupe_window = cfg.cluster_dedupe_window
         metrics = deployment.metrics()
         self.stats = ClusterStats(metrics)
         names = [f"b{index}" for index in range(cfg.cluster_brokers)]
         self.shards = StreamShardMap(names)
         self.buffer = HandoffBuffer()
+        self.buffer.evicted = self.stats.counter("handoff_evicted")
         self.live: frozenset[str] = frozenset(names)
         self._members = frozenset(names)
         # Installed by FanoutRuntime when fanout_enabled: remote legs

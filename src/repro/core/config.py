@@ -39,9 +39,6 @@ class GarnetConfig:
     # Wire format
     checksum: bool = True
 
-    # Filtering Service
-    reorder_timeout: float = 0.0
-
     # Orphanage
     orphanage_backlog: int = 256
 
@@ -110,13 +107,10 @@ class GarnetConfig:
     # brokers over InterBrokerLink inboxes, and a ClusterCoordinator
     # polls broker liveness every ``cluster_failover_check_period``
     # virtual seconds to execute ownership handoff with replay from a
-    # bounded per-stream backlog. ``cluster_dedupe_window`` bounds the
-    # per-stream sequence window each node keeps to suppress duplicate
-    # deliveries across link/replay paths.
+    # bounded per-stream backlog.
     cluster_enabled: bool = False
     cluster_brokers: int = 2
     cluster_failover_check_period: float = 1.0
-    cluster_dedupe_window: int = 512
 
     # Durable stream store (repro.store). Default off: appends never
     # happen, the ``store.*`` keys stay out of summary(), and the data
@@ -262,10 +256,6 @@ class GarnetConfig:
             if self.cluster_failover_check_period <= 0:
                 raise ConfigurationError(
                     "cluster_failover_check_period must be positive"
-                )
-            if self.cluster_dedupe_window < 1:
-                raise ConfigurationError(
-                    "cluster_dedupe_window must be at least 1"
                 )
         if self.store_enabled:
             if self.store_segment_bytes < 1:

@@ -6,25 +6,20 @@ the Dispatching Service for delivery to subscribed consumer processes."
 
 Duplicates arise because receiver reception areas overlap by design
 (better coverage at the price of multiple copies) and because sensors may
-retransmit. Elimination is per-stream sequence tracking with 16-bit
-wrap-around handled by serial-number arithmetic: a sequence is *new* when
-it is ahead of the newest seen by less than half the space and has not
-been recorded in the recent-set.
+retransmit. Elimination is one :class:`~repro.util.ids.SequenceWindow`
+per stream: a copy of a sequence already accepted is a duplicate, and a
+sequence the window's size or more positions behind the newest is stale
+and dropped the same way. A fresh sequence behind the newest is
+forwarded in arrival order and counted as ``reordered``.
 
 The service additionally:
 
 - extracts stream-update-request acknowledgements (the ``ACK`` header
   field, Section 4.3) and forwards them to the Actuation Service;
-- optionally reorders messages that arrived out of sequence, holding gaps
-  for a bounded time (delivery is never delayed unboundedly by a lost
-  message);
 - maintains per-stream statistics in the shared registry.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
-from dataclasses import dataclass, field
 
 from repro.core.envelopes import AckNotice, Reception, StreamArrival
 from repro.core.flags import ExtensionType
@@ -35,9 +30,7 @@ from repro.errors import CodecError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.fixednet import FixedNetwork
-from repro.util.ids import sequence_is_newer
-
-SEQUENCE_BITS = 16
+from repro.util.ids import LATE, SEQUENCE_WINDOW, STALE, SequenceWindow
 
 INBOX = "garnet.filtering"
 DISPATCH_INBOX = "garnet.dispatching"
@@ -55,24 +48,10 @@ class FilteringStats(RegistryBackedStats):
     stale: int = 0
     reordered: int = 0
     acks_extracted: int = 0
-    buffered_flushes: int = 0
-    reorder_evictions: int = 0
-    """Held messages force-flushed because a stream hit ``max_held``."""
-
-
-@dataclass(slots=True)
-class _StreamState:
-    """Per-stream duplicate and ordering state."""
-
-    newest: int | None = None
-    recent: OrderedDict = field(default_factory=OrderedDict)
-    # Reorder buffer: sequence -> (Reception, flush EventHandle)
-    held: dict = field(default_factory=dict)
-    next_expected: int | None = None
 
 
 class FilteringService:
-    """Reconstructs ordered, duplicate-free streams from receptions.
+    """Reconstructs duplicate-free streams from receptions.
 
     Parameters
     ----------
@@ -82,18 +61,8 @@ class FilteringService:
     registry:
         Shared stream catalogue; newly seen streams are detected into it.
     window:
-        How many recent sequence numbers to remember per stream. Must be
-        well below half the 16-bit space so wrap-around stays sound.
-    reorder_timeout:
-        When positive, out-of-order messages are buffered until the gap
-        fills or this many seconds elapse; when zero, messages flow in
-        arrival order (duplicates still eliminated).
-    max_held:
-        Hard cap on buffered out-of-order messages per stream. Under
-        sustained loss every gap would otherwise pin one reception and
-        one flush timer indefinitely; at the cap the entry nearest the
-        delivery cursor is flushed early (counted in
-        ``stats.reorder_evictions``) so memory stays bounded.
+        Size of each stream's :class:`~repro.util.ids.SequenceWindow`,
+        in sequence positions.
     metrics:
         Shared deployment registry for the stats counters; a private
         registry is created when omitted (standalone/unit-test use).
@@ -103,26 +72,15 @@ class FilteringService:
         self,
         network: FixedNetwork,
         registry: StreamRegistry,
-        window: int = 1024,
-        reorder_timeout: float = 0.0,
-        max_held: int = 64,
+        window: int = SEQUENCE_WINDOW,
         metrics: MetricsRegistry | None = None,
         dispatch_inbox: str = DISPATCH_INBOX,
     ) -> None:
-        if not 1 <= window <= (1 << (SEQUENCE_BITS - 1)) - 1:
-            raise ValueError(
-                f"window must be in [1, {(1 << (SEQUENCE_BITS - 1)) - 1}]"
-            )
-        if reorder_timeout < 0:
-            raise ValueError("reorder_timeout must be non-negative")
-        if max_held < 1:
-            raise ValueError("max_held must be at least 1")
+        SequenceWindow(window)  # refuses a size out of range, here
         self._network = network
         self._registry = registry
         self._window = window
-        self._reorder_timeout = reorder_timeout
-        self._max_held = max_held
-        self._states: dict[StreamId, _StreamState] = {}
+        self._windows: dict[StreamId, SequenceWindow] = {}
         self._dispatch_inbox = dispatch_inbox
         self.stats = FilteringStats(metrics)
         network.register_inbox(INBOX, self.on_reception)
@@ -137,57 +95,25 @@ class FilteringService:
         self.stats.received += 1
         message = reception.message
         stream_id = message.stream_id
-        state = self._states.get(stream_id)
-        if state is None:
-            state = _StreamState()
-            self._states[stream_id] = state
+        window = self._windows.get(stream_id)
+        if window is None:
+            window = self._windows[stream_id] = SequenceWindow(self._window)
             self._registry.detect(stream_id)
 
-        if not self._accept_sequence(state, message.sequence):
+        verdict = window.add(message.sequence)
+        if not verdict:
+            if verdict is STALE:
+                self.stats.stale += 1
             self.stats.duplicates += 1
             descriptor = self._registry.find(stream_id)
             if descriptor is not None:
                 descriptor.stats.duplicates_dropped += 1
             return
+        if verdict is LATE:
+            self.stats.reordered += 1
 
         self._extract_acks(reception)
-
-        if self._reorder_timeout > 0:
-            self._deliver_ordered(stream_id, state, reception)
-        else:
-            self._forward(reception)
-
-    # ------------------------------------------------------------------
-    # Duplicate elimination
-    # ------------------------------------------------------------------
-    def _accept_sequence(self, state: _StreamState, sequence: int) -> bool:
-        """True when ``sequence`` is fresh for this stream; records it."""
-        if state.newest is None:
-            state.newest = sequence
-            self._remember(state, sequence)
-            return True
-        if sequence in state.recent:
-            return False
-        if sequence_is_newer(sequence, state.newest, SEQUENCE_BITS):
-            state.newest = sequence
-            self._remember(state, sequence)
-            return True
-        # Behind the newest: fresh only if within the remembered window
-        # (a reordered straggler) and not already seen. Anything older is
-        # indistinguishable from a duplicate after wrap-around — treat as
-        # stale, mirroring the paper's tolerance for lossy streams.
-        behind = (state.newest - sequence) % (1 << SEQUENCE_BITS)
-        if behind <= self._window:
-            self._remember(state, sequence)
-            self.stats.reordered += 1
-            return True
-        self.stats.stale += 1
-        return False
-
-    def _remember(self, state: _StreamState, sequence: int) -> None:
-        state.recent[sequence] = True
-        while len(state.recent) > self._window:
-            state.recent.popitem(last=False)
+        self._forward(reception)
 
     # ------------------------------------------------------------------
     # Acknowledgement extraction (return-path support)
@@ -221,86 +147,6 @@ class FilteringService:
             )
 
     # ------------------------------------------------------------------
-    # Ordered delivery (optional reorder buffer)
-    # ------------------------------------------------------------------
-    def _deliver_ordered(
-        self, stream_id: StreamId, state: _StreamState, reception: Reception
-    ) -> None:
-        sequence = reception.message.sequence
-        if state.next_expected is None:
-            state.next_expected = sequence
-        if sequence == state.next_expected:
-            self._forward(reception)
-            state.next_expected = (sequence + 1) % (1 << SEQUENCE_BITS)
-            self._drain_held(stream_id, state)
-        elif sequence_is_newer(sequence, state.next_expected, SEQUENCE_BITS):
-            handle = self._network.sim.schedule(
-                self._reorder_timeout, self._flush_through, stream_id, sequence
-            )
-            state.held[sequence] = (reception, handle)
-            if len(state.held) > self._max_held:
-                self._evict_oldest(stream_id, state)
-        else:
-            # Older than the delivery cursor: a straggler whose slot was
-            # already given up on. Deliver immediately rather than drop —
-            # dedup already vouched it is fresh data.
-            self._forward(reception)
-
-    def _drain_held(self, stream_id: StreamId, state: _StreamState) -> None:
-        while state.next_expected in state.held:
-            reception, handle = state.held.pop(state.next_expected)
-            handle.cancel()
-            self._forward(reception)
-            state.next_expected = (
-                state.next_expected + 1
-            ) % (1 << SEQUENCE_BITS)
-
-    def _evict_oldest(self, stream_id: StreamId, state: _StreamState) -> None:
-        """Flush the held entry nearest the cursor to respect ``max_held``."""
-        cursor = state.next_expected or 0
-        oldest = min(
-            state.held,
-            key=lambda seq: (seq - cursor) % (1 << SEQUENCE_BITS),
-        )
-        self.stats.reorder_evictions += 1
-        self._release_through(stream_id, state, oldest)
-
-    def _flush_through(self, stream_id: StreamId, sequence: int) -> None:
-        """Give up waiting for gaps below ``sequence``; deliver what we hold."""
-        state = self._states.get(stream_id)
-        if state is None or sequence not in state.held:
-            return
-        self.stats.buffered_flushes += 1
-        self._release_through(stream_id, state, sequence)
-
-    def _release_through(
-        self, stream_id: StreamId, state: _StreamState, sequence: int
-    ) -> None:
-        # Advance the cursor to the stalled message, delivering any held
-        # messages we pass (their timers will find them gone).
-        reception, handle = state.held.pop(sequence)
-        handle.cancel()
-        # Deliver everything held below the stalled message, ordered by
-        # forward distance from the cursor (plain numeric order would
-        # misorder across a 16-bit wrap).
-        cursor = state.next_expected or 0
-        intermediate = sorted(
-            (
-                seq
-                for seq in state.held
-                if sequence_is_newer(sequence, seq, SEQUENCE_BITS)
-            ),
-            key=lambda seq: (seq - cursor) % (1 << SEQUENCE_BITS),
-        )
-        for seq in intermediate:
-            held_reception, held_handle = state.held.pop(seq)
-            held_handle.cancel()
-            self._forward(held_reception)
-        self._forward(reception)
-        state.next_expected = (sequence + 1) % (1 << SEQUENCE_BITS)
-        self._drain_held(stream_id, state)
-
-    # ------------------------------------------------------------------
     def _forward(self, reception: Reception) -> None:
         message = reception.message
         descriptor = self._registry.detect(message.stream_id)
@@ -316,15 +162,3 @@ class FilteringService:
                 receiver_id=reception.receiver_id,
             ),
         )
-
-    # ------------------------------------------------------------------
-    def tracked_streams(self) -> int:
-        """Number of streams with live dedup state (capacity diagnostics)."""
-        return len(self._states)
-
-    def forget_stream(self, stream_id: StreamId) -> None:
-        """Drop dedup state for a stream (e.g. after sensor retirement)."""
-        state = self._states.pop(stream_id, None)
-        if state is not None:
-            for _, handle in state.held.values():
-                handle.cancel()

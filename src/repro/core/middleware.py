@@ -287,7 +287,6 @@ class Garnet:
         self.filtering = FilteringService(
             self.network,
             self.registry,
-            reorder_timeout=cfg.reorder_timeout,
             metrics=self._metrics,
             dispatch_inbox=(
                 INGRESS_INBOX if cfg.cluster_enabled else DISPATCH_INBOX

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
-from repro.cluster.link import SequenceWindow
 from repro.core.control import StreamUpdateCommand
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.envelopes import StreamArrival
@@ -47,7 +46,7 @@ from repro.errors import (
 )
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.kernel import PeriodicTask
-from repro.util.ids import WrappingCounter
+from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow, WrappingCounter
 
 if TYPE_CHECKING:
     from repro.cluster.node import BrokerNode
@@ -544,13 +543,12 @@ class GarnetSession:
         # preserved even when received_at ties.
         records.sort(key=lambda record: (record.received_at, record.stream_id))
         now = self.network.sim.now
-        window_size = self._deployment.store_tap.window
         replayed = 0
         for record in records:
             message = codec.decode(record.frame)
             window = self._history_windows.get(record.stream_id)
             if window is None:
-                window = SequenceWindow(window_size)
+                window = SequenceWindow(SEQUENCE_WINDOW)
                 self._history_windows[record.stream_id] = window
             if not window.add(message.sequence):
                 continue

@@ -5,7 +5,7 @@ passes the admission and cluster-ownership gates (fresh traffic at the
 stream's owner) and for every handoff-replayed arrival. Those two paths
 can both see the same message — the owner appended it fresh, crashed,
 and the coordinator replays it to the new owner — so the tap fronts the
-store with one :class:`~repro.cluster.link.SequenceWindow` per stream:
+store with one :class:`~repro.util.ids.SequenceWindow` per stream:
 a sequence already appended is skipped (``store.duplicates_skipped``),
 which keeps the log gap-free *and* duplicate-free through crashes for
 exactly the same reason consumer deliveries are.
@@ -19,25 +19,20 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cluster.link import SequenceWindow
 from repro.core.envelopes import StreamArrival
 from repro.core.streamid import StreamId
 from repro.store.base import StreamStore
+from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow
 
 
 class StoreTap:
     """Dedupe-guarded append adapter installed into dispatchers."""
 
-    __slots__ = ("store", "_codec", "window", "_seen", "_skip_counter")
+    __slots__ = ("store", "_codec", "_seen", "_skip_counter")
 
-    def __init__(
-        self, store: StreamStore, codec: Any, window: int = 512
-    ) -> None:
+    def __init__(self, store: StreamStore, codec: Any) -> None:
         self.store = store
         self._codec = codec
-        #: Per-stream dedupe window size; history replay primes session
-        #: windows of the same size.
-        self.window = window
         self._seen: dict[StreamId, SequenceWindow] = {}
         self._skip_counter = store.stats.counter("duplicates_skipped")
 
@@ -47,7 +42,7 @@ class StoreTap:
         stream_id = message.stream_id
         entry = self._seen.get(stream_id)
         if entry is None:
-            entry = SequenceWindow(self.window)
+            entry = SequenceWindow(SEQUENCE_WINDOW)
             self._seen[stream_id] = entry
         if not entry.add(message.sequence):
             self._skip_counter.inc()

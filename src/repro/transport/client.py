@@ -23,10 +23,11 @@ lives.
 default schedule) opts the session into a supervised lifecycle:
 
 - delivery datagrams are deduplicated per stream through a
-  :class:`~repro.cluster.link.SequenceWindow` and their 16-bit
+  :class:`~repro.util.ids.SequenceWindow` and their 16-bit
   sequences tracked; gaps trigger NACK repair requests answered from
   the broker's stream store (``gaps_repaired`` /
-  ``gaps_unrepairable``);
+  ``gaps_unrepairable``). A sequence in the gap ledger was never
+  delivered, so its repair is accepted however far behind it is;
 - a housekeeping thread sends keepalive PINGs (period ``keepalive``,
   default 1s when reconnect is on); a failed PING — or any control
   request that hits a TCP EOF / timeout — flips the session to
@@ -58,7 +59,6 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.cluster.link import SequenceWindow
 from repro.core.envelopes import StreamArrival
 from repro.core.message import DataMessage, MessageCodec, common_frame
 from repro.core.streamid import StreamId
@@ -88,6 +88,7 @@ from repro.transport.framing import (
     encode_control_frame,
 )
 from repro.util.backoff import BackoffPolicy
+from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow
 
 DataCallback = Callable[[StreamArrival], None]
 StateCallback = Callable[[str], None]
@@ -104,9 +105,6 @@ DEFAULT_RECONNECT_POLICY = BackoffPolicy(
 #: Keepalive PING period adopted when reconnect is enabled but no
 #: explicit ``keepalive`` was given.
 _DEFAULT_KEEPALIVE = 1.0
-
-#: Per-stream dedupe window (entries); matches the store tap's sizing.
-_DEDUPE_WINDOW = 1024
 
 #: A detected gap older than this (seconds) is NACKed for repair.
 _REPAIR_DELAY = 0.2
@@ -219,11 +217,10 @@ class LiveSessionStats(RegistryBackedStats):
 class _StreamTracker:
     """Per-stream delivery bookkeeping: dedupe window + gap ledger."""
 
-    __slots__ = ("window", "latest", "missing")
+    __slots__ = ("window", "missing")
 
     def __init__(self) -> None:
-        self.window = SequenceWindow(_DEDUPE_WINDOW)
-        self.latest: int | None = None
+        self.window = SequenceWindow(SEQUENCE_WINDOW)
         self.missing: dict[int, float] = {}
 
 
@@ -711,24 +708,26 @@ class LiveSession:
         if tracker is None:
             tracker = self._trackers[stream_id] = _StreamTracker()
         sequence = message.sequence
-        if not tracker.window.add(sequence):
-            return False
+        window = tracker.window
         if tracker.missing.pop(sequence, None) is not None:
+            # Never delivered, by the ledger's definition: a repair is
+            # fresh even where the window would call it stale.
+            window.add(sequence)
             self.stats.gaps_repaired += 1
-        latest = tracker.latest
-        if latest is None:
-            tracker.latest = sequence
             return True
-        jump = (sequence - latest) % (1 << 16)
+        newest = window.newest
+        if not window.add(sequence):
+            return False
+        if newest is None:
+            return True
+        jump = (sequence - newest) % (1 << 16)
         if 1 < jump < _MAX_GAP_RUN:
             now = self._wire.clock()
             missing = tracker.missing
             known = len(missing)
             for offset in range(1, jump):
-                missing.setdefault((latest + offset) % (1 << 16), now)
+                missing.setdefault((newest + offset) % (1 << 16), now)
             self.stats.gaps_detected += len(missing) - known
-        if jump < (1 << 15):
-            tracker.latest = sequence
         return True
 
     # ------------------------------------------------------------------
@@ -838,9 +837,9 @@ class LiveSession:
             if self._resume_token is not None:
                 with self._delivery_lock:
                     cursors = {
-                        f"{key[0]}:{key[1]}": tracker.latest
+                        f"{key[0]}:{key[1]}": tracker.window.newest
                         for key, tracker in self._trackers.items()
-                        if tracker.latest is not None
+                        if tracker.window.newest is not None
                     }
                 try:
                     response = self._exchange(

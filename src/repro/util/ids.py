@@ -3,15 +3,21 @@
 Garnet identifies sensors with 24-bit ids, internal streams with 8-bit
 indices and stream update requests with short wrapping counters (the paper
 compares these ephemeral request ids to RETRI transaction identifiers,
-Section 7). Two allocators cover those needs:
+Section 7). Two allocators cover those needs, and one window reads the
+16-bit sequences back:
 
 - :class:`IdPool` hands out unique ids from a bounded space and supports
   release/reuse (sensor ids, consumer ids).
 - :class:`WrappingCounter` produces modular sequence numbers (message
   sequence fields, actuation request ids).
+- :class:`SequenceWindow` is the one per-stream duplicate filter over
+  those sequences (filtering, cluster routers, the store tap, history
+  replay, the handoff buffer and the live client).
 """
 
 from __future__ import annotations
+
+from enum import Enum
 
 from repro.errors import GarnetError
 
@@ -158,3 +164,88 @@ def sequence_is_newer(candidate: int, reference: int, bits: int = 16) -> bool:
     half = modulus // 2
     diff = (candidate - reference) % modulus
     return 0 < diff < half
+
+
+#: The Figure 2 sequence field: 16 bits, wrapping.
+SEQUENCE_BITS = 16
+_SEQUENCE_MASK = (1 << SEQUENCE_BITS) - 1
+_HALF_SPACE = 1 << (SEQUENCE_BITS - 1)
+
+#: Window size, in positions, of every per-stream dedupe.
+SEQUENCE_WINDOW = 1024
+
+
+class Verdict(Enum):
+    """What :meth:`SequenceWindow.add` made of a sequence.
+
+    Truthy when the sequence is accepted (``NEW`` or ``LATE``), so
+    ``if not window.add(sequence)`` reads as "drop".
+    """
+
+    NEW = "new"
+    """Ahead of the newest accepted sequence."""
+    LATE = "late"
+    """Behind the newest, inside the window, never accepted before."""
+    DUPLICATE = "duplicate"
+    """Inside the window and already accepted."""
+    STALE = "stale"
+    """The window's size or more positions behind the newest."""
+
+    def __bool__(self) -> bool:
+        # Module globals: a class attribute lookup would triple the cost.
+        return self is NEW or self is LATE
+
+
+NEW, LATE, DUPLICATE, STALE = Verdict
+
+
+class SequenceWindow:
+    """A positional anti-replay window over one stream's sequences.
+
+    The scheme of RFC 4303 §3.4.3 and RFC 6479: a ``size``-bit map over
+    the positions ``(newest - size, newest]``, where bit *k* is set once
+    the sequence *k* behind the newest has been accepted. Whether a
+    sequence is ahead of or behind the newest is serial-number
+    arithmetic (:func:`sequence_is_newer`), so the window rides through
+    the 16-bit wrap; memory is ``size`` bits whatever the traffic.
+
+    The policy is the same for every caller: a sequence ``size`` or more
+    positions behind the newest is stale and rejected like a duplicate,
+    since the window no longer knows whether it was seen. ``newest`` is
+    the newest accepted sequence (None before the first); read it, do
+    not assign it.
+    """
+
+    __slots__ = ("newest", "_size", "_mask", "_bits")
+
+    def __init__(self, size: int) -> None:
+        if not 1 <= size < _HALF_SPACE:
+            raise ValueError(f"window must be in [1, {_HALF_SPACE - 1}]")
+        self._size = size
+        self._mask = (1 << size) - 1
+        self._bits = 0
+        self.newest: int | None = None
+
+    def add(self, sequence: int) -> Verdict:
+        """Classify ``sequence``, recording it when it is accepted."""
+        newest = self.newest
+        if newest is None:
+            self.newest = sequence
+            self._bits = 1
+            return NEW
+        ahead = (sequence - newest) & _SEQUENCE_MASK
+        if 0 < ahead < _HALF_SPACE:
+            self.newest = sequence
+            if ahead < self._size:
+                self._bits = ((self._bits << ahead) | 1) & self._mask
+            else:
+                self._bits = 1
+            return NEW
+        behind = (newest - sequence) & _SEQUENCE_MASK
+        if behind >= self._size:
+            return STALE
+        bit = 1 << behind
+        if self._bits & bit:
+            return DUPLICATE
+        self._bits |= bit
+        return LATE

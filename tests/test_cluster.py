@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import SequenceWindow, StreamShardMap
+from repro.cluster import StreamShardMap
 from repro.core.config import GarnetConfig
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
@@ -27,6 +27,7 @@ from repro.faults import (
     TransmitterOutage,
     inject,
 )
+from repro.util.ids import SequenceWindow, Verdict
 
 
 def clustered(
@@ -102,21 +103,35 @@ class TestSequenceWindow:
         assert not window.add(1)
         assert window.add(2)
 
-    def test_fifo_eviction_forgets_oldest(self):
+    def test_positions_past_the_window_are_stale(self):
         window = SequenceWindow(2)
         window.add(1)
         window.add(2)
-        window.add(3)  # evicts 1
-        assert window.add(1)
-        assert not window.add(3)
+        window.add(3)  # 1 is now two positions behind: out of the window
+        assert window.add(1) is Verdict.STALE
+        assert window.add(3) is Verdict.DUPLICATE
+        window = SequenceWindow(4)
+        for sequence in range(10):
+            window.add(sequence)
+        assert not window.add(2)
+
+    def test_repeat_inside_the_last_positions_is_rejected(self):
+        # Regression: the window once bounded entries, not positions, so
+        # the straggler 7 pushed 10 out although 10 is 3 behind 13.
+        window = SequenceWindow(4)
+        for sequence in (10, 7, 11, 12, 13):
+            assert window.add(sequence)
+        assert window.add(10) is Verdict.DUPLICATE
 
     def test_post_wrap_reuse_is_not_a_false_drop(self):
         # Sensors emit 16-bit wrapping sequences: after 65536 publishes
-        # the raw values legitimately repeat. A window large enough to
-        # still remember the first epoch must unwrap, not drop.
-        window = SequenceWindow((1 << 16) + 256)
+        # the raw values legitimately repeat. Even the largest window
+        # reads a reuse as the next epoch, not as a repeat.
+        window = SequenceWindow((1 << 15) - 1)
         total = (1 << 16) + 50
-        accepted = sum(window.add(raw % (1 << 16)) for raw in range(total))
+        accepted = sum(
+            bool(window.add(raw % (1 << 16))) for raw in range(total)
+        )
         assert accepted == total
 
     def test_duplicates_still_detected_across_the_wrap_boundary(self):
@@ -330,6 +345,20 @@ class TestHandoff:
         # Restart is a membership change too: a second handoff round.
         assert deployment.cluster.stats.handoffs >= 2
 
+    def test_backlog_evictions_are_counted(self):
+        deployment = clustered()
+        publisher = deployment.connect("pub", broker="b0")
+        stream = publisher.publish(0, b"\x00", kind="temp")
+        for index in range(1, 70):
+            publisher.publish(0, bytes([index]), kind="temp")
+        deployment.run(0.5)
+        buffer = deployment.cluster.buffer
+        assert buffer.retained(stream) == 64
+        # Teed at home and again at the owner, yet each arrival counts
+        # once: 70 arrivals through a 64-deep backlog push out 6.
+        assert deployment.metrics().value("cluster.handoff_evicted") == 6
+        assert "cluster.handoff_evicted" not in deployment.summary()
+
     def test_brokercrash_event_targets_named_node(self):
         deployment = clustered(seed=5)
         plan = FaultPlan(
@@ -436,20 +465,17 @@ class TestUnknownLinkFrames:
 class TestSequenceWrapOverCluster:
     def test_wrap_through_link_path_loses_nothing_to_dedupe(self):
         """A stream that crosses the 16-bit wrap mid-flight: every
-        post-wrap message survives the peer-side sequence window even
-        when the window still remembers the previous epoch.
+        post-wrap message survives the peer-side sequence window.
 
         Regression: the window used to dedupe on raw sequence values, so
-        with ``cluster_dedupe_window > 65536`` the first post-wrap reuse
-        of each sequence was falsely dropped as a duplicate.
+        a window reaching back past the wrap falsely dropped the first
+        post-wrap reuse of each sequence as a duplicate.
         """
         from repro.cluster.link import RemoteDelivery
         from repro.core.envelopes import StreamArrival
         from repro.core.message import DataMessage
 
-        deployment = clustered(
-            brokers=2, cluster_dedupe_window=(1 << 16) + 512
-        )
+        deployment = clustered(brokers=2)
         publisher = deployment.connect("pub", broker="b0")
         subscriber = deployment.connect("sub", broker="b1")
         received: list[int] = []

@@ -1,4 +1,4 @@
-"""The Filtering Service: duplicate elimination, ordering, ack extraction."""
+"""The Filtering Service: duplicate elimination and ack extraction."""
 
 import pytest
 
@@ -95,6 +95,22 @@ class TestDuplicateElimination:
         assert len(delivered) == 1
         assert service.stats.stale == 1
 
+    def test_repeats_past_the_window_are_dropped(self, sim, network):
+        # Regression: a count-bounded recent-set forgot 11 and 12 (both
+        # still within reach of the newest) and delivered them again.
+        delivered = []
+        network.register_inbox(DISPATCH_INBOX, delivered.append)
+        network.register_inbox(ACK_INBOX, lambda notice: None)
+        service = FilteringService(network, StreamRegistry(), window=8)
+        for seq in range(20):
+            service.on_reception(reception(seq))
+        service.on_reception(reception(11))  # 8 behind 19: stale
+        service.on_reception(reception(12))  # 7 behind: a duplicate
+        sim.run()
+        assert [a.message.sequence for a in delivered] == list(range(20))
+        assert service.stats.duplicates == 2
+        assert service.stats.stale == 1
+
     def test_sequence_wraparound_accepted_as_new(self, harness):
         sim, _, service, _, delivered, _ = harness
         service.on_reception(reception(65534))
@@ -158,59 +174,7 @@ class TestAckExtraction:
         assert len(acks) == 1
 
 
-class TestReordering:
-    @pytest.fixture
-    def ordered_harness(self, sim, network):
-        delivered = []
-        network.register_inbox(DISPATCH_INBOX, delivered.append)
-        network.register_inbox(ACK_INBOX, lambda m: None)
-        service = FilteringService(
-            network, StreamRegistry(), window=64, reorder_timeout=1.0
-        )
-        return sim, service, delivered
-
-    def test_in_order_flows_through(self, ordered_harness):
-        sim, service, delivered = ordered_harness
-        for seq in range(4):
-            service.on_reception(reception(seq))
-        sim.run()
-        assert [a.message.sequence for a in delivered] == [0, 1, 2, 3]
-
-    def test_gap_buffered_until_filled(self, ordered_harness):
-        sim, service, delivered = ordered_harness
-        service.on_reception(reception(0))
-        service.on_reception(reception(2))  # held: gap at 1
-        service.on_reception(reception(1))  # fills the gap
-        sim.run(until=0.5)
-        assert [a.message.sequence for a in delivered] == [0, 1, 2]
-
-    def test_gap_flushed_after_timeout(self, ordered_harness):
-        sim, service, delivered = ordered_harness
-        service.on_reception(reception(0))
-        service.on_reception(reception(2))
-        sim.run(until=2.0)  # 1 never arrives; 2 released at timeout
-        assert [a.message.sequence for a in delivered] == [0, 2]
-        assert service.stats.buffered_flushes == 1
-
-    def test_delivery_resumes_after_flush(self, ordered_harness):
-        sim, service, delivered = ordered_harness
-        service.on_reception(reception(0))
-        service.on_reception(reception(2))
-        sim.run(until=2.0)
-        service.on_reception(reception(3))
-        sim.run(until=3.0)
-        assert [a.message.sequence for a in delivered] == [0, 2, 3]
-
-
 class TestHousekeeping:
-    def test_tracked_streams_and_forget(self, harness):
-        sim, _, service, _, _, _ = harness
-        service.on_reception(reception(1, stream=StreamId(1, 0)))
-        service.on_reception(reception(1, stream=StreamId(2, 0)))
-        assert service.tracked_streams() == 2
-        service.forget_stream(StreamId(1, 0))
-        assert service.tracked_streams() == 1
-
     def test_stats_received_counts_everything(self, harness):
         sim, _, service, _, _, _ = harness
         service.on_reception(reception(1))
@@ -237,155 +201,3 @@ class TestMultipleAcksPerMessage:
         )
         sim.run()
         assert sorted(notice.request_id for notice in acks) == [10, 11, 12, 13]
-
-
-class TestReorderingAcrossWrap:
-    def test_gap_spanning_the_sequence_wrap_fills_in_order(
-        self, sim, network
-    ):
-        delivered = []
-        network.register_inbox(DISPATCH_INBOX, delivered.append)
-        network.register_inbox(ACK_INBOX, lambda m: None)
-        service = FilteringService(
-            network, StreamRegistry(), window=64, reorder_timeout=1.0
-        )
-        service.on_reception(reception(65534))
-        service.on_reception(reception(0))      # held: gap at 65535
-        service.on_reception(reception(1))      # held too
-        service.on_reception(reception(65535))  # fills; all drain in order
-        sim.run(until=0.5)
-        assert [a.message.sequence for a in delivered] == [
-            65534, 65535, 0, 1,
-        ]
-
-    def test_flush_across_the_wrap_preserves_order(self, sim, network):
-        delivered = []
-        network.register_inbox(DISPATCH_INBOX, delivered.append)
-        network.register_inbox(ACK_INBOX, lambda m: None)
-        service = FilteringService(
-            network, StreamRegistry(), window=64, reorder_timeout=1.0
-        )
-        service.on_reception(reception(65534))
-        # 65535 is lost forever; two post-wrap messages are held.
-        service.on_reception(reception(1))
-        service.on_reception(reception(0))
-        sim.run(until=3.0)  # timeout fires, held messages flush
-        assert [a.message.sequence for a in delivered] == [65534, 0, 1]
-        assert service.stats.buffered_flushes >= 1
-
-    def test_many_held_spanning_wrap_drain_in_serial_order(
-        self, sim, network
-    ):
-        delivered = []
-        network.register_inbox(DISPATCH_INBOX, delivered.append)
-        network.register_inbox(ACK_INBOX, lambda m: None)
-        service = FilteringService(
-            network, StreamRegistry(), window=64, reorder_timeout=1.0
-        )
-        service.on_reception(reception(65530))  # cursor: 65531
-        # Everything after the gap at 65531 arrives scrambled, spanning
-        # the wrap; all of it is held.
-        scrambled = [3, 65533, 0, 65535, 2, 65532, 1, 65534]
-        for seq in scrambled:
-            service.on_reception(reception(seq))
-        service.on_reception(reception(65531))  # gap fills: drain
-        sim.run(until=0.5)
-        assert [a.message.sequence for a in delivered] == [
-            65530, 65531, 65532, 65533, 65534, 65535, 0, 1, 2, 3,
-        ]
-        assert service.stats.buffered_flushes == 0
-        assert service.stats.reorder_evictions == 0
-
-
-class TestReorderBufferCap:
-    """The reorder buffer is bounded: ``max_held`` caps per-stream state."""
-
-    def make_service(self, network, max_held):
-        delivered = []
-        network.register_inbox(DISPATCH_INBOX, delivered.append)
-        network.register_inbox(ACK_INBOX, lambda m: None)
-        service = FilteringService(
-            network,
-            StreamRegistry(),
-            window=64,
-            reorder_timeout=10.0,
-            max_held=max_held,
-        )
-        return service, delivered
-
-    def test_overflow_evicts_oldest_and_counts(self, sim, network):
-        service, delivered = self.make_service(network, max_held=4)
-        service.on_reception(reception(0))  # delivered; cursor now 1
-        for seq in (2, 3, 4, 5):
-            service.on_reception(reception(seq))  # held: gap at 1
-        assert service.stats.reorder_evictions == 0
-        service.on_reception(reception(6))  # fifth held entry: over cap
-        sim.run(until=1.0)  # well before the 10 s flush timeout
-        # The entry nearest the cursor (2) was force-flushed, which also
-        # released everything queued behind it — in sequence order.
-        assert [a.message.sequence for a in delivered] == [0, 2, 3, 4, 5, 6]
-        assert service.stats.reorder_evictions == 1
-        assert service.stats.buffered_flushes == 0
-
-    def test_sustained_gaps_stay_bounded(self, sim, network):
-        service, delivered = self.make_service(network, max_held=4)
-        service.on_reception(reception(0))
-        # Every odd sequence is lost: each even arrival opens a new gap.
-        for seq in range(2, 42, 2):
-            service.on_reception(reception(seq))
-        sim.run(until=1.0)
-        # Each arrival past the cap evicted the entry nearest the cursor,
-        # keeping memory bounded; delivery stayed in serial order. The
-        # last max_held entries are still waiting on their flush timers.
-        assert [a.message.sequence for a in delivered] == [0] + list(
-            range(2, 34, 2)
-        )
-        assert service.stats.reorder_evictions == 16
-        sim.run(until=20.0)  # flush timers release the tail
-        assert [a.message.sequence for a in delivered] == [0] + list(
-            range(2, 42, 2)
-        )
-        assert service.stats.delivered == 21
-
-    def test_eviction_across_wrap_preserves_serial_order(
-        self, sim, network
-    ):
-        service, delivered = self.make_service(network, max_held=4)
-        service.on_reception(reception(65533))  # delivered; cursor 65534
-        # 65534 is lost; held entries straddle the 16-bit wrap.
-        for seq in (65535, 0, 1, 2):
-            service.on_reception(reception(seq))
-        service.on_reception(reception(3))  # over cap: evict nearest (65535)
-        sim.run(until=1.0)
-        assert [a.message.sequence for a in delivered] == [
-            65533, 65535, 0, 1, 2, 3,
-        ]
-        assert service.stats.reorder_evictions == 1
-
-    def test_max_held_validation(self, network):
-        with pytest.raises(ValueError):
-            FilteringService(
-                network, StreamRegistry(), reorder_timeout=1.0, max_held=0
-            )
-
-    def test_evictions_visible_in_metrics_registry(self, sim, network):
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        delivered = []
-        network.register_inbox(DISPATCH_INBOX, delivered.append)
-        network.register_inbox(ACK_INBOX, lambda m: None)
-        service = FilteringService(
-            network,
-            StreamRegistry(),
-            window=64,
-            reorder_timeout=10.0,
-            max_held=2,
-            metrics=registry,
-        )
-        service.on_reception(reception(0))
-        for seq in (2, 4, 6):
-            service.on_reception(reception(seq))
-        sim.run(until=1.0)
-        assert service.stats.reorder_evictions == 1
-        assert registry.value("filtering.reorder_evictions") == 1.0

@@ -472,7 +472,7 @@ class TestDeterminism:
     def test_seeded_run_is_pinned(self):
         digest = hashlib.sha256(self._chaos_run(21).encode()).hexdigest()
         assert digest == (
-            "4030b80e19a83bbda56a62fb5dfff79ac83715479a62a649a1fbe215536eb1f1"
+            "1dc21f2bc9d35082740b27c81e246a48505e4c8cf64f27d0111a0baf20fb42f0"
         )
 
     def test_different_seed_differs(self):

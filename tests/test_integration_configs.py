@@ -43,22 +43,6 @@ def test_checksum_and_encryption_cross_product(checksum, encrypted):
         )
 
 
-def test_reorder_timeout_deployment_end_to_end():
-    """A deployment configured with a reordering Filtering Service still
-    delivers an untouched stream in order (and on time)."""
-    deployment = Garnet(
-        config=lossless_config(reorder_timeout=0.5), seed=9
-    )
-    deployment.define_sensor_type("g", {})
-    deployment.add_sensor("g", [make_stream_spec(kind="ro", rate=5.0)])
-    sink = CollectingConsumer("sink", SubscriptionPattern(kind="ro"))
-    deployment.add_consumer(sink)
-    deployment.run(10.0)
-    sequences = [a.message.sequence for a in sink.arrivals]
-    assert sequences == sorted(sequences)
-    assert len(sequences) >= 45
-
-
 def test_per_stream_actuation_on_multi_stream_sensor():
     """Disabling one internal stream leaves its siblings running — the
     8-bit stream index is a real actuation granularity."""

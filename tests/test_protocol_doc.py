@@ -180,6 +180,13 @@ def test_batch_size_constants_match_doc():
     assert f"newest {default_capacity} arrivals of each stream" in DOC
 
 
+def test_duplicate_policy_window_matches_doc():
+    from repro.util.ids import SEQUENCE_WINDOW
+
+    assert f"a window of {SEQUENCE_WINDOW:,} positions" in DOC
+    assert f"or *stale* ({SEQUENCE_WINDOW:,} or more" in DOC
+
+
 def test_batch_magic_cannot_open_a_data_message():
     # §7's classification claim: byte 0 of a §2 frame is
     # version << 5 | flags, capped below 0x80 by the 3-bit version

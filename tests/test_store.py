@@ -381,7 +381,7 @@ class TestStoreTap:
         from repro.core.envelopes import StreamArrival
 
         store = MemorySegmentStore()
-        tap = StoreTap(store, CODEC, window=16)
+        tap = StoreTap(store, CODEC)
         stream = StreamId(1, 0)
         message = DataMessage(stream_id=stream, sequence=7, payload=b"x")
         first = StreamArrival(message=message, received_at=1.0, receiver_id=2)

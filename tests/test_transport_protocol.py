@@ -33,7 +33,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.link import SequenceWindow
 from repro.core.config import GarnetConfig
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
@@ -64,6 +63,7 @@ from repro.transport.framing import (
     encode_control_frame,
 )
 from repro.util.backoff import BackoffPolicy
+from repro.util.ids import SequenceWindow
 
 HOST = "10.0.0.1"
 DATA_PORT = 7000
@@ -1272,6 +1272,40 @@ class TestClientHalf:
         subscriber._repair_tick()
         assert wire.requests == ["NACK"]  # repaired: nothing left to ask
 
+    def test_a_tail_resend_past_the_window_is_not_delivered_again(
+        self, monkeypatch
+    ):
+        # Regression: a window bounded by entries had forgotten 5 and
+        # delivered the resend a second time.
+        monkeypatch.setattr(LiveSession, "_start_threads", lambda self: None)
+        world = World(store_enabled=False)  # the broker dedupes nothing
+        publisher = world.hello("pub", port=5001)
+        publisher.ok(ADVERTISE, stream_index=0, kind="temp")
+        subscriber = live_session(world, "sub", monkeypatch)
+        received = []
+        subscriber.on_data(
+            lambda arrival: received.append(arrival.message.sequence)
+        )
+        subscriber.subscribe(kind="temp")
+        world.publish(publisher, *range(1100))
+        world.publish(publisher, 5)  # 1,094 positions behind the newest
+        assert received == list(range(1100))
+        assert subscriber.stats.duplicates_dropped == 1
+
+    def test_a_repair_past_the_window_is_delivered_once(self, pair):
+        world, publisher, subscriber = pair
+        world.publish(publisher, 0)
+        world.udp.drop = 1
+        world.publish(publisher, 1)  # lost on the way out
+        world.publish(publisher, *range(2, 1100))
+        world.clock.now += client_module._REPAIR_DELAY
+        subscriber._repair_tick()
+        assert subscriber.received == [0, *range(2, 1100), 1]
+        assert subscriber.stats.gaps_repaired == 1
+        world.publish(publisher, 1)  # and once more, late
+        assert subscriber.received.count(1) == 1
+        assert subscriber.stats.duplicates_dropped == 1
+
     def test_what_the_broker_cannot_repair_is_given_up_on(self, monkeypatch):
         monkeypatch.setattr(LiveSession, "_start_threads", lambda self: None)
         world = World(store_enabled=False)
@@ -1618,16 +1652,18 @@ class ReferenceClient:
             return
         key, sequence = tuple(message.stream_id), message.sequence
         window = self.windows.setdefault(key, SequenceWindow(1024))
-        if not window.add(sequence):
-            self.counts["duplicates_dropped"] += 1
-            return
         missing = self.missing.setdefault(key, set())
-        if sequence in missing:
-            missing.discard(sequence)
-            self.counts["gaps_repaired"] += 1
         latest = self.latest.get(key)
         jump = 0 if latest is None else (sequence - latest) % (1 << 16)
-        if 1 < jump < client_module._MAX_GAP_RUN:
+        if sequence in missing:
+            # Never delivered: a repair is fresh however far behind.
+            missing.discard(sequence)
+            window.add(sequence)
+            self.counts["gaps_repaired"] += 1
+        elif not window.add(sequence):
+            self.counts["duplicates_dropped"] += 1
+            return
+        elif 1 < jump < client_module._MAX_GAP_RUN:
             for offset in range(1, jump):
                 missed = (latest + offset) % (1 << 16)
                 if missed not in missing:

@@ -1,12 +1,14 @@
 """Identifier pools, wrapping counters and serial-number arithmetic."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.ids import (
     IdExhaustedError,
     IdPool,
+    SequenceWindow,
+    Verdict,
     WrappingCounter,
     sequence_is_newer,
 )
@@ -184,3 +186,89 @@ class TestSequenceIsNewer:
     def test_antisymmetry(self, base, step):
         ahead = (base + step) % 65536
         assert not sequence_is_newer(base, ahead)
+
+
+class UnboundedWindow:
+    """The window's specification with nothing forgotten: every unwrapped
+    position ever accepted, and the stale rule."""
+
+    def __init__(self, size):
+        self.size = size
+        self.newest = None  # unwrapped
+        self.seen = set()
+
+    def add(self, sequence):
+        if self.newest is None:
+            self.newest = sequence
+            self.seen.add(sequence)
+            return Verdict.NEW
+        diff = (sequence - self.newest) % 65536
+        position = self.newest + diff if diff < 0x8000 else (
+            self.newest - (65536 - diff)
+        )
+        if position > self.newest:
+            self.newest = position
+            verdict = Verdict.NEW
+        elif self.newest - position >= self.size:
+            return Verdict.STALE
+        elif position in self.seen:
+            return Verdict.DUPLICATE
+        else:
+            verdict = Verdict.LATE
+        self.seen.add(position)
+        return verdict
+
+
+#: Each step names a sequence relative to the model's newest: a short
+#: advance, a jump of up to half the space, a straggler or repeat behind
+#: the newest, one at the window's edge, or one already sent.
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("ahead"), st.integers(1, 3)),
+        st.tuples(
+            st.just("jump"),
+            st.one_of(st.integers(4, 0x8000), st.sampled_from([0x7FFF, 0x8000])),
+        ),
+        st.tuples(st.just("behind"), st.integers(0, 80)),
+        st.tuples(st.just("edge"), st.integers(-1, 1)),
+        st.tuples(st.just("again"), st.integers(0, 1 << 16)),
+    ),
+    max_size=60,
+)
+
+
+class TestSequenceWindow:
+    def test_size_is_checked_once_here(self):
+        for size in (0, 1 << 15):
+            with pytest.raises(ValueError):
+                SequenceWindow(size)
+        assert SequenceWindow((1 << 15) - 1).newest is None
+
+    def test_verdicts_are_truthy_when_accepted(self):
+        assert [bool(verdict) for verdict in Verdict] == [
+            True, True, False, False,
+        ]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        size=st.one_of(st.integers(1, 64), st.sampled_from([1024, 0x7FFF])),
+        start=st.one_of(st.integers(65536 - 40, 65535), st.integers(0, 65535)),
+        steps=STEPS,
+    )
+    def test_matches_the_unbounded_model(self, size, start, steps):
+        window, model = SequenceWindow(size), UnboundedWindow(size)
+        sent = [start]
+        assert window.add(start) is model.add(start) is Verdict.NEW
+        for kind, amount in steps:
+            newest = model.newest % 65536
+            if kind == "ahead" or kind == "jump":
+                sequence = (newest + amount) % 65536
+            elif kind == "behind":
+                sequence = (newest - amount) % 65536
+            elif kind == "edge":
+                sequence = (newest - size - amount) % 65536
+            else:
+                sequence = sent[amount % len(sent)]
+            sent.append(sequence)
+            assert window.add(sequence) is model.add(sequence), sequence
+            assert window.newest == model.newest % 65536

@@ -395,3 +395,37 @@ def test_metrics_registry_keeps_no_class_level_mutable_state():
 def test_fixed_network_rpc_is_call_sync_only():
     assert not hasattr(FixedNetwork, "call")
     assert hasattr(FixedNetwork, "call_sync")
+
+
+# ----------------------------------------------------------------------
+# One per-stream dedupe
+# ----------------------------------------------------------------------
+IDS = SRC / "repro" / "util" / "ids.py"
+#: The packages that dedupe streams. The firmware's request-id memo in
+#: ``repro.sensors`` is not a stream dedupe.
+STREAM_PACKAGES = ("core", "cluster", "store", "transport")
+
+
+def test_one_sequence_window_and_no_second_dedupe():
+    windows = [
+        path
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "SequenceWindow"
+    ]
+    assert windows == [IDS]
+    # Imported or reached as ``collections.OrderedDict``.
+    ordered = [
+        (str(path.relative_to(SRC)), node.lineno)
+        for package in STREAM_PACKAGES
+        for path in sorted((SRC / "repro" / package).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.ImportFrom, ast.Attribute))
+        and "OrderedDict"
+        in (
+            {alias.name for alias in node.names}
+            if isinstance(node, ast.ImportFrom)
+            else {node.attr}
+        )
+    ]
+    assert ordered == []
