@@ -19,7 +19,6 @@ at every link.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
 from repro.cluster.link import ReplayedPublish
@@ -27,15 +26,12 @@ from repro.core.envelopes import StreamArrival
 from repro.core.streamid import StreamId
 from repro.obs.registry import Counter
 from repro.simnet.kernel import PeriodicTask
+from repro.util.backlog import Backlog
 from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow
 
-
-class _BufferEntry:
-    __slots__ = ("backlog", "window")
-
-    def __init__(self, capacity: int) -> None:
-        self.backlog: deque[StreamArrival] = deque(maxlen=capacity)
-        self.window = SequenceWindow(SEQUENCE_WINDOW)
+#: Arrivals the handoff buffer retains per stream: the newest this many
+#: are what an ownership handoff can replay.
+HANDOFF_CAPACITY = 64
 
 
 class HandoffBuffer:
@@ -43,14 +39,13 @@ class HandoffBuffer:
 
     ``evicted`` counts arrivals a full backlog pushed out: those are no
     longer replayable. The cluster runtime rebinds it to its registry's
-    ``cluster.handoff_evicted``.
+    ``cluster.handoff_evicted`` before the first arrival.
     """
 
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError("handoff backlog capacity must be at least 1")
-        self._capacity = capacity
-        self._streams: dict[StreamId, _BufferEntry] = {}
+    def __init__(self) -> None:
+        self._streams: dict[
+            StreamId, tuple[Backlog[StreamArrival], SequenceWindow]
+        ] = {}
         self.evicted = Counter("cluster.handoff_evicted")
 
     def add(self, stream_id: StreamId, arrival: StreamArrival) -> bool:
@@ -62,13 +57,14 @@ class HandoffBuffer:
         """
         entry = self._streams.get(stream_id)
         if entry is None:
-            entry = _BufferEntry(self._capacity)
-            self._streams[stream_id] = entry
-        if not entry.window.add(arrival.message.sequence):
+            entry = self._streams[stream_id] = (
+                Backlog(HANDOFF_CAPACITY, self.evicted),
+                SequenceWindow(SEQUENCE_WINDOW),
+            )
+        backlog, window = entry
+        if not window.add(arrival.message.sequence):
             return False
-        if len(entry.backlog) == self._capacity:
-            self.evicted.inc()
-        entry.backlog.append(arrival)
+        backlog.append(arrival)
         return True
 
     def streams(self) -> list[StreamId]:
@@ -76,11 +72,11 @@ class HandoffBuffer:
 
     def entries(self, stream_id: StreamId) -> list[StreamArrival]:
         entry = self._streams.get(stream_id)
-        return list(entry.backlog) if entry is not None else []
+        return list(entry[0]) if entry is not None else []
 
     def retained(self, stream_id: StreamId) -> int:
         entry = self._streams.get(stream_id)
-        return len(entry.backlog) if entry is not None else 0
+        return len(entry[0]) if entry is not None else 0
 
 
 class ClusterCoordinator:

@@ -1,16 +1,13 @@
 """Inter-broker links: the frames brokers exchange, and their endpoint.
 
 Each broker node listens on one link inbox
-(``garnet.cluster.link.<name>``) for four frame kinds:
+(``garnet.cluster.link.<name>``) for three frame kinds:
 
 - :class:`RemoteDelivery` — the owning broker fans a message out to a
   peer with aggregated local interest. Interest aggregation guarantees
   the Fjords property: one frame per message per link, however many of
   the peer's consumers are subscribed; the peer's dispatcher performs
   the local fan-out.
-- :class:`~repro.fanout.frames.DeliveryBatch` — with ``fanout_enabled``,
-  every same-tick leg to one peer coalesces into a single batched frame
-  (protocol.md §7) instead of per-message ``RemoteDelivery`` sends.
 - :class:`ReplayedPublish` — the ClusterCoordinator replays buffered
   messages to a stream's new owner after an ownership handoff.
 - :class:`InterestUpdate` — a broker announces that one of its local
@@ -30,7 +27,6 @@ from typing import Any
 
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.envelopes import StreamArrival
-from repro.fanout.frames import DeliveryBatch
 
 LINK_INBOX_PREFIX = "garnet.cluster.link."
 
@@ -80,11 +76,6 @@ class InterBrokerLink:
     def on_frame(self, frame: Any) -> None:
         if isinstance(frame, RemoteDelivery):
             self._router.deliver_remote(frame)
-        elif isinstance(frame, DeliveryBatch):
-            # Many same-tick legs to this peer in one link crossing
-            # (protocol.md §7); each arrival still passes the per-stream
-            # dedupe window individually.
-            self._router.deliver_remote_batch(frame)
         elif isinstance(frame, ReplayedPublish):
             self._router.deliver_replayed(frame.arrival)
         elif isinstance(frame, InterestUpdate):

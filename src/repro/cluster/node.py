@@ -51,8 +51,7 @@ class BrokerNode:
         metrics = deployment.metrics()
         suffix = "" if primary else f".{name}"
         orphanage_inbox = ORPHANAGE_INBOX + suffix
-        service_name = SERVICE_NAME + suffix
-        advertisement_inbox = f"{service_name}.advertisements"
+        advertisement_inbox = f"{SERVICE_NAME}{suffix}.advertisements"
         self.name = name
         self._network = network
         self.dispatcher = DispatchingService(
@@ -78,7 +77,6 @@ class BrokerNode:
             deployment.auth,
             metrics=metrics,
             lease_ttl=cfg.broker_lease_ttl,
-            service_name=service_name,
             advertisement_inbox=advertisement_inbox,
         )
         self.admission: AdmissionController | None = None

@@ -148,12 +148,6 @@ class ClusterRouter:
 
     def send_remote(self, link_inbox: str, arrival: StreamArrival) -> None:
         self._runtime.stats.forwards += 1
-        batcher = self._runtime.link_batcher
-        if batcher is not None:
-            # fanout_enabled: same-tick legs to this peer coalesce into
-            # one DeliveryBatch frame at the end of the timestamp run.
-            batcher.add(self._name, link_inbox, arrival)
-            return
         self._network.send(
             link_inbox, RemoteDelivery(origin=self._name, arrival=arrival)
         )
@@ -194,17 +188,6 @@ class ClusterRouter:
             return
         if self._dispatcher.process_remote_delivery(arrival) == 0:
             self._runtime.stats.stale_deliveries += 1
-
-    def deliver_remote_batch(self, frame: Any) -> None:
-        """Unpack a DeliveryBatch link frame into per-arrival delivery.
-
-        Each arrival still runs the per-stream dedupe window, so a
-        batch straddling a handoff replay stays duplicate-free.
-        """
-        for arrival in frame.arrivals:
-            self.deliver_remote(
-                RemoteDelivery(origin=frame.origin, arrival=arrival)
-            )
 
     def deliver_replayed(self, arrival: StreamArrival) -> None:
         self._dispatcher.process_replayed(arrival)
@@ -253,10 +236,6 @@ class ClusterRuntime:
         self.buffer.evicted = self.stats.counter("handoff_evicted")
         self.live: frozenset[str] = frozenset(names)
         self._members = frozenset(names)
-        # Installed by FanoutRuntime when fanout_enabled: remote legs
-        # coalesce into DeliveryBatch frames instead of per-message
-        # RemoteDelivery sends. None keeps the historical path.
-        self.link_batcher: Any = None
 
         # b0 is the deployment's primary node, already built under the
         # historical single-broker inbox names.

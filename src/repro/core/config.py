@@ -136,8 +136,8 @@ class GarnetConfig:
     # installs the dispatcher hook that intercepts tree-root legs:
     # consumer interest aggregates through ``fanout_levels`` tiers of
     # relays (each capped at ``fanout_branching`` children), the
-    # dispatcher emits one delivery per subtree, and inter-broker legs
-    # coalesce into DELIVERY_BATCH frames (protocol.md §7).
+    # dispatcher emits one delivery per subtree. Inter-broker legs stay
+    # one RemoteDelivery each; they are not batched.
     fanout_enabled: bool = False
     fanout_branching: int = 64
     fanout_levels: int = 3
@@ -150,11 +150,10 @@ class GarnetConfig:
     # so a RESUME with the session's token can pick up where it left
     # off. None (the default) disables parking entirely — a dropped
     # control connection tears the session down immediately, the
-    # pre-resume behaviour. ``transport_park_capacity`` bounds the
-    # per-session parked-delivery buffer; overflow evicts oldest (the
-    # store, when enabled, still repairs evicted records on resume).
+    # pre-resume behaviour. The parked-delivery buffer is bounded;
+    # overflow evicts oldest (the store, when enabled, still repairs
+    # evicted records on resume).
     transport_resume_grace: float | None = None
-    transport_park_capacity: int = 4096
 
     # Super Coordinator
     predictive_coordinator: bool = False
@@ -181,10 +180,6 @@ class GarnetConfig:
         ):
             raise ConfigurationError(
                 "transport_resume_grace must be positive or None"
-            )
-        if self.transport_park_capacity < 1:
-            raise ConfigurationError(
-                "transport_park_capacity must be at least 1"
             )
         if (
             self.session_heartbeat_period is not None

@@ -847,10 +847,6 @@ class Garnet:
             summary["fanout.quarantine_diverted"] = float(
                 fanout.quarantine_diverted
             )
-            summary["fanout.link_batches"] = float(fanout.link_batches)
-            summary["fanout.link_batched_arrivals"] = float(
-                fanout.link_batched_arrivals
-            )
         return summary
 
     def _base_summary(self) -> dict[str, float]:

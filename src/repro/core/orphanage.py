@@ -12,7 +12,6 @@ between deployment and first subscription from data loss into a catch-up.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from repro.core.streamid import StreamId
 from repro.obs.registry import MetricsRegistry
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.fixednet import FixedNetwork
+from repro.util.backlog import Backlog
 
 INBOX = "garnet.orphanage"
 
@@ -32,9 +32,8 @@ class OrphanageStats(RegistryBackedStats):
 
     received: int = 0
     evicted: int = 0
-    """Backlog entries silently displaced by newer arrivals (bounded
-    ``deque(maxlen)`` semantics made visible: an eviction is data loss,
-    and capacity tuning needs a number to look at)."""
+    """Backlog entries displaced by newer arrivals: an eviction is data
+    loss, and capacity tuning needs a number to look at."""
     replayed: int = 0
     discarded: int = 0
 
@@ -68,8 +67,8 @@ class _OrphanStream:
         "total_payload_bytes",
     )
 
-    def __init__(self, capacity: int) -> None:
-        self.backlog: deque[StreamArrival] = deque(maxlen=capacity)
+    def __init__(self, backlog: Backlog[StreamArrival]) -> None:
+        self.backlog = backlog
         self.messages_seen = 0
         self.first_seen_at: float | None = None
         self.last_seen_at: float | None = None
@@ -94,6 +93,7 @@ class Orphanage:
         self._analyzers: list[Analyzer] = []
         self.inbox = inbox
         self.stats = OrphanageStats(metrics)
+        self._evicted = self.stats.counter("evicted")
         network.register_inbox(inbox, self.on_arrival)
 
     @property
@@ -110,19 +110,14 @@ class Orphanage:
         stream_id = arrival.message.stream_id
         state = self._streams.get(stream_id)
         if state is None:
-            state = _OrphanStream(self._capacity)
+            state = _OrphanStream(Backlog(self._capacity, self._evicted))
             self._streams[stream_id] = state
         state.messages_seen += 1
         if state.first_seen_at is None:
             state.first_seen_at = arrival.received_at
         state.last_seen_at = arrival.received_at
         state.total_payload_bytes += len(arrival.message.payload)
-        if self._capacity > 0:
-            if len(state.backlog) == self._capacity:
-                # maxlen is about to displace the oldest entry; the deque
-                # does it silently, the stats must not.
-                self.stats.evicted += 1
-            state.backlog.append(arrival)
+        state.backlog.append(arrival)
         for analyzer in self._analyzers:
             analyzer(arrival)
 
@@ -152,6 +147,11 @@ class Orphanage:
             mean_interarrival=(span / intervals if intervals > 0 else 0.0),
         )
 
+    def backlog(self, stream_id: StreamId) -> list[StreamArrival]:
+        """The arrivals retained for ``stream_id``, oldest first."""
+        state = self._streams.get(stream_id)
+        return list(state.backlog) if state is not None else []
+
     def replay(self, stream_id: StreamId, endpoint: str) -> int:
         """Send the retained backlog for ``stream_id`` to ``endpoint``.
 
@@ -160,10 +160,7 @@ class Orphanage:
         elsewhere); callers typically follow a successful subscription
         with ``discard``.
         """
-        state = self._streams.get(stream_id)
-        if state is None:
-            return 0
-        arrivals = list(state.backlog)
+        arrivals = self.backlog(stream_id)
         for arrival in arrivals:
             self._network.send(endpoint, arrival)
         self.stats.replayed += len(arrivals)

@@ -50,7 +50,7 @@ from repro.errors import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.stats import RegistryBackedStats
-from repro.simnet.fixednet import FixedNetwork, RpcEndpoint
+from repro.simnet.fixednet import FixedNetwork
 
 SERVICE_NAME = "garnet.broker"
 
@@ -67,7 +67,7 @@ class BrokerStats(RegistryBackedStats):
     leases_expired: int = 0
 
 
-class Broker(RpcEndpoint):
+class Broker:
     """Authenticated front door to Garnet's stream catalogue and data path."""
 
     def __init__(
@@ -78,7 +78,6 @@ class Broker(RpcEndpoint):
         auth: AuthService,
         metrics: MetricsRegistry | None = None,
         lease_ttl: float | None = None,
-        service_name: str = SERVICE_NAME,
         advertisement_inbox: str = BROKER_INBOX,
     ) -> None:
         if lease_ttl is not None and lease_ttl <= 0:
@@ -88,7 +87,6 @@ class Broker(RpcEndpoint):
         self._dispatcher = dispatcher
         self._auth = auth
         self._lease_ttl = lease_ttl
-        self.service_name = service_name
         self._advertisement_inbox = advertisement_inbox
         self._endpoints: dict[str, str] = {}  # endpoint -> principal
         self._permissions: dict[str, Permission] = {}  # endpoint -> perms
@@ -102,7 +100,6 @@ class Broker(RpcEndpoint):
         self._up = True
         self.stats = BrokerStats(metrics)
         network.register_inbox(advertisement_inbox, self._on_advertisement)
-        network.register_service(service_name, self)
         dispatcher.install(route_guard=self._route_guard)
 
     def _route_guard(self, endpoint: str, descriptor) -> bool:
@@ -138,7 +135,7 @@ class Broker(RpcEndpoint):
         Models a middleware host dying without a graceful shutdown: the
         session/lease table evaporates, the routing state those sessions
         installed is torn down (their deliveries stop, data falls through
-        to the Orphanage), and the broker disappears from the RPC fabric.
+        to the Orphanage), and its advertisement inbox goes dark.
         Idempotent. Consumers recover after :meth:`restart` via their
         heartbeat loop.
         """
@@ -151,7 +148,6 @@ class Broker(RpcEndpoint):
         self._permissions.clear()
         self._leases.clear()
         self._dispatcher.invalidate_routes()
-        self._network.unregister_service(self.service_name)
         self._network.unregister_inbox(self._advertisement_inbox)
 
     def restart(self) -> None:
@@ -159,7 +155,6 @@ class Broker(RpcEndpoint):
         if self._up:
             return
         self._up = True
-        self._network.register_service(self.service_name, self)
         self._network.register_inbox(
             self._advertisement_inbox, self._on_advertisement
         )
@@ -366,28 +361,3 @@ class Broker(RpcEndpoint):
         self._auth.require(token, Permission.SUBSCRIBE)
         self._dispatcher.remove_subscription(subscription_id)
         self.stats.unsubscriptions += 1
-
-    # ------------------------------------------------------------------
-    # RPC surface (Figure 1 shows consumers reaching services by RPC)
-    # ------------------------------------------------------------------
-    def rpc_register_consumer(self, token: Token, endpoint: str) -> str:
-        return self.register_consumer(token, endpoint)
-
-    def rpc_heartbeat(self, token: Token, endpoint: str) -> bool:
-        return self.heartbeat(token, endpoint)
-
-    def rpc_discover(self, token: Token, **query) -> list[StreamDescriptor]:
-        return self.discover(token, **query)
-
-    def rpc_subscribe(
-        self, token: Token, endpoint: str, pattern: SubscriptionPattern
-    ) -> int:
-        return self.subscribe(token, endpoint, pattern)
-
-    def rpc_unsubscribe(self, token: Token, subscription_id: int) -> None:
-        self.unsubscribe(token, subscription_id)
-
-    def rpc_advertise(
-        self, token: Token, stream_id: StreamId, kind: str, **kwargs
-    ) -> StreamDescriptor:
-        return self.advertise(token, stream_id, kind, **kwargs)

@@ -28,12 +28,12 @@ middleware operations to it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.core.control import StreamUpdateCommand
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.envelopes import StreamArrival
-from repro.core.message import DataMessage
+from repro.core.message import DataMessage, peek_header
 from repro.core.resource import Decision
 from repro.core.security import Token
 from repro.core.streamid import StreamId
@@ -52,9 +52,50 @@ if TYPE_CHECKING:
     from repro.cluster.node import BrokerNode
 
 DataCallback = Callable[[StreamArrival], None]
+Held = TypeVar("Held")
 
 #: The replay vocabulary of :meth:`GarnetSession.subscribe`.
 REPLAY_MODES = ("none", "orphans", "history")
+
+
+def merge_replay(
+    held: list[Held],
+    windows: dict[StreamId, SequenceWindow],
+    header: Callable[[Held], tuple[float, StreamId, int]],
+) -> list[Held]:
+    """The one replay merge: every retained sequence once, oldest first.
+
+    ``held`` has one entry per retained copy from every source there is
+    (each Orphanage's backlog, the store's segments), and ``header``
+    reads an entry's ``(received_at, stream_id, sequence)``. Entries are
+    ordered by ``(received_at, stream_id)`` — a stable sort, so one
+    source's own order survives ties — and one is kept only when its
+    stream's window in ``windows`` accepts the sequence; a missing
+    window is created there. Orphan replay passes fresh windows, history
+    replay the session's own.
+    """
+    held.sort(key=lambda entry: header(entry)[:2])
+    kept = []
+    for entry in held:
+        _, stream_id, sequence = header(entry)
+        window = windows.get(stream_id)
+        if window is None:
+            window = windows[stream_id] = SequenceWindow(SEQUENCE_WINDOW)
+        if window.add(sequence):
+            kept.append(entry)
+    return kept
+
+
+def _arrival_header(
+    held: tuple[StreamArrival, Any],
+) -> tuple[float, StreamId, int]:
+    arrival, _ = held
+    message = arrival.message
+    return arrival.received_at, message.stream_id, message.sequence
+
+
+def _record_header(record: Any) -> tuple[float, StreamId, int]:
+    return record.received_at, record.stream_id, peek_header(record.frame)[1]
 
 
 class SessionStats(RegistryBackedStats):
@@ -468,44 +509,32 @@ class GarnetSession:
         current subscription matches is replayed and released.
         ``patterns`` narrows the match set — ``subscribe(replay=
         'orphans')`` passes just the new pattern; recovery passes None
-        (= every live subscription).
+        (= every live subscription). An ownership handoff can leave
+        overlapping copies of one stream's backlog in several nodes'
+        Orphanages: :func:`merge_replay` sends every retained sequence
+        once, and each Orphanage counts the copies it supplied.
         """
         if patterns is None:
             patterns = tuple(self._subscriptions.values())
         registry = self._deployment.registry
-        orphanages = self._deployment.orphanages()
-        replayed = 0
-        seen: set[StreamId] = set()
-        for orphanage in orphanages:
-            for orphan_stream in list(orphanage.orphan_streams()):
-                if orphan_stream in seen:
-                    continue
-                seen.add(orphan_stream)
-                if not self._stream_wanted(orphan_stream, patterns, registry):
-                    continue
-                # An ownership handoff can leave copies of one stream's
-                # backlog in several nodes' Orphanages; replay from the
-                # deepest copy and release them all.
-                holders = [
-                    candidate
-                    for candidate in orphanages
-                    if orphan_stream in candidate.orphan_streams()
-                ]
-                best = max(
-                    holders,
-                    key=lambda held: held.report(
-                        orphan_stream
-                    ).messages_retained,
-                )
-                count = best.replay(orphan_stream, self.endpoint)
-                for holder in holders:
-                    holder.discard(orphan_stream)
-                replayed += count
-                self.stats.orphans_replayed += count
-                self._orphan_replay_counter.inc(count)
+        held: list[tuple[StreamArrival, Any]] = []
+        for orphanage in self._deployment.orphanages():
+            for orphan_stream in orphanage.orphan_streams():
+                if self._stream_wanted(orphan_stream, patterns, registry):
+                    held += [
+                        (arrival, orphanage)
+                        for arrival in orphanage.backlog(orphan_stream)
+                    ]
+                    orphanage.discard(orphan_stream)
+        replayed = merge_replay(held, {}, _arrival_header)
+        for arrival, orphanage in replayed:
+            orphanage.stats.replayed += 1
+            self.network.send(self.endpoint, arrival)
         if replayed:
+            self.stats.orphans_replayed += len(replayed)
+            self._orphan_replay_counter.inc(len(replayed))
             self._deployment.invalidate_routes()
-        return replayed
+        return len(replayed)
 
     @staticmethod
     def _stream_wanted(
@@ -526,8 +555,8 @@ class GarnetSession:
 
         Records are delivered synchronously (the subscription is already
         installed, so anything published *during* the replay lands after
-        it), merged across matching streams in received-at order, and
-        every replayed sequence primes the per-stream dedupe window so a
+        it) in :func:`merge_replay` order, through the session's own
+        per-stream windows: every replayed sequence primes them, so a
         live copy that was already in flight is dropped by
         :meth:`_deliver` rather than double-delivered.
         """
@@ -535,37 +564,28 @@ class GarnetSession:
         registry = self._deployment.registry
         codec = self._deployment.codec
         patterns = (pattern,)
-        records = []
-        for stream_id in store.streams():
-            if self._stream_wanted(stream_id, patterns, registry):
-                records.extend(store.read(stream_id))
-        # Stable sort: within one stream the store's append order is
-        # preserved even when received_at ties.
-        records.sort(key=lambda record: (record.received_at, record.stream_id))
+        stored = [
+            record
+            for stream_id in store.streams()
+            if self._stream_wanted(stream_id, patterns, registry)
+            for record in store.read(stream_id)
+        ]
+        replayed = merge_replay(stored, self._history_windows, _record_header)
         now = self.network.sim.now
-        replayed = 0
-        for record in records:
-            message = codec.decode(record.frame)
-            window = self._history_windows.get(record.stream_id)
-            if window is None:
-                window = SequenceWindow(SEQUENCE_WINDOW)
-                self._history_windows[record.stream_id] = window
-            if not window.add(message.sequence):
-                continue
+        for record in replayed:
             arrival = StreamArrival(
-                message=message,
+                message=codec.decode(record.frame),
                 received_at=record.received_at,
                 receiver_id=record.receiver_id,
                 delivered_at=now,
             )
-            replayed += 1
             self._deliveries.inc()
             for callback in self._callbacks:
                 callback(arrival)
         store.stats.replays += 1
-        store.stats.records_replayed += replayed
-        self.stats.history_replayed += replayed
-        return replayed
+        store.stats.records_replayed += len(replayed)
+        self.stats.history_replayed += len(replayed)
+        return len(replayed)
 
     # ------------------------------------------------------------------
     # Historical queries (requires store_enabled=True)

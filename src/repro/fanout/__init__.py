@@ -16,7 +16,7 @@ from repro.fanout.frames import (
     encode_batch_datagrams,
     is_batch_datagram,
 )
-from repro.fanout.runtime import DEFAULT_TREE, FanoutRuntime, FanoutStats, LinkBatcher
+from repro.fanout.runtime import DEFAULT_TREE, FanoutRuntime, FanoutStats
 from repro.fanout.tree import (
     RELAY_INBOX_PREFIX,
     FanoutMember,
@@ -31,7 +31,6 @@ __all__ = [
     "FanoutRuntime",
     "FanoutStats",
     "FanoutTree",
-    "LinkBatcher",
     "RELAY_INBOX_PREFIX",
     "decode_batch_datagram",
     "encode_batch_datagrams",

@@ -5,9 +5,7 @@ single send (protocol.md §7). It exists in two shapes:
 
 - :class:`DeliveryBatch` — the fixed-network frame. Fan-out trees send
   one per subtree hop (one arrival, shared by every subscriber below
-  the receiving relay) and the inter-broker link batcher sends one per
-  link per tick (many arrivals, one link crossing). The ``arrivals``
-  tuple is immutable and the *same* frame object is handed to every
+  the receiving relay). The ``arrivals`` tuple is immutable and the *same* frame object is handed to every
   recipient inbox — sharing, not copying, is the point.
 - The **UDP batch datagram** — the live-transport shape. Many already
   encoded §2 codec frames are packed length-prefixed behind a 4-byte
@@ -37,9 +35,6 @@ _U16 = struct.Struct(">H").pack
 #: Default payload budget per datagram; safely under the 65,507-byte
 #: UDP maximum while leaving headroom for tunnelled transports.
 MAX_BATCH_DATAGRAM = 60_000
-#: Most arrivals one DELIVERY_BATCH inter-broker frame carries; a link
-#: that accumulates more legs in one tick flushes early.
-MAX_LINK_BATCH = 128
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)

@@ -1,11 +1,9 @@
 """Deployment-level wiring for hierarchical fan-out (``fanout_enabled``).
 
-The :class:`FanoutRuntime` owns the deployment's fan-out trees, installs
-the dispatcher hook that intercepts tree-root legs before they hit the
-fixed network, and — on clustered deployments — replaces per-message
-inter-broker ``RemoteDelivery`` sends with the :class:`LinkBatcher`,
-which coalesces every same-tick leg to a peer into one
-:class:`~repro.fanout.frames.DeliveryBatch` frame.
+The :class:`FanoutRuntime` owns the deployment's fan-out trees and
+installs the dispatcher hook that intercepts tree-root legs before they
+hit the fixed network. Inter-broker legs of a clustered deployment are
+not its business: they stay one ``RemoteDelivery`` each.
 
 Everything here is constructed only when ``fanout_enabled=True``; the
 default build never imports this module, which is what keeps the flag
@@ -18,7 +16,6 @@ from typing import Any
 
 from repro.core.envelopes import StreamArrival
 from repro.errors import ConfigurationError
-from repro.fanout.frames import MAX_LINK_BATCH, DeliveryBatch
 from repro.fanout.tree import FanoutMember, FanoutTree
 from repro.obs.stats import RegistryBackedStats
 
@@ -36,66 +33,6 @@ class FanoutStats(RegistryBackedStats):
     relay_forwards: int = 0
     leaf_deliveries: int = 0
     quarantine_diverted: int = 0
-    link_batches: int = 0
-    link_batched_arrivals: int = 0
-
-
-class LinkBatcher:
-    """Coalesce same-tick inter-broker legs into one frame per link.
-
-    The cluster router hands every remote leg here instead of sending a
-    ``RemoteDelivery`` immediately; a flush scheduled with
-    ``sim.call_soon`` (end of the current timestamp run) packs each
-    link's pending arrivals into a single :class:`DeliveryBatch`.
-    ``max_batch`` bounds a frame — a link that accumulates more legs in
-    one tick flushes early. Dict insertion order keeps the flush
-    deterministic, so batched runs are same-seed reproducible.
-    """
-
-    def __init__(
-        self,
-        network: Any,
-        stats: FanoutStats,
-        max_batch: int = MAX_LINK_BATCH,
-    ) -> None:
-        self._network = network
-        self._sim = network.sim
-        self._stats = stats
-        self._max = max_batch
-        self._pending: dict[tuple[str, str], list[StreamArrival]] = {}
-        self._flush_scheduled = False
-
-    def add(self, origin: str, link_inbox: str, arrival: StreamArrival) -> None:
-        key = (origin, link_inbox)
-        pending = self._pending.get(key)
-        if pending is None:
-            pending = self._pending[key] = []
-        pending.append(arrival)
-        if len(pending) >= self._max:
-            del self._pending[key]
-            self._send(origin, link_inbox, pending)
-            return
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self._sim.call_soon(self._flush)
-
-    def _flush(self) -> None:
-        self._flush_scheduled = False
-        pending, self._pending = self._pending, {}
-        for (origin, link_inbox), arrivals in pending.items():
-            self._send(origin, link_inbox, arrivals)
-
-    def _send(
-        self, origin: str, link_inbox: str, arrivals: list[StreamArrival]
-    ) -> None:
-        self._stats.link_batches += 1
-        self._stats.link_batched_arrivals += len(arrivals)
-        self._network.send(
-            link_inbox, DeliveryBatch(origin=origin, arrivals=tuple(arrivals))
-        )
-
-    def pending_count(self) -> int:
-        return sum(len(arrivals) for arrivals in self._pending.values())
 
 
 class FanoutRuntime:
@@ -117,10 +54,6 @@ class FanoutRuntime:
         # Intercept tree-root legs in every dispatcher of the deployment.
         for node in deployment.nodes:
             node.dispatcher.install(fanout=self)
-        if deployment.cluster.enabled:
-            deployment.cluster.link_batcher = LinkBatcher(
-                deployment.network, self.stats
-            )
         self.tree = self.new_tree(DEFAULT_TREE)
 
     # ------------------------------------------------------------------

@@ -305,16 +305,6 @@ class MetricsRegistry:
         for name in sorted(self._metrics):
             yield self._metrics[name]
 
-    def is_empty(self) -> bool:
-        """True when nothing was ever recorded (all zero, no histograms)."""
-        for metric in self._metrics.values():
-            if isinstance(metric, Histogram):
-                if metric.count:
-                    return False
-            elif metric.value != 0.0:
-                return False
-        return True
-
     def snapshot(self) -> dict:
         """One JSON-serialisable dict of every instrument's current state."""
         counters: dict[str, float] = {}

@@ -7,10 +7,11 @@ forwarded to directly (one extra function call, nothing buffered), while
 an endpoint an operator or fault has marked *stalled* accumulates into a
 bounded per-consumer queue. If that queue stays saturated past a
 virtual-clock window, the consumer is **quarantined**: subsequent
-deliveries are parked in a bounded backlog (oldest evicted first, like
-the Orphanage) instead of being sent, its broker lease and subscriptions
-stay untouched — this complements PR 2's lease reaping, it does not
-replace it — and when the consumer recovers, the parked backlog is
+deliveries are parked in a bounded backlog (a
+:class:`~repro.util.backlog.Backlog`, oldest evicted first, like the
+Orphanage's) instead of being sent, its broker lease and subscriptions
+stay untouched — this complements lease reaping, it does not replace
+it — and when the consumer recovers, the parked backlog is
 replayed in arrival order, orphan-style.
 
 Everything is counted under ``qos.delivery.*``; the number of currently
@@ -19,14 +20,16 @@ quarantined consumers is the ``qos.delivery.quarantined_active`` gauge.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.core.envelopes import StreamArrival
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.fixednet import FixedNetwork
 from repro.simnet.kernel import EventHandle
+from repro.util.backlog import Backlog
+
+#: Deliveries a quarantined consumer's parked backlog holds.
+PARKED_CAPACITY = 1024
 
 
 class DeliveryStats(RegistryBackedStats):
@@ -53,12 +56,16 @@ class _ConsumerQueue:
         "check",
     )
 
-    def __init__(self) -> None:
-        self.queue: deque[StreamArrival] = deque()
+    def __init__(
+        self, capacity: int, shed: Counter, parked_evicted: Counter
+    ) -> None:
+        self.queue: Backlog[StreamArrival] = Backlog(capacity, shed)
         self.stalled = True
         self.saturated_since: float | None = None
         self.quarantined = False
-        self.parked: deque[StreamArrival] = deque()
+        self.parked: Backlog[StreamArrival] = Backlog(
+            PARKED_CAPACITY, parked_evicted
+        )
         self.check: EventHandle | None = None
 
 
@@ -70,7 +77,6 @@ class DeliveryManager:
         network: FixedNetwork,
         queue_capacity: int,
         quarantine_after: float,
-        parked_capacity: int = 1024,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if queue_capacity < 1:
@@ -82,14 +88,9 @@ class DeliveryManager:
             raise ConfigurationError(
                 f"quarantine window must be positive, got {quarantine_after}"
             )
-        if parked_capacity < 1:
-            raise ConfigurationError(
-                f"parked capacity must be at least 1, got {parked_capacity}"
-            )
         self._network = network
         self._capacity = queue_capacity
         self._quarantine_after = quarantine_after
-        self._parked_capacity = parked_capacity
         self._states: dict[str, _ConsumerQueue] = {}
         self.stats = DeliveryStats(metrics)
         self._active = self.stats.registry.gauge(
@@ -146,9 +147,6 @@ class DeliveryManager:
             return
         state.queue.append(arrival)
         self.stats.queued += 1
-        while len(state.queue) > self._capacity:
-            state.queue.popleft()
-            self.stats.shed += 1
         if len(state.queue) >= self._capacity and state.saturated_since is None:
             now = self._network.sim.now
             state.saturated_since = now
@@ -159,9 +157,6 @@ class DeliveryManager:
     def _park(self, state: _ConsumerQueue, arrival: StreamArrival) -> None:
         state.parked.append(arrival)
         self.stats.parked += 1
-        while len(state.parked) > self._parked_capacity:
-            state.parked.popleft()
-            self.stats.parked_evicted += 1
 
     def _check_saturation(self, endpoint: str) -> None:
         state = self._states.get(endpoint)
@@ -181,8 +176,8 @@ class DeliveryManager:
         self._active.inc()
         # The saturated queue becomes the head of the parked backlog so
         # replay preserves arrival order end to end.
-        while state.queue:
-            self._park(state, state.queue.popleft())
+        for arrival in state.queue.drain():
+            self._park(state, arrival)
 
     # ------------------------------------------------------------------
     # Stall levers (driven by ConsumerStall faults and tests)
@@ -191,7 +186,11 @@ class DeliveryManager:
         """Mark ``endpoint`` as not draining; deliveries start queueing."""
         state = self._states.get(endpoint)
         if state is None:
-            self._states[endpoint] = _ConsumerQueue()
+            self._states[endpoint] = _ConsumerQueue(
+                self._capacity,
+                self.stats.counter("shed"),
+                self.stats.counter("parked_evicted"),
+            )
         else:
             state.stalled = True
 
@@ -212,7 +211,7 @@ class DeliveryManager:
             state.check = None
         if state.quarantined:
             self._active.dec()
-        backlog = list(state.queue) + list(state.parked)
+        backlog = state.queue.drain() + state.parked.drain()
         for arrival in backlog:
             self.stats.replayed += 1
             self._network.send(endpoint, arrival)

@@ -119,10 +119,6 @@ class TransmitterArray:
                 return candidate
         raise ConfigurationError(f"unknown transmitter {transmitter_id}")
 
-    def set_online(self, transmitter_id: int, online: bool) -> None:
-        """Take one antenna out of (or back into) service."""
-        self.transmitter(transmitter_id).online = online
-
     def online_transmitters(self) -> list[Transmitter]:
         return [t for t in self.transmitters if t.online]
 
@@ -142,26 +138,6 @@ class TransmitterArray:
             for transmitter in self.transmitters
             if transmitter.footprint().intersects(target)
         ]
-
-    def broadcast_to_area(self, frame: bytes, target: Circle) -> int:
-        """Broadcast ``frame`` from every transmitter covering ``target``.
-
-        Returns the number of transmitters used; falls back to flooding
-        from all transmitters when none covers the area (a conservative
-        answer beats silently dropping a control message).
-        """
-        selected = self.select_covering(target)
-        if not selected:
-            selected = self.transmitters
-        for transmitter in selected:
-            transmitter.broadcast(frame)
-        return len(selected)
-
-    def broadcast_all(self, frame: bytes) -> int:
-        """Flood ``frame`` from every transmitter (unknown target location)."""
-        for transmitter in self.transmitters:
-            transmitter.broadcast(frame)
-        return len(self.transmitters)
 
     def total_broadcasts(self) -> int:
         return sum(t.stats.broadcasts for t in self.transmitters)

@@ -66,7 +66,6 @@ import json
 import secrets
 import socket
 import time
-from collections import deque
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
@@ -96,6 +95,7 @@ from repro.transport.framing import (
     encode_control_frame,
     parse_control_body,
 )
+from repro.util.backlog import Backlog
 from repro.util.ids import sequence_is_newer
 
 #: Ceiling on the hex-encoded record bytes one QUERY or NACK response
@@ -119,6 +119,11 @@ _DRAIN_BUDGET = 64
 #: Datagrams that may wait for a full kernel send buffer; past this the
 #: oldest is evicted and counted (``transport.datagrams_dropped``).
 _SEND_QUEUE_CAPACITY = 1024
+
+#: Deliveries a parked session holds; past this the oldest is evicted and
+#: counted (``transport.parked_deliveries_dropped``), and a resume falls
+#: back to the store for what the buffer lost.
+_PARK_CAPACITY = 4096
 
 #: Events :meth:`LiveBroker.start` gives the kernel to show it idles.
 _IDLE_PROBE_EVENTS = 100_000
@@ -155,7 +160,7 @@ class _SessionState:
 
     token: str
     name: str
-    park_capacity: dataclasses.InitVar[int]
+    parked: Backlog[bytes]
     keepalive: float | None = None
     session: Any | None = None
     publisher_id: int | None = None
@@ -166,16 +171,12 @@ class _SessionState:
         default_factory=dict
     )
     udp_address: tuple[str, int] | None = None
-    parked: deque[bytes] = dataclasses.field(init=False)
     deadline: float | None = None
     #: True when the client announced batch_datagrams support: same-pump
     #: deliveries pack into §7 batch datagrams instead of one datagram
     #: each.
     batch: bool = False
     outbox: list[bytes] = dataclasses.field(default_factory=list)
-
-    def __post_init__(self, park_capacity: int) -> None:
-        self.parked = deque(maxlen=park_capacity)
 
     @property
     def parked_now(self) -> bool:
@@ -197,9 +198,9 @@ class _SessionState:
 
     @classmethod
     def from_record(
-        cls, token: str, record: dict, park_capacity: int
+        cls, token: str, record: dict, parked: Backlog[bytes]
     ) -> "_SessionState":
-        state = cls(token, str(record["name"]), park_capacity)
+        state = cls(token, str(record["name"]), parked)
         raw_pid = record.get("publisher_id")
         state.publisher_id = int(raw_pid) if raw_pid is not None else None
         # A subscription is persisted in its SUBSCRIBE body shape and
@@ -266,7 +267,9 @@ class _DataPlaneSocket:
         self._loop = loop
         self._sock: socket.socket | None = sock
         self._protocol = _DataPlaneProtocol(broker)
-        self._send_queue: deque[tuple[bytes, Any]] = deque()
+        self._send_queue: Backlog[tuple[bytes, Any]] = Backlog(
+            _SEND_QUEUE_CAPACITY, broker._datagrams_dropped
+        )
         loop.add_reader(sock.fileno(), self._on_readable)
 
     def get_extra_info(self, name: str, default: Any = None) -> Any:
@@ -316,23 +319,20 @@ class _DataPlaneSocket:
                 # like any datagram the network drops.
                 self._broker._datagrams_dropped.inc()
                 return
-        if len(queue) >= _SEND_QUEUE_CAPACITY:
-            queue.popleft()
-            self._broker._datagrams_dropped.inc()
         queue.append((data, addr))
 
     def _on_writable(self) -> None:
         sock = self._sock
-        queue = self._send_queue
-        while queue:
-            data, addr = queue[0]
+        waiting = self._send_queue.drain()
+        for sent, (data, addr) in enumerate(waiting):
             try:
                 sock.sendto(data, addr)
             except BlockingIOError:
+                for datagram in waiting[sent:]:
+                    self._send_queue.append(datagram)
                 return
             except OSError:
                 self._broker._datagrams_dropped.inc()
-            queue.popleft()
         self._loop.remove_writer(sock.fileno())
 
     def close(self) -> None:
@@ -342,7 +342,7 @@ class _DataPlaneSocket:
         self._sock = None
         self._loop.remove_reader(sock.fileno())
         self._loop.remove_writer(sock.fileno())
-        self._send_queue.clear()
+        self._send_queue.drain()
         sock.close()
 
 
@@ -389,7 +389,6 @@ class LiveBroker:
         self.control_port: int | None = None
         self.data_port: int | None = None
         self._resume_grace = config.transport_resume_grace
-        self._park_capacity = config.transport_park_capacity
         self._sessions_path = (
             Path(sessions_path) if sessions_path is not None else None
         )
@@ -636,7 +635,7 @@ class LiveBroker:
         for token, record in payload.items():
             try:
                 state = _SessionState.from_record(
-                    token, record, self._park_capacity
+                    token, record, self._parked_backlog()
                 )
             except (GarnetError, LookupError, TypeError, ValueError):
                 continue  # one unreadable entry: that session is not resumable
@@ -754,7 +753,7 @@ class LiveBroker:
             # other in-flight delivery.
             self._outboxes.pop(state.token, None)
             for frame in state.outbox:
-                self._park(state, frame)
+                state.parked.append(frame)
             state.outbox = []
         state.deadline = self._clock() + self._resume_grace
         self._sessions_parked.inc()
@@ -815,11 +814,9 @@ class LiveBroker:
         session.deliver_inline()
         session.on_data(functools.partial(self._deliver_to_state, state))
 
-    def _park(self, state: _SessionState, frame: bytes) -> None:
-        """Buffer for an absent client; a full buffer evicts its oldest."""
-        if len(state.parked) == state.parked.maxlen:
-            self._parked_dropped.inc()
-        state.parked.append(frame)
+    def _parked_backlog(self) -> Backlog[bytes]:
+        """A session's buffer for deliveries while its client is away."""
+        return Backlog(_PARK_CAPACITY, self._parked_dropped)
 
     def _deliver_to_state(
         self, state: _SessionState, arrival: StreamArrival
@@ -835,7 +832,7 @@ class LiveBroker:
         if remembered is not None and remembered[0] is frame:
             self._encode_reuse.inc()
         if state.udp_address is None:
-            self._park(state, frame)
+            state.parked.append(frame)
         else:
             state.outbox.append(frame)
             self._outboxes[state.token] = state
@@ -946,7 +943,9 @@ class LiveBroker:
         except GarnetError:
             session.close()  # a refused HELLO keeps no claim on the name
             raise
-        state = _SessionState(secrets.token_hex(16), name, self._park_capacity)
+        state = _SessionState(
+            secrets.token_hex(16), name, self._parked_backlog()
+        )
         state.publisher_id = publisher_id
         self._attach(state, session)
         self._bind(connection, state, fields)
@@ -1082,7 +1081,7 @@ class LiveBroker:
                     sent.add((stream_id, sequence))
                     to_send.append(record.frame)
         replayed_store = len(to_send)
-        for frame in state.parked:
+        for frame in state.parked.drain():
             key = peek_header(frame)
             cursor = cursors.get(key[0])
             if key not in sent and (
@@ -1097,7 +1096,6 @@ class LiveBroker:
             self._outboxes[state.token] = state
             self._flush_sends()
             self._replayed_records.inc(len(to_send))
-        state.parked.clear()
         return replayed_store, len(to_send) - replayed_store
 
     def _on_nack(self, connection: _ClientConnection, fields: dict) -> dict:

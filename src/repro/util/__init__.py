@@ -5,7 +5,7 @@ from repro.util.bitfields import (
     read_uint,
     write_uint,
 )
-from repro.util.crc import crc16_ccitt, crc32_ieee
+from repro.util.crc import crc16_ccitt
 from repro.util.ids import IdExhaustedError, IdPool, WrappingCounter
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "WrappingCounter",
     "check_range",
     "crc16_ccitt",
-    "crc32_ieee",
     "read_uint",
     "write_uint",
 ]

@@ -4,13 +4,12 @@ Section 4.3 of the paper notes that "the usual checksums associated with
 the data messages" are elided from Figure 2 for simplicity; the Actuation
 Service explicitly adds checksums to control messages (Section 4.2). We
 use CRC-16/CCITT-FALSE for message checksums (compact enough for the small
-control frames) and expose CRC-32 for bulk payload integrity.
+control frames).
 
-Both algorithms keep a table-driven pure-Python implementation as the
-executable spec (``*_reference``) and take a stdlib C fast path when one
-exists: :func:`zlib.crc32` computes the same IEEE 802.3 polynomial with
-identical chaining semantics, and :func:`binascii.crc_hqx` is the same
-0x1021 MSB-first register update as CRC-16/CCITT-FALSE — seeding it with
+A table-driven pure-Python implementation is the executable spec
+(:func:`crc16_ccitt_reference`), and the checksum itself takes the
+stdlib C fast path: :func:`binascii.crc_hqx` is the same 0x1021
+MSB-first register update as CRC-16/CCITT-FALSE — seeding it with
 0xFFFF (or any chained ``initial``) yields bit-identical checksums.
 Equivalence of fast and reference paths, including arbitrary initial
 values, is pinned by ``tests/test_util_crc.py``.
@@ -19,11 +18,6 @@ values, is pinned by ``tests/test_util_crc.py``.
 from __future__ import annotations
 
 from binascii import crc_hqx as _crc_hqx
-
-try:
-    from zlib import crc32 as _zlib_crc32
-except ImportError:  # pragma: no cover - CPython always ships zlib
-    _zlib_crc32 = None
 
 
 def _build_crc16_table(poly: int) -> tuple[int, ...]:
@@ -39,21 +33,7 @@ def _build_crc16_table(poly: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _build_crc32_table(poly: int) -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ poly
-            else:
-                crc >>= 1
-        table.append(crc)
-    return tuple(table)
-
-
 _CRC16_TABLE = _build_crc16_table(0x1021)
-_CRC32_TABLE = _build_crc32_table(0xEDB88320)
 
 
 def crc16_ccitt_reference(data: bytes, initial: int = 0xFFFF) -> int:
@@ -82,26 +62,3 @@ def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
     *default* seed, which this wrapper supplies.
     """
     return _crc_hqx(data, initial & 0xFFFF)
-
-
-def crc32_ieee_reference(data: bytes, initial: int = 0) -> int:
-    """Pure-Python CRC-32 (IEEE 802.3); the executable spec for
-    :func:`crc32_ieee` and the fallback when zlib is unavailable."""
-    crc = (initial ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    table = _CRC32_TABLE
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
-
-
-def crc32_ieee(data: bytes, initial: int = 0) -> int:
-    """Return the CRC-32 (IEEE 802.3) checksum of ``data``.
-
-    Delegates to :func:`zlib.crc32` (same polynomial, same finalised
-    chaining convention: pass a previous result as ``initial`` to
-    continue a running checksum) when available, falling back to the
-    self-contained table-driven implementation otherwise.
-    """
-    if _zlib_crc32 is not None:
-        return _zlib_crc32(data, initial & 0xFFFFFFFF)
-    return crc32_ieee_reference(data, initial)

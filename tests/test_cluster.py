@@ -232,10 +232,11 @@ class TestClusterRouting:
         ]
         assert holders == [owner]
 
-    def test_claim_orphans_replays_the_deepest_copy_once(self):
+    def test_claim_orphans_replays_every_retained_sequence_once(self):
         # A handoff can leave copies of one stream's backlog in several
-        # nodes' Orphanages. claim_orphans inherits the session rule:
-        # replay the deepest copy, release them all.
+        # nodes' Orphanages. claim_orphans inherits the session's merge:
+        # every retained sequence once, oldest first, and every copy
+        # released. The stale copy of seq 0 is a duplicate.
         from repro.core.envelopes import StreamArrival
         from repro.core.message import DataMessage
         from repro.core.operators import CollectingConsumer
@@ -274,6 +275,41 @@ class TestClusterRouting:
             for orphanage in deployment.orphanages()
         )
         assert deployment.session("late").stats.orphans_replayed == 5
+
+    def test_claim_orphans_keeps_sequences_only_a_handoff_copy_holds(self):
+        # The owner b1 orphans 0-99 and crashes; its handoff buffer is
+        # replayed to the new owner, whose Orphanage then also takes
+        # 100-104. Each backlog holds sequences the other lacks.
+        from repro.core.operators import CollectingConsumer
+
+        deployment = clustered(seed=7)
+        publisher = deployment.connect("pub", broker="b0")
+        deployment.run(0.2)
+        stream = StreamId(publisher.ensure_publisher_id(), 0)
+        deployment.cluster.shards.pin(stream, "b1")
+        for index in range(100):
+            publisher.publish(0, bytes([index]), kind="lost")
+        deployment.run(0.5)
+        deployment.cluster.node("b1").crash()
+        deployment.run(1.0)
+        for index in range(100, 105):
+            publisher.publish(0, bytes([index]), kind="lost")
+        deployment.run(0.5)
+        holders = [
+            orphanage
+            for orphanage in deployment.orphanages()
+            if stream in orphanage.orphan_streams()
+        ]
+        assert len(holders) == 2
+        late = CollectingConsumer("late")
+        deployment.add_consumer(late)
+        assert deployment.claim_orphans(late, kind="lost") == 105
+        deployment.run(0.1)
+        assert [a.message.sequence for a in late.arrivals] == list(range(105))
+        assert all(
+            stream not in orphanage.orphan_streams()
+            for orphanage in deployment.orphanages()
+        )
 
     def test_session_home_broker_recorded(self):
         deployment = clustered()

@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.core.config import GarnetConfig
 
 ROOT = Path(__file__).resolve().parent.parent
-FIELD_BUDGET = 58
+FIELD_BUDGET = 57
 #: Where a setter counts. config.py declares the fields and this file
 #: names none of them, so neither can satisfy the search by accident.
 SEARCHED = ("src", "benchmarks", "examples", "tests")

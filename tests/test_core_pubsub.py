@@ -206,19 +206,3 @@ class TestRestrictedStreams:
         sim.run()
         assert inboxes["plain"] == []
         assert len(inboxes["trusted"]) == 1
-
-
-class TestRpcSurface:
-    def test_operations_reachable_by_rpc(self, harness):
-        _, network, broker, _, _, auth, _, endpoint = harness
-        token = subscriber_token(auth)
-        name = endpoint("e")
-        assert (
-            network.call_sync("garnet.broker", "register_consumer", token, name)
-            == "alice"
-        )
-        network.call_sync(
-            "garnet.broker", "advertise", token, StreamId(1, 0), "k"
-        )
-        results = network.call_sync("garnet.broker", "discover", token, kind="k")
-        assert len(results) == 1

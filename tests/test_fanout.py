@@ -14,8 +14,8 @@ Covers the subsystem's core guarantees:
   copy; resume replays in order);
 - membership under any attach/detach sequence: per-relay interest
   counts, root subscriptions and cached routes always equal a recount;
-- cluster link batching: same-tick remote legs coalesce into one
-  DeliveryBatch per link without breaking the dedupe windows.
+- on a clustered deployment, remote legs keep the link's dedupe
+  windows.
 """
 
 from __future__ import annotations
@@ -404,9 +404,9 @@ class TestQuarantineInBatch:
 
 
 # ----------------------------------------------------------------------
-# Cluster link batching
+# Fan-out on a clustered deployment
 # ----------------------------------------------------------------------
-class TestClusterLinkBatching:
+class TestClusteredFanout:
     def clustered(self, **overrides):
         config = GarnetConfig(
             cluster_enabled=True,
@@ -417,43 +417,7 @@ class TestClusterLinkBatching:
         )
         return Garnet(config=config, seed=11)
 
-    def test_remote_legs_ride_one_batch_per_link(self):
-        deployment = self.clustered()
-        publisher = deployment.connect("pub", broker="b0")
-        received = []
-        subscriber = deployment.connect("sub", broker="b2")
-        subscriber.on_data(received.append)
-        subscriber.subscribe(kind="temp")
-        for sequence in range(5):
-            publisher.publish(0, bytes([sequence]), kind="temp")
-            deployment.run(0.2)
-        assert sequences(received) == [0, 1, 2, 3, 4]
-        stats = deployment.fanout.stats
-        assert stats.link_batches >= 1
-        assert stats.link_batched_arrivals == 5
-        # Nothing left buffered once the kernel drains.
-        assert deployment.cluster.link_batcher.pending_count() == 0
-
-    def test_same_tick_legs_coalesce(self):
-        deployment = self.clustered()
-        publisher = deployment.connect("pub", broker="b0")
-        received = []
-        subscriber = deployment.connect("sub", broker="b2")
-        subscriber.on_data(received.append)
-        subscriber.subscribe(kind="temp")
-        # Two messages published back-to-back at the same virtual time
-        # traverse identical hops, so their remote legs reach the link
-        # batcher in the same tick and flush as ONE DeliveryBatch.
-        before = deployment.fanout.stats.link_batches
-        publisher.publish(0, b"\x00", kind="temp")
-        publisher.publish(0, b"\x01", kind="temp")
-        deployment.run(0.5)
-        assert len(received) == 2
-        stats = deployment.fanout.stats
-        assert stats.link_batched_arrivals == 2
-        assert stats.link_batches == before + 1
-
-    def test_batched_frames_keep_dedupe_windows(self):
+    def test_remote_legs_keep_dedupe_windows(self):
         deployment = self.clustered()
         publisher = deployment.connect("pub", broker="b0")
         received = []
@@ -462,10 +426,9 @@ class TestClusterLinkBatching:
         subscriber.subscribe(kind="temp")
         publisher.publish(0, b"\x00", kind="temp")
         deployment.run(0.5)
-        # Replay the identical batch frame straight at b2's link inbox:
+        # Replay the identical remote leg straight at b2's link inbox:
         # the per-stream SequenceWindow drops every duplicate arrival.
-        from repro.cluster.link import LINK_INBOX_PREFIX
-        from repro.fanout.frames import DeliveryBatch
+        from repro.cluster.link import LINK_INBOX_PREFIX, RemoteDelivery
         from repro.core.envelopes import StreamArrival
 
         duplicate = StreamArrival(
@@ -473,10 +436,11 @@ class TestClusterLinkBatching:
             received_at=received[0].received_at,
             receiver_id=received[0].receiver_id,
         )
-        deployment.network.send(
-            LINK_INBOX_PREFIX + "b2",
-            DeliveryBatch(origin="b0", arrivals=(duplicate, duplicate)),
-        )
+        for _ in range(2):
+            deployment.network.send(
+                LINK_INBOX_PREFIX + "b2",
+                RemoteDelivery(origin="b0", arrival=duplicate),
+            )
         deployment.run(0.5)
         assert sequences(received) == [0]
 

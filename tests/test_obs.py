@@ -115,14 +115,6 @@ class TestMetricsRegistry:
     def test_now_defaults_to_zero_without_clock(self):
         assert MetricsRegistry().now() == 0.0
 
-    def test_is_empty(self):
-        registry = MetricsRegistry()
-        assert registry.is_empty()
-        registry.counter("a")
-        assert registry.is_empty()  # created but never incremented
-        registry.counter("a").inc()
-        assert not registry.is_empty()
-
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)

@@ -170,14 +170,12 @@ def test_batch_datagram_magic_matches_doc():
 
 
 def test_batch_size_constants_match_doc():
-    from repro.cluster.coordinator import HandoffBuffer
-    from repro.fanout.frames import MAX_BATCH_DATAGRAM, MAX_LINK_BATCH
+    from repro.cluster.coordinator import HANDOFF_CAPACITY
+    from repro.fanout.frames import MAX_BATCH_DATAGRAM
 
-    assert f"at most {MAX_LINK_BATCH} arrivals per" in DOC
     assert f"packing budget of {MAX_BATCH_DATAGRAM:,} bytes" in DOC
-    # §4.2's replay depth is the handoff buffer's default capacity.
-    default_capacity = HandoffBuffer()._capacity
-    assert f"newest {default_capacity} arrivals of each stream" in DOC
+    # §4.2's replay depth is the handoff buffer's capacity.
+    assert f"newest {HANDOFF_CAPACITY} arrivals of each stream" in DOC
 
 
 def test_duplicate_policy_window_matches_doc():

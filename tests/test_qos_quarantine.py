@@ -8,7 +8,7 @@ from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.qos import DeliveryManager
+from repro.qos import DeliveryManager, quarantine
 from repro.simnet.fixednet import FixedNetwork
 from repro.simnet.kernel import Simulator
 
@@ -28,14 +28,13 @@ def sequences(arrivals):
 
 
 class TestDeliveryManager:
-    def make(self, capacity=3, window=2.0, parked=10):
+    def make(self, capacity=3, window=2.0):
         sim = Simulator(seed=1)
         network = FixedNetwork(sim, message_latency=0.0)
         manager = DeliveryManager(
             network,
             queue_capacity=capacity,
             quarantine_after=window,
-            parked_capacity=parked,
             metrics=MetricsRegistry(clock=lambda: sim.now),
         )
         return sim, network, manager
@@ -107,8 +106,9 @@ class TestDeliveryManager:
         sim.run()
         assert sequences(received) == [0, 1, 2, 3]
 
-    def test_parked_backlog_is_bounded(self):
-        sim, network, manager = self.make(capacity=1, window=0.5, parked=2)
+    def test_parked_backlog_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(quarantine, "PARKED_CAPACITY", 2)
+        sim, network, manager = self.make(capacity=1, window=0.5)
         manager.stall("consumer.slow")
         manager.deliver("consumer.slow", arrival(0))
         sim.run(1.0)
@@ -141,11 +141,6 @@ class TestDeliveryManager:
             DeliveryManager(network, queue_capacity=0, quarantine_after=1.0)
         with pytest.raises(ConfigurationError):
             DeliveryManager(network, queue_capacity=1, quarantine_after=0.0)
-        with pytest.raises(ConfigurationError):
-            DeliveryManager(
-                network, queue_capacity=1, quarantine_after=1.0,
-                parked_capacity=0,
-            )
 
 
 def qos_deployment(seed=7, **overrides) -> Garnet:

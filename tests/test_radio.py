@@ -185,10 +185,3 @@ class TestTransmitterArray:
         selected = array.select_covering(corner_area)
         assert 1 <= len(selected) < 4
 
-    def test_broadcast_to_area_falls_back_to_flood(self, array):
-        nowhere = Circle(Point(99999, 99999), 1.0)
-        assert array.broadcast_to_area(b"x", nowhere) == 4
-
-    def test_broadcast_all(self, array):
-        assert array.broadcast_all(b"x") == 4
-        assert array.total_broadcasts() == 4

@@ -1022,7 +1022,7 @@ class TestDataPlane:
         # The pump inside stop() runs after the socket is closed: what
         # the last drain queued cannot leave, and must not vanish either.
         broker = LiveBroker()
-        state = _SessionState("token", "a", park_capacity=4)
+        state = _SessionState("token", "a", broker._parked_backlog())
         state.udp_address = ("127.0.0.1", 9)
         state.outbox += [b"one", b"two"]
         broker._outboxes[state.token] = state

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+import repro.transport.broker as broker_module
 from repro.core.config import GarnetConfig
 from repro.core.middleware import Garnet
 from repro.errors import TransportError
@@ -245,11 +246,12 @@ class TestReconnectAndResume:
             assert subscriber.stats.duplicates_dropped == 0
             assert received == list(range(8))
 
-    def test_resume_survives_park_buffer_overflow_via_store(self):
+    def test_resume_survives_park_buffer_overflow_via_store(
+        self, monkeypatch
+    ):
         """When parked deliveries overflow, the store still fills the gap."""
-        h = BrokerHarness(
-            deployment=resilient_deployment(transport_park_capacity=2)
-        )
+        monkeypatch.setattr(broker_module, "_PARK_CAPACITY", 2)
+        h = BrokerHarness(deployment=resilient_deployment())
         try:
             with connect(
                 h.url, "pub"

@@ -1,17 +1,10 @@
 """CRC implementations against known vectors and algebraic properties."""
 
-import zlib
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.crc import (
-    crc16_ccitt,
-    crc16_ccitt_reference,
-    crc32_ieee,
-    crc32_ieee_reference,
-)
+from repro.util.crc import crc16_ccitt, crc16_ccitt_reference
 
 CHECK_INPUT = b"123456789"
 
@@ -41,20 +34,6 @@ def test_crc16_detects_single_bit_flip():
         data[index] ^= 0x01
 
 
-def test_crc32_matches_zlib():
-    for blob in (b"", b"a", CHECK_INPUT, b"\x00" * 100, bytes(range(256))):
-        assert crc32_ieee(blob) == zlib.crc32(blob)
-
-
-def test_crc32_known_vector():
-    assert crc32_ieee(CHECK_INPUT) == 0xCBF43926
-
-
-@given(st.binary(max_size=500))
-def test_crc32_always_matches_zlib(blob):
-    assert crc32_ieee(blob) == zlib.crc32(blob)
-
-
 @given(st.binary(max_size=200))
 def test_crc16_is_16_bits(blob):
     assert 0 <= crc16_ccitt(blob) <= 0xFFFF
@@ -69,7 +48,7 @@ def test_crc16_bit_flip_always_detected(blob, bit):
     assert crc16_ccitt(bytes(corrupted)) != crc16_ccitt(blob)
 
 
-@pytest.mark.parametrize("func", [crc16_ccitt, crc32_ieee])
+@pytest.mark.parametrize("func", [crc16_ccitt])
 def test_crc_is_deterministic(func):
     assert func(b"same input") == func(b"same input")
 
@@ -89,11 +68,6 @@ def test_crc16_fast_path_matches_reference_across_sizes():
 @given(st.binary(max_size=600), st.integers(0, 0xFFFF))
 def test_crc16_fast_matches_reference_with_initials(blob, initial):
     assert crc16_ccitt(blob, initial) == crc16_ccitt_reference(blob, initial)
-
-
-@given(st.binary(max_size=600), st.integers(0, 0xFFFFFFFF))
-def test_crc32_zlib_path_matches_pure_reference(blob, initial):
-    assert crc32_ieee(blob, initial) == crc32_ieee_reference(blob, initial)
 
 
 def test_crc16_fast_accepts_bytearray_and_memoryview():

@@ -380,6 +380,24 @@ def test_unreached_modules_stay_deleted():
     assert tools == {"__init__", "bench_report"}
 
 
+def test_test_only_surfaces_stay_deleted():
+    """Each ran only under its own tests: the inter-broker link batcher,
+    CRC-32, the transmitter array's area and flood broadcasts, the
+    registry's emptiness probe and the broker's RPC surface."""
+    from repro.core.pubsub import Broker
+
+    gone = {"LinkBatcher", "crc32_ieee", "broadcast_to_area", "is_empty"}
+    defined = [
+        (str(path.relative_to(SRC)), node.name)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.name in gone
+    ]
+    assert defined == []
+    assert [name for name in vars(Broker) if name.startswith("rpc_")] == []
+
+
 def test_metrics_registry_keeps_no_class_level_mutable_state():
     """Registries are per deployment; a class-level list or set would be
     shared by every one of them."""
@@ -429,3 +447,58 @@ def test_one_sequence_window_and_no_second_dedupe():
         )
     ]
     assert ordered == []
+
+
+# ----------------------------------------------------------------------
+# One backlog, one replay merge
+# ----------------------------------------------------------------------
+BACKLOG = SRC / "repro" / "util" / "backlog.py"
+#: The modules holding data for an absent consumer: each builds its
+#: bounded buffers from ``Backlog``, never from a bare deque.
+BACKLOG_OWNERS = (
+    "core/orphanage.py",
+    "qos/quarantine.py",
+    "transport/broker.py",
+    "cluster/coordinator.py",
+)
+
+
+def test_one_backlog_and_no_hand_rolled_bound():
+    backlogs = [
+        path
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "Backlog"
+    ]
+    assert backlogs == [BACKLOG]
+    owners = {SRC / "repro" / owner for owner in BACKLOG_OWNERS}
+    assert [path for path in _call_sites("deque") if path in owners] == []
+    for owner in owners:
+        assert "Backlog(" in owner.read_text(), owner
+
+
+def test_both_replays_go_through_the_one_merge():
+    session = ast.parse((SRC / "repro" / "core" / "session.py").read_text())
+    functions = {
+        node.name: node
+        for node in ast.walk(session)
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def called(function: ast.FunctionDef) -> set[str]:
+        return {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+
+    for replay in ("_replay_orphans", "_replay_history"):
+        assert "merge_replay" in called(functions[replay]), replay
+    # The merge is the only place a replay is ordered.
+    ordering = sorted(
+        name
+        for name, function in functions.items()
+        if called(function) & {"sorted", "sort", "max"}
+    )
+    assert ordering == ["merge_replay"]
