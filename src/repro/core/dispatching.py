@@ -359,17 +359,20 @@ class DispatchingService:
             return self._by_kind, kind
         return self._by_kind, None
 
+    def subscription_endpoint(self, subscription_id: int) -> str:
+        """The endpoint a subscription routes to."""
+        if subscription_id not in self._subscriptions:
+            raise SubscriptionError(f"unknown subscription {subscription_id}")
+        return self._subscriptions[subscription_id].endpoint
+
     def remove_subscription(self, subscription_id: int) -> None:
-        subscription = self._subscriptions.pop(subscription_id, None)
-        if subscription is None:
-            raise SubscriptionError(
-                f"unknown subscription {subscription_id}"
-            )
-        endpoints = self._by_endpoint.get(subscription.endpoint)
+        endpoint = self.subscription_endpoint(subscription_id)
+        subscription = self._subscriptions.pop(subscription_id)
+        endpoints = self._by_endpoint.get(endpoint)
         if endpoints is not None:
             endpoints.discard(subscription_id)
             if not endpoints:
-                del self._by_endpoint[subscription.endpoint]
+                del self._by_endpoint[endpoint]
         pattern = subscription.pattern
         if pattern.stream_id is not None:
             targets = self._exact.get(pattern.stream_id)

@@ -358,6 +358,9 @@ class Broker:
 
     def unsubscribe(self, token: Token, subscription_id: int) -> None:
         self._require_up()
-        self._auth.require(token, Permission.SUBSCRIBE)
+        principal = self._auth.require(token, Permission.SUBSCRIBE)
+        self._require_owner(
+            principal, self._dispatcher.subscription_endpoint(subscription_id)
+        )
         self._dispatcher.remove_subscription(subscription_id)
         self.stats.unsubscriptions += 1

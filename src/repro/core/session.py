@@ -12,13 +12,14 @@ session folds that choreography into one object obtained from
 >>> session.request_update(stream, SET_RATE, 0.5)      # doctest: +SKIP
 
 Beyond convenience, the session is the client half of the middleware's
-**crash-recovery protocol** (:mod:`repro.faults`): it remembers every
-subscription it installed, heartbeats the broker on a periodic task to
-keep its registration lease alive, and when a heartbeat comes back
-``False`` — the broker restarted from a crash with empty state, or the
-lease lapsed — it re-registers, re-installs its subscriptions, and
-replays any messages that fell into the Orphanage while its routes were
-gone. Recoveries surface as ``resilience.*`` metrics.
+**crash-recovery protocol** (:mod:`repro.faults`): its
+:class:`SessionLedger` remembers every subscription it installed, it
+heartbeats the broker to keep its registration lease alive, and when a
+heartbeat comes back ``False`` — the broker restarted from a crash with
+empty state, or the lease lapsed — it re-registers, reinstalls the
+ledger (every id it handed out stays valid), and replays what fell into
+the Orphanage while its routes were gone. Recoveries surface as
+``resilience.*`` metrics.
 
 :class:`~repro.core.consumer.Consumer` is implemented on top: every
 consumer added to a deployment owns one session and delegates its
@@ -27,8 +28,9 @@ middleware operations to it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from typing import TYPE_CHECKING, Any, TypeVar
+import dataclasses
+from collections.abc import Callable, Iterator
+from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.core.control import StreamUpdateCommand
 from repro.core.dispatching import SubscriptionPattern
@@ -53,6 +55,7 @@ if TYPE_CHECKING:
 
 DataCallback = Callable[[StreamArrival], None]
 Held = TypeVar("Held")
+Wanted = TypeVar("Wanted")
 
 #: The replay vocabulary of :meth:`GarnetSession.subscribe`.
 REPLAY_MODES = ("none", "orphans", "history")
@@ -98,6 +101,90 @@ def _record_header(record: Any) -> tuple[float, StreamId, int]:
     return record.received_at, record.stream_id, peek_header(record.frame)[1]
 
 
+class SessionLedger(Generic[Wanted]):
+    """What one session asked for, under ids that outlive its registration.
+
+    Each subscription is held under a per-session id (from 1, never
+    reused) mapped to the id the current registration holds for it: the
+    dispatcher's in-process, the broker's on a live client.
+    :meth:`reinstall` changes only the mapped ids. No I/O: ``Wanted`` is
+    what the owner re-sends (a :class:`SubscriptionPattern` or a
+    SUBSCRIBE body), through calls the owner passes in.
+    """
+
+    def __init__(self, publisher_id: int | None = None) -> None:
+        self.publisher_id = publisher_id
+        #: stream index -> (kind, encrypted)
+        self.advertised: dict[int, tuple[str, bool]] = {}
+        self.wanted: dict[int, Wanted] = {}
+        self._registered: dict[int, int] = {}
+        self._next_id = 1
+
+    def add(self, wanted: Wanted, registered: int) -> int:
+        """Record one installed subscription; returns its session id."""
+        subscription_id = self._next_id
+        self._next_id += 1
+        self.wanted[subscription_id] = wanted
+        self._registered[subscription_id] = registered
+        return subscription_id
+
+    def registered(self, subscription_id: int) -> int:
+        """The registration's id for one of this session's own ids."""
+        if subscription_id not in self.wanted:
+            raise SubscriptionError(f"unknown subscription {subscription_id}")
+        return self._registered[subscription_id]
+
+    def remove(self, subscription_id: int) -> None:
+        del self.wanted[subscription_id], self._registered[subscription_id]
+
+    def reinstall(
+        self,
+        subscribe: Callable[[Wanted], int],
+        advertise: Callable[[int, str, bool], Any] | None = None,
+    ) -> int:
+        """Replay the ledger on a fresh registration: ``subscribe`` returns
+        each subscription's new id, then ``advertise``, when given,
+        repeats each advertisement. The mapped ids change only once all
+        are back. Returns how many subscriptions were reinstalled."""
+        registered = {
+            key: subscribe(value) for key, value in self.wanted.items()
+        }
+        if advertise is not None:
+            for index, (kind, encrypted) in list(self.advertised.items()):
+                advertise(index, kind, encrypted)
+        self._registered = registered
+        return len(registered)
+
+    def to_record(self) -> dict:
+        """What a live broker persists (JSON makes the int keys strings)."""
+        return {
+            "publisher_id": self.publisher_id,
+            "subscriptions": {
+                key: dataclasses.asdict(value)
+                for key, value in self.wanted.items()
+            },
+            "advertised": dict(self.advertised),
+        }
+
+    @classmethod
+    def from_record(
+        cls, record: dict, read: Callable[[dict], Wanted]
+    ) -> SessionLedger[Wanted]:
+        """Read :meth:`to_record`'s shape back, through ``read``."""
+        publisher_id = record.get("publisher_id")
+        ledger = cls(None if publisher_id is None else int(publisher_id))
+        for key, fields in record.get("subscriptions", {}).items():
+            subscription_id = int(key)
+            ledger.wanted[subscription_id] = read(fields)
+            if subscription_id >= ledger._next_id:
+                ledger._next_id = subscription_id + 1
+        ledger.advertised = {
+            int(index): (str(kind), bool(encrypted))
+            for index, (kind, encrypted) in record.get("advertised", {}).items()
+        }
+        return ledger
+
+
 class SessionStats(RegistryBackedStats):
     """Per-session counters (prefixed ``session.<name>``)."""
 
@@ -140,15 +227,13 @@ class GarnetSession:
         self._closed = False
         # A tuple, rebound by on_data: deliveries iterate it without a copy.
         self._callbacks: tuple[DataCallback, ...] = ()
-        # pattern per live subscription id — the re-subscription ledger
-        # recovery replays after a broker restart.
-        self._subscriptions: dict[int, SubscriptionPattern] = {}
+        # What this session asked for: recovery reinstalls it.
+        self._ledger: SessionLedger[SubscriptionPattern] = SessionLedger()
         # Per-stream sequence windows primed by history replay: a live
         # delivery whose sequence the replay already served is dropped,
         # which is the gap-free/duplicate-free handover guarantee of
         # ``subscribe(replay='history')``.
         self._history_windows: dict[StreamId, SequenceWindow] = {}
-        self._publisher_id: int | None = None
         self._publish_sequences: dict[int, WrappingCounter] = {}
         self.stats = SessionStats(prefix=f"session.{name}")
         metrics = deployment.metrics()
@@ -231,7 +316,11 @@ class GarnetSession:
 
     @property
     def subscription_ids(self) -> tuple[int, ...]:
-        return tuple(self._subscriptions)
+        return tuple(self._ledger.wanted)
+
+    @property
+    def ledger(self) -> SessionLedger[SubscriptionPattern]:
+        return self._ledger
 
     def _require_open(self) -> None:
         if self._closed:
@@ -336,10 +425,7 @@ class GarnetSession:
             raise SubscriptionError(
                 "subscribe(replay='history') requires store_enabled=True"
             )
-        subscription_id = self.broker.subscribe(
-            self._token, self.endpoint, pattern
-        )
-        self._subscriptions[subscription_id] = pattern
+        subscription_id = self._ledger.add(pattern, self._install(pattern))
         if replay == "orphans":
             self._replay_orphans((pattern,))
         elif replay == "history":
@@ -348,8 +434,13 @@ class GarnetSession:
 
     def unsubscribe(self, subscription_id: int) -> None:
         self._require_open()
-        self.broker.unsubscribe(self._token, subscription_id)
-        self._subscriptions.pop(subscription_id, None)
+        self.broker.unsubscribe(
+            self._token, self._ledger.registered(subscription_id)
+        )
+        self._ledger.remove(subscription_id)
+
+    def _install(self, pattern: SubscriptionPattern) -> int:
+        return self.broker.subscribe(self._token, self.endpoint, pattern)
 
     # ------------------------------------------------------------------
     # Control path
@@ -401,9 +492,7 @@ class GarnetSession:
             counter = WrappingCounter(16)
             self._publish_sequences[stream_index] = counter
             if kind:
-                self.broker.advertise(
-                    self._token, stream_id, kind=kind, encrypted=encrypted
-                )
+                self.advertise(stream_index, kind, encrypted)
         message = DataMessage(
             stream_id=stream_id,
             sequence=counter.next(),
@@ -423,6 +512,18 @@ class GarnetSession:
         self.stats.published += 1
         return stream_id
 
+    def advertise(
+        self, stream_index: int, kind: str, encrypted: bool = False
+    ) -> StreamId:
+        """Attach metadata to one of this session's derived streams."""
+        self._require_open()
+        stream_id = StreamId(self.ensure_publisher_id(), stream_index)
+        self.broker.advertise(
+            self._token, stream_id, kind=kind, encrypted=encrypted
+        )
+        self._ledger.advertised[stream_index] = (kind, encrypted)
+        return stream_id
+
     def ensure_publisher_id(self) -> int:
         """This session's virtual-sensor id, allocated on first use.
 
@@ -430,37 +531,20 @@ class GarnetSession:
         broker calls this at handshake time so remote clients can build
         their own :class:`StreamId` values for datagram publishes.
         """
-        if self._publisher_id is None:
-            self._publisher_id = self._deployment.allocate_publisher_id()
-        return self._publisher_id
-
-    def adopt_publisher_id(self, value: int, *, reserved: bool = False) -> int:
-        """Claim a specific publisher id (live-transport session resume).
-
-        A broker restarted with persisted session state must hand a
-        resuming client the id its published streams already carry;
-        reserving it keeps the pool from re-allocating it to anyone
-        else. ``reserved=True`` skips the pool claim for callers that
-        already hold the reservation (the live broker reserves every
-        persisted session's id at startup). Raises
-        :class:`SessionError` when this session already holds a
-        different id.
-        """
-        if self._publisher_id is not None:
-            if self._publisher_id != value:
-                raise SessionError(
-                    f"session {self._name!r} already publishes as "
-                    f"{self._publisher_id}, cannot adopt {value}"
-                )
-            return value
-        if not reserved:
-            self._deployment.reserve_publisher_id(value)
-        self._publisher_id = value
-        return value
+        ledger = self._ledger
+        if ledger.publisher_id is None:
+            ledger.publisher_id = self._deployment.allocate_publisher_id()
+        return ledger.publisher_id
 
     @property
     def publisher_id(self) -> int | None:
-        return self._publisher_id
+        return self._ledger.publisher_id
+
+    def adopt(self, ledger: SessionLedger[SubscriptionPattern]) -> None:
+        """Take over a live broker's persisted ledger: publisher id (the
+        caller reserved it), subscriptions by their ids, advertisements."""
+        self._ledger = ledger
+        ledger.reinstall(self._install, self.advertise)
 
     # ------------------------------------------------------------------
     # Liveness & recovery
@@ -488,15 +572,9 @@ class GarnetSession:
         self.stats.recoveries += 1
         self._recoveries_counter.inc()
         self.broker.register_consumer(self._token, self.endpoint)
-        old = self._subscriptions
-        self._subscriptions = {}
-        for pattern in old.values():
-            subscription_id = self.broker.subscribe(
-                self._token, self.endpoint, pattern
-            )
-            self._subscriptions[subscription_id] = pattern
-            self.stats.resubscriptions += 1
-            self._resubscriptions_counter.inc()
+        reinstalled = self._ledger.reinstall(self._install)
+        self.stats.resubscriptions += reinstalled
+        self._resubscriptions_counter.inc(reinstalled)
         self._replay_orphans()
 
     def _replay_orphans(
@@ -515,7 +593,7 @@ class GarnetSession:
         once, and each Orphanage counts the copies it supplied.
         """
         if patterns is None:
-            patterns = tuple(self._subscriptions.values())
+            patterns = tuple(self._ledger.wanted.values())
         registry = self._deployment.registry
         held: list[tuple[StreamArrival, Any]] = []
         for orphanage in self._deployment.orphanages():
@@ -562,7 +640,6 @@ class GarnetSession:
         """
         store = self._deployment.store
         registry = self._deployment.registry
-        codec = self._deployment.codec
         patterns = (pattern,)
         stored = [
             record
@@ -571,14 +648,7 @@ class GarnetSession:
             for record in store.read(stream_id)
         ]
         replayed = merge_replay(stored, self._history_windows, _record_header)
-        now = self.network.sim.now
-        for record in replayed:
-            arrival = StreamArrival(
-                message=codec.decode(record.frame),
-                received_at=record.received_at,
-                receiver_id=record.receiver_id,
-                delivered_at=now,
-            )
+        for arrival in self._arrivals(replayed):
             self._deliveries.inc()
             for callback in self._callbacks:
                 callback(arrival)
@@ -611,20 +681,19 @@ class GarnetSession:
                 "session.query() requires store_enabled=True on the "
                 "deployment"
             )
-        codec = self._deployment.codec
         records = store.read(stream_id, start=start, end=end, limit=limit)
         store.stats.queries += 1
         store.stats.records_queried += len(records)
         self.stats.queries += 1
-        return [
-            StreamArrival(
-                message=codec.decode(record.frame),
-                received_at=record.received_at,
-                receiver_id=record.receiver_id,
-                delivered_at=self.network.sim.now,
+        return list(self._arrivals(records))
+
+    def _arrivals(self, records: list[Any]) -> Iterator[StreamArrival]:
+        """Store records as decoded arrivals, delivered now."""
+        decode, now = self._deployment.codec.decode, self.network.sim.now
+        for record in records:
+            yield StreamArrival(
+                decode(record.frame), record.received_at, record.receiver_id, now
             )
-            for record in records
-        ]
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -646,5 +715,4 @@ class GarnetSession:
         if self.network.has_inbox(self.endpoint):
             self.network.unregister_inbox(self.endpoint)
         self._node.dispatcher.bind_direct(self.endpoint, None)
-        self._subscriptions.clear()
         self._deployment._release_session(self)

@@ -75,6 +75,7 @@ from repro.core.dispatching import SubscriptionPattern
 from repro.core.envelopes import StreamArrival
 from repro.core.message import peek_header
 from repro.core.middleware import Garnet
+from repro.core.session import SessionLedger
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, GarnetError, TransportError
 from repro.fanout.frames import encode_batch_datagrams, is_batch_datagram
@@ -136,6 +137,11 @@ def _pattern(fields: dict) -> SubscriptionPattern:
     )
 
 
+def _persisted_pattern(body: dict) -> SubscriptionPattern:
+    """A persisted SUBSCRIBE body, read back through the same checks."""
+    return _pattern(parse_control_body(SUBSCRIBE, body))
+
+
 def _hex_within_budget(frames: Iterable[bytes]) -> Iterator[str]:
     """Hex-encode frames until one more would overrun a response."""
     left = _RESPONSE_BUDGET
@@ -155,21 +161,16 @@ class _SessionState:
     bound (``udp_address is None``) the state is *parked* — deliveries
     buffer into ``parked`` and the token stays valid until ``deadline``.
     ``session`` is None only for states reloaded from a persisted
-    sessions file after a broker restart; RESUME revives them.
+    sessions file after a broker restart; RESUME revives them, and the
+    session adopts the ``ledger`` read from the file.
     """
 
     token: str
     name: str
     parked: Backlog[bytes]
+    ledger: SessionLedger[SubscriptionPattern]
     keepalive: float | None = None
     session: Any | None = None
-    publisher_id: int | None = None
-    subscriptions: dict[int, SubscriptionPattern] = dataclasses.field(
-        default_factory=dict
-    )
-    advertised: dict[int, tuple[str, bool]] = dataclasses.field(
-        default_factory=dict
-    )
     udp_address: tuple[str, int] | None = None
     deadline: float | None = None
     #: True when the client announced batch_datagrams support: same-pump
@@ -181,41 +182,6 @@ class _SessionState:
     @property
     def parked_now(self) -> bool:
         return self.udp_address is None
-
-    def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "publisher_id": self.publisher_id,
-            "subscriptions": {
-                str(sub_id): dataclasses.asdict(pattern)
-                for sub_id, pattern in self.subscriptions.items()
-            },
-            "advertised": {
-                str(index): [kind, encrypted]
-                for index, (kind, encrypted) in self.advertised.items()
-            },
-        }
-
-    @classmethod
-    def from_record(
-        cls, token: str, record: dict, parked: Backlog[bytes]
-    ) -> "_SessionState":
-        state = cls(token, str(record["name"]), parked)
-        raw_pid = record.get("publisher_id")
-        state.publisher_id = int(raw_pid) if raw_pid is not None else None
-        # A subscription is persisted in its SUBSCRIBE body shape and
-        # read back through the same checks.
-        state.subscriptions = {
-            int(sub_id): _pattern(parse_control_body(SUBSCRIBE, body))
-            for sub_id, body in record.get("subscriptions", {}).items()
-        }
-        state.advertised = {
-            int(index): (str(kind), bool(encrypted))
-            for index, (kind, encrypted) in record.get(
-                "advertised", {}
-            ).items()
-        }
-        return state
 
 
 @dataclasses.dataclass(eq=False)
@@ -614,7 +580,8 @@ class LiveBroker:
         if self._sessions_path is None:
             return
         payload = {
-            token: state.to_record() for token, state in self._states.items()
+            token: {"name": state.name, **state.ledger.to_record()}
+            for token, state in self._states.items()
         }
         tmp = self._sessions_path.with_suffix(".tmp")
         tmp.write_text(json.dumps(payload, indent=0, sort_keys=True))
@@ -634,21 +601,17 @@ class LiveBroker:
         deadline = self._clock() + self._resume_grace
         for token, record in payload.items():
             try:
-                state = _SessionState.from_record(
-                    token, record, self._parked_backlog()
+                ledger = SessionLedger.from_record(record, _persisted_pattern)
+                state = _SessionState(
+                    token, str(record["name"]), self._parked_backlog(), ledger
                 )
+                if ledger.publisher_id is not None:
+                    # Hold the id until the session resumes or expires, so
+                    # a fresh client cannot be handed an id whose streams
+                    # (and subscriber dedupe state) already exist.
+                    self.deployment.reserve_publisher_id(ledger.publisher_id)
             except (GarnetError, LookupError, TypeError, ValueError):
-                continue  # one unreadable entry: that session is not resumable
-            if state.publisher_id is not None:
-                # Hold the id until the session resumes or expires, so
-                # a fresh client cannot be handed an id whose streams
-                # (and subscriber dedupe state) already exist.
-                try:
-                    self.deployment.reserve_publisher_id(
-                        state.publisher_id
-                    )
-                except (GarnetError, ValueError):
-                    continue  # duplicate/garbage entry: not resumable
+                continue  # unreadable, duplicate or garbage: not resumable
             state.deadline = deadline
             self._states[token] = state
 
@@ -768,12 +731,13 @@ class LiveBroker:
         state.session = None
         if session is not None and not session.closed:
             session.close()
-        if state.publisher_id is not None:
+        ledger = state.ledger
+        if ledger.publisher_id is not None:
             try:
-                self.deployment.release_publisher_id(state.publisher_id)
+                self.deployment.release_publisher_id(ledger.publisher_id)
             except ValueError:
                 pass  # never allocated server-side (revival failed early)
-            state.publisher_id = None
+            ledger.publisher_id = None
         self._persist_sessions()
 
     # ------------------------------------------------------------------
@@ -939,14 +903,12 @@ class LiveBroker:
                     self._drop_state(state)
         session = self.deployment.connect(name, heartbeat_period=None)
         try:
-            publisher_id = session.ensure_publisher_id()
+            session.ensure_publisher_id()
         except GarnetError:
             session.close()  # a refused HELLO keeps no claim on the name
             raise
-        state = _SessionState(
-            secrets.token_hex(16), name, self._parked_backlog()
-        )
-        state.publisher_id = publisher_id
+        token = secrets.token_hex(16)
+        state = _SessionState(token, name, self._parked_backlog(), session.ledger)
         self._attach(state, session)
         self._bind(connection, state, fields)
         self._pump()
@@ -959,7 +921,7 @@ class LiveBroker:
         """What HELLO answers and RESUME echoes: where the session stands."""
         response = {
             "ok": True,
-            "publisher_id": state.publisher_id,
+            "publisher_id": state.ledger.publisher_id,
             "data_port": self.data_port,
             "batch_datagrams": state.batch,
         }
@@ -996,10 +958,8 @@ class LiveBroker:
                     self._unbind(stale)
                     self._abort_connection(stale)
         restored = state.session is not None
-        if restored:
-            mapping = {sub_id: sub_id for sub_id in state.subscriptions}
-        else:
-            mapping = self._revive_state(state)
+        if not restored:
+            self._revive_state(state)
         self._bind(connection, state, fields)
         self._sessions_resumed.inc()
         self._pump()
@@ -1010,45 +970,21 @@ class LiveBroker:
         return {
             **self._welcome(state),
             "restored": restored,
-            "subscriptions": {
-                str(old): new for old, new in mapping.items()
-            },
             "replayed": replayed_store + replayed_parked,
             "replayed_store": replayed_store,
             "replayed_parked": replayed_parked,
         }
 
-    def _revive_state(self, state: _SessionState) -> dict[int, int]:
-        """Rebuild a persisted session on a freshly restarted broker;
-        returns its subscriptions' old → new ids."""
+    def _revive_state(self, state: _SessionState) -> None:
+        """A persisted session on a restarted broker: connect, adopt."""
         session = self.deployment.connect(state.name, heartbeat_period=None)
         try:
             self._attach(state, session)
-            if state.publisher_id is not None:
-                session.adopt_publisher_id(state.publisher_id, reserved=True)
-            for index, (kind, encrypted) in state.advertised.items():
-                try:
-                    session.broker.advertise(
-                        session.token,
-                        StreamId(state.publisher_id, index),
-                        kind=kind,
-                        encrypted=encrypted,
-                    )
-                except GarnetError:  # pragma: no cover - registry conflict
-                    pass
-            mapping = {
-                old_id: session.subscribe(pattern)
-                for old_id, pattern in state.subscriptions.items()
-            }
+            session.adopt(state.ledger)
         except GarnetError:
             session.close()
             state.session = None
             raise
-        state.subscriptions = {
-            mapping[old_id]: pattern
-            for old_id, pattern in state.subscriptions.items()
-        }
-        return mapping
 
     def _stored_frames(
         self, stream_id: StreamId, **window: Any
@@ -1121,11 +1057,9 @@ class LiveBroker:
     def _on_subscribe(
         self, connection: _ClientConnection, fields: dict
     ) -> dict:
-        pattern = _pattern(fields)
         subscription_id = connection.session.subscribe(
-            pattern, replay=fields["replay"] or "none"
+            _pattern(fields), replay=fields["replay"] or "none"
         )
-        connection.state.subscriptions[subscription_id] = pattern
         self._persist_sessions()
         self._pump()
         return {"ok": True, "subscription_id": subscription_id}
@@ -1133,9 +1067,7 @@ class LiveBroker:
     def _on_unsubscribe(
         self, connection: _ClientConnection, fields: dict
     ) -> dict:
-        subscription_id = fields["subscription_id"]
-        connection.session.unsubscribe(subscription_id)
-        connection.state.subscriptions.pop(subscription_id, None)
+        connection.session.unsubscribe(fields["subscription_id"])
         self._persist_sessions()
         self._pump()
         return {"ok": True}
@@ -1194,15 +1126,11 @@ class LiveBroker:
     def _on_advertise(
         self, connection: _ClientConnection, fields: dict
     ) -> dict:
-        session = connection.session
-        stream_index = fields["stream_index"]
-        kind = fields["kind"] or ""
-        encrypted = bool(fields["encrypted"])
-        stream_id = StreamId(session.ensure_publisher_id(), stream_index)
-        session.broker.advertise(
-            session.token, stream_id, kind=kind, encrypted=encrypted
+        stream_id = connection.session.advertise(
+            fields["stream_index"],
+            fields["kind"] or "",
+            bool(fields["encrypted"]),
         )
-        connection.state.advertised[stream_index] = (kind, encrypted)
         self._persist_sessions()
         self._pump()
         return {

@@ -35,8 +35,8 @@ default schedule) opts the session into a supervised lifecycle:
 - each dial first presents the broker's resume token (RESUME), which
   re-attaches the parked server-side session and replays only records
   past the client's per-stream cursors; a refused token falls back to
-  a fresh HELLO plus re-installation of the subscription and
-  advertisement ledgers;
+  a fresh HELLO that reinstalls the session's ledger, so the
+  subscription ids the caller holds stay valid either way;
 - publishes during an outage land in a bounded buffer and are flushed
   on re-attach, behind a resend tail of the most recent pre-outage
   publishes (at-least-once across the failure window; subscriber-side
@@ -51,6 +51,7 @@ session keeps its historical fail-fast behaviour.
 from __future__ import annotations
 
 import contextlib
+import functools
 import random
 import socket
 import threading
@@ -61,6 +62,7 @@ from typing import Any
 
 from repro.core.envelopes import StreamArrival
 from repro.core.message import DataMessage, MessageCodec, common_frame
+from repro.core.session import SessionLedger
 from repro.core.streamid import StreamId
 from repro.errors import (
     ConfigurationError,
@@ -129,6 +131,10 @@ _HOUSEKEEPING_TICK = 0.05
 #: Largest frame one IPv4 UDP datagram carries (65,535 minus the IP and
 #: UDP headers) — less than the largest frame the codec will build.
 _MAX_DATAGRAM = 65507
+
+
+def _advertise_body(stream_index: int, kind: str, encrypted: bool) -> dict:
+    return {"stream_index": stream_index, "kind": kind, "encrypted": encrypted}
 
 
 class _SocketWire:
@@ -254,10 +260,10 @@ class LiveSession:
         self._timeout = timeout
         self._callbacks: list[DataCallback] = []
         self._state_callbacks: list[StateCallback] = []
-        self._subscriptions: dict[int, dict] = {}
+        # SUBSCRIBE bodies by the ids this session hands out.
+        self._ledger: SessionLedger[dict] = SessionLedger()
         self._publish_sequences: dict[int, int] = {}
         self._streams: dict[int, tuple] = {}  # index -> (stream id, word)
-        self._advertised: dict[int, dict] = {}  # index -> ADVERTISE body
         self._closed = False
         self._lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -317,7 +323,7 @@ class LiveSession:
             self._tcp.close()
             wire.close()
             raise
-        self._publisher_id = int(welcome["publisher_id"])
+        self._ledger.publisher_id = int(welcome["publisher_id"])
         self._data_address = (self._host, int(welcome["data_port"]))
         self._resume_token = welcome.get("resume_token")
         self._start_threads()
@@ -344,7 +350,7 @@ class LiveSession:
 
     @property
     def publisher_id(self) -> int:
-        return self._publisher_id
+        return self._ledger.publisher_id
 
     @property
     def closed(self) -> bool:
@@ -370,7 +376,7 @@ class LiveSession:
 
     @property
     def subscription_ids(self) -> tuple[int, ...]:
-        return tuple(self._subscriptions)
+        return tuple(self._ledger.wanted)
 
     def _require_open(self) -> None:
         if self._closed:
@@ -475,9 +481,7 @@ class LiveSession:
             "replay": replay,
         }
         response = self._request(SUBSCRIBE, body)
-        subscription_id = int(response["subscription_id"])
-        self._subscriptions[subscription_id] = body
-        return subscription_id
+        return self._ledger.add(body, int(response["subscription_id"]))
 
     def query(
         self,
@@ -521,8 +525,12 @@ class LiveSession:
         return arrivals
 
     def unsubscribe(self, subscription_id: int) -> None:
-        self._request(UNSUBSCRIBE, {"subscription_id": subscription_id})
-        self._subscriptions.pop(subscription_id, None)
+        """Remove a subscription by the id :meth:`subscribe` returned."""
+        if subscription_id not in self._ledger.wanted:
+            raise TransportError(f"unknown subscription {subscription_id}")
+        registered = self._ledger.registered(subscription_id)
+        self._request(UNSUBSCRIBE, {"subscription_id": registered})
+        self._ledger.remove(subscription_id)
 
     def discover(
         self,
@@ -618,7 +626,7 @@ class LiveSession:
         stream = streams.get(stream_index)
         # (True hashes as 1, so only an int may take a cached stream.)
         if stream is None or stream_index.__class__ is not int:
-            stream_id = StreamId(self._publisher_id, stream_index)
+            stream_id = StreamId(self._ledger.publisher_id, stream_index)
             # pack() range-checks: a bad index raises and is not cached.
             stream = streams[stream_index] = (stream_id, stream_id.pack())
         if self._checksum and not (fused or encrypted or extensions) and (
@@ -640,14 +648,11 @@ class LiveSession:
     def _send_publish(
         self, stream_index: int, kind: str, encrypted: bool, frame: bytes
     ) -> None:
-        if kind and stream_index not in self._advertised:
-            body = {
-                "stream_index": stream_index,
-                "kind": kind,
-                "encrypted": encrypted,
-            }
-            self._request(ADVERTISE, body)
-            self._advertised[stream_index] = body
+        if kind and stream_index not in self._ledger.advertised:
+            self._request(
+                ADVERTISE, _advertise_body(stream_index, kind, encrypted)
+            )
+            self._ledger.advertised[stream_index] = (kind, encrypted)
         self._wire.sendto(frame, self._data_address)
         self._published.inc()
 
@@ -857,18 +862,14 @@ class LiveSession:
             response = self._exchange(
                 sock, assembler, *self._handshake(name=self._name)
             )
-            # Reinstall the ledgers before going live: subscriptions
+            # Reinstall the ledger before going live: subscriptions
             # first so no delivery window is missed, then the
             # advertisement metadata the old session carried.
-            subscriptions: dict[int, dict] = {}
-            for body in self._subscriptions.values():
-                sub_response = self._exchange(
-                    sock, assembler, SUBSCRIBE, body
-                )
-                subscriptions[int(sub_response["subscription_id"])] = body
-            for body in list(self._advertised.values()):
-                self._exchange(sock, assembler, ADVERTISE, body)
-            self._subscriptions = subscriptions
+            exchange = functools.partial(self._exchange, sock, assembler)
+            self._ledger.reinstall(
+                lambda body: int(exchange(SUBSCRIBE, body)["subscription_id"]),
+                lambda *advert: exchange(ADVERTISE, _advertise_body(*advert)),
+            )
             self.stats.rehellos += 1
             self._adopt(sock, assembler, response, resumed=False)
             return True
@@ -891,15 +892,9 @@ class LiveSession:
             self._assembler = assembler
             self._data_address = (self._host, int(response["data_port"]))
             self._resume_token = response.get("resume_token")
-        self._publisher_id = int(response["publisher_id"])
+        self._ledger.publisher_id = int(response["publisher_id"])
         self._streams = {}  # a re-HELLO may have named a new publisher id
         if resumed:
-            mapping = response.get("subscriptions") or {}
-            remapped = {}
-            for old_id, body in self._subscriptions.items():
-                new_id = int(mapping.get(str(old_id), old_id))
-                remapped[new_id] = body
-            self._subscriptions = remapped
             self.stats.resumes += 1
             self.stats.replayed += int(response.get("replayed", 0))
         with self._state_lock:

@@ -130,6 +130,23 @@ class TestCrashRestart:
         assert counters["resilience.session_recoveries"] == 1.0
         assert counters["resilience.orphans_replayed"] > 0
 
+    def test_subscription_ids_survive_recovery(self):
+        deployment = leased_deployment()
+        session = deployment.connect("app", heartbeat_period=1.0)
+        kept = session.subscribe(kind="test.*")
+        dropped = session.subscribe(kind="other.*")
+        deployment.broker.crash()
+        deployment.run(2.0)
+        deployment.broker.restart()
+        deployment.run(3.0)
+        assert session.stats.recoveries == 1
+        session.unsubscribe(dropped)  # the id subscribe() returned
+        assert session.subscription_ids == (kept,)
+        assert deployment.dispatcher.subscription_count() == 1
+        session.unsubscribe(kept)
+        assert deployment.dispatcher.subscription_count() == 0
+        assert session.subscription_ids == ()
+
     def test_consumer_over_session_recovers(self):
         from repro.core.operators import CollectingConsumer
         from repro.core.dispatching import SubscriptionPattern

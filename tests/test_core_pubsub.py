@@ -128,6 +128,19 @@ class TestSubscribe:
         broker.unsubscribe(token, sid)
         assert dispatcher.subscription_count() == 0
 
+    def test_unsubscribe_of_a_foreign_subscription_rejected(self, harness):
+        _, _, broker, _, dispatcher, auth, _, endpoint = harness
+        alice, bob = subscriber_token(auth, "alice"), subscriber_token(auth, "bob")
+        name = endpoint("alices")
+        broker.register_consumer(alice, name)
+        broker.register_consumer(bob, endpoint("bobs"))
+        sid = broker.subscribe(alice, name, SubscriptionPattern(sensor_id=1))
+        with pytest.raises(RegistrationError, match="belongs to 'alice'"):
+            broker.unsubscribe(bob, sid)
+        with pytest.raises(SubscriptionError, match="unknown subscription"):
+            broker.unsubscribe(bob, sid + 1)
+        assert dispatcher.subscription_count() == 1
+
 
 class TestAdvertiseDiscover:
     def test_advertise_requires_publish_permission(self, harness):

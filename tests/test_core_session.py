@@ -108,6 +108,34 @@ class TestSubscribeAndDeliver:
         assert len(received) == seen
         assert session.subscription_ids == ()
 
+    def test_a_session_cannot_remove_another_sessions_subscription(
+        self, deployment
+    ):
+        deployment.add_sensor("generic", [make_stream_spec()])
+        a, b = deployment.connect("a"), deployment.connect("b")
+        received = []
+        a.on_data(received.append)
+        a_id = a.subscribe(kind="test.*")
+        with pytest.raises(SubscriptionError, match="unknown subscription"):
+            b.unsubscribe(a_id)
+        # Nor through the broker with the dispatcher's id for it.
+        with pytest.raises(RegistrationError, match="belongs to 'a'"):
+            deployment.broker.unsubscribe(b.token, a.ledger.registered(a_id))
+        assert deployment.dispatcher.subscription_count() == 1
+        deployment.run(3.0)
+        assert received  # a's route is still installed
+        a.unsubscribe(a_id)
+        assert deployment.dispatcher.subscription_count() == 0
+
+    def test_subscription_ids_are_per_session(self, deployment):
+        a, b = deployment.connect("a"), deployment.connect("b")
+        assert [a.subscribe(kind="x"), a.subscribe(kind="y")] == [1, 2]
+        assert b.subscribe(kind="x") == 1
+        a.unsubscribe(1)
+        assert a.subscribe(kind="z") == 3  # never reused
+        assert a.subscription_ids == (2, 3)
+        assert b.subscription_ids == (1,)
+
     def test_discover(self, deployment):
         deployment.add_sensor(
             "generic", [make_stream_spec(kind="water.level")]

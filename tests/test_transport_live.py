@@ -22,6 +22,7 @@ import pytest
 from repro.core.config import GarnetConfig
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
+from repro.core.session import SessionLedger
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, TransportError
 from repro.fanout.frames import decode_batch_datagram
@@ -1022,7 +1023,9 @@ class TestDataPlane:
         # The pump inside stop() runs after the socket is closed: what
         # the last drain queued cannot leave, and must not vanish either.
         broker = LiveBroker()
-        state = _SessionState("token", "a", broker._parked_backlog())
+        state = _SessionState(
+            "token", "a", broker._parked_backlog(), SessionLedger()
+        )
         state.udp_address = ("127.0.0.1", 9)
         state.outbox += [b"one", b"two"]
         broker._outboxes[state.token] = state

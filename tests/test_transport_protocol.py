@@ -505,7 +505,6 @@ def row_resume_replays_parked_then_goes_live(tmp_path):
     assert response == {
         **a.welcome,  # the HELLO shape, echoed
         "restored": True,
-        "subscriptions": {str(a.subscription): a.subscription},
         "replayed": 2,
         "replayed_store": 2,  # the store pass covers what was parked
         "replayed_parked": 0,
@@ -629,7 +628,10 @@ def row_resume_after_a_broker_restart_revives_the_session(tmp_path):
     path = tmp_path / "sessions.json"
     world = World(sessions_path=path)
     a = attached(world)
-    a.ok(SUBSCRIBE, stream_id=[7, 1])
+    gone = a.ok(SUBSCRIBE, kind="gone")["subscription_id"]
+    held = [a.subscription, a.ok(SUBSCRIBE, stream_id=[7, 1])["subscription_id"]]
+    a.ok(UNSUBSCRIBE, subscription_id=gone)
+    assert held == [1, 3]
     assert path.exists()
     # The broker dies; a new one comes up over the same sessions file.
     reborn = World(sessions_path=path)
@@ -637,15 +639,57 @@ def row_resume_after_a_broker_restart_revives_the_session(tmp_path):
     assert reborn.tables() == {**EMPTY, "states": {"a": "parked"}}
     assert a.stream.sensor_id in reborn.deployment._publisher_ids._in_use
     reborn.counted()
-    response = Peer(reborn).ok(RESUME, token=a.token, udp_port=5000)
+    again = Peer(reborn)
+    response = again.ok(RESUME, token=a.token, udp_port=5000)
     assert response["restored"] is False
     assert response["publisher_id"] == a.stream.sensor_id
-    assert sorted(response["subscriptions"]) == ["1", "2"]
     assert reborn.tables() == {**BOUND, "subscriptions": {"a": 2}}
     # Its advertisement came back with it.
     b = reborn.hello("b", port=5001)
     [advert] = b.ok(DISCOVER, kind="temp")["streams"]
     assert advert["sensor_id"] == a.stream.sensor_id
+    # The ids the client held before the restart still name its
+    # subscriptions, and a new one is not handed an old one's id.
+    for subscription_id in held:
+        again.ok(UNSUBSCRIBE, subscription_id=subscription_id)
+    assert reborn.tables()["subscriptions"] == {}
+    assert again.ok(SUBSCRIBE, kind="wind")["subscription_id"] == 4
+
+
+#: A sessions file as brokers wrote it before subscription ids were per
+#: session: the subscription keyed by the dispatcher's id the client held.
+OLD_SESSIONS_FILE = """{"%s": {"advertised": {"0": ["temp", false]},
+"name": "a", "publisher_id": 15728645, "subscriptions": {"7": {"derived":
+null, "kind": "temp", "sensor_id": null, "stream_id": null,
+"stream_index": null}}}}""" % ("ab" * 16)
+
+
+def row_a_sessions_file_from_before_per_session_ids_resumes(tmp_path):
+    path = tmp_path / "sessions.json"
+    path.write_text(OLD_SESSIONS_FILE)
+    world = World(sessions_path=path)
+    world.broker._load_sessions()
+    assert world.tables() == {**EMPTY, "states": {"a": "parked"}}
+    again = Peer(world)
+    response = again.ok(RESUME, token="ab" * 16, udp_port=5000)
+    assert response["publisher_id"] == 15728645
+    assert world.tables() == {**BOUND, "subscriptions": {"a": 1}}
+    [advert] = world.hello("b", port=5001).ok(DISCOVER, kind="temp")["streams"]
+    assert (advert["sensor_id"], advert["stream_index"]) == (15728645, 0)
+    assert again.ok(SUBSCRIBE, kind="wind")["subscription_id"] == 8
+    again.ok(UNSUBSCRIBE, subscription_id=7)
+    assert world.tables()["subscriptions"] == {"a": 1}
+
+
+def row_unsubscribe_of_another_sessions_id_is_refused(tmp_path):
+    world = World()
+    a = attached(world)
+    b = world.hello("b", port=5001)
+    before = world.everything()
+    b.refused(UNSUBSCRIBE, "unknown subscription", subscription_id=a.subscription)
+    assert world.everything() == before
+    a.ok(UNSUBSCRIBE, subscription_id=a.subscription)
+    assert world.tables()["subscriptions"] == {}
 
 
 def row_revival_refused_leaves_the_state_parked(tmp_path):
@@ -1392,12 +1436,10 @@ class TestClientHalf:
             (0, b"before"), (1, b"during"),
         ]
 
-    def test_refused_token_falls_back_to_hello_and_reinstalls_the_ledgers(
-        self, pair
-    ):
-        world, publisher, subscriber = pair
-        subscriber.publish(3, b"x", kind="wind")  # an advertisement to redo
-        old_token = subscriber.resume_token
+    @staticmethod
+    def redial_after_the_grace(world, publisher, subscriber):
+        """Cut the subscriber off until its parked session expires, then
+        let it redial: its token is refused and it falls back to HELLO."""
         subscriber._wire.severed = True
         with pytest.raises(TransportError):
             subscriber.ping()
@@ -1409,6 +1451,14 @@ class TestClientHalf:
         subscriber._wire.severed = False
         subscriber._wire.requests.clear()
         subscriber._run_reconnect()
+
+    def test_refused_token_falls_back_to_hello_and_reinstalls_the_ledgers(
+        self, pair
+    ):
+        world, publisher, subscriber = pair
+        subscriber.publish(3, b"x", kind="wind")  # an advertisement to redo
+        old_token = subscriber.resume_token
+        self.redial_after_the_grace(world, publisher, subscriber)
         assert subscriber._wire.requests == [
             "RESUME", "HELLO", "SUBSCRIBE", "ADVERTISE",
         ]
@@ -1421,6 +1471,24 @@ class TestClientHalf:
         assert wind["stream_index"] == 3
         world.publish(publisher, 0)
         assert subscriber.received == [0]
+
+    def test_a_held_id_still_unsubscribes_after_the_fallback_to_hello(
+        self, pair
+    ):
+        world, publisher, subscriber = pair
+        [first] = subscriber.subscription_ids
+        held = subscriber.subscribe(kind="wind")
+        subscriber.unsubscribe(first)
+        self.redial_after_the_grace(world, publisher, subscriber)
+        assert subscriber.stats.rehellos == 1
+        assert world.tables()["subscriptions"] == {"sub": 1}
+        # The broker's fresh session knows it as 1; the caller holds 2.
+        assert subscriber.subscription_ids == (held,) == (2,)
+        subscriber.unsubscribe(held)
+        assert subscriber.subscription_ids == ()
+        assert world.tables()["subscriptions"] == {}
+        with pytest.raises(TransportError, match="unknown subscription"):
+            subscriber.unsubscribe(held)
 
     def test_outage_buffer_overflow_drops_the_oldest(self, pair, monkeypatch):
         world, _, subscriber = pair
@@ -1520,7 +1588,8 @@ class TestClientHalf:
         with pytest.raises(TransportError, match="datagram"):
             subscriber.publish(0, b"x" * 65535, kind="bulk")
         assert subscriber.stats.published == 0
-        assert not subscriber._resend_tail and subscriber._advertised == {}
+        assert not subscriber._resend_tail
+        assert subscriber._ledger.advertised == {}
         subscriber._wire.severed = True
         with pytest.raises(TransportError):
             subscriber.ping()

@@ -502,3 +502,74 @@ def test_both_replays_go_through_the_one_merge():
         if called(function) & {"sorted", "sort", "max"}
     )
     assert ordering == ["merge_replay"]
+
+
+# ----------------------------------------------------------------------
+# One subscription ledger per session
+# ----------------------------------------------------------------------
+SESSION = SRC / "repro" / "core" / "session.py"
+
+
+def _classes(path: Path) -> dict[str, ast.ClassDef]:
+    return {
+        node.name: node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+
+
+def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
+    return {
+        node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _calls(function: ast.FunctionDef, name: str) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+        for node in ast.walk(function)
+    )
+
+
+def test_one_session_ledger_and_no_mirror_of_it():
+    ledgers = [
+        path
+        for path in sorted(SRC.rglob("*.py"))
+        if "SessionLedger" in _classes(path)
+    ]
+    assert ledgers == [SESSION]
+    state = _classes(LIVE_BROKER)["_SessionState"]
+    fields = {
+        node.target.id
+        for node in state.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+    assert fields & {"subscriptions", "advertised", "publisher_id"} == set()
+    assigned = {
+        node.attr
+        for node in ast.walk(_classes(LIVE_CLIENT)["LiveSession"])
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    assert assigned & {"_subscriptions", "_advertised"} == set()
+
+
+def test_every_reinstall_is_the_ledgers():
+    """In-sim recovery, the live broker's revival of a persisted session
+    and the client's fallback to HELLO all replay one ledger the one way:
+    no other code under ``src/`` calls ``reinstall``."""
+    session = _methods(_classes(SESSION)["GarnetSession"])
+    revive = _methods(_classes(LIVE_BROKER)["LiveBroker"])["_revive_state"]
+    dial = _methods(_classes(LIVE_CLIENT)["LiveSession"])["_dial_once"]
+    assert _calls(session["_recover"], "reinstall")
+    assert _calls(revive, "adopt") and _calls(session["adopt"], "reinstall")
+    assert _calls(dial, "reinstall")
+    callers = sorted(
+        function.name
+        for path in sorted(SRC.rglob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, ast.FunctionDef)
+        and _calls(function, "reinstall")
+    )
+    assert callers == ["_dial_once", "_recover", "adopt"]
