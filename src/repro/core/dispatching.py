@@ -19,7 +19,7 @@ so steady-state dispatch is one dictionary lookup plus fan-out.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -138,6 +138,11 @@ def _match_all(cls: type[SubscriptionPattern]) -> SubscriptionPattern:
 SubscriptionPattern.match_all = classmethod(_match_all)  # type: ignore[attr-defined]
 
 
+DirectLeg = Callable[..., None]
+"""``leg(arrival, *more)``: a run of deliveries as one call (see
+:meth:`DispatchingService.bind_direct`)."""
+
+
 @dataclass(slots=True)
 class Subscription:
     """One consumer's registered interest."""
@@ -147,7 +152,7 @@ class Subscription:
     pattern: SubscriptionPattern
     delivered: int = 0
     #: Set by :meth:`DispatchingService.bind_direct`: the leg is a call.
-    direct: Callable[[StreamArrival], None] | None = None
+    direct: DirectLeg | None = None
 
 
 class DispatchStats(RegistryBackedStats):
@@ -210,11 +215,12 @@ class ClusterRouting(Protocol):
 
 class ArrivalTap(Protocol):
     """The stream store's write-through tap (repro.store): ``record``
-    appends each arrival this node processes as the stream's owner —
-    fresh traffic past the admission and cluster gates, plus handoff
-    replay. Link fan-out never appends: the owning node already did."""
+    appends each run of arrivals this node processes as the stream's
+    owner — fresh traffic past the admission and cluster gates, plus
+    handoff replay. Link fan-out never appends: the owning node already
+    did."""
 
-    def record(self, arrival: StreamArrival) -> bool: ...
+    def record(self, arrival: StreamArrival, *more: StreamArrival) -> bool: ...
 
 
 class FanoutRoots(Protocol):
@@ -274,7 +280,7 @@ class DispatchingService:
         # Per-endpoint subscription ids so remove_endpoint (every lease
         # reap under churn) needn't scan the whole table.
         self._by_endpoint: dict[str, set[int]] = {}
-        self._direct: dict[str, Callable[[StreamArrival], None]] = {}
+        self._direct: dict[str, DirectLeg] = {}
         self._next_subscription_id = 1
         self._route_cache: dict[StreamId, tuple[int, ...]] = {}
         self._advertised: set[StreamId] = set()
@@ -284,6 +290,7 @@ class DispatchingService:
         self._cluster: ClusterRouting | None = None
         self._fanout: FanoutRoots | None = None
         self._route_guard: RouteGuard | None = None
+        self._delivery_errors: Callable[[Exception], None] | None = None
         self.stats = DispatchStats(metrics)
         # Hot path: bound counters, not the stats property round-trip.
         self._arrivals = self.stats.counter("arrivals")
@@ -297,12 +304,14 @@ class DispatchingService:
         cluster: ClusterRouting | None = None,
         fanout: FanoutRoots | None = None,
         route_guard: RouteGuard | None = None,
+        delivery_errors: Callable[[Exception], None] | None = None,
     ) -> None:
         """Attach collaborators that cannot exist before this service.
 
         The admission controller drains into :meth:`process_admitted`,
         the cluster router and fan-out runtime subscribe through this
-        service, the broker guards its routes: whoever builds one
+        service, the broker guards its routes, a live broker hears what
+        its consumers raise (:meth:`delivery_failed`): whoever builds one
         installs it here. An argument left None keeps what is installed.
         """
         if admission is not None:
@@ -314,6 +323,8 @@ class DispatchingService:
         if route_guard is not None:
             self._route_guard = route_guard
             self._route_cache.clear()
+        if delivery_errors is not None:
+            self._delivery_errors = delivery_errors
 
     # ------------------------------------------------------------------
     # Subscription management (driven by the broker)
@@ -405,12 +416,11 @@ class DispatchingService:
             self._delivery.release(endpoint)
         return len(doomed)
 
-    def bind_direct(
-        self, endpoint: str, handler: Callable[[StreamArrival], None] | None
-    ) -> None:
+    def bind_direct(self, endpoint: str, handler: DirectLeg | None) -> None:
         """Deliver ``endpoint``'s fan-out legs by calling ``handler``.
 
-        No bus latency, retry, partition or breaker applies to them; QoS
+        One call per run: ``handler(arrival, *more)``, oldest first. No
+        bus latency, retry, partition or breaker applies to them; QoS
         delivery queues still come first. None unbinds.
         """
         if handler is None:
@@ -419,6 +429,18 @@ class DispatchingService:
             self._direct[endpoint] = handler
         for subscription_id in self._by_endpoint.get(endpoint, ()):
             self._subscriptions[subscription_id].direct = handler
+
+    def delivery_failed(self, error: Exception) -> None:
+        """A consumer raised while taking one delivery.
+
+        Reported to what :meth:`install` was given (a live broker counts
+        and logs it), so the other deliveries of the run, and the other
+        consumers, still get theirs. With nothing installed it
+        propagates, as an in-simulation callback's error always has.
+        """
+        if self._delivery_errors is None:
+            raise error
+        self._delivery_errors(error)
 
     def subscription_count(self) -> int:
         return len(self._subscriptions)
@@ -437,34 +459,42 @@ class DispatchingService:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def on_arrival(self, arrival: StreamArrival) -> None:
-        self._arrivals.inc()
+    def on_arrival(self, arrival: StreamArrival, *more: StreamArrival) -> None:
+        """Take a run: one arrival, or consecutive arrivals of its stream
+        that share its ``received_at`` and ``receiver_id`` (one live
+        drain's). The run is observed, stored and routed once."""
+        self._arrivals.inc(1 + len(more))
         if self._admission is not None:
-            self._admission.offer(arrival)
+            for each in (arrival, *more):
+                self._admission.offer(each)
             return
-        self.process_admitted(arrival)
+        self.process_admitted(arrival, *more)
 
-    def process_admitted(self, arrival: StreamArrival) -> None:
-        """Route one arrival that has passed (or bypassed) admission."""
+    def process_admitted(
+        self, arrival: StreamArrival, *more: StreamArrival
+    ) -> None:
+        """Route a run that has passed (or bypassed) admission."""
+        run = (arrival, *more)
         cluster = self._cluster
-        if cluster is not None and not cluster.on_fresh(arrival):
-            # Another broker owns this stream; the router has buffered
-            # the arrival for handoff replay and forwarded it to the
-            # owner's dispatch inbox. Stream stats are observed there.
-            return
+        if cluster is not None:
+            # Another broker may own this stream; the router buffers each
+            # arrival for handoff replay and forwards it to the owner's
+            # dispatch inbox. Stream stats are observed there.
+            run = [each for each in run if cluster.on_fresh(each)]
+            if not run:
+                return
         stream_id = arrival.message.stream_id
         if arrival.receiver_id < 0:
             # Published directly on the fixed network (derived streams);
             # the Filtering Service never saw it, so record stats here.
-            self._registry.detect(stream_id).stats.observe(
-                arrival.received_at,
-                len(arrival.message.payload),
-                arrival.message.sequence,
-            )
+            observe = self._registry.detect(stream_id).stats.observe
+            for each in run:
+                message = each.message
+                observe(each.received_at, len(message.payload), message.sequence)
         if self._store is not None:
-            self._store.record(arrival)
+            self._store.record(*run)
         self._advertise_if_new(stream_id)
-        self._route_and_deliver(arrival, stream_id, cluster)
+        self._route_and_deliver(run, stream_id, cluster)
 
     def process_replayed(self, arrival: StreamArrival) -> None:
         """Owner-path processing for a handoff-replayed arrival.
@@ -483,7 +513,7 @@ class DispatchingService:
             self._store.record(arrival)
         self._advertise_if_new(stream_id)
         self._route_and_deliver(
-            arrival, stream_id, self._cluster, record_local=True
+            (arrival,), stream_id, self._cluster, record_local=True
         )
 
     def process_remote_delivery(self, arrival: StreamArrival) -> int:
@@ -497,27 +527,29 @@ class DispatchingService:
         stream_id = arrival.message.stream_id
         self._advertise_if_new(stream_id)
         return self._route_and_deliver(
-            arrival, stream_id, None, orphan_unclaimed=False
+            (arrival,), stream_id, None, orphan_unclaimed=False
         )
 
     def _route_and_deliver(
         self,
-        arrival: StreamArrival,
+        run: Sequence[StreamArrival],
         stream_id: StreamId,
         cluster: ClusterRouting | None,
         *,
         orphan_unclaimed: bool = True,
         record_local: bool = False,
     ) -> int:
-        """Deliver one arrival along its (memoised) route.
+        """Deliver a run of one stream's arrivals along its (memoised)
+        route: one lookup, then each leg takes the whole run in order.
 
-        Every matching local subscription gets its own re-stamped copy.
-        With ``cluster`` (the owner-side path of a clustered node) the
-        arrival additionally takes one leg per peer link with aggregated
-        interest, and local fan-out is gated by the node's dedupe window
-        (``record_local`` forces a window into existence). An arrival
-        nobody — local or remote — wants goes to the Orphanage unless
-        ``orphan_unclaimed`` is off. Returns the local deliveries.
+        Every matching local subscription gets the run re-stamped with
+        the hand-off time. With ``cluster`` (the owner-side path of a
+        clustered node) each arrival additionally takes one leg per peer
+        link with aggregated interest, and local fan-out is gated by the
+        node's dedupe window (``record_local`` forces a window into
+        existence). Arrivals nobody — local or remote — wants go to the
+        Orphanage unless ``orphan_unclaimed`` is off. Returns the local
+        deliveries.
         """
         route = self._route_cache.get(stream_id)
         if route is None:
@@ -526,24 +558,35 @@ class DispatchingService:
         remote = cluster.remote_targets(stream_id) if cluster is not None else ()
         if not route and not remote:
             if orphan_unclaimed:
-                self.stats.orphaned += 1
-                self._network.send(self._orphanage_inbox, arrival)
+                self.stats.orphaned += len(run)
+                for arrival in run:
+                    self._network.send(self._orphanage_inbox, arrival)
             return 0
-        if (
-            cluster is not None
-            and route
-            and not cluster.filter_local(
-                stream_id, arrival.message.sequence, record=record_local
-            )
-        ):
-            # Every local subscriber already holds this sequence (it
-            # came over a link before a handoff); only links are owed.
-            route = ()
+        local = run if route else ()
+        if cluster is not None and local:
+            # A sequence every local subscriber already holds (it came
+            # over a link before a handoff) is owed to the links only.
+            local = [
+                arrival
+                for arrival in run
+                if cluster.filter_local(
+                    stream_id, arrival.message.sequence, record=record_local
+                )
+            ]
         delivered_at = self._network.sim.now
+        # Positional: keyword binding costs a third of each construction.
+        outbound = [
+            StreamArrival(
+                arrival.message, arrival.received_at, arrival.receiver_id,
+                delivered_at,
+            )
+            for arrival in local
+        ]
+        count = len(outbound)
         delivered = 0
         fanout = self._fanout
         seen_roots: set[str] | None = None if fanout is None else set()
-        for subscription_id in route:
+        for subscription_id in route if count else ():
             subscription = self._subscriptions.get(subscription_id)
             if subscription is None:
                 continue
@@ -556,27 +599,24 @@ class DispatchingService:
                 if endpoint in seen_roots:
                     continue
                 seen_roots.add(endpoint)
-            subscription.delivered += 1
-            self._deliveries.inc()
-            # Positional: keyword binding costs a third of this call.
-            outbound = StreamArrival(
-                arrival.message,
-                arrival.received_at,
-                arrival.receiver_id,
-                delivered_at,
-            )
+            subscription.delivered += count
+            self._deliveries.inc(count)
             if to_root:
-                delivered += fanout.deliver_root(endpoint, outbound)
+                for arrival in outbound:
+                    delivered += fanout.deliver_root(endpoint, arrival)
                 continue
             if self._delivery is not None:
-                self._delivery.deliver(endpoint, outbound)
+                for arrival in outbound:
+                    self._delivery.deliver(endpoint, arrival)
             elif subscription.direct is not None:
-                subscription.direct(outbound)
+                subscription.direct(*outbound)
             else:
-                self._network.send(endpoint, outbound)
-            delivered += 1
+                for arrival in outbound:
+                    self._network.send(endpoint, arrival)
+            delivered += count
         for link_inbox in remote:
-            cluster.send_remote(link_inbox, arrival)
+            for arrival in run:
+                cluster.send_remote(link_inbox, arrival)
         return delivered
 
     def _compute_route(self, stream_id: StreamId) -> tuple[int, ...]:

@@ -335,22 +335,40 @@ class GarnetSession:
             raise SessionError(f"data callback must be callable: {callback!r}")
         self._callbacks += (callback,)
 
-    def _deliver(self, arrival: StreamArrival) -> None:
-        if self._history_windows:
-            window = self._history_windows.get(arrival.message.stream_id)
-            if window is not None and not window.add(
-                arrival.message.sequence
-            ):
-                # Already served by a history replay (it was in flight
-                # to the dispatcher when we read the store).
-                self.stats.history_duplicates_dropped += 1
-                return
-        self._deliveries.inc()
-        for callback in self._callbacks:
-            callback(arrival)
+    def _deliver(self, arrival: StreamArrival, *more: StreamArrival) -> None:
+        """Hand a run of deliveries to the callbacks, oldest first.
+
+        A callback that raises costs only the delivery it raised on: the
+        home dispatcher hears of it (:meth:`DispatchingService.
+        delivery_failed`) and the rest of the run still arrives.
+        """
+        run = (arrival, *more)
+        windows = self._history_windows
+        if windows:
+            # Drop what a history replay already served (it was in
+            # flight to the dispatcher when we read the store).
+            run = [each for each in run if self._not_replayed(windows, each)]
+        self._deliveries.inc(len(run))
+        callbacks = self._callbacks
+        for each in run:
+            try:
+                for callback in callbacks:
+                    callback(each)
+            except Exception as error:
+                self._node.dispatcher.delivery_failed(error)
+
+    def _not_replayed(
+        self, windows: dict[StreamId, SequenceWindow], arrival: StreamArrival
+    ) -> bool:
+        window = windows.get(arrival.message.stream_id)
+        if window is None or window.add(arrival.message.sequence):
+            return True
+        self.stats.history_duplicates_dropped += 1
+        return False
 
     def deliver_inline(self) -> None:
-        """Take deliveries as calls from the home dispatcher, not bus sends."""
+        """Take deliveries as calls from the home dispatcher, not bus
+        sends: one call per run."""
         self._node.dispatcher.bind_direct(self.endpoint, self._deliver)
 
     # ------------------------------------------------------------------

@@ -63,7 +63,10 @@ class LatencyRecorder:
         if low == high or self._sorted[low] == self._sorted[high]:
             return self._sorted[low]
         fraction = position - low
-        return self._sorted[low] * (1 - fraction) + self._sorted[high] * fraction
+        # lo + (hi - lo) * f rounds monotonically in f, so quantiles never
+        # decrease as q grows; lo * (1 - f) + hi * f can, by an ulp.
+        lo, hi = self._sorted[low], self._sorted[high]
+        return min(lo + (hi - lo) * fraction, hi)
 
     @property
     def p50(self) -> float:

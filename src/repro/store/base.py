@@ -28,7 +28,15 @@ from repro.core.streamid import StreamId
 from repro.errors import StoreError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.stats import RegistryBackedStats
-from repro.store.segment import Segment, StoredRecord
+from repro.store.segment import (
+    RECORD_META_BYTES,
+    RECORD_PREFIX_BYTES,
+    Segment,
+    StoredRecord,
+)
+
+#: Encoded bytes a record adds beyond its frame.
+_RECORD_OVERHEAD = RECORD_PREFIX_BYTES + RECORD_META_BYTES
 
 
 class StoreStats(RegistryBackedStats):
@@ -123,28 +131,53 @@ class StreamStore(ABC):
         received_at: float,
         receiver_id: int,
         frame: bytes,
+        *frames: bytes,
     ) -> None:
-        """Append one codec frame to ``stream_id``'s log."""
+        """Append a run of codec frames to ``stream_id``'s log, all
+        stamped ``received_at`` by ``receiver_id``.
+
+        The run costs one backend write per segment it lands in, and
+        rotates, evicts and counts exactly as appending its frames one at
+        a time would: the same segment files, the same survivors.
+        """
         self._require_open()
+        run = (frame, *frames)
+        if not all(run):
+            raise StoreError("cannot store an empty codec frame")
         log = self._logs.get(stream_id)
         if log is None:
             log = _StreamLog(stream_id)
             self._logs[stream_id] = log
-        active = log.segments[-1] if log.segments else None
-        opened = active is None or active.bytes_held >= self._segment_bytes
-        if opened:
-            if active is not None:
-                active.seal()
-                self.stats.segments_rotated += 1
-            active = self._push_segment(log)
-        written = active.append(received_at, receiver_id, frame)
-        self._total_bytes += written
-        self._appended.inc()
-        self._bytes_appended.inc(written)
-        # Only a new segment, the clock or the byte budget makes anything
-        # evictable; every other append moves one gauge and sweeps nothing.
-        if opened or self._max_age is not None or self._max_bytes is not None:
-            self._enforce_retention()
+        limit = self._segment_bytes
+        swept = False
+        start = 0
+        while start < len(run):
+            active = log.segments[-1] if log.segments else None
+            opened = active is None or active.bytes_held >= limit
+            if opened:
+                if active is not None:
+                    active.seal()
+                    self.stats.segments_rotated += 1
+                active = self._push_segment(log)
+            # The records the active segment takes before it reaches
+            # segment_bytes; the one that crosses the line is its last.
+            held, end = active.bytes_held, start
+            while end < len(run) and held < limit:
+                held += _RECORD_OVERHEAD + len(run[end])
+                end += 1
+            written = active.append(received_at, receiver_id, run[start:end])
+            self._total_bytes += written
+            self._bytes_appended.inc(written)
+            start = end
+            # Only a new segment, the clock or the byte budget makes
+            # anything evictable. Sweeping once per segment is sweeping
+            # per record: the candidates are fixed while a segment fills,
+            # and each sweep evicts a longer prefix of them.
+            if opened or self._max_age is not None or self._max_bytes is not None:
+                self._enforce_retention()
+                swept = True
+        self._appended.inc(len(run))
+        if swept:
             self._update_gauges()
         else:
             self._bytes_gauge.set(float(self._total_bytes))

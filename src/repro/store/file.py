@@ -7,9 +7,11 @@ Layout::
 Each segment file is a run of length-prefixed records
 (:mod:`repro.store.segment`); the highest-numbered file per stream is
 the active one, opened in append mode. Writes are a single
-``write(record)`` + ``flush()`` per append — an interrupted process can
-therefore leave at most one *torn tail record* in one file, and only in
-the last segment of each stream.
+``write(records)`` + ``flush()`` per run (one ``StreamStore.append``,
+once per segment it spans) — an interrupted process can therefore leave
+at most one *torn tail record* in one file, and only in the last segment
+of each stream: the cut record is dropped on open, every whole record
+before it survives.
 
 Opening a directory is crash-tolerant: every segment file is scanned
 record-by-record, and a file whose final record is incomplete is
@@ -20,6 +22,7 @@ counts each repair). No corrupt record ever surfaces through ``read``.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro.core.streamid import StreamId
@@ -69,7 +72,7 @@ class _FileSegment(Segment):
         encoded: bytes,
         received_at: float,
         receiver_id: int,
-        frame: bytes,
+        frames: Sequence[bytes],
     ) -> None:
         handle = self._ensure_handle()
         handle.write(encoded)

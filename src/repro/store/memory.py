@@ -8,6 +8,8 @@ test suite exercising one has exercised the policy surface of the other.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.core.streamid import StreamId
 from repro.store.base import StreamStore
 from repro.store.segment import Segment
@@ -25,9 +27,9 @@ class _MemorySegment(Segment):
         encoded: bytes,
         received_at: float,
         receiver_id: int,
-        frame: bytes,
+        frames: Sequence[bytes],
     ) -> None:
-        self._records.append((received_at, receiver_id, frame))
+        self._records += [(received_at, receiver_id, frame) for frame in frames]
 
     def records(self) -> list[tuple[float, int, bytes]]:
         return list(self._records)

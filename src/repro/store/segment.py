@@ -21,6 +21,7 @@ O(1) and makes the crash-recovery story simple: only the *tail* of the
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.streamid import StreamId
@@ -35,15 +36,18 @@ RECORD_META_BYTES = _META.size
 RECORD_PREFIX_BYTES = _LENGTH.size
 
 
-def encode_record(received_at: float, receiver_id: int, frame: bytes) -> bytes:
-    """Serialise one stored record (length prefix + metadata + frame)."""
-    if not frame:
-        raise StoreError("cannot store an empty codec frame")
-    return (
-        _LENGTH.pack(RECORD_META_BYTES + len(frame))
-        + _META.pack(received_at, receiver_id)
-        + frame
-    )
+def encode_record(
+    received_at: float, receiver_id: int, frame: bytes, *frames: bytes
+) -> bytes:
+    """Serialise stored records (length prefix + metadata + frame), back
+    to back: one per frame, all stamped ``received_at`` by ``receiver_id``."""
+    meta = _META.pack(received_at, receiver_id)
+    parts = []
+    for each in (frame, *frames):
+        if not each:
+            raise StoreError("cannot store an empty codec frame")
+        parts += (_LENGTH.pack(RECORD_META_BYTES + len(each)), meta, each)
+    return b"".join(parts)
 
 
 def decode_record(
@@ -141,20 +145,23 @@ class Segment:
         self.first_at: float | None = None
         self.last_at: float | None = None
 
-    def note(self, received_at: float, encoded_length: int) -> None:
-        self.records_held += 1
+    def note(
+        self, received_at: float, encoded_length: int, records: int = 1
+    ) -> None:
+        self.records_held += records
         self.bytes_held += encoded_length
         if self.first_at is None:
             self.first_at = received_at
         self.last_at = received_at
 
     def append(
-        self, received_at: float, receiver_id: int, frame: bytes
+        self, received_at: float, receiver_id: int, frames: Sequence[bytes]
     ) -> int:
-        """Write one record; returns the encoded byte count."""
-        encoded = encode_record(received_at, receiver_id, frame)
-        self._write(encoded, received_at, receiver_id, frame)
-        self.note(received_at, len(encoded))
+        """Write a run of records sharing one stamp and receiver in one
+        backend write; returns the encoded byte count."""
+        encoded = encode_record(received_at, receiver_id, *frames)
+        self._write(encoded, received_at, receiver_id, frames)
+        self.note(received_at, len(encoded), len(frames))
         return len(encoded)
 
     # -- backend hooks --------------------------------------------------
@@ -163,7 +170,7 @@ class Segment:
         encoded: bytes,
         received_at: float,
         receiver_id: int,
-        frame: bytes,
+        frames: Sequence[bytes],
     ) -> None:
         raise NotImplementedError
 

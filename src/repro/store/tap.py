@@ -1,14 +1,15 @@
 """StoreTap: the dispatch-path write-through into a StreamStore.
 
-The Dispatching Service calls :meth:`record` for every arrival that
-passes the admission and cluster-ownership gates (fresh traffic at the
-stream's owner) and for every handoff-replayed arrival. Those two paths
-can both see the same message — the owner appended it fresh, crashed,
-and the coordinator replays it to the new owner — so the tap fronts the
-store with one :class:`~repro.util.ids.SequenceWindow` per stream:
-a sequence already appended is skipped (``store.duplicates_skipped``),
-which keeps the log gap-free *and* duplicate-free through crashes for
-exactly the same reason consumer deliveries are.
+The Dispatching Service calls :meth:`record` for every run of arrivals
+that passes the admission and cluster-ownership gates (fresh traffic at
+the stream's owner) and for every handoff-replayed arrival; a run is
+one store append. Those two paths can both see the same message — the
+owner appended it fresh, crashed, and the coordinator replays it to the
+new owner — so the tap fronts the store with one
+:class:`~repro.util.ids.SequenceWindow` per stream: a sequence already
+appended is skipped (``store.duplicates_skipped``), which keeps the log
+gap-free *and* duplicate-free through crashes for exactly the same
+reason consumer deliveries are.
 
 A record's frame is the message's own wire image — the datagram or radio
 frame it was decoded from, kept by the message; only one born in this
@@ -36,22 +37,29 @@ class StoreTap:
         self._seen: dict[StreamId, SequenceWindow] = {}
         self._skip_counter = store.stats.counter("duplicates_skipped")
 
-    def record(self, arrival: StreamArrival) -> bool:
-        """Append one arrival; False when the dedupe window skipped it."""
+    def record(self, arrival: StreamArrival, *more: StreamArrival) -> bool:
+        """Append a run — one arrival, or consecutive arrivals of its
+        stream sharing its stamp and receiver — as one store append of
+        what the window lets through; False when it let nothing through."""
         message = arrival.message
         stream_id = message.stream_id
-        entry = self._seen.get(stream_id)
-        if entry is None:
-            entry = SequenceWindow(SEQUENCE_WINDOW)
-            self._seen[stream_id] = entry
-        if not entry.add(message.sequence):
-            self._skip_counter.inc()
+        window = self._seen.get(stream_id)
+        if window is None:
+            window = SequenceWindow(SEQUENCE_WINDOW)
+            self._seen[stream_id] = window
+        encode = self._codec.encode
+        frames = [
+            encode(each.message)
+            for each in (arrival, *more)
+            if window.add(each.message.sequence)
+        ]
+        skipped = 1 + len(more) - len(frames)
+        if skipped:
+            self._skip_counter.inc(skipped)
+        if not frames:
             return False
         self.store.append(
-            stream_id,
-            arrival.received_at,
-            arrival.receiver_id,
-            self._codec.encode(message),
+            stream_id, arrival.received_at, arrival.receiver_id, *frames
         )
         return True
 

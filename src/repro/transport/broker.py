@@ -27,15 +27,17 @@ location beacon for exactly this reason).
 
 The data path does not ride the simulated bus. The broker owns its UDP
 socket (:class:`_DataPlaneSocket`): a readiness event reads up to
-``_DRAIN_BUDGET`` datagrams and hands each, decoded, straight to the
-Dispatching Service, whose fan-out legs call the server-side sessions.
-The decoded message keeps the datagram it came from, and that frame —
-not a re-encoding — is what each leg queues; counting, the activity
-stamp and lease renewal happen once per drain, and the pump after it
-sends each session's share of the drain in one ``sendto`` loop, in
-arrival order, packed into §7 batch datagrams for a client that
-announced ``batch_datagrams``. What the OS will not take waits in a
-bounded FIFO.
+``_DRAIN_BUDGET`` datagrams and decodes each. Consecutive frames of one
+stream form a *run*, handed straight to the Dispatching Service in one
+call — routed once and stored in one append — whose fan-out legs call
+the server-side sessions. The decoded message keeps the datagram it came
+from, and that frame — not a re-encoding — is what each leg queues;
+counting, the activity stamp and lease renewal happen once per drain,
+and the pump after it sends each session's share of the drain in one
+``sendto`` loop, in arrival order, packed into §7 batch datagrams for a
+client that announced ``batch_datagrams``. What the OS will not take
+waits in a bounded FIFO; a frame no UDP datagram can carry is dropped
+and counted.
 
 **Resilience.** With a grace window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
@@ -85,6 +87,7 @@ from repro.transport.framing import (
     DISCOVER,
     HELLO,
     MAX_CONTROL_FRAME,
+    MAX_UDP_PAYLOAD,
     NACK,
     PING,
     QUERY,
@@ -363,6 +366,10 @@ class LiveBroker:
         #: throttling and expiry, park deadlines (``loop.time()`` is this).
         self._clock = time.monotonic
         self._drain_stamp = 0.0
+        #: The drain's current run: consecutive arrivals of one stream,
+        #: dispatched together when another stream's frame or the end of
+        #: the drain comes.
+        self._run: list[StreamArrival] = []
         #: Sessions with frames in their outbox, in first-delivery order;
         #: the next pump sends each one's share.
         self._outboxes: dict[str, _SessionState] = {}
@@ -388,8 +395,8 @@ class LiveBroker:
         )
         self._datagrams_dropped = metrics.counter(
             "transport.datagrams_dropped",
-            help="outbound datagrams evicted from the full send queue "
-            "or refused by the OS",
+            help="outbound datagrams evicted from the full send queue, "
+            "refused by the OS, or too large for any UDP datagram",
         )
         self._pumps = metrics.counter(
             "transport.pumps",
@@ -397,7 +404,7 @@ class LiveBroker:
         )
         self._dispatch_errors = metrics.counter(
             "transport.dispatch_errors",
-            help="arrivals whose dispatch or delivery raised",
+            help="deliveries that raised, and runs whose dispatch raised",
         )
         self._control_frames = metrics.counter(
             "transport.control_frames", help="control-plane requests served"
@@ -446,6 +453,12 @@ class LiveBroker:
             "transport.drain_datagrams",
             buckets=(1, 2, 4, 8, 16, 32, _DRAIN_BUDGET),
             help="datagrams read per data-plane drain",
+        )
+        # A consumer that raises loses only that delivery: counted and
+        # logged here, while the rest of its run and the other consumers
+        # still get theirs.
+        self.deployment.dispatcher.install(
+            delivery_errors=self._dispatch_failed
         )
 
     # ------------------------------------------------------------------
@@ -552,11 +565,17 @@ class LiveBroker:
         """The data plane's one ``sendto`` loop: each session's frames in
         arrival order, packed into §7 batch datagrams
         (``MAX_BATCH_DATAGRAM`` bytes each) for a client that asked; a
-        frame alone keeps the bare shape."""
+        frame alone keeps the bare shape. A frame no UDP datagram can
+        carry (an in-process publish can build one) is dropped and
+        counted once per recipient, and the rest still go out."""
         pending, self._outboxes = self._outboxes, {}
         udp = self._udp
         for state in pending.values():
             datagrams, state.outbox = state.outbox, []
+            if max(map(len, datagrams), default=0) > MAX_UDP_PAYLOAD:
+                fitting = [d for d in datagrams if len(d) <= MAX_UDP_PAYLOAD]
+                self._datagrams_dropped.inc(len(datagrams) - len(fitting))
+                datagrams = fitting
             if state.batch:
                 count = len(datagrams)
                 datagrams = encode_batch_datagrams(datagrams)
@@ -744,8 +763,11 @@ class LiveBroker:
     # Data plane
     # ------------------------------------------------------------------
     def _after_drain(self, senders: list) -> None:
-        """Once per drain: count it, note who was heard from, pump."""
+        """Once per drain: dispatch its last run, count it, note who was
+        heard from, pump."""
         try:
+            if self._run:
+                self._dispatch_run()
             self._datagrams_in.inc(len(senders))
             self._drain_datagrams.observe(len(senders))
             now = self._clock()
@@ -757,20 +779,34 @@ class LiveBroker:
             self._pump()
 
     def _on_datagram(self, data: bytes) -> None:
+        """Decode one datagram onto the drain's current run; a frame of
+        another stream first hands that run to the dispatcher."""
         try:
             message = self._codec.decode(data)
         except GarnetError:
             self._bad_datagrams.inc()
             return
-        arrival = StreamArrival(message, self._drain_stamp, -1)
+        run = self._run
+        if run and run[-1].message.stream_id != message.stream_id:
+            self._dispatch_run()
+            run = self._run
+        run.append(StreamArrival(message, self._drain_stamp, -1))
+
+    def _dispatch_run(self) -> None:
+        """One dispatcher call for the run: routed and stored once."""
+        run, self._run = self._run, []
         try:
-            self.deployment.dispatcher.on_arrival(arrival)
+            self.deployment.dispatcher.on_arrival(*run)
         except Exception as exc:
-            # One failing delivery must not cost the rest of the drain.
-            self._dispatch_errors.inc()
-            self._loop.call_exception_handler(
-                {"message": "live dispatch failed", "exception": exc}
-            )
+            # What no delivery caught costs this run, not the drain.
+            self._dispatch_failed(exc)
+
+    def _dispatch_failed(self, exc: Exception) -> None:
+        """Count one failure on the data path and hand it to the loop."""
+        self._dispatch_errors.inc()
+        self._loop.call_exception_handler(
+            {"message": "live dispatch failed", "exception": exc}
+        )
 
     def _attach(self, state: _SessionState, session: Any) -> None:
         """Deliver the server-side session's arrivals to ``state``, inline."""

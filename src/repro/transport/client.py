@@ -79,6 +79,7 @@ from repro.transport.framing import (
     CONTROL_FRAME_NAMES,
     DISCOVER,
     HELLO,
+    MAX_UDP_PAYLOAD,
     NACK,
     PING,
     QUERY,
@@ -127,10 +128,6 @@ _RESEND_TAIL = 256
 
 #: Housekeeping thread tick (seconds).
 _HOUSEKEEPING_TICK = 0.05
-
-#: Largest frame one IPv4 UDP datagram carries (65,535 minus the IP and
-#: UDP headers) — less than the largest frame the codec will build.
-_MAX_DATAGRAM = 65507
 
 
 def _advertise_body(stream_index: int, kind: str, encrypted: bool) -> dict:
@@ -630,7 +627,7 @@ class LiveSession:
             # pack() range-checks: a bad index raises and is not cached.
             stream = streams[stream_index] = (stream_id, stream_id.pack())
         if self._checksum and not (fused or encrypted or extensions) and (
-            len(payload) <= _MAX_DATAGRAM
+            len(payload) <= MAX_UDP_PAYLOAD
         ):
             frame = common_frame(0, stream[1], sequence, payload, True)
         else:  # Positional: a keyword call costs ~0.2 µs.
@@ -638,10 +635,10 @@ class LiveSession:
                 stream[0], sequence, payload, fused, encrypted, None, None,
                 extensions,
             ))
-        if len(frame) > _MAX_DATAGRAM:
+        if len(frame) > MAX_UDP_PAYLOAD:
             raise TransportError(
                 f"a {len(frame)}-byte message does not fit one UDP "
-                f"datagram ({_MAX_DATAGRAM} bytes)"
+                f"datagram ({MAX_UDP_PAYLOAD} bytes)"
             )
         return stream[0], frame
 

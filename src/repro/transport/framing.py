@@ -47,6 +47,10 @@ LENGTH_PREFIX_BYTES = _LENGTH.size
 #: stream and tearing the connection down beats buffering it.
 MAX_CONTROL_FRAME = 1 << 20
 
+#: Largest frame one IPv4 UDP datagram carries (65,535 minus the IP and
+#: UDP headers) — less than the largest frame the codec will build.
+MAX_UDP_PAYLOAD = 65507
+
 #: High bit distinguishes a response from the request it answers.
 RESPONSE_FLAG = 0x80
 
@@ -310,6 +314,7 @@ __all__ = [
     "TransportError",
     "LENGTH_PREFIX_BYTES",
     "MAX_CONTROL_FRAME",
+    "MAX_UDP_PAYLOAD",
     "RESPONSE_FLAG",
     "HELLO",
     "SUBSCRIBE",

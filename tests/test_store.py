@@ -335,6 +335,79 @@ class TestFileSegmentStore:
             assert reopened.stats.truncated_tail == 1
             reopened.close()
 
+    @pytest.mark.parametrize(
+        "retention",
+        [
+            {},
+            {"segments_per_stream": 2},
+            {"max_bytes": 200},
+            {"segments_per_stream": 3, "max_bytes": 420},
+        ],
+        ids=["none", "per-stream", "max-bytes", "both"],
+    )
+    def test_a_run_writes_and_evicts_as_its_records_one_at_a_time(
+        self, tmp_path, retention
+    ):
+        """A run crossing ``segment_bytes`` several times leaves the same
+        segment files, byte for byte, the same survivors and the same
+        counts as appending its records one by one."""
+        older, stream = StreamId(15, 0), StreamId(15, 1)
+        frames = [
+            frame_for(index, payload=bytes([index]) * (1 + index % 5))
+            for index in range(23)
+        ]
+
+        def build(directory, as_run):
+            store = FileSegmentStore(directory, segment_bytes=70, **retention)
+            for index in range(6):  # sealed segments max_bytes may evict
+                store.append(older, float(index), 4, frame_for(index))
+            if as_run:
+                store.append(stream, 9.0, -1, *frames)
+            else:
+                for frame in frames:
+                    store.append(stream, 9.0, -1, frame)
+            files = {
+                str(path.relative_to(directory)): path.read_bytes()
+                for path in sorted(directory.rglob("seg-*.log"))
+            }
+            kept = {
+                key: [(r.received_at, r.receiver_id, r.frame)
+                      for r in store.read(key)]
+                for key in (older, stream)
+            }
+            counts = store.stats.as_dict()
+            store.close()
+            return files, kept, counts
+
+        one_by_one = build(tmp_path / "records", as_run=False)
+        assert build(tmp_path / "run", as_run=True) == one_by_one
+        files, _, counts = one_by_one
+        assert counts["segments_rotated"] >= 5 and len(files) >= 2
+        assert bool(retention) == (counts["segments_evicted"] > 0)
+
+    def test_a_run_cut_mid_record_reopens_to_its_whole_records(self, tmp_path):
+        """A run is one write per segment; a crash inside it leaves whole
+        records and at most one torn one, which the open drops."""
+        stream = StreamId(16, 0)
+        frames = [frame_for(i, payload=bytes([i]) * 4) for i in range(5)]
+        record = len(encode_record(1.0, -1, frames[0]))
+        with FileSegmentStore(tmp_path / "whole") as store:
+            store.append(stream, 1.0, -1, *frames)
+        [written] = list((tmp_path / "whole").rglob("seg-*.log"))
+        raw = written.read_bytes()
+        assert len(raw) == record * len(frames)
+        for cut in range(1, len(raw)):
+            directory = tmp_path / f"cut{cut}"
+            path = directory / written.parent.name / written.name
+            path.parent.mkdir(parents=True)
+            path.write_bytes(raw[:cut])
+            reopened = FileSegmentStore(directory)
+            assert [r.frame for r in reopened.read(stream)] == frames[
+                : cut // record
+            ]
+            assert reopened.stats.truncated_tail == (cut % record != 0)
+            reopened.close()
+
     def test_eviction_removes_segment_files(self, tmp_path):
         directory = tmp_path / "store"
         record_len = len(encode_record(0.0, 0, frame_for(0)))

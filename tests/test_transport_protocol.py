@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import collections
 import copy
+import dataclasses
 import itertools
 import socket
 import sys
@@ -34,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import GarnetConfig
+from repro.core.dispatching import DispatchingService
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
@@ -43,6 +45,9 @@ from repro.fanout.frames import (
     encode_batch_datagrams,
     is_batch_datagram,
 )
+from repro.store import StoreTap
+from repro.store.base import StreamStore
+from repro.store.file import _FileSegment
 from repro.transport import LiveBroker, LiveSession
 from repro.transport import client as client_module
 from repro.transport.framing import (
@@ -52,6 +57,7 @@ from repro.transport.framing import (
     CONTROL_FRAME_NAMES,
     DISCOVER,
     HELLO,
+    MAX_UDP_PAYLOAD,
     NACK,
     PING,
     QUERY,
@@ -828,6 +834,7 @@ def row_nack_overrunning_the_response_is_not_called_missing(tmp_path):
     ]
     for frame in frames:
         world.broker._on_datagram(frame)
+    world.broker._after_drain([a.address] * len(frames))
     response = a.ok(NACK, stream_id=list(a.stream), sequences=[0, 1, 2, 3, 4, 9])
     assert response["records"] == [frame.hex() for frame in frames[:4]]
     assert response["missing"] == [9]
@@ -922,20 +929,21 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     assert (len(decoded), counted["bad_datagrams"]) == (3, 1)
     assert counted["dispatch_errors"] == 1
     assert [str(context["exception"]) for context in errors] == ["boom"]
-    # Sequence 1 died in the raiser's leg, before the broker's legs ran.
+    # The raiser's leg runs first and loses sequence 1; the legs routed
+    # after it still get every frame.
     assert sorted(queued) == sorted(
         (name, sequence)
         for name in ("bare", "batching", "parked")
-        for sequence in (0, 2)
+        for sequence in (0, 1, 2)
     )
     sent = world.udp.take()
     assert [(d, a) for d, a in sent if a == bare.address] == [
-        (frames[0], bare.address), (frames[2], bare.address),
+        (frame, bare.address) for frame in frames
     ]
     [batch] = [d for d, a in sent if a == batching.address]
-    assert decode_batch_datagram(batch) == [frames[0], frames[2]]
+    assert decode_batch_datagram(batch) == frames
     [state] = [s for s in broker._states.values() if s.name == "parked"]
-    assert list(state.parked) == [frames[0], frames[2]]
+    assert list(state.parked) == frames
     sent_bare = sum(not is_batch_datagram(d) for d, _ in sent)
     assert len(queued) == (
         sent_bare + counted["batched_frames"] + len(state.parked)
@@ -1170,6 +1178,263 @@ def test_every_table_field_refuses_what_it_should():
     assert parse_control_body(DISCOVER, {}) == {
         "kind": None, "sensor_id": None, "derived": None,
     }
+
+
+# ----------------------------------------------------------------------
+# The data plane's runs: one pass per stream run, one outcome per frame
+# ----------------------------------------------------------------------
+def logging_loop(world):
+    """What reaches the loop's exception handler, as strings."""
+    errors = []
+    world.broker._loop = types.SimpleNamespace(call_exception_handler=errors.append)
+    return errors
+
+
+def inline_session(world, name, callback):
+    """An in-process consumer on kind "temp", delivered to by calls."""
+    session = world.deployment.connect(name, heartbeat_period=None)
+    session.deliver_inline()
+    session.on_data(callback)
+    session.subscribe(kind="temp")
+    return session
+
+
+def test_a_raising_consumer_costs_only_its_own_deliveries():
+    """One run of five frames; a consumer subscribed first raises on the
+    odd ones. It loses those two deliveries, each counted and logged
+    once, and every consumer routed after it gets all five."""
+    world = World()
+    errors = logging_loop(world)
+    seen = collections.defaultdict(list)
+
+    def raising_on_odd(arrival):
+        sequence = arrival.message.sequence
+        if sequence % 2:
+            raise RuntimeError(f"boom {sequence}")
+        seen["raiser"].append(sequence)
+
+    inline_session(world, "raiser", raising_on_odd)
+    inline_session(
+        world, "other", lambda arrival: seen["other"].append(arrival.message.sequence)
+    )
+    sub = world.hello("sub", port=5001)
+    sub.ok(SUBSCRIBE, kind="temp")
+    pub = world.hello("pub", port=5002)
+    pub.ok(ADVERTISE, stream_index=0, kind="temp")
+    world.udp.take()
+    world.counted()
+    frames = world.publish(pub, *range(5))
+    assert seen == {"raiser": [0, 2, 4], "other": [0, 1, 2, 3, 4]}
+    assert world.udp.take() == [(frame, sub.address) for frame in frames]
+    assert world.counted()["dispatch_errors"] == 2
+    assert [str(context["exception"]) for context in errors] == [
+        "boom 1", "boom 3",
+    ]
+
+
+def test_a_run_whose_dispatch_raises_costs_only_that_run(monkeypatch):
+    """A failure outside any delivery (here the store tap) loses its
+    run, and only its run: the next stream's run in the same drain is
+    stored and delivered."""
+    world = World()
+    errors = logging_loop(world)
+    sub = world.hello("sub", port=5001)
+    sub.ok(SUBSCRIBE, kind="temp")
+    pub = world.hello("pub", port=5002)
+    for index in (0, 1):
+        pub.ok(ADVERTISE, stream_index=index, kind="temp")
+    world.udp.take()
+    world.counted()
+    record = StoreTap.record
+
+    def failing_on_index_0(tap, arrival, *more):
+        if arrival.message.stream_id.stream_index == 0:
+            raise RuntimeError("disk full")
+        return record(tap, arrival, *more)
+
+    monkeypatch.setattr(StoreTap, "record", failing_on_index_0)
+    first, second = pub.stream, StreamId(pub.stream.sensor_id, 1)
+    frames = [
+        world.frame(stream, sequence)
+        for stream, sequence in (
+            (first, 0), (first, 1), (second, 0), (second, 1), (first, 2)
+        )
+    ]
+    world.broker._drain_stamp = world.clock()
+    for frame in frames:
+        world.broker._on_datagram(frame)
+    world.broker._after_drain([pub.address] * len(frames))
+    assert world.udp.take() == [(frames[2], sub.address), (frames[3], sub.address)]
+    assert world.counted()["dispatch_errors"] == 2
+    assert [str(context["exception"]) for context in errors] == ["disk full"] * 2
+    store = world.deployment.store
+    assert [record.frame for record in store.read(second)] == frames[2:4]
+    assert store.read(first) == []
+
+
+def test_a_frame_too_large_for_udp_is_dropped_per_recipient_and_the_rest_flush():
+    """An in-process publish can build a frame no datagram carries. It is
+    counted once per recipient; the flush's other frames still go out."""
+    world = World()
+    subscribers = [
+        world.hello(name, port=port, batch_datagrams=True)
+        for name, port in (("one", 5001), ("two", 5002))
+    ]
+    for peer in subscribers:
+        peer.ok(SUBSCRIBE, kind="big")
+    world.udp.take()
+    world.counted()
+    maker = world.deployment.connect("maker", heartbeat_period=None)
+    maker.publish(0, b"small", kind="big")
+    maker.publish(0, bytes(65_530))
+    world.broker._pump()
+    sent = world.udp.take()
+    assert [address for _, address in sent] == [
+        peer.address for peer in subscribers
+    ]
+    assert {CODEC.decode(datagram).payload for datagram, _ in sent} == {b"small"}
+    counted = world.counted()
+    assert counted["datagrams_dropped"] == 2 and counted["datagrams_out"] == 2
+
+
+#: Counters that count drains and the datagrams packed from them, not
+#: frames: one drain and the same datagrams one drain each differ here.
+DRAIN_SHAPED = {
+    "transport.pumps",
+    "transport.datagrams_out",
+    "transport.batch_datagrams",
+    "transport.batched_frames",
+}
+
+
+def run_world():
+    """Bare, batching and parked subscribers on kind "temp"; a publisher
+    with two "temp" streams and one "other" stream nobody wants."""
+    world = World()
+    peers = [
+        world.hello("bare", port=5001),
+        world.hello("batching", port=5002, batch_datagrams=True),
+        world.hello("parked", port=5003),
+    ]
+    for peer in peers:
+        peer.ok(SUBSCRIBE, kind="temp")
+    peers[-1].eof()
+    pub = world.hello("pub", port=5004)
+    for index, kind in enumerate(("temp", "temp", "other")):
+        pub.ok(ADVERTISE, stream_index=index, kind=kind)
+    world.udp.take()
+    return world, pub
+
+
+def drain_outcome(datagrams, one_drain):
+    """Everything a drain leaves behind that frames, not drains, decide."""
+    world, pub = run_world()
+    broker = world.broker
+    broker._drain_stamp = world.clock()
+    for drain in [datagrams] if one_drain else [[d] for d in datagrams]:
+        for datagram in drain:
+            broker._on_datagram(datagram)
+        broker._after_drain([pub.address] * len(drain))
+    received = collections.defaultdict(list)
+    for datagram, address in world.udp.take():
+        received[address[1]] += (
+            decode_batch_datagram(datagram)
+            if is_batch_datagram(datagram)
+            else [datagram]
+        )
+    [parked] = [state for state in broker._states.values() if state.parked_now]
+    counters = {
+        name: value
+        for name, value in world.deployment.metrics_snapshot()["counters"].items()
+        if name.startswith(("transport.", "dispatch.", "store."))
+        and name not in DRAIN_SHAPED
+    }
+    streams = [StreamId(pub.stream.sensor_id, index) for index in range(3)]
+    store = world.deployment.store
+    return {
+        "received": dict(received),
+        "parked": list(parked.parked),
+        "counters": counters,
+        "stream stats": [
+            dataclasses.asdict(world.deployment.registry.detect(s).stats)
+            for s in streams
+        ],
+        "store": [store.read(stream) for stream in streams],
+    }
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    frames=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 9)), min_size=1, max_size=40
+    ),
+    junk_at=st.integers(0, 40),
+    copy_of=st.integers(0, 39),
+    copy_at=st.integers(0, 41),
+    unwanted_at=st.integers(0, 42),
+)
+def test_one_drain_is_its_datagrams_one_drain_each(
+    frames, junk_at, copy_of, copy_at, unwanted_at
+):
+    """The oracle for runs: a drain over up to three interleaved streams
+    — with a duplicate, a junk datagram and a frame of the stream nobody
+    subscribes to — leaves what the same datagrams leave one drain each:
+    every client's frames in order, the parked buffer, the counters,
+    each stream's statistics and the store."""
+    publisher_id = run_world()[1].stream.sensor_id
+    encoded = [
+        CODEC.encode(DataMessage(StreamId(publisher_id, index), sequence, b"p"))
+        for index, sequence in frames
+    ]
+    encoded.insert(copy_at % (len(encoded) + 1), encoded[copy_of % len(encoded)])
+    encoded.insert(
+        unwanted_at % (len(encoded) + 1),
+        CODEC.encode(DataMessage(StreamId(publisher_id, 2), 5, b"u")),
+    )
+    encoded.insert(junk_at % (len(encoded) + 1), b"junk-not-a-codec-frame")
+    whole = drain_outcome(encoded, one_drain=True)
+    assert whole == drain_outcome(encoded, one_drain=False)
+    assert whole["counters"]["transport.bad_datagrams"] == 1
+
+
+def test_a_one_stream_drain_is_one_pass(tmp_path, monkeypatch):
+    """A count, not a timing: one 64-frame drain of one stream to one
+    subscriber decodes 64 times, enters the dispatcher once, makes one
+    store append and one segment-file write, and forwards every frame
+    it received (``encode_reuse`` 64)."""
+    world = World(store_dir=str(tmp_path))
+    sub = world.hello("sub", port=5001, batch_datagrams=True)
+    sub.ok(SUBSCRIBE, kind="temp")
+    pub = world.hello("pub", port=5002)
+    pub.ok(ADVERTISE, stream_index=0, kind="temp")
+    world.udp.take()
+    world.counted()
+    frames = [world.frame(pub.stream, sequence) for sequence in range(64)]
+    counts = collections.Counter()
+
+    def count(owner, name):
+        function = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(MessageCodec, "decode")
+    count(DispatchingService, "on_arrival")
+    count(StreamStore, "append")
+    count(_FileSegment, "_write")
+    world.broker._drain_stamp = world.clock()
+    for frame in frames:
+        world.broker._on_datagram(frame)
+    world.broker._after_drain([pub.address] * len(frames))
+    assert counts == {"decode": 64, "on_arrival": 1, "append": 1, "_write": 1}
+    assert world.counted()["encode_reuse"] == 64
+    [(batch, address)] = world.udp.take()
+    assert address == sub.address and decode_batch_datagram(batch) == frames
+    assert [r.frame for r in world.deployment.store.read(pub.stream)] == frames
+    world.deployment.store.close()
 
 
 # ----------------------------------------------------------------------
@@ -1672,7 +1937,7 @@ def test_a_refused_publish_raises_what_the_codec_raises_and_spends_nothing():
         (256, b"x", FieldRangeError),
         (-1, b"x", FieldRangeError),
         (True, b"x", FieldRangeError),
-        (0, bytes(client_module._MAX_DATAGRAM - 10), TransportError),
+        (0, bytes(MAX_UDP_PAYLOAD - 10), TransportError),
         (0, bytes(65536), CodecError),
     ]
     for index, payload, error in refusals:
