@@ -27,7 +27,11 @@ keeps every gate):
   actually stays at ONE subscription for the shared pattern);
 - zero lost and zero duplicated member deliveries;
 - ``attach_bytes_per_session`` (tracemalloc's peak over the attach
-  loop, so a count of allocations, not a timing) <= 253 bytes.
+  loop, so a count of allocations, not a timing) <= 253 bytes;
+- ``events_per_publish`` <= ``inner_relays`` + 1: the dispatcher's
+  event, then one fixed-network event per relay hop (every relay that
+  has children sends to all of them in one event), never one per
+  relay. A count, not a timing.
 
 Usage::
 
@@ -112,11 +116,13 @@ def run_fanout(sessions: int, messages: int) -> dict:
     publisher.publish(0, b"\x00", kind="scale")
     deployment.run_until_idle()
 
+    events = deployment.sim.events_processed
     start = time.perf_counter()
     for sequence in range(messages):
         publisher.publish(0, sequence.to_bytes(2, "big"), kind="scale")
         deployment.run_until_idle()
     wall = time.perf_counter() - start
+    events = deployment.sim.events_processed - events
 
     total = messages + 1  # the priming message also fanned out
     delivered = sum(counter.count for counter in counters)
@@ -129,6 +135,8 @@ def run_fanout(sessions: int, messages: int) -> dict:
         "exactly_once": exactly_once,
         "dispatcher_subscriptions": deployment.dispatcher.subscription_count(),
         "relays": tree.relay_count(),
+        "inner_relays": tree.relay_count() - tree.describe()["level_0"],
+        "events_per_publish": events / messages,
         "relays_at_tenth": relays_small,
         "relays_per_1k_sessions": round(tree.relay_count() / sessions * 1e3, 2),
         "dispatcher_state_at_tenth": state_small,
@@ -219,6 +227,11 @@ def check_acceptance(fresh: dict) -> list[str]:
         failures.append(
             f"{fanout['attach_bytes_per_session']} bytes allocated per "
             f"attached session (gate: {ATTACH_BYTES_GATE})"
+        )
+    if fanout["events_per_publish"] > fanout["inner_relays"] + 1:
+        failures.append(
+            f"{fanout['events_per_publish']} kernel events per publish "
+            f"(gate: {fanout['inner_relays'] + 1}, one per relay hop)"
         )
     if fanout["dispatcher_subscriptions"] != 1:
         failures.append(

@@ -21,19 +21,27 @@ intersection, in attach order.
 Delivery then flows root → inner relays → leaves as
 :class:`~repro.fanout.frames.DeliveryBatch` frames: each interested
 child gets one frame carrying the arrivals routed to it (the *same*
-frozen frame object when it wants them all), and each leaf builds a
-**single** re-stamped :class:`StreamArrival` shared by all of its
-members (zero-copy fan-out). When the QoS
-:class:`~repro.qos.quarantine.DeliveryManager` is installed, member
-legs ride it (per-endpoint queues, network-ordered), so one slow
+frozen frame object when it wants them all), and a relay sends all of
+its children's frames in **one** fixed-network event
+(:meth:`~repro.simnet.fixednet.FixedNetwork.send_each`), so a publish
+costs one kernel event per inner relay, not one per relay. Each leaf
+builds a **single** re-stamped :class:`StreamArrival` shared by all of
+its members (zero-copy fan-out). Without the QoS
+:class:`~repro.qos.quarantine.DeliveryManager`, a leaf's cached route
+is the tuple of its matching members' callbacks, which it calls in
+turn — zero events and no member object per delivery, which is what the
+100k-session benchmark measures. A callback that raises is reported to
+:meth:`DispatchingService.delivery_failed`: with a hook installed it
+costs only its own delivery, without one it propagates. With a
+DeliveryManager, member legs ride it (per-endpoint queues,
+network-ordered), so one slow
 consumer inside a batch parks only its own copy while the others
-deliver; without it, members are invoked directly — zero events per
-member, which is what the 100k-session benchmark measures.
+deliver.
 
 :meth:`FanoutTree.attach` returns the :class:`FanoutMember` itself: it
-is the handle (``delivered``, ``detach()``), and it keeps its leaf. A
-member gets a fixed-network inbox only when a DeliveryManager may need
-to replay to it.
+is the handle (``detach()``), and it keeps its leaf. A member gets a
+fixed-network inbox only when a DeliveryManager may need to replay to
+it.
 
 Tree shape: ``levels`` relay tiers (root at the top, leaves at the
 bottom), every relay but the root capped at ``branching`` children.
@@ -66,7 +74,7 @@ class FanoutMember:
     """One attached consumer, and the handle :meth:`FanoutTree.attach`
     returns: its patterns, its callback, its leaf (None once detached)."""
 
-    __slots__ = ("name", "patterns", "on_data", "inbox", "delivered", "leaf")
+    __slots__ = ("name", "patterns", "on_data", "inbox", "leaf")
 
     def __init__(
         self,
@@ -80,7 +88,6 @@ class FanoutMember:
         self.patterns = patterns
         self.on_data = on_data
         self.inbox = inbox
-        self.delivered = 0
         self.leaf: _Relay | None = leaf
 
     def detach(self) -> None:
@@ -107,11 +114,12 @@ class _Relay:
         self.level = level
         self.parent: _Relay | None = parent
         self.children: list[_Relay] = []
-        # A leaf's members in attach order (a dict used as an ordered set).
-        self.members: dict[FanoutMember, None] = {}
+        # A leaf's members in attach order, each mapped to its leg: the
+        # inbox a DeliveryManager delivers to, else the member's callback.
+        self.members: dict[FanoutMember, Any] = {}
         # pattern -> how many members (leaf) or children (inner) hold it.
         self.interest: dict[SubscriptionPattern, int] = {}
-        # stream -> interested children (inner) or members (leaf).
+        # stream -> interested children (inner) or members' legs (leaf).
         self.route_cache: dict[StreamId, tuple] = {}
 
 
@@ -253,7 +261,7 @@ class FanoutTree:
             self._network.register_inbox(inbox, on_data)
         leaf = self._leaf_for_attach()
         member = FanoutMember(name, wanted, on_data, inbox, leaf)
-        leaf.members[member] = None
+        leaf.members[member] = on_data if inbox is None else inbox
         leaf.route_cache.clear()
         for pattern in wanted:
             self._count(leaf, pattern, 1)
@@ -335,20 +343,23 @@ class FanoutTree:
         for arrival in arrivals:
             for child in self._targets(relay, arrival.message.stream_id):
                 routed.setdefault(child, []).append(arrival)
-        send = self._network.send
+        sends = []
         for child, wanted in routed.items():
             # One frame per interested child, carrying only its arrivals;
             # a child that wants them all shares the frame object.
             frame = batch
             if len(wanted) < len(arrivals):
                 frame = DeliveryBatch(origin=batch.origin, arrivals=tuple(wanted))
-            send(child.inbox, frame)
+            sends.append((child.inbox, frame))
+        # The whole hop is one kernel event.
+        self._network.send_each(sends)
         if self._stats is not None:
-            self._stats.relay_forwards += len(routed)
-        return len(routed)
+            self._stats.relay_forwards += len(sends)
+        return len(sends)
 
     def _targets(self, relay: _Relay, stream_id: StreamId) -> tuple:
-        """The children (inner relay) or members (leaf) that want a stream."""
+        """The children (inner relay) or members' legs (leaf) that want a
+        stream."""
         cached = relay.route_cache.get(stream_id)
         if cached is None:
             descriptor = self._registry.detect(stream_id)
@@ -361,10 +372,13 @@ class FanoutTree:
                     c for c in relay.children if not matched.isdisjoint(c.interest)
                 )
             elif len(matched) == len(relay.interest):
-                cached = tuple(relay.members)  # every member holds a match
+                # Every member holds a match.
+                cached = tuple(relay.members.values())
             else:
                 cached = tuple(
-                    m for m in relay.members if not matched.isdisjoint(m.patterns)
+                    leg
+                    for m, leg in relay.members.items()
+                    if not matched.isdisjoint(m.patterns)
                 )
             relay.route_cache[stream_id] = cached
         return cached
@@ -375,8 +389,8 @@ class FanoutTree:
         stats = self._stats
         delivered = 0
         for arrival in batch.arrivals:
-            members = self._targets(leaf, arrival.message.stream_id)
-            if not members:
+            legs = self._targets(leaf, arrival.message.stream_id)
+            if not legs:
                 continue
             # One re-stamped arrival per leaf per message, shared by all
             # of its members — the single-encode/zero-copy edge.
@@ -386,20 +400,28 @@ class FanoutTree:
                 receiver_id=arrival.receiver_id,
                 delivered_at=now,
             )
-            for member in members:
-                member.delivered += 1
-                if delivery is not None:
+            delivered += len(legs)
+            if delivery is not None:
+                for inbox in legs:
                     # Every member leg rides the DeliveryManager so a
                     # stalled/quarantined member parks only its own copy
                     # while healthy members keep the flat path's
                     # network-ordered delivery (a direct call here could
                     # overtake an in-flight resume replay).
-                    if stats is not None and delivery.intercepts(member.inbox):
+                    if stats is not None and delivery.intercepts(inbox):
                         stats.quarantine_diverted += 1
-                    delivery.deliver(member.inbox, edge)
-                else:
-                    member.on_data(edge)
-                delivered += 1
+                    delivery.deliver(inbox, edge)
+                continue
+            calls = iter(legs)
+            while True:
+                try:
+                    for on_data in calls:
+                        on_data(edge)
+                    break
+                except Exception as error:
+                    # Only the raising member's delivery is lost; the
+                    # iterator resumes with the member after it.
+                    self._dispatcher.delivery_failed(error)
         if stats is not None:
             stats.leaf_deliveries += delivered
         return delivered

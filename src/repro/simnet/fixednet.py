@@ -8,6 +8,10 @@ provides both over the simulation kernel:
 
 - :meth:`send` delivers a one-way message to a named endpoint after a
   configurable latency (asynchronous message exchange, Section 3);
+  :meth:`send_each` delivers several, to one endpoint each, in **one**
+  kernel event (a fan-out relay's hop), each through the same delivery
+  step, so every destination keeps its own reachability check, retries,
+  breaker, dead letter and trace span;
 - :meth:`call_sync` invokes a registered :class:`RpcEndpoint` method
   directly (the replicator's lookup of the Location Service).
 
@@ -343,20 +347,29 @@ class FixedNetwork:
         so the parent sweeps its queue and ships them to the owning
         worker, which :meth:`inject`\\ s them at their original times.
         """
-        deliver = self._deliver
+        deliver, deliver_each = self._deliver, self._deliver_each
         matched = []
         for handle in self._sim.iter_pending():
-            if handle.callback != deliver:
-                continue
-            args = handle.args
-            if args and args[0] in destinations:
-                matched.append(handle)
-        matched.sort(key=lambda handle: (handle.time, handle.seq))
-        extracted = []
-        for handle in matched:
-            handle.cancel()
-            extracted.append((handle.time, handle.args[0], handle.args[1]))
-        return extracted
+            if handle.callback == deliver:
+                args = handle.args
+                if args and args[0] in destinations:
+                    handle.cancel()
+                    matched.append((handle.time, handle.seq, 0, args))
+            elif handle.callback == deliver_each:
+                # A coalesced hop gives up only its legs bound for
+                # ``destinations``; the rest stay in the event.
+                legs = handle.args[0]
+                kept = []
+                for position, leg in enumerate(legs):
+                    if leg[0] in destinations:
+                        matched.append((handle.time, handle.seq, position, leg))
+                    else:
+                        kept.append(leg)
+                legs[:] = kept
+                if not kept:
+                    handle.cancel()
+        matched.sort(key=lambda entry: entry[:3])
+        return [(time, leg[0], leg[1]) for time, _, _, leg in matched]
 
     def has_inbox(self, name: str) -> bool:
         return name in self._inboxes
@@ -398,6 +411,56 @@ class FixedNetwork:
             message,
             span,
         )
+
+    def send_each(self, sends: list[tuple[str, Any]]) -> None:
+        """Deliver each ``(destination, message)`` after the bus latency,
+        in order, in one kernel event.
+
+        Each pair is delivered as :meth:`send` would deliver it: the
+        handler is looked up at delivery time and an unreachable
+        destination retries or dead-letters on its own, and the tracer
+        gets one ``fixednet.deliver`` span per destination. If a handler
+        raises, the pairs after it stay queued at the same instant, ahead
+        of anything else due then, and the exception propagates.
+        """
+        if self._remote_routes is not None:
+            # The multiprocess bridge routes per destination.
+            for destination, message in sends:
+                self.send(destination, message)
+            return
+        if not sends:
+            return
+        self._messages_total.inc(len(sends))
+        tracer = self._tracer
+        if tracer is None:
+            # A copy: extract_pending_for may edit a queued hop's legs.
+            legs: list[tuple] = list(sends)
+        else:
+            # Each span opens now and closes at its own delivery.
+            begin = tracer.begin
+            legs = [
+                (dest, message, begin("fixednet.deliver", destination=dest))
+                for dest, message in sends
+            ]
+        self._sim.schedule(
+            self._message_latency * self._latency_factor,
+            self._deliver_each,
+            legs,
+        )
+
+    def _deliver_each(self, legs: list[tuple]) -> None:
+        deliver = self._deliver
+        rest = iter(legs)
+        try:
+            for leg in rest:
+                deliver(*leg)
+        except BaseException:
+            # The iterator is past the raising leg: what it still holds
+            # was never delivered.
+            tail = list(rest)
+            if tail:
+                self._sim.call_first(self._deliver_each, tail)
+            raise
 
     def _deliver(
         self,

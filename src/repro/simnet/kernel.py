@@ -93,6 +93,8 @@ class Simulator:
         self._now = 0.0
         self._queue: list[EventHandle] = []
         self._seq = 0
+        # call_first() counts down from here, below every schedule()d seq.
+        self._first_seq = 0
         self._running = False
         self._events_processed = 0
         self._cancelled = 0
@@ -242,6 +244,26 @@ class Simulator:
         """Schedule ``callback`` at the current time, after pending same-time events."""
         return self.schedule_at(self._now, callback, *args)
 
+    def call_first(self, callback: Callable[..., None], *args: Any) -> EventHandle:
+        """Schedule ``callback`` now, ahead of every event due at this instant.
+
+        For a callback that works through a list and is cut short by an
+        exception: it queues the unprocessed rest here and re-raises, and
+        :meth:`run` puts the instant's undispatched events back behind it,
+        so the next ``run()`` resumes the list before anything that was
+        due after it. Only a callback that then raises gets that order:
+        otherwise the events the running batch already holds go first.
+        """
+        if not callable(callback):
+            raise SimulationError(f"callback {callback!r} is not callable")
+        self._first_seq -= 1
+        handle = EventHandle(self._now, self._first_seq, callback, args, self)
+        heapq.heappush(self._queue, handle)
+        probe = self._probe
+        if probe is not None:
+            probe.on_schedule(handle, 0.0)
+        return handle
+
     def run(
         self, until: float | None = None, max_events: int | None = None
     ) -> int:
@@ -316,25 +338,44 @@ class Simulator:
                         continue
                     append(nxt)
                 remaining = len(batch)
-                for handle in batch:
-                    remaining -= 1
-                    if handle.cancelled:
-                        continue
-                    handle.callback(*handle.args)
-                    executed += 1
-                    self._events_processed += 1
-                    probe = self._probe
-                    if probe is not None:
-                        # Report the depth the one-at-a-time kernel would
-                        # have seen: heap plus the not-yet-dispatched tail
-                        # of this batch.
-                        probe.on_executed(handle, len(queue) + remaining)
+                try:
+                    for handle in batch:
+                        remaining -= 1
+                        if handle.cancelled:
+                            continue
+                        handle.callback(*handle.args)
+                        executed += 1
+                        self._events_processed += 1
+                        probe = self._probe
+                        if probe is not None:
+                            # Report the depth the one-at-a-time kernel
+                            # would have seen: heap plus the
+                            # not-yet-dispatched tail of this batch.
+                            probe.on_executed(handle, len(queue) + remaining)
+                except BaseException:
+                    # A callback raised: the undispatched tail goes back
+                    # with its own (time, seq), so the next run() fires
+                    # it in FIFO order, as the one-at-a-time kernel did.
+                    self._requeue(batch[len(batch) - remaining :])
+                    raise
             else:
                 if until is not None:
                     self._now = max(self._now, until)
         finally:
             self._running = False
         return executed
+
+    def _requeue(self, handles: list[EventHandle]) -> None:
+        """Put popped, undispatched events back on the heap unchanged.
+
+        An event cancelled while it sat in the batch is dropped here: it
+        would only be a tombstone, and it was never counted as one.
+        """
+        queue = self._queue
+        for handle in handles:
+            if not handle.cancelled:
+                handle.owner = self
+                heapq.heappush(queue, handle)
 
     def step(self) -> bool:
         """Execute exactly one pending event. Returns False when idle."""

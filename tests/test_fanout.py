@@ -278,7 +278,7 @@ class TestDelivery:
         publisher.publish(0, b"\x01", kind="temp")
         deployment.run_until_idle()
         assert sequences(received) == [0]
-        assert session.delivered == 1
+        assert len(received) == 1
 
     def test_batch_reaches_each_child_once_with_its_own_arrivals(self):
         deployment = fanout_deployment(fanout_branching=2, fanout_levels=3)
@@ -326,6 +326,94 @@ class TestDelivery:
         deployment.run_until_idle()
         assert sequences(first) == [0, 1]
         assert sequences(second) == [1]
+
+
+# ----------------------------------------------------------------------
+# A member whose callback raises
+# ----------------------------------------------------------------------
+class Boom(Exception):
+    pass
+
+
+class TestRaisingMember:
+    def wired(self):
+        # Branching 4: m0..m3 share the first leaf, m4..m7 the second,
+        # both under one level-1 relay (one coalesced hop reaches both).
+        deployment = fanout_deployment()
+        boxes = []
+        for index in range(8):
+            received, on_data = collector()
+            boxes.append(received)
+            if index == 1:
+
+                def on_data(arrival, received=received):
+                    received.append(arrival)
+                    raise Boom(arrival.message.sequence)
+
+            deployment.fanout.attach(
+                f"m{index}", SubscriptionPattern(kind="temp"), on_data
+            )
+        return deployment, boxes, deployment.connect("pub")
+
+    def test_with_a_hook_only_the_raising_delivery_is_lost(self):
+        deployment, boxes, publisher = self.wired()
+        errors = []
+        deployment.dispatcher.install(delivery_errors=errors.append)
+        publisher.publish(0, b"\x00", kind="temp")
+        deployment.run_until_idle()
+        assert [sequences(received) for received in boxes] == [[0]] * 8
+        assert [error.args for error in errors] == [(0,)]
+        assert deployment.fanout.stats.leaf_deliveries == 8
+
+    def test_without_a_hook_it_propagates_and_later_leaves_still_deliver(self):
+        deployment, boxes, publisher = self.wired()
+        publisher.publish(0, b"\x00", kind="temp")
+        with pytest.raises(Boom):
+            deployment.run_until_idle()
+        # Nothing hears the error, so it leaves the leaf as any in-sim
+        # callback's does; the hop's other leaves stay queued.
+        assert [sequences(received) for received in boxes[:4]] == [
+            [0], [0], [], []
+        ]
+        assert all(received == [] for received in boxes[4:])
+        deployment.run_until_idle()
+        assert all(sequences(received) == [0] for received in boxes[4:])
+
+
+# ----------------------------------------------------------------------
+# Kernel events per publish
+# ----------------------------------------------------------------------
+class TestEventCount:
+    def test_one_kernel_event_per_forwarding_relay(self):
+        deployment = fanout_deployment(fanout_branching=64, fanout_levels=3)
+        tree = deployment.fanout.tree
+        members = 10_000
+        hits = [0]
+
+        def on_data(arrival):
+            hits[0] += 1
+
+        for index in range(members):
+            tree.attach(f"m{index}", SubscriptionPattern(kind="temp"), on_data)
+        publisher = deployment.connect("pub")
+        publisher.publish(0, b"\x00", kind="temp")
+        deployment.run_until_idle()
+        before = deployment.sim.events_processed
+        publisher.publish(0, b"\x01", kind="temp")
+        deployment.run_until_idle()
+        shape = tree.describe()
+        assert (shape["level_2"], shape["level_1"], shape["level_0"]) == (1, 3, 157)
+        # The dispatcher's event, then one coalesced hop from the root
+        # and one from each level-1 relay: 5, where a send per child
+        # took one event per relay (161).
+        events = deployment.sim.events_processed - before
+        assert events == 1 + shape["level_2"] + shape["level_1"] == 5
+        assert hits[0] == 2 * members
+
+    def test_member_keeps_no_per_delivery_counter(self):
+        from repro.fanout.tree import FanoutMember
+
+        assert "delivered" not in FanoutMember.__slots__
 
 
 # ----------------------------------------------------------------------
@@ -485,7 +573,10 @@ def _subtree_wants(relay, descriptor) -> bool:
 
 def _fresh_route(relay, descriptor) -> tuple:
     if relay.level == 0:
-        return tuple(m for m in relay.members if _wants(m.patterns, descriptor))
+        # A leaf caches its matching members' callbacks.
+        return tuple(
+            m.on_data for m in relay.members if _wants(m.patterns, descriptor)
+        )
     return tuple(c for c in relay.children if _subtree_wants(c, descriptor))
 
 

@@ -377,3 +377,72 @@ class TestBatchDequeue:
         sim.run(until=1.5)
         assert fired == ["a", "b"]
         assert sim.now == 1.5
+
+    def test_raising_callback_keeps_the_rest_of_its_instant(self, sim):
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(1.0, boom)
+        sim.schedule(1.0, fired.append, "c")
+        sim.schedule(2.0, fired.append, "d")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert fired == ["a"]
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == ["a", "c", "d"]
+
+    def test_raising_lone_event_loses_nothing(self, sim):
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, fired.append, "d")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        sim.run()
+        assert fired == ["d"]
+
+    def test_requeued_tail_keeps_fifo_and_cancels(self, sim):
+        fired = []
+        victim = None
+
+        def boom():
+            victim.cancel()
+            sim.call_soon(fired.append, "spawned")
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        victim = sim.schedule(1.0, fired.append, "victim")
+        tail = sim.schedule(1.0, fired.append, "tail")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.pending_events == 2
+        assert sim.cancelled_pending == 0
+        tail.cancel()  # back on the heap, so counted as a tombstone
+        assert sim.cancelled_pending == 1
+        sim.run()
+        assert fired == ["spawned"]
+        assert sim.pending_events == 0
+
+    def test_call_first_then_raise_resumes_ahead_of_the_instant(self, sim):
+        fired = []
+
+        def interrupted():
+            fired.append("first half")
+            sim.call_first(fired.append, "second half")
+            raise RuntimeError("boom")
+
+        sim.schedule(0.5, fired.append, "earlier")
+        sim.schedule(1.0, interrupted)
+        sim.schedule(1.0, fired.append, "next")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        sim.call_soon(fired.append, "later")
+        sim.run()
+        assert fired == ["earlier", "first half", "second half", "next", "later"]
