@@ -62,7 +62,6 @@ def build_deployment(seed: int) -> Garnet:
         # Unreachable fixed-network endpoints retry long enough to ride
         # out the 30-sim-second partition window.
         fixednet_retry_base=0.5,
-        fixednet_retry_multiplier=2.0,
         fixednet_retry_attempts=8,
         broker_lease_ttl=20.0 * SCALE,
         session_heartbeat_period=4.0 * SCALE,

@@ -69,7 +69,6 @@ def build_deployment(seed: int) -> Garnet:
         # Short fixed-net retries: the breaker, not the retry queue, is
         # what rides out the partition.
         fixednet_retry_base=0.5,
-        fixednet_retry_multiplier=2.0,
         fixednet_retry_attempts=2,
         broker_lease_ttl=20.0 * SCALE,
         session_heartbeat_period=4.0 * SCALE,
@@ -85,11 +84,10 @@ def build_deployment(seed: int) -> Garnet:
         qos_quarantine_after=2.0 * SCALE,
         qos_breaker_failures=3,
         qos_breaker_reset=10.0 * SCALE,
+        # The controller keeps its own policy: degrade after two pressured
+        # ticks, restore after three calm ones, halve the rate.
         qos_degradation=True,
         qos_degradation_period=2.5 * SCALE,
-        qos_degrade_after=2,
-        qos_restore_after=3,
-        qos_degrade_factor=0.5,
         qos_min_rate=0.5,
     )
     deployment = Garnet(config=config, seed=seed)

@@ -48,7 +48,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.fixednet import FixedNetwork
 from repro.simnet.kernel import EventHandle
-from repro.simnet.trace import LatencyRecorder
 from repro.util.backoff import BackoffPolicy
 from repro.util.ids import WrappingCounter
 
@@ -136,8 +135,7 @@ class ActuationService:
         self._request_ids = WrappingCounter(16)
         self._pending: dict[int, PendingRequest] = {}
         self.stats = ActuationStats(metrics)
-        self.ack_latency = LatencyRecorder("actuation-ack")
-        self._ack_seconds = self.stats.registry.histogram(
+        self.ack_latency = self.stats.registry.histogram(
             "actuation.ack_seconds",
             help="issue-to-acknowledgement latency in virtual seconds",
         )
@@ -262,8 +260,7 @@ class ActuationService:
             pending.timer.cancel()
         self.stats.acknowledged += 1
         latency = max(0.0, notice.observed_at - pending.issued_at)
-        self.ack_latency.record(latency)
-        self._ack_seconds.observe(latency)
+        self.ack_latency.observe(latency)
         if (
             self._resource_manager is not None
             and pending.parameter is not None

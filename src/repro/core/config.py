@@ -16,6 +16,11 @@ class GarnetConfig:
     The defaults describe a 1 km x 1 km field with a 4x4 receiver grid at
     1.5x coverage overlap — enough duplication to make the Filtering
     Service earn its keep, matching the Section 4.2 design intent.
+
+    A field is here only when something outside the tests sets it to a
+    second value; every other tunable stays a default of the service
+    that owns it, which also owns its range check
+    (``tests/test_config_budget.py`` pins both rules).
     """
 
     area: Rect = field(default_factory=lambda: Rect(0.0, 0.0, 1000.0, 1000.0))
@@ -26,12 +31,9 @@ class GarnetConfig:
     receiver_overlap: float = 1.5
     transmitter_rows: int = 2
     transmitter_cols: int = 2
-    transmitter_overlap: float = 1.5
 
     # Wireless medium
-    bitrate: float = 250_000.0
     loss_model: LossModel | None = field(default_factory=LossModel)
-    per_hop_latency: float = 0.001
 
     # Fixed network
     message_latency: float = 0.0005
@@ -45,7 +47,6 @@ class GarnetConfig:
     # Location Service
     location_decay_tau: float = 30.0
     publish_location_stream: bool = True
-    location_stream_period: float = 10.0
 
     # Actuation Service. The backoff default (multiplier 1) reproduces
     # the historical fixed-interval retransmission exactly.
@@ -56,11 +57,10 @@ class GarnetConfig:
     replicator_margin: float = 25.0
 
     # Fixed-network resilience: when ``fixednet_retry_base`` is set,
-    # sends to an unreachable endpoint are retried on that backoff
-    # schedule instead of being dropped immediately; exhausted retries
-    # go to the dead-letter hook either way.
+    # sends to an unreachable endpoint are retried on a doubling backoff
+    # from that base instead of being dropped immediately; exhausted
+    # retries go to the dead-letter hook either way.
     fixednet_retry_base: float | None = None
-    fixednet_retry_multiplier: float = 2.0
     fixednet_retry_max: float | None = None
     fixednet_retry_attempts: int = 3
 
@@ -92,9 +92,6 @@ class GarnetConfig:
     # down-throttling controller.
     qos_degradation: bool = False
     qos_degradation_period: float = 5.0
-    qos_degrade_after: int = 2
-    qos_restore_after: int = 3
-    qos_degrade_factor: float = 0.5
     qos_min_rate: float = 0.1
 
     # Clustered federation (repro.cluster). Defaults off: the single-
@@ -118,14 +115,10 @@ class GarnetConfig:
     #
     # ``store_enabled`` installs a write-through tap at every broker
     # node's dispatcher; segments live in files under ``store_dir`` when
-    # it is set and in memory otherwise. Segments rotate at
-    # ``store_segment_bytes``; retention evicts whole sealed segments by
-    # per-stream count and by age (``store_max_age``, against virtual
-    # time).
+    # it is set and in memory otherwise. Segment size and retention are
+    # the store constructors' defaults.
     store_enabled: bool = False
     store_dir: str | None = None
-    store_segment_bytes: int = 64 * 1024
-    store_max_age: float | None = None
 
     # Hierarchical fan-out (repro.fanout). Default off: no relay
     # inboxes, no ``fanout.*`` summary keys, and the per-consumer
@@ -134,13 +127,11 @@ class GarnetConfig:
     #
     # ``fanout_enabled`` stands up the deployment fan-out tree and
     # installs the dispatcher hook that intercepts tree-root legs:
-    # consumer interest aggregates through ``fanout_levels`` tiers of
-    # relays (each capped at ``fanout_branching`` children), the
-    # dispatcher emits one delivery per subtree. Inter-broker legs stay
-    # one RemoteDelivery each; they are not batched.
+    # consumer interest aggregates through the tree's relay tiers
+    # (FanoutTree's default shape; ``fanout.new_tree`` builds others),
+    # the dispatcher emits one delivery per subtree. Inter-broker legs
+    # stay one RemoteDelivery each; they are not batched.
     fanout_enabled: bool = False
-    fanout_branching: int = 64
-    fanout_levels: int = 3
 
     # Live transport (repro.transport), for a deployment served over
     # real sockets by a LiveBroker (which takes its bind address as
@@ -157,12 +148,10 @@ class GarnetConfig:
 
     # Super Coordinator
     predictive_coordinator: bool = False
-    prediction_confidence: float = 0.6
     prediction_lead_fraction: float = 0.5
 
     # Security
     deployment_secret: bytes = b"garnet-deployment-secret"
-    require_auth: bool = True
 
     def validate(self) -> "GarnetConfig":
         """Sanity-check cross-field consistency; returns self."""
@@ -234,15 +223,6 @@ class GarnetConfig:
                 raise ConfigurationError(
                     "qos_degradation_period must be positive"
                 )
-            if self.qos_degrade_after < 1 or self.qos_restore_after < 1:
-                raise ConfigurationError(
-                    "qos_degrade_after and qos_restore_after must be "
-                    "at least 1"
-                )
-            if not 0 < self.qos_degrade_factor < 1:
-                raise ConfigurationError(
-                    "qos_degrade_factor must be in (0, 1)"
-                )
             if self.qos_min_rate <= 0:
                 raise ConfigurationError("qos_min_rate must be positive")
         if self.cluster_brokers < 1:
@@ -251,21 +231,5 @@ class GarnetConfig:
             if self.cluster_failover_check_period <= 0:
                 raise ConfigurationError(
                     "cluster_failover_check_period must be positive"
-                )
-        if self.store_enabled:
-            if self.store_segment_bytes < 1:
-                raise ConfigurationError(
-                    "store_segment_bytes must be at least 1"
-                )
-            if self.store_max_age is not None and self.store_max_age <= 0:
-                raise ConfigurationError("store_max_age must be positive")
-        if self.fanout_enabled:
-            if self.fanout_branching < 2:
-                raise ConfigurationError(
-                    "fanout_branching must be at least 2"
-                )
-            if not 1 <= self.fanout_levels <= 8:
-                raise ConfigurationError(
-                    "fanout_levels must be in [1, 8]"
                 )
         return self

@@ -32,7 +32,6 @@ from repro.core.consumer import Consumer
 from repro.core.control import StreamUpdateCommand
 from repro.core.coordinator import SuperCoordinator
 from repro.core.dispatching import INBOX as DISPATCH_INBOX
-from repro.core.dispatching import SubscriptionPattern
 from repro.core.filtering import FilteringService
 from repro.core.location import (
     LOCATION_STREAM_KIND,
@@ -260,7 +259,6 @@ class Garnet:
         if cfg.fixednet_retry_base is not None:
             retry_policy = BackoffPolicy(
                 base=cfg.fixednet_retry_base,
-                multiplier=cfg.fixednet_retry_multiplier,
                 max_delay=cfg.fixednet_retry_max,
                 max_attempts=cfg.fixednet_retry_attempts,
             )
@@ -272,11 +270,7 @@ class Garnet:
             retry_policy=retry_policy,
         )
         self.medium = WirelessMedium(
-            self.sim,
-            bitrate=cfg.bitrate,
-            loss_model=cfg.loss_model,
-            per_hop_latency=cfg.per_hop_latency,
-            metrics=self._metrics,
+            self.sim, loss_model=cfg.loss_model, metrics=self._metrics
         )
         self.registry = StreamRegistry()
         self.auth = AuthService(cfg.deployment_secret)
@@ -344,13 +338,12 @@ class Garnet:
             cfg.transmitter_rows,
             cfg.transmitter_cols,
             medium=self.medium,
-            overlap=cfg.transmitter_overlap,
         )
 
         # Control path services
         self.resource_manager = ResourceManager(
             self.network,
-            auth=self.auth if cfg.require_auth else None,
+            auth=self.auth,
             metrics=self._metrics,
         )
         self.actuation = ActuationService(
@@ -376,7 +369,6 @@ class Garnet:
             self.network,
             resource_manager=self.resource_manager,
             predictive=cfg.predictive_coordinator,
-            confidence_threshold=cfg.prediction_confidence,
             lead_fraction=cfg.prediction_lead_fraction,
             metrics=self._metrics,
         )
@@ -405,9 +397,6 @@ class Garnet:
                 ),
                 metrics=self._metrics,
                 period=cfg.qos_degradation_period,
-                degrade_after=cfg.qos_degrade_after,
-                restore_after=cfg.qos_restore_after,
-                degrade_factor=cfg.qos_degrade_factor,
                 min_rate=cfg.qos_min_rate,
                 ingress_queue_capacity=(
                     cfg.qos_ingress_queue
@@ -460,7 +449,6 @@ class Garnet:
                 self.network,
                 self.location,
                 location_stream,
-                period=cfg.location_stream_period,
             )
 
     def stream_priority(self, arrival) -> int:
@@ -713,27 +701,6 @@ class Garnet:
         self._consumers[consumer.name] = consumer
         consumer.on_start()
         return consumer
-
-    def claim_orphans(
-        self, consumer: Consumer, kind: str | None = None
-    ) -> int:
-        """Replay and release orphaned backlogs matching the consumer.
-
-        For every stream the Orphanage currently holds whose advertised
-        kind matches ``kind`` (all orphan streams when None), the
-        retained backlog is replayed to ``consumer``'s inbox and the
-        orphan state discarded — the catch-up move a late subscriber
-        performs after its subscription is installed (Section 4.2's
-        "potentially stored" data put to use). Returns the number of
-        messages replayed.
-        """
-        self._require_member(consumer)
-        pattern = (
-            SubscriptionPattern.match_all()
-            if kind is None
-            else SubscriptionPattern(kind=kind)
-        )
-        return self.session(consumer.name)._replay_orphans((pattern,))
 
     def orphanages(self) -> list[Orphanage]:
         """Every Orphanage in the deployment (one per broker node)."""

@@ -29,7 +29,7 @@ middleware operations to it.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.core.control import StreamUpdateCommand
@@ -336,12 +336,7 @@ class GarnetSession:
         self._callbacks += (callback,)
 
     def _deliver(self, arrival: StreamArrival, *more: StreamArrival) -> None:
-        """Hand a run of deliveries to the callbacks, oldest first.
-
-        A callback that raises costs only the delivery it raised on: the
-        home dispatcher hears of it (:meth:`DispatchingService.
-        delivery_failed`) and the rest of the run still arrives.
-        """
+        """Hand a run of live deliveries to the callbacks, oldest first."""
         run = (arrival, *more)
         windows = self._history_windows
         if windows:
@@ -349,13 +344,26 @@ class GarnetSession:
             # flight to the dispatcher when we read the store).
             run = [each for each in run if self._not_replayed(windows, each)]
         self._deliveries.inc(len(run))
+        self._hand_over(run)
+
+    def _hand_over(self, arrivals: Iterable[StreamArrival]) -> None:
+        """Call the callbacks on each arrival: live runs and history replay.
+
+        A callback that raises costs only the delivery it raised on: the
+        rest still arrive, then the home dispatcher hears of each error
+        (:meth:`DispatchingService.delivery_failed`), which re-raises the
+        first when no hook is installed.
+        """
         callbacks = self._callbacks
-        for each in run:
+        errors = []
+        for arrival in arrivals:
             try:
                 for callback in callbacks:
-                    callback(each)
+                    callback(arrival)
             except Exception as error:
-                self._node.dispatcher.delivery_failed(error)
+                errors.append(error)
+        for error in errors:
+            self._node.dispatcher.delivery_failed(error)
 
     def _not_replayed(
         self, windows: dict[StreamId, SequenceWindow], arrival: StreamArrival
@@ -654,7 +662,8 @@ class GarnetSession:
         it) in :func:`merge_replay` order, through the session's own
         per-stream windows: every replayed sequence primes them, so a
         live copy that was already in flight is dropped by
-        :meth:`_deliver` rather than double-delivered.
+        :meth:`_deliver` rather than double-delivered. A callback that
+        raises on one record costs only that record (:meth:`_hand_over`).
         """
         store = self._deployment.store
         registry = self._deployment.registry
@@ -666,13 +675,14 @@ class GarnetSession:
             for record in store.read(stream_id)
         ]
         replayed = merge_replay(stored, self._history_windows, _record_header)
-        for arrival in self._arrivals(replayed):
-            self._deliveries.inc()
-            for callback in self._callbacks:
-                callback(arrival)
+        # Counted before delivery, which re-raises a callback's error
+        # when no hook is installed: the windows already hold every
+        # replayed sequence.
         store.stats.replays += 1
         store.stats.records_replayed += len(replayed)
         self.stats.history_replayed += len(replayed)
+        self._deliveries.inc(len(replayed))
+        self._hand_over(self._arrivals(replayed))
         return len(replayed)
 
     # ------------------------------------------------------------------

@@ -59,25 +59,21 @@ class FanoutRuntime:
     # ------------------------------------------------------------------
     # Tree management
     # ------------------------------------------------------------------
-    def new_tree(
-        self,
-        name: str,
-        *,
-        branching: int | None = None,
-        levels: int | None = None,
-    ) -> FanoutTree:
-        """Stand up another tree (e.g. per tenant)."""
+    def new_tree(self, name: str, **shape: int) -> FanoutTree:
+        """Stand up another tree (e.g. per tenant).
+
+        ``shape`` is FanoutTree's ``branching`` and ``levels``; either
+        left out keeps the tree's default (64 children, three levels).
+        """
         if name in self._trees:
             raise ConfigurationError(f"fan-out tree {name!r} already exists")
         deployment = self._deployment
-        cfg = deployment.config
         tree = FanoutTree(
             name,
             network=deployment.network,
             dispatcher=deployment.dispatcher,
             registry=deployment.registry,
-            branching=branching if branching is not None else cfg.fanout_branching,
-            levels=levels if levels is not None else cfg.fanout_levels,
+            **shape,
             delivery=deployment.qos.delivery,
             stats=self.stats,
             relays_gauge=self._relays_gauge,

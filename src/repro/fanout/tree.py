@@ -142,8 +142,8 @@ class FanoutTree:
     ) -> None:
         if branching < 2:
             raise SubscriptionError("fanout branching must be at least 2")
-        if levels < 1:
-            raise SubscriptionError("fanout trees need at least one level")
+        if not 1 <= levels <= 8:
+            raise SubscriptionError("fanout trees have 1 to 8 levels")
         self.name = name
         self._network = network
         self._dispatcher = dispatcher

@@ -5,9 +5,8 @@ The paper ran its Java prototype over real/simulated wireless hardware
 that testbed with a deterministic discrete-event simulation: a kernel with
 a virtual clock (:mod:`repro.simnet.kernel`), an unreliable broadcast
 wireless medium (:mod:`repro.simnet.wireless`), a reliable fixed network
-for the middleware services (:mod:`repro.simnet.fixednet`), node mobility
-models (:mod:`repro.simnet.mobility`) and a latency recorder
-(:mod:`repro.simnet.trace`).
+for the middleware services (:mod:`repro.simnet.fixednet`) and node
+mobility models (:mod:`repro.simnet.mobility`).
 """
 
 from repro.simnet.fixednet import FixedNetwork, RpcEndpoint
@@ -19,14 +18,12 @@ from repro.simnet.mobility import (
     RandomWaypoint,
     Stationary,
 )
-from repro.simnet.trace import LatencyRecorder
 from repro.simnet.wireless import RadioFrame, RadioListener, WirelessMedium
 
 __all__ = [
     "Circle",
     "EventHandle",
     "FixedNetwork",
-    "LatencyRecorder",
     "MobilityModel",
     "PathFollower",
     "Point",

@@ -46,15 +46,9 @@ def build_store(
     clock: Callable[[], float] | None = None,
 ) -> StreamStore:
     """Assemble a deployment's StreamStore: on disk when ``store_dir`` is set."""
-    kwargs = dict(
-        segment_bytes=config.store_segment_bytes,
-        max_age=config.store_max_age,
-        clock=clock,
-        metrics=metrics,
-    )
     if config.store_dir:
-        return FileSegmentStore(config.store_dir, **kwargs)
-    return MemorySegmentStore(**kwargs)
+        return FileSegmentStore(config.store_dir, clock=clock, metrics=metrics)
+    return MemorySegmentStore(clock=clock, metrics=metrics)
 
 
 __all__ = [

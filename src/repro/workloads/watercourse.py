@@ -205,7 +205,6 @@ class WatercourseScenario(ScenarioBase):
             transmitter_rows=2,
             transmitter_cols=2,
             predictive_coordinator=predictive,
-            prediction_confidence=0.6,
             prediction_lead_fraction=0.8,
         )
         super().__init__(config=config, seed=seed)

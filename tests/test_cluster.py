@@ -234,7 +234,7 @@ class TestClusterRouting:
 
     def test_claim_orphans_replays_every_retained_sequence_once(self):
         # A handoff can leave copies of one stream's backlog in several
-        # nodes' Orphanages. claim_orphans inherits the session's merge:
+        # nodes' Orphanages. subscribe(replay="orphans") merges them:
         # every retained sequence once, oldest first, and every copy
         # released. The stale copy of seq 0 is a duplicate.
         from repro.core.envelopes import StreamArrival
@@ -267,14 +267,15 @@ class TestClusterRouting:
         deployment.run(0.1)
         late = CollectingConsumer("late")
         deployment.add_consumer(late)
-        assert deployment.claim_orphans(late, kind="lost") == 5
+        session = deployment.session("late")
+        session.subscribe(kind="lost", replay="orphans")
+        assert session.stats.orphans_replayed == 5
         deployment.run(0.1)
         assert [a.message.sequence for a in late.arrivals] == [0, 1, 2, 3, 4]
         assert all(
             stream not in orphanage.orphan_streams()
             for orphanage in deployment.orphanages()
         )
-        assert deployment.session("late").stats.orphans_replayed == 5
 
     def test_claim_orphans_keeps_sequences_only_a_handoff_copy_holds(self):
         # The owner b1 orphans 0-99 and crashes; its handoff buffer is
@@ -303,7 +304,9 @@ class TestClusterRouting:
         assert len(holders) == 2
         late = CollectingConsumer("late")
         deployment.add_consumer(late)
-        assert deployment.claim_orphans(late, kind="lost") == 105
+        session = deployment.session("late")
+        session.subscribe(kind="lost", replay="orphans")
+        assert session.stats.orphans_replayed == 105
         deployment.run(0.1)
         assert [a.message.sequence for a in late.arrivals] == list(range(105))
         assert all(

@@ -2,7 +2,8 @@
 
 Covers the subsystem's core guarantees:
 
-- config validation gated on ``fanout_enabled`` (the kill switch);
+- the ``fanout_enabled`` kill switch, and tree shapes checked by the
+  tree itself;
 - deterministic tree growth (branching/levels), interest aggregation to
   **one** dispatcher subscription per distinct pattern, refcounted
   teardown on detach;
@@ -35,14 +36,10 @@ from repro.fanout.frames import DeliveryBatch
 
 
 def fanout_deployment(seed: int = 7, **overrides) -> Garnet:
-    defaults = dict(
-        publish_location_stream=False,
-        fanout_enabled=True,
-        fanout_branching=4,
-        fanout_levels=3,
+    config = GarnetConfig(
+        publish_location_stream=False, fanout_enabled=True, **overrides
     )
-    defaults.update(overrides)
-    return Garnet(config=GarnetConfig(**defaults), seed=seed)
+    return Garnet(config=config, seed=seed)
 
 
 def collector():
@@ -67,17 +64,14 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "overrides",
-        [
-            {"fanout_branching": 1},
-            {"fanout_levels": 0},
-            {"fanout_levels": 9},
-        ],
+        [{"branching": 1}, {"levels": 0}, {"levels": 9}],
     )
     def test_enabled_validates_knobs(self, overrides):
-        with pytest.raises(ConfigurationError):
-            GarnetConfig(fanout_enabled=True, **overrides).validate()
-        # The same values are inert while the subsystem is off.
-        GarnetConfig(fanout_enabled=False, **overrides).validate()
+        # The tree owns its shape and its range checks; the deployment
+        # config carries only the on/off switch.
+        deployment = fanout_deployment()
+        with pytest.raises(SubscriptionError):
+            deployment.fanout.new_tree("bad", **overrides)
 
     def test_enabled_deployment_reports_fanout(self):
         deployment = fanout_deployment()
@@ -128,10 +122,6 @@ class TestTreeShape:
 
     def test_bad_shapes_rejected(self):
         deployment = fanout_deployment()
-        with pytest.raises(SubscriptionError):
-            deployment.fanout.new_tree("bad", branching=1)
-        with pytest.raises(SubscriptionError):
-            deployment.fanout.new_tree("bad", levels=0)
         with pytest.raises(ConfigurationError):
             deployment.fanout.new_tree("t0")  # the default tree's name
         with pytest.raises(SubscriptionError):
@@ -176,14 +166,13 @@ class TestTreeShape:
 # ----------------------------------------------------------------------
 class TestDelivery:
     def test_every_member_gets_every_message_once_in_order(self):
-        deployment = fanout_deployment(fanout_branching=2, fanout_levels=3)
+        deployment = fanout_deployment()
+        tree = deployment.fanout.new_tree("small", branching=2, levels=3)
         boxes = []
         for index in range(10):
             received, on_data = collector()
             boxes.append(received)
-            deployment.fanout.attach(
-                f"m{index}", SubscriptionPattern(kind="temp"), on_data
-            )
+            tree.attach(f"m{index}", SubscriptionPattern(kind="temp"), on_data)
         publisher = deployment.connect("pub")
         for sequence in range(5):
             publisher.publish(0, bytes([sequence]), kind="temp")
@@ -208,14 +197,13 @@ class TestDelivery:
         assert deployment.dispatcher.stats.deliveries == before + 1
 
     def test_zero_copy_sharing_across_members(self):
-        deployment = fanout_deployment(fanout_branching=8, fanout_levels=2)
+        deployment = fanout_deployment()
+        tree = deployment.fanout.new_tree("small", branching=8, levels=2)
         boxes = []
         for index in range(6):
             received, on_data = collector()
             boxes.append(received)
-            deployment.fanout.attach(
-                f"m{index}", SubscriptionPattern(kind="temp"), on_data
-            )
+            tree.attach(f"m{index}", SubscriptionPattern(kind="temp"), on_data)
         publisher = deployment.connect("pub")
         publisher.publish(0, b"\x2a", kind="temp")
         deployment.run_until_idle()
@@ -281,8 +269,8 @@ class TestDelivery:
         assert len(received) == 1
 
     def test_batch_reaches_each_child_once_with_its_own_arrivals(self):
-        deployment = fanout_deployment(fanout_branching=2, fanout_levels=3)
-        tree = deployment.fanout.tree
+        deployment = fanout_deployment()
+        tree = deployment.fanout.new_tree("small", branching=2, levels=3)
         boxes = []
         for index, kind in enumerate(("k", "k", "k", "k", "j", "j")):
             received, on_data = collector()
@@ -340,6 +328,7 @@ class TestRaisingMember:
         # Branching 4: m0..m3 share the first leaf, m4..m7 the second,
         # both under one level-1 relay (one coalesced hop reaches both).
         deployment = fanout_deployment()
+        tree = deployment.fanout.new_tree("small", branching=4, levels=3)
         boxes = []
         for index in range(8):
             received, on_data = collector()
@@ -350,9 +339,7 @@ class TestRaisingMember:
                     received.append(arrival)
                     raise Boom(arrival.message.sequence)
 
-            deployment.fanout.attach(
-                f"m{index}", SubscriptionPattern(kind="temp"), on_data
-            )
+            tree.attach(f"m{index}", SubscriptionPattern(kind="temp"), on_data)
         return deployment, boxes, deployment.connect("pub")
 
     def test_with_a_hook_only_the_raising_delivery_is_lost(self):
@@ -385,7 +372,8 @@ class TestRaisingMember:
 # ----------------------------------------------------------------------
 class TestEventCount:
     def test_one_kernel_event_per_forwarding_relay(self):
-        deployment = fanout_deployment(fanout_branching=64, fanout_levels=3)
+        # The default tree: 64 children per relay, three levels.
+        deployment = fanout_deployment()
         tree = deployment.fanout.tree
         members = 10_000
         hits = [0]

@@ -37,7 +37,6 @@ def chaos_deployment(seed=7, **overrides) -> Garnet:
             broker_lease_ttl=10.0,
             session_heartbeat_period=2.0,
             fixednet_retry_base=0.5,
-            fixednet_retry_multiplier=2.0,
             fixednet_retry_attempts=6,
             **overrides,
         ),

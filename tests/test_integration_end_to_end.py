@@ -234,16 +234,16 @@ class TestMultiHopControl:
             receiver_overlap=1.0,
             transmitter_rows=1,
             transmitter_cols=1,
-            transmitter_overlap=1.0,
             loss_model=None,
             ack_timeout=2.0,
             ack_max_attempts=4,
         )
         deployment = Garnet(config=config, seed=43)
         deployment.define_sensor_type("g", {"rate_limits": "rate <= 10"})
-        # Transmitter/receiver sit at (200,200) with ~283 m reach. The
-        # remote sensor at x=760 is ~560 m out; the relay at x=470 is
-        # within reach of both sides (300 m radios).
+        # The receiver at (200,200) hears ~283 m out, the transmitter
+        # reaches ~424 m (its array's 1.5x overlap). The remote sensor
+        # at x=760 is ~560 m out of both; the relay at x=470 is within
+        # reach of both sides (300 m radios).
         remote = deployment.add_sensor(
             "g",
             [spec(kind="remote2")],

@@ -5,7 +5,7 @@ import pytest
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.middleware import Garnet
 from repro.core.operators import CollectingConsumer
-from repro.errors import ConfigurationError, RegistrationError
+from repro.errors import ConfigurationError
 from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import ConstantSampler
 
@@ -68,11 +68,11 @@ class TestClaimOrphans:
 
     def test_claim_by_kind_replays_and_discards(self):
         deployment = self._orphaned_deployment()
-        late = CollectingConsumer(
-            "late", SubscriptionPattern(kind="a.one"), CODEC
-        )
+        late = CollectingConsumer("late", codec=CODEC)
         deployment.add_consumer(late)
-        replayed = deployment.claim_orphans(late, kind="a.one")
+        session = deployment.session("late")
+        session.subscribe(kind="a.one", replay="orphans")
+        replayed = session.stats.orphans_replayed
         deployment.run(10.0)
         assert replayed >= 18
         # Backlog plus live messages; stream b.two untouched.
@@ -86,18 +86,12 @@ class TestClaimOrphans:
 
     def test_claim_with_wildcard(self):
         deployment = self._orphaned_deployment()
-        greedy = CollectingConsumer(
-            "greedy", SubscriptionPattern.match_all()
-        )
+        greedy = CollectingConsumer("greedy")
         deployment.add_consumer(greedy)
-        replayed = deployment.claim_orphans(greedy, kind=None)
+        session = deployment.session("greedy")
+        session.subscribe(SubscriptionPattern.match_all(), replay="orphans")
+        replayed = session.stats.orphans_replayed
         deployment.run(0.1)
         assert replayed >= 38
         # The location stream's orphan state is claimed too (match-all).
         assert len(greedy.arrivals) >= replayed
-
-    def test_claim_requires_membership(self):
-        deployment = self._orphaned_deployment()
-        stranger = CollectingConsumer("stranger")
-        with pytest.raises(RegistrationError):
-            deployment.claim_orphans(stranger)

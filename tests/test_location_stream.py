@@ -17,9 +17,8 @@ from repro.core.middleware import Garnet
 
 @pytest.fixture
 def deployment():
-    garnet = Garnet(
-        config=lossless_config(location_stream_period=5.0), seed=7
-    )
+    # The publisher's default period: one estimate every 10 s.
+    garnet = Garnet(config=lossless_config(), seed=7)
     garnet.define_sensor_type("generic", {})
     return garnet
 
@@ -49,7 +48,7 @@ class TestLocationPublisher:
         deployment.add_consumer(
             sink, permissions=Permission.trusted_consumer()
         )
-        deployment.run(30.0)
+        deployment.run(60.0)
         assert deployment.location_publisher.published >= 5
         assert len(sink.arrivals) >= 5
         estimate = LocationEstimate.unpack(sink.arrivals[0].message.payload)

@@ -13,29 +13,6 @@ from repro.simnet.kernel import PeriodicTask, Simulator
 from tests.conftest import CODEC, lossless_config, make_stream_spec
 
 
-class TestAuthlessDeployment:
-    def test_require_auth_false_skips_tokens_on_control_path(self):
-        deployment = Garnet(
-            config=lossless_config(require_auth=False), seed=5
-        )
-        deployment.define_sensor_type(
-            "g", {"rate_limits": "rate <= 10"}
-        )
-        node = deployment.add_sensor("g", [make_stream_spec(kind="x")])
-        from repro.core.control import StreamUpdateCommand
-
-        decision = deployment.control.request_update(
-            consumer="anyone",
-            stream_id=node.stream_ids()[0],
-            command=StreamUpdateCommand.SET_RATE,
-            value=3.0,
-            token=None,  # no token needed
-        )
-        assert decision.approved
-        deployment.run(10.0)
-        assert node.current_config(0).rate == 3.0
-
-
 class TestRunUntilIdle:
     def test_drains_pending_events(self):
         deployment = Garnet(config=lossless_config(), seed=1)

@@ -169,6 +169,10 @@ class TestDegradationController:
         with pytest.raises(ConfigurationError):
             make_controller(deployment, [0.0], period=0.0)
         with pytest.raises(ConfigurationError):
+            make_controller(deployment, [0.0], degrade_after=0)
+        with pytest.raises(ConfigurationError):
+            make_controller(deployment, [0.0], restore_after=0)
+        with pytest.raises(ConfigurationError):
             make_controller(deployment, [0.0], degrade_factor=1.0)
         with pytest.raises(ConfigurationError):
             make_controller(deployment, [0.0], min_rate=0.0)
@@ -193,7 +197,6 @@ class TestConfigWiring:
             rate=4.0,
             qos_degradation=True,
             qos_degradation_period=1.0,
-            qos_degrade_after=2,
             # A starved ingress: everything beyond 0.5 msg/s queues and
             # then sheds, generating real qos.ingress.shed pressure.
             qos_ingress_rate=0.5,

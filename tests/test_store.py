@@ -27,11 +27,7 @@ from repro.core.config import GarnetConfig
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
-from repro.errors import (
-    ConfigurationError,
-    StoreError,
-    SubscriptionError,
-)
+from repro.errors import StoreError, SubscriptionError
 from repro.store import (
     FileSegmentStore,
     MemorySegmentStore,
@@ -437,13 +433,14 @@ class TestBuildStore:
         memory.close()
         file_backed.close()
 
-    def test_bounds_validated_when_enabled(self):
-        with pytest.raises(ConfigurationError):
-            GarnetConfig(
-                store_enabled=True, store_segment_bytes=0
-            ).validate()
-        with pytest.raises(ConfigurationError):
-            GarnetConfig(store_enabled=True, store_max_age=0.0).validate()
+    def test_bounds_validated_when_enabled(self, tmp_path):
+        # Segment size and age horizon are the store constructors'
+        # parameters, and so are their range checks, on both backends.
+        for bounds in ({"segment_bytes": 0}, {"max_age": 0.0}):
+            with pytest.raises(StoreError):
+                MemorySegmentStore(**bounds)
+            with pytest.raises(StoreError):
+                FileSegmentStore(tmp_path / "s", **bounds)
 
 
 # ----------------------------------------------------------------------
@@ -581,6 +578,58 @@ class TestLateJoinHistory:
         )
         assert got == [0]
         assert late.stats.history_duplicates_dropped == 1
+
+
+class Boom(Exception):
+    pass
+
+
+class TestHistoryReplayRaisingCallback:
+    """A callback that raises on one replayed record costs that record
+    only; the rest are delivered and the replay is counted."""
+
+    def replay(self, install_hook: bool):
+        deployment = deployment_with_store()
+        publisher = deployment.connect("pub")
+        for index in range(10):
+            stream = publisher.publish(0, bytes([index]), kind="demo")
+        deployment.run(0.5)
+        errors: list = []
+        if install_hook:
+            deployment.dispatcher.install(delivery_errors=errors.append)
+        late = deployment.connect("late")
+        got: list[int] = []
+        raised: list[int] = []
+
+        def on_data(arrival):
+            sequence = arrival.message.sequence
+            if sequence == 2 and not raised:
+                raised.append(sequence)
+                raise Boom(sequence)
+            got.append(sequence)
+
+        late.on_data(on_data)
+        return deployment, publisher, late, stream, got, errors
+
+    def test_without_a_hook_the_error_propagates_after_the_rest(self):
+        deployment, publisher, late, stream, got, _ = self.replay(False)
+        with pytest.raises(Boom):
+            late.subscribe(stream_id=stream, replay="history")
+        assert got == [0, 1, *range(3, 10)]
+        assert deployment.store.stats.replays == 1
+        assert deployment.store.stats.records_replayed == 10
+        assert late.stats.history_replayed == 10
+        # Live delivery goes on where the replay ended.
+        publisher.publish(0, b"\x0a", kind="demo")
+        deployment.run(0.5)
+        assert got[-1] == 10
+
+    def test_with_a_hook_only_the_raising_record_is_lost(self):
+        deployment, _, late, stream, got, errors = self.replay(True)
+        late.subscribe(stream_id=stream, replay="history")
+        assert got == [0, 1, *range(3, 10)]
+        assert [error.args for error in errors] == [(2,)]
+        assert deployment.store.stats.replays == 1
 
 
 class TestQuery:

@@ -383,10 +383,18 @@ def test_unreached_modules_stay_deleted():
 def test_test_only_surfaces_stay_deleted():
     """Each ran only under its own tests: the inter-broker link batcher,
     CRC-32, the transmitter array's area and flood broadcasts, the
-    registry's emptiness probe and the broker's RPC surface."""
+    registry's emptiness probe, the broker's RPC surface and the
+    deployment's second orphan catch-up door (``subscribe(replay=
+    'orphans')`` is the one)."""
     from repro.core.pubsub import Broker
 
-    gone = {"LinkBatcher", "crc32_ieee", "broadcast_to_area", "is_empty"}
+    gone = {
+        "LinkBatcher",
+        "crc32_ieee",
+        "broadcast_to_area",
+        "is_empty",
+        "claim_orphans",
+    }
     defined = [
         (str(path.relative_to(SRC)), node.name)
         for path in sorted(SRC.rglob("*.py"))
