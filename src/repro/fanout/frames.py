@@ -13,7 +13,9 @@ single send (protocol.md §7). It exists in two shapes:
   frame: a §2 frame starts with ``version << 5 | flags`` and the
   3-bit version field caps that byte at 0x7F with version 1 frames
   occupying 0x20–0x3F, so receivers may sniff batches with a single
-  prefix comparison (:func:`is_batch_datagram`).
+  prefix comparison (:func:`is_batch_datagram`). Both ends of the live
+  data plane send it, and both read a datagram through
+  :func:`datagram_frames`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ BATCH_MAGIC = b"\xfbGB\x01"
 #: Magic (4) + frame count (2, big-endian).
 BATCH_HEADER_SIZE = 6
 #: Per-frame overhead: a 2-byte big-endian length prefix.
-_FRAME_PREFIX = 2
+BATCH_FRAME_PREFIX = 2
 _U16 = struct.Struct(">H").pack
 #: Default payload budget per datagram; safely under the 65,507-byte
 #: UDP maximum while leaving headroom for tunnelled transports.
@@ -70,7 +72,7 @@ def encode_batch_datagrams(
                 f"frame of {len(frame)} bytes exceeds the 16-bit batch "
                 "length prefix"
             )
-        entry_size = _FRAME_PREFIX + len(frame)
+        entry_size = BATCH_FRAME_PREFIX + len(frame)
         if group and size + entry_size > budget:
             datagrams.append(_seal(group))
             group, size = [], BATCH_HEADER_SIZE
@@ -95,21 +97,30 @@ def decode_batch_datagram(data: bytes) -> list[bytes]:
     """The encoded codec frames packed in one batch datagram.
 
     Raises :class:`TransportError` on anything malformed — a bad magic,
-    a truncated frame, trailing garbage — so receivers can count the
-    datagram as bad instead of silently mis-parsing it.
+    a truncated frame, trailing garbage — and on what
+    :func:`encode_batch_datagrams` never writes: a count below two, or
+    more bytes than ``MAX_BATCH_DATAGRAM``. Receivers count such a
+    datagram as bad instead of silently mis-parsing it, and every batch
+    accepted here re-encodes to itself.
     """
     if not is_batch_datagram(data):
         raise TransportError("not a batch datagram (bad magic)")
     if len(data) < BATCH_HEADER_SIZE:
         raise TransportError("batch datagram truncated before frame count")
+    if len(data) > MAX_BATCH_DATAGRAM:
+        raise TransportError(
+            f"a {len(data)}-byte batch datagram exceeds {MAX_BATCH_DATAGRAM}"
+        )
     count = int.from_bytes(data[4:6], "big")
+    if count < 2:
+        raise TransportError(f"a batch datagram of {count} frames")
     frames: list[bytes] = []
     offset = BATCH_HEADER_SIZE
     for _ in range(count):
-        if offset + _FRAME_PREFIX > len(data):
+        if offset + BATCH_FRAME_PREFIX > len(data):
             raise TransportError("batch datagram truncated in length prefix")
-        length = int.from_bytes(data[offset : offset + _FRAME_PREFIX], "big")
-        offset += _FRAME_PREFIX
+        length = int.from_bytes(data[offset : offset + BATCH_FRAME_PREFIX], "big")
+        offset += BATCH_FRAME_PREFIX
         if offset + length > len(data):
             raise TransportError("batch datagram truncated inside a frame")
         frames.append(data[offset : offset + length])
@@ -119,3 +130,15 @@ def decode_batch_datagram(data: bytes) -> list[bytes]:
             f"{len(data) - offset} trailing bytes after the last batch frame"
         )
     return frames
+
+
+def datagram_frames(data: bytes) -> Sequence[bytes]:
+    """The codec frames one live data-plane datagram carries.
+
+    A bare §2 frame is its own one frame; a §7 batch is unpacked (two
+    frames or more). A malformed batch raises :class:`TransportError`:
+    one bad datagram, however many frames it claimed.
+    """
+    if data[:4] != BATCH_MAGIC:
+        return (data,)
+    return decode_batch_datagram(data)

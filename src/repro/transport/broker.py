@@ -11,10 +11,11 @@ deployment and exposes its consumer surface on localhost:
   :data:`~repro.transport.framing.CONTROL_BODIES` before its handler
   runs, so a refused frame has had no side effect.
 - **UDP data plane** — one datagram is one
-  :class:`~repro.core.message.MessageCodec` message. Client publishes
-  arrive here and are injected into the Dispatching Service exactly the
-  way a session publish is; deliveries for subscribed clients go back
-  out as codec frames to the UDP address each HELLO announced.
+  :class:`~repro.core.message.MessageCodec` message or a §7 batch of
+  them. Client publishes arrive here and are injected into the
+  Dispatching Service exactly the way a session publish is; deliveries
+  for subscribed clients go back out as codec frames to the UDP address
+  each HELLO announced.
 
 Everything runs on one asyncio event loop, so deployment state needs no
 locking: each control frame, or each drain of the data-plane socket, is
@@ -26,18 +27,19 @@ whose kernel never idles (the default broker deployment disables the
 location beacon for exactly this reason).
 
 The data path does not ride the simulated bus. The broker owns its UDP
-socket (:class:`_DataPlaneSocket`): a readiness event reads up to
-``_DRAIN_BUDGET`` datagrams and decodes each. Consecutive frames of one
-stream form a *run*, handed straight to the Dispatching Service in one
-call — routed once and stored in one append — whose fan-out legs call
-the server-side sessions. The decoded message keeps the datagram it came
-from, and that frame — not a re-encoding — is what each leg queues;
-counting, the activity stamp and lease renewal happen once per drain,
-and the pump after it sends each session's share of the drain in one
-``sendto`` loop, in arrival order, packed into §7 batch datagrams for a
-client that announced ``batch_datagrams``. What the OS will not take
-waits in a bounded FIFO; a frame no UDP datagram can carry is dropped
-and counted.
+socket (:class:`_DataPlaneSocket`): a readiness event reads datagrams
+until ``_DRAIN_BUDGET`` frames are in — unpacking a §7 batch with the
+decoder the client uses, never splitting one — and decodes each frame.
+Consecutive frames of one stream form a *run*, handed straight to the
+Dispatching Service in one call — routed once and stored in one append
+— whose fan-out legs call the server-side sessions. The decoded
+message keeps the frame it came from, and that frame — not a
+re-encoding — is what each leg queues; counting, the activity stamp and
+lease renewal happen once per drain, and the pump after it sends each
+session's share of the drain in one ``sendto`` loop, in arrival order,
+packed into §7 batch datagrams for a client that announced
+``batch_datagrams``. What the OS will not take waits in a bounded FIFO;
+a frame no UDP datagram can carry is dropped and counted.
 
 **Resilience.** With a grace window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
@@ -80,7 +82,11 @@ from repro.core.middleware import Garnet
 from repro.core.session import SessionLedger
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, GarnetError, TransportError
-from repro.fanout.frames import encode_batch_datagrams, is_batch_datagram
+from repro.fanout.frames import (
+    datagram_frames,
+    encode_batch_datagrams,
+    is_batch_datagram,
+)
 from repro.transport.framing import (
     ADVERTISE,
     CLOSE,
@@ -115,9 +121,10 @@ _RESPONSE_BUDGET = MAX_CONTROL_FRAME // 2
 #: faults fresh memory for every datagram.
 _MAX_DATAGRAM = 65535
 
-#: Datagrams read per readiness event before the kernel is pumped and
+#: Frames read per readiness event before the kernel is pumped and
 #: control returns to the event loop, so the TCP control plane and the
-#: housekeeping task get a turn at least this often under a flood.
+#: housekeeping task get a turn at least this often under a flood. A
+#: drain reads whole datagrams: one §7 batch may carry it past the budget.
 _DRAIN_BUDGET = 64
 
 #: Datagrams that may wait for a full kernel send buffer; past this the
@@ -211,17 +218,18 @@ class _DataPlaneProtocol:
     def __init__(self, broker: "LiveBroker") -> None:
         self._broker = broker
 
-    def datagram_received(self, data: bytes, addr) -> None:
+    def datagram_received(self, data: bytes, addr) -> int:
+        """Hand one datagram to the broker; the frames it carried."""
         # ``addr`` is accounted for once per drain (``_after_drain``).
-        self._broker._on_datagram(data)
+        return self._broker._on_datagram(data)
 
 
 class _DataPlaneSocket:
     """The broker's UDP socket, driven by the loop's reader/writer hooks.
 
     Receive: on readiness, read until the socket is dry or
-    ``_DRAIN_BUDGET`` datagrams are in, hand each to the protocol, then
-    pump once (which sends what the drain delivered). Send: straight to
+    ``_DRAIN_BUDGET`` frames are in, hand each datagram to the protocol,
+    then pump once (which sends what the drain delivered). Send: straight to
     ``sendto``; a datagram the kernel's buffer has no room for joins a
     bounded FIFO that an ``add_writer`` callback flushes in order.
     """
@@ -249,11 +257,12 @@ class _DataPlaneSocket:
     def _on_readable(self) -> None:
         sock = self._sock
         received = self._protocol.datagram_received
-        # One clock read per drain stamps its (at most 64) arrivals.
+        # One clock read per drain stamps its arrivals.
         self._broker._drain_stamp = time.time()
         senders: list[Any] = []
+        frames = 0
         try:
-            for _ in range(_DRAIN_BUDGET):
+            while frames < _DRAIN_BUDGET:
                 try:
                     data, addr = sock.recvfrom(_MAX_DATAGRAM)
                 except BlockingIOError:
@@ -263,7 +272,7 @@ class _DataPlaneSocket:
                     # no datagram and the socket stays usable.
                     continue
                 senders.append(addr)
-                received(data, addr)
+                frames += received(data, addr)
         finally:
             self._broker._after_drain(senders)
 
@@ -391,7 +400,8 @@ class LiveBroker:
         )
         self._bad_datagrams = metrics.counter(
             "transport.bad_datagrams",
-            help="datagrams the codec rejected (truncated, bad CRC)",
+            help="malformed batch datagrams, and frames the codec "
+            "rejected (truncated, bad CRC)",
         )
         self._datagrams_dropped = metrics.counter(
             "transport.datagrams_dropped",
@@ -448,6 +458,14 @@ class LiveBroker:
         self._batched_frames = metrics.counter(
             "transport.batched_frames",
             help="data frames carried inside batch datagrams",
+        )
+        self._batch_datagrams_in = metrics.counter(
+            "transport.batch_datagrams_in",
+            help="§7 batch datagrams received on the data plane",
+        )
+        self._batched_frames_in = metrics.counter(
+            "transport.batched_frames_in",
+            help="data frames received inside batch datagrams",
         )
         self._drain_datagrams = metrics.histogram(
             "transport.drain_datagrams",
@@ -778,19 +796,31 @@ class LiveBroker:
         finally:
             self._pump()
 
-    def _on_datagram(self, data: bytes) -> None:
-        """Decode one datagram onto the drain's current run; a frame of
-        another stream first hands that run to the dispatcher."""
+    def _on_datagram(self, data: bytes) -> int:
+        """Decode one datagram's frames onto the drain's current run; a
+        frame of another stream first hands that run to the dispatcher.
+        Returns the frames the datagram carried (a malformed batch is
+        one bad datagram)."""
         try:
-            message = self._codec.decode(data)
-        except GarnetError:
+            frames = datagram_frames(data)
+        except TransportError:
             self._bad_datagrams.inc()
-            return
-        run = self._run
-        if run and run[-1].message.stream_id != message.stream_id:
-            self._dispatch_run()
-            run = self._run
-        run.append(StreamArrival(message, self._drain_stamp, -1))
+            return 1
+        if len(frames) > 1:
+            self._batch_datagrams_in.inc()
+            self._batched_frames_in.inc(len(frames))
+        decode, stamp, run = self._codec.decode, self._drain_stamp, self._run
+        for frame in frames:
+            try:
+                message = decode(frame)
+            except GarnetError:
+                self._bad_datagrams.inc()
+                continue
+            if run and run[-1].message.stream_id != message.stream_id:
+                self._dispatch_run()
+                run = self._run
+            run.append(StreamArrival(message, stamp, -1))
+        return len(frames)
 
     def _dispatch_run(self) -> None:
         """One dispatcher call for the run: routed and stored once."""

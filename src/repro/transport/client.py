@@ -14,6 +14,15 @@ running :class:`~repro.transport.broker.LiveBroker` (or the
   datagram is delivered as one unit, and callbacks never run
   concurrently.
 
+**Publish batching.** A publish queues its frame on the session; the
+queue leaves as §7 batch datagrams (a lone frame stays bare) on the
+first of three triggers: the process's one flusher thread, woken when
+the queue goes from empty to non-empty, which runs as soon as the
+publishing thread lets go of the interpreter (the end of its burst);
+the queue reaching ``MAX_BATCH_DATAGRAM`` bytes; and any control
+request or ``close()``, so data published before a control frame
+leaves before it.
+
 The client is deliberately synchronous: experiment drivers and tests
 want straight-line code, and the broker end is where the concurrency
 lives.
@@ -52,6 +61,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import queue
 import random
 import socket
 import threading
@@ -70,7 +80,13 @@ from repro.errors import (
     RegistrationError,
     TransportError,
 )
-from repro.fanout.frames import decode_batch_datagram, is_batch_datagram
+from repro.fanout.frames import (
+    BATCH_FRAME_PREFIX,
+    BATCH_HEADER_SIZE,
+    MAX_BATCH_DATAGRAM,
+    datagram_frames,
+    encode_batch_datagrams,
+)
 from repro.obs.stats import RegistryBackedStats
 from repro.transport.base import parse_garnet_url
 from repro.transport.framing import (
@@ -134,12 +150,49 @@ def _advertise_body(stream_index: int, kind: str, encrypted: bool) -> dict:
     return {"stream_index": stream_index, "kind": kind, "encrypted": encrypted}
 
 
+class _Flusher:
+    """The process's one thread that sends what publishing sessions queued.
+
+    ``soon(call)`` hands it a call, run in order. The wake-up is a
+    C-level ``SimpleQueue``, so the thread runs as soon as the caller
+    releases the interpreter, not on a timer.
+    """
+
+    def __init__(self) -> None:
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+        self._starting = threading.Lock()
+
+    def soon(self, call: Callable[[], None]) -> None:
+        if self._thread is None:
+            with self._starting:
+                if self._thread is None:
+                    thread = threading.Thread(
+                        target=self._run, name="garnet-live-flusher", daemon=True
+                    )
+                    thread.start()
+                    self._thread = thread
+        self._calls.put(call)
+
+    def _run(self) -> None:
+        while True:
+            call = self._calls.get()
+            # A call counts its own send failures; nothing it raises may
+            # stop every session's publishes.
+            with contextlib.suppress(Exception):
+                call()
+
+
+_FLUSHER = _Flusher()
+
+
 class _SocketWire:
     """All a :class:`LiveSession` asks of the outside world.
 
-    Control channels to dial, one datagram socket, a clock and a way to
-    wait — the session's only sockets and its only monotonic time, made
-    in one place so a test can hand it fakes instead.
+    Control channels to dial, one datagram socket, a clock, a way to
+    wait and a way to run work soon on another thread — the session's
+    only sockets, its only monotonic time and its only shared thread,
+    made in one place so a test can hand it fakes instead.
     """
 
     clock = staticmethod(time.monotonic)
@@ -150,6 +203,8 @@ class _SocketWire:
         self._closed = threading.Event()
         #: ``wait(seconds)`` sleeps; True as soon as the wire is closed.
         self.wait = self._closed.wait
+        #: ``soon(call)`` runs ``call`` on the process's flusher thread.
+        self.soon = _FLUSHER.soon
         #: The session's first control channel.
         self.control = self.dial()
         self._udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -204,6 +259,9 @@ class LiveSessionStats(RegistryBackedStats):
     bad_datagrams: int = 0
     batch_datagrams: int = 0
     batched_frames: int = 0
+    batch_datagrams_out: int = 0
+    batched_frames_out: int = 0
+    send_errors: int = 0
     gaps_detected: int = 0
     gaps_repaired: int = 0
     gaps_unrepairable: int = 0
@@ -276,7 +334,17 @@ class LiveSession:
         self._bad = stats.counter("bad_datagrams")
         self._batches = stats.counter("batch_datagrams")
         self._batched_frames = stats.counter("batched_frames")
+        self._batches_out = stats.counter("batch_datagrams_out")
+        self._batched_frames_out = stats.counter("batched_frames_out")
+        self._send_errors = stats.counter("send_errors")
         self._trackers: dict[StreamId, _StreamTracker] = {}
+        # Frames queued for the data plane (``_queue_frame``), their
+        # batch size, and whether the flusher has a call on its way.
+        self._send_lock = threading.Lock()
+        self._queued: list[bytes] = []
+        self._queued_size = BATCH_HEADER_SIZE
+        self._flush_due = False
+        self._woken_flush = functools.partial(self._flush_queued, True)
 
         if reconnect is True:
             reconnect = DEFAULT_RECONNECT_POLICY
@@ -383,12 +451,14 @@ class LiveSession:
     # Control plane
     # ------------------------------------------------------------------
     def _request(self, frame_type: int, body: dict) -> dict:
-        """Send one control frame and block for its response."""
+        """Send one control frame and block for its response; what this
+        session published before it leaves first."""
         self._require_open()
         if self._state == "reconnecting":
             raise TransportError(
                 f"session {self._name!r} is reconnecting; retry shortly"
             )
+        self._flush_queued()
         try:
             with self._lock:
                 return self._exchange(
@@ -576,7 +646,8 @@ class LiveSession:
         encrypted: bool = False,
         extensions: tuple[tuple[int, bytes], ...] = (),
     ) -> StreamId:
-        """Publish one codec datagram on this session's derived stream.
+        """Publish one codec frame on this session's derived stream; it
+        leaves with the rest of its burst (see *Publish batching*).
 
         While the session is reconnecting, publishes land in a bounded
         buffer (sequence numbers pre-assigned, so ordering and dedupe
@@ -650,8 +721,50 @@ class LiveSession:
                 ADVERTISE, _advertise_body(stream_index, kind, encrypted)
             )
             self._ledger.advertised[stream_index] = (kind, encrypted)
-        self._wire.sendto(frame, self._data_address)
+        self._queue_frame(frame)
         self._published.inc()
+
+    def _queue_frame(self, frame: bytes) -> None:
+        """The data plane's one send path: publishes, tail resends and
+        outage flushes queue here. A full batch leaves inline; otherwise
+        the queue's first frame wakes the flusher."""
+        with self._send_lock:
+            entry = BATCH_FRAME_PREFIX + len(frame)
+            size = self._queued_size + entry
+            if size > MAX_BATCH_DATAGRAM and self._queued:
+                self._send_queued()
+                size = BATCH_HEADER_SIZE + entry
+            self._queued.append(frame)
+            self._queued_size = size
+            if self._flush_due:
+                return
+            self._flush_due = True
+        self._wire.soon(self._woken_flush)
+
+    def _flush_queued(self, woken: bool = False) -> None:
+        """Send every queued frame now: the flusher's call (``woken``),
+        and the inline flush before a control request or ``close()``."""
+        with self._send_lock:
+            if woken:
+                self._flush_due = False
+            if self._queued:
+                self._send_queued()
+
+    def _send_queued(self) -> None:
+        """Send the queue as one datagram; the caller holds
+        ``_send_lock``. A send the OS refuses is lost like any datagram
+        the network drops, and counted."""
+        frames, self._queued = self._queued, []
+        self._queued_size = BATCH_HEADER_SIZE
+        # One datagram: the queue never outgrows a batch (_queue_frame).
+        [datagram] = encode_batch_datagrams(frames)
+        if len(frames) > 1:
+            self._batches_out.inc()
+            self._batched_frames_out.inc(len(frames))
+        try:
+            self._wire.sendto(datagram, self._data_address)
+        except OSError:
+            self._send_errors.inc()
 
     def _trim_publish_buffer(self) -> None:
         """Hold the outage buffer to its bound by evicting the oldest."""
@@ -664,12 +777,14 @@ class LiveSession:
             self._handle_datagram(data)
 
     def _handle_datagram(self, data: bytes) -> None:
-        frames = (data,)  # a malformed batch: one frame no decode accepts
-        if is_batch_datagram(data):  # a §7 batch: many frames, one unit
-            with contextlib.suppress(GarnetError):
-                frames = decode_batch_datagram(data)
-                self._batches.inc()
-                self._batched_frames.inc(len(frames))
+        try:
+            frames = datagram_frames(data)
+        except TransportError:
+            self._bad.inc()  # a malformed batch: one bad datagram
+            return
+        if len(frames) > 1:  # a §7 batch: many frames, one unit
+            self._batches.inc()
+            self._batched_frames.inc(len(frames))
         self._deliver(frames)
 
     def _deliver(self, frames: Sequence[bytes]) -> None:
@@ -905,9 +1020,7 @@ class LiveSession:
             # reached its store: resend the tail (at-least-once; the
             # store tap and subscriber windows dedupe the overlap).
             for entry in list(self._resend_tail):
-                with contextlib.suppress(OSError):  # UDP sends rarely fail
-                    frame = self._datagram(*entry[:6])[1]
-                    self._wire.sendto(frame, self._data_address)
+                self._queue_frame(self._datagram(*entry[:6])[1])
                 self.stats.tail_resends += 1
         buffer = self._publish_buffer
         while buffer:
@@ -916,7 +1029,7 @@ class LiveSession:
             try:
                 frame = self._datagram(*entry[:6])[1]
                 self._send_publish(stream_index, kind, encrypted, frame)
-            except (TransportError, OSError):
+            except TransportError:
                 # The connection died again: this entry and the rest wait,
                 # in order, for the next re-attach.
                 buffer.appendleft(entry)
@@ -935,6 +1048,7 @@ class LiveSession:
             self._closed = True
             was_connected = self._state == "connected"
             self._state = "closed"
+        self._flush_queued()
         if was_connected:
             try:
                 with self._lock:

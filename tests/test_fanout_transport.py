@@ -15,6 +15,8 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.streamid import StreamId
@@ -22,6 +24,8 @@ from repro.errors import TransportError
 from repro.fanout.frames import (
     BATCH_HEADER_SIZE,
     BATCH_MAGIC,
+    MAX_BATCH_DATAGRAM,
+    datagram_frames,
     decode_batch_datagram,
     encode_batch_datagrams,
     is_batch_datagram,
@@ -98,6 +102,24 @@ class TestBatchDatagramCodec:
         with pytest.raises(TransportError):
             decode_batch_datagram(mangle(datagram))
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_a_count_the_encoder_never_writes_is_refused(self, count):
+        frames = self.frames(count)
+        datagram = BATCH_MAGIC + count.to_bytes(2, "big") + b"".join(
+            len(frame).to_bytes(2, "big") + frame for frame in frames
+        )
+        with pytest.raises(TransportError, match=f"of {count} frames"):
+            decode_batch_datagram(datagram)
+        with pytest.raises(TransportError):
+            datagram_frames(datagram)
+
+    def test_a_batch_past_the_budget_is_refused(self):
+        frames = [b"\x20" * 30_000] * 2
+        [fitting] = encode_batch_datagrams(frames, budget=70_000)
+        assert len(fitting) > MAX_BATCH_DATAGRAM
+        with pytest.raises(TransportError, match="exceeds"):
+            decode_batch_datagram(fitting)
+
     def test_magic_cannot_collide_with_codec_frames(self):
         # A §2 frame's first byte is version << 5 | flags: the 3-bit
         # version keeps it under 0x80, so 0xFB can only open a batch.
@@ -105,6 +127,63 @@ class TestBatchDatagramCodec:
         for frame in self.frames():
             assert frame[0] < 0x80
             assert not is_batch_datagram(frame)
+
+
+# Codec frames never open with the batch magic (their first byte is
+# under 0x80), so neither do these.
+FRAMES = st.lists(
+    st.binary(max_size=40).filter(lambda frame: frame[:1] != BATCH_MAGIC[:1]),
+    max_size=12,
+)
+MANGLES = {
+    "bad magic": lambda d, n: b"\x20" + d[1:],
+    "truncated": lambda d, n: d[: n % (len(d) - 1) + 1],
+    "trailing bytes": lambda d, n: d + bytes([n % 256]) * (1 + n % 3),
+    "count of 0": lambda d, n: d[:4] + b"\x00\x00" + d[6:],
+    "count of 1": lambda d, n: d[:4] + b"\x00\x01" + d[6:],
+}
+
+
+class TestBatchDatagramProperties:
+    """The §7.2 decoder accepts exactly what the encoder makes."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        frames=FRAMES,
+        count=st.integers(0, 14),
+        tail=st.binary(max_size=3),
+    )
+    def test_every_accepted_batch_reencodes_to_itself(self, frames, count, tail):
+        # Built by hand: a count that may lie, trailing bytes, any size.
+        data = BATCH_MAGIC + count.to_bytes(2, "big") + b"".join(
+            len(frame).to_bytes(2, "big") + frame for frame in frames
+        ) + tail
+        try:
+            decoded = decode_batch_datagram(data)
+        except TransportError:
+            return
+        assert len(decoded) >= 2
+        assert encode_batch_datagrams(decoded) == [data]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(frames=FRAMES, budget=st.integers(BATCH_HEADER_SIZE + 2, 200))
+    def test_frame_lists_round_trip_under_the_budget(self, frames, budget):
+        datagrams = encode_batch_datagrams(frames, budget)
+        assert [f for d in datagrams for f in datagram_frames(d)] == frames
+        for datagram in datagrams:
+            # Only a frame too large to share a datagram overruns it.
+            assert len(datagram) <= budget or not is_batch_datagram(datagram)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        frames=FRAMES.filter(lambda frames: len(frames) >= 2),
+        mangle=st.sampled_from(sorted(MANGLES)),
+        n=st.integers(0, 1 << 16),
+    )
+    def test_malformed_batches_raise(self, frames, mangle, n):
+        [datagram] = encode_batch_datagrams(frames)
+        with pytest.raises(TransportError):
+            decode_batch_datagram(MANGLES[mangle](datagram, n))
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""A LiveSession's callbacks never run concurrently.
+"""A LiveSession's callbacks never run concurrently; its flusher survives.
 
 Two threads deliver into one session: the reader (each datagram) and the
 housekeeper (what a NACK repairs). The session holds one lock across a
 unit's tracking, counters *and* callbacks, so a repaired frame's
-callbacks wait for the reader's and no count is lost. No socket and no
+callbacks wait for the reader's and no count is lost. The flusher thread
+that sends queued publishes outlives a send the OS refuses. No socket and no
 sleep: the session is the threadless one of ``test_transport_protocol``,
 the threads are started here, and every wait is bounded.
 """
@@ -137,3 +138,30 @@ def test_deliveries_racing_on_four_threads_lose_no_count():
     stats = session.stats
     assert (stats.deliveries, stats.duplicates_dropped) == (5000, 3000)
     assert stats.bad_datagrams == 4
+
+
+def test_a_send_that_raises_on_the_flusher_is_counted_and_the_flusher_lives():
+    """The one flusher thread a process runs: a publish's refused send is
+    counted on its session, and the next publish still leaves."""
+    world = World()
+    session = threadless_session(world, "pub")
+    flusher = client_module._Flusher()
+    session._wire.soon = flusher.soon
+    refused, sent = threading.Event(), threading.Event()
+    sendto = session._wire.sendto
+
+    def refuse_once(datagram, address):
+        if not refused.is_set():
+            refused.set()
+            raise OSError("no buffer space")
+        sendto(datagram, address)
+        sent.set()
+
+    session._wire.sendto = refuse_once
+    session.publish(0, b"lost")
+    assert refused.wait(WAIT)
+    session.publish(0, b"after")
+    assert sent.wait(WAIT)
+    assert session.stats.send_errors == 1
+    assert session.stats.published == 2
+    assert flusher._thread.is_alive()

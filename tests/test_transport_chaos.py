@@ -157,15 +157,21 @@ class TestPassthrough:
                 assert poll_until(lambda: len(received) == 5)
                 assert received == [(index, bytes([index])) for index in range(5)]
                 assert subscriber.ping() >= 0.0
-                # Deliveries may share §7 batch datagrams: count what the
-                # subscriber was sent, bare frames and batches alike.
+                # Publishes and deliveries may share §7 batch datagrams:
+                # count what each side sent or was sent, bare frames and
+                # batches alike.
                 stats = subscriber.stats
                 delivered = (
                     stats.deliveries - stats.batched_frames
                     + stats.batch_datagrams
                 )
+                out = publisher.stats
+                published = (
+                    out.published - out.batched_frames_out
+                    + out.batch_datagrams_out
+                )
             assert h.proxy.stats.connections_proxied == 2
-            assert h.proxy.stats.datagrams_forwarded == 5 + delivered
+            assert h.proxy.stats.datagrams_forwarded == published + delivered
             assert h.proxy.stats.datagrams_dropped == 0
         finally:
             h.stop()

@@ -25,7 +25,11 @@ from repro.core.middleware import Garnet
 from repro.core.session import SessionLedger
 from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError, TransportError
-from repro.fanout.frames import decode_batch_datagram
+from repro.fanout.frames import (
+    MAX_BATCH_DATAGRAM,
+    decode_batch_datagram,
+    encode_batch_datagrams,
+)
 from repro.transport import LiveBroker, connect
 from repro.transport.broker import (
     _DRAIN_BUDGET,
@@ -35,6 +39,7 @@ from repro.transport.broker import (
 )
 from repro.transport.cli import parse_announce
 from repro.transport.framing import (
+    ADVERTISE,
     CLOSE,
     HELLO,
     PING,
@@ -76,6 +81,15 @@ class BrokerHarness:
     def counter(self, name):
         counters = self.broker.deployment.metrics_snapshot()["counters"]
         return counters.get(name, 0)
+
+    def frames_in(self):
+        """Frames the data plane read: a bare datagram is one frame, a
+        §7 batch the frames it carried."""
+        return (
+            self.counter("transport.datagrams_in")
+            - self.counter("transport.batch_datagrams_in")
+            + self.counter("transport.batched_frames_in")
+        )
 
     @contextlib.contextmanager
     def paused(self):
@@ -519,6 +533,7 @@ class TestDataPlane:
             assert poll_until(lambda: received == [0])
             pumps = harness.counter("transport.pumps")
             datagrams = harness.counter("transport.datagrams_in")
+            frames = harness.frames_in()
             sim = harness.broker.deployment.sim
             events = sim.events_processed
             bus_messages = harness.counter("fixednet.messages")
@@ -528,7 +543,9 @@ class TestDataPlane:
             assert poll_until(lambda: len(received) == 501)
             time.sleep(0.05)  # window for a spurious duplicate
             assert received == list(range(501))
-            assert harness.counter("transport.datagrams_in") - datagrams == 500
+            # The publisher batched its burst: 500 frames in fewer datagrams.
+            assert harness.frames_in() - frames == 500
+            assert harness.counter("transport.datagrams_in") - datagrams < 500
             # No control frame arrived meanwhile: every pump is a drain.
             drains = harness.counter("transport.pumps") - pumps
             assert 1 <= drains <= -(-500 // _DRAIN_BUDGET)
@@ -756,6 +773,36 @@ class TestDataPlane:
                 lambda: harness.counter("transport.datagrams_in") - before
                 > at_pong
             )
+
+    def test_control_plane_gets_a_turn_during_a_batch_flood(self, harness):
+        # The drain budget counts frames: one full batch is already past
+        # it, so a flood of them still hands the loop back per datagram.
+        with RawClient(harness, "calm") as calm:
+            stream = StreamId(calm.hello["publisher_id"], 0)
+            calm.request(ADVERTISE, {"stream_index": 0, "kind": "flood"})
+            frames = [
+                data_frame(stream, sequence % (1 << 16), b"x" * 16)
+                for sequence in range(24_000)
+            ]
+            batches = encode_batch_datagrams(frames)[:-1]  # the full ones
+            assert len(batches) >= 10
+            assert all(len(batch) > MAX_BATCH_DATAGRAM - 30 for batch in batches)
+            flood = sum(len(decode_batch_datagram(b)) for b in batches)
+            before = harness.frames_in()
+            with harness.paused():
+                for batch in batches:
+                    calm.publish(batch)
+                calm.tcp.sendall(encode_control_frame(PING, {}))
+            replies = []
+            while not replies:
+                replies.extend(calm.assembler.feed(calm.tcp.recv(65536)))
+            at_pong = harness.frames_in() - before
+            assert replies[0][0] == PING | RESPONSE_FLAG
+            assert replies[0][1]["ok"] is True
+            # The PONG overtook the flood, and the flood still arrived.
+            assert at_pong < flood
+            assert poll_until(lambda: harness.frames_in() - before == flood)
+        assert harness.counter("transport.bad_datagrams") == 0
 
     def test_maximum_batch_sized_datagram_arrives_whole(self, harness):
         # 60,000 bytes is the §7 batch-datagram ceiling; anything short

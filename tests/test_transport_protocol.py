@@ -9,8 +9,8 @@ and the four tables a client occupies (``_connections``, ``_states``,
 ``_udp_peers``, the dispatcher's subscriptions).
 
 Client half: a ``LiveSession`` whose wire is the same broker in-process
-(``Wire``), with no reader or housekeeping thread; the test calls the
-ticks the threads would.
+(``Wire``), with no reader, housekeeping or flusher thread; the test
+calls the ticks and the flushes the threads would.
 
 ``test_rows_reach_every_teardown_and_resume_branch`` runs the rows under
 ``sys.settrace`` and requires every line of ``_detach``, ``_unbind`` and
@@ -41,6 +41,7 @@ from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.errors import CodecError, FieldRangeError, GarnetError, TransportError
 from repro.fanout.frames import (
+    datagram_frames,
     decode_batch_datagram,
     encode_batch_datagrams,
     is_batch_datagram,
@@ -880,9 +881,11 @@ def row_batching_is_the_brokers_to_grant(tmp_path):
 
 def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     """The data plane's ledger over one drain that holds a bad datagram,
-    a delivery that raises, a parked, a bare and a batching subscriber:
-    ``datagrams_in = decodes + bad_datagrams``, and every frame queued
-    for a client is sent bare, counted in a batch or parked."""
+    a good and a malformed inbound batch, a delivery that raises, a
+    parked, a bare and a batching subscriber: ``datagrams_in = bare +
+    batches + bad_datagrams`` and ``decodes = bare + batched frames``,
+    and every frame queued for a client is sent bare, counted in a batch
+    or parked."""
     world = World()
     broker, codec = world.broker, world.deployment.codec
     errors, decoded, queued = [], [], []
@@ -917,16 +920,28 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     pub = world.hello("pub", port=5004)
     pub.ok(ADVERTISE, stream_index=0, kind="temp")
     world.counted()
-    frames = [world.frame(pub.stream, sequence) for sequence in range(3)]
-    inbound = [frames[0], b"junk-not-a-codec-frame", frames[1], frames[2]]
+    frames = [world.frame(pub.stream, sequence) for sequence in range(4)]
+    [batch] = encode_batch_datagrams(frames[2:])
+    inbound = [
+        frames[0],
+        b"junk-not-a-codec-frame",
+        frames[1],
+        batch,
+        batch[:-1],  # a malformed batch: one bad datagram
+    ]
     broker._drain_stamp = world.clock()
     for datagram in inbound:
         broker._on_datagram(datagram)
     broker._after_drain([pub.address] * len(inbound))
 
     counted = world.counted()
-    assert counted["datagrams_in"] == len(decoded) + counted["bad_datagrams"]
-    assert (len(decoded), counted["bad_datagrams"]) == (3, 1)
+    bare_in = 2  # frames[0] and frames[1]
+    assert counted["datagrams_in"] == (
+        bare_in + counted["batch_datagrams_in"] + counted["bad_datagrams"]
+    )
+    assert len(decoded) == bare_in + counted["batched_frames_in"]
+    assert (counted["batch_datagrams_in"], counted["batched_frames_in"]) == (1, 2)
+    assert (len(decoded), counted["bad_datagrams"]) == (4, 2)
     assert counted["dispatch_errors"] == 1
     assert [str(context["exception"]) for context in errors] == ["boom"]
     # The raiser's leg runs first and loses sequence 1; the legs routed
@@ -934,7 +949,7 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     assert sorted(queued) == sorted(
         (name, sequence)
         for name in ("bare", "batching", "parked")
-        for sequence in (0, 1, 2)
+        for sequence in range(4)
     )
     sent = world.udp.take()
     assert [(d, a) for d, a in sent if a == bare.address] == [
@@ -952,7 +967,7 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
         "transport.drain_datagrams"
     ]
     assert drains["count"] == 1 and drains["sum"] == len(inbound)
-    assert drains["buckets"]["2"] == 0 and drains["buckets"]["4"] == 1
+    assert drains["buckets"]["4"] == 0 and drains["buckets"]["8"] == 1
 
 
 def row_stop_detaches_everyone_and_keeps_the_sessions_file(tmp_path):
@@ -1437,6 +1452,46 @@ def test_a_one_stream_drain_is_one_pass(tmp_path, monkeypatch):
     world.deployment.store.close()
 
 
+def test_one_inbound_batch_is_dispatched_in_order_and_counted_once():
+    """A publisher's 200-frame batch is one datagram in, 200 frames
+    decoded and dispatched in order, and one drain."""
+    world = World()
+    sub = world.hello("sub", port=5001, batch_datagrams=True)
+    sub.ok(SUBSCRIBE, kind="temp")
+    pub = world.hello("pub", port=5002)
+    pub.ok(ADVERTISE, stream_index=0, kind="temp")
+    world.udp.take()
+    world.counted()
+    arrivals = world.deployment.metrics().counter("dispatch.arrivals")
+    before = arrivals.value
+    frames = [world.frame(pub.stream, sequence) for sequence in range(200)]
+    [batch] = encode_batch_datagrams(frames)
+    world.broker._drain_stamp = world.clock()
+    assert world.broker._on_datagram(batch) == 200
+    world.broker._after_drain([pub.address])
+    moved = world.counted()
+    assert {
+        name: moved[name]
+        for name in (
+            "datagrams_in", "batch_datagrams_in", "batched_frames_in", "pumps"
+        )
+    } == {
+        "datagrams_in": 1,
+        "batch_datagrams_in": 1,
+        "batched_frames_in": 200,
+        "pumps": 1,
+    }
+    assert "bad_datagrams" not in moved
+    assert arrivals.value - before == 200
+    received = [
+        frame
+        for datagram, address in world.udp.take()
+        if address == sub.address
+        for frame in datagram_frames(datagram)
+    ]
+    assert received == frames
+
+
 # ----------------------------------------------------------------------
 # Client half: a threadless LiveSession wired to the broker in-process
 # ----------------------------------------------------------------------
@@ -1472,8 +1527,10 @@ class Channel:
 
 
 class Wire:
-    """``client._SocketWire`` without the sockets: the same five things —
-    dial, sendto, receive, clock, wait — against a ``World``."""
+    """``client._SocketWire`` without the sockets: the same six things —
+    dial, sendto, receive, clock, wait, soon — against a ``World``.
+    ``soon`` runs the flusher's call inline, so every publish leaves
+    before ``publish`` returns."""
 
     udp_port = 6000
 
@@ -1503,6 +1560,9 @@ class Wire:
         self.waits.append(seconds)
         self.clock.now += seconds
         return self.closed
+
+    def soon(self, call):
+        call()
 
     def receive(self):
         return None
@@ -1868,6 +1928,89 @@ class TestClientHalf:
             sent for sent in world.udp.take() if sent[1] == watcher.address
         ]
         assert world.deployment.codec.decode(data).sequence == 0  # no gap
+
+
+@pytest.fixture
+def batching(monkeypatch):
+    """A publishing session whose flusher calls wait in ``soon`` until the
+    test runs them, a watcher on its stream, and a log of the wire:
+    control requests by name, datagrams by the frames they carry."""
+    monkeypatch.setattr(LiveSession, "_start_threads", lambda self: None)
+    world = World()
+    session = live_session(world, "pub", monkeypatch)
+    watcher = world.hello("watcher", port=5002)
+    watcher.ok(SUBSCRIBE, stream_id=[session.publisher_id, 0])
+    session.publish(0, b"first", kind="temp")  # the ADVERTISE, done
+    world.udp.take()
+    wire = session._wire
+    session.calls = []
+    wire.soon = session.calls.append
+    wire.requests = session.log = []
+    sendto = wire.sendto
+
+    def logged(datagram, address):
+        session.log.append(len(datagram_frames(datagram)))
+        sendto(datagram, address)
+
+    wire.sendto = logged
+
+    def to_watcher():
+        return [
+            CODEC.decode(frame)
+            for datagram, address in world.udp.take()
+            if address == watcher.address
+            for frame in datagram_frames(datagram)
+        ]
+
+    session.to_watcher = to_watcher
+    return world, session
+
+
+class TestPublishBatching:
+    def test_a_burst_leaves_as_one_in_order_batch(self, batching):
+        world, session = batching
+        for index in range(5):
+            session.publish(0, bytes([index]))
+        assert session.log == [] and len(session.calls) == 1
+        session.calls.pop()()  # the flusher runs when the burst ends
+        assert session.log == [5]
+        assert [m.sequence for m in session.to_watcher()] == [1, 2, 3, 4, 5]
+        stats = session.stats
+        assert (stats.batch_datagrams_out, stats.batched_frames_out) == (1, 5)
+        assert world.counted()["batched_frames_in"] == 5
+
+    def test_a_control_request_sends_what_was_published_first(self, batching):
+        world, session = batching
+        session.publish(0, b"a")
+        session.publish(0, b"b")
+        session.ping()
+        session.publish(0, b"c")
+        # "c" rides the call "a" woke, still on its way.
+        assert session.log == [2, "PING"] and len(session.calls) == 1
+        session.calls.pop()()
+        assert session.log == [2, "PING", 1]
+        assert [m.payload for m in session.to_watcher()] == [b"a", b"b", b"c"]
+
+    def test_close_flushes(self, batching):
+        world, session = batching
+        session.publish(0, b"a")
+        session.publish(0, b"b")
+        session.close()
+        assert session.log == [2, "CLOSE"]
+        assert [m.payload for m in session.to_watcher()] == [b"a", b"b"]
+
+    def test_a_full_budget_leaves_inline(self, batching):
+        world, session = batching
+        payload = b"x" * 20_000  # two frames to a batch, not three
+        for _ in range(5):
+            session.publish(0, payload)
+        assert session.log == [2, 2] and len(session.calls) == 1
+        session.calls.pop()()
+        assert session.log == [2, 2, 1]
+        assert [m.sequence for m in session.to_watcher()] == [1, 2, 3, 4, 5]
+        moved = world.counted()
+        assert (moved["batch_datagrams_in"], moved["batched_frames_in"]) == (2, 4)
+        assert "bad_datagrams" not in moved
 
 
 # ----------------------------------------------------------------------
