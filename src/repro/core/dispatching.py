@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
-from repro.core.envelopes import StreamArrival, StreamAdvertisement
+from repro.core.envelopes import StreamAdvertisement, StreamArrival, new_arrival
 from repro.core.streamid import StreamId
 from repro.core.streams import StreamDescriptor, StreamRegistry
 from repro.errors import SubscriptionError
@@ -139,7 +139,8 @@ SubscriptionPattern.match_all = classmethod(_match_all)  # type: ignore[attr-def
 
 
 DirectLeg = Callable[..., None]
-"""``leg(arrival, *more)``: a run of deliveries as one call (see
+"""``leg(arrival, *more)``: a run of deliveries as one call, as routed:
+``delivered_at`` is the leg's to stamp (see
 :meth:`DispatchingService.bind_direct`)."""
 
 
@@ -419,9 +420,11 @@ class DispatchingService:
     def bind_direct(self, endpoint: str, handler: DirectLeg | None) -> None:
         """Deliver ``endpoint``'s fan-out legs by calling ``handler``.
 
-        One call per run: ``handler(arrival, *more)``, oldest first. No
-        bus latency, retry, partition or breaker applies to them; QoS
-        delivery queues still come first. None unbinds.
+        One call per run: ``handler(arrival, *more)``, oldest first, the
+        arrivals as routed — not restamped, so a handler whose consumers
+        read ``delivered_at`` stamps it. No bus latency, retry, partition
+        or breaker applies to them; QoS delivery queues still come first.
+        None unbinds.
         """
         if handler is None:
             self._direct.pop(endpoint, None)
@@ -486,11 +489,15 @@ class DispatchingService:
         stream_id = arrival.message.stream_id
         if arrival.receiver_id < 0:
             # Published directly on the fixed network (derived streams);
-            # the Filtering Service never saw it, so record stats here.
-            observe = self._registry.detect(stream_id).stats.observe
-            for each in run:
-                message = each.message
-                observe(each.received_at, len(message.payload), message.sequence)
+            # the Filtering Service never saw it, so record stats here,
+            # once for the run: it shares one received_at.
+            payloads = [each.message.payload for each in run]
+            self._registry.detect(stream_id).stats.observe(
+                arrival.received_at,
+                sum(map(len, payloads)),
+                run[-1].message.sequence,
+                len(payloads),
+            )
         if self._store is not None:
             self._store.record(*run)
         self._advertise_if_new(stream_id)
@@ -573,16 +580,10 @@ class DispatchingService:
                     stream_id, arrival.message.sequence, record=record_local
                 )
             ]
-        delivered_at = self._network.sim.now
-        # Positional: keyword binding costs a third of each construction.
-        outbound = [
-            StreamArrival(
-                arrival.message, arrival.received_at, arrival.receiver_id,
-                delivered_at,
-            )
-            for arrival in local
-        ]
-        count = len(outbound)
+        # Restamped with the hand-off time for the first leg that hands
+        # arrivals on; a direct leg takes the run as routed.
+        outbound: list[StreamArrival] | None = None
+        count = len(local)
         delivered = 0
         fanout = self._fanout
         seen_roots: set[str] | None = None if fanout is None else set()
@@ -601,6 +602,20 @@ class DispatchingService:
                 seen_roots.add(endpoint)
             subscription.delivered += count
             self._deliveries.inc(count)
+            direct = subscription.direct
+            if direct is not None and self._delivery is None and not to_root:
+                direct(*local)
+                delivered += count
+                continue
+            if outbound is None:
+                delivered_at = self._network.sim.now
+                outbound = [
+                    new_arrival(
+                        StreamArrival,
+                        (message, received_at, receiver_id, delivered_at),
+                    )
+                    for message, received_at, receiver_id, _ in local
+                ]
             if to_root:
                 for arrival in outbound:
                     delivered += fanout.deliver_root(endpoint, arrival)
@@ -608,8 +623,6 @@ class DispatchingService:
             if self._delivery is not None:
                 for arrival in outbound:
                     self._delivery.deliver(endpoint, arrival)
-            elif subscription.direct is not None:
-                subscription.direct(*outbound)
             else:
                 for arrival in outbound:
                     self._network.send(endpoint, arrival)

@@ -40,6 +40,13 @@ class StreamArrival(NamedTuple):
     delivered_at: float = 0.0
 
 
+#: ``new_arrival(StreamArrival, (message, received_at, receiver_id,
+#: delivered_at))`` builds an arrival in one C call; calling the class
+#: runs the NamedTuple's Python-level ``__new__`` first. For the per-frame
+#: construction sites, which always pass all four fields.
+new_arrival = tuple.__new__
+
+
 @dataclass(frozen=True, slots=True)
 class LocationObservation:
     """Reception metadata → Location Service (Section 4.2: location

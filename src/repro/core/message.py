@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import struct
 from binascii import crc_hqx
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.core.flags import (
@@ -280,6 +281,33 @@ class MessageCodec:
             _SET_FIELD(message, "wire", (frame, self._checksum))
         return frame
 
+    def encode_run(
+        self, messages: Iterable[DataMessage]
+    ) -> tuple[list[bytes], int]:
+        """:meth:`encode` over a run, oldest first, and how many of the
+        frames were remembered rather than built.
+
+        One pass over ``messages``, which may be an iterator: a message
+        that remembers its frame is let go for that frame as the pass
+        goes, and only one that needs the encoder is held to the end.
+        When every message remembers its frame (a run the broker decoded)
+        no call is made per message.
+        """
+        checksum = self._checksum
+        held = [
+            wire
+            if (wire := message.wire) is not None and wire[1] == checksum
+            else message
+            for message in messages
+        ]
+        frames = [item[0] for item in held if item.__class__ is tuple]
+        if len(frames) == len(held):
+            return frames, len(frames)
+        return [
+            item[0] if item.__class__ is tuple else self.encode(item)
+            for item in held
+        ], len(frames)
+
     def _build_frame(self, message: DataMessage) -> bytes:
         """The encoder proper: the precompiled-``struct`` fast path.
 
@@ -429,17 +457,22 @@ class MessageCodec:
         fields materialise when first read. Anything else takes
         :meth:`decode_prefix`, exceptions and all.
         """
-        common = self._checksum and type(data) is bytes
-        if common and len(data) >= _COMMON_OVERHEAD:
+        size = len(data)
+        if (
+            size >= _COMMON_OVERHEAD
+            and self._checksum
+            and type(data) is bytes
+        ):
             header_byte, stream_word, sequence, payload_size = (
                 _FIXED_HEADER.unpack_from(data)
             )
             stream_id = _STREAM_ID_CACHE.get(stream_word)
             if (
                 header_byte & _COMMON_SHAPE_MASK == _VERSION_BYTE
-                and len(data) == payload_size + _COMMON_OVERHEAD
+                and size == payload_size + _COMMON_OVERHEAD
                 and stream_id is not None
-                and not crc16_ccitt(data)
+                # crc16_ccitt is crc_hqx seeded 0xFFFF: called directly.
+                and not crc_hqx(data, 0xFFFF)
             ):
                 message = _NEW_MESSAGE(DataMessage)
                 _SET_STREAM_ID(message, stream_id)
@@ -448,9 +481,9 @@ class MessageCodec:
                 _SET_WIRE(message, (data, True))
                 return message
         message, consumed = self.decode_prefix(data)
-        if consumed != len(data):
+        if consumed != size:
             raise CodecError(
-                f"{len(data) - consumed} unexpected trailing bytes after message"
+                f"{size - consumed} unexpected trailing bytes after message"
             )
         return message
 

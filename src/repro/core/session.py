@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.core.control import StreamUpdateCommand
 from repro.core.dispatching import SubscriptionPattern
-from repro.core.envelopes import StreamArrival
+from repro.core.envelopes import StreamArrival, new_arrival
 from repro.core.message import DataMessage, peek_header
 from repro.core.resource import Decision
 from repro.core.security import Token
@@ -54,6 +54,7 @@ if TYPE_CHECKING:
     from repro.cluster.node import BrokerNode
 
 DataCallback = Callable[[StreamArrival], None]
+RunLeg = Callable[[Iterable[StreamArrival]], None]
 Held = TypeVar("Held")
 Wanted = TypeVar("Wanted")
 
@@ -227,6 +228,9 @@ class GarnetSession:
         self._closed = False
         # A tuple, rebound by on_data: deliveries iterate it without a copy.
         self._callbacks: tuple[DataCallback, ...] = ()
+        # Where each run of deliveries goes: the callbacks, one arrival
+        # at a time, unless deliver_inline installed a run leg.
+        self._take_run: RunLeg = self._hand_over
         # What this session asked for: recovery reinstalls it.
         self._ledger: SessionLedger[SubscriptionPattern] = SessionLedger()
         # Per-stream sequence windows primed by history replay: a live
@@ -336,7 +340,7 @@ class GarnetSession:
         self._callbacks += (callback,)
 
     def _deliver(self, arrival: StreamArrival, *more: StreamArrival) -> None:
-        """Hand a run of live deliveries to the callbacks, oldest first."""
+        """Hand a run of live deliveries on, oldest first, in one call."""
         run = (arrival, *more)
         windows = self._history_windows
         if windows:
@@ -344,7 +348,7 @@ class GarnetSession:
             # flight to the dispatcher when we read the store).
             run = [each for each in run if self._not_replayed(windows, each)]
         self._deliveries.inc(len(run))
-        self._hand_over(run)
+        self._take_run(run)
 
     def _hand_over(self, arrivals: Iterable[StreamArrival]) -> None:
         """Call the callbacks on each arrival: live runs and history replay.
@@ -374,10 +378,34 @@ class GarnetSession:
         self.stats.history_duplicates_dropped += 1
         return False
 
-    def deliver_inline(self) -> None:
+    def deliver_inline(self, take_run: RunLeg | None = None) -> None:
         """Take deliveries as calls from the home dispatcher, not bus
-        sends: one call per run."""
-        self._node.dispatcher.bind_direct(self.endpoint, self._deliver)
+        sends: one call per run.
+
+        With ``take_run``, every run this session delivers — live runs
+        past the history-replay window, orphan and history replay — goes
+        to ``take_run(run)`` in one call, in place of the data callbacks
+        (a live broker forwards its clients' frames this way); its live
+        runs come as routed, ``delivered_at`` unstamped. Without it, the
+        callbacks see each arrival stamped with the hand-off time.
+        """
+        handler = self._deliver_stamped
+        if take_run is not None:
+            self._take_run, handler = take_run, self._deliver
+        self._node.dispatcher.bind_direct(self.endpoint, handler)
+
+    def _deliver_stamped(
+        self, arrival: StreamArrival, *more: StreamArrival
+    ) -> None:
+        """A direct run for the data callbacks: stamped with the hand-off
+        time, which a bus delivery carries from the dispatcher."""
+        now = self.network.sim.now
+        self._deliver(
+            *[
+                new_arrival(StreamArrival, (message, received_at, receiver, now))
+                for message, received_at, receiver, _ in (arrival, *more)
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Discovery & subscription
@@ -682,7 +710,7 @@ class GarnetSession:
         store.stats.records_replayed += len(replayed)
         self.stats.history_replayed += len(replayed)
         self._deliveries.inc(len(replayed))
-        self._hand_over(self._arrivals(replayed))
+        self._take_run(self._arrivals(replayed))
         return len(replayed)
 
     # ------------------------------------------------------------------

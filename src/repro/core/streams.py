@@ -32,8 +32,16 @@ class StreamStatistics:
     last_seen_at: float | None = None
     last_sequence: int | None = None
 
-    def observe(self, time: float, payload_bytes: int, sequence: int) -> None:
-        self.messages += 1
+    def observe(
+        self, time: float, payload_bytes: int, sequence: int, messages: int = 1
+    ) -> None:
+        """Fold in ``messages`` messages received at ``time``, carrying
+        ``payload_bytes`` between them, the last numbered ``sequence``.
+
+        A run observed in one call leaves exactly what observing its
+        messages one by one would, because a run shares one ``time``.
+        """
+        self.messages += messages
         self.bytes += payload_bytes
         if self.first_seen_at is None:
             self.first_seen_at = time

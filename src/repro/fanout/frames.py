@@ -61,35 +61,38 @@ def encode_batch_datagrams(
     at least two frames share it: a group of one — a lone frame, or one
     too large to sit beside its neighbours — goes out as the bare frame,
     which keeps a frame that fits a datagram from outgrowing it inside
-    the wrapper.
+    the wrapper. Each frame is measured once.
     """
+    sizes = list(map(len, frames))
+    if sizes and max(sizes) > 0xFFFF:
+        oversize = next(size for size in sizes if size > 0xFFFF)
+        raise TransportError(
+            f"frame of {oversize} bytes exceeds the 16-bit batch "
+            "length prefix"
+        )
     datagrams: list[bytes] = []
-    group: list[bytes] = []
-    size = BATCH_HEADER_SIZE
-    for frame in frames:
-        if len(frame) > 0xFFFF:
-            raise TransportError(
-                f"frame of {len(frame)} bytes exceeds the 16-bit batch "
-                "length prefix"
-            )
-        entry_size = BATCH_FRAME_PREFIX + len(frame)
-        if group and size + entry_size > budget:
-            datagrams.append(_seal(group))
-            group, size = [], BATCH_HEADER_SIZE
-        group.append(frame)
+    start, size = 0, BATCH_HEADER_SIZE
+    for end, length in enumerate(sizes):
+        entry_size = BATCH_FRAME_PREFIX + length
+        if end > start and size + entry_size > budget:
+            datagrams.append(_seal(frames, sizes, start, end))
+            start, size = end, BATCH_HEADER_SIZE
         size += entry_size
-    if group:
-        datagrams.append(_seal(group))
+    if sizes:
+        datagrams.append(_seal(frames, sizes, start, len(sizes)))
     return datagrams
 
 
-def _seal(group: list[bytes]) -> bytes:
-    if len(group) == 1:
-        return group[0]
-    parts = [BATCH_MAGIC, _U16(len(group))]
-    for frame in group:
-        parts.append(_U16(len(frame)))
-        parts.append(frame)
+def _seal(
+    frames: Sequence[bytes], sizes: list[int], start: int, end: int
+) -> bytes:
+    """``frames[start:end]`` as one datagram: bare when it is one frame."""
+    if end - start == 1:
+        return frames[start]
+    parts: list[bytes] = [b""] * (2 * (end - start) + 1)
+    parts[0] = BATCH_MAGIC + _U16(end - start)
+    parts[1::2] = map(_U16, sizes[start:end])
+    parts[2::2] = frames[start:end]
     return b"".join(parts)
 
 
@@ -103,31 +106,32 @@ def decode_batch_datagram(data: bytes) -> list[bytes]:
     datagram as bad instead of silently mis-parsing it, and every batch
     accepted here re-encodes to itself.
     """
-    if not is_batch_datagram(data):
+    size = len(data)
+    if data[:4] != BATCH_MAGIC:
         raise TransportError("not a batch datagram (bad magic)")
-    if len(data) < BATCH_HEADER_SIZE:
+    if size < BATCH_HEADER_SIZE:
         raise TransportError("batch datagram truncated before frame count")
-    if len(data) > MAX_BATCH_DATAGRAM:
+    if size > MAX_BATCH_DATAGRAM:
         raise TransportError(
-            f"a {len(data)}-byte batch datagram exceeds {MAX_BATCH_DATAGRAM}"
+            f"a {size}-byte batch datagram exceeds {MAX_BATCH_DATAGRAM}"
         )
-    count = int.from_bytes(data[4:6], "big")
+    count = (data[4] << 8) | data[5]
     if count < 2:
         raise TransportError(f"a batch datagram of {count} frames")
-    frames: list[bytes] = []
+    # One walk: each length prefix read by indexing, each frame one slice.
+    frames: list[bytes] = [b""] * count
     offset = BATCH_HEADER_SIZE
-    for _ in range(count):
-        if offset + BATCH_FRAME_PREFIX > len(data):
+    for index in range(count):
+        start = offset + BATCH_FRAME_PREFIX
+        if start > size:
             raise TransportError("batch datagram truncated in length prefix")
-        length = int.from_bytes(data[offset : offset + BATCH_FRAME_PREFIX], "big")
-        offset += BATCH_FRAME_PREFIX
-        if offset + length > len(data):
+        offset = start + ((data[start - 2] << 8) | data[start - 1])
+        if offset > size:
             raise TransportError("batch datagram truncated inside a frame")
-        frames.append(data[offset : offset + length])
-        offset += length
-    if offset != len(data):
+        frames[index] = data[start:offset]
+    if offset != size:
         raise TransportError(
-            f"{len(data) - offset} trailing bytes after the last batch frame"
+            f"{size - offset} trailing bytes after the last batch frame"
         )
     return frames
 

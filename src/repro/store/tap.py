@@ -12,8 +12,10 @@ gap-free *and* duplicate-free through crashes for exactly the same
 reason consumer deliveries are.
 
 A record's frame is the message's own wire image — the datagram or radio
-frame it was decoded from, kept by the message; only one born in this
-process (a session publish) is encoded here, once for tap and fan-out.
+frame it was decoded from, kept by the message and taken for the whole
+run in one :meth:`~repro.core.message.MessageCodec.encode_run`; only one
+born in this process (a session publish) is encoded here, once for tap
+and fan-out.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ class StoreTap:
         if window is None:
             window = SequenceWindow(SEQUENCE_WINDOW)
             self._seen[stream_id] = window
-        encode = self._codec.encode
-        frames = [
-            encode(each.message)
+        messages = [
+            each.message
             for each in (arrival, *more)
             if window.add(each.message.sequence)
         ]
+        frames = self._codec.encode_run(messages)[0]
         skipped = 1 + len(more) - len(frames)
         if skipped:
             self._skip_counter.inc(skipped)

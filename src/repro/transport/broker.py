@@ -28,18 +28,15 @@ location beacon for exactly this reason).
 
 The data path does not ride the simulated bus. The broker owns its UDP
 socket (:class:`_DataPlaneSocket`): a readiness event reads datagrams
-until ``_DRAIN_BUDGET`` frames are in — unpacking a §7 batch with the
-decoder the client uses, never splitting one — and decodes each frame.
-Consecutive frames of one stream form a *run*, handed straight to the
-Dispatching Service in one call — routed once and stored in one append
-— whose fan-out legs call the server-side sessions. The decoded
-message keeps the frame it came from, and that frame — not a
-re-encoding — is what each leg queues; counting, the activity stamp and
-lease renewal happen once per drain, and the pump after it sends each
-session's share of the drain in one ``sendto`` loop, in arrival order,
-packed into §7 batch datagrams for a client that announced
-``batch_datagrams``. What the OS will not take waits in a bounded FIFO;
-a frame no UDP datagram can carry is dropped and counted.
+until ``_DRAIN_BUDGET`` frames are in, never splitting a §7 batch, and
+decodes each frame. Consecutive frames of one stream form a *run*, which
+the Dispatching Service routes and stores once; each server-side session
+takes it in one call and queues the frames the messages came from, not
+re-encodings. The pump after the drain sends each session's share in
+one ``sendto`` loop, in arrival order, packed into §7 batch datagrams
+for a client that announced ``batch_datagrams``. What the OS will not
+take waits in a bounded FIFO; a frame no UDP datagram can carry is
+dropped and counted.
 
 **Resilience.** With a grace window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
@@ -71,12 +68,13 @@ import secrets
 import socket
 import time
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
-from repro.core.envelopes import StreamArrival
+from repro.core.envelopes import StreamArrival, new_arrival
 from repro.core.message import peek_header
 from repro.core.middleware import Garnet
 from repro.core.session import SessionLedger
@@ -400,8 +398,10 @@ class LiveBroker:
         )
         self._bad_datagrams = metrics.counter(
             "transport.bad_datagrams",
-            help="malformed batch datagrams, and frames the codec "
-            "rejected (truncated, bad CRC)",
+            help="malformed batches, and bare frames the codec rejected",
+        )
+        self._bad_frames = metrics.counter(
+            "transport.bad_frames", help="rejected frames in good batches"
         )
         self._datagrams_dropped = metrics.counter(
             "transport.datagrams_dropped",
@@ -800,27 +800,30 @@ class LiveBroker:
         """Decode one datagram's frames onto the drain's current run; a
         frame of another stream first hands that run to the dispatcher.
         Returns the frames the datagram carried (a malformed batch is
-        one bad datagram)."""
+        one bad datagram, a rejected frame in a good one a bad frame)."""
         try:
             frames = datagram_frames(data)
         except TransportError:
             self._bad_datagrams.inc()
             return 1
-        if len(frames) > 1:
+        count = len(frames)
+        rejected = self._bad_datagrams
+        if count > 1:
             self._batch_datagrams_in.inc()
-            self._batched_frames_in.inc(len(frames))
+            self._batched_frames_in.inc(count)
+            rejected = self._bad_frames
         decode, stamp, run = self._codec.decode, self._drain_stamp, self._run
         for frame in frames:
             try:
                 message = decode(frame)
             except GarnetError:
-                self._bad_datagrams.inc()
+                rejected.inc()
                 continue
             if run and run[-1].message.stream_id != message.stream_id:
                 self._dispatch_run()
                 run = self._run
-            run.append(StreamArrival(message, stamp, -1))
-        return len(frames)
+            run.append(new_arrival(StreamArrival, (message, stamp, -1, 0.0)))
+        return count
 
     def _dispatch_run(self) -> None:
         """One dispatcher call for the run: routed and stored once."""
@@ -839,32 +842,27 @@ class LiveBroker:
         )
 
     def _attach(self, state: _SessionState, session: Any) -> None:
-        """Deliver the server-side session's arrivals to ``state``, inline."""
+        """Deliver the server-side session's runs to ``state``, inline."""
         state.session = session
-        session.deliver_inline()
-        session.on_data(functools.partial(self._deliver_to_state, state))
+        session.deliver_inline(functools.partial(self._forward_run, state))
 
     def _parked_backlog(self) -> Backlog[bytes]:
         """A session's buffer for deliveries while its client is away."""
         return Backlog(_PARK_CAPACITY, self._parked_dropped)
 
-    def _deliver_to_state(
-        self, state: _SessionState, arrival: StreamArrival
+    def _forward_run(
+        self, state: _SessionState, run: Iterable[StreamArrival]
     ) -> None:
-        """session.on_data hook: queue one delivery for the pump (or park).
-
-        The frame is the datagram or store record the message came from;
-        one born in this process is encoded once for all its recipients.
-        """
-        message = arrival.message
-        remembered = message.wire
-        frame = self._codec.encode(message)
-        if remembered is not None and remembered[0] is frame:
-            self._encode_reuse.inc()
+        """The server-side session's run leg: queue the frames its
+        messages came from for the pump, or park them. A message born in
+        this process is encoded once for all its recipients."""
+        frames, reused = self._codec.encode_run(map(attrgetter("message"), run))
+        self._encode_reuse.inc(reused)
         if state.udp_address is None:
-            state.parked.append(frame)
-        else:
-            state.outbox.append(frame)
+            for frame in frames:
+                state.parked.append(frame)
+        elif frames:
+            state.outbox += frames
             self._outboxes[state.token] = state
 
     def _maybe_renew_lease(self, connection: _ClientConnection) -> None:

@@ -132,6 +132,8 @@ async def _serve(args: argparse.Namespace) -> None:
         pass
     finally:
         await broker.stop()
+        if deployment.store is not None:
+            deployment.store.close()
 
 
 def parse_announce(line: str) -> tuple[str, int, int]:

@@ -221,11 +221,8 @@ class _SocketWire:
         self.sendto = self._udp.sendto
 
     def dial(self) -> socket.socket:
-        channel = socket.create_connection(
-            self._broker, timeout=self._timeout
-        )
-        channel.settimeout(self._timeout)
-        return channel
+        # The timeout stays on the socket after connect: every read too.
+        return socket.create_connection(self._broker, timeout=self._timeout)
 
     def receive(self) -> bytes | None:
         """Block for the next datagram; None once the wire is closed."""
@@ -969,8 +966,7 @@ class LiveSession:
                 except TransportError:
                     pass  # token refused: same socket, fresh HELLO
                 else:
-                    self._adopt(sock, assembler, response, resumed=True)
-                    return True
+                    return self._adopt(sock, assembler, response, resumed=True)
             response = self._exchange(
                 sock, assembler, *self._handshake(name=self._name)
             )
@@ -983,8 +979,7 @@ class LiveSession:
                 lambda *advert: exchange(ADVERTISE, _advertise_body(*advert)),
             )
             self.stats.rehellos += 1
-            self._adopt(sock, assembler, response, resumed=False)
-            return True
+            return self._adopt(sock, assembler, response, resumed=False)
         except (OSError, TransportError, ValueError):
             with contextlib.suppress(OSError):
                 sock.close()
@@ -996,23 +991,28 @@ class LiveSession:
         assembler: ControlFrameAssembler,
         response: dict,
         resumed: bool,
-    ) -> None:
+    ) -> bool:
         """Install a freshly-handshaken control socket as the session's
-        (the one it replaces was closed when its loss was noticed)."""
-        with self._lock:
-            self._tcp = sock
-            self._assembler = assembler
-            self._data_address = (self._host, int(response["data_port"]))
-            self._resume_token = response.get("resume_token")
-        self._ledger.publisher_id = int(response["publisher_id"])
-        self._streams = {}  # a re-HELLO may have named a new publisher id
-        if resumed:
-            self.stats.resumes += 1
-            self.stats.replayed += int(response.get("replayed", 0))
+        (the one it replaces was closed when its loss was noticed). False,
+        the socket closed, when ``close()`` ran while it was being dialed."""
         with self._state_lock:
+            if self._closed:
+                sock.close()
+                return False
+            with self._lock:
+                self._tcp = sock
+                self._assembler = assembler
+                self._data_address = (self._host, int(response["data_port"]))
+                self._resume_token = response.get("resume_token")
+            self._ledger.publisher_id = int(response["publisher_id"])
+            self._streams = {}  # a re-HELLO may have named a new publisher id
+            if resumed:
+                self.stats.resumes += 1
+                self.stats.replayed += int(response.get("replayed", 0))
             self._state = "connected"
         self._last_ping = self._wire.clock()
         self._flush_outage_buffers(resend_tail=resumed)
+        return True
 
     def _flush_outage_buffers(self, resend_tail: bool) -> None:
         if resend_tail:

@@ -1,6 +1,10 @@
 """The stream registry and per-stream statistics."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.streamid import StreamId, VIRTUAL_SENSOR_FLOOR
 from repro.core.streams import StreamRegistry, StreamStatistics
@@ -121,3 +125,54 @@ class TestStatistics:
         assert stats.mean_rate == 0.0
         stats.observe(1.0, 1, 0)
         assert stats.mean_rate == 0.0
+
+
+def reference_fold(stats, time, messages):
+    """The per-message fold a run observe replaces: one step per
+    ``(payload_bytes, sequence)``, as ``observe`` did before runs."""
+    for payload_bytes, sequence in messages:
+        stats["messages"] += 1
+        stats["bytes"] += payload_bytes
+        if stats["first_seen_at"] is None:
+            stats["first_seen_at"] = time
+        stats["last_seen_at"] = time
+        stats["last_sequence"] = sequence
+
+
+RUNS = st.lists(
+    st.tuples(
+        st.floats(0, 1e9, allow_nan=False),
+        st.lists(
+            st.tuples(st.integers(0, 1 << 16), st.integers(0, 0xFFFF)),
+            min_size=1,
+            max_size=40,
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestRunObserve:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(runs=RUNS)
+    def test_one_observe_per_run_is_the_per_message_fold(self, runs):
+        """Runs share a time, so one observe per run leaves exactly the
+        per-message fold: counts, bytes, first/last seen, last sequence."""
+        stats = StreamStatistics()
+        expected = {
+            "messages": 0,
+            "bytes": 0,
+            "duplicates_dropped": 0,
+            "first_seen_at": None,
+            "last_seen_at": None,
+            "last_sequence": None,
+        }
+        for time, messages in runs:
+            stats.observe(
+                time,
+                sum(size for size, _ in messages),
+                messages[-1][1],
+                len(messages),
+            )
+            reference_fold(expected, time, messages)
+        assert dataclasses.asdict(stats) == expected

@@ -186,6 +186,114 @@ class TestBatchDatagramProperties:
             decode_batch_datagram(MANGLES[mangle](datagram, n))
 
 
+def reference_split(data: bytes) -> list[bytes]:
+    """The batch decoder as it was before its one-walk rewrite: the
+    oracle the walk is held to, refusals and messages included."""
+    if data[:4] != BATCH_MAGIC:
+        raise TransportError("not a batch datagram (bad magic)")
+    if len(data) < BATCH_HEADER_SIZE:
+        raise TransportError("batch datagram truncated before frame count")
+    if len(data) > MAX_BATCH_DATAGRAM:
+        raise TransportError(
+            f"a {len(data)}-byte batch datagram exceeds {MAX_BATCH_DATAGRAM}"
+        )
+    count = int.from_bytes(data[4:6], "big")
+    if count < 2:
+        raise TransportError(f"a batch datagram of {count} frames")
+    frames: list[bytes] = []
+    offset = BATCH_HEADER_SIZE
+    for _ in range(count):
+        if offset + 2 > len(data):
+            raise TransportError("batch datagram truncated in length prefix")
+        length = int.from_bytes(data[offset : offset + 2], "big")
+        offset += 2
+        if offset + length > len(data):
+            raise TransportError("batch datagram truncated inside a frame")
+        frames.append(data[offset : offset + length])
+        offset += length
+    if offset != len(data):
+        raise TransportError(
+            f"{len(data) - offset} trailing bytes after the last batch frame"
+        )
+    return frames
+
+
+def reference_pack(frames: list[bytes], budget: int) -> list[bytes]:
+    """The batch encoder as it was before it measured each frame once."""
+    datagrams, group, size = [], [], BATCH_HEADER_SIZE
+
+    def seal(group):
+        if len(group) == 1:
+            return group[0]
+        return BATCH_MAGIC + len(group).to_bytes(2, "big") + b"".join(
+            len(frame).to_bytes(2, "big") + frame for frame in group
+        )
+
+    for frame in frames:
+        entry_size = 2 + len(frame)
+        if group and size + entry_size > budget:
+            datagrams.append(seal(group))
+            group, size = [], BATCH_HEADER_SIZE
+        group.append(frame)
+        size += entry_size
+    if group:
+        datagrams.append(seal(group))
+    return datagrams
+
+
+def outcome(split, data):
+    """What a splitter makes of ``data``: its frames, or its refusal."""
+    try:
+        return split(data)
+    except TransportError as exc:
+        return f"TransportError: {exc}"
+
+
+#: Arbitrary bytes, with the magic in front often enough that the walk
+#: itself runs: hand-built batches whose count and prefixes may lie.
+DATAGRAMS = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: BATCH_MAGIC + tail),
+    st.builds(
+        lambda frames, count, cut, tail: (
+            BATCH_MAGIC
+            + count.to_bytes(2, "big")
+            + b"".join(len(f).to_bytes(2, "big") + f for f in frames)
+            + tail
+        )[: None if cut < 0 else cut],
+        FRAMES,
+        st.integers(0, 14),
+        st.integers(-1, 200),
+        st.binary(max_size=3),
+    ),
+)
+
+
+class TestBatchWalkOracle:
+    """The one-walk decoder and the measure-once encoder against the
+    implementations they replaced."""
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(data=DATAGRAMS)
+    def test_the_walk_splits_or_refuses_as_the_reference_does(self, data):
+        assert outcome(decode_batch_datagram, data) == outcome(
+            reference_split, data
+        )
+
+    def test_an_oversize_batch_is_refused_with_the_same_message(self):
+        data = BATCH_MAGIC + b"\x00\x02" + bytes(MAX_BATCH_DATAGRAM)
+        assert outcome(decode_batch_datagram, data) == outcome(
+            reference_split, data
+        )
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(frames=FRAMES, budget=st.integers(BATCH_HEADER_SIZE + 2, 200))
+    def test_packing_matches_the_reference_packer(self, frames, budget):
+        assert encode_batch_datagrams(frames, budget) == reference_pack(
+            frames, budget
+        )
+
+
 # ----------------------------------------------------------------------
 # Frame reuse (the single-encode contract, now kept by the message)
 # ----------------------------------------------------------------------

@@ -88,6 +88,9 @@ class ChaosHarness:
     def stop(self):
         self._run(self.proxy.stop())
         self._run(self.broker.stop())
+        # The deployment ends with its broker: release its segments.
+        if self.broker.deployment.store is not None:
+            self.broker.deployment.store.close()
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=10)
         self.loop.close()
@@ -295,7 +298,9 @@ class TestConnectionReset:
                 assert poll_until(lambda: len(received) == 1)
 
                 assert poll_until(lambda: h.faults("connection_resets") >= 1)
-                assert h.proxy.stats.resets_injected >= 1
+                # The lever counts its resets just after the window opens,
+                # on the loop's thread: wait for it as for the window.
+                assert poll_until(lambda: h.proxy.stats.resets_injected >= 1)
                 # Publish into the outage, then wait for the resumed
                 # session to catch up duplicate-free.
                 for index in range(1, 4):

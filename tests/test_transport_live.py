@@ -111,6 +111,9 @@ class BrokerHarness:
         asyncio.run_coroutine_threadsafe(
             self.broker.stop(), self.loop
         ).result(10)
+        # The deployment ends with its broker: release its segment files.
+        if self.broker.deployment.store is not None:
+            self.broker.deployment.store.close()
         self.close_loop()
 
     def close_loop(self):
@@ -1269,34 +1272,34 @@ class TestStoreOverTheWire:
 
 class TestBrokerCli:
     def test_garnet_broker_serves_a_real_client(self, tmp_path):
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.transport.cli", "--port", "0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            announce = process.stdout.readline().strip()
-            host, control_port, data_port = parse_announce(announce)
-            assert data_port > 0
-            url = f"garnet://{host}:{control_port}"
-            with connect(url, "cli-pub") as publisher, connect(
-                url, "cli-sub"
-            ) as subscriber:
-                received = []
-                subscriber.on_data(
-                    lambda arrival: received.append(arrival.message.payload)
-                )
-                subscriber.subscribe(kind="hello")
-                publisher.publish(0, b"hello", kind="hello")
-                assert poll_until(lambda: received == [b"hello"])
-        finally:
-            process.terminate()
+        ) as process:  # closes both pipes on the way out
             try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                process.kill()
-                process.wait(timeout=10)
+                announce = process.stdout.readline().strip()
+                host, control_port, data_port = parse_announce(announce)
+                assert data_port > 0
+                url = f"garnet://{host}:{control_port}"
+                with connect(url, "cli-pub") as publisher, connect(
+                    url, "cli-sub"
+                ) as subscriber:
+                    received = []
+                    subscriber.on_data(
+                        lambda arrival: received.append(arrival.message.payload)
+                    )
+                    subscriber.subscribe(kind="hello")
+                    publisher.publish(0, b"hello", kind="hello")
+                    assert poll_until(lambda: received == [b"hello"])
+            finally:
+                process.terminate()
+                try:
+                    process.wait(timeout=10)
+                except subprocess.TimeoutExpired:  # pragma: no cover
+                    process.kill()
+                    process.wait(timeout=10)
 
     def test_parse_announce_rejects_other_lines(self):
         with pytest.raises(TransportError):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import collections
 import copy
 import dataclasses
+import functools
 import itertools
 import socket
 import sys
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import DispatchingService
+from repro.core.envelopes import StreamArrival
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
@@ -881,26 +883,28 @@ def row_batching_is_the_brokers_to_grant(tmp_path):
 
 def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     """The data plane's ledger over one drain that holds a bad datagram,
-    a good and a malformed inbound batch, a delivery that raises, a
-    parked, a bare and a batching subscriber: ``datagrams_in = bare +
-    batches + bad_datagrams`` and ``decodes = bare + batched frames``,
+    a good and a malformed inbound batch, a good batch with one frame
+    that fails its CRC, a delivery that raises, a parked, a bare and a
+    batching subscriber: ``datagrams_in = bare + batches +
+    bad_datagrams`` and ``decodes = bare + batched frames - bad_frames``,
     and every frame queued for a client is sent bare, counted in a batch
     or parked."""
     world = World()
     broker, codec = world.broker, world.deployment.codec
     errors, decoded, queued = [], [], []
     broker._loop = types.SimpleNamespace(call_exception_handler=errors.append)
-    decode, deliver = codec.decode, broker._deliver_to_state
+    decode, forward = codec.decode, broker._forward_run
 
     def counting_decode(data):
         decoded.append(decode(data))
         return decoded[-1]
 
-    def counting_deliver(state, arrival):
-        queued.append((state.name, arrival.message.sequence))
-        deliver(state, arrival)
+    def counting_forward(state, run):
+        run = list(run)
+        queued.extend((state.name, arrival.message.sequence) for arrival in run)
+        forward(state, run)
 
-    codec.decode, broker._deliver_to_state = counting_decode, counting_deliver
+    codec.decode, broker._forward_run = counting_decode, counting_forward
 
     def fail_on_one(arrival):
         if arrival.message.sequence == 1:
@@ -920,14 +924,17 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     pub = world.hello("pub", port=5004)
     pub.ok(ADVERTISE, stream_index=0, kind="temp")
     world.counted()
-    frames = [world.frame(pub.stream, sequence) for sequence in range(4)]
-    [batch] = encode_batch_datagrams(frames[2:])
+    frames = [world.frame(pub.stream, sequence) for sequence in range(7)]
+    [batch] = encode_batch_datagrams(frames[2:4])
+    bad_crc = frames[5][:-1] + bytes([frames[5][-1] ^ 0xFF])
+    [flawed] = encode_batch_datagrams([frames[4], bad_crc, frames[6]])
     inbound = [
         frames[0],
         b"junk-not-a-codec-frame",
         frames[1],
         batch,
         batch[:-1],  # a malformed batch: one bad datagram
+        flawed,  # a good batch carrying one bad frame
     ]
     broker._drain_stamp = world.clock()
     for datagram in inbound:
@@ -939,26 +946,31 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     assert counted["datagrams_in"] == (
         bare_in + counted["batch_datagrams_in"] + counted["bad_datagrams"]
     )
-    assert len(decoded) == bare_in + counted["batched_frames_in"]
-    assert (counted["batch_datagrams_in"], counted["batched_frames_in"]) == (1, 2)
-    assert (len(decoded), counted["bad_datagrams"]) == (4, 2)
+    assert len(decoded) == (
+        bare_in + counted["batched_frames_in"] - counted["bad_frames"]
+    )
+    assert (counted["batch_datagrams_in"], counted["batched_frames_in"]) == (2, 5)
+    assert (len(decoded), counted["bad_datagrams"], counted["bad_frames"]) == (
+        6, 2, 1,
+    )
     assert counted["dispatch_errors"] == 1
     assert [str(context["exception"]) for context in errors] == ["boom"]
     # The raiser's leg runs first and loses sequence 1; the legs routed
     # after it still get every frame.
+    delivered = [frame for frame in frames if frame is not frames[5]]
     assert sorted(queued) == sorted(
         (name, sequence)
         for name in ("bare", "batching", "parked")
-        for sequence in range(4)
+        for sequence in (0, 1, 2, 3, 4, 6)
     )
     sent = world.udp.take()
     assert [(d, a) for d, a in sent if a == bare.address] == [
-        (frame, bare.address) for frame in frames
+        (frame, bare.address) for frame in delivered
     ]
     [batch] = [d for d, a in sent if a == batching.address]
-    assert decode_batch_datagram(batch) == frames
+    assert decode_batch_datagram(batch) == delivered
     [state] = [s for s in broker._states.values() if s.name == "parked"]
-    assert list(state.parked) == frames
+    assert list(state.parked) == delivered
     sent_bare = sum(not is_batch_datagram(d) for d, _ in sent)
     assert len(queued) == (
         sent_bare + counted["batched_frames"] + len(state.parked)
@@ -1492,6 +1504,105 @@ def test_one_inbound_batch_is_dispatched_in_order_and_counted_once():
     assert received == frames
 
 
+def reference_deliver(broker, state, arrival):
+    """The per-arrival leg the run-level one replaced: one data callback
+    per arrival, one encode and one queue or park per frame."""
+    message = arrival.message
+    remembered = message.wire
+    frame = broker._codec.encode(message)
+    if remembered is not None and remembered[0] is frame:
+        broker._encode_reuse.inc()
+    if state.udp_address is None:
+        state.parked.append(frame)
+    else:
+        state.outbox.append(frame)
+        broker._outboxes[state.token] = state
+
+
+def leg_outcome(steps, reference):
+    """Drive one server-side session's deliveries straight through its
+    run entry point; what the leg left behind."""
+    world = World()
+    peer = world.hello("sub", port=5001)
+    peer.ok(SUBSCRIBE, kind="temp")
+    broker, state = world.broker, peer.connection.state
+    session = state.session
+    if reference:
+        session._take_run = session._hand_over
+        session.on_data(functools.partial(reference_deliver, broker, state))
+    streams = [StreamId(900, 0), StreamId(900, 1)]
+    for step, argument in steps:
+        if step == "park":
+            state.udp_address = None
+        elif step == "unpark":
+            state.udp_address = peer.address
+        elif step == "replayed":
+            index, sequence = argument
+            session._history_windows.setdefault(
+                streams[index], SequenceWindow(1024)
+            ).add(sequence)
+        else:
+            index, frames = argument
+            messages = [
+                CODEC.decode(CODEC.encode(message)) if from_wire else message
+                for sequence, from_wire in frames
+                for message in [DataMessage(streams[index], sequence, b"p")]
+            ]
+            session._deliver(
+                *(StreamArrival(message, 1000.0, -1, 1.0) for message in messages)
+            )
+    counters = world.deployment.metrics_snapshot()["counters"]
+    return {
+        "outbox": list(state.outbox),
+        "parked": list(state.parked),
+        "pending": state.token in broker._outboxes,
+        "counters": {
+            name: counters.get(name, 0)
+            for name in (
+                "transport.encode_reuse",
+                "session.sub.deliveries",
+                "session.sub.history_duplicates_dropped",
+            )
+        },
+    }
+
+
+LEG_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["park", "unpark"]), st.none()),
+        st.tuples(
+            st.just("replayed"), st.tuples(st.integers(0, 1), st.integers(0, 12))
+        ),
+        st.tuples(
+            st.just("run"),
+            st.tuples(
+                st.integers(0, 1),
+                st.lists(
+                    st.tuples(st.integers(0, 12), st.booleans()),
+                    min_size=1,
+                    max_size=8,
+                ),
+            ),
+        ),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(steps=LEG_STEPS)
+def test_the_run_leg_queues_what_the_per_arrival_leg_did(steps):
+    """The oracle for the run-level leg: runs of decoded and in-process
+    messages, a session parked and unparked between them, history
+    windows primed in between, leave the same frames in the same order,
+    split the same way between outbox and park buffer, with the same
+    history-window drops and the same ``encode_reuse`` and
+    ``deliveries`` counts as the per-arrival callback it replaced."""
+    assert leg_outcome(steps, reference=False) == leg_outcome(
+        steps, reference=True
+    )
+
+
 # ----------------------------------------------------------------------
 # Client half: a threadless LiveSession wired to the broker in-process
 # ----------------------------------------------------------------------
@@ -1760,6 +1871,30 @@ class TestClientHalf:
         assert [(m.sequence, m.payload) for m in to_watcher] == [
             (0, b"before"), (1, b"during"),
         ]
+
+    def test_a_redial_that_close_overtakes_leaves_its_socket_closed(self, pair):
+        """close() runs while a reconnect attempt is mid-handshake: the
+        attempt's new control channel is closed, not adopted, and the
+        session stays closed."""
+        world, _, subscriber = pair
+        subscriber._wire.severed = True
+        with pytest.raises(TransportError):
+            subscriber.ping()
+        subscriber._wire.severed = False
+        dialed = []
+        dial = subscriber._wire.dial
+
+        def dial_then_close():
+            channel = dial()
+            dialed.append(channel)
+            subscriber.close()  # the caller's close, racing the redial
+            return channel
+
+        subscriber._wire.dial = dial_then_close
+        subscriber._run_reconnect()
+        assert len(dialed) == 1 and dialed[0].closed
+        assert subscriber.state == "closed"
+        assert subscriber.stats.reconnects == 0
 
     @staticmethod
     def redial_after_the_grace(world, publisher, subscriber):

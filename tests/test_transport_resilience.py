@@ -72,6 +72,9 @@ class BrokerHarness:
         asyncio.run_coroutine_threadsafe(
             self.broker.stop(), self.loop
         ).result(10)
+        # The deployment ends with its broker: release its segment files.
+        if self.broker.deployment.store is not None:
+            self.broker.deployment.store.close()
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(timeout=10)
         self.loop.close()
