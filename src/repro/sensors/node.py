@@ -61,6 +61,11 @@ from repro.util.ids import WrappingCounter
 
 MAX_ACKS_PER_MESSAGE = 4
 _ACK_FLUSH_DELAY = 0.25
+#: The medium tag of a node's data frames (a str: its hash is cached), and
+#: what a node that neither relays nor pays to receive ignores, since it
+#: acts only on control frames.
+_DATA_TAG = FrameKind.DATA.value
+_DATA_ONLY = frozenset({_DATA_TAG})
 
 
 @dataclass(slots=True)
@@ -172,8 +177,9 @@ class SensorNode:
             # the *emitter's* range. A stationary node's antenna never
             # moves, so it qualifies for the medium's broadcast-pruning
             # index; roaming nodes must stay on the exhaustive scan.
+            ignores = frozenset() if relay or battery is not None else _DATA_ONLY
             medium.attach(
-                self, rx_range, static=isinstance(mobility, Stationary)
+                self, rx_range, static=isinstance(mobility, Stationary), ignores=ignores
             )
 
     # ------------------------------------------------------------------
@@ -296,7 +302,7 @@ class SensorNode:
         if not self._drain_tx(len(frame)):
             return
         self._medium.broadcast(
-            self.position, frame, self.tx_range, exclude=self
+            self.position, frame, self.tx_range, exclude=self, tag=_DATA_TAG
         )
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(frame)
@@ -484,6 +490,6 @@ class SensorNode:
         if not self._drain_tx(len(frame)):
             return
         self._medium.broadcast(
-            self.position, frame, self.tx_range, exclude=self
+            self.position, frame, self.tx_range, exclude=self, tag=_DATA_TAG
         )
         self.stats.relays += 1

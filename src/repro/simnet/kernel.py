@@ -23,7 +23,8 @@ from repro.errors import SchedulingError, SimulationError
 
 
 class EventHandle:
-    """A cancellable reference to a scheduled event."""
+    """A cancellable reference to a scheduled event; the queue holds
+    ``(time, seq, handle)`` and ``seq`` is unique, so no handle is compared."""
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner")
 
@@ -55,13 +56,6 @@ class EventHandle:
             # events cannot skew the count.
             owner._note_cancelled()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Branching beats building two tuples per comparison; heappush
-        # compares O(log n) times per scheduled event.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -91,7 +85,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
-        self._queue: list[EventHandle] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         # call_first() counts down from here, below every schedule()d seq.
         self._first_seq = 0
@@ -163,7 +157,7 @@ class Simulator:
         self._cancelled += 1
         queue = self._queue
         if self._cancelled > 64 and self._cancelled * 2 > len(queue):
-            queue[:] = [h for h in queue if not h.cancelled]
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
             heapq.heapify(queue)
             self._cancelled = 0
 
@@ -175,7 +169,7 @@ class Simulator:
         sweeps (:meth:`FixedNetwork.extract_pending_for`) and debugging;
         not a hot path.
         """
-        return [handle for handle in self._queue if not handle.cancelled]
+        return [entry[2] for entry in self._queue if not entry[2].cancelled]
 
     def clear_pending(self) -> int:
         """Drop every queued event; returns how many were discarded.
@@ -215,8 +209,8 @@ class Simulator:
         if not callable(callback):
             raise SimulationError(f"callback {callback!r} is not callable")
         handle = EventHandle(time, self._seq, callback, args, self)
+        heapq.heappush(self._queue, (time, self._seq, handle))
         self._seq += 1
-        heapq.heappush(self._queue, handle)
         probe = self._probe
         if probe is not None:
             probe.on_schedule(handle, time - now)
@@ -233,8 +227,8 @@ class Simulator:
         if not callable(callback):
             raise SimulationError(f"callback {callback!r} is not callable")
         handle = EventHandle(time, self._seq, callback, args, self)
+        heapq.heappush(self._queue, (time, self._seq, handle))
         self._seq += 1
-        heapq.heappush(self._queue, handle)
         probe = self._probe
         if probe is not None:
             probe.on_schedule(handle, time - self._now)
@@ -256,9 +250,9 @@ class Simulator:
         """
         if not callable(callback):
             raise SimulationError(f"callback {callback!r} is not callable")
-        self._first_seq -= 1
-        handle = EventHandle(self._now, self._first_seq, callback, args, self)
-        heapq.heappush(self._queue, handle)
+        seq = self._first_seq = self._first_seq - 1
+        handle = EventHandle(self._now, seq, callback, args, self)
+        heapq.heappush(self._queue, (self._now, seq, handle))
         probe = self._probe
         if probe is not None:
             probe.on_schedule(handle, 0.0)
@@ -295,19 +289,18 @@ class Simulator:
             while queue:
                 if max_events is not None and executed >= max_events:
                     break
-                head = queue[0]
+                batch_time, _, head = queue[0]
                 if head.cancelled:
                     pop(queue)
                     self._cancelled -= 1
                     continue
-                if until is not None and head.time > until:
+                if until is not None and batch_time > until:
                     self._now = max(self._now, until)
                     break
                 pop(queue)
                 head.owner = None
-                batch_time = head.time
                 self._now = batch_time
-                if not queue or queue[0].time != batch_time:
+                if not queue or queue[0][0] != batch_time:
                     # Fast path: a lone event at this instant — skip the
                     # batch list allocation entirely.
                     head.callback(*head.args)
@@ -328,10 +321,10 @@ class Simulator:
                 batch = [head]
                 append = batch.append
                 budget = None if max_events is None else max_events - executed
-                while queue and queue[0].time == batch_time:
+                while queue and queue[0][0] == batch_time:
                     if budget is not None and len(batch) >= budget:
                         break
-                    nxt = pop(queue)
+                    nxt = pop(queue)[2]
                     nxt.owner = None
                     if nxt.cancelled:
                         self._cancelled -= 1
@@ -375,7 +368,7 @@ class Simulator:
         for handle in handles:
             if not handle.cancelled:
                 handle.owner = self
-                heapq.heappush(queue, handle)
+                heapq.heappush(queue, (handle.time, handle.seq, handle))
 
     def step(self) -> bool:
         """Execute exactly one pending event. Returns False when idle."""

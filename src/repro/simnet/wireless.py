@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Protocol
@@ -135,7 +135,8 @@ class _Attachment:
     ``seq`` is the attach-order serial number; candidate iteration sorts
     on it so loss-model RNG draws happen in exactly the order the
     unindexed linear scan produced them. ``position`` caches the antenna
-    location for static listeners (queried once, at attach time).
+    location for static listeners (queried once, at attach time), and
+    ``ignores`` the transmission tags it discards unread.
     """
 
     __slots__ = (
@@ -145,6 +146,7 @@ class _Attachment:
         "seq",
         "static",
         "position",
+        "ignores",
     )
 
     def __init__(
@@ -155,6 +157,7 @@ class _Attachment:
         seq: int,
         static: bool,
         position: Point | None,
+        ignores: frozenset[Hashable],
     ) -> None:
         self.listener = listener
         self.radio_range = radio_range
@@ -162,6 +165,7 @@ class _Attachment:
         self.seq = seq
         self.static = static
         self.position = position
+        self.ignores = ignores
 
 
 @dataclass(slots=True)
@@ -188,7 +192,7 @@ class WirelessMedium:
     :meth:`broadcast` is the one implementation: a grid-pruned candidate
     walk in attach order, one seeded loss draw per in-range listener,
     and one kernel event per transmission that hands the surviving
-    copies over in arrival order.
+    copies over in arrival order to the listeners that read them.
 
     Parameters
     ----------
@@ -290,6 +294,7 @@ class WirelessMedium:
         channel: int = 0,
         *,
         static: bool = False,
+        ignores: frozenset[Hashable] = frozenset(),
     ) -> None:
         """Register a listener with the sensitivity range of its radio.
 
@@ -297,7 +302,9 @@ class WirelessMedium:
         changes (fixed receivers, :class:`~repro.simnet.mobility.Stationary`
         sensors): static listeners are binned into the broadcast pruning
         index at their current position and are never re-queried. Mobile
-        listeners keep the exhaustive per-broadcast scan.
+        listeners keep the exhaustive per-broadcast scan. ``ignores``
+        names the :meth:`broadcast` tags the listener would discard
+        unread: it still hears them but is handed no frame.
         """
         if radio_range <= 0:
             raise ConfigurationError(
@@ -310,6 +317,7 @@ class WirelessMedium:
             self._attach_seq,
             static,
             listener.position if static else None,
+            ignores,
         )
         self._attach_seq += 1
         if static:
@@ -423,6 +431,7 @@ class WirelessMedium:
         tx_range: float,
         channel: int = 0,
         exclude: RadioListener | None = None,
+        tag: Hashable = None,
     ) -> int:
         """Transmit ``payload`` from ``origin``; returns scheduled deliveries.
 
@@ -443,7 +452,8 @@ class WirelessMedium:
         tie-break), so a first-copy-wins consumer elects the receiver it
         would under one event per copy. Propagation skew inside a disc
         is microseconds, and receivers timestamp from the frame, not the
-        clock.
+        clock. ``tag`` (opaque here) says what the payload carries; a
+        copy whose listener ignores it is counted but builds no frame.
         """
         if tx_range <= 0:
             raise ConfigurationError(f"tx_range must be positive: {tx_range}")
@@ -453,7 +463,7 @@ class WirelessMedium:
         stats.bytes_sent += len(payload)
         for snooper in self._snoopers:
             snooper(payload, origin)
-        serialisation = len(payload) * 8.0 / self._bitrate
+        fixed_delay = self._per_hop_latency + len(payload) * 8.0 / self._bitrate
         if self._static:
             self._sweep_static_positions()
 
@@ -475,6 +485,8 @@ class WirelessMedium:
         origin_x = origin.x
         origin_y = origin.y
         examined_static = 0
+        copies = 0
+        farthest = 0.0
         for entry in candidates:
             if entry.channel != channel or entry.listener is exclude:
                 continue
@@ -506,11 +518,11 @@ class WirelessMedium:
                     stats.losses += 1
                     stats.burst_losses += 1
                     continue
-            delay = (
-                self._per_hop_latency
-                + serialisation
-                + distance / _SPEED_OF_LIGHT
-            )
+            copies += 1
+            if distance > farthest:
+                farthest = distance
+            if tag in entry.ignores:
+                continue
             rssi = rssi_cache.get(distance)
             if rssi is None:
                 if len(rssi_cache) >= _RSSI_CACHE_MAX:
@@ -528,7 +540,8 @@ class WirelessMedium:
             _SET_FRAME_FIELD(frame, "payload", payload)
             _SET_FRAME_FIELD(frame, "rssi", rssi)
             _SET_FRAME_FIELD(frame, "sent_at", now)
-            _SET_FRAME_FIELD(frame, "received_at", now + delay)
+            arrival = now + (fixed_delay + distance / _SPEED_OF_LIGHT)
+            _SET_FRAME_FIELD(frame, "received_at", arrival)
             _SET_FRAME_FIELD(frame, "channel", channel)
             batch.append((entry.listener, frame))
 
@@ -545,12 +558,15 @@ class WirelessMedium:
                     if entry.channel == channel
                 )
             stats.out_of_range += total_static - excluded - examined_static
-        if batch:
+        if copies:
             batch.sort(key=_arrival)
+            # Arrival grows with distance: this is the latest copy's
+            # received_at, bit for bit, handed over or not.
+            latest = now + (fixed_delay + farthest / _SPEED_OF_LIGHT)
             self._sim.schedule_at(
-                batch[-1][1].received_at, self._deliver_batch, batch
+                latest, self._deliver_batch, copies, len(payload), batch
             )
-        return len(batch)
+        return copies
 
     def _ensure_grid(self, tx_range: float) -> UniformGridIndex:
         """The static-listener grid, (re)built so cells stay near the
@@ -569,12 +585,12 @@ class WirelessMedium:
         return grid
 
     def _deliver_batch(
-        self, batch: list[tuple[RadioListener, RadioFrame]]
+        self, copies: int, size: int, batch: list[tuple[RadioListener, RadioFrame]]
     ) -> None:
         stats = self.stats
-        stats.deliveries += len(batch)
-        # Every frame in a batch shares one payload object.
-        stats.bytes_delivered += len(batch[0][1].payload) * len(batch)
+        stats.deliveries += copies
+        # Every copy, handed over or not, carries the same payload.
+        stats.bytes_delivered += size * copies
         for listener, frame in batch:
             listener.on_radio_receive(frame)
 

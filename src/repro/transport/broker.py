@@ -245,6 +245,10 @@ class _DataPlaneSocket:
         self._send_queue: Backlog[tuple[bytes, Any]] = Backlog(
             _SEND_QUEUE_CAPACITY, broker._datagrams_dropped
         )
+        # True exactly while ``_send_queue`` holds datagrams and the
+        # writer hook is armed: the per-datagram empty test is a flag
+        # read, not a ``Backlog.__len__`` call.
+        self._blocked = False
         loop.add_reader(sock.fileno(), self._on_readable)
 
     def get_extra_info(self, name: str, default: Any = None) -> Any:
@@ -283,19 +287,19 @@ class _DataPlaneSocket:
         sock = self._sock
         if sock is None:
             return
-        queue = self._send_queue
-        if not queue:
+        if not self._blocked:
             try:
                 sock.sendto(data, addr)
                 return
             except BlockingIOError:
+                self._blocked = True
                 self._loop.add_writer(sock.fileno(), self._on_writable)
             except OSError:
                 # Unsendable (too large for UDP, unreachable peer): lost
                 # like any datagram the network drops.
                 self._broker._datagrams_dropped.inc()
                 return
-        queue.append((data, addr))
+        self._send_queue.append((data, addr))
 
     def _on_writable(self) -> None:
         sock = self._sock
@@ -309,6 +313,7 @@ class _DataPlaneSocket:
                 return
             except OSError:
                 self._broker._datagrams_dropped.inc()
+        self._blocked = False
         self._loop.remove_writer(sock.fileno())
 
     def close(self) -> None:

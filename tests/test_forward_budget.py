@@ -1,7 +1,7 @@
 """The live broker forwards bytes, not objects: a call-count ratchet.
 
-A socket-free broker (never started: a recording socket, a fixed clock)
-takes a fixed number of drains, each one §7 batch datagram of 32 frames
+A socket-free broker (never started: the broker's own data-plane socket
+wrapper around a recording socket, a fixed clock) takes a fixed number of drains, each one §7 batch datagram of 32 frames
 from one publisher, and forwards them to one subscriber that asked for
 batch datagrams. ``cProfile`` counts every Python and C call the drains
 make — decode, routing, the store, the forwarding leg, the flush — and
@@ -27,12 +27,13 @@ from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
 from repro.fanout.frames import encode_batch_datagrams
 from repro.transport import LiveBroker
+from repro.transport.broker import _DataPlaneSocket
 from repro.transport.framing import ADVERTISE, HELLO, SUBSCRIBE
 
 DRAINS = 100
 FRAMES_PER_DRAIN = 32
 #: Calls per forwarded frame, ``(storeless, memory store)``, by Python
-#: minor version: 10.41 and 17.42 on 3.11, 10.31 and 17.20 on 3.12, where
+#: minor version: 10.44 and 17.45 on 3.11, 10.34 and 17.23 on 3.12, where
 #: the per-arrival broker made 32.3 and 40.1. Other versions get the
 #: ceiling; the storeless budget never exceeds 15.
 BUDGETS = {
@@ -43,13 +44,23 @@ CEILING = (15.0, 20.0)
 
 
 class _RecordingSocket:
-    """Stands in for the bound data-plane socket."""
+    """Stands in for the bound UDP socket; it never blocks."""
 
     def __init__(self):
         self.sent = []
 
+    def fileno(self):
+        return -1
+
     def sendto(self, data, address):
         self.sent.append((data, address))
+
+
+class _NoLoop:
+    """The event loop's reader hook, never fired: drains are driven by hand."""
+
+    def add_reader(self, fd, callback):
+        pass
 
 
 def _hello(broker, name, port, **extra):
@@ -76,7 +87,8 @@ def calls_per_frame(store: bool) -> float:
     broker = LiveBroker(deployment)
     broker._clock = deployment.broker.lease_clock = clock
     deployment.arrival_clock = clock
-    broker._udp = udp = _RecordingSocket()
+    udp = _RecordingSocket()
+    broker._udp = _DataPlaneSocket(broker, _NoLoop(), udp)
     subscriber, _ = _hello(broker, "sub", 5001, batch_datagrams=True)
     assert broker._handle_frame(
         subscriber, SUBSCRIBE, {"kind": "temp"}

@@ -357,3 +357,92 @@ class TestSensorNode:
             ]
         )
         assert node.stream_ids() == [StreamId(7, 1), StreamId(7, 3)]
+
+
+class TestWhoHearsData:
+    """A receive-capable node takes a copy of a data transmission only if
+    it acts on it: it relays, or it pays to receive."""
+
+    @staticmethod
+    def field(**listener):
+        sim = Simulator(seed=5)
+        medium = WirelessMedium(sim, loss_model=None)
+
+        def node(sensor_id, x, **options):
+            return SensorNode(
+                sensor_id=sensor_id,
+                sim=sim,
+                medium=medium,
+                mobility=Stationary(Point(x, 0.0)),
+                streams=[
+                    SensorStreamSpec(
+                        0,
+                        ConstantSampler(5.0),
+                        SampleCodec(0.0, 10.0),
+                        config=StreamConfig(rate=1.0),
+                    )
+                ],
+                message_codec=MessageCodec(),
+                tx_range=100.0,
+                **options,
+            )
+
+        talker = node(1, 0.0)
+        hearer = node(2, 50.0, **listener)
+        handed = []
+        deliver = hearer.on_radio_receive
+        hearer.on_radio_receive = lambda frame: (
+            handed.append(frame), deliver(frame)
+        )
+        talker.start()
+        return sim, medium, talker, hearer, handed
+
+    def test_battery_node_pays_rx_cost_for_every_data_copy(self):
+        model, battery = RadioEnergyModel(), Battery(10.0)
+        sim, _, talker, _, handed = self.field(
+            battery=battery, energy_model=model
+        )
+        sim.run(until=10.0)
+        assert talker.stats.messages_sent >= 9
+        assert len(handed) == talker.stats.messages_sent
+        assert battery.consumed == pytest.approx(
+            model.rx_cost(8) * talker.stats.bytes_sent
+        )
+
+    def test_relay_node_still_relays(self):
+        sim, medium, talker, hearer, handed = self.field(relay=True)
+
+        class Sink:
+            # Beyond the talker's 100 m, inside the relay's.
+            position = Point(140.0, 0.0)
+
+            def __init__(self):
+                self.frames = []
+
+            def on_radio_receive(self, frame):
+                self.frames.append(frame)
+
+        sink = Sink()
+        medium.attach(sink, 10_000.0)
+        sim.run(until=5.0)
+        assert len(handed) == talker.stats.messages_sent > 0
+        assert hearer.stats.relays == talker.stats.messages_sent
+        relayed = [MessageCodec().decode(f.payload) for f in sink.frames]
+        assert relayed and all(m.hop_count == 1 for m in relayed)
+
+    def test_plain_node_is_handed_control_but_not_data(self):
+        sim, medium, talker, hearer, handed = self.field()
+        sim.run(until=5.0)
+        assert talker.stats.messages_sent > 0 and handed == []
+        # The data copies it heard still count as deliveries.
+        assert medium.stats.deliveries == talker.stats.messages_sent
+        request = StreamUpdateRequest(
+            request_id=1,
+            target=StreamId(2, 0),
+            command=StreamUpdateCommand.PING,
+        )
+        medium.broadcast(
+            Point(0.0, 0.0), ControlCodec().encode(request), 100.0
+        )
+        sim.run(until=6.0)
+        assert len(handed) == 1 and hearer.stats.control_frames == 1

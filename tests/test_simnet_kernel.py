@@ -1,6 +1,10 @@
 """The discrete-event kernel: ordering, cancellation, periodic tasks."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, SimulationError
 from repro.simnet.kernel import PeriodicTask, Simulator
@@ -446,3 +450,282 @@ class TestBatchDequeue:
         sim.call_soon(fired.append, "later")
         sim.run()
         assert fired == ["earlier", "first half", "second half", "next", "later"]
+
+
+# ----------------------------------------------------------------------
+# Oracle: the kernel against a reference scheduler
+# ----------------------------------------------------------------------
+class _Boom(Exception):
+    """Raised by a callback whose action is to fail."""
+
+
+class _RefEvent:
+    __slots__ = ("time", "seq", "ident", "action", "cancelled", "queued")
+
+    def __init__(self, time, seq, ident, action):
+        self.time, self.seq, self.ident = time, seq, ident
+        self.action = action
+        self.cancelled = False
+        self.queued = True
+
+
+class _Reference:
+    """The kernel's contract over a list kept sorted on ``(time, seq)``.
+
+    ``schedule``/``schedule_at``/``call_soon`` number events up from 0,
+    ``call_first`` down from -1. An instant's events that are queued
+    when it starts run as one batch: an event one of them cancels is
+    skipped, not left as a tombstone, and an exception puts the batch's
+    undispatched rest back. Other cancelled events stay queued as
+    tombstones until they reach the head, or until more than 64 of them
+    make up over half the queue, which drops them all.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []
+        self.seq = 0
+        self.first = 0
+        self.tombstones = 0
+        self.processed = 0
+
+    def _push(self, event):
+        event.queued = True
+        bisect.insort(self.queue, event, key=lambda e: (e.time, e.seq))
+
+    def schedule_at(self, time, ident, action):
+        event = _RefEvent(time, self.seq, ident, action)
+        self.seq += 1
+        self._push(event)
+        return event
+
+    def call_first(self, ident, action):
+        self.first -= 1
+        event = _RefEvent(self.now, self.first, ident, action)
+        self._push(event)
+        return event
+
+    def cancel(self, event):
+        if event.cancelled:
+            return
+        event.cancelled = True
+        if not event.queued:
+            return
+        self.tombstones += 1
+        if self.tombstones > 64 and self.tombstones * 2 > len(self.queue):
+            for dropped in self.queue:
+                dropped.queued = not dropped.cancelled
+            self.queue = [e for e in self.queue if not e.cancelled]
+            self.tombstones = 0
+
+    def _pop(self):
+        event = self.queue.pop(0)
+        event.queued = False
+        if event.cancelled:
+            self.tombstones -= 1
+        return event
+
+    def run(self, until, max_events, fire):
+        executed = 0
+        while self.queue:
+            if max_events is not None and executed >= max_events:
+                break
+            head = self.queue[0]
+            if head.cancelled:
+                self._pop()
+                continue
+            if until is not None and head.time > until:
+                self.now = max(self.now, until)
+                break
+            budget = None if max_events is None else max_events - executed
+            batch = []
+            while self.queue and self.queue[0].time == head.time:
+                if budget is not None and len(batch) >= budget:
+                    break
+                event = self._pop()
+                if not event.cancelled:
+                    batch.append(event)
+            self.now = head.time
+            for position, event in enumerate(batch):
+                if event.cancelled:
+                    continue
+                try:
+                    fire(event)
+                except _Boom:
+                    for rest in batch[position + 1 :]:
+                        if not rest.cancelled:
+                            self._push(rest)
+                    raise
+                executed += 1
+                self.processed += 1
+        else:
+            if until is not None:
+                self.now = max(self.now, until)
+        return executed
+
+
+#: What a callback does when it fires, beyond logging itself: nothing,
+#: cancel the event created ``k`` after it (and then raise), raise,
+#: queue a child with ``call_soon``, or queue a child with
+#: ``call_first`` and then raise.
+_ACTIONS = st.one_of(
+    st.just(None),
+    st.tuples(st.sampled_from(["cancel", "cancel_raise"]), st.integers(1, 3)),
+    st.just("raise"),
+    st.just("soon"),
+    st.just("first_raise"),
+)
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _TIMES, _ACTIONS),
+        st.tuples(st.just("schedule_at"), _TIMES, _ACTIONS),
+        st.tuples(st.just("call_soon"), _ACTIONS),
+        st.tuples(st.just("call_first"), _ACTIONS),
+        st.tuples(st.just("cancel"), st.integers(0, 150)),
+        st.tuples(
+            st.just("run"),
+            st.one_of(st.none(), _TIMES),
+            st.one_of(st.none(), st.integers(1, 6)),
+        ),
+        st.tuples(st.just("flood"), st.integers(66, 100)),
+    ),
+    max_size=30,
+)
+
+
+class _Twin:
+    """Drives a :class:`Simulator` and a :class:`_Reference` in step.
+
+    Event ``i`` is ``handles[i]`` in the kernel and ``events[i]`` in the
+    reference; a callback that creates an event creates it on its own
+    side, and the other side's run creates the same one in turn.
+    """
+
+    def __init__(self):
+        self.sim = Simulator(seed=0)
+        self.ref = _Reference()
+        self.handles = []
+        self.events = []
+        self.fired = []
+        self.ref_fired = []
+
+    def add(self, how, when, action, sides=("sim", "ref")):
+        if "sim" in sides:
+            sim = self.sim
+            ident = len(self.handles)
+
+            def callback():
+                self.fired.append(ident)
+                self._act(ident, action, "sim")
+
+            if how == "schedule":
+                handle = sim.schedule(when, callback)
+            elif how == "schedule_at":
+                handle = sim.schedule_at(sim.now + when, callback)
+            elif how == "call_soon":
+                handle = sim.call_soon(callback)
+            else:
+                handle = sim.call_first(callback)
+            self.handles.append(handle)
+        if "ref" in sides:
+            ref = self.ref
+            ident = len(self.events)
+            if how == "call_first":
+                event = ref.call_first(ident, action)
+            else:
+                event = ref.schedule_at(ref.now + (when or 0.0), ident, action)
+            self.events.append(event)
+
+    def cancel(self, ident, sides=("sim", "ref")):
+        if "sim" in sides and ident < len(self.handles):
+            self.handles[ident].cancel()
+        if "ref" in sides and ident < len(self.events):
+            self.ref.cancel(self.events[ident])
+
+    def _act(self, ident, action, side):
+        if action == "raise":
+            raise _Boom(ident)
+        if action == "soon":
+            self.add("call_soon", None, None, (side,))
+        elif action == "first_raise":
+            self.add("call_first", None, None, (side,))
+            raise _Boom(ident)
+        elif action is not None:
+            self.cancel(ident + action[1], (side,))
+            if action[0] == "cancel_raise":
+                raise _Boom(ident)
+
+    def run(self, until, max_events):
+        def fire(event):
+            self.ref_fired.append(event.ident)
+            self._act(event.ident, event.action, "ref")
+
+        outcomes = []
+        for run in (
+            lambda: self.sim.run(until=until, max_events=max_events),
+            lambda: self.ref.run(until, max_events, fire),
+        ):
+            try:
+                outcomes.append(run())
+            except _Boom as exc:
+                outcomes.append(("raised", exc.args[0]))
+        assert outcomes[0] == outcomes[1]
+
+    def check(self):
+        sim, ref = self.sim, self.ref
+        live = [(e.time, e.seq) for e in ref.queue if not e.cancelled]
+        assert self.fired == self.ref_fired
+        assert sim.now == ref.now
+        assert sim.events_processed == ref.processed
+        assert sim.pending_events == len(live)
+        assert sim.cancelled_pending == ref.tombstones
+        assert sorted((h.time, h.seq) for h in sim.iter_pending()) == live
+
+
+class TestReferenceOracle:
+    """Random schedules, cancels, raising callbacks and bounded runs give
+    the reference's firing order, clock and queue counts after every
+    operation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_OPS)
+    def test_kernel_matches_the_reference(self, ops):
+        twin = _Twin()
+        for op in ops:
+            kind = op[0]
+            if kind in ("schedule", "schedule_at"):
+                twin.add(kind, op[1], op[2])
+            elif kind in ("call_soon", "call_first"):
+                twin.add(kind, None, op[1])
+            elif kind == "cancel":
+                twin.cancel(op[1])
+            elif kind == "run":
+                twin.run(op[1], op[2])
+            else:
+                first = len(twin.handles)
+                for offset in range(op[1]):
+                    twin.add("schedule", 1.0 + offset / 64, None)
+                for ident in range(first, first + op[1]):
+                    if ident % 10:
+                        twin.cancel(ident)
+            twin.check()
+        # Drain: a run that raises consumes the raising event, so this ends.
+        while twin.sim.pending_events:
+            twin.run(None, None)
+            twin.check()
+
+    def test_a_flood_of_cancels_compacts_in_both(self):
+        twin = _Twin()
+        for offset in range(100):
+            twin.add("schedule", 1.0 + offset, None)
+        for ident in range(100):
+            if ident % 10:
+                twin.cancel(ident)
+        twin.check()
+        # 90 cancels: compaction ran once the tombstones passed 64 and
+        # half the queue, so only the later ones are still queued.
+        assert 0 < twin.sim.cancelled_pending < 90
+        twin.run(None, None)
+        twin.check()
+        assert twin.fired == list(range(0, 100, 10))

@@ -4,11 +4,24 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.control import (
+    ControlCodec,
+    FrameKind,
+    StreamUpdateCommand,
+    StreamUpdateRequest,
+    peek_frame_kind,
+)
+from repro.core.message import DataMessage, MessageCodec
+from repro.core.streamid import StreamId
 from repro.errors import ConfigurationError
 from repro.simnet.geometry import Point
+from repro.simnet.kernel import Simulator
 from repro.simnet.wireless import (
     LossModel,
+    MediumStats,
     RadioFrame,
     WirelessMedium,
     log_distance_rssi,
@@ -572,3 +585,214 @@ class TestSpatialStaleness:
         assert on_fallbacks == off_fallbacks == 1
         # The roamer must actually be heard somewhere along the trace.
         assert any(owner == -1 for _, owner, _ in on_deliveries)
+
+
+# ----------------------------------------------------------------------
+# Oracle: listener interest against a medium that builds every copy
+# ----------------------------------------------------------------------
+#: How a sensor tags its data transmissions, and what a plain sensor
+#: (no relay, no battery) declares it ignores.
+DATA_TAG = FrameKind.DATA.value
+
+_PAYLOADS = {
+    "data": MessageCodec().encode(DataMessage(StreamId(5, 0), 9, b"reading")),
+    "control": ControlCodec().encode(
+        StreamUpdateRequest(
+            request_id=3,
+            target=StreamId(5, 0),
+            command=StreamUpdateCommand.PING,
+            params=b"",
+            timestamp_us=0,
+        )
+    ),
+    "empty": b"",
+    "unknown": b"\xff\x00\x01",
+}
+
+
+class _KindListener:
+    """A receiver or a sensor of one kind, logging what it acts on.
+
+    Handed every copy, a plain sensor acts only on frames that are not
+    data (it peeks and drops data); every other kind acts on all.
+    """
+
+    def __init__(self, name, kind, position, log):
+        self.name, self.kind = name, kind
+        self._position = position
+        self._log = log
+
+    @property
+    def position(self):
+        return self._position
+
+    def reads(self, frame):
+        return self.kind != "plain" or (
+            peek_frame_kind(frame.payload) is not FrameKind.DATA
+        )
+
+    def on_radio_receive(self, frame):
+        self._log.append((self.name, frame))
+
+
+class _EveryCopyMedium:
+    """The medium's contract without listener interest: a linear scan in
+    attach order, one loss draw per in-range listener, one RadioFrame
+    per surviving copy, all handed over in arrival order by one event
+    at the latest arrival."""
+
+    def __init__(self, sim, loss_model):
+        self._sim = sim
+        self._loss_model = loss_model
+        self._rng = sim.fork_rng()
+        self._listeners = []
+        self.stats = MediumStats()
+
+    def attach(self, listener, radio_range, channel):
+        self._listeners.append((listener, radio_range, channel))
+
+    def broadcast(self, origin, payload, tx_range, channel, exclude):
+        stats, now = self.stats, self._sim.now
+        stats.transmissions += 1
+        stats.bytes_sent += len(payload)
+        copies = []
+        for listener, radio_range, listens_on in self._listeners:
+            if listens_on != channel or listener is exclude:
+                continue
+            distance = origin.distance_to(listener.position)
+            reach = min(tx_range, radio_range)
+            if distance > reach:
+                stats.out_of_range += 1
+                continue
+            loss = self._loss_model
+            if loss is not None and (
+                self._rng.random() < loss.loss_probability(distance, reach)
+            ):
+                stats.losses += 1
+                continue
+            delay = 0.001 + len(payload) * 8.0 / 250_000.0 + distance / 3.0e8
+            frame = RadioFrame(
+                payload, log_distance_rssi(distance), now, now + delay, channel
+            )
+            copies.append((listener, frame))
+        if copies:
+            copies.sort(key=lambda copy: copy[1].received_at)
+            self._sim.schedule_at(
+                copies[-1][1].received_at, self._deliver, copies
+            )
+        return len(copies)
+
+    def _deliver(self, copies):
+        self.stats.deliveries += len(copies)
+        self.stats.bytes_delivered += sum(len(f.payload) for _, f in copies)
+        for listener, frame in copies:
+            listener.on_radio_receive(frame)
+
+
+_COORD = st.integers(0, 1000).map(float)
+_LISTENERS = st.lists(
+    st.tuples(
+        st.sampled_from(["receiver", "plain", "relay", "battery"]),
+        st.booleans(),  # static
+        _COORD,
+        _COORD,
+        st.sampled_from([150.0, 400.0, float("inf")]),
+        st.sampled_from([0, 0, 1]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+_TRANSMISSIONS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(_PAYLOADS)),
+        _COORD,
+        _COORD,
+        st.sampled_from([100.0, 300.0, 800.0, float("inf")]),
+        st.sampled_from([0, 0, 1]),
+        st.one_of(st.none(), st.integers(0, 39)),  # exclude
+        st.sampled_from([0.0, 0.0, 0.25]),  # wait before sending
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestListenerInterest:
+    """A listener that ignores a transmission's tag still costs a loss
+    draw and counts as a delivery, but gets no frame; everything a
+    listener reads arrives exactly as if every copy had been built."""
+
+    @staticmethod
+    def _world(listeners, lossy, interest):
+        sim = Simulator(seed=11)
+        loss = LossModel() if lossy else None
+        log = []
+        if interest:
+            medium = WirelessMedium(sim, loss_model=loss)
+        else:
+            medium = _EveryCopyMedium(sim, loss)
+        members = []
+        for index, (kind, static, x, y, radio_range, channel) in enumerate(
+            listeners
+        ):
+            member = _KindListener(f"l{index}", kind, Point(x, y), log)
+            members.append(member)
+            if interest:
+                medium.attach(
+                    member,
+                    radio_range,
+                    channel,
+                    static=static,
+                    ignores=frozenset({DATA_TAG} if kind == "plain" else ()),
+                )
+            else:
+                medium.attach(member, radio_range, channel)
+        return sim, medium, members, log
+
+    @settings(max_examples=150, deadline=None)
+    @given(_LISTENERS, _TRANSMISSIONS, st.booleans())
+    def test_readers_get_what_every_copy_would_give_them(
+        self, listeners, transmissions, lossy
+    ):
+        real = self._world(listeners, lossy, interest=True)
+        reference = self._world(listeners, lossy, interest=False)
+        returned = ([], [])
+        for side, (sim, medium, members, _) in enumerate((real, reference)):
+            for kind, x, y, tx_range, channel, exclude, wait in transmissions:
+                sim.run(until=sim.now + wait)
+                returned[side].append(
+                    medium.broadcast(
+                        Point(x, y),
+                        _PAYLOADS[kind],
+                        tx_range,
+                        channel,
+                        members[exclude] if exclude is not None
+                        and exclude < len(members) else None,
+                        **({"tag": DATA_TAG} if side == 0 and kind == "data"
+                           else {}),
+                    )
+                )
+        assert returned[0] == returned[1]
+        # The same hand-over events, at the same instants.
+        pending = [
+            [(h.time, h.seq) for h in sim.iter_pending()]
+            for sim, *_ in (real, reference)
+        ]
+        assert sorted(pending[0]) == sorted(pending[1])
+        for sim, *_ in (real, reference):
+            sim.run()
+        assert real[0].events_processed == reference[0].events_processed
+        assert real[1].stats == reference[1].stats
+        assert real[1]._rng.getstate() == reference[1]._rng.getstate()
+        members = {member.name: member for member in reference[2]}
+        read = [
+            (name, frame)
+            for name, frame in reference[3]
+            if members[name].reads(frame)
+        ]
+        # The first divergence, not a diff of two long logs.
+        assert len(real[3]) == len(read)
+        assert next(
+            (pair for pair in zip(real[3], read) if pair[0] != pair[1]), None
+        ) is None
+

@@ -241,7 +241,11 @@ class TestReconnectAndResume:
             )
             for index in range(5, 8):
                 publisher.publish(0, bytes([index]), kind="temp")
-            assert poll_until(lambda: subscriber.state == "connected")
+            # Wait for the resume itself: the session still reads
+            # "connected" until its keepalive notices the drop, and the
+            # replayed datagrams can land before the RESUME response
+            # that carries their count.
+            assert poll_until(lambda: subscriber.stats.resumes == 1)
             assert poll_until(lambda: len(received) == 8)
             # Exactly the three missed records were replayed — not the
             # whole retained stream, and nothing twice.

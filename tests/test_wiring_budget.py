@@ -267,7 +267,7 @@ def test_the_one_implementer_transport_seam_stays_deleted():
 
 
 # ----------------------------------------------------------------------
-# One broadcast path, no third-party import
+# One broadcast path, no third-party import, a substrate without Garnet
 # ----------------------------------------------------------------------
 WIRELESS = SRC / "repro" / "simnet" / "wireless.py"
 
@@ -310,6 +310,42 @@ def test_the_medium_schedules_from_one_function():
         and node.attr in ("schedule", "schedule_at")
     ]
     assert schedulers == ["broadcast"]
+
+
+def test_the_simulation_substrate_imports_no_middleware():
+    """``repro.simnet`` is the world Garnet runs in: the medium knows
+    tags, never Garnet framing, and the kernel knows no service."""
+    offenders = [
+        (path.name, module)
+        for path in sorted((SRC / "repro" / "simnet").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for module in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [node.module or ""]
+            if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if module == "repro.core" or module.startswith("repro.core.")
+    ]
+    assert offenders == []
+
+
+def test_kernel_heap_entries_compare_in_c():
+    """The queue holds ``(time, seq, handle)``; ``seq`` is unique, so a
+    handle is never compared and must not define an ordering."""
+    kernel = SRC / "repro" / "simnet" / "kernel.py"
+    for node in ast.parse(kernel.read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == "EventHandle":
+            methods = {
+                member.name
+                for member in node.body
+                if isinstance(member, ast.FunctionDef)
+            }
+            break
+    else:
+        raise AssertionError("EventHandle not found")
+    assert methods.isdisjoint({"__lt__", "__le__", "__gt__", "__ge__"})
 
 
 # ----------------------------------------------------------------------
