@@ -23,7 +23,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
-from repro.core.envelopes import StreamAdvertisement, StreamArrival, new_arrival
+from repro.core.envelopes import FrameRun, StreamAdvertisement, StreamArrival
+from repro.core.envelopes import new_arrival
 from repro.core.streamid import StreamId
 from repro.core.streams import StreamDescriptor, StreamRegistry
 from repro.errors import SubscriptionError
@@ -139,7 +140,8 @@ SubscriptionPattern.match_all = classmethod(_match_all)  # type: ignore[attr-def
 
 
 DirectLeg = Callable[..., None]
-"""``leg(arrival, *more)``: a run of deliveries as one call, as routed:
+"""``leg(arrival, *more)``, or ``leg(run)`` for a live drain's
+:class:`FrameRun`: a run of deliveries as one call, as routed:
 ``delivered_at`` is the leg's to stamp (see
 :meth:`DispatchingService.bind_direct`)."""
 
@@ -222,6 +224,11 @@ class ArrivalTap(Protocol):
     did."""
 
     def record(self, arrival: StreamArrival, *more: StreamArrival) -> bool: ...
+
+    def record_frames(
+        self, stream_id: StreamId, received_at: float, receiver_id: int,
+        frames: Sequence[bytes], sequences: Sequence[int],
+    ) -> bool: ...
 
 
 class FanoutRoots(Protocol):
@@ -422,7 +429,8 @@ class DispatchingService:
 
         One call per run: ``handler(arrival, *more)``, oldest first, the
         arrivals as routed — not restamped, so a handler whose consumers
-        read ``delivered_at`` stamps it. No bus latency, retry, partition
+        read ``delivered_at`` stamps it; a live drain's :class:`FrameRun`
+        comes whole, ``handler(run)``. No bus latency, retry, partition
         or breaker applies to them; QoS delivery queues still come first.
         None unbinds.
         """
@@ -464,11 +472,12 @@ class DispatchingService:
     # ------------------------------------------------------------------
     def on_arrival(self, arrival: StreamArrival, *more: StreamArrival) -> None:
         """Take a run: one arrival, or consecutive arrivals of its stream
-        that share its ``received_at`` and ``receiver_id`` (one live
-        drain's). The run is observed, stored and routed once."""
-        self._arrivals.inc(1 + len(more))
+        that share its ``received_at`` and ``receiver_id``, or a live
+        drain's :class:`FrameRun`. It is observed, stored and routed once."""
+        run = arrival if arrival.__class__ is FrameRun else (arrival, *more)
+        self._arrivals.inc(len(run))
         if self._admission is not None:
-            for each in (arrival, *more):
+            for each in run:
                 self._admission.offer(each)
             return
         self.process_admitted(arrival, *more)
@@ -477,7 +486,7 @@ class DispatchingService:
         self, arrival: StreamArrival, *more: StreamArrival
     ) -> None:
         """Route a run that has passed (or bypassed) admission."""
-        run = (arrival, *more)
+        run = arrival if arrival.__class__ is FrameRun else (arrival, *more)
         cluster = self._cluster
         if cluster is not None:
             # Another broker may own this stream; the router buffers each
@@ -486,20 +495,32 @@ class DispatchingService:
             run = [each for each in run if cluster.on_fresh(each)]
             if not run:
                 return
-        stream_id = arrival.message.stream_id
-        if arrival.receiver_id < 0:
-            # Published directly on the fixed network (derived streams);
-            # the Filtering Service never saw it, so record stats here,
-            # once for the run: it shares one received_at.
-            payloads = [each.message.payload for each in run]
+            arrival = run[0]
+        if run.__class__ is FrameRun:
+            # A live drain's publishes: observed and stored off the frames.
+            stream_id, stamp = run.stream_id, run.received_at
             self._registry.detect(stream_id).stats.observe(
-                arrival.received_at,
-                sum(map(len, payloads)),
-                run[-1].message.sequence,
-                len(payloads),
+                stamp, run.payload_bytes(), run.sequences[-1], len(run)
             )
-        if self._store is not None:
-            self._store.record(*run)
+            if self._store is not None:
+                self._store.record_frames(
+                    stream_id, stamp, -1, run.frames, run.sequences
+                )
+        else:
+            stream_id = arrival.message.stream_id
+            if arrival.receiver_id < 0:
+                # Published directly on the fixed network (derived
+                # streams); the Filtering Service never saw it, so record
+                # stats here, once for the run: it shares one received_at.
+                payloads = [each.message.payload for each in run]
+                self._registry.detect(stream_id).stats.observe(
+                    arrival.received_at,
+                    sum(map(len, payloads)),
+                    run[-1].message.sequence,
+                    len(payloads),
+                )
+            if self._store is not None:
+                self._store.record(*run)
         self._advertise_if_new(stream_id)
         self._route_and_deliver(run, stream_id, cluster)
 
@@ -604,7 +625,10 @@ class DispatchingService:
             self._deliveries.inc(count)
             direct = subscription.direct
             if direct is not None and self._delivery is None and not to_root:
-                direct(*local)
+                if local.__class__ is FrameRun:
+                    direct(local)
+                else:
+                    direct(*local)
                 delivered += count
                 continue
             if outbound is None:

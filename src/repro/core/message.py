@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import struct
 from binascii import crc_hqx
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
 
 from repro.core.flags import (
     ExtensionType,
@@ -43,7 +44,8 @@ from repro.core.flags import (
     unpack_header,
 )
 from repro.core.streamid import StreamId
-from repro.errors import ChecksumError, CodecError, TruncatedMessageError
+from repro.errors import ChecksumError, CodecError, GarnetError
+from repro.errors import TruncatedMessageError
 from repro.util.bitfields import check_range, read_uint, write_uint
 from repro.util.crc import crc16_ccitt, crc16_ccitt_reference
 
@@ -234,6 +236,25 @@ _SET_STREAM_ID, _SET_SEQUENCE, _SET_PAYLOAD, _SET_WIRE = (
     DataMessage.__dict__[name].__set__
     for name in ("stream_id", "sequence", "payload", "wire")
 )
+#: One seed per frame for ``map(crc_hqx, frames, _CRC_SEEDS)``.
+_CRC_SEEDS = repeat(0xFFFF)
+
+
+def frame_messages(
+    stream_id: StreamId, frames: Iterable[bytes], sequences: Iterable[int]
+) -> list[DataMessage]:
+    """The messages :meth:`MessageCodec.decode` builds from checksummed
+    frames of the common shape, field for field, from what
+    :meth:`MessageCodec.walk` already read: nothing is parsed again."""
+    messages = []
+    for frame, sequence in zip(frames, sequences):
+        message = _NEW_MESSAGE(DataMessage)
+        _SET_STREAM_ID(message, stream_id)
+        _SET_SEQUENCE(message, sequence)
+        _SET_PAYLOAD(message, frame[FIXED_HEADER_BYTES:-2])
+        _SET_WIRE(message, (frame, True))
+        messages.append(message)
+    return messages
 
 
 class MessageCodec:
@@ -290,7 +311,7 @@ class MessageCodec:
         One pass over ``messages``, which may be an iterator: a message
         that remembers its frame is let go for that frame as the pass
         goes, and only one that needs the encoder is held to the end.
-        When every message remembers its frame (a run the broker decoded)
+        When every message remembers its frame (a replay of stored records)
         no call is made per message.
         """
         checksum = self._checksum
@@ -486,6 +507,72 @@ class MessageCodec:
                 f"{size - consumed} unexpected trailing bytes after message"
             )
         return message
+
+    def walk(self, frames: Sequence[bytes]) -> tuple[list[list], int]:
+        """One header walk over a datagram's frames: ``(stretches,
+        rejected)``, each stretch ``[stream id, frames, sequences,
+        messages]`` for consecutive accepted frames of one stream.
+
+        A frame :meth:`decode` parses header-only gets the same checks —
+        size, shape, payload length, CRC — in C-level passes over the
+        batch, and no message. Any other frame is decoded, and its
+        message is kept at its place in ``messages`` (None at a walked
+        frame's; None for the whole of a batch that needed no decode).
+        ``rejected`` counts what :meth:`decode` refuses. Each CRC is
+        computed once.
+        """
+        count = len(frames)
+        sizes = list(map(len, frames))
+        heads: list = [None] * count
+        common, residues = heads, []  # until checked: every frame decodes
+        if self._checksum and min(sizes) >= _COMMON_OVERHEAD:
+            heads = list(map(_FIXED_HEADER.unpack_from, frames))
+            common = [
+                frame.__class__ is bytes
+                and head[0] & _COMMON_SHAPE_MASK == _VERSION_BYTE
+                and size == head[3] + _COMMON_OVERHEAD
+                and head[1] in _STREAM_ID_CACHE
+                for frame, head, size in zip(frames, heads, sizes)
+            ]
+            residues = list(map(crc_hqx, compress(frames, common), _CRC_SEEDS))
+            word = heads[0][1]
+            if (
+                len(residues) == count
+                and residues.count(0) == count
+                and [head[1] for head in heads].count(word) == count
+            ):
+                # The one shape a publisher's burst has: one stream, intact.
+                sequences = [head[2] for head in heads]
+                return [[_STREAM_ID_CACHE[word], frames, sequences, None]], 0
+            residues.reverse()
+        stretches: list[list] = []
+        rejected, last = 0, None
+        for frame, walked, head in zip(frames, common, heads):
+            message = None
+            if walked:
+                if residues.pop():
+                    rejected += 1
+                    continue
+                _, word, sequence, _ = head
+                # A decode before it may have flushed the id cache.
+                stream_id = _STREAM_ID_CACHE.get(word) or StreamId.from_word(word)
+            else:
+                try:
+                    message = self.decode(frame)
+                except GarnetError:
+                    rejected += 1
+                    continue
+                frame, _ = message.wire
+                stream_id, sequence = message.stream_id, message.sequence
+                word = stream_id.pack()
+            if word != last:
+                stretches.append([stream_id, [], [], []])
+                last = word
+            _, walked_frames, sequences, messages = stretches[-1]
+            walked_frames.append(frame)
+            sequences.append(sequence)
+            messages.append(message)
+        return stretches, rejected
 
     def decode_prefix(self, data: bytes) -> tuple[DataMessage, int]:
         """Parse one message from the front of ``data``.

@@ -29,12 +29,12 @@ middleware operations to it.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
 from repro.core.control import StreamUpdateCommand
 from repro.core.dispatching import SubscriptionPattern
-from repro.core.envelopes import StreamArrival, new_arrival
+from repro.core.envelopes import FrameRun, StreamArrival, new_arrival
 from repro.core.message import DataMessage, peek_header
 from repro.core.resource import Decision
 from repro.core.security import Token
@@ -48,7 +48,8 @@ from repro.errors import (
 )
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.kernel import PeriodicTask
-from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow, WrappingCounter
+from repro.util.ids import LATE, NEW, SEQUENCE_WINDOW, SequenceWindow
+from repro.util.ids import WrappingCounter
 
 if TYPE_CHECKING:
     from repro.cluster.node import BrokerNode
@@ -341,12 +342,10 @@ class GarnetSession:
 
     def _deliver(self, arrival: StreamArrival, *more: StreamArrival) -> None:
         """Hand a run of live deliveries on, oldest first, in one call."""
-        run = (arrival, *more)
+        run = arrival if arrival.__class__ is FrameRun else (arrival, *more)
         windows = self._history_windows
         if windows:
-            # Drop what a history replay already served (it was in
-            # flight to the dispatcher when we read the store).
-            run = [each for each in run if self._not_replayed(windows, each)]
+            run = self._not_replayed(windows, run)
         self._deliveries.inc(len(run))
         self._take_run(run)
 
@@ -370,13 +369,30 @@ class GarnetSession:
             self._node.dispatcher.delivery_failed(error)
 
     def _not_replayed(
-        self, windows: dict[StreamId, SequenceWindow], arrival: StreamArrival
-    ) -> bool:
-        window = windows.get(arrival.message.stream_id)
-        if window is None or window.add(arrival.message.sequence):
-            return True
-        self.stats.history_duplicates_dropped += 1
-        return False
+        self, windows: dict[StreamId, SequenceWindow], run: Sequence[Any]
+    ) -> Sequence[Any]:
+        """``run`` less what a history replay already served: it was in
+        flight to the dispatcher when the replay read the store."""
+        if run.__class__ is FrameRun:
+            stream_id, sequences = run.stream_id, run.sequences
+        else:
+            stream_id = run[0].message.stream_id
+            sequences = [each.message.sequence for each in run]
+        window = windows.get(stream_id)
+        if window is None:
+            return run
+        verdicts = window.add_run(sequences)
+        if run.__class__ is FrameRun:
+            kept = run.kept(verdicts)
+        else:
+            kept = [
+                each
+                for each, verdict in zip(run, verdicts)
+                if verdict is NEW or verdict is LATE
+            ]
+        if len(kept) < len(run):
+            self.stats.history_duplicates_dropped += len(run) - len(kept)
+        return kept
 
     def deliver_inline(self, take_run: RunLeg | None = None) -> None:
         """Take deliveries as calls from the home dispatcher, not bus
@@ -386,8 +402,9 @@ class GarnetSession:
         past the history-replay window, orphan and history replay — goes
         to ``take_run(run)`` in one call, in place of the data callbacks
         (a live broker forwards its clients' frames this way); its live
-        runs come as routed, ``delivered_at`` unstamped. Without it, the
-        callbacks see each arrival stamped with the hand-off time.
+        runs come as routed (a live drain's as its :class:`FrameRun`),
+        ``delivered_at`` unstamped. Without it, the callbacks see each
+        arrival stamped with the hand-off time.
         """
         handler = self._deliver_stamped
         if take_run is not None:
@@ -400,10 +417,11 @@ class GarnetSession:
         """A direct run for the data callbacks: stamped with the hand-off
         time, which a bus delivery carries from the dispatcher."""
         now = self.network.sim.now
+        run = arrival if arrival.__class__ is FrameRun else (arrival, *more)
         self._deliver(
             *[
                 new_arrival(StreamArrival, (message, received_at, receiver, now))
-                for message, received_at, receiver, _ in (arrival, *more)
+                for message, received_at, receiver, _ in run
             ]
         )
 

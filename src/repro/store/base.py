@@ -142,8 +142,10 @@ class StreamStore(ABC):
         """
         self._require_open()
         run = (frame, *frames)
-        if not all(run):
+        sizes = list(map(len, run))
+        if 0 in sizes:
             raise StoreError("cannot store an empty codec frame")
+        count = len(run)
         log = self._logs.get(stream_id)
         if log is None:
             log = _StreamLog(stream_id)
@@ -151,7 +153,7 @@ class StreamStore(ABC):
         limit = self._segment_bytes
         swept = False
         start = 0
-        while start < len(run):
+        while start < count:
             active = log.segments[-1] if log.segments else None
             opened = active is None or active.bytes_held >= limit
             if opened:
@@ -162,8 +164,8 @@ class StreamStore(ABC):
             # The records the active segment takes before it reaches
             # segment_bytes; the one that crosses the line is its last.
             held, end = active.bytes_held, start
-            while end < len(run) and held < limit:
-                held += _RECORD_OVERHEAD + len(run[end])
+            while end < count and held < limit:
+                held += _RECORD_OVERHEAD + sizes[end]
                 end += 1
             written = active.append(received_at, receiver_id, run[start:end])
             self._total_bytes += written
@@ -176,7 +178,7 @@ class StreamStore(ABC):
             if opened or self._max_age is not None or self._max_bytes is not None:
                 self._enforce_retention()
                 swept = True
-        self._appended.inc(len(run))
+        self._appended.inc(count)
         if swept:
             self._update_gauges()
         else:

@@ -41,12 +41,13 @@ def encode_record(
 ) -> bytes:
     """Serialise stored records (length prefix + metadata + frame), back
     to back: one per frame, all stamped ``received_at`` by ``receiver_id``."""
-    meta = _META.pack(received_at, receiver_id)
-    parts = []
-    for each in (frame, *frames):
-        if not each:
-            raise StoreError("cannot store an empty codec frame")
-        parts += (_LENGTH.pack(RECORD_META_BYTES + len(each)), meta, each)
+    run = (frame, *frames)
+    sizes = [RECORD_META_BYTES + size for size in map(len, run)]
+    if RECORD_META_BYTES in sizes:
+        raise StoreError("cannot store an empty codec frame")
+    parts = [_META.pack(received_at, receiver_id)] * (3 * len(run))
+    parts[0::3] = map(_LENGTH.pack, sizes)
+    parts[2::3] = run
     return b"".join(parts)
 
 

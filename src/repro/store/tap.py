@@ -11,21 +11,21 @@ appended is skipped (``store.duplicates_skipped``), which keeps the log
 gap-free *and* duplicate-free through crashes for exactly the same
 reason consumer deliveries are.
 
-A record's frame is the message's own wire image — the datagram or radio
-frame it was decoded from, kept by the message and taken for the whole
-run in one :meth:`~repro.core.message.MessageCodec.encode_run`; only one
-born in this process (a session publish) is encoded here, once for tap
-and fan-out.
+A record's frame is the wire image as received: a live drain's frames
+(:meth:`StoreTap.record_frames`), or the frames a run's messages
+remember; only a message born in this process (a session publish) is
+encoded here, once for tap and fan-out.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 from repro.core.envelopes import StreamArrival
 from repro.core.streamid import StreamId
 from repro.store.base import StreamStore
-from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow
+from repro.util.ids import LATE, NEW, SEQUENCE_WINDOW, SequenceWindow
 
 
 class StoreTap:
@@ -43,27 +43,53 @@ class StoreTap:
         """Append a run — one arrival, or consecutive arrivals of its
         stream sharing its stamp and receiver — as one store append of
         what the window lets through; False when it let nothing through."""
-        message = arrival.message
-        stream_id = message.stream_id
+        stream_id = arrival.message.stream_id
+        messages = [each.message for each in (arrival, *more)]
+        sequences = [message.sequence for message in messages]
+        kept = self._unseen(stream_id, sequences, messages)
+        frames = self._codec.encode_run(kept)[0]
+        return self._append(
+            stream_id, arrival.received_at, arrival.receiver_id, frames
+        )
+
+    def record_frames(
+        self,
+        stream_id: StreamId,
+        received_at: float,
+        receiver_id: int,
+        frames: Sequence[bytes],
+        sequences: Sequence[int],
+    ) -> bool:
+        """:meth:`record` for a live drain's run, stored as received."""
+        frames = self._unseen(stream_id, sequences, frames)
+        return self._append(stream_id, received_at, receiver_id, frames)
+
+    def _unseen(
+        self, stream_id: StreamId, sequences: Sequence[int], items: list
+    ) -> list:
+        """``items`` whose sequences the stream's window lets through, in
+        one window call; the rest are counted as skipped."""
         window = self._seen.get(stream_id)
         if window is None:
-            window = SequenceWindow(SEQUENCE_WINDOW)
-            self._seen[stream_id] = window
-        messages = [
-            each.message
-            for each in (arrival, *more)
-            if window.add(each.message.sequence)
+            window = self._seen[stream_id] = SequenceWindow(SEQUENCE_WINDOW)
+        verdicts = window.add_run(sequences)
+        if verdicts.count(NEW) == len(verdicts):
+            return items
+        kept = [
+            item
+            for item, verdict in zip(items, verdicts)
+            if verdict is NEW or verdict is LATE
         ]
-        frames = self._codec.encode_run(messages)[0]
-        skipped = 1 + len(more) - len(frames)
-        if skipped:
-            self._skip_counter.inc(skipped)
-        if not frames:
-            return False
-        self.store.append(
-            stream_id, arrival.received_at, arrival.receiver_id, *frames
-        )
-        return True
+        if len(kept) < len(items):
+            self._skip_counter.inc(len(items) - len(kept))
+        return kept
+
+    def _append(
+        self, stream_id: StreamId, received_at: float, receiver_id: int, frames: list
+    ) -> bool:
+        if frames:
+            self.store.append(stream_id, received_at, receiver_id, *frames)
+        return bool(frames)
 
 
 __all__ = ["StoreTap"]

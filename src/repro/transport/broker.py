@@ -29,14 +29,15 @@ location beacon for exactly this reason).
 The data path does not ride the simulated bus. The broker owns its UDP
 socket (:class:`_DataPlaneSocket`): a readiness event reads datagrams
 until ``_DRAIN_BUDGET`` frames are in, never splitting a §7 batch, and
-decodes each frame. Consecutive frames of one stream form a *run*, which
-the Dispatching Service routes and stores once; each server-side session
-takes it in one call and queues the frames the messages came from, not
-re-encodings. The pump after the drain sends each session's share in
-one ``sendto`` loop, in arrival order, packed into §7 batch datagrams
-for a client that announced ``batch_datagrams``. What the OS will not
-take waits in a bounded FIFO; a frame no UDP datagram can carry is
-dropped and counted.
+walks each datagram's headers, checking each CRC once. Consecutive
+frames of one stream form a run (a
+:class:`~repro.core.envelopes.FrameRun`), which the Dispatching Service
+routes and stores once; each server-side session queues its frames as
+received. The pump after the drain sends each session's share in one
+``sendto`` loop, in arrival order, packed into §7 batch datagrams for a
+client that announced ``batch_datagrams``. What the OS will not take
+waits in a bounded FIFO; a frame no UDP datagram can carry is dropped
+and counted.
 
 **Resilience.** With a grace window configured
 (``transport_resume_grace`` / ``garnet-broker --resume-grace``), a
@@ -74,7 +75,7 @@ from typing import Any
 
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
-from repro.core.envelopes import StreamArrival, new_arrival
+from repro.core.envelopes import FrameRun, StreamArrival
 from repro.core.message import peek_header
 from repro.core.middleware import Garnet
 from repro.core.session import SessionLedger
@@ -378,10 +379,8 @@ class LiveBroker:
         #: throttling and expiry, park deadlines (``loop.time()`` is this).
         self._clock = time.monotonic
         self._drain_stamp = 0.0
-        #: The drain's current run: consecutive arrivals of one stream,
-        #: dispatched together when another stream's frame or the end of
-        #: the drain comes.
-        self._run: list[StreamArrival] = []
+        #: The drain's run of one stream, until another stream or the end.
+        self._run: FrameRun | None = None
         #: Sessions with frames in their outbox, in first-delivery order;
         #: the next pump sends each one's share.
         self._outboxes: dict[str, _SessionState] = {}
@@ -789,7 +788,7 @@ class LiveBroker:
         """Once per drain: dispatch its last run, count it, note who was
         heard from, pump."""
         try:
-            if self._run:
+            if self._run is not None:
                 self._dispatch_run()
             self._datagrams_in.inc(len(senders))
             self._drain_datagrams.observe(len(senders))
@@ -802,7 +801,7 @@ class LiveBroker:
             self._pump()
 
     def _on_datagram(self, data: bytes) -> int:
-        """Decode one datagram's frames onto the drain's current run; a
+        """Walk one datagram's frames onto the drain's current run; a
         frame of another stream first hands that run to the dispatcher.
         Returns the frames the datagram carried (a malformed batch is
         one bad datagram, a rejected frame in a good one a bad frame)."""
@@ -812,29 +811,25 @@ class LiveBroker:
             self._bad_datagrams.inc()
             return 1
         count = len(frames)
-        rejected = self._bad_datagrams
+        stretches, rejected = self._codec.walk(frames)
         if count > 1:
             self._batch_datagrams_in.inc()
             self._batched_frames_in.inc(count)
-            rejected = self._bad_frames
-        decode, stamp, run = self._codec.decode, self._drain_stamp, self._run
-        for frame in frames:
-            try:
-                message = decode(frame)
-            except GarnetError:
-                rejected.inc()
-                continue
-            if run and run[-1].message.stream_id != message.stream_id:
+        if rejected:
+            (self._bad_frames if count > 1 else self._bad_datagrams).inc(rejected)
+        for stream_id, walked, sequences, messages in stretches:
+            if self._run is not None and self._run.stream_id != stream_id:
                 self._dispatch_run()
-                run = self._run
-            run.append(new_arrival(StreamArrival, (message, stamp, -1, 0.0)))
+            if self._run is None:
+                self._run = FrameRun(stream_id, self._drain_stamp)
+            self._run.extend(walked, sequences, messages)
         return count
 
     def _dispatch_run(self) -> None:
         """One dispatcher call for the run: routed and stored once."""
-        run, self._run = self._run, []
+        run, self._run = self._run, None
         try:
-            self.deployment.dispatcher.on_arrival(*run)
+            self.deployment.dispatcher.on_arrival(run)
         except Exception as exc:
             # What no delivery caught costs this run, not the drain.
             self._dispatch_failed(exc)
@@ -858,10 +853,14 @@ class LiveBroker:
     def _forward_run(
         self, state: _SessionState, run: Iterable[StreamArrival]
     ) -> None:
-        """The server-side session's run leg: queue the frames its
-        messages came from for the pump, or park them. A message born in
-        this process is encoded once for all its recipients."""
-        frames, reused = self._codec.encode_run(map(attrgetter("message"), run))
+        """The server-side session's run leg: queue a drain's frames, or
+        those a run's messages came from, for the pump, or park them. A
+        message born in this process is encoded once for all recipients."""
+        if run.__class__ is FrameRun:
+            frames, reused = run.frames, len(run.frames)
+        else:
+            messages = map(attrgetter("message"), run)
+            frames, reused = self._codec.encode_run(messages)
         self._encode_reuse.inc(reused)
         if state.udp_address is None:
             for frame in frames:

@@ -17,6 +17,7 @@ Section 7). Two allocators cover those needs, and one window reads the
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 
 from repro.errors import GarnetError
@@ -249,3 +250,28 @@ class SequenceWindow:
             return DUPLICATE
         self._bits |= bit
         return LATE
+
+    def add_run(self, sequences: Sequence[int]) -> list[Verdict]:
+        """:meth:`add` over a run, oldest first, in one call: the same
+        verdicts, and the window left as ``add`` per item leaves it."""
+        verdicts = [NEW] * len(sequences)
+        newest, bits, size, mask = self.newest, self._bits, self._size, self._mask
+        for index, sequence in enumerate(sequences):
+            if newest is None:
+                newest, bits = sequence, 1
+                continue
+            ahead = (sequence - newest) & _SEQUENCE_MASK
+            if 0 < ahead < _HALF_SPACE:
+                newest = sequence
+                bits = ((bits << ahead) | 1) & mask if ahead < size else 1
+                continue
+            behind = (newest - sequence) & _SEQUENCE_MASK
+            if behind >= size:
+                verdicts[index] = STALE
+            elif bits & (1 << behind):
+                verdicts[index] = DUPLICATE
+            else:
+                bits |= 1 << behind
+                verdicts[index] = LATE
+        self.newest, self._bits = newest, bits
+        return verdicts

@@ -465,6 +465,37 @@ class TestStoreTap:
         store.close()
 
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        runs=st.lists(
+            st.lists(st.integers(0, 2100), max_size=12), min_size=1, max_size=12
+        ),
+        base=st.sampled_from([0, 65536 - 700]),
+    )
+    def test_a_frame_run_skips_what_per_item_adds_skip(self, runs, base):
+        """``record_frames`` windows a run in one call; it keeps, stores
+        and counts as skipped exactly what ``add`` per frame would, across
+        the 16-bit wrap and behind the window."""
+        from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow
+
+        store = MemorySegmentStore()
+        tap = StoreTap(store, CODEC)
+        stream = StreamId(1, 0)
+        window, kept, skipped = SequenceWindow(SEQUENCE_WINDOW), [], 0
+        for run in runs:
+            sequences = [(base + offset) % 65536 for offset in run]
+            frames = [frame_for(sequence) for sequence in sequences]
+            accepted = [frame for frame, s in zip(frames, sequences) if window.add(s)]
+            skipped += len(frames) - len(accepted)
+            kept += accepted
+            assert tap.record_frames(stream, 1.0, -1, frames, sequences) is bool(
+                accepted
+            )
+        assert [record.frame for record in store.read(stream)] == kept
+        assert store.stats.duplicates_skipped == skipped
+        store.close()
+
+
 # ----------------------------------------------------------------------
 # Session surface: replay vocabulary, late join, query
 # ----------------------------------------------------------------------

@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 from repro.core.config import GarnetConfig
 from repro.core.dispatching import DispatchingService
 from repro.core.envelopes import StreamArrival
+import repro.core.message as message_module
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.middleware import Garnet
 from repro.core.streamid import StreamId
@@ -886,25 +887,22 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     a good and a malformed inbound batch, a good batch with one frame
     that fails its CRC, a delivery that raises, a parked, a bare and a
     batching subscriber: ``datagrams_in = bare + batches +
-    bad_datagrams`` and ``decodes = bare + batched frames - bad_frames``,
-    and every frame queued for a client is sent bare, counted in a batch
-    or parked."""
+    bad_datagrams`` and ``verified = bare + batched frames - bad_frames``
+    (each frame that passed its checks enters the dispatcher once), and
+    every frame queued for a client is sent bare, counted in a batch or
+    parked."""
     world = World()
-    broker, codec = world.broker, world.deployment.codec
-    errors, decoded, queued = [], [], []
+    broker = world.broker
+    errors, queued = [], []
     broker._loop = types.SimpleNamespace(call_exception_handler=errors.append)
-    decode, forward = codec.decode, broker._forward_run
-
-    def counting_decode(data):
-        decoded.append(decode(data))
-        return decoded[-1]
+    forward = broker._forward_run
+    arrivals = world.deployment.metrics().counter("dispatch.arrivals")
 
     def counting_forward(state, run):
-        run = list(run)
-        queued.extend((state.name, arrival.message.sequence) for arrival in run)
+        queued.extend((state.name, sequence) for sequence in run.sequences)
         forward(state, run)
 
-    codec.decode, broker._forward_run = counting_decode, counting_forward
+    broker._forward_run = counting_forward
 
     def fail_on_one(arrival):
         if arrival.message.sequence == 1:
@@ -924,6 +922,7 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     pub = world.hello("pub", port=5004)
     pub.ok(ADVERTISE, stream_index=0, kind="temp")
     world.counted()
+    before = arrivals.value
     frames = [world.frame(pub.stream, sequence) for sequence in range(7)]
     [batch] = encode_batch_datagrams(frames[2:4])
     bad_crc = frames[5][:-1] + bytes([frames[5][-1] ^ 0xFF])
@@ -946,11 +945,12 @@ def row_one_drain_accounts_for_every_datagram_and_frame(tmp_path):
     assert counted["datagrams_in"] == (
         bare_in + counted["batch_datagrams_in"] + counted["bad_datagrams"]
     )
-    assert len(decoded) == (
+    verified = arrivals.value - before
+    assert verified == (
         bare_in + counted["batched_frames_in"] - counted["bad_frames"]
     )
     assert (counted["batch_datagrams_in"], counted["batched_frames_in"]) == (2, 5)
-    assert (len(decoded), counted["bad_datagrams"], counted["bad_frames"]) == (
+    assert (verified, counted["bad_datagrams"], counted["bad_frames"]) == (
         6, 2, 1,
     )
     assert counted["dispatch_errors"] == 1
@@ -1272,14 +1272,14 @@ def test_a_run_whose_dispatch_raises_costs_only_that_run(monkeypatch):
         pub.ok(ADVERTISE, stream_index=index, kind="temp")
     world.udp.take()
     world.counted()
-    record = StoreTap.record
+    record = StoreTap.record_frames
 
-    def failing_on_index_0(tap, arrival, *more):
-        if arrival.message.stream_id.stream_index == 0:
+    def failing_on_index_0(tap, stream_id, *rest):
+        if stream_id.stream_index == 0:
             raise RuntimeError("disk full")
-        return record(tap, arrival, *more)
+        return record(tap, stream_id, *rest)
 
-    monkeypatch.setattr(StoreTap, "record", failing_on_index_0)
+    monkeypatch.setattr(StoreTap, "record_frames", failing_on_index_0)
     first, second = pub.stream, StreamId(pub.stream.sensor_id, 1)
     frames = [
         world.frame(stream, sequence)
@@ -1424,19 +1424,218 @@ def test_one_drain_is_its_datagrams_one_drain_each(
     assert whole["counters"]["transport.bad_datagrams"] == 1
 
 
+class ReferenceDrain:
+    """The drain the frame walk replaced, kept here as the oracle:
+    every frame decoded with ``MessageCodec.decode``, one
+    ``StreamArrival`` per frame, ``on_arrival`` per run of arrivals."""
+
+    def __init__(self, broker):
+        self.broker = broker
+        self.run = []
+
+    def on_datagram(self, data):
+        broker = self.broker
+        try:
+            frames = datagram_frames(data)
+        except TransportError:
+            broker._bad_datagrams.inc()
+            return 1
+        rejected = broker._bad_datagrams
+        if len(frames) > 1:
+            broker._batch_datagrams_in.inc()
+            broker._batched_frames_in.inc(len(frames))
+            rejected = broker._bad_frames
+        for frame in frames:
+            try:
+                message = broker._codec.decode(frame)
+            except GarnetError:
+                rejected.inc()
+                continue
+            if self.run and self.run[-1].message.stream_id != message.stream_id:
+                self.dispatch()
+            self.run.append(StreamArrival(message, broker._drain_stamp, -1, 0.0))
+        return len(frames)
+
+    def dispatch(self):
+        run, self.run = self.run, []
+        try:
+            self.broker.deployment.dispatcher.on_arrival(*run)
+        except Exception as exc:
+            self.broker._dispatch_failed(exc)
+
+    def after_drain(self, senders):
+        if self.run:
+            self.dispatch()
+        self.broker._after_drain(senders)
+
+
+#: An unadvertised stream: its word is interned by no one but the drain.
+STRANGER = StreamId(0xABCDE, 9)
+
+
+def frame_of(kind, stream, sequence):
+    """One inbound frame of ``kind``: a plain one, one with an optional
+    field, or one the codec refuses."""
+    fields = {
+        "ack": {"ack_request_id": 7},
+        "relayed": {"hop_count": 2},
+        "extended": {"extensions": ((1, b"x"),)},
+    }.get(kind, {})
+    if kind == "stranger":
+        stream = STRANGER
+    frame = CODEC.encode(
+        DataMessage(stream, sequence, b"p%d" % sequence, **fields)
+    )
+    if kind == "bad_crc":
+        return frame[:-1] + bytes([frame[-1] ^ 0xFF])
+    if kind == "truncated":
+        return frame[:-3]
+    return frame
+
+
+def frame_path_outcome(datagrams_of, reference):
+    """What one drain of ``datagrams_of(publisher id)`` leaves: a raising
+    in-process consumer, a bare, a parked and a batching subscriber whose
+    history replay primed its windows, an in-process callback, and a
+    memory store. ``reference`` drives the drain through
+    :class:`ReferenceDrain`."""
+    world = World()
+    errors = logging_loop(world)
+    seen = []
+
+    def raise_on_3(arrival):
+        if arrival.message.sequence % 5 == 3:
+            raise RuntimeError("boom")
+
+    inline_session(world, "raiser", raise_on_3)
+    bare = world.hello("bare", port=5001)
+    bare.ok(SUBSCRIBE, kind="temp")
+    parked = world.hello("parked", port=5003)
+    parked.ok(SUBSCRIBE, kind="temp")
+    parked.eof()
+    pub = world.hello("pub", port=5004)
+    for index in range(3):
+        pub.ok(ADVERTISE, stream_index=index, kind="temp")
+    world.publish(pub, 0, 1, 2, 3, 4)
+    history = world.hello("history", port=5002, batch_datagrams=True)
+    history.ok(SUBSCRIBE, kind="temp", replay="history")
+    inline_session(world, "callback", lambda a: seen.append((a, a.message.wire)))
+    world.udp.take()
+    broker = world.broker
+    drain = ReferenceDrain(broker) if reference else None
+    on_datagram = drain.on_datagram if reference else broker._on_datagram
+    after_drain = drain.after_drain if reference else broker._after_drain
+    # Every stream word starts unknown, so each takes the decode path once.
+    message_module._STREAM_ID_CACHE.clear()
+    datagrams = datagrams_of(pub.stream.sensor_id)
+    broker._drain_stamp = world.clock()
+    for datagram in datagrams:
+        on_datagram(datagram)
+    after_drain([pub.address] * len(datagrams))
+    streams = [StreamId(pub.stream.sensor_id, index) for index in range(3)]
+    streams.append(STRANGER)
+    [state] = [s for s in broker._states.values() if s.parked_now]
+    registry, store = world.deployment.registry, world.deployment.store
+    return {
+        "sent": world.udp.take(),
+        "parked": list(state.parked),
+        "callback": seen,
+        "errors": [str(context["exception"]) for context in errors],
+        "counters": world.deployment.metrics_snapshot()["counters"],
+        "stream stats": [
+            dataclasses.asdict(registry.detect(s).stats) for s in streams
+        ],
+        "store": [store.read(stream) for stream in streams],
+    }
+
+
+FRAME_KINDS = (
+    "plain", "plain", "plain", "ack", "relayed", "extended",
+    "bad_crc", "truncated", "stranger",
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    frames=st.lists(
+        st.tuples(
+            st.sampled_from(FRAME_KINDS), st.integers(0, 2), st.integers(0, 12)
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    cuts=st.lists(st.integers(1, 6), min_size=40, max_size=40),
+)
+def test_the_frame_path_leaves_what_the_object_path_leaves(frames, cuts):
+    """The oracle for the frame walk: a drain of bare and batched
+    datagrams over up to three streams — with flagged frames, refused
+    ones and a stream nobody advertised — sends the same bytes, parks,
+    stores, counts and observes what decoding every frame and routing
+    its arrivals leaves."""
+
+    def datagrams_of(publisher_id):
+        encoded = [
+            frame_of(kind, StreamId(publisher_id, index), sequence)
+            for kind, index, sequence in frames
+        ]
+        datagrams = []
+        for size in cuts:
+            group, encoded = encoded[:size], encoded[size:]
+            if group:
+                datagrams += encode_batch_datagrams(group)
+        return datagrams
+
+    assert frame_path_outcome(datagrams_of, reference=False) == (
+        frame_path_outcome(datagrams_of, reference=True)
+    )
+
+
+def test_a_flood_of_stream_words_clears_the_cache_and_forwards_every_frame():
+    """Over 4,096 distinct stream words in one drain, each between two
+    frames of one known stream: the id cache is cleared wholesale while
+    the drain's batches are being walked, and the subscriber still gets
+    every frame once, in order."""
+    world = World(store_enabled=False)
+    sub = world.hello("sub", port=5001, batch_datagrams=True)
+    sub.ok(SUBSCRIBE, derived=False)
+    world.udp.take()
+    message_module._STREAM_ID_CACHE.clear()
+    known = StreamId(1, 0)
+    frames = []
+    for word in range(4500):
+        frames += [
+            CODEC.encode(DataMessage(known, 2 * word, b"k")),
+            CODEC.encode(DataMessage(known, 2 * word + 1, b"k")),
+            CODEC.encode(DataMessage(StreamId(2 + word // 4, word % 4), 0, b"f")),
+        ]
+    datagrams = encode_batch_datagrams(frames)
+    world.broker._drain_stamp = world.clock()
+    for datagram in datagrams:
+        world.broker._on_datagram(datagram)
+    world.broker._after_drain([(HOST, 5004)] * len(datagrams))
+    assert len(message_module._STREAM_ID_CACHE) < len(frames)
+    received = []
+    for datagram, address in world.udp.take():
+        assert address == sub.address
+        received += datagram_frames(datagram)
+    assert received == frames
+
+
 def test_a_one_stream_drain_is_one_pass(tmp_path, monkeypatch):
-    """A count, not a timing: one 64-frame drain of one stream to one
-    subscriber decodes 64 times, enters the dispatcher once, makes one
-    store append and one segment-file write, and forwards every frame
-    it received (``encode_reuse`` 64)."""
+    """A count, not a timing: once a stream has been heard, one 64-frame
+    drain of it to one subscriber checks 64 CRCs and builds no message,
+    enters the dispatcher once, makes one store append and one
+    segment-file write, and forwards every frame it received
+    (``encode_reuse`` 64)."""
     world = World(store_dir=str(tmp_path))
     sub = world.hello("sub", port=5001, batch_datagrams=True)
     sub.ok(SUBSCRIBE, kind="temp")
     pub = world.hello("pub", port=5002)
     pub.ok(ADVERTISE, stream_index=0, kind="temp")
+    heard = world.publish(pub, 0)
     world.udp.take()
     world.counted()
-    frames = [world.frame(pub.stream, sequence) for sequence in range(64)]
+    frames = [world.frame(pub.stream, sequence) for sequence in range(1, 65)]
     counts = collections.Counter()
 
     def count(owner, name):
@@ -1449,6 +1648,8 @@ def test_a_one_stream_drain_is_one_pass(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(MessageCodec, "decode")
+    count(message_module, "frame_messages")
+    count(message_module, "crc_hqx")
     count(DispatchingService, "on_arrival")
     count(StreamStore, "append")
     count(_FileSegment, "_write")
@@ -1456,11 +1657,13 @@ def test_a_one_stream_drain_is_one_pass(tmp_path, monkeypatch):
     for frame in frames:
         world.broker._on_datagram(frame)
     world.broker._after_drain([pub.address] * len(frames))
-    assert counts == {"decode": 64, "on_arrival": 1, "append": 1, "_write": 1}
+    assert counts == {"crc_hqx": 64, "on_arrival": 1, "append": 1, "_write": 1}
     assert world.counted()["encode_reuse"] == 64
     [(batch, address)] = world.udp.take()
     assert address == sub.address and decode_batch_datagram(batch) == frames
-    assert [r.frame for r in world.deployment.store.read(pub.stream)] == frames
+    assert [r.frame for r in world.deployment.store.read(pub.stream)] == (
+        heard + frames
+    )
     world.deployment.store.close()
 
 

@@ -272,3 +272,36 @@ class TestSequenceWindow:
             sent.append(sequence)
             assert window.add(sequence) is model.add(sequence), sequence
             assert window.newest == model.newest % 65536
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        size=st.one_of(st.integers(1, 64), st.sampled_from([1024, 0x7FFF])),
+        start=st.one_of(st.integers(65536 - 40, 65535), st.integers(0, 65535)),
+        steps=STEPS,
+        cuts=st.lists(st.integers(1, 8), min_size=1, max_size=20),
+    )
+    def test_a_run_is_its_items_one_by_one(self, size, start, steps, cuts):
+        """``add_run`` against ``add`` per item, over runs that wrap past
+        0xFFFF, repeat, straggle and fall behind the window: the same
+        verdicts, and the same window after every run."""
+        sequences, newest = [start], start
+        for kind, amount in steps:
+            if kind == "ahead" or kind == "jump":
+                sequence = (newest + amount) % 65536
+            elif kind == "behind":
+                sequence = (newest - amount) % 65536
+            elif kind == "edge":
+                sequence = (newest - size - amount) % 65536
+            else:
+                sequence = sequences[amount % len(sequences)]
+            sequences.append(sequence)
+            if sequence_is_newer(sequence, newest):
+                newest = sequence
+        by_run, by_item = SequenceWindow(size), SequenceWindow(size)
+        assert by_run.add_run([]) == []
+        for cut in cuts * len(sequences):
+            run, sequences = sequences[:cut], sequences[cut:]
+            assert by_run.add_run(run) == [by_item.add(s) for s in run]
+            assert (by_run.newest, by_run._bits) == (by_item.newest, by_item._bits)
+            if not sequences:
+                break
