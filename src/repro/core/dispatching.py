@@ -139,11 +139,10 @@ def _match_all(cls: type[SubscriptionPattern]) -> SubscriptionPattern:
 SubscriptionPattern.match_all = classmethod(_match_all)  # type: ignore[attr-defined]
 
 
-DirectLeg = Callable[..., None]
-"""``leg(arrival, *more)``, or ``leg(run)`` for a live drain's
-:class:`FrameRun`: a run of deliveries as one call, as routed:
-``delivered_at`` is the leg's to stamp (see
-:meth:`DispatchingService.bind_direct`)."""
+DirectLeg = Callable[[Sequence[StreamArrival]], None]
+"""``leg(run)``: a run of deliveries as one call, as routed (a live
+drain's :class:`FrameRun`, or a sequence of arrivals): ``delivered_at``
+is the leg's to stamp (see :meth:`DispatchingService.bind_direct`)."""
 
 
 @dataclass(slots=True)
@@ -427,10 +426,9 @@ class DispatchingService:
     def bind_direct(self, endpoint: str, handler: DirectLeg | None) -> None:
         """Deliver ``endpoint``'s fan-out legs by calling ``handler``.
 
-        One call per run: ``handler(arrival, *more)``, oldest first, the
-        arrivals as routed — not restamped, so a handler whose consumers
-        read ``delivered_at`` stamps it; a live drain's :class:`FrameRun`
-        comes whole, ``handler(run)``. No bus latency, retry, partition
+        One call per run: ``handler(run)``, oldest first, the arrivals
+        as routed — not restamped, so a handler whose consumers read
+        ``delivered_at`` stamps it. No bus latency, retry, partition
         or breaker applies to them; QoS delivery queues still come first.
         None unbinds.
         """
@@ -495,25 +493,24 @@ class DispatchingService:
             run = [each for each in run if cluster.on_fresh(each)]
             if not run:
                 return
-            arrival = run[0]
+        observed = None
         if run.__class__ is FrameRun:
             # A live drain's publishes: observed and stored off the frames.
             stream_id, stamp = run.stream_id, run.received_at
-            self._registry.detect(stream_id).stats.observe(
-                stamp, run.payload_bytes(), run.sequences[-1], len(run)
-            )
+            observed = (stamp, run.payload, run.sequences[-1], len(run.frames))
             if self._store is not None:
                 self._store.record_frames(
                     stream_id, stamp, -1, run.frames, run.sequences
                 )
         else:
+            arrival = run[0]
             stream_id = arrival.message.stream_id
             if arrival.receiver_id < 0:
                 # Published directly on the fixed network (derived
                 # streams); the Filtering Service never saw it, so record
                 # stats here, once for the run: it shares one received_at.
                 payloads = [each.message.payload for each in run]
-                self._registry.detect(stream_id).stats.observe(
+                observed = (
                     arrival.received_at,
                     sum(map(len, payloads)),
                     run[-1].message.sequence,
@@ -521,6 +518,8 @@ class DispatchingService:
                 )
             if self._store is not None:
                 self._store.record(*run)
+        if observed is not None:
+            self._registry.detect(stream_id).stats.observe(*observed)
         self._advertise_if_new(stream_id)
         self._route_and_deliver(run, stream_id, cluster)
 
@@ -625,10 +624,7 @@ class DispatchingService:
             self._deliveries.inc(count)
             direct = subscription.direct
             if direct is not None and self._delivery is None and not to_root:
-                if local.__class__ is FrameRun:
-                    direct(local)
-                else:
-                    direct(*local)
+                direct(local)
                 delivered += count
                 continue
             if outbound is None:

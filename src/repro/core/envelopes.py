@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from typing import Any, NamedTuple
 
 from repro.core.message import CHECKSUM_BYTES, FIXED_HEADER_BYTES, DataMessage
 from repro.core.message import frame_messages
 from repro.core.streamid import StreamId
-from repro.util.ids import LATE, NEW, Verdict
+from repro.util.ids import SequenceWindow
+
+#: What a frame of the common shape carries besides its payload.
+_OVERHEAD = FIXED_HEADER_BYTES + CHECKSUM_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,68 +55,76 @@ new_arrival = tuple.__new__
 
 class FrameRun:
     """A live drain's run of one stream's frames, each checked once by
-    :meth:`~repro.core.message.MessageCodec.walk`. A leg that forwards
-    bytes takes ``frames``; iterating the run gives its arrivals
-    (published: ``receiver_id`` -1), built once, on first use.
-    ``messages`` holds at its place each frame the walk decoded."""
+    :meth:`~repro.core.message.MessageCodec.walk`, with their sequences
+    and payload byte total. A leg that forwards bytes takes ``frames``;
+    iterating the run gives its arrivals (published: ``receiver_id``
+    -1), built once, on first use, from ``messages`` when the walk had
+    to decode (None when it did not)."""
 
     __slots__ = (
-        "stream_id", "received_at", "frames", "sequences", "messages", "_built"
+        "stream_id", "received_at", "frames", "sequences", "payload",
+        "messages", "_built",
     )
 
-    def __init__(self, stream_id: StreamId, received_at: float) -> None:
+    def __init__(
+        self,
+        stream_id: StreamId,
+        received_at: float,
+        frames: Sequence[bytes],
+        sequences: list[int],
+        payload: int,
+        messages: list[DataMessage] | None = None,
+    ) -> None:
         self.stream_id, self.received_at = stream_id, received_at
-        self.frames: list[bytes] = []
-        self.sequences: list[int] = []
-        self.messages: list[DataMessage | None] | None = None
+        self.frames, self.sequences, self.payload = frames, sequences, payload
+        self.messages = messages
         self._built: list[StreamArrival] | None = None
 
     def extend(
-        self, frames: Sequence[bytes], sequences: Sequence[int], messages: list | None
+        self, frames: Sequence[bytes], sequences: list[int], payload: int,
+        messages: list[DataMessage] | None,
     ) -> None:
+        """Append the next stretch of this stream."""
         if messages is not None or self.messages is not None:
-            self.messages = (self.messages or [None] * len(self.frames)) + (
-                messages or [None] * len(frames)
-            )
-        self.frames += frames
+            built = messages or frame_messages(self.stream_id, frames, sequences)
+            self.messages = [*self._messages(), *built]
+        self.frames = [*self.frames, *frames]
         self.sequences += sequences
+        self.payload += payload
+
+    def _messages(self) -> list[DataMessage]:
+        return self.messages or frame_messages(
+            self.stream_id, self.frames, self.sequences
+        )
 
     def __len__(self) -> int:
         return len(self.frames)
 
     def __iter__(self) -> Iterator[StreamArrival]:
         if self._built is None:
-            messages = frame_messages(self.stream_id, self.frames, self.sequences)
-            for index, decoded in enumerate(self.messages or ()):
-                if decoded is not None:
-                    messages[index] = decoded
             stamp = self.received_at
             self._built = [
                 new_arrival(StreamArrival, (message, stamp, -1, 0.0))
-                for message in messages
+                for message in self._messages()
             ]
         return iter(self._built)
 
-    def payload_bytes(self) -> int:
-        overhead = FIXED_HEADER_BYTES + CHECKSUM_BYTES
-        total = sum(map(len, self.frames)) - overhead * len(self.frames)
-        for frame, decoded in zip(self.frames, self.messages or ()):
-            if decoded is not None:
-                total += len(decoded.payload) - len(frame) + overhead
-        return total
-
-    def kept(self, verdicts: list[Verdict]) -> "FrameRun":
-        """The run less the frames a window refused."""
-        if verdicts.count(NEW) == len(verdicts):
-            return self
-        keep = [verdict is NEW or verdict is LATE for verdict in verdicts]
-        run = FrameRun(self.stream_id, self.received_at)
-        run.extend(
-            list(compress(self.frames, keep)),
-            list(compress(self.sequences, keep)),
-            self.messages and list(compress(self.messages, keep)),
+    def kept(self, window: SequenceWindow) -> tuple[FrameRun, int]:
+        """The run less what ``window`` refuses, and how many it refused."""
+        (frames, sequences, messages), refused = window.keep(
+            self.sequences, self.frames, self.sequences, self.messages or ()
         )
-        return run
+        if not refused:
+            return self, 0
+        payload = (
+            sum(len(message.payload) for message in messages)
+            if messages
+            else sum(map(len, frames)) - _OVERHEAD * len(frames)
+        )
+        return FrameRun(
+            self.stream_id, self.received_at, frames, sequences, payload,
+            messages or None,
+        ), refused
 
 
 @dataclass(frozen=True, slots=True)

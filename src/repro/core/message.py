@@ -34,7 +34,8 @@ import struct
 from binascii import crc_hqx
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
+from operator import ne
 
 from repro.core.flags import (
     ExtensionType,
@@ -508,23 +509,18 @@ class MessageCodec:
             )
         return message
 
-    def walk(self, frames: Sequence[bytes]) -> tuple[list[list], int]:
-        """One header walk over a datagram's frames: ``(stretches,
-        rejected)``, each stretch ``[stream id, frames, sequences,
-        messages]`` for consecutive accepted frames of one stream.
+    def walk(self, frames: Sequence[bytes]) -> tuple[list, int]:
+        """Check a datagram's frames: ``(stretches, rejected)``, a stretch
+        ``(stream id, frames, sequences, payload bytes, messages)`` for
+        consecutive accepted frames of one stream; ``rejected`` counts
+        what :meth:`decode` refuses. Each CRC is computed once.
 
-        A frame :meth:`decode` parses header-only gets the same checks —
-        size, shape, payload length, CRC — in C-level passes over the
-        batch, and no message. Any other frame is decoded, and its
-        message is kept at its place in ``messages`` (None at a walked
-        frame's; None for the whole of a batch that needed no decode).
-        ``rejected`` counts what :meth:`decode` refuses. Each CRC is
-        computed once.
+        When :meth:`decode` would parse every frame header-only, the walk
+        makes its checks (size, shape, payload length, CRC) in C-level
+        passes over the batch and builds no message (``messages`` None).
+        Otherwise each frame is decoded, and ``messages`` holds them.
         """
-        count = len(frames)
         sizes = list(map(len, frames))
-        heads: list = [None] * count
-        common, residues = heads, []  # until checked: every frame decodes
         if self._checksum and min(sizes) >= _COMMON_OVERHEAD:
             heads = list(map(_FIXED_HEADER.unpack_from, frames))
             common = [
@@ -534,44 +530,45 @@ class MessageCodec:
                 and head[1] in _STREAM_ID_CACHE
                 for frame, head, size in zip(frames, heads, sizes)
             ]
-            residues = list(map(crc_hqx, compress(frames, common), _CRC_SEEDS))
-            word = heads[0][1]
-            if (
-                len(residues) == count
-                and residues.count(0) == count
-                and [head[1] for head in heads].count(word) == count
-            ):
-                # The one shape a publisher's burst has: one stream, intact.
+            if common.count(True) == len(frames):
+                residues = list(map(crc_hqx, frames, _CRC_SEEDS))
+                rejected = len(frames) - residues.count(0)
+                if rejected:
+                    intact = [not residue for residue in residues]
+                    frames, heads, sizes = [
+                        list(compress(each, intact)) for each in (frames, heads, sizes)
+                    ]
+                words = [head[1] for head in heads]
                 sequences = [head[2] for head in heads]
-                return [[_STREAM_ID_CACHE[word], frames, sequences, None]], 0
-            residues.reverse()
+                count = len(words)
+                cuts = list(compress(range(1, count), map(ne, words, words[1:])))
+                sums = [0, *accumulate(sizes)]
+                return [
+                    (
+                        _STREAM_ID_CACHE[words[start]],
+                        frames[start:end],
+                        sequences[start:end],
+                        sums[end] - sums[start] - _COMMON_OVERHEAD * (end - start),
+                        None,
+                    )
+                    for start, end in zip([0, *cuts], [*cuts, count])
+                    if end
+                ], rejected
         stretches: list[list] = []
-        rejected, last = 0, None
-        for frame, walked, head in zip(frames, common, heads):
-            message = None
-            if walked:
-                if residues.pop():
-                    rejected += 1
-                    continue
-                _, word, sequence, _ = head
-                # A decode before it may have flushed the id cache.
-                stream_id = _STREAM_ID_CACHE.get(word) or StreamId.from_word(word)
-            else:
-                try:
-                    message = self.decode(frame)
-                except GarnetError:
-                    rejected += 1
-                    continue
-                frame, _ = message.wire
-                stream_id, sequence = message.stream_id, message.sequence
-                word = stream_id.pack()
-            if word != last:
-                stretches.append([stream_id, [], [], []])
-                last = word
-            _, walked_frames, sequences, messages = stretches[-1]
-            walked_frames.append(frame)
-            sequences.append(sequence)
-            messages.append(message)
+        rejected = 0
+        for frame in frames:
+            try:
+                message = self.decode(frame)
+            except GarnetError:
+                rejected += 1
+                continue
+            if not stretches or stretches[-1][0] != message.stream_id:
+                stretches.append([message.stream_id, [], [], 0, []])
+            stretch = stretches[-1]
+            stretch[1].append(message.wire[0])
+            stretch[2].append(message.sequence)
+            stretch[3] += len(message.payload)
+            stretch[4].append(message)
         return stretches, rejected
 
     def decode_prefix(self, data: bytes) -> tuple[DataMessage, int]:

@@ -48,8 +48,7 @@ from repro.errors import (
 )
 from repro.obs.stats import RegistryBackedStats
 from repro.simnet.kernel import PeriodicTask
-from repro.util.ids import LATE, NEW, SEQUENCE_WINDOW, SequenceWindow
-from repro.util.ids import WrappingCounter
+from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow, WrappingCounter
 
 if TYPE_CHECKING:
     from repro.cluster.node import BrokerNode
@@ -340,9 +339,14 @@ class GarnetSession:
             raise SessionError(f"data callback must be callable: {callback!r}")
         self._callbacks += (callback,)
 
-    def _deliver(self, arrival: StreamArrival, *more: StreamArrival) -> None:
-        """Hand a run of live deliveries on, oldest first, in one call."""
-        run = arrival if arrival.__class__ is FrameRun else (arrival, *more)
+    def _deliver(
+        self, run: StreamArrival | Sequence[StreamArrival], *more: StreamArrival
+    ) -> None:
+        """Hand a run of live deliveries on, oldest first, in one call:
+        arrivals as arguments (a bus delivery is one), or a direct leg's
+        run."""
+        if run.__class__ is StreamArrival:
+            run = (run, *more)
         windows = self._history_windows
         if windows:
             run = self._not_replayed(windows, run)
@@ -373,26 +377,17 @@ class GarnetSession:
     ) -> Sequence[Any]:
         """``run`` less what a history replay already served: it was in
         flight to the dispatcher when the replay read the store."""
-        if run.__class__ is FrameRun:
-            stream_id, sequences = run.stream_id, run.sequences
-        else:
-            stream_id = run[0].message.stream_id
-            sequences = [each.message.sequence for each in run]
-        window = windows.get(stream_id)
+        frames = run.__class__ is FrameRun
+        window = windows.get(run.stream_id if frames else run[0].message.stream_id)
         if window is None:
             return run
-        verdicts = window.add_run(sequences)
-        if run.__class__ is FrameRun:
-            kept = run.kept(verdicts)
+        if frames:
+            run, dropped = run.kept(window)
         else:
-            kept = [
-                each
-                for each, verdict in zip(run, verdicts)
-                if verdict is NEW or verdict is LATE
-            ]
-        if len(kept) < len(run):
-            self.stats.history_duplicates_dropped += len(run) - len(kept)
-        return kept
+            sequences = [each.message.sequence for each in run]
+            (run,), dropped = window.keep(sequences, run)
+        self.stats.history_duplicates_dropped += dropped
+        return run
 
     def deliver_inline(self, take_run: RunLeg | None = None) -> None:
         """Take deliveries as calls from the home dispatcher, not bus
@@ -411,15 +406,12 @@ class GarnetSession:
             self._take_run, handler = take_run, self._deliver
         self._node.dispatcher.bind_direct(self.endpoint, handler)
 
-    def _deliver_stamped(
-        self, arrival: StreamArrival, *more: StreamArrival
-    ) -> None:
+    def _deliver_stamped(self, run: Sequence[StreamArrival]) -> None:
         """A direct run for the data callbacks: stamped with the hand-off
         time, which a bus delivery carries from the dispatcher."""
         now = self.network.sim.now
-        run = arrival if arrival.__class__ is FrameRun else (arrival, *more)
         self._deliver(
-            *[
+            [
                 new_arrival(StreamArrival, (message, received_at, receiver, now))
                 for message, received_at, receiver, _ in run
             ]

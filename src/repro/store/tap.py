@@ -25,7 +25,7 @@ from typing import Any
 from repro.core.envelopes import StreamArrival
 from repro.core.streamid import StreamId
 from repro.store.base import StreamStore
-from repro.util.ids import LATE, NEW, SEQUENCE_WINDOW, SequenceWindow
+from repro.util.ids import SEQUENCE_WINDOW, SequenceWindow
 
 
 class StoreTap:
@@ -43,13 +43,13 @@ class StoreTap:
         """Append a run — one arrival, or consecutive arrivals of its
         stream sharing its stamp and receiver — as one store append of
         what the window lets through; False when it let nothing through."""
-        stream_id = arrival.message.stream_id
         messages = [each.message for each in (arrival, *more)]
-        sequences = [message.sequence for message in messages]
-        kept = self._unseen(stream_id, sequences, messages)
-        frames = self._codec.encode_run(kept)[0]
-        return self._append(
-            stream_id, arrival.received_at, arrival.receiver_id, frames
+        return self.record_frames(
+            arrival.message.stream_id,
+            arrival.received_at,
+            arrival.receiver_id,
+            self._codec.encode_run(messages)[0],
+            [message.sequence for message in messages],
         )
 
     def record_frames(
@@ -60,33 +60,13 @@ class StoreTap:
         frames: Sequence[bytes],
         sequences: Sequence[int],
     ) -> bool:
-        """:meth:`record` for a live drain's run, stored as received."""
-        frames = self._unseen(stream_id, sequences, frames)
-        return self._append(stream_id, received_at, receiver_id, frames)
-
-    def _unseen(
-        self, stream_id: StreamId, sequences: Sequence[int], items: list
-    ) -> list:
-        """``items`` whose sequences the stream's window lets through, in
-        one window call; the rest are counted as skipped."""
+        """:meth:`record` for a run of frames, stored as received."""
         window = self._seen.get(stream_id)
         if window is None:
             window = self._seen[stream_id] = SequenceWindow(SEQUENCE_WINDOW)
-        verdicts = window.add_run(sequences)
-        if verdicts.count(NEW) == len(verdicts):
-            return items
-        kept = [
-            item
-            for item, verdict in zip(items, verdicts)
-            if verdict is NEW or verdict is LATE
-        ]
-        if len(kept) < len(items):
-            self._skip_counter.inc(len(items) - len(kept))
-        return kept
-
-    def _append(
-        self, stream_id: StreamId, received_at: float, receiver_id: int, frames: list
-    ) -> bool:
+        (frames,), skipped = window.keep(sequences, frames)
+        if skipped:
+            self._skip_counter.inc(skipped)
         if frames:
             self.store.append(stream_id, received_at, receiver_id, *frames)
         return bool(frames)

@@ -788,8 +788,7 @@ class LiveBroker:
         """Once per drain: dispatch its last run, count it, note who was
         heard from, pump."""
         try:
-            if self._run is not None:
-                self._dispatch_run()
+            self._dispatch_run()
             self._datagrams_in.inc(len(senders))
             self._drain_datagrams.observe(len(senders))
             now = self._clock()
@@ -817,17 +816,19 @@ class LiveBroker:
             self._batched_frames_in.inc(count)
         if rejected:
             (self._bad_frames if count > 1 else self._bad_datagrams).inc(rejected)
-        for stream_id, walked, sequences, messages in stretches:
-            if self._run is not None and self._run.stream_id != stream_id:
+        for stream_id, *stretch in stretches:
+            if self._run is not None and self._run.stream_id == stream_id:
+                self._run.extend(*stretch)
+            else:
                 self._dispatch_run()
-            if self._run is None:
-                self._run = FrameRun(stream_id, self._drain_stamp)
-            self._run.extend(walked, sequences, messages)
+                self._run = FrameRun(stream_id, self._drain_stamp, *stretch)
         return count
 
     def _dispatch_run(self) -> None:
-        """One dispatcher call for the run: routed and stored once."""
+        """One dispatcher call for the run, if any: routed and stored once."""
         run, self._run = self._run, None
+        if run is None:
+            return
         try:
             self.deployment.dispatcher.on_arrival(run)
         except Exception as exc:
@@ -859,8 +860,7 @@ class LiveBroker:
         if run.__class__ is FrameRun:
             frames, reused = run.frames, len(run.frames)
         else:
-            messages = map(attrgetter("message"), run)
-            frames, reused = self._codec.encode_run(messages)
+            frames, reused = self._codec.encode_run(map(attrgetter("message"), run))
         self._encode_reuse.inc(reused)
         if state.udp_address is None:
             for frame in frames:

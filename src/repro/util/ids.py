@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from enum import Enum
+from itertools import compress
 
 from repro.errors import GarnetError
 
@@ -251,10 +252,12 @@ class SequenceWindow:
         self._bits |= bit
         return LATE
 
-    def add_run(self, sequences: Sequence[int]) -> list[Verdict]:
-        """:meth:`add` over a run, oldest first, in one call: the same
-        verdicts, and the window left as ``add`` per item leaves it."""
-        verdicts = [NEW] * len(sequences)
+    def keep(self, sequences: Sequence[int], *columns: Sequence) -> tuple:
+        """:meth:`add` over ``sequences``, oldest first, in one call:
+        ``(columns, refused)``, each column less its items at the places
+        ``add`` refuses (given back as passed when it refuses none). The
+        window is left as ``add`` per item leaves it."""
+        kept = [True] * len(sequences)
         newest, bits, size, mask = self.newest, self._bits, self._size, self._mask
         for index, sequence in enumerate(sequences):
             if newest is None:
@@ -266,12 +269,12 @@ class SequenceWindow:
                 bits = ((bits << ahead) | 1) & mask if ahead < size else 1
                 continue
             behind = (newest - sequence) & _SEQUENCE_MASK
-            if behind >= size:
-                verdicts[index] = STALE
-            elif bits & (1 << behind):
-                verdicts[index] = DUPLICATE
+            if behind >= size or bits & (1 << behind):
+                kept[index] = False
             else:
                 bits |= 1 << behind
-                verdicts[index] = LATE
         self.newest, self._bits = newest, bits
-        return verdicts
+        refused = kept.count(False)
+        if not refused:
+            return columns, 0
+        return [list(compress(each, kept)) for each in columns], refused

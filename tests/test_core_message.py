@@ -326,3 +326,66 @@ class TestHelpers:
         message = make_message()
         with pytest.raises(AttributeError):
             message.sequence = 1  # type: ignore[misc]
+
+
+class TestFrameWalk:
+    """``MessageCodec.walk`` and the ``FrameRun`` it feeds, directly."""
+
+    A, B = StreamId(71, 0), StreamId(71, 1)
+
+    def frames(self, *shapes, **fields):
+        frames = [
+            CODEC.encode(DataMessage(stream, sequence, b"x" * sequence, **fields))
+            for stream, sequence in shapes
+        ]
+        for frame in frames:
+            CODEC.decode(frame)  # interns each stream word
+        return frames
+
+    def test_interleaved_streams_are_cut_into_stretches_without_messages(self):
+        frames = self.frames((self.A, 1), (self.B, 2), (self.B, 3), (self.A, 4))
+        stretches, rejected = CODEC.walk(frames)
+        assert rejected == 0
+        assert [(s[0], list(s[1]), *s[2:]) for s in stretches] == [
+            (self.A, [frames[0]], [1], 1, None),
+            (self.B, frames[1:3], [2, 3], 5, None),
+            (self.A, [frames[3]], [4], 4, None),
+        ]
+
+    def test_a_refused_frame_drops_out_and_its_neighbours_join(self):
+        frames = self.frames((self.A, 1), (self.B, 2), (self.A, 3))
+        frames[1] = frames[1][:-1] + bytes([frames[1][-1] ^ 1])
+        stretches, rejected = CODEC.walk(frames)
+        assert rejected == 1
+        [(stream, walked, sequences, payload, messages)] = stretches
+        assert (stream, list(walked), sequences, payload, messages) == (
+            self.A, [frames[0], frames[2]], [1, 3], 4, None,
+        )
+
+    def test_a_flagged_frame_has_the_whole_datagram_decoded(self):
+        frames = self.frames((self.A, 1), (self.A, 2))
+        frames += self.frames((self.A, 3), hop_count=1)
+        [(stream, walked, sequences, payload, messages)] = CODEC.walk(frames)[0]
+        assert messages == [CODEC.decode(frame) for frame in frames]
+        assert (stream, walked, sequences, payload) == (self.A, frames, [1, 2, 3], 6)
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_a_kept_run_is_what_the_window_lets_through(self, flagged):
+        from repro.core.envelopes import FrameRun
+        from repro.util.ids import SequenceWindow
+
+        frames = self.frames((self.A, 1), (self.A, 2))
+        frames += self.frames((self.A, 3), hop_count=1 if flagged else None)
+        [stretch] = CODEC.walk(frames)[0]
+        run = FrameRun(stretch[0], 5.0, *stretch[1:])
+        window = SequenceWindow(64)
+        window.keep([2])
+        kept, refused = run.kept(window)
+        assert refused == 1
+        assert (kept.frames, kept.sequences, kept.payload) == (
+            [frames[0], frames[2]], [1, 3], 4,
+        )
+        assert [arrival.message for arrival in kept] == [
+            CODEC.decode(frames[0]), CODEC.decode(frames[2]),
+        ]
+        assert (kept.messages is None) is not flagged

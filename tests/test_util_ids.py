@@ -281,9 +281,9 @@ class TestSequenceWindow:
         cuts=st.lists(st.integers(1, 8), min_size=1, max_size=20),
     )
     def test_a_run_is_its_items_one_by_one(self, size, start, steps, cuts):
-        """``add_run`` against ``add`` per item, over runs that wrap past
+        """``keep`` against ``add`` per item, over runs that wrap past
         0xFFFF, repeat, straggle and fall behind the window: the same
-        verdicts, and the same window after every run."""
+        items kept, and the same window after every run."""
         sequences, newest = [start], start
         for kind, amount in steps:
             if kind == "ahead" or kind == "jump":
@@ -298,10 +298,14 @@ class TestSequenceWindow:
             if sequence_is_newer(sequence, newest):
                 newest = sequence
         by_run, by_item = SequenceWindow(size), SequenceWindow(size)
-        assert by_run.add_run([]) == []
+        assert by_run.keep([], []) == (([],), 0)
         for cut in cuts * len(sequences):
             run, sequences = sequences[:cut], sequences[cut:]
-            assert by_run.add_run(run) == [by_item.add(s) for s in run]
+            labels = [f"item {index}" for index in range(len(run))]
+            verdicts = [by_item.add(s) for s in run]
+            kept = [label for label, ok in zip(labels, verdicts) if ok]
+            (got,), refused = by_run.keep(run, labels)
+            assert (got, refused) == (kept, len(run) - len(kept))
             assert (by_run.newest, by_run._bits) == (by_item.newest, by_item._bits)
             if not sequences:
                 break
