@@ -377,11 +377,11 @@ class GarnetSession:
     ) -> Sequence[Any]:
         """``run`` less what a history replay already served: it was in
         flight to the dispatcher when the replay read the store."""
-        frames = run.__class__ is FrameRun
-        window = windows.get(run.stream_id if frames else run[0].message.stream_id)
+        walked = run.__class__ is FrameRun
+        window = windows.get(run.stream_id if walked else run[0].message.stream_id)
         if window is None:
             return run
-        if frames:
+        if walked:
             run, dropped = run.kept(window)
         else:
             sequences = [each.message.sequence for each in run]
