@@ -97,7 +97,7 @@ def _best_rate(fn, items, seconds: float, repeats: int = 3) -> float:
 # ----------------------------------------------------------------------
 def bench_codec(seconds: float) -> dict:
     rng = random.Random(7)
-    codec = MessageCodec(checksum=True)
+    codec = MessageCodec()
     # The shape the hot path actually carries: plain data messages with
     # small sensor payloads, a handful of distinct streams.
     messages = [

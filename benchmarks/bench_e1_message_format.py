@@ -23,7 +23,7 @@ from repro.core.streamid import (
 
 from claims import Table, documents, print_table
 
-CODEC = MessageCodec(checksum=True)
+CODEC = MessageCodec()
 
 
 @documents("E1")

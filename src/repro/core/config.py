@@ -38,9 +38,6 @@ class GarnetConfig:
     # Fixed network
     message_latency: float = 0.0005
 
-    # Wire format
-    checksum: bool = True
-
     # Orphanage
     orphanage_backlog: int = 256
 

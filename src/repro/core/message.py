@@ -20,9 +20,9 @@ header and the payload, in this fixed order:
 
 Section 4.3 notes that "for simplicity, we do not indicate the usual
 checksums associated with the data messages" — the checksums exist in the
-implementation but not the figure. :class:`MessageCodec` therefore appends
-a trailing CRC-16 by default and the whole deployment shares one codec
-configuration (checksums cannot be auto-detected from the bytes).
+implementation but not the figure. Every frame therefore ends in a
+CRC-16/CCITT-FALSE over everything before it; there is no CRC-less
+variant.
 
 The payload is opaque: the codec moves bytes and never interprets them
 (Section 4.3, "this provides a basic level of security").
@@ -48,7 +48,7 @@ from repro.core.streamid import StreamId
 from repro.errors import ChecksumError, CodecError, GarnetError
 from repro.errors import TruncatedMessageError
 from repro.util.bitfields import check_range, read_uint, write_uint
-from repro.util.crc import crc16_ccitt, crc16_ccitt_reference
+from repro.util.crc import crc16_ccitt, crc16_ccitt_reference, crc16_ccitt_unwind
 
 FIXED_HEADER_BYTES = 9
 MAX_SEQUENCE = (1 << 16) - 1
@@ -85,11 +85,10 @@ _COMMON_OVERHEAD = FIXED_HEADER_BYTES + CHECKSUM_BYTES
 
 
 def common_frame(
-    flags: int, stream_word: int, sequence: int, payload: bytes, checksum: bool
+    flags: int, stream_word: int, sequence: int, payload: bytes
 ) -> bytes:
     """The frame of a message with no optional field: fixed header (with
-    the FUSED / ENCRYPTED bits in ``flags``), payload and, with
-    ``checksum``, the CRC-16.
+    the FUSED / ENCRYPTED bits in ``flags``), payload and CRC-16.
 
     The one encoder of that shape, called by :meth:`MessageCodec._build_frame`
     and by a live session's publish. Nothing is range-checked here: both
@@ -98,11 +97,9 @@ def common_frame(
     body = _FIXED_HEADER.pack(
         _VERSION_BYTE | flags, stream_word, sequence, len(payload)
     ) + payload
-    if checksum:
-        # crc16_ccitt is crc_hqx seeded 0xFFFF (repro.util.crc). Calling
-        # it directly keeps the call depth of the encoder that was inline.
-        return body + crc_hqx(body, 0xFFFF).to_bytes(2, "big")
-    return body
+    # crc16_ccitt is crc_hqx seeded 0xFFFF (repro.util.crc). Calling it
+    # directly keeps the call depth of the encoder that was inline.
+    return body + crc_hqx(body, 0xFFFF).to_bytes(2, "big")
 
 
 # decode_prefix builds messages with __new__ + object.__setattr__: the
@@ -148,11 +145,11 @@ class DataMessage:
     hop_count: int | None = None
     extensions: tuple[tuple[int, bytes], ...] = field(default_factory=tuple)
     version: int = PROTOCOL_VERSION
-    #: ``(frame, checksum setting)``: the wire image this message was
-    #: decoded from or first encoded to, which :meth:`MessageCodec.encode`
-    #: hands back instead of rebuilding it. Not part of the value: copies
-    #: made by ``replace()`` / ``with_*`` start without one.
-    wire: tuple[bytes, bool] | None = field(
+    #: The frame this message was decoded from or first encoded to,
+    #: which :meth:`MessageCodec.encode` hands back instead of rebuilding
+    #: it. Not part of the value: copies made by ``replace()`` /
+    #: ``with_*`` start without one.
+    wire: bytes | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -162,7 +159,7 @@ class DataMessage:
         derive = _FLAG_DERIVED.get(name)
         if derive is None:
             raise AttributeError(f"DataMessage has no attribute {name!r}")
-        value = derive(self.wire[0][0])
+        value = derive(self.wire[0])
         _SET_FIELD(self, name, value)
         return value
 
@@ -241,11 +238,21 @@ _SET_STREAM_ID, _SET_SEQUENCE, _SET_PAYLOAD, _SET_WIRE = (
 _CRC_SEEDS = repeat(0xFFFF)
 
 
+def _crc_mismatch(frame: bytes, residue: int) -> ChecksumError:
+    """The error for a frame whose CRC pass left ``residue`` (not 0): the
+    computed CRC is unwound from it, so a rejected frame costs one pass."""
+    stated = (frame[-2] << 8) | frame[-1]
+    return ChecksumError(
+        f"CRC mismatch: stated 0x{stated:04x}, "
+        f"computed 0x{crc16_ccitt_unwind(residue, stated):04x}"
+    )
+
+
 def frame_messages(
     stream_id: StreamId, frames: Iterable[bytes], sequences: Iterable[int]
 ) -> list[DataMessage]:
-    """The messages :meth:`MessageCodec.decode` builds from checksummed
-    frames of the common shape, field for field, from what
+    """The messages :meth:`MessageCodec.decode` builds from frames of the
+    common shape, field for field, from what
     :meth:`MessageCodec.walk` already read: nothing is parsed again."""
     messages = []
     for frame, sequence in zip(frames, sequences):
@@ -253,54 +260,36 @@ def frame_messages(
         _SET_STREAM_ID(message, stream_id)
         _SET_SEQUENCE(message, sequence)
         _SET_PAYLOAD(message, frame[FIXED_HEADER_BYTES:-2])
-        _SET_WIRE(message, (frame, True))
+        _SET_WIRE(message, frame)
         messages.append(message)
     return messages
 
 
 class MessageCodec:
-    """Encodes/decodes :class:`DataMessage` per the Figure 2 layout.
-
-    Parameters
-    ----------
-    checksum:
-        Append/verify a trailing CRC-16 (the checksums Section 4.3 elides
-        from the figure). All parties in a deployment must agree.
-    """
-
-    def __init__(self, checksum: bool = True) -> None:
-        self._checksum = checksum
-
-    @property
-    def uses_checksum(self) -> bool:
-        return self._checksum
+    """Encodes/decodes :class:`DataMessage` per the Figure 2 layout, each
+    frame ending in the CRC-16 Section 4.3 elides from the figure."""
 
     def encoded_size(self, message: DataMessage) -> int:
         """The exact on-wire size of ``message`` in bytes."""
-        size = FIXED_HEADER_BYTES + len(message.payload)
+        size = _COMMON_OVERHEAD + len(message.payload)
         if message.ack_request_id is not None:
             size += 2
         if message.hop_count is not None:
             size += 1
         if message.extensions:
             size += 1 + sum(2 + len(value) for _, value in message.extensions)
-        if self._checksum:
-            size += CHECKSUM_BYTES
         return size
 
     def encode(self, message: DataMessage) -> bytes:
         """Serialise ``message``; raises :class:`CodecError` on bad fields.
 
-        A message that remembers its frame under this codec's checksum
-        setting gets that very object back; otherwise the encoder runs
-        and a message without a frame remembers the result.
+        A message that remembers its frame gets that very object back;
+        otherwise the encoder runs and the message remembers the result.
         """
-        wire = message.wire
-        if wire is not None and wire[1] == self._checksum:
-            return wire[0]
-        frame = self._build_frame(message)
-        if wire is None:
-            _SET_FIELD(message, "wire", (frame, self._checksum))
+        frame = message.wire
+        if frame is None:
+            frame = self._build_frame(message)
+            _SET_FIELD(message, "wire", frame)
         return frame
 
     def encode_run(
@@ -315,18 +304,12 @@ class MessageCodec:
         When every message remembers its frame (a replay of stored records)
         no call is made per message.
         """
-        checksum = self._checksum
-        held = [
-            wire
-            if (wire := message.wire) is not None and wire[1] == checksum
-            else message
-            for message in messages
-        ]
-        frames = [item[0] for item in held if item.__class__ is tuple]
+        held = [message.wire or message for message in messages]
+        frames = [item for item in held if item.__class__ is bytes]
         if len(frames) == len(held):
             return frames, len(frames)
         return [
-            item[0] if item.__class__ is tuple else self.encode(item)
+            item if item.__class__ is bytes else self.encode(item)
             for item in held
         ], len(frames)
 
@@ -370,10 +353,9 @@ class MessageCodec:
                 (sensor_id << 8) | stream_index,
                 sequence,
                 payload,
-                self._checksum,
             )
         payload_size = len(payload)
-        size = FIXED_HEADER_BYTES + payload_size
+        size = _COMMON_OVERHEAD + payload_size
         if ack is not None:
             if ack.__class__ is not int or not 0 <= ack <= 0xFFFF:
                 return self.encode_reference(message)
@@ -387,8 +369,6 @@ class MessageCodec:
         if extensions:
             flags |= _F_EXTENDED
             size += 1 + sum(2 + len(value) for _, value in extensions)
-        if self._checksum:
-            size += CHECKSUM_BYTES
 
         buffer = bytearray(size)
         _FIXED_HEADER.pack_into(
@@ -425,10 +405,9 @@ class MessageCodec:
                 offset += length
         buffer[offset : offset + payload_size] = payload
         offset += payload_size
-        if self._checksum:
-            crc = crc16_ccitt(buffer[:offset])
-            buffer[offset] = crc >> 8
-            buffer[offset + 1] = crc & 0xFF
+        crc = crc16_ccitt(buffer[:offset])
+        buffer[offset] = crc >> 8
+        buffer[offset + 1] = crc & 0xFF
         return bytes(buffer)
 
     def encode_reference(self, message: DataMessage) -> bytes:
@@ -465,26 +444,19 @@ class MessageCodec:
                 buffer.append(len(value))
                 buffer.extend(value)
         buffer.extend(message.payload)
-        if self._checksum:
-            write_uint(
-                buffer, crc16_ccitt_reference(bytes(buffer)), 2, "checksum"
-            )
+        write_uint(buffer, crc16_ccitt_reference(bytes(buffer)), 2, "checksum")
         return bytes(buffer)
 
     def decode(self, data: bytes) -> DataMessage:
         """Parse one message; raises on truncation, bad CRC or trailing bytes.
 
-        A checksummed ``bytes`` frame of a known stream with no ACK,
-        RELAYED or EXTENDED flag is parsed header-only; its flag-derived
-        fields materialise when first read. Anything else takes
+        A ``bytes`` frame of a known stream with no ACK, RELAYED or
+        EXTENDED flag is parsed header-only; its flag-derived fields
+        materialise when first read. Anything else takes
         :meth:`decode_prefix`, exceptions and all.
         """
         size = len(data)
-        if (
-            size >= _COMMON_OVERHEAD
-            and self._checksum
-            and type(data) is bytes
-        ):
+        if size >= _COMMON_OVERHEAD and type(data) is bytes:
             header_byte, stream_word, sequence, payload_size = (
                 _FIXED_HEADER.unpack_from(data)
             )
@@ -493,14 +465,15 @@ class MessageCodec:
                 header_byte & _COMMON_SHAPE_MASK == _VERSION_BYTE
                 and size == payload_size + _COMMON_OVERHEAD
                 and stream_id is not None
-                # crc16_ccitt is crc_hqx seeded 0xFFFF: called directly.
-                and not crc_hqx(data, 0xFFFF)
             ):
+                # crc16_ccitt is crc_hqx seeded 0xFFFF: called directly.
+                if residue := crc_hqx(data, 0xFFFF):
+                    raise _crc_mismatch(data, residue)
                 message = _NEW_MESSAGE(DataMessage)
                 _SET_STREAM_ID(message, stream_id)
                 _SET_SEQUENCE(message, sequence)
                 _SET_PAYLOAD(message, data[FIXED_HEADER_BYTES:-2])
-                _SET_WIRE(message, (data, True))
+                _SET_WIRE(message, data)
                 return message
         message, consumed = self.decode_prefix(data)
         if consumed != size:
@@ -521,7 +494,7 @@ class MessageCodec:
         Otherwise each frame is decoded, and ``messages`` holds them.
         """
         sizes = list(map(len, frames))
-        if self._checksum and min(sizes) >= _COMMON_OVERHEAD:
+        if min(sizes) >= _COMMON_OVERHEAD:
             heads = list(map(_FIXED_HEADER.unpack_from, frames))
             common = [
                 frame.__class__ is bytes
@@ -565,7 +538,7 @@ class MessageCodec:
             if not stretches or stretches[-1][0] != message.stream_id:
                 stretches.append([message.stream_id, [], [], 0, []])
             stretch = stretches[-1]
-            stretch[1].append(message.wire[0])
+            stretch[1].append(message.wire)
             stretch[2].append(message.sequence)
             stretch[3] += len(message.payload)
             stretch[4].append(message)
@@ -653,23 +626,16 @@ class MessageCodec:
         payload = view[offset:payload_end]
         if not is_bytes:
             payload = bytes(payload)
-        offset = payload_end
-        checksum = self._checksum
-        if checksum:
-            offset += 2
-            if offset > length:
-                return self.decode_prefix_reference(data)
+        offset = payload_end + CHECKSUM_BYTES
+        if offset > length:
+            return self.decode_prefix_reference(data)
         # The message's own bytes: the input itself when it is exactly
         # one frame held as bytes, else the one copy this parse makes.
         frame = data if is_bytes and offset == length else bytes(view[:offset])
         # CRC-16/CCITT-FALSE has no final XOR, so a frame followed by its
         # own checksum leaves the register at zero: one call, no slice.
-        if checksum and crc16_ccitt(frame):
-            stated = (frame[-2] << 8) | frame[-1]
-            raise ChecksumError(
-                f"CRC mismatch: stated 0x{stated:04x}, "
-                f"computed 0x{crc16_ccitt(frame[:-2]):04x}"
-            )
+        if residue := crc16_ccitt(frame):
+            raise _crc_mismatch(frame, residue)
 
         stream_id = _STREAM_ID_CACHE.get(stream_word)
         if stream_id is None:
@@ -688,7 +654,7 @@ class MessageCodec:
         _SET_FIELD(message, "hop_count", hop_count)
         _SET_FIELD(message, "extensions", extensions)
         _SET_FIELD(message, "version", version)
-        _SET_FIELD(message, "wire", (frame, checksum))
+        _SET_FIELD(message, "wire", frame)
         return message, offset
 
     def decode_reference(self, data: bytes) -> DataMessage:
@@ -747,15 +713,13 @@ class MessageCodec:
         payload = bytes(data[offset:payload_end])
         offset = payload_end
 
-        if self._checksum:
-            stated, new_offset = read_uint(data, offset, 2, "checksum")
-            computed = crc16_ccitt_reference(bytes(data[:offset]))
-            if stated != computed:
-                raise ChecksumError(
-                    f"CRC mismatch: stated 0x{stated:04x}, "
-                    f"computed 0x{computed:04x}"
-                )
-            offset = new_offset
+        stated, new_offset = read_uint(data, offset, 2, "checksum")
+        computed = crc16_ccitt_reference(bytes(data[:offset]))
+        if stated != computed:
+            raise ChecksumError(
+                f"CRC mismatch: stated 0x{stated:04x}, computed 0x{computed:04x}"
+            )
+        offset = new_offset
 
         message = DataMessage(
             stream_id=StreamId.from_word(stream_word),

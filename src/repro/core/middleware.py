@@ -254,7 +254,7 @@ class Garnet:
         self.tracer = Tracer(self._metrics)
         self.sim.set_probe(KernelProbe(self._metrics))
 
-        self.codec = MessageCodec(checksum=cfg.checksum)
+        self.codec = MessageCodec()
         retry_policy = None
         if cfg.fixednet_retry_base is not None:
             retry_policy = BackoffPolicy(

@@ -28,15 +28,7 @@ from repro.core.streamid import StreamId
 from repro.errors import StoreError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.stats import RegistryBackedStats
-from repro.store.segment import (
-    RECORD_META_BYTES,
-    RECORD_PREFIX_BYTES,
-    Segment,
-    StoredRecord,
-)
-
-#: Encoded bytes a record adds beyond its frame.
-_RECORD_OVERHEAD = RECORD_PREFIX_BYTES + RECORD_META_BYTES
+from repro.store.segment import RECORD_OVERHEAD_BYTES, Segment, StoredRecord
 
 
 class StoreStats(RegistryBackedStats):
@@ -165,7 +157,7 @@ class StreamStore(ABC):
             # segment_bytes; the one that crosses the line is its last.
             held, end = active.bytes_held, start
             while end < count and held < limit:
-                held += _RECORD_OVERHEAD + sizes[end]
+                held += RECORD_OVERHEAD_BYTES + sizes[end]
                 end += 1
             written = active.append(received_at, receiver_id, run[start:end])
             self._total_bytes += written

@@ -29,9 +29,9 @@ from repro.core.streamid import StreamId
 from repro.errors import StoreError
 from repro.store.base import StreamStore, _StreamLog
 from repro.store.segment import (
-    RECORD_META_BYTES,
-    RECORD_PREFIX_BYTES,
+    RECORD_OVERHEAD_BYTES,
     Segment,
+    encode_record,
     scan_records,
 )
 
@@ -68,14 +68,10 @@ class _FileSegment(Segment):
         return self._handle
 
     def _write(
-        self,
-        encoded: bytes,
-        received_at: float,
-        receiver_id: int,
-        frames: Sequence[bytes],
+        self, received_at: float, receiver_id: int, frames: Sequence[bytes]
     ) -> None:
         handle = self._ensure_handle()
-        handle.write(encoded)
+        handle.write(encode_record(received_at, receiver_id, *frames))
         handle.flush()
 
     def records(self) -> list[tuple[float, int, bytes]]:
@@ -170,10 +166,7 @@ class FileSegmentStore(StreamStore):
                     self._logs[stream_id] = log
                 segment = _FileSegment(index, path)
                 for received_at, _receiver_id, frame in records:
-                    segment.note(
-                        received_at,
-                        RECORD_PREFIX_BYTES + RECORD_META_BYTES + len(frame),
-                    )
+                    segment.note(received_at, RECORD_OVERHEAD_BYTES + len(frame))
                 log.segments.append(segment)
                 self._total_segments += 1
                 self._total_bytes += segment.bytes_held

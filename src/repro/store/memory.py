@@ -23,11 +23,7 @@ class _MemorySegment(Segment):
         self._records: list[tuple[float, int, bytes]] = []
 
     def _write(
-        self,
-        encoded: bytes,
-        received_at: float,
-        receiver_id: int,
-        frames: Sequence[bytes],
+        self, received_at: float, receiver_id: int, frames: Sequence[bytes]
     ) -> None:
         self._records += [(received_at, receiver_id, frame) for frame in frames]
 

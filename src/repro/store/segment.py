@@ -34,6 +34,8 @@ _META = struct.Struct(">di")
 RECORD_META_BYTES = _META.size
 #: Bytes of the length prefix itself.
 RECORD_PREFIX_BYTES = _LENGTH.size
+#: Encoded bytes a record adds beyond its frame.
+RECORD_OVERHEAD_BYTES = RECORD_PREFIX_BYTES + RECORD_META_BYTES
 
 
 def encode_record(
@@ -159,19 +161,18 @@ class Segment:
         self, received_at: float, receiver_id: int, frames: Sequence[bytes]
     ) -> int:
         """Write a run of records sharing one stamp and receiver in one
-        backend write; returns the encoded byte count."""
-        encoded = encode_record(received_at, receiver_id, *frames)
-        self._write(encoded, received_at, receiver_id, frames)
-        self.note(received_at, len(encoded), len(frames))
-        return len(encoded)
+        backend write; returns their :func:`encode_record` byte count,
+        worked out from the frame sizes whether or not the backend
+        encodes them."""
+        self._write(received_at, receiver_id, frames)
+        count = len(frames)
+        size = sum(map(len, frames)) + count * RECORD_OVERHEAD_BYTES
+        self.note(received_at, size, count)
+        return size
 
     # -- backend hooks --------------------------------------------------
     def _write(
-        self,
-        encoded: bytes,
-        received_at: float,
-        receiver_id: int,
-        frames: Sequence[bytes],
+        self, received_at: float, receiver_id: int, frames: Sequence[bytes]
     ) -> None:
         raise NotImplementedError
 
@@ -188,6 +189,7 @@ class Segment:
 
 __all__ = [
     "RECORD_META_BYTES",
+    "RECORD_OVERHEAD_BYTES",
     "RECORD_PREFIX_BYTES",
     "StoredRecord",
     "Segment",

@@ -57,11 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="UDP data-plane port (default: pick a free port)",
     )
     parser.add_argument(
-        "--no-checksum",
-        action="store_true",
-        help="serve a deployment whose codec skips the Figure 2 CRC",
-    )
-    parser.add_argument(
         "--store",
         action="store_true",
         help="retain published streams in a store (enables "
@@ -102,7 +97,6 @@ async def _serve(args: argparse.Namespace) -> None:
     deployment = Garnet(
         config=GarnetConfig(
             publish_location_stream=False,
-            checksum=not args.no_checksum,
             store_enabled=bool(args.store or args.store_dir),
             store_dir=args.store_dir,
             broker_lease_ttl=args.lease_ttl,

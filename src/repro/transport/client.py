@@ -295,7 +295,6 @@ class LiveSession:
         self,
         url: str,
         name: str,
-        checksum: bool = True,
         timeout: float = 10.0,
         reconnect: BackoffPolicy | bool | None = None,
         keepalive: float | None = None,
@@ -307,8 +306,7 @@ class LiveSession:
                 f"connect timeout must be positive, got {timeout}"
             )
         self._name = name
-        self._codec = MessageCodec(checksum=checksum)
-        self._checksum = checksum
+        self._codec = MessageCodec()
         self._timeout = timeout
         self._callbacks: list[DataCallback] = []
         self._state_callbacks: list[StateCallback] = []
@@ -694,10 +692,10 @@ class LiveSession:
             stream_id = StreamId(self._ledger.publisher_id, stream_index)
             # pack() range-checks: a bad index raises and is not cached.
             stream = streams[stream_index] = (stream_id, stream_id.pack())
-        if self._checksum and not (fused or encrypted or extensions) and (
+        if not (fused or encrypted or extensions) and (
             len(payload) <= MAX_UDP_PAYLOAD
         ):
-            frame = common_frame(0, stream[1], sequence, payload, True)
+            frame = common_frame(0, stream[1], sequence, payload)
         else:  # Positional: a keyword call costs ~0.2 µs.
             frame = self._codec.encode(DataMessage(
                 stream[0], sequence, payload, fused, encrypted, None, None,
@@ -1075,7 +1073,6 @@ def connect(
     url: str,
     name: str | None = None,
     *,
-    checksum: bool = True,
     timeout: float = 10.0,
     reconnect: BackoffPolicy | bool | None = None,
     keepalive: float | None = None,
@@ -1092,7 +1089,6 @@ def connect(
     return LiveSession(
         url,
         name,
-        checksum=checksum,
         timeout=timeout,
         reconnect=reconnect,
         keepalive=keepalive,

@@ -62,3 +62,17 @@ def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
     *default* seed, which this wrapper supplies.
     """
     return _crc_hqx(data, initial & 0xFFFF)
+
+
+def crc16_ccitt_unwind(residue: int, stated: int) -> int:
+    """The CRC of a frame's body, from the register after the whole frame
+    (``residue``: body, then its ``stated`` 16-bit CRC) — no second pass.
+
+    Feeding the stated CRC takes the register from the body's CRC ``C``
+    to ``C ^ stated`` shifted through 16 zero bits; the loop runs those
+    16 register steps backwards (0x1021 is odd, so each step's feedback
+    shows in bit 0).
+    """
+    for _ in range(16):
+        residue = ((residue ^ 0x1021) >> 1) | 0x8000 if residue & 1 else residue >> 1
+    return residue ^ stated

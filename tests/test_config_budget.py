@@ -18,7 +18,7 @@ from pathlib import Path
 from repro.core.config import GarnetConfig
 
 ROOT = Path(__file__).resolve().parent.parent
-FIELD_BUDGET = 43
+FIELD_BUDGET = 42
 #: Where a setter counts: not ``tests/``. config.py declares the fields,
 #: so it cannot satisfy the search by accident.
 SEARCHED = ("src", "benchmarks", "examples")

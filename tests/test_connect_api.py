@@ -2,7 +2,7 @@
 
 ``Garnet.connect`` opens simulated sessions (name/token/permissions,
 ``heartbeat_period``, ``broker`` homing) and ``repro.transport.connect``
-live ones (``checksum``, ``timeout``, ``reconnect``, ``keepalive``).
+live ones (``timeout``, ``reconnect``, ``keepalive``).
 These tests pin the split:
 
 - neither door takes the other's options — the signature refuses them;
@@ -63,7 +63,6 @@ class TestConnectOptionsValidation:
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
-            ({"checksum": False}, "checksum"),
             ({"timeout": 3.0}, "timeout"),
             ({"reconnect": True}, "reconnect"),
             ({"keepalive": 1.0}, "keepalive"),
@@ -94,13 +93,12 @@ class TestConnectOptionsValidation:
         with pytest.raises(ConfigurationError, match="reconnect"):
             connect(UNREACHABLE, "x", reconnect=reconnect)
 
-    def test_live_checksum_and_timeout_are_accepted(self):
+    def test_live_timeout_reconnect_and_keepalive_are_accepted(self):
         # A well-formed call gets as far as dialing the dead port.
         with pytest.raises(TransportError):
             connect(
                 UNREACHABLE,
                 "x",
-                checksum=False,
                 timeout=0.5,
                 reconnect=BackoffPolicy(base=0.1),
                 keepalive=0.5,

@@ -17,6 +17,7 @@ from repro.core.message import (
     parse_request_status_extension,
 )
 from repro.core.streamid import StreamId
+from repro.util.crc import crc16_ccitt
 from repro.errors import (
     ChecksumError,
     CodecError,
@@ -25,8 +26,7 @@ from repro.errors import (
     TruncatedMessageError,
 )
 
-CODEC = MessageCodec(checksum=True)
-BARE_CODEC = MessageCodec(checksum=False)
+CODEC = MessageCodec()
 
 
 def make_message(**overrides) -> DataMessage:
@@ -42,18 +42,17 @@ def make_message(**overrides) -> DataMessage:
 class TestFixedLayout:
     def test_wire_layout_matches_figure_2(self):
         message = make_message(payload=b"AB")
-        wire = BARE_CODEC.encode(message)
+        wire = CODEC.encode(message)
         # bit 0-8: header; 8-40: StreamID; 40-56: sequence; 56-72: size.
         assert wire[0] >> 5 == 1  # version
         assert int.from_bytes(wire[1:5], "big") == StreamId(1234, 5).pack()
         assert int.from_bytes(wire[5:7], "big") == 42
         assert int.from_bytes(wire[7:9], "big") == 2
-        assert wire[9:] == b"AB"
+        assert wire[9:-2] == b"AB"
+        assert int.from_bytes(wire[-2:], "big") == crc16_ccitt(wire[:-2])
         assert FIXED_HEADER_BYTES == 9  # 72 bits
 
     def test_minimal_message_size(self):
-        wire = BARE_CODEC.encode(make_message(payload=b""))
-        assert len(wire) == FIXED_HEADER_BYTES
         wire = CODEC.encode(make_message(payload=b""))
         assert len(wire) == FIXED_HEADER_BYTES + CHECKSUM_BYTES
 
@@ -65,9 +64,6 @@ class TestFixedLayout:
             make_message(extensions=((1, b"abc"), (2, b""))),
         ):
             assert len(CODEC.encode(message)) == CODEC.encoded_size(message)
-            assert len(BARE_CODEC.encode(message)) == BARE_CODEC.encoded_size(
-                message
-            )
 
 
 class TestRoundtrip:
@@ -171,7 +167,7 @@ MESSAGES = st.builds(DataMessage, **HEADER_FIELDS) | st.builds(
 @st.composite
 def received_frames(draw):
     """A codec and a frame it encoded: whole, one byte changed, or cut."""
-    codec = draw(st.sampled_from([CODEC, BARE_CODEC]))
+    codec = CODEC
     frame = codec.encode(draw(MESSAGES))
     at = draw(st.integers(0, len(frame) - 1))
     return codec, draw(
@@ -234,7 +230,7 @@ class TestHeaderOnlyDecode:
         ]
         assert (message.fused, message.encrypted) == (True, False)
         assert unset() == ["ack_request_id", "hop_count", "extensions", "version"]
-        assert message.wire == (frame, True)
+        assert message.wire is frame
         with pytest.raises(AttributeError, match="has no attribute 'nope'"):
             message.nope
 
@@ -246,9 +242,33 @@ class TestChecksum:
         with pytest.raises(ChecksumError):
             CODEC.decode(bytes(wire))
 
-    def test_bare_codec_skips_checksum(self):
-        wire = BARE_CODEC.encode(make_message())
-        assert BARE_CODEC.decode(wire) == make_message()
+    @pytest.mark.parametrize("fields", [{}, {"hop_count": 1}])
+    def test_a_rejected_frame_costs_one_crc_pass(self, monkeypatch, fields):
+        # Through decode (header-only or full parse) and through walk.
+        import repro.core.message as message_module
+
+        passes = []
+        for name in ("crc_hqx", "crc16_ccitt", "crc16_ccitt_reference"):
+            real = getattr(message_module, name)
+            monkeypatch.setattr(
+                message_module,
+                name,
+                lambda *args, real=real: passes.append(args) or real(*args),
+            )
+        frame = CODEC.encode(make_message(**fields))
+        CODEC.decode(frame)  # a stream's first frame interns its id
+        corrupt = frame[:-1] + bytes([frame[-1] ^ 1])
+        passes.clear()
+        with pytest.raises(ChecksumError) as refused:
+            CODEC.decode(corrupt)
+        assert len(passes) == 1
+        assert str(refused.value) == (
+            f"CRC mismatch: stated 0x{frame[-2] << 8 | frame[-1] ^ 1:04x}, "
+            f"computed 0x{crc16_ccitt(frame[:-2]):04x}"
+        )
+        passes.clear()
+        assert CODEC.walk([corrupt]) == ([], 1)
+        assert len(passes) == 1
 
     def test_every_byte_position_protected(self):
         wire = CODEC.encode(make_message(payload=b"xy"))
@@ -265,9 +285,9 @@ class TestMalformedInput:
             CODEC.decode(b"\x20\x00")
 
     def test_truncated_payload(self):
-        wire = BARE_CODEC.encode(make_message(payload=b"full payload"))
+        wire = CODEC.encode(make_message(payload=b"full payload"))
         with pytest.raises(TruncatedMessageError):
-            BARE_CODEC.decode(wire[:-4])
+            CODEC.decode(wire[:-4])
 
     def test_trailing_bytes_rejected(self):
         wire = CODEC.encode(make_message())
@@ -275,17 +295,17 @@ class TestMalformedInput:
             CODEC.decode(wire + b"\x00")
 
     def test_wrong_version_rejected(self):
-        wire = bytearray(BARE_CODEC.encode(make_message()))
+        wire = bytearray(CODEC.encode(make_message()))
         wire[0] = (wire[0] & 0b00011111) | (2 << 5)
         with pytest.raises(CodecError):
-            BARE_CODEC.decode(bytes(wire))
+            CODEC.decode(bytes(wire))
 
     def test_extended_flag_with_zero_extensions_rejected(self):
-        wire = bytearray(BARE_CODEC.encode(make_message(payload=b"")))
+        wire = bytearray(CODEC.encode(make_message(payload=b"")))
         wire[0] |= int(HeaderFlags.EXTENDED)
         wire.insert(9, 0)  # extension count 0
         with pytest.raises(CodecError):
-            BARE_CODEC.decode(bytes(wire))
+            CODEC.decode(bytes(wire))
 
     def test_empty_input(self):
         with pytest.raises(TruncatedMessageError):

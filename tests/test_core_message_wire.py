@@ -1,9 +1,8 @@
 """A DataMessage remembers its wire frame; the codec hands it back.
 
 The contract under test: ``decode`` keeps the bytes it parsed, ``encode``
-keeps the bytes it first produced, a later ``encode`` under the same
-checksum setting returns that very object, and nothing else about the
-message — equality, hash, repr, pickling, derived copies, the accept set
+keeps the bytes it first produced, a later ``encode`` returns that very
+object, and nothing else about the message — equality, hash, repr, pickling, derived copies, the accept set
 and error text of the decoder — can tell the difference.
 """
 
@@ -16,11 +15,9 @@ import pytest
 from repro.core.message import DataMessage, MessageCodec
 from repro.core.streamid import StreamId
 from repro.errors import GarnetError
+from repro.util.crc import crc16_ccitt
 
-CODECS = {
-    True: MessageCodec(checksum=True),
-    False: MessageCodec(checksum=False),
-}
+CODEC = MessageCodec()
 SHAPES = {
     "bare": {},
     "ack": {"ack_request_id": 0xBEEF},
@@ -48,8 +45,8 @@ def make(shape: str) -> DataMessage:
     )
 
 
-def reference_frame(shape: str, checksum: bool) -> bytes:
-    return CODECS[checksum].encode_reference(make(shape))
+def reference_frame(shape: str) -> bytes:
+    return CODEC.encode_reference(make(shape))
 
 
 def outcome(decode, data):
@@ -60,56 +57,41 @@ def outcome(decode, data):
 
 
 def every_frame(test):
-    """Every frame shape under both checksum settings."""
-    test = pytest.mark.parametrize("shape", list(SHAPES))(test)
-    return pytest.mark.parametrize("checksum", [True, False])(test)
+    """Every frame shape. Each id ends in ``-True`` (the frame carries its
+    CRC-16), so the test ids stay stable."""
+    return pytest.mark.parametrize(
+        "shape", list(SHAPES), ids=[f"{shape}-True" for shape in SHAPES]
+    )(test)
 
 
 @every_frame
 @pytest.mark.parametrize("kind", list(INPUTS))
-def test_encode_of_decode_is_the_received_frame(shape, checksum, kind):
-    codec = CODECS[checksum]
-    frame = reference_frame(shape, checksum)
-    message = codec.decode(INPUTS[kind](frame))
+def test_encode_of_decode_is_the_received_frame(shape, kind):
+    frame = reference_frame(shape)
+    message = CODEC.decode(INPUTS[kind](frame))
     assert message == make(shape)
-    again = codec.encode(message)
+    again = CODEC.encode(message)
     assert again == frame and type(again) is bytes
-    assert codec.encode(message) is again
+    assert CODEC.encode(message) is again
     if kind == "bytes":
         assert again is frame
 
 
 @every_frame
-def test_first_encode_is_remembered(shape, checksum):
-    codec = CODECS[checksum]
+def test_first_encode_is_remembered(shape):
     message = make(shape)
     assert message.wire is None
-    frame = codec.encode(message)
-    assert frame == reference_frame(shape, checksum)
-    assert codec.encode(message) is frame
+    frame = CODEC.encode(message)
+    assert frame == reference_frame(shape)
+    assert CODEC.encode(message) is frame
 
 
 @every_frame
-def test_a_frame_kept_under_one_setting_is_not_served_under_the_other(
-    shape, checksum
-):
-    codec, other = CODECS[checksum], CODECS[not checksum]
-    frame = reference_frame(shape, checksum)
-    for message in (codec.decode(frame), make(shape)):
-        codec.encode(message)
-        assert other.encode(message) == reference_frame(shape, not checksum)
-        # ...and the frame it had first is still the one it keeps.
-        assert codec.encode(message) == frame
-        assert other.decode(other.encode(message)) == message
-
-
-@every_frame
-def test_derived_copies_never_reuse_the_parents_frame(shape, checksum):
-    codec = CODECS[checksum]
-    frame = reference_frame(shape, checksum)
-    decoded = codec.decode(frame)
+def test_derived_copies_never_reuse_the_parents_frame(shape):
+    frame = reference_frame(shape)
+    decoded = CODEC.decode(frame)
     encoded = make(shape)
-    codec.encode(encoded)
+    CODEC.encode(encoded)
     for parent in (decoded, encoded):
         for variant in (
             replace(parent),
@@ -121,91 +103,95 @@ def test_derived_copies_never_reuse_the_parents_frame(shape, checksum):
             parent.with_replaced_extension(2, b"swapped"),
         ):
             assert variant.wire is None
-            fresh = codec.encode(variant)
-            assert fresh == codec.encode_reference(variant)
+            fresh = CODEC.encode(variant)
+            assert fresh == CODEC.encode_reference(variant)
             assert fresh is not frame
-            assert codec.decode(fresh) == variant
-        assert codec.encode(parent) == frame
+            assert CODEC.decode(fresh) == variant
+        assert CODEC.encode(parent) == frame
 
 
 @every_frame
-def test_value_semantics_ignore_the_remembered_frame(shape, checksum):
-    codec = CODECS[checksum]
+def test_value_semantics_ignore_the_remembered_frame(shape):
     plain = make(shape)
-    decoded = codec.decode(reference_frame(shape, checksum))
+    decoded = CODEC.decode(reference_frame(shape))
     assert plain.wire is None and decoded.wire is not None
     assert decoded == plain and hash(decoded) == hash(plain)
     assert repr(decoded) == repr(plain) and "wire" not in repr(decoded)
     assert len({plain, decoded}) == 1
     with pytest.raises(TypeError):
-        DataMessage(StreamId(1, 0), 0, wire=(b"", True))
+        DataMessage(StreamId(1, 0), 0, wire=b"")
 
 
 @every_frame
-def test_pickle_round_trip_survives_the_slot(shape, checksum):
+def test_pickle_round_trip_survives_the_slot(shape):
     # Cluster worker processes exchange arrivals over pipes.
-    codec = CODECS[checksum]
-    frame = reference_frame(shape, checksum)
-    for message in (make(shape), codec.decode(frame)):
+    frame = reference_frame(shape)
+    for message in (make(shape), CODEC.decode(frame)):
         clone = pickle.loads(pickle.dumps(message))
         assert clone == message and hash(clone) == hash(message)
-        assert codec.encode(clone) == frame
+        assert CODEC.encode(clone) == frame
 
 
 @every_frame
 @pytest.mark.parametrize("kind", list(INPUTS))
-def test_decode_prefix_remembers_only_its_own_bytes(shape, checksum, kind):
-    codec = CODECS[checksum]
-    first = reference_frame(shape, checksum)
-    second = codec.encode_reference(replace(make(shape), sequence=9))
+def test_decode_prefix_remembers_only_its_own_bytes(shape, kind):
+    first = reference_frame(shape)
+    second = CODEC.encode_reference(replace(make(shape), sequence=9))
     buffer = INPUTS[kind](first + second)
-    message, consumed = codec.decode_prefix(buffer)
+    message, consumed = CODEC.decode_prefix(buffer)
     assert consumed == len(first)
-    assert message.wire == (first, checksum)
-    assert codec.encode(message) == first
-    tail, rest = codec.decode_prefix(buffer[consumed:])
-    assert rest == len(second) and codec.encode(tail) == second
+    assert message.wire == first and type(message.wire) is bytes
+    assert CODEC.encode(message) == first
+    tail, rest = CODEC.decode_prefix(buffer[consumed:])
+    assert rest == len(second) and CODEC.encode(tail) == second
 
 
-def assert_same_as_reference(codec, data):
-    fast = outcome(codec.decode, data)
-    assert fast == outcome(codec.decode_reference, data)
+def assert_same_as_reference(data):
+    fast = outcome(CODEC.decode, data)
+    assert fast == outcome(CODEC.decode_reference, data)
     if fast[0] == "ok":
         # The layout is canonical: what the decoder accepts, the encoder
         # rebuilds bit for bit — which is why the frame may be kept.
-        assert codec.encode(fast[1]) == data
-        assert codec.encode_reference(fast[1]) == data
+        assert CODEC.encode(fast[1]) == data
+        assert CODEC.encode_reference(fast[1]) == data
     return fast[0] == "ok"
 
 
-@every_frame
+def reseal(frame: bytearray) -> None:
+    """Rewrite the CRC over what precedes it, so the checks behind the
+    CRC decide the frame."""
+    frame[-2:] = crc16_ccitt(frame[:-2]).to_bytes(2, "big")
+
+
+@pytest.mark.parametrize("crc_judges", [True, False])
+@pytest.mark.parametrize("shape", list(SHAPES))
 def test_every_bit_flip_and_truncation_agrees_with_the_reference(
-    shape, checksum
+    shape, crc_judges
 ):
-    codec = CODECS[checksum]
-    frame = reference_frame(shape, checksum)
+    """Without ``crc_judges`` each flipped frame is re-sealed, so the
+    header, flag and length checks alone accept or refuse it."""
+    frame = reference_frame(shape)
     accepted = 0
     for bit in range(len(frame) * 8):
         mutant = bytearray(frame)
         mutant[bit // 8] ^= 0x80 >> (bit % 8)
-        accepted += assert_same_as_reference(codec, bytes(mutant))
+        if not crc_judges:
+            reseal(mutant)
+        accepted += assert_same_as_reference(bytes(mutant))
     for length in range(len(frame)):
-        assert not assert_same_as_reference(codec, frame[:length])
-    assert_same_as_reference(codec, frame + b"\x00")
-    if checksum:
-        assert accepted == 0  # CRC-16 catches every single-bit error
+        assert not assert_same_as_reference(frame[:length])
+    assert_same_as_reference(frame + b"\x00")
+    # CRC-16 catches every single-bit error; a re-sealed payload flip
+    # is a well-formed frame.
+    assert (accepted == 0) is crc_judges
 
 
 def test_seeded_random_mutations_agree_with_the_reference():
     rng = random.Random(0x6A7E)
-    frames = [
-        (CODECS[checksum], reference_frame(shape, checksum))
-        for checksum in (True, False)
-        for shape in SHAPES
-    ]
+    frames = [reference_frame(shape) for shape in SHAPES]
     accepted = 0
     for _ in range(20_000):
-        codec, frame = rng.choice(frames)
+        frame = rng.choice(frames)
         mutant = bytearray(frame)
         for _ in range(rng.randint(1, 4)):
             action = rng.randrange(4)
@@ -218,7 +204,9 @@ def test_seeded_random_mutations_agree_with_the_reference():
                 del mutant[at]
             else:
                 mutant += rng.randbytes(rng.randint(1, 3))
-        accepted += assert_same_as_reference(codec, bytes(mutant))
-    # The bare codec accepts many mutants (any payload byte may change),
-    # so the re-encode half of the check is not vacuous.
+        if rng.random() < 0.5 and len(mutant) > 2:
+            reseal(mutant)
+        accepted += assert_same_as_reference(bytes(mutant))
+    # A re-sealed mutant whose header still adds up is accepted (any
+    # payload byte may change), so the re-encode half is not vacuous.
     assert accepted > 1_000

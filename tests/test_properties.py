@@ -21,7 +21,7 @@ from repro.simnet.fixednet import FixedNetwork
 from repro.simnet.kernel import Simulator
 from repro.util.ids import IdPool
 
-CODEC = MessageCodec(checksum=True)
+CODEC = MessageCodec()
 
 
 # ----------------------------------------------------------------------
@@ -263,12 +263,12 @@ _messages = st.builds(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_messages, st.booleans())
-def test_fast_codec_is_byte_identical_to_reference(message, checksum):
+@given(_messages)
+def test_fast_codec_is_byte_identical_to_reference(message):
     """encode/decode (struct fast path) and encode_reference/
     decode_reference (validating path) must agree byte-for-byte on
-    every representable message, with and without checksums."""
-    codec = MessageCodec(checksum=checksum)
+    every representable message."""
+    codec = CODEC
     wire = codec.encode(message)
     assert wire == codec.encode_reference(message)
     assert codec.encoded_size(message) == len(wire)

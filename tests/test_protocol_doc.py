@@ -28,7 +28,7 @@ DOC = (
 
 
 def test_worked_example_bytes_match_codec():
-    wire = MessageCodec(checksum=True).encode(
+    wire = MessageCodec().encode(
         DataMessage(
             stream_id=StreamId(1234, 5), sequence=42, payload=b"AB"
         )

@@ -255,6 +255,62 @@ class TestStreamStoreContract:
         store.close()
 
 
+def test_memory_and_file_stores_agree_and_only_the_file_encodes(
+    tmp_path, monkeypatch
+):
+    """Byte accounting comes from the frame sizes: the memory backend
+    holds what the file backend writes, byte count for byte count,
+    without encoding a record."""
+    import repro.store.file as file_module
+    import repro.store.segment as segment_module
+
+    encoded = []
+
+    def counting(*args):
+        encoded.append(args)
+        return encode_record(*args)
+
+    monkeypatch.setattr(segment_module, "encode_record", counting)
+    monkeypatch.setattr(file_module, "encode_record", counting)
+    runs = [
+        (StreamId(5, stream), float(at), at % 3, [
+            frame_for(at * 10 + k, b"p" * (at % 7)) for k in range(1 + at % 5)
+        ])
+        for at in range(40)
+        for stream in (0, 1)
+    ]
+    seen = {}
+    for backend in ("memory", "file"):
+        encoded.clear()
+        store = make_store(backend, tmp_path, segment_bytes=150)
+        for stream, at, receiver, frames in runs:
+            store.append(stream, at, receiver, *frames)
+        segments = {
+            stream: [
+                (segment.records_held, segment.bytes_held)
+                for segment in store._logs[stream].segments
+            ]
+            for stream in store.streams()
+        }
+        if backend == "file":
+            assert [
+                segment.path.stat().st_size
+                for log in store._logs.values()
+                for segment in log.segments
+            ] == [held for each in segments.values() for _, held in each]
+        seen[backend] = (
+            store.total_bytes,
+            segments,
+            {stream: store.read(stream) for stream in store.streams()},
+            len(encoded),
+        )
+        store.close()
+    assert seen["memory"][:3] == seen["file"][:3]
+    assert sum(len(each) for each in seen["memory"][1].values()) > 2
+    # One encode per segment a run lands in, on the file side only.
+    assert seen["memory"][3] == 0 and seen["file"][3] >= len(runs)
+
+
 # ----------------------------------------------------------------------
 # File backend: persistence and crash tolerance
 # ----------------------------------------------------------------------

@@ -1713,7 +1713,7 @@ def reference_deliver(broker, state, arrival):
     message = arrival.message
     remembered = message.wire
     frame = broker._codec.encode(message)
-    if remembered is not None and remembered[0] is frame:
+    if remembered is frame:
         broker._encode_reuse.inc()
     if state.udp_address is None:
         state.parked.append(frame)
@@ -2358,24 +2358,19 @@ CODEC = MessageCodec()
 
 
 @pytest.fixture(scope="module")
-def recording_sessions():
-    """One threadless session per checksum setting, shared by a
-    property's examples, whose datagrams are kept instead of sent."""
-    sessions = {}
-    for checksum in (True, False):
-        session = sessions[checksum] = threadless_session(
-            World(), f"frames-{checksum}", checksum=checksum
-        )
-        session.sent = []
-        session._wire.sendto = (
-            lambda datagram, address, sent=session.sent: sent.append(datagram)
-        )
-        session.sequences = collections.Counter()  # the test's own count
-    return sessions
+def recording_session():
+    """One threadless session, shared by a property's examples, whose
+    datagrams are kept instead of sent."""
+    session = threadless_session(World(), "frames")
+    session.sent = []
+    session._wire.sendto = (
+        lambda datagram, address, sent=session.sent: sent.append(datagram)
+    )
+    session.sequences = collections.Counter()  # the test's own count
+    return session
 
 
 PUBLISHES = st.tuples(
-    st.booleans(),  # checksum
     st.integers(0, 255),
     st.binary(max_size=300),
     st.booleans(),  # fused
@@ -2388,9 +2383,9 @@ PUBLISHES = st.tuples(
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(publishes=st.lists(PUBLISHES, min_size=1, max_size=4))
-def test_the_publish_frame_is_the_codecs_frame(recording_sessions, publishes):
-    for checksum, index, payload, fused, encrypted, extensions in publishes:
-        session = recording_sessions[checksum]
+def test_the_publish_frame_is_the_codecs_frame(recording_session, publishes):
+    session = recording_session
+    for index, payload, fused, encrypted, extensions in publishes:
         stream_id = StreamId(session.publisher_id, index)
         sequence = session.sequences[index]
         session.sequences[index] += 1
@@ -2399,7 +2394,7 @@ def test_the_publish_frame_is_the_codecs_frame(recording_sessions, publishes):
             extensions=extensions,
         )
         assert returned == stream_id
-        expected = MessageCodec(checksum).encode(
+        expected = CODEC.encode(
             DataMessage(
                 stream_id, sequence, payload, fused=fused,
                 encrypted=encrypted, extensions=extensions,

@@ -104,7 +104,6 @@ def test_one_connect_door_per_transport():
     assert list(inspect.signature(connect).parameters) == [
         "url",
         "name",
-        "checksum",
         "timeout",
         "reconnect",
         "keepalive",
@@ -617,3 +616,52 @@ def test_every_reinstall_is_the_ledgers():
         and _calls(function, "reinstall")
     )
     assert callers == ["_dial_once", "_recover", "adopt"]
+
+
+# ----------------------------------------------------------------------
+# One Figure 2 wire image: every frame carries its CRC-16
+# ----------------------------------------------------------------------
+MESSAGE = SRC / "repro" / "core" / "message.py"
+
+
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    return {
+        node.name: node
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_the_crc_is_no_setting():
+    """No codec, frame builder or live door takes a ``checksum`` argument,
+    and nothing under ``src/`` keeps a ``_checksum`` attribute."""
+    doors = {
+        "MessageCodec": _methods(_classes(MESSAGE)["MessageCodec"]).get("__init__"),
+        "common_frame": _functions(MESSAGE)["common_frame"],
+        "LiveSession": _methods(_classes(LIVE_CLIENT)["LiveSession"])["__init__"],
+        "connect": _functions(LIVE_CLIENT)["connect"],
+    }
+    taking = sorted(
+        name
+        for name, function in doors.items()
+        if function is not None
+        and "checksum"
+        in {
+            arg.arg
+            for arg in (
+                function.args.posonlyargs
+                + function.args.args
+                + function.args.kwonlyargs
+            )
+        }
+    )
+    assert taking == []
+    keeping = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr == "_checksum"
+    )
+    assert keeping == []
