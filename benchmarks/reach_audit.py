@@ -51,7 +51,7 @@ UNSET_EXEMPT = ("message_latency", "deployment_secret")
 #: The body lines of the defs no root reaches, summed. A change that
 #: deletes unreached code lowers it; one that adds a path no root runs
 #: raises it in its own diff.
-UNREACHED_BODY_LINES = 909
+UNREACHED_BODY_LINES = 844
 
 #: Installed in every root's interpreter (``PYTHONPATH`` puts its
 #: directory first). ``{src}`` and ``{out}`` are filled in per audit.

@@ -214,8 +214,8 @@ class ActuationService:
 
     def _transmit(self, pending: PendingRequest) -> None:
         # Each attempt carries a fresh timestamp: honest stamping, and it
-        # makes retransmissions distinct frames so relay nodes (which
-        # deduplicate forwarded control frames) pass retries through.
+        # makes each retry a distinct frame, which a multi-hop relay that
+        # drops control frames it already forwarded (Section 8) passes on.
         pending.request = replace(
             pending.request,
             timestamp_us=int(self._network.sim.now * 1_000_000),

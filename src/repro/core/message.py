@@ -190,25 +190,8 @@ class DataMessage:
         """A copy acknowledging a stream update request (Section 4.3)."""
         return replace(self, ack_request_id=request_id)
 
-    def with_relay_hop(self) -> "DataMessage":
-        """A copy tagged as having travelled one more wireless hop (§8)."""
-        hops = 1 if self.hop_count is None else self.hop_count + 1
-        return replace(self, hop_count=hops)
-
     def with_extension(self, ext_type: int, value: bytes) -> "DataMessage":
         return replace(self, extensions=self.extensions + ((int(ext_type), value),))
-
-    def with_replaced_extension(
-        self, ext_type: int, value: bytes
-    ) -> "DataMessage":
-        """A copy where ``ext_type``'s (single) entry is replaced/added."""
-        wanted = int(ext_type)
-        kept = tuple(
-            (etype, existing)
-            for etype, existing in self.extensions
-            if etype != wanted
-        )
-        return replace(self, extensions=kept + ((wanted, value),))
 
     def find_extension(self, ext_type: int) -> bytes | None:
         """The value of the first extension of ``ext_type``, if present."""

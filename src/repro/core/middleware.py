@@ -544,7 +544,6 @@ class Garnet:
         sensor_id: int | None = None,
         tx_range: float | None = None,
         receive_capable: bool = True,
-        relay: bool = False,
         battery=None,
         energy_model=None,
         cipher=None,
@@ -578,7 +577,6 @@ class Garnet:
             message_codec=self.codec,
             tx_range=tx_range,
             receive_capable=receive_capable,
-            relay=relay,
             battery=battery,
             energy_model=energy_model,
             cipher=cipher,

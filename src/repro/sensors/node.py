@@ -12,13 +12,10 @@ Two capability grades coexist, as Section 5 requires:
   :class:`~repro.sensors.firmware.SensorFirmware`, and acknowledges them
   in outgoing data messages.
 
-Optionally a node can *relay* overheard neighbour traffic one hop closer
-to the fixed network, tagging relayed copies in the header — the
-Section 8 multi-hop future-work item ("initial support has been provided
-by tagging the message header to reflect multi-hop and relayed data
-messages"). Relayed copies are extra duplicates for the Filtering Service
-to eliminate; Garnet "transparently supports such node level activity"
-(Section 7).
+A node sends only its own streams; it never relays. Garnet still reads
+relayed frames from the field (Section 8's header tagging: the RELAYED hop
+count and HOP_TRACE), and the Filtering Service drops their duplicates, so
+it "transparently supports such node level activity" (Section 7).
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.control import (
-    ControlCodec,
     FrameKind,
     StreamUpdateCommand,
     StreamUpdateRequest,
@@ -62,8 +58,8 @@ from repro.util.ids import WrappingCounter
 MAX_ACKS_PER_MESSAGE = 4
 _ACK_FLUSH_DELAY = 0.25
 #: The medium tag of a node's data frames (a str: its hash is cached), and
-#: what a node that neither relays nor pays to receive ignores, since it
-#: acts only on control frames.
+#: what a node that does not pay to receive ignores, since it acts only on
+#: control frames.
 _DATA_TAG = FrameKind.DATA.value
 _DATA_ONLY = frozenset({_DATA_TAG})
 
@@ -101,7 +97,6 @@ class SensorStats:
     bytes_sent: int = 0
     control_frames: int = 0
     updates_applied: int = 0
-    relays: int = 0
     died_at: float | None = None
 
 
@@ -128,8 +123,6 @@ class SensorNode:
         tx_range: float = 150.0,
         rx_range: float = float("inf"),
         receive_capable: bool = True,
-        relay: bool = False,
-        max_relay_hops: int = 2,
         energy_model: RadioEnergyModel | None = None,
         battery: Battery | None = None,
         cipher: PayloadCipher | None = None,
@@ -139,10 +132,6 @@ class SensorNode:
         indexes = [spec.stream_index for spec in streams]
         if len(set(indexes)) != len(indexes):
             raise ConfigurationError(f"duplicate stream indexes: {indexes}")
-        if relay and not receive_capable:
-            raise ConfigurationError(
-                "a transmit-only sensor cannot relay (it never receives)"
-            )
         self.sensor_id = sensor_id
         self._sim = sim
         self._medium = medium
@@ -150,8 +139,6 @@ class SensorNode:
         self._codec = message_codec
         self.tx_range = tx_range
         self.receive_capable = receive_capable
-        self._relay = relay
-        self._max_relay_hops = max_relay_hops
         self._energy = energy_model
         self._battery = battery
         self._cipher = cipher
@@ -163,8 +150,6 @@ class SensorNode:
             if receive_capable
             else None
         )
-        self._relay_seen: set[tuple[int, int]] = set()
-        self._control_relay_seen: set[tuple[int, int]] = set()
         self._started = False
         self.stats = SensorStats()
         if receive_capable:
@@ -175,7 +160,7 @@ class SensorNode:
             # the *emitter's* range. A stationary node's antenna never
             # moves, so it qualifies for the medium's broadcast-pruning
             # index; roaming nodes must stay on the exhaustive scan.
-            ignores = frozenset() if relay or battery is not None else _DATA_ONLY
+            ignores = frozenset() if battery is not None else _DATA_ONLY
             medium.attach(
                 self, rx_range, static=isinstance(mobility, Stationary), ignores=ignores
             )
@@ -323,17 +308,12 @@ class SensorNode:
             ):
                 self._die()
                 return
-        kind = peek_frame_kind(frame.payload)
-        if kind is FrameKind.CONTROL:
+        if peek_frame_kind(frame.payload) is FrameKind.CONTROL:
             self.stats.control_frames += 1
             assert self._firmware is not None  # only listeners get frames
             handled = self._firmware.handle_frame(frame.payload)
             if handled is not None:
                 self._schedule_ack_flush()
-            elif self._relay:
-                self._maybe_relay_control(frame)
-        elif kind is FrameKind.DATA and self._relay:
-            self._maybe_relay(frame)
 
     def _schedule_ack_flush(self) -> None:
         # If no data message goes out soon, push an empty-payload message
@@ -406,80 +386,3 @@ class SensorNode:
             return APPLY_UNSUPPORTED
         except CodecError:
             return APPLY_BAD_PARAMS
-
-    # ------------------------------------------------------------------
-    # Multi-hop relay (Section 8 future work, initial support)
-    # ------------------------------------------------------------------
-    def _maybe_relay_control(self, frame: RadioFrame) -> None:
-        """Forward a control frame addressed to another sensor.
-
-        Section 8: "such issues arise if the source of relayed data is
-        not immediately accessible or available when transmitting
-        control messages" — a relay that carries a remote sensor's data
-        toward the fixed network also carries control frames the other
-        way. The frame is rebroadcast verbatim (its CRC still holds);
-        each distinct attempt (request id + issue timestamp) is
-        forwarded at most once to break relay ping-pong.
-        """
-        try:
-            request = ControlCodec().decode(frame.payload)
-        except CodecError:
-            return
-        if request.target.sensor_id == self.sensor_id:
-            return
-        key = (request.request_id, request.timestamp_us)
-        if key in self._control_relay_seen:
-            return
-        self._control_relay_seen.add(key)
-        if len(self._control_relay_seen) > 1024:
-            self._control_relay_seen.clear()
-        delay = self._sim.rng.uniform(0.01, 0.05)
-        self._sim.schedule(delay, self._transmit_control_relay, frame.payload)
-
-    def _transmit_control_relay(self, payload: bytes) -> None:
-        if not self.alive or not self._drain_tx(len(payload)):
-            return
-        self._medium.broadcast(
-            self.position, payload, self.tx_range, exclude=self
-        )
-        self.stats.relays += 1
-
-    def _maybe_relay(self, frame: RadioFrame) -> None:
-        try:
-            message = self._codec.decode(frame.payload)
-        except CodecError:
-            return
-        if message.stream_id.sensor_id == self.sensor_id:
-            return
-        hops = message.hop_count or 0
-        if hops >= self._max_relay_hops:
-            return
-        key = (message.stream_id.pack(), message.sequence)
-        if key in self._relay_seen:
-            return
-        self._relay_seen.add(key)
-        if len(self._relay_seen) > 4096:
-            self._relay_seen.clear()
-        relayed = message.with_relay_hop()
-        # Append our low id byte to the hop trace so the fixed network
-        # can see the relay path (Section 8's "intelligent processing
-        # decisions" hook for multi-hop data).
-        trace = relayed.find_extension(ExtensionType.HOP_TRACE) or b""
-        relayed = relayed.with_replaced_extension(
-            ExtensionType.HOP_TRACE,
-            trace + bytes([self.sensor_id & 0xFF]),
-        )
-        # Stagger the relay to avoid synchronised rebroadcast storms.
-        delay = self._sim.rng.uniform(0.01, 0.05)
-        self._sim.schedule(delay, self._transmit_relay, relayed)
-
-    def _transmit_relay(self, message: DataMessage) -> None:
-        if not self.alive:
-            return
-        frame = self._codec.encode(message)
-        if not self._drain_tx(len(frame)):
-            return
-        self._medium.broadcast(
-            self.position, frame, self.tx_range, exclude=self, tag=_DATA_TAG
-        )
-        self.stats.relays += 1

@@ -205,18 +205,23 @@ class _SocketWire:
         self.wait = self._closed.wait
         #: ``soon(call)`` runs ``call`` on the process's flusher thread.
         self.soon = _FLUSHER.soon
-        #: The session's first control channel.
-        self.control = self.dial()
-        self._udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        try:
-            self._udp.setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVBUF, _RECV_BUFFER
+        # A wire that fails half-built closes what it had opened.
+        with contextlib.ExitStack() as opened:
+            #: The session's first control channel.
+            self.control = opened.enter_context(self.dial())
+            self._udp = opened.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             )
-        except OSError:  # pragma: no cover - kernel may clamp, never raise
-            pass
-        # Bind on the interface the TCP connection resolved to, so the
-        # broker's deliveries (addressed to that interface) reach us.
-        self._udp.bind((self.control.getsockname()[0], 0))
+            try:
+                self._udp.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF, _RECV_BUFFER
+                )
+            except OSError:  # pragma: no cover - kernel may clamp, never raise
+                pass
+            # Bind on the interface the TCP connection resolved to, so the
+            # broker's deliveries (addressed to that interface) reach us.
+            self._udp.bind((self.control.getsockname()[0], 0))
+            opened.pop_all()
         self.udp_port = self._udp.getsockname()[1]
         self.sendto = self._udp.sendto
 

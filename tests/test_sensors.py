@@ -336,11 +336,6 @@ class TestSensorNode:
                 MessageCodec(),
             )
         with pytest.raises(ConfigurationError):
-            SensorNode(
-                1, sim, medium, Stationary(Point(0, 0)), [spec],
-                MessageCodec(), receive_capable=False, relay=True,
-            )
-        with pytest.raises(ConfigurationError):
             SensorStreamSpec(
                 300, ConstantSampler(1.0), SampleCodec(0.0, 1.0)
             )
@@ -361,7 +356,7 @@ class TestSensorNode:
 
 class TestWhoHearsData:
     """A receive-capable node takes a copy of a data transmission only if
-    it acts on it: it relays, or it pays to receive."""
+    it pays to receive it: it carries a battery."""
 
     @staticmethod
     def field(**listener):
@@ -408,27 +403,6 @@ class TestWhoHearsData:
         assert battery.consumed == pytest.approx(
             model.rx_cost(8) * talker.stats.bytes_sent
         )
-
-    def test_relay_node_still_relays(self):
-        sim, medium, talker, hearer, handed = self.field(relay=True)
-
-        class Sink:
-            # Beyond the talker's 100 m, inside the relay's.
-            position = Point(140.0, 0.0)
-
-            def __init__(self):
-                self.frames = []
-
-            def on_radio_receive(self, frame):
-                self.frames.append(frame)
-
-        sink = Sink()
-        medium.attach(sink, 10_000.0)
-        sim.run(until=5.0)
-        assert len(handed) == talker.stats.messages_sent > 0
-        assert hearer.stats.relays == talker.stats.messages_sent
-        relayed = [MessageCodec().decode(f.payload) for f in sink.frames]
-        assert relayed and all(m.hop_count == 1 for m in relayed)
 
     def test_plain_node_is_handed_control_but_not_data(self):
         sim, medium, talker, hearer, handed = self.field()

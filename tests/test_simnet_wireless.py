@@ -591,7 +591,7 @@ class TestSpatialStaleness:
 # Oracle: listener interest against a medium that builds every copy
 # ----------------------------------------------------------------------
 #: How a sensor tags its data transmissions, and what a plain sensor
-#: (no relay, no battery) declares it ignores.
+#: (one without a battery) declares it ignores.
 DATA_TAG = FrameKind.DATA.value
 
 _PAYLOADS = {

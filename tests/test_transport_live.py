@@ -8,6 +8,7 @@ exercises that CLI as a real subprocess.
 
 import asyncio
 import contextlib
+import errno
 import gc
 import random
 import socket
@@ -270,6 +271,26 @@ class TestControlPlane:
                 with pytest.raises(TransportError, match="already connected"):
                     connect(harness.url, "same")
                 gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []
+
+    def test_failed_connect_closes_its_control_socket(self, harness, monkeypatch):
+        # The control connection is dialled first; a datagram socket the
+        # process cannot open must not leave it behind.
+        real_socket = socket.socket
+
+        def no_datagram_sockets(family=-1, type=-1, *args, **kwargs):
+            if type == socket.SOCK_DGRAM:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_socket(family, type, *args, **kwargs)
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        monkeypatch.setattr(socket, "socket", no_datagram_sockets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(TransportError, match="cannot reach"):
+                connect(harness.url, "no-udp")
+            gc.collect()
         assert [hook.exc_value for hook in unraisable] == []
 
     def test_closed_session_refuses_further_calls(self, harness):

@@ -1,17 +1,15 @@
-"""Header extension semantics exercised end-to-end: hop traces and
-fusion counts over a live deployment."""
+"""Header extension semantics exercised end-to-end: fusion counts and
+source timestamps over a live deployment. Hop traces on relayed frames
+are in ``test_integration_end_to_end.py::TestMultiHopRelay``."""
 
-from repro.core.config import GarnetConfig
 from repro.core.dispatching import SubscriptionPattern
 from repro.core.flags import ExtensionType
 from repro.core.message import DataMessage
-from repro.core.middleware import Garnet
 from repro.core.operators import CollectingConsumer, WindowAggregator
 from repro.core.resource import StreamConfig
 from repro.core.streamid import StreamId
 from repro.sensors.node import SensorStreamSpec
 from repro.sensors.sampling import ConstantSampler, SampleCodec
-from repro.simnet.geometry import Point, Rect
 
 CODEC = SampleCodec(0.0, 100.0)
 
@@ -21,56 +19,6 @@ def spec(kind, rate=2.0):
         0, ConstantSampler(50.0), CODEC,
         config=StreamConfig(rate=rate), kind=kind,
     )
-
-
-class TestWithReplacedExtension:
-    def test_adds_when_absent(self):
-        message = DataMessage(stream_id=StreamId(1, 0), sequence=0)
-        updated = message.with_replaced_extension(3, b"\x07")
-        assert updated.find_extension(3) == b"\x07"
-
-    def test_replaces_existing_entry(self):
-        message = (
-            DataMessage(stream_id=StreamId(1, 0), sequence=0)
-            .with_extension(3, b"\x01")
-            .with_extension(4, b"\x02")
-        )
-        updated = message.with_replaced_extension(3, b"\x01\x09")
-        assert updated.find_extension(3) == b"\x01\x09"
-        assert updated.find_extension(4) == b"\x02"
-        assert len(updated.extensions) == 2
-
-
-class TestHopTrace:
-    def test_relay_appends_its_id_to_the_trace(self):
-        config = GarnetConfig(
-            area=Rect(0, 0, 400, 400),
-            receiver_rows=1,
-            receiver_cols=1,
-            receiver_overlap=1.0,
-            loss_model=None,
-        )
-        deployment = Garnet(config=config, seed=31)
-        deployment.define_sensor_type("g", {})
-        # Remote sensor out of receiver reach; relay bridges it in.
-        deployment.add_sensor(
-            "g", [spec("remote")],
-            mobility=Point(760.0, 200.0), tx_range=300.0,
-        )
-        relay = deployment.add_sensor(
-            "g", [spec("bridge")],
-            mobility=Point(470.0, 200.0), tx_range=300.0, relay=True,
-        )
-        sink = CollectingConsumer(
-            "sink", SubscriptionPattern(kind="remote"), CODEC
-        )
-        deployment.add_consumer(sink)
-        deployment.run(20.0)
-        assert len(sink.arrivals) > 5
-        for arrival in sink.arrivals:
-            trace = arrival.message.find_extension(ExtensionType.HOP_TRACE)
-            assert trace == bytes([relay.sensor_id & 0xFF])
-            assert arrival.message.hop_count == 1
 
 
 class TestFusionCount:

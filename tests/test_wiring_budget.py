@@ -421,7 +421,8 @@ def test_test_only_surfaces_stay_deleted():
     registry's emptiness probe, the broker's RPC surface, the
     deployment's second orphan catch-up door (``subscribe(replay=
     'orphans')`` is the one), the codec's second full parse and its
-    frame-size query."""
+    frame-size query, and the two message writers only a relaying sensor
+    called."""
     from repro.core.pubsub import Broker
 
     gone = {
@@ -432,6 +433,8 @@ def test_test_only_surfaces_stay_deleted():
         "claim_orphans",
         "decode_prefix",
         "encoded_size",
+        "with_relay_hop",
+        "with_replaced_extension",
     }
     defined = [
         (str(path.relative_to(SRC)), node.name)
@@ -674,21 +677,32 @@ MIDDLEWARE = SRC / "repro" / "core" / "middleware.py"
 SENSOR_NODE = SRC / "repro" / "sensors" / "node.py"
 
 
-def test_no_sensor_stamps_its_frames():
-    """``attach_timestamps`` put every data frame of a sensor through the
-    reference encoder, and nothing under ``src/`` read the stamp."""
+def _sensor_knobs(*knobs: str) -> list[tuple[str, str]]:
+    """Which of ``knobs`` the two doors that build a sensor still take."""
     doors = {
         "Garnet.add_sensor": _methods(_classes(MIDDLEWARE)["Garnet"])["add_sensor"],
         "SensorNode.__init__": _methods(_classes(SENSOR_NODE)["SensorNode"])[
             "__init__"
         ],
     }
-    taking = sorted(
-        name
+    return sorted(
+        (name, knob)
         for name, function in doors.items()
-        if "attach_timestamps" in _arguments(function)
+        for knob in knobs
+        if knob in _arguments(function)
     )
-    assert taking == []
+
+
+def test_no_sensor_stamps_its_frames():
+    """``attach_timestamps`` put every data frame of a sensor through the
+    reference encoder, and nothing under ``src/`` read the stamp."""
+    assert _sensor_knobs("attach_timestamps") == []
+
+
+def test_no_sensor_relays():
+    """Garnet reads relayed frames (hop count, HOP_TRACE), but no simulated
+    sensor forwards its neighbours' frames, and no root ever made one."""
+    assert _sensor_knobs("relay", "max_relay_hops") == []
 
 
 def test_only_the_reference_encoder_builds_a_bytearray():
